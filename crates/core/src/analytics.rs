@@ -73,7 +73,7 @@ pub fn build_phase_diagrams(db: &Database) -> Result<usize> {
     }
 
     let pd_coll = db.collection("phase_diagrams");
-    pd_coll.clear();
+    pd_coll.clear()?;
     let mut stable_count = 0;
     for (sys_name, sys_els) in &systems {
         let mut entries: Vec<PdEntry> = Vec::new();

@@ -77,6 +77,12 @@ impl MaterialsProject {
     /// (exactly the arrangement §IV-A1 describes), workers blocked from
     /// the datastore (proxy loading).
     pub fn new() -> Result<Self> {
+        Self::on(Database::new())
+    }
+
+    /// The same deployment over an existing database — a durably opened
+    /// one, or one recovered from an earlier run whose queue it resumes.
+    pub fn on(db: Database) -> Result<Self> {
         let user = "mp-prod".to_string();
         let mut batch = BatchConfig::default();
         batch.reservations.push(Reservation {
@@ -85,7 +91,7 @@ impl MaterialsProject {
             end: f64::INFINITY,
         });
         Ok(MaterialsProject {
-            pad: LaunchPad::new(Database::new())?,
+            pad: LaunchPad::new(db)?,
             cluster: ClusterSpec::medium(),
             batch,
             netpolicy: NetworkPolicy::default(),

@@ -2,10 +2,12 @@
 //! secondary indexes, and atomic find-and-modify (the primitive FireWorks
 //! uses to claim queue entries without double-running jobs).
 
-use crate::cursor::{CompiledProjection, FindOptions};
+use crate::cursor::{CompiledFindOptions, CompiledProjection, FindOptions};
 use crate::error::{Result, StoreError};
 use crate::index::{DocId, Index};
-use crate::profiler::{OpKind, Profiler};
+use crate::journal::{Shared, Store};
+use crate::persist::JournalOp;
+use crate::profiler::OpKind;
 use crate::query::{CompiledFilter, Filter};
 use crate::update::Update;
 use crate::value::{Docs, Document, OrderedValue};
@@ -39,8 +41,6 @@ pub struct UpdateResult {
     /// Whether an upsert inserted a new document.
     pub upserted: bool,
     /// `_id` the upsert-inserted document got (`None` unless `upserted`).
-    /// Write-behind journaling re-logs the upsert as an insert of the
-    /// materialized document, which needs the assigned id.
     pub upserted_id: Option<Value>,
 }
 
@@ -108,7 +108,7 @@ pub struct QueryPlan {
     pub cost: usize,
 }
 
-struct Inner {
+pub(crate) struct Inner {
     /// Documents are shared-ownership: readers clone the `Arc` (a pointer
     /// bump) and never the document. Writers copy-on-write — clone the
     /// JSON once, mutate the copy, swap the `Arc` in — so any snapshot a
@@ -116,6 +116,10 @@ struct Inner {
     docs: BTreeMap<DocId, Arc<Document>>,
     by_id: BTreeMap<OrderedValue, DocId>,
     indexes: Vec<Index>,
+    /// Set by a raw mutation that changed something a cached read could
+    /// see; `raw_apply` turns it into one generation bump before the
+    /// write lock is released.
+    dirty: bool,
 }
 
 /// A named collection of JSON documents.
@@ -127,13 +131,24 @@ pub struct Collection {
     /// caches key their entries to a generation and drop them when the
     /// collection has moved on (see `mp_exec::QueryCache`).
     version: AtomicU64,
-    profiler: Arc<Profiler>,
-    /// Simulated clock (seconds) used by `$currentDate`; shared with the DB.
-    clock: Arc<OrderedRwLock<f64>>,
+    /// Profiler, clock and journal, shared with the owning database.
+    shared: Arc<Shared>,
+}
+
+impl Store for Collection {
+    type State = Inner;
+    fn state(&self) -> &OrderedRwLock<Inner> {
+        &self.inner
+    }
+    fn bump_version(&self, inner: &mut Inner) {
+        if std::mem::take(&mut inner.dirty) {
+            self.version.fetch_add(1, AtomicOrdering::AcqRel);
+        }
+    }
 }
 
 impl Collection {
-    pub(crate) fn new(name: &str, profiler: Arc<Profiler>, clock: Arc<OrderedRwLock<f64>>) -> Self {
+    pub(crate) fn new(name: &str, shared: Arc<Shared>) -> Self {
         Collection {
             name: name.to_string(),
             inner: OrderedRwLock::new(
@@ -142,12 +157,12 @@ impl Collection {
                     docs: BTreeMap::new(),
                     by_id: BTreeMap::new(),
                     indexes: Vec::new(),
+                    dirty: false,
                 },
             ),
             next_id: AtomicU64::new(1),
             version: AtomicU64::new(0),
-            profiler,
-            clock,
+            shared,
         }
     }
 
@@ -155,10 +170,6 @@ impl Collection {
     /// strictly greater than every previously observed value.
     pub fn version(&self) -> u64 {
         self.version.load(AtomicOrdering::Acquire)
-    }
-
-    pub(crate) fn bump_version(&self) {
-        self.version.fetch_add(1, AtomicOrdering::AcqRel);
     }
 
     /// Raise the generation to at least `floor`. A database re-creating
@@ -185,76 +196,54 @@ impl Collection {
     }
 
     fn now(&self) -> f64 {
-        *self.clock.read()
+        *self.shared.clock.read()
+    }
+
+    /// Assign the `_id` (when missing) and the `DocId` an insert will
+    /// use, so the journal records the document the store will hold.
+    fn materialize(&self, mut doc: Value) -> Result<Option<(DocId, Value)>> {
+        let Some(obj) = doc.as_object_mut() else {
+            return Err(StoreError::InvalidDocument(
+                "document must be a JSON object".into(),
+            ));
+        };
+        let id_num = self.next_id.fetch_add(1, AtomicOrdering::Relaxed);
+        if !obj.contains_key("_id") {
+            obj.insert("_id".into(), json!(format!("oid{:012x}", id_num)));
+        }
+        Ok(Some((id_num, doc)))
+    }
+
+    fn journal_insert(&self, doc: &Value) -> JournalOp {
+        JournalOp::Insert {
+            collection: self.name.clone(),
+            doc: doc.clone(),
+        }
     }
 
     /// Insert one document. A missing `_id` is assigned automatically.
     /// Returns the document's `_id`.
-    pub fn insert_one(&self, mut doc: Value) -> Result<Value> {
-        let _t = self.profiler.start(&self.name, OpKind::Insert);
-        if !doc.is_object() {
-            return Err(StoreError::InvalidDocument(
-                "document must be a JSON object".into(),
-            ));
-        }
-        let mut inner = self.inner.write();
-        let id_num = self.next_id.fetch_add(1, AtomicOrdering::Relaxed);
-        let id_val = match doc.get("_id") {
-            Some(v) => v.clone(),
-            None => {
-                let v = json!(format!("oid{:012x}", id_num));
-                match doc.as_object_mut() {
-                    Some(obj) => obj.insert("_id".into(), v.clone()),
-                    None => {
-                        return Err(StoreError::InvalidDocument(
-                            "document must be a JSON object".into(),
-                        ))
-                    }
-                };
-                v
-            }
-        };
-        if inner.by_id.contains_key(&OrderedValue(id_val.clone())) {
-            return Err(StoreError::DuplicateKey(format!("_id {id_val}")));
-        }
-        // Unique-index check before any mutation.
-        for ix in &inner.indexes {
-            ix.check_unique(id_num, &doc, None)?;
-        }
-        for ix in &mut inner.indexes {
-            ix.insert(id_num, &doc)?;
-        }
-        inner.by_id.insert(OrderedValue(id_val.clone()), id_num);
-        inner.docs.insert(id_num, Arc::new(doc));
-        self.bump_version();
-        Ok(id_val)
+    pub fn insert_one(&self, doc: Value) -> Result<Value> {
+        let ids = self.insert_many(vec![doc])?;
+        Ok(ids.into_iter().next().unwrap_or(Value::Null))
     }
 
-    /// Insert many documents; stops at the first error.
+    /// Insert many documents; stops at the first error. On a journaled
+    /// database the batch is one journal guard hold and one barrier.
     pub fn insert_many(&self, docs: Vec<Value>) -> Result<Vec<Value>> {
-        docs.into_iter().map(|d| self.insert_one(d)).collect()
-    }
-
-    /// Reserve a fresh `_id` from the collection's id sequence without
-    /// inserting anything. The write-ahead seam
-    /// ([`crate::durable::DurableDatabase`]) assigns ids *before*
-    /// journaling so the WAL records the document the store will hold;
-    /// the burned sequence slot is harmless (ids only need uniqueness).
-    pub fn reserve_id(&self) -> Value {
-        let id_num = self.next_id.fetch_add(1, AtomicOrdering::Relaxed);
-        json!(format!("oid{:012x}", id_num))
-    }
-
-    /// Materialize the document an upsert-insert would create from
-    /// `filter`'s equality fields plus the applied `update` — without
-    /// touching the collection. The write-ahead seam journals this
-    /// materialized form so replay does not re-run the upsert decision.
-    pub fn materialize_upsert(&self, filter: &Value, update: &Value) -> Result<Value> {
-        let f = Filter::parse(filter)?;
-        let u = Update::parse(update)?;
-        let mut seed = filter_equality_seed(&f);
-        u.apply(&mut seed, self.now(), true)?;
-        Ok(seed)
+        let _t = self.shared.profiler.start(&self.name, OpKind::Insert);
+        let mut ids = Vec::with_capacity(docs.len());
+        self.shared.commit(
+            self,
+            docs,
+            |_, doc| self.materialize(doc),
+            |(_, doc)| self.journal_insert(doc),
+            |inner, (id_num, doc)| {
+                ids.push(Self::raw_insert(inner, id_num, doc)?);
+                Ok(())
+            },
+        )?;
+        Ok(ids)
     }
 
     /// Find documents matching a JSON filter with default options.
@@ -278,7 +267,7 @@ impl Collection {
     /// documents until after ordering (the sort keys need not be
     /// projected fields), so it projects the ordered window afterwards.
     pub fn find_with(&self, filter: &Value, opts: &FindOptions) -> Result<Docs> {
-        let _t = self.profiler.start(&self.name, OpKind::Find);
+        let _t = self.shared.profiler.start(&self.name, OpKind::Find);
         let cf = Filter::parse(filter)?.compile();
         let copts = opts.compile();
         if let (false, Some(proj)) = (copts.has_sort(), copts.projection()) {
@@ -314,7 +303,7 @@ impl Collection {
 
     /// Count documents matching the filter.
     pub fn count(&self, filter: &Value) -> Result<usize> {
-        let _t = self.profiler.start(&self.name, OpKind::Count);
+        let _t = self.shared.profiler.start(&self.name, OpKind::Count);
         let cf = Filter::parse(filter)?.compile();
         Ok(self.count_exec(&cf))
     }
@@ -376,7 +365,7 @@ impl Collection {
         {
             let inner = self.inner.read();
             let (plan, _) = Self::plan_query(&inner, cf);
-            self.profiler.bump(plan.kind.counter());
+            self.shared.profiler.bump(plan.kind.counter());
             match plan.kind {
                 PlanKind::Collscan => {
                     examined = inner.docs.len();
@@ -398,7 +387,7 @@ impl Collection {
 
     /// Distinct values at `path` among documents matching `filter`.
     pub fn distinct(&self, path: &str, filter: &Value) -> Result<Vec<Value>> {
-        let _t = self.profiler.start(&self.name, OpKind::Find);
+        let _t = self.shared.profiler.start(&self.name, OpKind::Find);
         let cf = Filter::parse(filter)?.compile();
         let mut set: BTreeMap<OrderedValue, ()> = BTreeMap::new();
         for doc in self.scan(&cf) {
@@ -420,73 +409,86 @@ impl Collection {
 
     /// Update all documents matching `filter`.
     pub fn update_many(&self, filter: &Value, update: &Value) -> Result<UpdateResult> {
-        self.update_inner(filter, update, false, false)
+        self.update(filter, update, true)
     }
 
     /// Update the first matching document.
     pub fn update_one(&self, filter: &Value, update: &Value) -> Result<UpdateResult> {
-        self.update_inner(filter, update, true, false)
+        self.update(filter, update, false)
     }
 
-    /// Update one; insert a new document from the update if none matched.
-    // mp-lint: allow(E002) — in-memory convenience only: the durable
-    // surface decomposes upserts via materialize_upsert into a resolved
-    // insert-or-update op so the WAL records the exact document, and
-    // never calls this combined primitive.
-    pub fn upsert(&self, filter: &Value, update: &Value) -> Result<UpdateResult> {
-        self.update_inner(filter, update, true, true)
+    fn journal_update(&self, filter: &Value, update: &Value, many: bool) -> JournalOp {
+        JournalOp::Update {
+            collection: self.name.clone(),
+            filter: filter.clone(),
+            update: update.clone(),
+            many,
+        }
     }
 
-    fn update_inner(
+    /// Update every match (`many`) or the first one.
+    pub(crate) fn update(
         &self,
         filter: &Value,
         update: &Value,
-        only_one: bool,
-        do_upsert: bool,
+        many: bool,
     ) -> Result<UpdateResult> {
-        let _t = self.profiler.start(&self.name, OpKind::Update);
+        let _t = self.shared.profiler.start(&self.name, OpKind::Update);
+        let cf = Filter::parse(filter)?.compile();
+        let u = Update::parse(update)?;
+        let now = self.now();
+        self.shared.commit_one(
+            self,
+            || self.journal_update(filter, update, many),
+            |inner| Self::raw_update(inner, &cf, &u, now, many),
+        )
+    }
+
+    /// Update one; insert a new document from the update if none
+    /// matched. The journal records the decided form: the update, or
+    /// the insert of the materialized document (filter seed plus
+    /// applied update, `_id` assigned).
+    pub fn upsert(&self, filter: &Value, update: &Value) -> Result<UpdateResult> {
+        let _t = self.shared.profiler.start(&self.name, OpKind::Update);
         let f = Filter::parse(filter)?;
         let cf = f.compile();
         let u = Update::parse(update)?;
         let now = self.now();
-        let mut inner = self.inner.write();
-        let ids = self.candidate_ids(&inner, &cf);
-        let mut res = UpdateResult::default();
-        for id in ids {
-            let Some(old) = inner.docs.get(&id).filter(|d| cf.matches(d)).cloned() else {
-                continue;
-            };
-            res.matched += 1;
-            // Copy-on-write: readers may hold the old Arc, so mutate a
-            // fresh copy and swap it in rather than writing through.
-            let mut new_doc = (*old).clone();
-            u.apply(&mut new_doc, now, false)?;
-            if new_doc != *old {
-                Self::reindex(&mut inner, id, &old, &new_doc)?;
-                inner.docs.insert(id, Arc::new(new_doc));
-                res.modified += 1;
-            }
-            if only_one {
-                break;
-            }
-        }
-        if res.modified > 0 {
-            self.bump_version();
-        }
-        if res.matched == 0 && do_upsert {
-            drop(inner);
-            let mut seed = filter_equality_seed(&f);
-            u.apply(&mut seed, now, true)?;
-            res.upserted_id = Some(self.insert_one(seed)?);
-            res.upserted = true;
-        }
-        Ok(res)
+        let out = self.shared.commit(
+            self,
+            Some(()),
+            // `None` updates in place; `Some` inserts the seed.
+            |inner, ()| {
+                if Self::first_match(inner, &cf, None).is_some() {
+                    return Ok(Some(None));
+                }
+                let mut seed = filter_equality_seed(&f);
+                u.apply(&mut seed, now, true)?;
+                self.materialize(seed).map(Some)
+            },
+            |seed| match seed {
+                None => self.journal_update(filter, update, false),
+                Some((_, doc)) => self.journal_insert(doc),
+            },
+            |inner, seed| match seed {
+                None => Self::raw_update(inner, &cf, &u, now, false),
+                Some((id_num, doc)) => Ok(UpdateResult {
+                    upserted: true,
+                    upserted_id: Some(Self::raw_insert(inner, id_num, doc)?),
+                    ..UpdateResult::default()
+                }),
+            },
+        )?;
+        Ok(out.unwrap_or_default())
     }
 
     /// Atomically find one matching document, apply `update` to it, and
     /// return it. `return_new` picks the post-update document. When `sort`
     /// is given, the first document under that order is taken — this is
-    /// the queue-pop primitive.
+    /// the queue-pop primitive. The journal records an `_id`-targeted
+    /// `update_one`: replay must touch exactly the document the live
+    /// sort selected, without re-running the sort (`_id` is immutable
+    /// through updates, so the pre-image's id addresses it).
     pub fn find_one_and_update(
         &self,
         filter: &Value,
@@ -494,114 +496,120 @@ impl Collection {
         sort: Option<&FindOptions>,
         return_new: bool,
     ) -> Result<Option<Arc<Document>>> {
-        let _t = self.profiler.start(&self.name, OpKind::FindAndModify);
+        let _t = self
+            .shared
+            .profiler
+            .start(&self.name, OpKind::FindAndModify);
         let cf = Filter::parse(filter)?.compile();
         let u = Update::parse(update)?;
+        let sort = sort.map(FindOptions::compile);
         let now = self.now();
-        let mut inner = self.inner.write();
-        let ids = self.candidate_ids(&inner, &cf);
-        let mut matches: Vec<(DocId, &Arc<Document>)> = ids
-            .iter()
-            .filter_map(|id| inner.docs.get(id).map(|d| (*id, d)))
-            .filter(|(_, d)| cf.matches(d))
-            .collect();
-        if matches.is_empty() {
-            return Ok(None);
-        }
-        if let Some(opts) = sort {
-            let copts = opts.compile();
-            matches.sort_by(|a, b| copts.cmp_docs(a.1, b.1));
-        }
-        let (id, old_ref) = matches[0];
-        let old = Arc::clone(old_ref);
-        let mut new_doc = (*old).clone();
-        u.apply(&mut new_doc, now, false)?;
-        if new_doc != *old {
-            let new_arc = Arc::new(new_doc);
-            Self::reindex(&mut inner, id, &old, &new_arc)?;
-            inner.docs.insert(id, Arc::clone(&new_arc));
-            self.bump_version();
-            return Ok(Some(if return_new { new_arc } else { old }));
-        }
-        Ok(Some(old))
+        self.shared.commit(
+            self,
+            Some(()),
+            |inner, ()| Ok(Self::first_match(inner, &cf, sort.as_ref())),
+            |(_, old)| {
+                let id = old.get("_id").cloned().unwrap_or(Value::Null);
+                self.journal_update(&json!({ "_id": id }), update, false)
+            },
+            |inner, (id, old)| {
+                let new = Self::raw_modify(inner, id, &old, &u, now)?;
+                Ok(if return_new { new.unwrap_or(old) } else { old })
+            },
+        )
     }
 
     /// Delete all documents matching the filter; returns how many.
     pub fn delete_many(&self, filter: &Value) -> Result<usize> {
-        let _t = self.profiler.start(&self.name, OpKind::Delete);
-        let cf = Filter::parse(filter)?.compile();
-        let mut inner = self.inner.write();
-        let ids: Vec<DocId> = self
-            .candidate_ids(&inner, &cf)
-            .into_iter()
-            .filter(|id| inner.docs.get(id).map(|d| cf.matches(d)).unwrap_or(false))
-            .collect();
-        for id in &ids {
-            if let Some(doc) = inner.docs.remove(id) {
-                let idv = doc.get("_id").cloned().unwrap_or(Value::Null);
-                inner.by_id.remove(&OrderedValue(idv));
-                for ix in &mut inner.indexes {
-                    ix.remove(*id, &doc);
-                }
-            }
-        }
-        if !ids.is_empty() {
-            self.bump_version();
-        }
-        Ok(ids.len())
+        self.delete(filter, true)
     }
 
     /// Delete the first matching document. Returns true if one was removed.
     pub fn delete_one(&self, filter: &Value) -> Result<bool> {
+        Ok(self.delete(filter, false)? > 0)
+    }
+
+    /// Delete every match (`many`) or the first one; returns how many.
+    pub(crate) fn delete(&self, filter: &Value, many: bool) -> Result<usize> {
+        let _t = self.shared.profiler.start(&self.name, OpKind::Delete);
         let cf = Filter::parse(filter)?.compile();
-        let mut inner = self.inner.write();
-        let ids = self.candidate_ids(&inner, &cf);
-        for id in ids {
-            let matched = inner.docs.get(&id).map(|d| cf.matches(d)).unwrap_or(false);
-            if matched {
-                let Some(doc) = inner.docs.remove(&id) else {
-                    continue;
-                };
-                let idv = doc.get("_id").cloned().unwrap_or(Value::Null);
-                inner.by_id.remove(&OrderedValue(idv));
-                for ix in &mut inner.indexes {
-                    ix.remove(id, &doc);
-                }
-                self.bump_version();
-                return Ok(true);
-            }
-        }
-        Ok(false)
+        self.shared.commit_one(
+            self,
+            || JournalOp::Delete {
+                collection: self.name.clone(),
+                filter: filter.clone(),
+                many,
+            },
+            |inner| Ok(Self::raw_delete(inner, &cf, many)),
+        )
     }
 
     /// Create a secondary index on `path`. Existing documents are indexed
-    /// immediately; fails atomically on unique violation.
+    /// immediately; fails atomically on unique violation. (Journaled
+    /// unconditionally — replaying an index that already exists is a
+    /// no-op.)
     pub fn create_index(&self, path: &str, unique: bool) -> Result<()> {
-        let mut inner = self.inner.write();
-        if inner.indexes.iter().any(|ix| ix.path == path) {
-            return Ok(());
-        }
-        let mut ix = Index::new(path, unique);
-        for (id, doc) in &inner.docs {
-            ix.insert(*id, doc)?;
-        }
-        inner.indexes.push(ix);
-        // Plans can change when an index appears, so cached results keyed
-        // to the old generation must not outlive it.
-        self.bump_version();
-        Ok(())
+        self.shared.commit_one(
+            self,
+            || JournalOp::CreateIndex {
+                collection: self.name.clone(),
+                path: path.to_string(),
+                unique,
+            },
+            |inner| {
+                if inner.indexes.iter().any(|ix| ix.path == path) {
+                    return Ok(());
+                }
+                let mut ix = Index::new(path, unique);
+                for (id, doc) in &inner.docs {
+                    ix.insert(*id, doc)?;
+                }
+                inner.indexes.push(ix);
+                // Plans can change when an index appears, so cached
+                // results keyed to the old generation must not outlive it.
+                inner.dirty = true;
+                Ok(())
+            },
+        )
     }
 
     /// Drop the index on `path`.
     pub fn drop_index(&self, path: &str) -> Result<()> {
-        let mut inner = self.inner.write();
-        let before = inner.indexes.len();
-        inner.indexes.retain(|ix| ix.path != path);
-        if inner.indexes.len() == before {
-            return Err(StoreError::NoSuchIndex(path.into()));
-        }
-        self.bump_version();
-        Ok(())
+        self.shared.commit_one(
+            self,
+            || JournalOp::DropIndex {
+                collection: self.name.clone(),
+                path: path.to_string(),
+            },
+            |inner| {
+                let before = inner.indexes.len();
+                inner.indexes.retain(|ix| ix.path != path);
+                if inner.indexes.len() == before {
+                    return Err(StoreError::NoSuchIndex(path.into()));
+                }
+                inner.dirty = true;
+                Ok(())
+            },
+        )
+    }
+
+    /// Remove every document (index definitions survive).
+    pub fn clear(&self) -> Result<()> {
+        self.shared.commit_one(
+            self,
+            || JournalOp::Clear {
+                collection: self.name.clone(),
+            },
+            |inner| {
+                inner.docs.clear();
+                inner.by_id.clear();
+                for ix in &mut inner.indexes {
+                    *ix = Index::new(ix.path.clone(), ix.unique);
+                }
+                inner.dirty = true;
+                Ok(())
+            },
+        )
     }
 
     /// `(path, unique)` of the existing indexes, in creation order.
@@ -631,20 +639,6 @@ impl Collection {
     /// per document, not a deep copy.
     pub fn dump(&self) -> Docs {
         self.inner.read().docs.values().cloned().collect()
-    }
-
-    /// Remove everything.
-    pub fn clear(&self) {
-        let mut inner = self.inner.write();
-        inner.docs.clear();
-        inner.by_id.clear();
-        let paths: Vec<(String, bool)> = inner
-            .indexes
-            .iter()
-            .map(|ix| (ix.path.clone(), ix.unique))
-            .collect();
-        inner.indexes = paths.into_iter().map(|(p, u)| Index::new(p, u)).collect();
-        self.bump_version();
     }
 
     /// Query-plan diagnostics, like MongoDB's `explain()`: which access
@@ -810,7 +804,7 @@ impl Collection {
 
     /// Ids worth checking for `cf`, via the planner's chosen access path
     /// (used by the update/delete paths, which need ids, not documents).
-    fn candidate_ids(&self, inner: &Inner, cf: &CompiledFilter) -> Vec<DocId> {
+    fn candidate_ids(inner: &Inner, cf: &CompiledFilter) -> Vec<DocId> {
         let (plan, _) = Self::plan_query(inner, cf);
         Self::plan_candidates(inner, cf, &plan)
     }
@@ -835,7 +829,7 @@ impl Collection {
     pub(crate) fn snapshot(&self, cf: &CompiledFilter) -> Docs {
         let inner = self.inner.read();
         let (plan, _) = Self::plan_query(&inner, cf);
-        self.profiler.bump(plan.kind.counter());
+        self.shared.profiler.bump(plan.kind.counter());
         match plan.kind {
             PlanKind::Collscan => inner.docs.values().cloned().collect(),
             _ => Self::plan_candidates(&inner, cf, &plan)
@@ -849,7 +843,7 @@ impl Collection {
     /// (no snapshot needed — nothing is handed out).
     fn count_in(&self, inner: &Inner, cf: &CompiledFilter) -> usize {
         let (plan, _) = Self::plan_query(inner, cf);
-        self.profiler.bump(plan.kind.counter());
+        self.shared.profiler.bump(plan.kind.counter());
         match plan.kind {
             PlanKind::Collscan => inner.docs.values().filter(|d| cf.matches(d)).count(),
             _ => Self::plan_candidates(inner, cf, &plan)
@@ -857,6 +851,112 @@ impl Collection {
                 .filter(|id| inner.docs.get(id).map(|d| cf.matches(d)).unwrap_or(false))
                 .count(),
         }
+    }
+
+    // ---- raw mutations: reached only through `Shared::commit` ----
+
+    fn raw_insert(inner: &mut Inner, id_num: DocId, doc: Value) -> Result<Value> {
+        let id_val = doc.get("_id").cloned().unwrap_or(Value::Null);
+        if inner.by_id.contains_key(&OrderedValue(id_val.clone())) {
+            return Err(StoreError::DuplicateKey(format!("_id {id_val}")));
+        }
+        // Unique-index check before any mutation.
+        for ix in &inner.indexes {
+            ix.check_unique(id_num, &doc, None)?;
+        }
+        for ix in &mut inner.indexes {
+            ix.insert(id_num, &doc)?;
+        }
+        inner.by_id.insert(OrderedValue(id_val.clone()), id_num);
+        inner.docs.insert(id_num, Arc::new(doc));
+        inner.dirty = true;
+        Ok(id_val)
+    }
+
+    /// The first match of `cf` under `sort` (store order without one,
+    /// and among equals).
+    fn first_match(
+        inner: &Inner,
+        cf: &CompiledFilter,
+        sort: Option<&CompiledFindOptions>,
+    ) -> Option<(DocId, Arc<Document>)> {
+        let mut matches = Self::candidate_ids(inner, cf)
+            .into_iter()
+            .filter_map(|id| inner.docs.get(&id).map(|d| (id, d)))
+            .filter(|(_, d)| cf.matches(d));
+        let (id, doc) = match sort {
+            None => matches.next()?,
+            Some(copts) => matches.min_by(|a, b| copts.cmp_docs(a.1, b.1))?,
+        };
+        Some((id, Arc::clone(doc)))
+    }
+
+    /// Copy-on-write `u` onto document `id` (readers may hold `old`, so
+    /// mutate a fresh copy and swap it in rather than writing through).
+    /// Returns the new document, or `None` when the update changed
+    /// nothing.
+    fn raw_modify(
+        inner: &mut Inner,
+        id: DocId,
+        old: &Arc<Document>,
+        u: &Update,
+        now: f64,
+    ) -> Result<Option<Arc<Document>>> {
+        let mut new_doc = (**old).clone();
+        u.apply(&mut new_doc, now, false)?;
+        if new_doc == **old {
+            return Ok(None);
+        }
+        Self::reindex(inner, id, old, &new_doc)?;
+        let new = Arc::new(new_doc);
+        inner.docs.insert(id, Arc::clone(&new));
+        inner.dirty = true;
+        Ok(Some(new))
+    }
+
+    fn raw_update(
+        inner: &mut Inner,
+        cf: &CompiledFilter,
+        u: &Update,
+        now: f64,
+        many: bool,
+    ) -> Result<UpdateResult> {
+        let mut res = UpdateResult::default();
+        for id in Self::candidate_ids(inner, cf) {
+            let Some(old) = inner.docs.get(&id).filter(|d| cf.matches(d)).cloned() else {
+                continue;
+            };
+            res.matched += 1;
+            if Self::raw_modify(inner, id, &old, u, now)?.is_some() {
+                res.modified += 1;
+            }
+            if !many {
+                break;
+            }
+        }
+        Ok(res)
+    }
+
+    fn raw_delete(inner: &mut Inner, cf: &CompiledFilter, many: bool) -> usize {
+        let mut removed = 0;
+        for id in Self::candidate_ids(inner, cf) {
+            if !inner.docs.get(&id).is_some_and(|d| cf.matches(d)) {
+                continue;
+            }
+            if let Some(doc) = inner.docs.remove(&id) {
+                let idv = doc.get("_id").cloned().unwrap_or(Value::Null);
+                inner.by_id.remove(&OrderedValue(idv));
+                for ix in &mut inner.indexes {
+                    ix.remove(id, &doc);
+                }
+                removed += 1;
+            }
+            if !many {
+                break;
+            }
+        }
+        inner.dirty |= removed > 0;
+        removed
     }
 
     fn reindex(inner: &mut Inner, id: DocId, old: &Value, new: &Value) -> Result<()> {
@@ -1037,14 +1137,9 @@ fn filter_equality_seed(f: &Filter) -> Value {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::profiler::Profiler;
 
     fn coll() -> Collection {
-        Collection::new(
-            "test",
-            Arc::new(Profiler::new(16_384)),
-            Arc::new(OrderedRwLock::new(LockRank::Clock, 0.0)),
-        )
+        Collection::new("test", Arc::new(Shared::new()))
     }
 
     #[test]
@@ -1332,12 +1427,8 @@ mod tests {
     /// counters `scan` bumps on the access path it takes.
     #[test]
     fn explain_plan_matches_access_path_taken() {
-        let prof = Arc::new(Profiler::new(16_384));
-        let c = Collection::new(
-            "t",
-            prof.clone(),
-            Arc::new(OrderedRwLock::new(LockRank::Clock, 0.0)),
-        );
+        let c = coll();
+        let prof = &c.shared.profiler;
         for i in 0..40 {
             c.insert_one(json!({"grp": i % 4, "n": i})).unwrap();
         }
@@ -1386,7 +1477,7 @@ mod tests {
         c.delete_many(&json!({"a": 2})).unwrap();
         assert!(c.version() > v3, "delete must bump the generation");
         let v4 = c.version();
-        c.clear();
+        c.clear().unwrap();
         assert!(c.version() > v4, "clear must bump the generation");
     }
 
@@ -1435,7 +1526,7 @@ mod tests {
         let c = coll();
         c.create_index("k", false).unwrap();
         c.insert_one(json!({"k": 1})).unwrap();
-        c.clear();
+        c.clear().unwrap();
         assert_eq!(c.len(), 0);
         assert_eq!(c.index_paths(), vec!["k".to_string()]);
         c.insert_one(json!({"k": 2})).unwrap();

@@ -4,15 +4,18 @@
 
 use crate::collection::Collection;
 use crate::docgraph::{schema_stats, DocStats};
+use crate::error::Result;
+use crate::journal::{Journal, JournalSink, Shared, Store};
+use crate::persist::{GroupCommit, JournalOp};
 use crate::profiler::Profiler;
-use mp_sync::{LockRank, OrderedRwLock};
+use mp_sync::{LockRank, OrderedMutex, OrderedRwLock};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// A named set of collections. Cheap to clone (`Arc` inside).
 #[derive(Clone)]
 pub struct Database {
-    inner: Arc<DbInner>,
+    pub(crate) inner: Arc<DbInner>,
 }
 
 /// The collection map plus the generation floors of dropped
@@ -21,7 +24,7 @@ pub struct Database {
 /// inserts it, so no interleaving can observe the successor at a
 /// generation the predecessor already published.
 #[derive(Default)]
-struct Registry {
+pub(crate) struct Registry {
     map: BTreeMap<String, Arc<Collection>>,
     /// `name → generation the dropped collection had reached`. A
     /// successor seeds its version past this floor so `(name,
@@ -29,10 +32,21 @@ struct Registry {
     floors: BTreeMap<String, u64>,
 }
 
-struct DbInner {
+pub(crate) struct DbInner {
     collections: OrderedRwLock<Registry>,
-    profiler: Arc<Profiler>,
-    clock: Arc<OrderedRwLock<f64>>,
+    /// Profiler, clock and (once attached) the journal, shared with
+    /// every collection.
+    shared: Arc<Shared>,
+}
+
+/// The registry commits through the same seam as the collections;
+/// dropping a collection publishes no generation of its own.
+impl Store for Database {
+    type State = Registry;
+    fn state(&self) -> &OrderedRwLock<Registry> {
+        &self.inner.collections
+    }
+    fn bump_version(&self, _: &mut Registry) {}
 }
 
 impl Default for Database {
@@ -47,10 +61,22 @@ impl Database {
         Database {
             inner: Arc::new(DbInner {
                 collections: OrderedRwLock::new(LockRank::Database, Registry::default()),
-                profiler: Arc::new(Profiler::new(65_536)),
-                clock: Arc::new(OrderedRwLock::new(LockRank::Clock, 0.0)),
+                shared: Arc::new(Shared::new()),
             }),
         }
+    }
+
+    /// Make every later mutation through any handle of this database
+    /// write ahead to `sink`, acknowledged after `sync`'s barrier when
+    /// one is given. Attached after recovery replay, never before; a
+    /// second attach is ignored (a database has one log).
+    pub(crate) fn attach_journal(
+        &self,
+        sink: Arc<OrderedMutex<dyn JournalSink>>,
+        sync: Option<Arc<GroupCommit>>,
+    ) {
+        let db = Arc::downgrade(&self.inner);
+        let _ = self.inner.shared.journal.set(Journal { sink, sync, db });
     }
 
     /// Get (creating on first use, like MongoDB) the named collection.
@@ -68,8 +94,7 @@ impl Database {
         reg.map
             .entry(name.to_string())
             .or_insert_with(|| {
-                let c =
-                    Collection::new(name, self.inner.profiler.clone(), self.inner.clock.clone());
+                let c = Collection::new(name, self.inner.shared.clone());
                 c.set_version_floor(floor);
                 Arc::new(c)
             })
@@ -83,36 +108,39 @@ impl Database {
 
     /// Drop a collection entirely.
     ///
-    /// The drop is itself a mutation of the dropped collection: its
-    /// generation is bumped one last time and recorded as the floor a
-    /// future same-named collection starts above, so query-cache entries
-    /// keyed to the old `(name, generation)` can never be served from
-    /// the successor.
-    pub fn drop_collection(&self, name: &str) -> bool {
-        let mut reg = self.inner.collections.write();
-        match reg.map.remove(name) {
-            Some(c) => {
-                c.bump_version();
-                reg.floors.insert(name.to_string(), c.version());
-                true
-            }
-            None => false,
-        }
+    /// A future same-named collection starts one generation above the
+    /// last the dropped one published, so query-cache entries keyed to
+    /// the old `(name, generation)` can never be served from the
+    /// successor. Returns whether the collection existed.
+    pub fn drop_collection(&self, name: &str) -> Result<bool> {
+        self.inner.shared.commit_one(
+            self,
+            || JournalOp::DropCollection {
+                collection: name.to_string(),
+            },
+            |reg| {
+                let dropped = reg.map.remove(name);
+                if let Some(c) = &dropped {
+                    reg.floors.insert(name.to_string(), c.version() + 1);
+                }
+                Ok(dropped.is_some())
+            },
+        )
     }
 
     /// The shared operation profiler.
     pub fn profiler(&self) -> &Profiler {
-        &self.inner.profiler
+        &self.inner.shared.profiler
     }
 
     /// Advance the simulated clock (seconds); `$currentDate` reads it.
     pub fn set_time(&self, t: f64) {
-        *self.inner.clock.write() = t;
+        *self.inner.shared.clock.write() = t;
     }
 
     /// Current simulated time (seconds).
     pub fn time(&self) -> f64 {
-        *self.inner.clock.read()
+        *self.inner.shared.clock.read()
     }
 
     /// Total documents across all collections.
@@ -166,8 +194,8 @@ mod tests {
     fn drop_collection() {
         let db = Database::new();
         db.collection("c").insert_one(json!({})).unwrap();
-        assert!(db.drop_collection("c"));
-        assert!(!db.drop_collection("c"));
+        assert!(db.drop_collection("c").unwrap());
+        assert!(!db.drop_collection("c").unwrap());
         assert!(db.collection_names().is_empty());
     }
 
@@ -181,7 +209,7 @@ mod tests {
         let c = db.collection("c");
         c.insert_one(json!({"_id": 1, "v": "old"})).unwrap();
         let seen = c.version();
-        assert!(db.drop_collection("c"));
+        assert!(db.drop_collection("c").unwrap());
         let c2 = db.collection("c");
         assert!(
             c2.version() > seen,

@@ -1,41 +1,11 @@
-//! Write-ahead durability seam: a [`Database`] paired with a
-//! [`Persister`] WAL, where every mutation the public surface offers is
-//! journaled as a [`JournalOp`] *before* it is applied live, and
-//! acknowledged only after a group-commit durability barrier.
-//!
-//! Two lint contracts pin this seam statically. `mp-lint effects`
-//! (E002) proves *coverage*: each `DurableDatabase` method that reaches
-//! a collection mutation primitive also reaches the journal. `mp-lint
-//! order` (O0xx) proves *ordering*: in every method's sequenced effect
-//! trace the journal append precedes the in-memory apply (O001) and the
-//! last append is followed by a durability barrier before the caller
-//! sees `Ok` (O002). The proptest in `tests/durable_replay.rs` checks
-//! replay equivalence dynamically; `tests/wal_crash_matrix.rs` kills
-//! the write path at every event boundary and byte offset.
-//!
-//! ## The commit protocol
-//!
-//! ```text
-//! materialize → append frames (WAL lock) → apply in memory (same lock)
-//!             → release → group-commit fsync barrier → Ok
-//! ```
-//!
-//! * **Materialize first.** Anything the live apply would decide —
-//!   assigned `_id`s, the upsert insert-vs-update branch, the sorted
-//!   find-and-modify target — is decided *before* the append, so the
-//!   WAL records exactly what the store will do and replay re-decides
-//!   nothing.
-//! * **Append and apply under one guard.** Journal order is apply
-//!   order; replay applies ops in WAL order and reaches the same state.
-//! * **Barrier outside the guard.** The fsync happens after the WAL
-//!   lock is released, so committers pile up on the [`GroupCommit`]
-//!   sync lock and one leader fsync covers the whole queue — batching
-//!   without timers. A crash after append but before the barrier may
-//!   preserve the op (the OS got the bytes) or tear it; either way the
-//!   caller never saw `Ok`, so both outcomes are correct.
-//! * **An op that fails to apply stays in the WAL.** Replay is
-//!   best-effort ([`JournalOp::apply`]) and fails the same
-//!   deterministic way, converging on the live outcome.
+//! Opening a directory as a durable database: recover whatever
+//! snapshot + WAL it holds, then attach the WAL as the database's
+//! journal, so every later mutation through *any* handle of it —
+//! [`DurableDatabase::database`], a clone held by `LaunchPad` or
+//! `QueryEngine`, a bare `Collection` — is written ahead and
+//! acknowledged only after the group-commit barrier. The commit
+//! protocol itself lives in [`crate::journal`]; this module is the
+//! open/checkpoint handle around it.
 //!
 //! **`$currentDate`** reads the simulated clock, which is not
 //! persisted; replaying such an update under a different clock gives a
@@ -44,19 +14,14 @@
 //! Compaction is log-structured: when the WAL outgrows
 //! [`DurableOptions::compact_after_bytes`], the committing call
 //! checkpoints — snapshot, fsync, truncate the WAL — so recovery time
-//! tracks the compaction threshold, not total writes (the
-//! recovery-time-vs-log-length curve in `BENCH_wal.json`).
+//! tracks the compaction threshold, not total writes.
 
-use crate::collection::{Collection, UpdateResult};
-use crate::cursor::FindOptions;
+use crate::collection::UpdateResult;
 use crate::database::Database;
-use crate::error::{Result, StoreError};
-use crate::persist::{GroupCommit, JournalOp, Persister};
-use crate::query::Filter;
-use crate::update::Update;
-use crate::value::Document;
+use crate::error::Result;
+use crate::persist::{GroupCommit, Persister};
 use mp_sync::{LockRank, OrderedMutex};
-use serde_json::{json, Value};
+use serde_json::Value;
 use std::path::Path;
 use std::sync::Arc;
 
@@ -82,20 +47,15 @@ impl Default for DurableOptions {
     }
 }
 
-/// A database whose mutations are write-ahead journaled for crash
-/// recovery.
+/// A database opened from a directory, whose mutations are write-ahead
+/// journaled for crash recovery.
 pub struct DurableDatabase {
     db: Database,
-    /// WAL writer. `LockRank::Journal` (380) sits *outside* `Database`
-    /// (400) so the commit protocol may apply collection mutations while
-    /// holding it (append order == apply order), and so
-    /// [`Self::checkpoint`] may read collections while excluding
-    /// appenders.
-    journal: OrderedMutex<Persister>,
-    /// Group-commit barrier (`LockRank::JournalSync`, taken with the
-    /// WAL lock released).
+    /// The WAL writer, shared with `db` as its journal
+    /// (`LockRank::Journal`).
+    wal: Arc<OrderedMutex<Persister>>,
+    /// Group-commit barrier (`LockRank::JournalSync`).
     sync: Arc<GroupCommit>,
-    opts: DurableOptions,
 }
 
 impl DurableDatabase {
@@ -106,21 +66,20 @@ impl DurableDatabase {
         Self::open_with(dir, DurableOptions::default())
     }
 
-    /// Open with explicit [`DurableOptions`].
+    /// Open with explicit [`DurableOptions`]. The journal is attached
+    /// only after recovery has replayed, so replay never journals.
     pub fn open_with(dir: impl AsRef<Path>, opts: DurableOptions) -> Result<Self> {
         let mut persister = Persister::open(dir)?;
         let db = persister.recover()?;
+        persister.compact_after_bytes = opts.compact_after_bytes;
         let sync = persister.sync_handle();
-        Ok(DurableDatabase {
-            db,
-            journal: OrderedMutex::new(LockRank::Journal, persister),
-            sync,
-            opts,
-        })
+        let wal = Arc::new(OrderedMutex::new(LockRank::Journal, persister));
+        db.attach_journal(wal.clone(), opts.fsync.then(|| sync.clone()));
+        Ok(DurableDatabase { db, wal, sync })
     }
 
-    /// The live database, for reads. Mutating through this handle
-    /// bypasses the WAL — mutate via the `DurableDatabase` methods.
+    /// The live database. Every mutation through it (or any clone or
+    /// collection handle of it) commits through the WAL.
     pub fn database(&self) -> &Database {
         &self.db
     }
@@ -133,345 +92,48 @@ impl DurableDatabase {
 
     /// Current WAL length in bytes (the compaction trigger input).
     pub fn wal_len(&self) -> u64 {
-        self.journal.lock().wal_len()
+        self.wal.lock().wal_len()
     }
 
-    /// Assign a fresh `_id` if `doc` lacks one, so the WAL records the
-    /// document the store will hold.
-    fn materialize_id(coll: &Collection, mut doc: Value) -> Result<Value> {
-        if doc.get("_id").is_none() {
-            match doc.as_object_mut() {
-                Some(obj) => {
-                    obj.insert("_id".into(), coll.reserve_id());
-                }
-                None => {
-                    return Err(StoreError::InvalidDocument(
-                        "document must be a JSON object".into(),
-                    ))
-                }
-            }
-        }
-        Ok(doc)
+    /// Write a full snapshot (fsynced) and truncate the WAL. The WAL
+    /// guard is held across the snapshot write: an append landing
+    /// mid-snapshot would be truncated away while its effect is only
+    /// partially captured.
+    pub fn checkpoint(&self) -> Result<()> {
+        self.wal.lock().snapshot(&self.db)
     }
 
-    /// The write-ahead commit core: append `ops` to the WAL, apply them
-    /// in memory under the same guard, then issue the durability
-    /// barrier with the guard released.
-    // mp-lint: allow(E003) — write-ahead core: the frames must hit the WAL before the in-memory apply, and both must happen under one guard so journal order is apply order; the barrier waits outside
-    fn commit<T>(
-        &self,
-        ops: &[JournalOp],
-        apply: impl FnOnce(&Database) -> Result<T>,
-    ) -> Result<T> {
-        let lsn;
-        let out;
-        {
-            let mut wal = self.journal.lock();
-            lsn = wal.append_ops(ops)?;
-            out = apply(&self.db);
-        }
-        self.barrier(lsn)?;
-        self.maybe_compact()?;
-        out
+    /// `database().collection(collection).create_index(path, unique)`.
+    pub fn create_index(&self, collection: &str, path: &str, unique: bool) -> Result<()> {
+        self.db.collection(collection).create_index(path, unique)
     }
 
-    /// Group-commit durability barrier for byte offset `lsn`.
-    fn barrier(&self, lsn: u64) -> Result<()> {
-        if self.opts.fsync {
-            self.sync.sync_to(lsn)?;
-        }
-        Ok(())
-    }
-
-    /// Checkpoint if the WAL outgrew the compaction threshold.
-    fn maybe_compact(&self) -> Result<()> {
-        let Some(limit) = self.opts.compact_after_bytes else {
-            return Ok(());
-        };
-        if self.wal_len() > limit {
-            self.checkpoint()?;
-        }
-        Ok(())
-    }
-
-    /// Insert one document; the WAL records its materialized form
-    /// (assigned `_id` included) before the live insert.
-    pub fn insert_one(&self, collection: &str, doc: Value) -> Result<Value> {
-        let coll = self.db.collection(collection);
-        let doc = Self::materialize_id(&coll, doc)?;
-        self.commit(
-            &[JournalOp::Insert {
-                collection: collection.to_string(),
-                doc: doc.clone(),
-            }],
-            |db| db.collection(collection).insert_one(doc),
-        )
-    }
-
-    /// Insert many documents; stops at the first error. Each document's
-    /// frame is appended before its insert, interleaved under one guard
-    /// hold, so the WAL covers the applied prefix (plus at most the one
-    /// op that failed, which replays as the same failure); a single
-    /// barrier covers the whole batch.
-    // mp-lint: allow(E003) — write-ahead core: per-document append-then-apply must interleave under one guard so the WAL orders exactly the applied prefix; one barrier then covers the batch
+    /// `database().collection(collection).insert_many(docs)`.
     pub fn insert_many(&self, collection: &str, docs: Vec<Value>) -> Result<Vec<Value>> {
-        let coll = self.db.collection(collection);
-        let mut ids = Vec::with_capacity(docs.len());
-        let mut failure = None;
-        let mut lsn = 0;
-        {
-            let mut wal = self.journal.lock();
-            for doc in docs {
-                let doc = match Self::materialize_id(&coll, doc) {
-                    Ok(d) => d,
-                    Err(e) => {
-                        failure = Some(e);
-                        break;
-                    }
-                };
-                lsn = wal.append_ops(&[JournalOp::Insert {
-                    collection: collection.to_string(),
-                    doc: doc.clone(),
-                }])?;
-                match coll.insert_one(doc) {
-                    Ok(id) => ids.push(id),
-                    Err(e) => {
-                        failure = Some(e);
-                        break;
-                    }
-                }
-            }
-        }
-        self.barrier(lsn)?;
-        self.maybe_compact()?;
-        match failure {
-            Some(e) => Err(e),
-            None => Ok(ids),
-        }
+        self.db.collection(collection).insert_many(docs)
     }
 
-    /// Update all matching documents.
-    pub fn update_many(
-        &self,
-        collection: &str,
-        filter: &Value,
-        update: &Value,
-    ) -> Result<UpdateResult> {
-        Filter::parse(filter)?;
-        Update::parse(update)?;
-        self.commit(
-            &[JournalOp::Update {
-                collection: collection.to_string(),
-                filter: filter.clone(),
-                update: update.clone(),
-                many: true,
-            }],
-            |db| db.collection(collection).update_many(filter, update),
-        )
+    /// `database().collection(collection).insert_one(doc)`.
+    pub fn insert_one(&self, collection: &str, doc: Value) -> Result<Value> {
+        self.db.collection(collection).insert_one(doc)
     }
 
-    /// Update the first matching document.
+    /// `database().collection(collection).update_one(filter, update)`.
     pub fn update_one(
         &self,
         collection: &str,
         filter: &Value,
         update: &Value,
     ) -> Result<UpdateResult> {
-        Filter::parse(filter)?;
-        Update::parse(update)?;
-        self.commit(
-            &[JournalOp::Update {
-                collection: collection.to_string(),
-                filter: filter.clone(),
-                update: update.clone(),
-                many: false,
-            }],
-            |db| db.collection(collection).update_one(filter, update),
-        )
-    }
-
-    /// Update one; insert a new document from the update if none
-    /// matched. The insert-vs-update decision is made under the WAL
-    /// guard and journaled in its decided form — an upsert-insert as
-    /// the insert of the materialized document (filter seed plus
-    /// applied update, `_id` assigned) — so replay re-decides nothing.
-    // mp-lint: allow(E003) — write-ahead core: the upsert branch decision, its append, and its apply must share one guard hold or a concurrent upsert could double-insert; the barrier waits outside
-    pub fn upsert(&self, collection: &str, filter: &Value, update: &Value) -> Result<UpdateResult> {
-        let coll = self.db.collection(collection);
-        let lsn;
-        let res;
-        {
-            let mut wal = self.journal.lock();
-            if coll.find_one(filter)?.is_some() {
-                lsn = wal.append_ops(&[JournalOp::Update {
-                    collection: collection.to_string(),
-                    filter: filter.clone(),
-                    update: update.clone(),
-                    many: false,
-                }])?;
-                res = coll.update_one(filter, update);
-            } else {
-                let seed = coll.materialize_upsert(filter, update)?;
-                let seed = Self::materialize_id(&coll, seed)?;
-                lsn = wal.append_ops(&[JournalOp::Insert {
-                    collection: collection.to_string(),
-                    doc: seed.clone(),
-                }])?;
-                res = coll.insert_one(seed).map(|id| UpdateResult {
-                    matched: 0,
-                    modified: 0,
-                    upserted: true,
-                    upserted_id: Some(id),
-                });
-            }
-        }
-        self.barrier(lsn)?;
-        self.maybe_compact()?;
-        res
-    }
-
-    /// Atomic find-and-modify (the queue-claim primitive). The sorted
-    /// claim target is chosen under the WAL guard and journaled as an
-    /// `_id`-targeted `update_one` — replay must touch exactly the
-    /// document the live sort selected, without re-running the sort.
-    /// (`_id` is immutable through updates, so the pre-image's id
-    /// addresses the claimed document.)
-    // mp-lint: allow(E003) — write-ahead core: the sorted target choice, its append, and its apply must share one guard hold or a concurrent claim could pick the same document; the barrier waits outside
-    pub fn find_one_and_update(
-        &self,
-        collection: &str,
-        filter: &Value,
-        update: &Value,
-        sort: Option<&FindOptions>,
-        return_new: bool,
-    ) -> Result<Option<Arc<Document>>> {
-        Update::parse(update)?;
-        let coll = self.db.collection(collection);
-        let lsn;
-        let pre;
-        {
-            let mut wal = self.journal.lock();
-            let mut candidates = coll.find(filter)?;
-            if let Some(s) = sort {
-                s.apply_order(&mut candidates);
-            }
-            let Some(first) = candidates.first() else {
-                return Ok(None);
-            };
-            pre = Arc::clone(first);
-            let id = pre.get("_id").cloned().unwrap_or(Value::Null);
-            lsn = wal.append_ops(&[JournalOp::Update {
-                collection: collection.to_string(),
-                filter: json!({ "_id": id }),
-                update: update.clone(),
-                many: false,
-            }])?;
-            coll.update_one(&json!({ "_id": id }), update)?;
-        }
-        self.barrier(lsn)?;
-        self.maybe_compact()?;
-        if return_new {
-            let id = pre.get("_id").cloned().unwrap_or(Value::Null);
-            Ok(coll.get(&id))
-        } else {
-            Ok(Some(pre))
-        }
-    }
-
-    /// Delete all matching documents; returns how many.
-    pub fn delete_many(&self, collection: &str, filter: &Value) -> Result<usize> {
-        Filter::parse(filter)?;
-        self.commit(
-            &[JournalOp::Delete {
-                collection: collection.to_string(),
-                filter: filter.clone(),
-                many: true,
-            }],
-            |db| db.collection(collection).delete_many(filter),
-        )
-    }
-
-    /// Delete the first matching document. Returns true if one was
-    /// removed.
-    pub fn delete_one(&self, collection: &str, filter: &Value) -> Result<bool> {
-        Filter::parse(filter)?;
-        self.commit(
-            &[JournalOp::Delete {
-                collection: collection.to_string(),
-                filter: filter.clone(),
-                many: false,
-            }],
-            |db| db.collection(collection).delete_one(filter),
-        )
-    }
-
-    /// Remove every document (index definitions survive).
-    pub fn clear(&self, collection: &str) -> Result<()> {
-        self.commit(
-            &[JournalOp::Clear {
-                collection: collection.to_string(),
-            }],
-            |db| {
-                db.collection(collection).clear();
-                Ok(())
-            },
-        )
-    }
-
-    /// Create a secondary index. Journaled unconditionally — replaying
-    /// an index that already exists is a no-op.
-    pub fn create_index(&self, collection: &str, path: &str, unique: bool) -> Result<()> {
-        self.commit(
-            &[JournalOp::CreateIndex {
-                collection: collection.to_string(),
-                path: path.to_string(),
-                unique,
-            }],
-            |db| db.collection(collection).create_index(path, unique),
-        )
-    }
-
-    /// Drop the secondary index on `path`.
-    pub fn drop_index(&self, collection: &str, path: &str) -> Result<()> {
-        self.commit(
-            &[JournalOp::DropIndex {
-                collection: collection.to_string(),
-                path: path.to_string(),
-            }],
-            |db| db.collection(collection).drop_index(path),
-        )
-    }
-
-    /// Drop a collection entirely. Returns true if it existed.
-    pub fn drop_collection(&self, collection: &str) -> Result<bool> {
-        self.commit(
-            &[JournalOp::DropCollection {
-                collection: collection.to_string(),
-            }],
-            |db| Ok(db.drop_collection(collection)),
-        )
-    }
-
-    /// Write a full snapshot (fsynced) and truncate the WAL.
-    ///
-    /// The WAL guard is held across the snapshot write on purpose: an
-    /// append landing mid-snapshot would be truncated away while its
-    /// effect is only partially captured. `Journal` (380) ranks outside
-    /// `Database` (400)/`Collection` (500), so the reads inside
-    /// `snapshot` stay rank-clean. With the write-ahead protocol the
-    /// PR 7 caveat is gone: nothing is ever applied live without being
-    /// in the WAL first, so the snapshot can never capture an
-    /// un-journaled op.
-    // mp-lint: allow(E003) — the WAL mutex exists to serialize journal-file I/O; a checkpoint must exclude appenders for exactly the duration of the snapshot write (see the rank note above)
-    pub fn checkpoint(&self) -> Result<()> {
-        let mut persister = self.journal.lock();
-        persister.snapshot(&self.db)
+        self.db.collection(collection).update_one(filter, update)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cursor::{FindOptions, SortDir};
+    use serde_json::json;
     use std::path::PathBuf;
 
     fn tmpdir(tag: &str) -> PathBuf {
@@ -494,7 +156,8 @@ mod tests {
                 .unwrap();
             d.update_one("c", &json!({"_id": 1}), &json!({"$inc": {"n": 5}}))
                 .unwrap();
-            d.delete_one("c", &json!({"_id": 3})).unwrap();
+            let c = d.database().collection("c");
+            c.delete_one(&json!({"_id": 3})).unwrap();
         }
         let d = reopen(&dir);
         let db = d.database();
@@ -510,9 +173,9 @@ mod tests {
             let d = DurableDatabase::open(&dir).unwrap();
             d.create_index("c", "k", true).unwrap();
             d.insert_one("c", json!({"k": 1})).unwrap();
-            d.clear("c").unwrap();
+            d.database().collection("c").clear().unwrap();
             d.insert_one("gone", json!({"x": 1})).unwrap();
-            d.drop_collection("gone").unwrap();
+            d.database().drop_collection("gone").unwrap();
         }
         let d = reopen(&dir);
         let db = d.database();
@@ -527,13 +190,14 @@ mod tests {
         let dir = tmpdir("upsert");
         {
             let d = DurableDatabase::open(&dir).unwrap();
-            let r = d
-                .upsert("c", &json!({"key": "k1"}), &json!({"$set": {"v": 1}}))
+            let c = d.database().collection("c");
+            let r = c
+                .upsert(&json!({"key": "k1"}), &json!({"$set": {"v": 1}}))
                 .unwrap();
             assert!(r.upserted);
             assert!(r.upserted_id.is_some());
-            let r = d
-                .upsert("c", &json!({"key": "k1"}), &json!({"$set": {"v": 2}}))
+            let r = c
+                .upsert(&json!({"key": "k1"}), &json!({"$set": {"v": 2}}))
                 .unwrap();
             assert!(!r.upserted);
         }
@@ -561,47 +225,26 @@ mod tests {
             )
             .unwrap();
             // The sort claims "b"; a naive update_one replay would have
-            // claimed "a" (first candidate in _id order).
+            // claimed "a" (first candidate in _id order). Asked for the
+            // pre-image, the caller sees "b" as it was.
             let claimed = d
+                .database()
+                .collection("q")
                 .find_one_and_update(
-                    "q",
                     &json!({"state": "READY"}),
                     &json!({"$set": {"state": "RUNNING"}}),
-                    Some(&FindOptions::all().sort_by("prio", crate::cursor::SortDir::Desc)),
-                    true,
+                    Some(&FindOptions::all().sort_by("prio", SortDir::Desc)),
+                    false,
                 )
                 .unwrap()
                 .unwrap();
             assert_eq!(claimed["_id"], json!("b"));
+            assert_eq!(claimed["state"], json!("READY"));
         }
         let d = reopen(&dir);
         let c = d.database().collection("q");
         assert_eq!(c.get(&json!("b")).unwrap()["state"], json!("RUNNING"));
         assert_eq!(c.get(&json!("a")).unwrap()["state"], json!("READY"));
-        let _ = std::fs::remove_dir_all(dir);
-    }
-
-    #[test]
-    fn find_one_and_update_returns_pre_image_when_asked() {
-        let dir = tmpdir("preimage");
-        let d = DurableDatabase::open(&dir).unwrap();
-        d.insert_one("q", json!({"_id": 1, "state": "READY"}))
-            .unwrap();
-        let pre = d
-            .find_one_and_update(
-                "q",
-                &json!({"state": "READY"}),
-                &json!({"$set": {"state": "RUNNING"}}),
-                None,
-                false,
-            )
-            .unwrap()
-            .unwrap();
-        assert_eq!(pre["state"], json!("READY"));
-        assert_eq!(
-            d.database().collection("q").get(&json!(1)).unwrap()["state"],
-            json!("RUNNING")
-        );
         let _ = std::fs::remove_dir_all(dir);
     }
 

@@ -1,0 +1,202 @@
+//! The store's one mutation seam.
+//!
+//! Every mutation of a [`Database`] — each mutating `Collection` method
+//! and `Database::drop_collection` — runs through [`Shared::commit`],
+//! and [`raw_apply`] (the only function that changes stored documents,
+//! index definitions or the collection set) is called from nowhere
+//! else. Durability is therefore a property the database *has*, for
+//! whoever holds a handle: with no journal attached a commit is the
+//! in-memory apply; with one attached it is the write-ahead protocol
+//!
+//! ```text
+//! take Journal(380) → decide → append → apply (same guard) → release
+//!                   → group-commit barrier → maybe checkpoint → Ok
+//! ```
+//!
+//! `mp-lint effects` (E002) proves `raw_apply` is reachable only from a
+//! journaling caller; `mp-lint order` proves, on `commit` itself, that
+//! the append precedes the apply (O001) and a barrier follows the last
+//! append before the caller sees `Ok` (O002).
+//!
+//! * **Decide once, materialize first.** Whatever the apply would
+//!   choose — an assigned `_id`, the upsert insert-vs-update branch, the
+//!   sorted find-and-modify target — is chosen by `decide` *before* the
+//!   append, so the journal records exactly what the store will do and
+//!   replay re-decides nothing. On a volatile database `decide` and
+//!   `apply` share one write-lock hold (two claimers never pick the same
+//!   document); on a journaled one the journal guard excludes every
+//!   other writer between them.
+//! * **Append and apply under one guard**, so journal order is apply
+//!   order; a batch (`insert_many`) is one guard hold and one barrier.
+//! * **Barrier outside the guard.** Committers pile up on the
+//!   [`GroupCommit`] sync lock and one leader fsync covers the queue;
+//!   readers never wait on an fsync.
+//! * **An op that fails to apply stays in the log** and replays as the
+//!   same deterministic failure ([`JournalOp::apply`]); replay itself
+//!   never journals — recovery and secondary apply run on a database
+//!   with no journal attached.
+
+use crate::database::{Database, DbInner};
+use crate::error::Result;
+use crate::persist::{GroupCommit, JournalOp};
+use crate::profiler::Profiler;
+use mp_sync::{LockRank, OrderedMutex, OrderedRwLock};
+use std::sync::{Arc, OnceLock, Weak};
+
+/// Where a journaled database records each op before applying it. Two
+/// implementors: the file WAL ([`crate::persist::Persister`]) and a
+/// replica set's in-memory oplog (`Vec<JournalOp>`).
+pub(crate) trait JournalSink: Send {
+    /// Record `op`; returns the LSN a durability barrier must reach
+    /// before the op is acknowledged, and whether the log has outgrown
+    /// its checkpoint threshold.
+    fn append_op(&mut self, op: &JournalOp) -> Result<(u64, bool)>;
+
+    /// Fold the log into a snapshot of `db` if it is (still) over its
+    /// threshold. Runs after the barrier of a commit whose last append
+    /// reported the log due, with the sink locked so no append lands
+    /// mid-snapshot. By default nothing is ever folded away.
+    fn maybe_checkpoint(&mut self, _db: &Database) -> Result<()> {
+        Ok(())
+    }
+}
+
+/// The journal a database commits through once one is attached.
+pub(crate) struct Journal {
+    /// `LockRank::Journal` (380) sits *outside* `Database` (400) so a
+    /// commit may apply while holding it and a checkpoint may read the
+    /// collections while excluding appenders.
+    pub(crate) sink: Arc<OrderedMutex<dyn JournalSink>>,
+    /// Barrier to wait on before acknowledging; `None` acknowledges on
+    /// append (`DurableOptions::fsync == false`, and the oplog).
+    pub(crate) sync: Option<Arc<GroupCommit>>,
+    /// The owning database, for checkpoints. Weak: collections share
+    /// this state and the database owns the collections.
+    pub(crate) db: Weak<DbInner>,
+}
+
+impl Journal {
+    /// Acknowledge a commit whose last append reached `lsn`: wait for
+    /// the durability barrier, then checkpoint if that append left the
+    /// log due. The sink lock is not held across the barrier, and is
+    /// re-taken only for a checkpoint.
+    fn acknowledge(&self, (lsn, checkpoint_due): (u64, bool)) -> Result<()> {
+        if let Some(sync) = &self.sync {
+            sync.sync_to(lsn)?;
+        }
+        match self.db.upgrade() {
+            Some(inner) if checkpoint_due => self.sink.lock().maybe_checkpoint(&Database { inner }),
+            // Not due — or only collection handles are left: nothing
+            // can snapshot, and the log stays complete without it.
+            _ => Ok(()),
+        }
+    }
+}
+
+/// State a database shares with each of its collections.
+pub(crate) struct Shared {
+    pub(crate) profiler: Profiler,
+    /// Simulated clock (seconds) read by `$currentDate`.
+    pub(crate) clock: OrderedRwLock<f64>,
+    /// Attached once, after recovery replay; lives as long as the last
+    /// database clone or collection handle.
+    pub(crate) journal: OnceLock<Journal>,
+}
+
+/// Something [`Shared::commit`] mutates: a collection's documents or a
+/// database's collection registry.
+pub(crate) trait Store {
+    type State;
+    fn state(&self) -> &OrderedRwLock<Self::State>;
+    /// Publish a new generation if the apply just run changed anything
+    /// a cached read could see; called under the state write lock.
+    fn bump_version(&self, state: &mut Self::State);
+}
+
+/// The raw apply: the only function through which stored documents,
+/// index definitions or the collection set change. One generation bump
+/// per apply that changed anything, under the same write lock.
+fn raw_apply<S: Store, T>(store: &S, f: impl FnOnce(&mut S::State) -> T) -> T {
+    let lock = store.state();
+    let mut state = lock.write();
+    let out = f(&mut state);
+    store.bump_version(&mut state);
+    out
+}
+
+impl Shared {
+    pub(crate) fn new() -> Self {
+        Shared {
+            profiler: Profiler::new(65_536),
+            clock: OrderedRwLock::new(LockRank::Clock, 0.0),
+            journal: OnceLock::new(),
+        }
+    }
+
+    /// The one mutation choke point (see the module docs). For each of
+    /// `items`: `decide` what will happen from the current state (or
+    /// decline with `None`), journal the decided form, `apply` it.
+    /// Stops at the first error; returns the last output.
+    // mp-lint: allow(E003) — write-ahead core: each frame must reach the log before its in-memory apply, and both must share one journal guard hold so journal order is apply order; the barrier waits outside
+    pub(crate) fn commit<S: Store, I, D, T>(
+        &self,
+        store: &S,
+        items: impl IntoIterator<Item = I>,
+        decide: impl Fn(&S::State, I) -> Result<Option<D>>,
+        record: impl Fn(&D) -> JournalOp,
+        mut apply: impl FnMut(&mut S::State, D) -> Result<T>,
+    ) -> Result<Option<T>> {
+        let journal = self.journal.get();
+        let mut sink = journal.map(|j| j.sink.lock());
+        let mut appended = None;
+        let mut last = Ok(None);
+        for item in items {
+            let step = match sink.as_mut() {
+                Some(sink) => {
+                    let decided = decide(&store.state().read(), item);
+                    decided.and_then(|d| match d {
+                        Some(d) => {
+                            appended = Some(sink.append_op(&record(&d))?);
+                            raw_apply(store, |state| apply(state, d)).map(Some)
+                        }
+                        None => Ok(None),
+                    })
+                }
+                None => raw_apply(store, |state| match decide(state, item)? {
+                    Some(d) => apply(state, d).map(Some),
+                    None => Ok(None),
+                }),
+            };
+            match step {
+                Ok(None) => {}
+                Ok(out) => last = Ok(out),
+                Err(e) => {
+                    last = Err(e);
+                    break;
+                }
+            }
+        }
+        drop(sink);
+        if let (Some(journal), Some(appended)) = (journal, appended) {
+            journal.acknowledge(appended)?;
+        }
+        last
+    }
+
+    /// Commit one mutation whose journaled form is known up front.
+    pub(crate) fn commit_one<S: Store, T: Default>(
+        &self,
+        store: &S,
+        record: impl Fn() -> JournalOp,
+        mut apply: impl FnMut(&mut S::State) -> Result<T>,
+    ) -> Result<T> {
+        let out = self.commit(
+            store,
+            Some(()),
+            |_, ()| Ok(Some(())),
+            |()| record(),
+            |state, ()| apply(state),
+        )?;
+        Ok(out.unwrap_or_default())
+    }
+}

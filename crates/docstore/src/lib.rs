@@ -18,9 +18,12 @@
 //!   histograms — [`profiler`];
 //! * document **structure statistics** (nodes/depth/mean depth) exactly
 //!   as Table I reports them — [`docgraph`];
-//! * snapshot + journal **persistence** with crash recovery — [`persist`];
-//! * a **write-behind durable database** whose every mutation is
-//!   journaled, so recovery replays to the live state — [`durable`].
+//! * snapshot + write-ahead-log **persistence** with crash recovery —
+//!   [`persist`];
+//! * **durability as a property of the database**: one commit seam every
+//!   mutation runs through, write-ahead once a journal is attached —
+//!   [`journal`]; [`durable`] opens a directory that way, so every handle
+//!   of the database it returns is durable.
 //!
 //! ```
 //! use mp_docstore::Database;
@@ -48,6 +51,7 @@ pub mod docgraph;
 pub mod durable;
 pub mod error;
 pub mod index;
+pub mod journal;
 pub mod mapreduce;
 pub mod persist;
 pub mod profiler;

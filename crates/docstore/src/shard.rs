@@ -12,12 +12,14 @@
 use crate::collection::UpdateResult;
 use crate::database::Database;
 use crate::error::{Result, StoreError};
+use crate::journal::JournalSink;
 use crate::persist::JournalOp;
 use crate::query::Filter;
 use crate::value::{get_path, Docs};
 use mp_exec::WorkPool;
 use mp_sync::{LockRank, OrderedMutex};
 use serde_json::{json, Value};
+use std::sync::Arc;
 
 /// Stable hash of a shard-key value.
 fn key_hash(v: &Value) -> u64 {
@@ -264,11 +266,23 @@ struct RouterState {
     secondary_reads: u64,
 }
 
+/// The in-memory oplog as the primary's journal: entry count is the
+/// LSN, nothing to fsync, and nothing is ever folded away (a lagging
+/// secondary may still need any suffix).
+impl JournalSink for Vec<JournalOp> {
+    fn append_op(&mut self, op: &JournalOp) -> Result<(u64, bool)> {
+        self.push(op.clone());
+        Ok((self.len() as u64, false))
+    }
+}
+
 /// A primary + N secondaries kept in sync by an oplog.
 pub struct ReplicaSet {
     primary: Database,
     secondaries: Vec<Database>,
-    oplog: OrderedMutex<Vec<JournalOp>>,
+    /// The primary's journal (`LockRank::Journal`): every write through
+    /// any handle of the primary lands here before it is applied.
+    oplog: Arc<OrderedMutex<Vec<JournalOp>>>,
     /// How many oplog entries each secondary has applied.
     applied: OrderedMutex<Vec<usize>>,
     /// Entries applied per `replicate()` call per secondary (lag model).
@@ -280,17 +294,21 @@ impl ReplicaSet {
     /// A set with `n_secondaries` secondaries applying up to `batch`
     /// oplog entries per replication round.
     pub fn new(n_secondaries: usize, batch: usize) -> Self {
+        let oplog = Arc::new(OrderedMutex::new(LockRank::Journal, Vec::new()));
+        let primary = Database::new();
+        primary.attach_journal(oplog.clone(), None);
         ReplicaSet {
-            primary: Database::new(),
+            primary,
             secondaries: (0..n_secondaries).map(|_| Database::new()).collect(),
-            oplog: OrderedMutex::new(LockRank::ReplOplog, Vec::new()),
+            oplog,
             applied: OrderedMutex::new(LockRank::ReplApplied, vec![0; n_secondaries]),
             batch: batch.max(1),
             router: OrderedMutex::new(LockRank::ReplRouter, RouterState::default()),
         }
     }
 
-    /// The primary (for inspection).
+    /// The primary. A write through any of its collection handles is
+    /// logged to the oplog and reaches the secondaries on `replicate`.
     pub fn primary(&self) -> &Database {
         &self.primary
     }
@@ -306,59 +324,35 @@ impl ReplicaSet {
         (rt.primary_reads, rt.secondary_reads)
     }
 
-    /// Write through the primary, appending to the oplog.
+    /// `primary().collection(collection).insert_one(doc)`.
     pub fn insert_one(&self, collection: &str, doc: Value) -> Result<Value> {
-        let id = self
-            .primary
-            .collection(collection)
-            .insert_one(doc.clone())?;
-        // Store the post-insert doc (with assigned _id) in the oplog.
-        let stored = self
-            .primary
-            .collection(collection)
-            .get(&id)
-            .expect("just inserted");
-        self.oplog.lock().push(JournalOp::Insert {
-            collection: collection.to_string(),
-            doc: (*stored).clone(),
-        });
-        Ok(id)
+        self.primary.collection(collection).insert_one(doc)
     }
 
-    /// Update through the primary, appending to the oplog.
+    /// `primary().collection(collection).update_many(filter, update)`.
     pub fn update_many(
         &self,
         collection: &str,
         filter: &Value,
         update: &Value,
     ) -> Result<UpdateResult> {
-        let r = self
-            .primary
+        self.primary
             .collection(collection)
-            .update_many(filter, update)?;
-        self.oplog.lock().push(JournalOp::Update {
-            collection: collection.to_string(),
-            filter: filter.clone(),
-            update: update.clone(),
-            many: true,
-        });
-        Ok(r)
+            .update_many(filter, update)
     }
 
     /// One replication round: each secondary applies up to `batch`
     /// pending oplog entries. Returns the max remaining lag (entries).
     // mp-lint: allow(E003) — oplog-ordered application is the replication
-    // contract: the oplog/applied guards must span the whole round so no
-    // concurrent round interleaves ops, and scatter workers never take
-    // the replication locks.
+    // contract: the applied/oplog guards must span the whole round so no
+    // concurrent round interleaves ops and the primary appends nothing
+    // mid-round; secondaries carry no journal, so nothing blocks on I/O.
     pub fn replicate(&self) -> Result<usize> {
-        // mp-lint: allow(L003) — ReplOplog(300) -> ReplApplied(310) ->
-        // Collection (via JournalOp::apply) is the sanctioned
+        // mp-lint: allow(L003) — ReplApplied(310) -> Journal(380, the
+        // oplog) -> Collection (via JournalOp::apply) is the sanctioned
         // replication chain.
-        // mp-lint: allow(E002) — secondaries are replicas, not an origin
-        // of new writes; the op being applied IS the journal record.
-        let oplog = self.oplog.lock();
         let mut applied = self.applied.lock();
+        let oplog = self.oplog.lock();
         let mut max_lag = 0;
         for (i, sec) in self.secondaries.iter().enumerate() {
             let from = applied[i];
@@ -448,11 +442,16 @@ impl ReplicaSet {
             .enumerate()
             .max_by_key(|(_, &a)| a)
             .expect("non-empty");
-        let lost = self.oplog.lock().len() - best_applied;
-        let new_primary = self.secondaries.remove(best);
-        self.primary = new_primary;
-        // Truncate the oplog to what the new primary actually has.
-        self.oplog.lock().truncate(best_applied);
+        // Keep what the new primary actually has, in a fresh log that
+        // becomes its journal: the old primary keeps the orphaned one,
+        // so a write through a handle taken from it before the failover
+        // never reaches the set.
+        let mut kept = std::mem::take(&mut *self.oplog.lock());
+        let lost = kept.len() - best_applied;
+        kept.truncate(best_applied);
+        self.oplog = Arc::new(OrderedMutex::new(LockRank::Journal, kept));
+        self.primary = self.secondaries.remove(best);
+        self.primary.attach_journal(self.oplog.clone(), None);
         let mut applied = self.applied.lock();
         applied.remove(best);
         for a in applied.iter_mut() {

@@ -1,13 +1,18 @@
 //! Property test for the write-ahead journal: any sequence of
-//! mutations through the public [`DurableDatabase`] API must leave the
-//! journal in a state whose replay reproduces the live database —
-//! collection by collection, document by document, index by index.
+//! mutations through handles of a durably opened database — bare
+//! `Collection`s from [`DurableDatabase::database`], a `LaunchPad` and a
+//! `Sandbox` over a clone of it, none of which knows the store is
+//! durable — must leave the journal in a state whose replay reproduces
+//! the live database, collection by collection, document by document,
+//! index by index.
 //!
 //! No external proptest dependency: a seeded xorshift64* generator
 //! drives random op sequences, so failures are reproducible from the
 //! printed seed alone.
 
 use mp_docstore::{Database, DurableDatabase, FindOptions, SortDir};
+use mp_fireworks::{Firework, LaunchPad, LaunchPadConfig, LaunchReport, Stage, Workflow};
+use mp_mapi::Sandbox;
 use serde_json::{json, Value};
 use std::path::PathBuf;
 
@@ -71,73 +76,117 @@ fn random_update(rng: &mut Rng) -> Value {
     }
 }
 
-/// One random mutation through the public API. Ops that legitimately
-/// fail (duplicate `_id`, unique-index conflict, dropping a missing
-/// index) are ignored — a failed op must journal nothing, which is
-/// exactly what the end-state comparison verifies.
-fn random_op(rng: &mut Rng, d: &DurableDatabase) {
-    let c = *rng.pick(COLLECTIONS);
-    match rng.below(13) {
+/// The served path: a workflow engine over a clone of the database.
+fn launchpad(db: &Database) -> LaunchPad {
+    let config = LaunchPadConfig {
+        lint_gate: false,
+        ..LaunchPadConfig::default()
+    };
+    LaunchPad::with_config(db.clone(), config).unwrap()
+}
+
+/// One random mutation through a handle of `d`'s database. Ops that
+/// legitimately fail (duplicate `_id`, unique-index conflict, dropping a
+/// missing index) are ignored — they are journaled and replay as the
+/// same failure, which is exactly what the end-state comparison
+/// verifies.
+fn random_op(rng: &mut Rng, d: &DurableDatabase, pad: &LaunchPad) {
+    let db = d.database();
+    let name = *rng.pick(COLLECTIONS);
+    let c = db.collection(name);
+    match rng.below(16) {
         0..=2 => {
-            let _ = d.insert_one(c, random_doc(rng));
+            let _ = c.insert_one(random_doc(rng));
         }
         3 => {
             let docs = (0..rng.below(4) + 1).map(|_| random_doc(rng)).collect();
-            let _ = d.insert_many(c, docs);
+            let _ = c.insert_many(docs);
         }
         4 => {
-            let _ = d.update_one(c, &random_filter(rng), &random_update(rng));
+            let _ = c.update_one(&random_filter(rng), &random_update(rng));
         }
         5 => {
-            let _ = d.update_many(c, &random_filter(rng), &random_update(rng));
+            let _ = c.update_many(&random_filter(rng), &random_update(rng));
         }
         6 => {
-            let _ = d.upsert(c, &random_filter(rng), &random_update(rng));
+            let _ = c.upsert(&random_filter(rng), &random_update(rng));
         }
         7 => {
             let opts = FindOptions::all().sort_by("n", SortDir::Desc);
-            let _ = d.find_one_and_update(
-                c,
-                &random_filter(rng),
-                &random_update(rng),
-                Some(&opts),
-                true,
-            );
+            let _ =
+                c.find_one_and_update(&random_filter(rng), &random_update(rng), Some(&opts), true);
         }
         8 => {
-            let _ = d.delete_one(c, &random_filter(rng));
+            let _ = c.delete_one(&random_filter(rng));
         }
         9 => {
-            let _ = d.delete_many(c, &random_filter(rng));
+            let _ = c.delete_many(&random_filter(rng));
         }
         10 => match rng.below(4) {
             0 => {
-                let _ = d.create_index(c, "k", false);
+                let _ = c.create_index("k", false);
             }
             1 => {
-                let _ = d.create_index(c, "tag", false);
+                let _ = c.create_index("tag", false);
             }
             2 => {
                 // Unique index: only committable while `_id`s happen to
                 // be distinct in `k` — conflict is the interesting case.
-                let _ = d.create_index(c, "n", true);
+                let _ = c.create_index("n", true);
             }
             _ => {
-                let _ = d.drop_index(c, "k");
+                let _ = c.drop_index("k");
             }
         },
         11 => {
             if rng.below(8) == 0 {
-                let _ = d.drop_collection(c);
+                let _ = db.drop_collection(name);
             } else {
-                let _ = d.clear(c);
+                let _ = c.clear();
+            }
+        }
+        12 => {
+            // Two-step workflow; a repeated id is refused.
+            let n = rng.below(30);
+            let (first, second) = (format!("fw{n}a"), format!("fw{n}b"));
+            let fws = vec![
+                Firework::new(first.as_str(), "relax", Stage::empty()),
+                Firework::new(second.as_str(), "static", Stage::empty()).after(&first),
+            ];
+            if let Ok(wf) = Workflow::new(format!("wf{n}"), fws) {
+                let _ = pad.add_workflow(&wf);
+            }
+        }
+        13 => {
+            if let Ok(Some(fw)) = pad.claim_next(&json!({}), "w0") {
+                let id = fw["_id"].as_str().unwrap().to_string();
+                if rng.below(4) > 0 {
+                    let task_doc = json!({"status": "converged", "n": rng.below(100)});
+                    let _ = pad.report(&id, LaunchReport::Success { task_doc });
+                }
+            }
+        }
+        14 => {
+            let sandbox = Sandbox::new(db);
+            let id = json!(format!("rec{}", rng.below(20)));
+            match rng.below(3) {
+                0 => {
+                    let _ = sandbox.upload("alice", json!({"_id": id, "n": rng.below(100)}));
+                }
+                1 => {
+                    let with = if rng.below(2) == 0 { "bob" } else { "carol" };
+                    let _ = sandbox.share("alice", &id, with);
+                }
+                _ => {
+                    let _ = sandbox.publish("alice", &id);
+                }
             }
         }
         _ => {
             if rng.below(4) == 0 {
                 d.checkpoint().unwrap();
             } else {
-                let _ = d.insert_one(c, random_doc(rng));
+                let _ = c.insert_one(random_doc(rng));
             }
         }
     }
@@ -183,8 +232,9 @@ fn replay_round_trips(seed: u64, ops: usize, checkpoint_at_end: bool) {
     let mut rng = Rng::new(seed);
     let live = {
         let d = DurableDatabase::open(&dir).unwrap_or_else(|e| panic!("seed {seed}: open: {e}"));
+        let pad = launchpad(d.database());
         for _ in 0..ops {
-            random_op(&mut rng, &d);
+            random_op(&mut rng, &d, &pad);
         }
         if checkpoint_at_end {
             d.checkpoint().unwrap();
@@ -198,6 +248,13 @@ fn replay_round_trips(seed: u64, ops: usize, checkpoint_at_end: bool) {
         replayed, live,
         "seed {seed}: journal replay diverged from live state"
     );
+    for served in ["engines", "tasks", "sandbox"] {
+        assert!(
+            live.iter()
+                .any(|(name, _, docs)| name == served && !docs.is_empty()),
+            "seed {seed}: the run never wrote `{served}` through its LaunchPad/Sandbox handle"
+        );
+    }
     let _ = std::fs::remove_dir_all(dir);
 }
 
@@ -221,8 +278,9 @@ fn replay_is_idempotent_across_repeated_reopens() {
     let mut rng = Rng::new(99);
     {
         let d = DurableDatabase::open(&dir).unwrap();
+        let pad = launchpad(d.database());
         for _ in 0..150 {
-            random_op(&mut rng, &d);
+            random_op(&mut rng, &d, &pad);
         }
     }
     // Reopening without mutating must not change what the next

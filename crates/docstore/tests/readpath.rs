@@ -265,7 +265,7 @@ fn clear_with_outstanding_handles_is_safe() {
     coll.insert_many((0..5).map(|i| json!({"i": i})).collect())
         .unwrap();
     let held = coll.find(&json!({})).unwrap();
-    coll.clear();
+    coll.clear().unwrap();
     assert_eq!(coll.len(), 0);
     assert_eq!(held.len(), 5);
     let is: Vec<i64> = held.iter().map(|d| d["i"].as_i64().unwrap()).collect();

@@ -3,8 +3,8 @@
 //! The datastore's consistency story rests on three invariants that no
 //! single function can see locally: every mutation must **bump the
 //! collection generation** (or the query cache serves stale results),
-//! every mutation reachable from the durable surface must be
-//! **journaled** (or recovery replays to a different state), and no
+//! every mutation must be reachable only through a **journaling**
+//! caller (or recovery replays to a different state), and no
 //! **Ordered lock may be held across blocking I/O** or a work-pool
 //! scatter (or one slow fsync serializes the whole server). This pass
 //! proves all three statically. It reuses the mp-flow machinery —
@@ -16,11 +16,10 @@
 //! Codes (all `Error` severity — CI gates the workspace at zero):
 //! - `E001`: a configured mutation primitive that never reaches a
 //!   generation bump — its writes are invisible to the query cache.
-//! - `E002`: the journal-coverage contract, three ways: a durable-surface
-//!   method that mutates without journaling; a mutation primitive no
-//!   journaling caller covers; a `pub` function in a surface crate whose
-//!   call graph mutates collections without reaching the journal and
-//!   without a justified allow.
+//! - `E002`: the journal-coverage contract: a configured mutation
+//!   primitive (the store's raw apply) called from a function that never
+//!   reaches the journal, or called from nowhere — the raw apply must be
+//!   reachable only through the commit function that appends first.
 //! - `E003`: blocking I/O or a work-pool scatter (direct or transitive)
 //!   while a *bound* Ordered-lock guard is live. A chained temporary
 //!   (`self.journal.lock().log(op)`) releases at the end of the
@@ -129,42 +128,20 @@ pub struct EffectConfig {
     pub bump_fns: Vec<FnRef>,
     /// Journal-append primitives. Empty disables the E002 contract.
     pub journal_fns: Vec<FnRef>,
-    /// `impl` types forming the durable write surface: each of their
-    /// methods that directly calls a mutation primitive must also reach
-    /// the journal.
-    pub durable_surface: Vec<String>,
-    /// Crates whose `pub` functions form the served API surface: any of
-    /// them that transitively mutates must journal or carry a justified
-    /// allow.
-    pub surface_crates: Vec<String>,
 }
 
 impl EffectConfig {
-    /// The Materials Project workspace defaults: the `Collection`
-    /// primitives plus `Database::drop_collection` mutate;
+    /// The Materials Project workspace defaults: `raw_apply` — the one
+    /// function that write-locks store state, under every `Collection`
+    /// mutator and `Database::drop_collection` — mutates;
     /// `Collection::bump_version` is the generation bump; the
-    /// `Persister` appenders are the journal; `DurableDatabase` is the
-    /// durable surface; `mapi` is the served surface crate.
+    /// `Persister` appenders are the journal.
     pub fn materials_project_defaults() -> Self {
         let parse = |v: &[&str]| v.iter().map(|s| FnRef::parse(s)).collect();
         EffectConfig {
-            mutation_fns: parse(&[
-                "Collection::insert_one",
-                "Collection::update_one",
-                "Collection::update_many",
-                "Collection::upsert",
-                "Collection::find_one_and_update",
-                "Collection::delete_one",
-                "Collection::delete_many",
-                "Collection::create_index",
-                "Collection::drop_index",
-                "Collection::clear",
-                "Database::drop_collection",
-            ]),
+            mutation_fns: parse(&["raw_apply"]),
             bump_fns: parse(&["Collection::bump_version"]),
             journal_fns: parse(&["Persister::append_ops", "Persister::snapshot"]),
-            durable_surface: vec!["DurableDatabase".to_string()],
-            surface_crates: vec!["mapi".to_string()],
         }
     }
 }
@@ -857,93 +834,59 @@ pub fn analyze_effects(
     // E002: the journal-coverage contract (disabled when no journal fns
     // are configured — there is no journal to cover with).
     if c.any_journal {
-        // (a) Durable surface: a method of a durable type that directly
-        // calls a mutation primitive must reach the journal.
-        for i in 0..n {
-            let f = &graph.fns[i];
-            let on_surface = f
-                .impl_type
-                .as_deref()
-                .is_some_and(|t| config.durable_surface.iter().any(|s| s == t));
-            if !on_surface {
-                continue;
-            }
-            let mutates_directly = graph.out[i].iter().any(|&(v, _)| c.mutation[v]);
-            if mutates_directly
-                && !c.journal_star[i]
-                && !arts[f.file.as_str()].allowed("E002", f.line, f.line)
+        // The raw apply must be reachable only through a function that
+        // appends first: a mutation primitive needs a journaling caller,
+        // and every caller must reach the journal. (Callers of a
+        // std-shadowed primitive name are resolved by coincidence, so
+        // those are held to the first half only.)
+        for m in (0..n).filter(|&m| c.mutation[m]) {
+            let prim = &graph.fns[m];
+            let mut callers: Vec<usize> = graph.rin[m].iter().map(|&(u, _)| u).collect();
+            callers.sort_unstable();
+            callers.dedup();
+            if !callers.iter().any(|&u| c.journal_star[u])
+                && !arts[prim.file.as_str()].allowed("E002", prim.line, prim.line)
             {
                 diags.push(
                     Diagnostic::error(
                         "E002",
-                        format!("{}:{}", f.file, f.line),
+                        format!("{}:{}", prim.file, prim.line),
                         format!(
-                            "durable-surface method `{}` mutates a collection but never \
-                             reaches the journal — recovery would replay to a state missing \
-                             this write",
-                            f.qualified()
+                            "mutation primitive `{}` has no journaling caller — no path can \
+                             persist this kind of write",
+                            prim.qualified()
                         ),
                     )
                     .with_suggestion(
-                        "append the corresponding JournalOp after the live mutation commits, \
-                         or annotate `mp-lint: allow(E002) — <justification>`",
-                    ),
-                );
-            }
-        }
-        // (b) Coverage: every mutation primitive needs at least one
-        // journaling caller somewhere, or it is unreachable from the
-        // durable surface and recovery can never replay it.
-        for m in (0..n).filter(|&m| c.mutation[m]) {
-            let covered = (0..n).any(|caller| {
-                c.journal_star[caller] && graph.out[caller].iter().any(|&(v, _)| v == m)
-            });
-            let f = &graph.fns[m];
-            if !covered && !arts[f.file.as_str()].allowed("E002", f.line, f.line) {
-                diags.push(
-                    Diagnostic::error(
-                        "E002",
-                        format!("{}:{}", f.file, f.line),
-                        format!(
-                            "mutation primitive `{}` has no journaling caller — no path through \
-                             the durable surface can persist this kind of write",
-                            f.qualified()
-                        ),
-                    )
-                    .with_suggestion(
-                        "route the operation through the durable surface (adding a JournalOp \
+                        "route the operation through the commit function (adding a JournalOp \
                          variant if none fits), or annotate the primitive with \
                          `mp-lint: allow(E002) — <justification>`",
                     ),
                 );
             }
-        }
-        // (c) Served surface: a pub function in a surface crate whose
-        // call graph mutates must journal or justify why not.
-        for i in 0..n {
-            let f = &graph.fns[i];
-            if !f.is_pub || !config.surface_crates.contains(&f.crate_name) {
+            if prim.impl_type.is_some() && STD_SHADOWED.contains(&prim.name.as_str()) {
                 continue;
             }
-            if c.mut_star[i]
-                && !c.journal_star[i]
-                && !arts[f.file.as_str()].allowed("E002", f.line, f.line)
-            {
+            for u in callers {
+                let f = &graph.fns[u];
+                if c.journal_star[u] || arts[f.file.as_str()].allowed("E002", f.line, f.line) {
+                    continue;
+                }
                 diags.push(
                     Diagnostic::error(
                         "E002",
                         format!("{}:{}", f.file, f.line),
                         format!(
-                            "public surface function `{}` transitively mutates collections \
-                             without journal coverage — a crash loses writes the API already \
-                             acknowledged",
-                            f.qualified()
+                            "`{}` calls mutation primitive `{}` but never reaches the journal — \
+                             recovery would replay to a state missing this write",
+                            f.qualified(),
+                            prim.qualified()
                         ),
                     )
                     .with_suggestion(
-                        "mutate through the durable surface, or annotate \
-                         `mp-lint: allow(E002) — <justification>` stating why durability is \
-                         not part of this function's contract",
+                        "mutate through the commit function, which appends the JournalOp before \
+                         it applies, or annotate `mp-lint: allow(E002) — <justification>` \
+                         stating why durability is not part of this function's contract",
                     ),
                 );
             }
@@ -1019,25 +962,17 @@ mod tests {
         (CallGraph::build(fns, &deps), sources)
     }
 
-    fn cfg(
-        mutation: &[&str],
-        bump: &[&str],
-        journal: &[&str],
-        durable: &[&str],
-        surface: &[&str],
-    ) -> EffectConfig {
+    fn cfg(mutation: &[&str], bump: &[&str], journal: &[&str]) -> EffectConfig {
         let parse = |v: &[&str]| v.iter().map(|s| FnRef::parse(s)).collect();
         EffectConfig {
             mutation_fns: parse(mutation),
             bump_fns: parse(bump),
             journal_fns: parse(journal),
-            durable_surface: durable.iter().map(|s| s.to_string()).collect(),
-            surface_crates: surface.iter().map(|s| s.to_string()).collect(),
         }
     }
 
     /// A store whose primitive locks, mutates, and bumps — the shape
-    /// the defaults expect — plus a journaling durable wrapper.
+    /// the defaults expect — plus a journaling caller.
     const CLEAN_STORE: &str = concat!(
         "pub struct Coll;\nimpl Coll {\n",
         "  pub fn insert_doc(&self, d: Value) {\n",
@@ -1059,13 +994,7 @@ mod tests {
     );
 
     fn clean_cfg() -> EffectConfig {
-        cfg(
-            &["Coll::insert_doc"],
-            &["Coll::bump_version"],
-            &["Jr::log"],
-            &["Dur"],
-            &[],
-        )
+        cfg(&["Coll::insert_doc"], &["Coll::bump_version"], &["Jr::log"])
     }
 
     #[test]
@@ -1086,11 +1015,11 @@ mod tests {
     }
 
     #[test]
-    fn e002_durable_method_without_journal() {
+    fn e002_caller_without_journal() {
         let src = CLEAN_STORE.replace("    self.j.log(&op(d));\n", "");
         let (g, s) = graph_and_sources(&[("crates/a/src/lib.rs", &src)]);
-        // Coverage (b) is satisfied by a separate batch importer so the
-        // surface check (a) is the only finding.
+        // A separate batch importer gives the primitive a journaling
+        // caller, so the non-journaling caller is the only finding.
         let importer = concat!(
             "pub fn import(c: &Coll, j: &mut Jr, d: Value) {\n",
             "  c.insert_doc(d);\n",
@@ -1110,7 +1039,7 @@ mod tests {
     }
 
     #[test]
-    fn e002_pub_surface_crate_mutation_needs_journal_or_allow() {
+    fn e002_every_caller_needs_journal_or_allow() {
         let api = concat!(
             "pub fn upload(c: &Coll, d: Value) {\n",
             "  c.insert_doc(d);\n",
@@ -1120,8 +1049,7 @@ mod tests {
             ("crates/a/src/lib.rs", CLEAN_STORE),
             ("crates/api/src/lib.rs", api),
         ]);
-        let mut config = clean_cfg();
-        config.surface_crates = vec!["api".to_string()];
+        let config = clean_cfg();
         let diags = analyze_effects(&g, &s, &config, None);
         assert_eq!(diags.len(), 1, "{diags:?}");
         assert_eq!(diags[0].code, "E002");
@@ -1152,7 +1080,7 @@ mod tests {
             "}\n"
         );
         let (g, s) = graph_and_sources(&[("crates/a/src/lib.rs", src)]);
-        let diags = analyze_effects(&g, &s, &cfg(&[], &[], &[], &[], &[]), None);
+        let diags = analyze_effects(&g, &s, &cfg(&[], &[], &[]), None);
         assert_eq!(diags.len(), 1, "{diags:?}");
         assert_eq!(diags[0].code, "E003");
         assert!(diags[0].path.ends_with(":5"), "{}", diags[0].path);
@@ -1174,7 +1102,7 @@ mod tests {
             "}\n"
         );
         let (g, s) = graph_and_sources(&[("crates/a/src/lib.rs", src)]);
-        let diags = analyze_effects(&g, &s, &cfg(&[], &[], &[], &[], &[]), None);
+        let diags = analyze_effects(&g, &s, &cfg(&[], &[], &[]), None);
         assert_eq!(diags.len(), 1, "{diags:?}");
         assert_eq!(diags[0].code, "E003");
         assert!(diags[0].path.ends_with(":5"), "{}", diags[0].path);
@@ -1196,7 +1124,7 @@ mod tests {
             "}\n"
         );
         let (g, s) = graph_and_sources(&[("crates/a/src/lib.rs", src)]);
-        let diags = analyze_effects(&g, &s, &cfg(&[], &[], &[], &[], &[]), None);
+        let diags = analyze_effects(&g, &s, &cfg(&[], &[], &[]), None);
         assert_eq!(diags.len(), 1, "{diags:?}");
         assert_eq!(diags[0].code, "E003");
         assert!(diags[0].path.ends_with(":5"), "{}", diags[0].path);
@@ -1220,7 +1148,7 @@ mod tests {
             "}\n"
         );
         let (g, s) = graph_and_sources(&[("crates/a/src/lib.rs", src)]);
-        let diags = analyze_effects(&g, &s, &cfg(&[], &[], &[], &[], &[]), None);
+        let diags = analyze_effects(&g, &s, &cfg(&[], &[], &[]), None);
         assert!(diags.is_empty(), "{diags:?}");
     }
 
@@ -1240,7 +1168,7 @@ mod tests {
             ALLOW_MARK
         );
         let (g, s) = graph_and_sources(&[("crates/a/src/lib.rs", &src)]);
-        let diags = analyze_effects(&g, &s, &cfg(&[], &[], &[], &[], &[]), None);
+        let diags = analyze_effects(&g, &s, &cfg(&[], &[], &[]), None);
         assert!(diags.is_empty(), "{diags:?}");
     }
 
@@ -1253,7 +1181,7 @@ mod tests {
             "}\n"
         );
         let (g, s) = graph_and_sources(&[("crates/a/src/lib.rs", src)]);
-        let diags = analyze_effects(&g, &s, &cfg(&[], &[], &[], &[], &[]), None);
+        let diags = analyze_effects(&g, &s, &cfg(&[], &[], &[]), None);
         assert_eq!(diags.len(), 1, "{diags:?}");
         assert_eq!(diags[0].code, "E004");
     }
@@ -1274,13 +1202,7 @@ mod tests {
         let diags = analyze_effects(
             &g,
             &s,
-            &cfg(
-                &["Coll::insert_doc"],
-                &["Coll::bump_version"],
-                &[],
-                &[],
-                &[],
-            ),
+            &cfg(&["Coll::insert_doc"], &["Coll::bump_version"], &[]),
             None,
         );
         assert_eq!(diags.len(), 1, "{diags:?}");
@@ -1300,7 +1222,7 @@ mod tests {
             ALLOW_MARK
         );
         let (g, s) = graph_and_sources(&[("crates/a/src/lib.rs", &src)]);
-        let diags = analyze_effects(&g, &s, &cfg(&[], &[], &[], &[], &[]), None);
+        let diags = analyze_effects(&g, &s, &cfg(&[], &[], &[]), None);
         assert_eq!(diags.len(), 1, "{diags:?}");
         assert_eq!(diags[0].code, "E006");
     }
@@ -1308,13 +1230,13 @@ mod tests {
     #[test]
     fn e007_config_drift_and_design_coverage() {
         let (g, s) = graph_and_sources(&[("crates/a/src/lib.rs", "pub fn real() {}\n")]);
-        let diags = analyze_effects(&g, &s, &cfg(&["Gone::missing"], &[], &[], &[], &[]), None);
+        let diags = analyze_effects(&g, &s, &cfg(&["Gone::missing"], &[], &[]), None);
         assert_eq!(diags.len(), 1, "{diags:?}");
         assert_eq!(diags[0].code, "E007");
         assert!(diags[0].message.contains("Gone::missing"));
         // A DESIGN.md missing exactly one code fires exactly once.
         let design = "E001 E002 E003 E004 E005 E007";
-        let diags = analyze_effects(&g, &s, &cfg(&[], &[], &[], &[], &[]), Some(design));
+        let diags = analyze_effects(&g, &s, &cfg(&[], &[], &[]), Some(design));
         assert_eq!(diags.len(), 1, "{diags:?}");
         assert_eq!(diags[0].code, "E007");
         assert!(diags[0].message.contains("E006"), "{}", diags[0].message);
@@ -1322,8 +1244,8 @@ mod tests {
 
     #[test]
     fn shadowed_names_do_not_manufacture_mutation() {
-        // A pub surface fn calling `map.clear()` on a std container must
-        // not be flagged just because `Coll::clear` resolves by name.
+        // A fn calling `map.clear()` on a std container must not be
+        // flagged just because `Coll::clear` resolves by name.
         let store = concat!(
             "pub struct Coll;\nimpl Coll {\n",
             "  pub fn clear(&self) {\n",
@@ -1350,13 +1272,7 @@ mod tests {
             ("crates/a/src/lib.rs", store),
             ("crates/api/src/lib.rs", api),
         ]);
-        let config = cfg(
-            &["Coll::clear"],
-            &["Coll::bump_version"],
-            &["Jr::log"],
-            &[],
-            &["api"],
-        );
+        let config = cfg(&["Coll::clear"], &["Coll::bump_version"], &["Jr::log"]);
         let diags = analyze_effects(&g, &s, &config, None);
         assert!(diags.is_empty(), "{diags:?}");
     }
@@ -1397,7 +1313,7 @@ mod tests {
             "}\n"
         );
         let (g, s) = graph_and_sources(&[("crates/a/src/lib.rs", src)]);
-        let diags = analyze_effects(&g, &s, &cfg(&[], &[], &[], &[], &[]), None);
+        let diags = analyze_effects(&g, &s, &cfg(&[], &[], &[]), None);
         assert_eq!(diags.len(), 1, "{diags:?}");
         assert!(
             diags[0].message.contains("rank Journal"),

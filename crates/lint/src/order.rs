@@ -127,9 +127,10 @@ impl OrderConfig {
     /// is the journal seam, `frame_record`/`decode_frame` the checksum
     /// framing gate, `GroupCommit::sync_to` the group-commit barrier,
     /// `JournalOp::apply` the replay application,
-    /// `Persister::recover_with_report` the recovery entry point, the
-    /// `Collection` primitives (plus `Database::drop_collection`)
-    /// mutate, and `DurableDatabase` is the write-ahead surface.
+    /// `Persister::recover_with_report` the recovery entry point,
+    /// `raw_apply` (the one function that write-locks store state)
+    /// mutates, and `Shared` — whose `commit` is the one function that
+    /// sequences an append and an apply — is the write-ahead surface.
     pub fn materials_project_defaults() -> Self {
         let parse = |v: &[&str]| v.iter().map(|s| FnRef::parse(s)).collect();
         OrderConfig {
@@ -139,20 +140,8 @@ impl OrderConfig {
             verify_fns: parse(&["decode_frame"]),
             apply_fns: parse(&["JournalOp::apply"]),
             recovery_fns: parse(&["Persister::recover_with_report"]),
-            mutation_fns: parse(&[
-                "Collection::insert_one",
-                "Collection::update_one",
-                "Collection::update_many",
-                "Collection::upsert",
-                "Collection::find_one_and_update",
-                "Collection::delete_one",
-                "Collection::delete_many",
-                "Collection::create_index",
-                "Collection::drop_index",
-                "Collection::clear",
-                "Database::drop_collection",
-            ]),
-            durable_surface: vec!["DurableDatabase".to_string()],
+            mutation_fns: parse(&["raw_apply"]),
+            durable_surface: vec!["Shared".to_string()],
         }
     }
 }

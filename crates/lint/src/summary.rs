@@ -970,6 +970,11 @@ fn call_args(masked_lines: &[&str], line_idx: usize, col: usize) -> Option<usize
     // A depth-1 comma immediately before the closing `)` is a trailing
     // comma (idiomatic in multi-line calls), not an extra argument.
     let mut trailing = false;
+    // Commas between the pipes of a closure argument (`|inner, doc|`)
+    // separate its parameters, not the call's arguments. A pipe opens a
+    // parameter list only at the start of an argument.
+    let mut in_closure_params = false;
+    let mut prev = '(';
     for (li, line) in masked_lines.iter().enumerate().skip(line_idx).take(40) {
         let seg: &str = if li == line_idx {
             if col >= line.len() {
@@ -989,7 +994,12 @@ fn call_args(masked_lines: &[&str], line_idx: usize, col: usize) -> Option<usize
                         return Some(args.saturating_sub(usize::from(trailing)));
                     }
                 }
-                ',' if depth == 1 => {
+                '|' if depth == 1 && (in_closure_params || matches!(prev, '(' | ',')) => {
+                    in_closure_params = !in_closure_params;
+                    any = true;
+                    trailing = false;
+                }
+                ',' if depth == 1 && !in_closure_params => {
                     commas += 1;
                     trailing = true;
                 }
@@ -998,6 +1008,9 @@ fn call_args(masked_lines: &[&str], line_idx: usize, col: usize) -> Option<usize
                     trailing = false;
                 }
                 _ => {}
+            }
+            if !c.is_whitespace() {
+                prev = c;
             }
         }
     }
@@ -1081,6 +1094,34 @@ impl Store {
         assert!(
             commits.iter().all(|c| c.args == Some(2)),
             "trailing comma must not inflate arity: {commits:?}"
+        );
+    }
+
+    #[test]
+    fn closure_parameter_commas_are_not_arguments() {
+        let src = "\
+impl Coll {
+    fn put(&self, doc: Doc) {
+        self.commit(
+            Some(doc),
+            |_, doc| decide(doc),
+            |inner, (id, doc)| inner.put(id, doc),
+        );
+        self.commit(None, || a | b, |x, y| x | y);
+    }
+    fn commit(&self, items: I, decide: D, apply: A) {}
+}
+";
+        let fns = summarize_source("crates/demo/src/lib.rs", src);
+        let commits: Vec<_> = fns[0]
+            .calls
+            .iter()
+            .filter(|c| c.callee == Callee::Method("commit".into()))
+            .collect();
+        assert_eq!(commits.len(), 2, "{:?}", fns[0].calls);
+        assert!(
+            commits.iter().all(|c| c.args == Some(3)),
+            "closure parameter lists must not inflate arity: {commits:?}"
         );
     }
 

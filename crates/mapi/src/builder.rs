@@ -12,9 +12,6 @@ use serde_json::{json, Value};
 /// Build (or rebuild) the `materials` collection by grouping converged
 /// `tasks` by `mps_id` and keeping the lowest-energy result per
 /// material. Returns the number of materials written.
-// mp-lint: allow(E002) — the materials collection is a derived view,
-// rebuilt deterministically from the tasks collection; durability is the
-// journaled tasks data, not this MapReduce output.
 pub fn build_materials_view(db: &Database, engine: &dyn MapReduce) -> Result<usize> {
     let tasks = db.collection("tasks").dump();
     let map = |doc: &Value, emit: &mut dyn FnMut(Value, Value)| {
@@ -42,7 +39,7 @@ pub fn build_materials_view(db: &Database, engine: &dyn MapReduce) -> Result<usi
     let groups = engine.run(&tasks, &map, &reduce)?;
 
     let materials = db.collection("materials");
-    materials.clear();
+    materials.clear()?;
     let mut written = 0;
     for (mps_id, best) in groups {
         if best.is_null() {

@@ -595,7 +595,7 @@ mod tests {
         // the dropped one's final version (the registry floor), so the
         // cached (key, generation) pair can never alias the rebuilt
         // collection — a hit here would serve two dropped documents.
-        assert!(qe.database().drop_collection("materials"));
+        assert!(qe.database().drop_collection("materials").unwrap());
         qe.database()
             .collection("materials")
             .insert_one(json!({"_id": "mp-9", "formula": "LiCoO2",

@@ -24,9 +24,6 @@ impl<'a> Sandbox<'a> {
     }
 
     /// Upload a record into the owner's sandbox (private by default).
-    // mp-lint: allow(E002) — sandbox uploads are pre-publication scratch
-    // space; publish() exports into the curated store, which is where the
-    // journal-coverage contract applies.
     pub fn upload(&self, owner: &str, mut doc: Value) -> Result<Value> {
         let obj = doc
             .as_object_mut()
@@ -53,9 +50,6 @@ impl<'a> Sandbox<'a> {
     }
 
     /// Share a record with a collaborator.
-    // mp-lint: allow(E002) — sandbox ACL edits stay in pre-publication
-    // scratch space (same contract as upload); publish() exports into the
-    // curated store, which is where journal coverage applies.
     pub fn share(&self, owner: &str, record_id: &Value, collaborator: &str) -> Result<bool> {
         let id = Self::scalar_only(record_id)?;
         let r = self.db.collection("sandbox").update_one(
@@ -67,9 +61,6 @@ impl<'a> Sandbox<'a> {
 
     /// Publish: flip the record public (Fig. 3 step (f)). Only the
     /// owner may do this.
-    // mp-lint: allow(E002) — the public/private flip mutates only the
-    // sandbox record's visibility flag, still scratch-space state; losing
-    // it on crash re-hides the record, never loses curated data.
     pub fn publish(&self, owner: &str, record_id: &Value) -> Result<bool> {
         let id = Self::scalar_only(record_id)?;
         let r = self.db.collection("sandbox").update_one(

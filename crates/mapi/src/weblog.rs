@@ -7,6 +7,7 @@
 
 use mp_docstore::RemoteLatencyModel;
 use mp_sync::{LockRank, OrderedMutex};
+use std::collections::VecDeque;
 
 /// One logged web query.
 #[derive(Debug, Clone, PartialEq)]
@@ -26,7 +27,8 @@ pub struct WebQuery {
 /// Bounded log of web queries.
 pub struct WebLog {
     model: RemoteLatencyModel,
-    entries: OrderedMutex<Vec<WebQuery>>,
+    /// Ring of the latest `capacity` queries, oldest first.
+    entries: OrderedMutex<VecDeque<WebQuery>>,
     capacity: usize,
 }
 
@@ -40,7 +42,7 @@ impl WebLog {
     pub fn with_model(capacity: usize, model: RemoteLatencyModel) -> Self {
         WebLog {
             model,
-            entries: OrderedMutex::new(LockRank::WebLog, Vec::new()),
+            entries: OrderedMutex::new(LockRank::WebLog, VecDeque::new()),
             capacity,
         }
     }
@@ -48,13 +50,13 @@ impl WebLog {
     /// Record one request; returns the observed latency (ms).
     pub fn record(&self, time: f64, path: &str, local_micros: u64, nrecords: usize) -> f64 {
         let mut entries = self.entries.lock();
-        let seq = entries.last().map(|e| e.seq + 1).unwrap_or(0);
+        let seq = entries.back().map(|e| e.seq + 1).unwrap_or(0);
         let observed = self.model.observed_micros(seq, local_micros, nrecords);
         let latency_ms = observed as f64 / 1000.0;
-        if entries.len() == self.capacity {
-            entries.remove(0);
+        if entries.len() >= self.capacity {
+            entries.pop_front();
         }
-        entries.push(WebQuery {
+        entries.push_back(WebQuery {
             seq,
             time,
             latency_ms,
@@ -66,7 +68,7 @@ impl WebLog {
 
     /// All retained entries.
     pub fn entries(&self) -> Vec<WebQuery> {
-        self.entries.lock().clone()
+        self.entries.lock().iter().cloned().collect()
     }
 
     /// Total records served across retained entries.
@@ -169,11 +171,21 @@ mod tests {
 
     #[test]
     fn ring_buffer_capacity() {
-        let log = WebLog::new(3);
-        for i in 0..10 {
+        // Twice the capacity: the first half is evicted, the retained
+        // window is the second half in order, and sequence numbers keep
+        // counting across evictions.
+        let capacity = 64;
+        let log = WebLog::new(capacity);
+        for i in 0..2 * capacity {
             log.record(i as f64, "/q", 100, 1);
         }
-        assert_eq!(log.entries().len(), 3);
+        let kept = log.entries();
+        assert_eq!(kept.len(), capacity);
+        for (k, e) in kept.iter().enumerate() {
+            assert_eq!(e.seq, (capacity + k) as u64);
+            assert_eq!(e.time, (capacity + k) as f64);
+        }
+        assert_eq!(log.time_series().len(), capacity);
     }
 
     #[test]

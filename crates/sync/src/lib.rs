@@ -16,7 +16,7 @@
 //! ```text
 //! outermost (acquired first)                         innermost (acquired last)
 //! LaunchPad → RateLimit → AuthAccounts → AuthKeyCounter → WebLog
-//!   → QueryCache → ReplOplog → ReplApplied → ReplRouter → ShardStats
+//!   → QueryCache → ReplApplied → ReplRouter → ShardStats
 //!   → Journal → JournalSync → Database → Collection → Index → ExecPool → Clock
 //!   → Profiler
 //! ```
@@ -60,16 +60,16 @@ pub enum LockRank {
     WebLog = 230,
     /// MAPI read-through query cache (probed before any store lock).
     QueryCache = 240,
-    /// Replica-set oplog (held across secondary apply → collection ops).
-    ReplOplog = 300,
-    /// Replica-set per-secondary applied counters.
+    /// Replica-set per-secondary applied counters (held across a
+    /// replication round: → `Journal`, the oplog, → collection ops).
     ReplApplied = 310,
     /// Replica-set read round-robin cursor.
     ReplRouter = 330,
     /// Shard-router statistics.
     ShardStats = 350,
-    /// Durable-database journal writer (outside `Database` so a
-    /// checkpoint may read collections while serializing appenders).
+    /// A database's journal — the file WAL or a replica set's oplog
+    /// (outside `Database` so a commit may apply, and a checkpoint may
+    /// read collections, while serializing appenders).
     Journal = 380,
     /// WAL group-commit sync state (taken after `Journal` by committers
     /// waiting on a durability barrier, or with nothing held).
@@ -104,7 +104,6 @@ impl LockRank {
             LockRank::AuthKeyCounter => "AuthKeyCounter",
             LockRank::WebLog => "WebLog",
             LockRank::QueryCache => "QueryCache",
-            LockRank::ReplOplog => "ReplOplog",
             LockRank::ReplApplied => "ReplApplied",
             LockRank::ReplRouter => "ReplRouter",
             LockRank::ShardStats => "ShardStats",

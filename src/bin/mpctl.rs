@@ -1,19 +1,20 @@
 //! `mpctl` — the operator's console for a Materials Project deployment.
 //!
-//! State persists between invocations through the snapshot/journal layer
-//! (the same machinery the crash-recovery tests exercise), so this is a
-//! small end-to-end demonstration of the datastore as a *durable*
-//! service:
+//! Every subcommand opens `--data` as a durable store, so the campaign
+//! `demo` runs is write-ahead logged as it goes (a `demo` killed before
+//! its final checkpoint leaves a directory the other subcommands read
+//! back from the WAL) — a small end-to-end demonstration of the
+//! datastore as a *durable* service:
 //!
 //! ```text
-//! mpctl demo  --data /tmp/mpdata --n 40 --seed 7   # build + snapshot
+//! mpctl demo  --data /tmp/mpdata --n 40 --seed 7   # build + checkpoint
 //! mpctl stats --data /tmp/mpdata                   # collection stats
 //! mpctl query --data /tmp/mpdata materials '{"elements":"Li"}'
 //! mpctl vnv   --data /tmp/mpdata                   # consistency checks
 //! mpctl page  --data /tmp/mpdata mp-1 > mp-1.html  # portal detail page
 //! ```
 
-use materials_project::docstore::{BuiltinEngine, Database, Persister};
+use materials_project::docstore::{BuiltinEngine, Database, DurableDatabase};
 use materials_project::mapi::{QueryEngine, WebUi};
 use materials_project::matsci::Element;
 use materials_project::MaterialsProject;
@@ -29,7 +30,7 @@ fn arg_value(args: &[String], flag: &str) -> Option<String> {
 fn usage() -> ! {
     eprintln!(
         "usage: mpctl <demo|stats|query|vnv|page> --data DIR [args]\n\
-         \n  demo  --data DIR [--n N] [--seed S]   build a deployment and snapshot it\
+         \n  demo  --data DIR [--n N] [--seed S]   build a deployment in DIR and checkpoint it\
          \n  stats --data DIR                      per-collection document/index stats\
          \n  query --data DIR COLLECTION FILTER    run a sanitized find\
          \n  vnv   --data DIR                      run the MapReduce V&V checks\
@@ -39,7 +40,7 @@ fn usage() -> ! {
 }
 
 fn recover(dir: &str) -> Result<Database, Box<dyn std::error::Error>> {
-    Ok(Persister::open(dir)?.recover()?)
+    Ok(DurableDatabase::open(dir)?.database().clone())
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -72,15 +73,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             let seed: u64 = arg_value(&args, "--seed")
                 .and_then(|s| s.parse().ok())
                 .unwrap_or(7);
-            let mut mp = MaterialsProject::new()?;
+            let store = DurableDatabase::open(&data)?;
+            let mut mp = MaterialsProject::on(store.database().clone())?;
             let recs = mp.ingest_icsd(n, seed)?;
             mp.submit_calculations(&recs)?;
             let report = mp.run_campaign(30)?;
             mp.build_views(Element::from_symbol("Li")?)?;
-            let mut p = Persister::open(&data)?;
-            p.snapshot(mp.database())?;
+            store.checkpoint()?;
             println!(
-                "deployment built: {} tasks, {} materials; snapshot written to {data}",
+                "deployment built: {} tasks, {} materials; checkpointed in {data}",
                 report.completed,
                 mp.database().collection("materials").len()
             );

@@ -1,7 +1,9 @@
 //! Durability integration: snapshot + journal recovery of a populated
-//! deployment, including a torn final journal write.
+//! deployment, including a torn final journal write, and a campaign
+//! killed mid-run on a durable directory.
 
-use materials_project::docstore::{Database, JournalOp, Persister};
+use materials_project::docstore::{Database, Docs, DurableDatabase, JournalOp, Persister};
+use materials_project::matsci::Element;
 use materials_project::MaterialsProject;
 use serde_json::json;
 use std::path::PathBuf;
@@ -126,5 +128,58 @@ fn snapshot_after_journal_truncates_journal() {
     assert!(!dir.join("journal.wal").exists());
     let rec = Persister::open(&dir).unwrap().recover().unwrap();
     assert_eq!(rec.collection("c").len(), 2);
+    let _ = std::fs::remove_dir_all(dir);
+}
+
+/// `tasks`, `engines` and `materials`, each sorted by `_id`.
+fn campaign_state(db: &Database) -> Vec<Docs> {
+    ["tasks", "engines", "materials"]
+        .iter()
+        .map(|name| {
+            let mut docs = db.collection(name).dump();
+            docs.sort_by_key(|d| d["_id"].to_string());
+            docs
+        })
+        .collect()
+}
+
+/// Ingest and submit onto `db`, then run `rounds` rounds of the campaign.
+fn start_campaign(db: &Database, rounds: usize) -> MaterialsProject {
+    let mut mp = MaterialsProject::on(db.clone()).unwrap();
+    let recs = mp.ingest_icsd(12, 5).unwrap();
+    mp.submit_calculations(&recs).unwrap();
+    mp.run_campaign(rounds).unwrap();
+    mp
+}
+
+/// Build the views and return the state the campaign ended in.
+fn finish_campaign(mp: MaterialsProject) -> Vec<Docs> {
+    mp.build_views(Element::from_symbol("Li").unwrap()).unwrap();
+    campaign_state(mp.database())
+}
+
+#[test]
+fn campaign_killed_mid_run_resumes_to_the_uninterrupted_state() {
+    // Every write below goes through LaunchPad, the loader and the view
+    // builders — plain `Database` handles of a durably opened store.
+    let dir = tmpdir("killed");
+    // One round in, everything is dropped without a checkpoint.
+    drop(start_campaign(
+        DurableDatabase::open(&dir).unwrap().database(),
+        1,
+    ));
+    assert!(
+        dir.join("journal.wal").exists() && !dir.join("snapshot.jsonl").exists(),
+        "the kill must leave only a WAL behind"
+    );
+    let store = DurableDatabase::open(&dir).unwrap();
+    let engines = store.database().collection("engines");
+    assert!(engines.count(&json!({"state": "READY"})).unwrap() > 0);
+    let mut mp = MaterialsProject::on(store.database().clone()).unwrap();
+    mp.run_campaign(30).unwrap();
+    let resumed = finish_campaign(mp);
+    let uninterrupted = finish_campaign(start_campaign(&Database::new(), 30));
+    assert!(!resumed[0].is_empty() && !resumed[2].is_empty());
+    assert_eq!(resumed, uninterrupted);
     let _ = std::fs::remove_dir_all(dir);
 }
