@@ -221,7 +221,13 @@ fn run_stage(stream: Docs, stage: &Stage) -> Result<Docs> {
             // decides whether this stage's stream is big enough for a
             // morsel fan-out, exactly as a collection scan would.
             let cf = f.compile();
-            crate::collection::filter_matches(mp_exec::WorkPool::global(), stream, &cf)
+            crate::collection::filter_matches(
+                mp_exec::WorkPool::global(),
+                &mut [stream.into()],
+                &cf,
+                None,
+                crate::collection::UNBOUNDED,
+            )
         }
         Stage::Project(paths) => {
             let proj = CompiledProjection::compile(paths);

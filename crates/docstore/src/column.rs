@@ -1,0 +1,398 @@
+//! Scan segments: what a collection scan reads through (DESIGN §16).
+//!
+//! A [`Segment`] is an immutable snapshot of a collection's document
+//! handles in store order, plus lazily built `f64` columns for the
+//! paths COLLSCAN filters bound numerically. It belongs to one write
+//! generation: the first COLLSCAN after a write builds it, every later
+//! one shares it by cloning one `Arc`, and the next write drops it (the
+//! `Store::bump_version` hook) — nothing is maintained incrementally.
+//!
+//! A column holds, per row, the number at its path when the path
+//! resolves through plain objects to a JSON number, and `NaN`
+//! ("undecided") for everything else: missing, `null`, a string, an
+//! array, a path that crosses an array. [`Candidates::prune`] drops a
+//! row only when a column *proves* a top-level conjunct cannot match it;
+//! a `NaN` row always survives, and [`CompiledFilter::matches`] still
+//! decides every survivor. A column can remove work, never change an
+//! answer.
+
+use crate::profiler::Profiler;
+use crate::query::{CompiledFilter, CompiledPath, NumericBound};
+use crate::value::{Docs, Document, PathSeg};
+use serde_json::Value;
+use std::sync::{Arc, OnceLock};
+
+/// Columns one segment will build. API callers choose the filter paths,
+/// so the count is capped; a path past the cap scans unpruned.
+const MAX_COLUMNS: usize = 8;
+
+/// One generation's scan snapshot of a collection.
+pub(crate) struct Segment {
+    docs: Docs,
+    /// Filled front to back, each slot once: the path, then its column.
+    columns: [OnceLock<(String, Arc<[f64]>)>; MAX_COLUMNS],
+}
+
+impl Segment {
+    pub(crate) fn new(docs: Docs) -> Self {
+        Segment {
+            docs,
+            columns: Default::default(),
+        }
+    }
+
+    /// The column for `path`, built on first request. `None` when no
+    /// document holds a plain number there — such a column would prune
+    /// nothing, so it takes no slot from a path that has numbers — or
+    /// once [`MAX_COLUMNS`] other paths hold every slot
+    /// (`column.cap_hit`). A slot being built blocks a concurrent
+    /// request instead of building twice.
+    fn column(&self, path: &CompiledPath, profiler: &Profiler) -> Option<Arc<[f64]>> {
+        for slot in &self.columns {
+            if slot.get().is_none() && !self.has_numbers_at(path) {
+                return None;
+            }
+            let (held, col) = slot.get_or_init(|| {
+                profiler.bump("column.build");
+                (
+                    path.raw().to_string(),
+                    build_column(&self.docs, path.segs()),
+                )
+            });
+            if held == path.raw() {
+                return Some(Arc::clone(col));
+            }
+        }
+        profiler.bump("column.cap_hit");
+        None
+    }
+
+    /// The paths that hold a slot so far.
+    fn held(&self) -> Vec<&str> {
+        self.columns
+            .iter()
+            .map_while(|slot| slot.get().map(|(held, _)| held.as_str()))
+            .collect()
+    }
+
+    /// Whether a column for `path` could prune anything. Stops at the
+    /// first plain number, which a path worth a column has early.
+    fn has_numbers_at(&self, path: &CompiledPath) -> bool {
+        self.docs
+            .iter()
+            .any(|d| !plain_number(d, path.segs()).is_nan())
+    }
+}
+
+fn build_column(docs: &[Arc<Document>], segs: &[PathSeg]) -> Arc<[f64]> {
+    docs.iter().map(|d| plain_number(d, segs)).collect()
+}
+
+/// The pruning pass: the rows of `sel` (all rows, if `None`) whose
+/// value in `col` the bound admits.
+fn narrow(sel: Option<Vec<usize>>, col: &[f64], bound: NumericBound) -> Vec<usize> {
+    match sel {
+        None => col
+            .iter()
+            .enumerate()
+            .filter(|(_, x)| bound.admits(**x))
+            .map(|(i, _)| i)
+            .collect(),
+        Some(mut sel) => {
+            sel.retain(|&i| col.get(i).is_none_or(|x| bound.admits(*x)));
+            sel
+        }
+    }
+}
+
+/// The number at `segs` when every step is an object key and the value
+/// is a JSON number — the one shape for which a comparison predicate
+/// sees exactly this value (no array traversal, no second candidate) —
+/// else `NaN`.
+fn plain_number(doc: &Value, segs: &[PathSeg]) -> f64 {
+    let mut cur = doc;
+    for seg in segs {
+        match cur {
+            Value::Object(m) => match m.get(&seg.key) {
+                Some(v) => cur = v,
+                None => return f64::NAN,
+            },
+            _ => return f64::NAN,
+        }
+    }
+    match cur {
+        Value::Number(n) => n.as_f64().unwrap_or(f64::NAN),
+        _ => f64::NAN,
+    }
+}
+
+enum Rows {
+    /// Handles cloned out of the store: an index plan's candidates, a
+    /// settled scan's survivors, or a caller's own stream.
+    Handles(Docs),
+    /// The whole collection, shared.
+    Scan(Arc<Segment>),
+    /// The whole collection, this many rows, for `explain` to describe
+    /// when no scan has built the generation's segment yet: no rows to
+    /// iterate.
+    Unscanned(usize),
+}
+
+/// What one planned read will run its filter over: rows in store order,
+/// less those a column has ruled out.
+pub(crate) struct Candidates {
+    rows: Rows,
+    /// Indices into the rows that survived pruning; `None` = all rows.
+    sel: Option<Vec<usize>>,
+}
+
+impl From<Docs> for Candidates {
+    fn from(docs: Docs) -> Self {
+        Candidates {
+            rows: Rows::Handles(docs),
+            sel: None,
+        }
+    }
+}
+
+impl Candidates {
+    /// A full scan through `seg`.
+    pub(crate) fn scan(seg: Arc<Segment>) -> Self {
+        Candidates {
+            rows: Rows::Scan(seg),
+            sel: None,
+        }
+    }
+
+    /// The description of a full scan over `n` rows (see
+    /// [`Rows::Unscanned`]).
+    pub(crate) fn unscanned(n: usize) -> Self {
+        Candidates {
+            rows: Rows::Unscanned(n),
+            sel: None,
+        }
+    }
+
+    /// Rows the plan examines, before any pruning.
+    pub(crate) fn examined(&self) -> usize {
+        match self.rows {
+            Rows::Unscanned(n) => n,
+            _ => self.as_slice().len(),
+        }
+    }
+
+    /// Rows left for the filter to decide.
+    pub(crate) fn len(&self) -> usize {
+        self.sel.as_ref().map_or(self.as_slice().len(), Vec::len)
+    }
+
+    /// Paths of `cf` a scan tests against a column: those that hold a
+    /// slot, then as many more as slots are free. (A path at which no
+    /// document holds a plain number has nothing to test and takes no
+    /// slot; it is listed all the same.)
+    pub(crate) fn pruned_by<'f>(&self, cf: &'f CompiledFilter) -> Vec<&'f str> {
+        let held = match &self.rows {
+            Rows::Handles(_) => return Vec::new(),
+            Rows::Scan(seg) => seg.held(),
+            Rows::Unscanned(_) => Vec::new(),
+        };
+        let mut free = MAX_COLUMNS - held.len();
+        cf.numeric_bounds()
+            .map(|(path, _)| path.raw())
+            .filter(|path| {
+                let fits = held.contains(path) || free > 0;
+                free -= usize::from(fits && !held.contains(path));
+                fits
+            })
+            .collect()
+    }
+
+    /// Drop every row a column proves `cf` cannot match: one pass over
+    /// an `f64` array per bounded path, no document touched.
+    pub(crate) fn prune(mut self, cf: &CompiledFilter, profiler: &Profiler) -> Self {
+        let Rows::Scan(seg) = &self.rows else {
+            return self;
+        };
+        for (path, bound) in cf.numeric_bounds() {
+            let Some(col) = seg.column(path, profiler) else {
+                continue;
+            };
+            self.sel = Some(narrow(self.sel.take(), &col, bound));
+        }
+        if let Some(sel) = &self.sel {
+            profiler.add("column.rows_pruned", (seg.docs.len() - sel.len()) as u64);
+        }
+        self
+    }
+
+    /// The surviving rows in store order, lazily: a consumer that stops
+    /// early never touches the rest.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = &Arc<Document>> + '_ {
+        let rows = self.as_slice();
+        let picked = self.sel.as_deref();
+        (0..self.len()).filter_map(move |k| match picked {
+            Some(sel) => rows.get(*sel.get(k)?),
+            None => rows.get(k),
+        })
+    }
+
+    /// Make the survivors one slice (for morsel fan-out), cloning their
+    /// handles if a column pruned any.
+    pub(crate) fn settle(&mut self) {
+        if self.sel.is_some() {
+            *self = Candidates::from(self.iter().cloned().collect::<Docs>());
+        }
+    }
+
+    /// Every row as one slice. Only a settled set's slice is exactly
+    /// the survivors; an unsettled one is a superset, which costs work
+    /// but no answer.
+    pub(crate) fn as_slice(&self) -> &[Arc<Document>] {
+        match &self.rows {
+            Rows::Handles(docs) => docs,
+            Rows::Scan(seg) => &seg.docs,
+            Rows::Unscanned(_) => &[],
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::query::Filter;
+    use serde_json::json;
+
+    fn seg(docs: Vec<Value>) -> Arc<Segment> {
+        Arc::new(Segment::new(crate::value::to_docs(docs)))
+    }
+
+    fn compiled(q: Value) -> CompiledFilter {
+        Filter::parse(&q).unwrap().compile()
+    }
+
+    #[test]
+    fn column_holds_plain_numbers_and_nan_for_everything_else() {
+        let s = seg(vec![
+            json!({"a": {"x": 3}}),
+            json!({"a": {"x": 2.5}}),
+            json!({"a": {"x": 9_007_199_254_740_993u64}}),
+            json!({"a": {"x": "3"}}),
+            json!({"a": {"x": null}}),
+            json!({"a": {"x": [1, 2]}}),
+            json!({"a": [{"x": 1}]}),
+            json!({"b": 1}),
+        ]);
+        let cf = compiled(json!({"a.x": {"$gt": 0}}));
+        let (path, _) = cf.numeric_bounds().next().unwrap();
+        let col = s.column(path, &Profiler::new(8)).unwrap();
+        assert_eq!(col[..3], [3.0, 2.5, 9_007_199_254_740_993u64 as f64]);
+        assert!(col[3..].iter().all(|x| x.is_nan()), "{col:?}");
+    }
+
+    #[test]
+    fn prune_keeps_undecided_rows() {
+        let s = seg(vec![
+            json!({"n": 1}),
+            json!({"n": 5}),
+            json!({"n": [9, 1]}),
+            json!({"m": 5}),
+            json!({"n": 7}),
+        ]);
+        let prof = Profiler::new(8);
+        let cf = compiled(json!({"n": {"$gte": 5}}));
+        let pruned = Candidates::scan(Arc::clone(&s)).prune(&cf, &prof);
+        assert_eq!((pruned.examined(), pruned.len()), (5, 4));
+        let kept: Vec<&Value> = pruned.iter().map(|d| &**d).collect();
+        assert_eq!(
+            kept,
+            [
+                &json!({"n": 5}),
+                &json!({"n": [9, 1]}),
+                &json!({"m": 5}),
+                &json!({"n": 7})
+            ]
+        );
+        assert_eq!(prof.counter("column.build"), 1);
+        assert_eq!(prof.counter("column.rows_pruned"), 1);
+        let mut settled = pruned;
+        settled.settle();
+        assert_eq!((settled.examined(), settled.as_slice().len()), (4, 4));
+        // A second bounded path narrows the same selection.
+        let both = compiled(json!({"n": {"$gte": 5}, "m": {"$lt": 0}}));
+        let pruned = Candidates::scan(s).prune(&both, &prof);
+        assert_eq!(pruned.len(), 3, "rows 1 and 4 have no `m`: undecided");
+        assert_eq!(prof.counter("column.build"), 2);
+    }
+
+    fn lt2(path: &str) -> CompiledFilter {
+        compiled(json!({ path: {"$lt": 2} }))
+    }
+
+    #[test]
+    fn the_ninth_path_scans_unpruned() {
+        let row = |i: i64| {
+            Value::Object(
+                (0..=MAX_COLUMNS)
+                    .map(|k| (format!("p{k}"), json!(i)))
+                    .collect(),
+            )
+        };
+        let s = seg((0..4).map(row).collect());
+        let prof = Profiler::new(8);
+        for k in 0..MAX_COLUMNS {
+            let cf = lt2(&format!("p{k}"));
+            let c = Candidates::scan(Arc::clone(&s));
+            assert_eq!(c.pruned_by(&cf).len(), 1, "p{k} fits");
+            assert_eq!(c.prune(&cf, &prof).len(), 2);
+        }
+        assert_eq!(prof.counter("column.cap_hit"), 0);
+        let ninth = lt2(&format!("p{MAX_COLUMNS}"));
+        let c = Candidates::scan(Arc::clone(&s));
+        assert!(c.pruned_by(&ninth).is_empty());
+        assert_eq!(c.prune(&ninth, &prof).len(), 4, "no column, no pruning");
+        assert_eq!(prof.counter("column.build"), MAX_COLUMNS as u64);
+        assert_eq!(prof.counter("column.cap_hit"), 1);
+        // A path that already holds a slot still prunes.
+        assert_eq!(Candidates::scan(s).prune(&lt2("p0"), &prof).len(), 2);
+    }
+
+    /// Callers choose the paths: ones that name nothing numeric must not
+    /// take the slots of the ones that do.
+    #[test]
+    fn a_path_without_numbers_takes_no_slot() {
+        let s = seg((0..4)
+            .map(|i| json!({"n": i, "s": "x", "a": [i]}))
+            .collect());
+        let prof = Profiler::new(8);
+        for path in ["missing", "s", "a", "n.deeper"]
+            .iter()
+            .cycle()
+            .take(3 * MAX_COLUMNS)
+        {
+            let c = Candidates::scan(Arc::clone(&s)).prune(&lt2(path), &prof);
+            assert_eq!(c.len(), 4, "{path}: nothing proven");
+        }
+        assert_eq!(prof.counter("column.build"), 0);
+        assert!(s.held().is_empty());
+        assert_eq!(
+            Candidates::scan(Arc::clone(&s))
+                .prune(&lt2("n"), &prof)
+                .len(),
+            2
+        );
+        assert_eq!((s.held(), prof.counter("column.cap_hit")), (vec!["n"], 0));
+    }
+
+    #[test]
+    fn an_unscanned_set_describes_a_fresh_segment() {
+        let c = Candidates::unscanned(7);
+        assert_eq!((c.examined(), c.iter().count()), (7, 0));
+        let wide = Value::Object(
+            (0..=MAX_COLUMNS)
+                .map(|k| (format!("p{k}"), json!({"$lt": 2})))
+                .collect(),
+        );
+        assert_eq!(c.pruned_by(&compiled(wide)).len(), MAX_COLUMNS);
+        assert_eq!(c.prune(&lt2("p0"), &Profiler::new(8)).len(), 0);
+    }
+}

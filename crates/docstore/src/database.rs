@@ -43,6 +43,7 @@ pub(crate) struct DbInner {
 /// dropping a collection publishes no generation of its own.
 impl Store for Database {
     type State = Registry;
+    type Retired = ();
     fn state(&self) -> &OrderedRwLock<Registry> {
         &self.inner.collections
     }

@@ -107,10 +107,14 @@ pub(crate) struct Shared {
 /// database's collection registry.
 pub(crate) trait Store {
     type State;
+    /// What a generation bump retires (a collection's scan segment).
+    type Retired;
     fn state(&self) -> &OrderedRwLock<Self::State>;
     /// Publish a new generation if the apply just run changed anything
     /// a cached read could see; called under the state write lock.
-    fn bump_version(&self, state: &mut Self::State);
+    /// Whatever the old generation owned comes back to be dropped once
+    /// the lock is released.
+    fn bump_version(&self, state: &mut Self::State) -> Self::Retired;
 }
 
 /// The raw apply: the only function through which stored documents,
@@ -120,7 +124,9 @@ fn raw_apply<S: Store, T>(store: &S, f: impl FnOnce(&mut S::State) -> T) -> T {
     let lock = store.state();
     let mut state = lock.write();
     let out = f(&mut state);
-    store.bump_version(&mut state);
+    let retired = store.bump_version(&mut state);
+    drop(state);
+    drop(retired);
     out
 }
 

@@ -45,6 +45,7 @@
 
 pub mod aggregate;
 pub mod collection;
+mod column;
 pub mod cursor;
 pub mod database;
 pub mod docgraph;

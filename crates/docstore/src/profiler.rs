@@ -121,8 +121,13 @@ impl Profiler {
     /// ...). Counters are independent of sampling being enabled and are
     /// not capped by the ring-buffer capacity.
     pub fn bump(&self, counter: &str) {
+        self.add(counter, 1);
+    }
+
+    /// Add `n` to the named event counter (`column.rows_pruned`).
+    pub fn add(&self, counter: &str, n: u64) {
         let mut st = self.state.lock();
-        *st.counters.entry(counter.to_string()).or_insert(0) += 1;
+        *st.counters.entry(counter.to_string()).or_insert(0) += n;
     }
 
     /// Current value of a named counter (0 when never bumped).

@@ -223,6 +223,56 @@ pub struct CompiledPath {
     segs: Vec<PathSeg>,
 }
 
+impl CompiledPath {
+    pub(crate) fn raw(&self) -> &str {
+        &self.raw
+    }
+
+    pub(crate) fn segs(&self) -> &[PathSeg] {
+        &self.segs
+    }
+}
+
+/// The interval a filter's top-level conjuncts confine a plain number
+/// at one path to — what a scan column is tested against (DESIGN §16).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct NumericBound {
+    lo: f64,
+    lo_open: bool,
+    hi: f64,
+    hi_open: bool,
+}
+
+impl NumericBound {
+    const UNBOUNDED: NumericBound = NumericBound {
+        lo: f64::NEG_INFINITY,
+        lo_open: false,
+        hi: f64::INFINITY,
+        hi_open: false,
+    };
+
+    fn raise(&mut self, v: f64, open: bool) {
+        if v > self.lo || (v == self.lo && open) {
+            (self.lo, self.lo_open) = (v, open);
+        }
+    }
+
+    fn lower(&mut self, v: f64, open: bool) {
+        if v < self.hi || (v == self.hi && open) {
+            (self.hi, self.hi_open) = (v, open);
+        }
+    }
+
+    /// False only when `x` is a number outside the interval. `NaN` (no
+    /// plain number in this row) fails every comparison and is admitted.
+    pub(crate) fn admits(&self, x: f64) -> bool {
+        !(x < self.lo
+            || x > self.hi
+            || (self.lo_open && x == self.lo)
+            || (self.hi_open && x == self.hi))
+    }
+}
+
 /// [`Predicate`] with per-document work hoisted to compile time: `$in`
 /// and `$nin` carry a second operand list sorted under [`cmp_values`] so
 /// membership is a binary search instead of a linear scan. The original
@@ -400,6 +450,32 @@ impl CompiledFilter {
             hi.map(|(v, _)| v),
             hi.map(|(_, i)| i).unwrap_or(true),
         ))
+    }
+
+    /// Every top-level path that `$eq`/`$gt`/`$gte`/`$lt`/`$lte` with a
+    /// numeric operand bound, with the intersection of those bounds.
+    /// Each such predicate is a conjunct of the whole filter and compares
+    /// as `f64` on both sides ([`cmp_values`]), so a plain number outside
+    /// the interval cannot match whatever else the filter says.
+    pub(crate) fn numeric_bounds(&self) -> impl Iterator<Item = (&CompiledPath, NumericBound)> {
+        self.fields.iter().filter_map(|(path, preds)| {
+            let mut b = NumericBound::UNBOUNDED;
+            for pred in preds {
+                match pred {
+                    CompiledPredicate::Eq(Value::Number(n)) => {
+                        let v = n.as_f64()?;
+                        b.raise(v, false);
+                        b.lower(v, false);
+                    }
+                    CompiledPredicate::Gt(Value::Number(n)) => b.raise(n.as_f64()?, true),
+                    CompiledPredicate::Gte(Value::Number(n)) => b.raise(n.as_f64()?, false),
+                    CompiledPredicate::Lt(Value::Number(n)) => b.lower(n.as_f64()?, true),
+                    CompiledPredicate::Lte(Value::Number(n)) => b.lower(n.as_f64()?, false),
+                    _ => {}
+                }
+            }
+            (b != NumericBound::UNBOUNDED).then_some((path, b))
+        })
     }
 
     /// Compiled twin of [`Filter::touched_paths`] (same contract).

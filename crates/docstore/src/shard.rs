@@ -140,51 +140,28 @@ impl ShardedCluster {
                 .find(filter);
         }
         self.stats.lock().1 += 1;
-        // Scatter-gather: the filter is parsed and compiled once here,
-        // then the crossover model prices the union scan (summed
-        // per-shard plan estimates, no candidates materialized yet).
-        //
-        // Parallel arm: each shard's planner picks its own candidate
-        // snapshot (index-assisted where possible, lock held only for
-        // the Arc clones) and the segments are match-evaluated as ONE
-        // morsel scatter spanning shard boundaries — every pool slot
-        // helps with every shard, and nothing is flattened into an
-        // intermediate union vector first.
-        //
-        // Sequential arm (small scans, or hosts where fan-out can't
-        // pay): match under each shard's read lock in turn, cloning one
-        // Arc per *match* instead of materializing every candidate —
-        // this is what keeps a sequential cross-shard scan cheaper than
-        // a collscan of the same documents, not slower.
-        //
-        // Both arms produce shard-major order, identical to the old
-        // shard-by-shard concatenation.
+        // Scatter-gather: the filter is parsed and compiled once here.
+        // Each shard's planner picks its own candidates (index-assisted
+        // where possible, the shard's scan segment otherwise; the lock
+        // is held only for the handle clones), and the sets are matched
+        // as one scan spanning shard boundaries: the crossover prices
+        // their union, a fan-out is ONE morsel scatter in which every
+        // pool slot helps with every shard, and nothing is flattened
+        // into an intermediate union vector first. Output is
+        // shard-major, identical to a shard-by-shard concatenation.
         let cf = parsed.compile();
-        let pool = WorkPool::global();
-        let estimate: usize = self
+        let mut sets: Vec<_> = self
             .shards
             .iter()
-            .map(|s| s.collection(collection).estimate_cost(&cf))
-            .sum();
-        if crate::collection::SCAN_CROSSOVER
-            .decide(pool, estimate)
-            .parallel
-        {
-            let segments: Vec<Docs> = self
-                .shards
-                .iter()
-                .map(|s| s.collection(collection).snapshot(&cf))
-                .collect();
-            Ok(crate::collection::filter_matches_segmented(
-                pool, &segments, &cf,
-            ))
-        } else {
-            let mut out = Docs::new();
-            for s in &self.shards {
-                s.collection(collection).filter_into(&cf, &mut out);
-            }
-            Ok(out)
-        }
+            .map(|s| s.collection(collection).candidates(&cf))
+            .collect();
+        Ok(crate::collection::filter_matches(
+            WorkPool::global(),
+            &mut sets,
+            &cf,
+            None,
+            crate::collection::UNBOUNDED,
+        ))
     }
 
     /// Count across the cluster (targeted when possible).

@@ -17,8 +17,14 @@
 //!
 //! Documents are generated nested (objects, arrays, mixed scalar
 //! leaves) so paths resolve, partially resolve, or miss entirely.
+//!
+//! The column arm (`column_pruned_scans_match_the_oracle` and the tests
+//! after it) pins collection scans that read through a scan segment
+//! (DESIGN §16) to [`Filter::matches`]: find, count, projected, sorted
+//! and windowed results are the oracle's on the scan that builds the
+//! segment and its columns and on the ones that find them there.
 
-use mp_docstore::{FindOptions, SortDir};
+use mp_docstore::{Database, Filter, FindOptions, SortDir};
 use proptest::prelude::*;
 use serde_json::{json, Map, Value};
 
@@ -141,6 +147,149 @@ fn options() -> impl Strategy<Value = FindOptions> {
         })
 }
 
+/// What the filtered path of a column-arm document holds. Integers past
+/// 2^53 collapse onto their `f64` neighbours, which the matcher's
+/// `as_f64` comparison does too; everything that is not a plain number
+/// is a row the column must leave undecided.
+fn column_leaf() -> impl Strategy<Value = Option<Value>> {
+    prop_oneof![
+        Just(None),
+        (-12i64..12).prop_map(|i| Some(json!(i))),
+        (-24i64..24).prop_map(|h| Some(json!(h as f64 / 2.0))),
+        (0u64..4).prop_map(|k| Some(json!((1u64 << 53) + k))),
+        (-12i64..12).prop_map(|i| Some(json!(i.to_string()))),
+        Just(Some(Value::Null)),
+        prop::collection::vec(-12i64..12, 0..3).prop_map(|a| Some(json!(a))),
+    ]
+}
+
+/// `v` at the top level, `o.v` under a plain object, and `o.v` reached
+/// by traversing an array of objects; `w` is the second predicate's path.
+fn column_document() -> impl Strategy<Value = Value> {
+    (
+        column_leaf(),
+        column_leaf(),
+        prop::collection::vec(column_leaf(), 0..3),
+        any::<bool>(),
+        0i64..4,
+    )
+        .prop_map(|(v, ov, elems, nested_array, w)| {
+            let under = |leaf: Option<Value>| match leaf {
+                Some(x) => json!({ "v": x }),
+                None => json!({}),
+            };
+            let mut doc = json!({ "w": w });
+            if let Some(v) = v {
+                doc["v"] = v;
+            }
+            doc["o"] = if nested_array {
+                Value::Array(elems.into_iter().map(under).collect())
+            } else {
+                under(ov)
+            };
+            doc
+        })
+}
+
+fn operand() -> impl Strategy<Value = Value> {
+    prop_oneof![
+        (-12i64..12).prop_map(|i| json!(i)),
+        (-24i64..24).prop_map(|h| json!(h as f64 / 2.0)),
+        (0u64..4).prop_map(|k| json!((1u64 << 53) + k)),
+        (-12i64..12).prop_map(|i| json!(i.to_string())),
+    ]
+}
+
+/// Comparison operators on one path (`$gt/$gte/$lt/$lte/$eq`, the ones
+/// a column can decide) mixed with ones it cannot (`$ne`, `$in`,
+/// `$not`), a second predicate on `w`, and an `$or` over both paths.
+fn column_filter() -> impl Strategy<Value = Value> {
+    let ops = prop::collection::vec(
+        (
+            prop_oneof![
+                Just("$gt"),
+                Just("$gte"),
+                Just("$lt"),
+                Just("$lte"),
+                Just("$eq"),
+                Just("$ne"),
+                Just("$in"),
+                Just("$not"),
+            ],
+            operand(),
+        ),
+        1..4,
+    );
+    (
+        prop_oneof![Just("v"), Just("o.v")],
+        ops,
+        prop_oneof![Just(None), (0i64..4).prop_map(Some)],
+        prop_oneof![Just(None), (operand(), 0i64..4).prop_map(Some)],
+    )
+        .prop_map(|(path, ops, second, or)| {
+            let mut on_path = Map::new();
+            for (op, x) in ops {
+                let x = match op {
+                    "$in" => json!([x, 3]),
+                    "$not" => json!({ "$gt": x }),
+                    _ => x,
+                };
+                on_path.insert(op.to_string(), x);
+            }
+            let mut f = json!({ path: on_path });
+            if let Some(w) = second {
+                f["w"] = json!({ "$lte": w });
+            }
+            if let Some((x, w)) = or {
+                f["$or"] = json!([{ path: { "$lt": x } }, { "w": w }]);
+            }
+            f
+        })
+}
+
+/// `find`, `count`, projected, sorted and windowed reads of `filter`
+/// all equal the `Filter::matches` oracle over `docs` in store order.
+fn reads_match_oracle(
+    db: &Database,
+    docs: &[Value],
+    filter: &Value,
+    (skip, limit): (usize, usize),
+) -> Result<(), TestCaseError> {
+    let coll = db.collection("c");
+    let oracle = Filter::parse(filter).unwrap();
+    let want: Vec<&Value> = docs.iter().filter(|d| oracle_matches(&oracle, d)).collect();
+    let got = |opts: &FindOptions| -> Vec<String> {
+        let rows = coll.find_with(filter, opts).unwrap();
+        rows.iter().map(|d| d.to_string()).collect()
+    };
+    let reference = |opts: &FindOptions| -> Vec<String> {
+        let mut rows = want.clone();
+        opts.apply_order(&mut rows);
+        let render = |d: &&Value| match opts.projection {
+            Some(_) => opts.project_doc(d).to_string(),
+            None => d.to_string(),
+        };
+        rows.iter().map(render).collect()
+    };
+    prop_assert_eq!(coll.count(filter).unwrap(), want.len());
+    let window = FindOptions::all().skip(skip).limit(limit);
+    for opts in [
+        FindOptions::all(),
+        FindOptions::all().project(&["v", "o.v"]),
+        FindOptions::all().sort_by("w", SortDir::Desc).skip(skip),
+        window.clone(),
+        window.project(&["w"]),
+    ] {
+        prop_assert_eq!(got(&opts), reference(&opts));
+    }
+    Ok(())
+}
+
+/// The uncompiled reference verdict on one document.
+fn oracle_matches(oracle: &Filter, doc: &Value) -> bool {
+    oracle.matches(doc)
+}
+
 fn byte_identical(a: &[Value], b: &[Value]) -> Result<(), TestCaseError> {
     prop_assert_eq!(
         serde_json::to_string(&a.to_vec()).unwrap(),
@@ -227,4 +376,116 @@ proptest! {
 
         byte_identical(&compiled, &naive)?;
     }
+
+    /// A COLLSCAN through the scan segment returns what the generic
+    /// matcher would: on the scan that builds the segment and its
+    /// columns, and on the ones that find them there.
+    #[test]
+    fn column_pruned_scans_match_the_oracle(
+        docs in prop::collection::vec(column_document(), 0..40),
+        filter in column_filter(),
+        window in (0usize..6, 0usize..12),
+    ) {
+        let db = Database::new();
+        let stored: Vec<Value> = docs
+            .into_iter()
+            .enumerate()
+            .map(|(i, mut d)| {
+                d["_id"] = json!(i);
+                d
+            })
+            .collect();
+        db.collection("c").insert_many(stored.clone()).unwrap();
+        for _ in 0..3 {
+            reads_match_oracle(&db, &stored, &filter, window)?;
+        }
+        // One column per listed path that has a plain number to test.
+        let explained = db.collection("c").explain(&filter).unwrap();
+        let has_numbers = |path: &&Value| {
+            let keys = || path.as_str().unwrap_or_default().split('.');
+            stored.iter().any(|d| {
+                let at = keys().try_fold(d, |cur, key| cur.as_object()?.get(key));
+                at.is_some_and(Value::is_number)
+            })
+        };
+        let listed = explained["column_pruned"].as_array().unwrap();
+        let built = listed.iter().filter(has_numbers).count() as u64;
+        prop_assert_eq!(db.profiler().counter("column.build"), built);
+    }
+}
+
+/// A write between two scans ends the segment's generation: the second
+/// scan never serves a row the write removed or moved out of range, and
+/// never misses one it added or moved in.
+#[test]
+fn a_write_between_scans_is_never_missed() {
+    let db = Database::new();
+    let c = db.collection("c");
+    let q = json!({"n": {"$gte": 10, "$lt": 20}});
+    let ids = |c: &mp_docstore::Collection| -> Vec<i64> {
+        let rows = c.find(&q).unwrap();
+        assert_eq!(c.count(&q).unwrap(), rows.len());
+        rows.iter().map(|d| d["_id"].as_i64().unwrap()).collect()
+    };
+    // Warm the segment and its column before every write.
+    let warm = |c: &mp_docstore::Collection| {
+        let first = ids(c);
+        assert_eq!((ids(c), ids(c)), (first.clone(), first.clone()));
+        first
+    };
+    c.insert_many((0..30).map(|i| json!({"_id": i, "n": i})).collect())
+        .unwrap();
+    assert_eq!(warm(&c), (10..20).collect::<Vec<i64>>());
+
+    c.insert_one(json!({"_id": 100, "n": 15})).unwrap();
+    assert!(warm(&c).contains(&100), "inserted row in range");
+
+    c.update_one(&json!({"_id": 3}), &json!({"$set": {"n": 12}}))
+        .unwrap();
+    assert!(warm(&c).contains(&3), "row moved into range");
+    c.update_one(&json!({"_id": 12}), &json!({"$set": {"n": 99}}))
+        .unwrap();
+    assert!(!warm(&c).contains(&12), "row moved out of range");
+
+    c.delete_one(&json!({"_id": 15})).unwrap();
+    assert!(!warm(&c).contains(&15), "deleted row");
+
+    c.clear().unwrap();
+    assert!(warm(&c).is_empty(), "cleared collection");
+    c.insert_one(json!({"_id": 7, "n": 11})).unwrap();
+    assert_eq!(warm(&c), [7]);
+
+    db.drop_collection("c").unwrap();
+    let c = db.collection("c");
+    assert!(warm(&c).is_empty(), "dropped and re-created");
+    c.insert_one(json!({"_id": 8, "n": 19.5})).unwrap();
+    assert_eq!(warm(&c), [8]);
+    assert!(db.profiler().counter("column.rows_pruned") > 0);
+}
+
+/// A segment builds at most eight columns; a ninth path still answers
+/// correctly, unpruned, and `explain` says so.
+#[test]
+fn the_ninth_filter_path_scans_unpruned() {
+    let db = Database::new();
+    let c = db.collection("c");
+    c.insert_many(
+        (0..50)
+            .map(|i| {
+                let fields: Map<String, Value> =
+                    (0..9).map(|k| (format!("p{k}"), json!(i + k))).collect();
+                Value::Object(fields)
+            })
+            .collect(),
+    )
+    .unwrap();
+    for k in 0..9 {
+        let q = json!({ format!("p{k}"): {"$lt": 10 + k} });
+        for _ in 0..3 {
+            assert_eq!(c.count(&q).unwrap(), 10, "p{k}");
+        }
+        let pruned = &c.explain(&q).unwrap()["column_pruned"];
+        assert_eq!(pruned.as_array().unwrap().len(), usize::from(k < 8), "p{k}");
+    }
+    assert_eq!(db.profiler().counter("column.build"), 8);
 }

@@ -175,3 +175,66 @@ fn sharded_rebalance_under_write_read_storm() {
         );
     }
 }
+
+/// Readers range-scanning through the scan segment (DESIGN §16) while a
+/// writer appends in `n` order, then moves the first half out of range:
+/// each scan sees a state the writer actually passed through — a prefix
+/// of the inserts, less a prefix of the moves — whether it built the
+/// segment and its column or found them there, and no scan is served by
+/// a segment older than a write that finished before it began.
+#[test]
+fn column_scans_against_a_writer_see_only_states_it_passed_through() {
+    let n = iters(160) as i64;
+    let db = Arc::new(Database::new());
+    let start = Arc::new(std::sync::Barrier::new(5));
+    let in_range = json!({"n": {"$gte": 0, "$lt": n}});
+    let writer = {
+        let (db, start) = (db.clone(), start.clone());
+        thread::spawn(move || {
+            let c = db.collection("rows");
+            start.wait();
+            for i in 0..n {
+                c.insert_one(json!({"_id": i, "n": i})).unwrap();
+            }
+            for i in 0..n / 2 {
+                c.update_one(&json!({"_id": i}), &json!({"$set": {"n": n + i}}))
+                    .unwrap();
+            }
+        })
+    };
+    let readers: Vec<_> = (0..4)
+        .map(|_| {
+            let (db, start, q) = (db.clone(), start.clone(), in_range.clone());
+            thread::spawn(move || {
+                let c = db.collection("rows");
+                start.wait();
+                let (mut moved, mut inserted) = (0, 0);
+                while moved < n / 2 {
+                    let len_before = c.len() as i64;
+                    let rows = c.find(&q).unwrap();
+                    let ids: Vec<i64> = rows.iter().map(|d| d["_id"].as_i64().unwrap()).collect();
+                    let Some(&first) = ids.first() else {
+                        assert_eq!(len_before, 0, "rows were in range before this scan");
+                        continue;
+                    };
+                    // Inserts land in id order and so do the moves: what
+                    // is in range is the ids `first..end`.
+                    let end = first + ids.len() as i64;
+                    assert!(ids.iter().copied().eq(first..end), "{ids:?}");
+                    assert!(first == 0 || end == n, "moves start after the last insert");
+                    assert!(first >= moved, "a moved row came back");
+                    assert!(end >= inserted, "an inserted row vanished");
+                    assert!(end >= len_before, "scan older than `len` before it");
+                    (moved, inserted) = (first, end);
+                }
+            })
+        })
+        .collect();
+    writer.join().unwrap();
+    for r in readers {
+        r.join().unwrap();
+    }
+    let c = db.collection("rows");
+    assert_eq!(c.count(&in_range).unwrap() as i64, n - n / 2);
+    assert_eq!(c.count(&json!({"n": {"$gte": n}})).unwrap() as i64, n / 2);
+}

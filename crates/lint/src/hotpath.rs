@@ -11,7 +11,9 @@
 //!   (`CompiledFilter::matches`, `CompiledProjection::project_one`,
 //!   `CompiledFindOptions::cmp_docs`): their whole body is hot.
 //! * **driver roots** own the per-document loop
-//!   (`filter_matches`, `filter_project_matches`, `project_matches`,
+//!   (`filter_matches`, `scatter_matches`, `project_matches`, the scan
+//!   segment's `build_column`, `has_numbers_at`, `narrow` and
+//!   `Candidates::iter`,
 //!   the aggregation `run_stage`, the MapReduce engines): only their
 //!   *loop regions* —
 //!   lines inside `for`/`while` bodies or iterator-adapter closures —
@@ -191,9 +193,10 @@ pub struct HotConfig {
 
 impl HotConfig {
     /// The Materials Project workspace defaults: the morsel/chunked scan
-    /// and projection drivers (including the segmented shard union, the
-    /// lean in-lock union `filter_into`, the crossover-routed counter,
-    /// and the executor's morsel dispatch/claim loops), the aggregation
+    /// and projection drivers (including the segmented parallel arm, the
+    /// crossover-routed counter, the scan segment's column build, pruning
+    /// pass and survivor iterator, and the executor's morsel
+    /// dispatch/claim loops), the aggregation
     /// stage runner, and the MapReduce engines own the loops; the compiled
     /// projection, and compiled sort comparator run per document; the
     /// uncompiled `Filter::matches` and the naive `FindOptions`
@@ -203,11 +206,13 @@ impl HotConfig {
         HotConfig {
             driver_roots: parse(&[
                 "filter_matches",
-                "filter_matches_segmented",
-                "filter_project_matches",
+                "scatter_matches",
                 "project_matches",
-                "Collection::filter_into",
                 "Collection::count_exec",
+                "build_column",
+                "Segment::has_numbers_at",
+                "narrow",
+                "Candidates::iter",
                 "CompiledFindOptions::apply_order",
                 "run_stage",
                 "BuiltinEngine::run",

@@ -117,19 +117,17 @@ impl CollectionSchema {
     /// Infer a schema by sampling up to `sample` documents plus the
     /// collection's index metadata.
     pub fn infer(coll: &Collection, sample: usize) -> CollectionSchema {
-        let docs = coll.dump();
-        let total_docs = docs.len();
+        let (docs, total_docs) = coll.sample(sample);
         let mut fields = BTreeMap::new();
-        let mut sampled = 0;
-        for doc in docs.iter().take(sample) {
-            sampled += 1;
-            walk(doc, "", &mut fields);
+        let mut path = String::new();
+        for doc in &docs {
+            walk(doc, &mut path, &mut fields);
         }
         CollectionSchema {
             collection: coll.name().to_string(),
             fields,
             indexed: coll.index_paths(),
-            sampled,
+            sampled: docs.len(),
             total_docs,
         }
     }
@@ -173,29 +171,38 @@ impl CollectionSchema {
     }
 }
 
-/// Record `v`'s type at `prefix` and recurse into containers.
-fn walk(v: &Value, prefix: &str, fields: &mut BTreeMap<String, TypeSet>) {
-    if !prefix.is_empty() {
-        let entry = fields.entry(prefix.to_string()).or_insert(TypeSet::EMPTY);
-        *entry = entry.union(TypeSet::of(v));
+/// Record `v`'s type at `path` and recurse into containers. `path` is
+/// one buffer grown and truncated in place, and a path already seen
+/// costs a lookup, not a fresh key: this runs over every sampled
+/// document on every structured query.
+fn walk(v: &Value, path: &mut String, fields: &mut BTreeMap<String, TypeSet>) {
+    if !path.is_empty() {
+        let seen = TypeSet::of(v);
+        match fields.get_mut(path.as_str()) {
+            Some(entry) => *entry = entry.union(seen),
+            None => {
+                fields.insert(path.clone(), seen);
+            }
+        }
     }
     match v {
         Value::Object(m) => {
             for (k, child) in m.iter() {
-                let child_path = if prefix.is_empty() {
-                    k.clone()
-                } else {
-                    format!("{prefix}.{k}")
-                };
-                walk(child, &child_path, fields);
+                let parent_len = path.len();
+                if parent_len > 0 {
+                    path.push('.');
+                }
+                path.push_str(k);
+                walk(child, path, fields);
+                path.truncate(parent_len);
             }
         }
-        Value::Array(items) if !prefix.is_empty() => {
+        Value::Array(items) if !path.is_empty() => {
             // Multikey semantics: elements are observable at the array's own
             // path, and object elements expose their fields via implicit
             // dotted traversal.
             for item in items {
-                walk(item, prefix, fields);
+                walk(item, path, fields);
             }
         }
         _ => {}
