@@ -4,12 +4,7 @@
 //! mp-lint query <query.json> [--db <dir>] [--collection <name>] [--json]
 //! mp-lint workflow <workflow.json> [--json]
 //! mp-lint data <doc.json> [<doc.json> ...] [--json]
-//! mp-lint concurrency [<root>] [--json]
-//! mp-lint perf [<root>] [--json]
-//! mp-lint flow [<root>] [--json]
-//! mp-lint hotpath [<root>] [--json]
-//! mp-lint effects [<root>] [--json]
-//! mp-lint order [<root>] [--json]
+//! mp-lint <pass> [<root>] [--json]
 //! mp-lint all [<root>] [--json]
 //! mp-lint callgraph [<root>] [--dot [--effects] | --json]
 //! ```
@@ -18,22 +13,14 @@
 //! persisted database directory, infers the collection's schema, and runs
 //! the schema-aware checks too. `workflow` lints a serialized workflow
 //! document. `data` validates task documents against the default V&V
-//! contract. `concurrency` scans a source tree (default `.`) for lock
-//! facade violations (`L0xx`). `perf` scans a source tree (default `.`)
-//! for read-path regressions (`P002`/`P003`). `flow` builds the
-//! workspace call graph and runs the interprocedural taint (`S0xx`) and
-//! panic-reachability (`R0xx`) passes. `hotpath` runs the
-//! interprocedural hot-path cost analysis (`H0xx`): per-document
-//! allocation anti-patterns in hot regions, with the full hot call
-//! chain. `effects` runs the interprocedural mutation-effect analysis
-//! (`E0xx`): generation-bump, journal-coverage, and
-//! no-I/O-under-lock invariants. `order` runs the interprocedural
-//! write-ahead ordering proofs (`O0xx`): sequenced effect traces
-//! checking append-before-apply, barrier-before-ack, checksum
-//! framing, verified recovery, and fsync-per-op loops. `all` runs
-//! every source-tree pass (`concurrency`, `perf`, `flow`, `hotpath`,
-//! `effects`, `order`) and merges the findings into one envelope with
-//! per-pass counts and one exit code. `callgraph` prints the graph
+//! contract.
+//!
+//! `<pass>` is any row of the source-tree pass table
+//! ([`mp_lint::PASSES`] — what each pass proves is documented on its
+//! module): the workspace under `<root>` (default `.`) is scanned once
+//! for the files in that pass's scope and the pass runs over it. `all`
+//! scans once for every pass and merges the findings into one envelope
+//! with per-pass counts and one exit code. `callgraph` prints the graph
 //! (GraphViz DOT with `--dot`, role-colored: sources blue, sanitizers
 //! green, sinks gold, panicking fns red; add `--effects` to color by
 //! effect instead, with the write-ahead ordering edges — journal /
@@ -53,22 +40,31 @@ use std::process::ExitCode;
 use mp_docstore::Persister;
 use mp_lint::{
     analyze_query, analyze_query_with_schema, analyze_workflow, render, render_envelope,
-    CollectionSchema, Diagnostic, RuleSet, WfNode,
+    CollectionSchema, Diagnostic, Pass, RuleSet, Scope, WfNode, Workspace, PASSES,
 };
 use serde_json::Value;
 
-const USAGE: &str = "usage:
+fn usage() -> String {
+    let passes: String = PASSES
+        .iter()
+        .map(|p| {
+            let codes: Vec<String> = p.codes.chars().map(|c| format!("{c}0xx")).collect();
+            format!(
+                "  mp-lint {} [<root>] [--json]  ({})\n",
+                p.name,
+                codes.join(", ")
+            )
+        })
+        .collect();
+    format!(
+        "usage:
   mp-lint query <query.json> [--db <dir>] [--collection <name>] [--json]
   mp-lint workflow <workflow.json> [--json]
   mp-lint data <doc.json> [<doc.json> ...] [--json]
-  mp-lint concurrency [<root>] [--json]
-  mp-lint perf [<root>] [--json]
-  mp-lint flow [<root>] [--json]
-  mp-lint hotpath [<root>] [--json]
-  mp-lint effects [<root>] [--json]
-  mp-lint order [<root>] [--json]
-  mp-lint all [<root>] [--json]
-  mp-lint callgraph [<root>] [--dot [--effects] | --json]";
+{passes}  mp-lint all [<root>] [--json]
+  mp-lint callgraph [<root>] [--dot [--effects] | --json]"
+    )
+}
 
 const SCHEMA_SAMPLE: usize = 256;
 
@@ -84,7 +80,7 @@ fn main() -> ExitCode {
         }
         Err(e) => {
             eprintln!("mp-lint: {e}");
-            eprintln!("{USAGE}");
+            eprintln!("{}", usage());
             ExitCode::from(2)
         }
     }
@@ -106,23 +102,12 @@ fn run(args: &[String]) -> Result<bool, String> {
         "query" => lint_query(&rest, json),
         "workflow" => lint_workflow(&rest, json),
         "data" => lint_data(&rest, json),
-        "concurrency" => lint_tree("concurrency", &rest, json, |root| {
-            mp_lint::analyze_tree(root)
-        }),
-        "perf" => lint_tree("perf", &rest, json, mp_lint::analyze_perf_tree),
-        "flow" => lint_tree("flow", &rest, json, mp_lint::analyze_flow_tree),
-        "hotpath" => lint_tree("hotpath", &rest, json, |root| {
-            mp_lint::analyze_hotpath_tree(root)
-        }),
-        "effects" => lint_tree("effects", &rest, json, |root| {
-            mp_lint::analyze_effects_tree(root)
-        }),
-        "order" => lint_tree("order", &rest, json, |root| {
-            mp_lint::analyze_order_tree(root)
-        }),
-        "all" => lint_all(&rest, json),
+        "all" => lint_tree("all", PASSES, &rest, json),
         "callgraph" => print_callgraph(&rest, json),
-        other => Err(format!("unknown subcommand `{other}`")),
+        other => match PASSES.iter().position(|p| p.name == other) {
+            Some(i) => lint_tree(other, &PASSES[i..=i], &rest, json),
+            None => Err(format!("unknown subcommand `{other}`")),
+        },
     }
 }
 
@@ -145,21 +130,54 @@ fn report(pass: &str, label: &str, diags: &[Diagnostic], json: bool) -> bool {
     diags.is_empty()
 }
 
-/// Shared driver for the source-tree passes (`concurrency`, `perf`,
-/// `flow`, `hotpath`): one optional root argument, one reporting
-/// contract.
-fn lint_tree(
-    pass: &'static str,
-    args: &[String],
-    json: bool,
-    analyze: impl Fn(&std::path::Path) -> std::io::Result<Vec<Diagnostic>>,
-) -> Result<bool, String> {
+/// Shared driver for the source-tree passes: one optional root
+/// argument, one scan of the workspace for the files the given passes
+/// read, one reporting contract. More than one pass (`all`) merges the
+/// findings into one envelope with the counts broken out per pass.
+fn lint_tree(label: &str, passes: &[Pass], args: &[String], json: bool) -> Result<bool, String> {
     let root = args.first().map(String::as_str).unwrap_or(".");
     if let Some(extra) = args.get(1) {
-        return Err(format!("{pass}: unexpected argument `{extra}`"));
+        return Err(format!("{label}: unexpected argument `{extra}`"));
     }
-    let diags = analyze(std::path::Path::new(root)).map_err(|e| format!("scan `{root}`: {e}"))?;
-    Ok(report(pass, root, &diags, json))
+    let scopes: Vec<&Scope> = passes.iter().map(|p| p.scope).collect();
+    let ws = Workspace::scan(std::path::Path::new(root), &scopes)
+        .map_err(|e| format!("scan `{root}`: {e}"))?;
+    let mut merged: Vec<Diagnostic> = Vec::new();
+    let mut by_pass = serde_json::Map::new();
+    for pass in passes {
+        let diags = (pass.run)(&ws);
+        let errors = diags
+            .iter()
+            .filter(|d| d.severity == mp_lint::Severity::Error)
+            .count();
+        by_pass.insert(
+            pass.name.to_string(),
+            serde_json::json!({
+                "error": errors,
+                "warning": diags.len() - errors,
+                "total": diags.len(),
+            }),
+        );
+        merged.extend(diags);
+    }
+    if passes.len() == 1 {
+        return Ok(report(label, root, &merged, json));
+    }
+    if json {
+        // The shared envelope, plus a per-pass counts breakdown: the
+        // `findings`/`counts` fields parse exactly like any single
+        // pass's envelope.
+        let envelope: serde_json::Value = serde_json::from_str(&render_envelope(label, &merged))
+            .map_err(|e| format!("internal envelope error: {e}"))?;
+        let mut obj = envelope.as_object().cloned().unwrap_or_default();
+        obj.insert("passes".to_string(), serde_json::Value::Object(by_pass));
+        println!("{}", serde_json::Value::Object(obj));
+    } else if merged.is_empty() {
+        println!("{root}: clean ({} passes)", passes.len());
+    } else {
+        println!("{}", render(&merged));
+    }
+    Ok(merged.is_empty())
 }
 
 fn lint_query(args: &[String], json: bool) -> Result<bool, String> {
@@ -226,66 +244,6 @@ fn lint_data(args: &[String], json: bool) -> Result<bool, String> {
     Ok(report("data", &label, &all, json))
 }
 
-/// One named source-tree pass: (subcommand name, tree analyzer).
-type TreePass = (
-    &'static str,
-    fn(&std::path::Path) -> std::io::Result<Vec<Diagnostic>>,
-);
-
-/// The six source-tree passes `all` runs, in envelope order.
-const TREE_PASSES: &[TreePass] = &[
-    ("concurrency", |root| mp_lint::analyze_tree(root)),
-    ("perf", mp_lint::analyze_perf_tree),
-    ("flow", mp_lint::analyze_flow_tree),
-    ("hotpath", |root| mp_lint::analyze_hotpath_tree(root)),
-    ("effects", |root| mp_lint::analyze_effects_tree(root)),
-    ("order", |root| mp_lint::analyze_order_tree(root)),
-];
-
-/// `mp-lint all`: every source-tree pass over one workspace scan
-/// target, one merged envelope (findings ordered by the shared
-/// contract, counts broken out per pass), one exit code.
-fn lint_all(args: &[String], json: bool) -> Result<bool, String> {
-    let root = args.first().map(String::as_str).unwrap_or(".");
-    if let Some(extra) = args.get(1) {
-        return Err(format!("all: unexpected argument `{extra}`"));
-    }
-    let path = std::path::Path::new(root);
-    let mut merged: Vec<Diagnostic> = Vec::new();
-    let mut by_pass = serde_json::Map::new();
-    for (name, analyze) in TREE_PASSES {
-        let diags = analyze(path).map_err(|e| format!("scan `{root}` ({name}): {e}"))?;
-        let errors = diags
-            .iter()
-            .filter(|d| d.severity == mp_lint::Severity::Error)
-            .count();
-        by_pass.insert(
-            name.to_string(),
-            serde_json::json!({
-                "error": errors,
-                "warning": diags.len() - errors,
-                "total": diags.len(),
-            }),
-        );
-        merged.extend(diags);
-    }
-    if json {
-        // The shared envelope, plus a per-pass counts breakdown: the
-        // `findings`/`counts` fields parse exactly like any single
-        // pass's envelope.
-        let envelope: serde_json::Value = serde_json::from_str(&render_envelope("all", &merged))
-            .map_err(|e| format!("internal envelope error: {e}"))?;
-        let mut obj = envelope.as_object().cloned().unwrap_or_default();
-        obj.insert("passes".to_string(), serde_json::Value::Object(by_pass));
-        println!("{}", serde_json::Value::Object(obj));
-    } else if merged.is_empty() {
-        println!("{root}: clean ({} passes)", TREE_PASSES.len());
-    } else {
-        println!("{}", render(&merged));
-    }
-    Ok(merged.is_empty())
-}
-
 fn print_callgraph(args: &[String], as_json: bool) -> Result<bool, String> {
     let mut root = ".".to_string();
     let mut dot = false;
@@ -298,37 +256,28 @@ fn print_callgraph(args: &[String], as_json: bool) -> Result<bool, String> {
             other => return Err(format!("callgraph: unknown flag `{other}`")),
         }
     }
-    let path = std::path::Path::new(&root);
-    let graph = mp_lint::scan_tree(path).map_err(|e| format!("scan `{root}`: {e}"))?;
-    if as_json || (dot && effects) {
-        // Both annotated exports need the sources for effect scanning.
-        let mut sources = std::collections::BTreeMap::new();
-        for f in &graph.fns {
-            if !sources.contains_key(&f.file) {
-                let text = std::fs::read_to_string(path.join(&f.file))
-                    .map_err(|e| format!("read `{}`: {e}", f.file))?;
-                sources.insert(f.file.clone(), text);
-            }
-        }
+    let ws = Workspace::scan(std::path::Path::new(&root), &[&Scope::GRAPH])
+        .map_err(|e| format!("scan `{root}`: {e}"))?;
+    let graph = &ws.graph;
+    if as_json {
+        let config = mp_lint::EffectConfig::materials_project_defaults();
+        println!("{}", mp_lint::effect_graph_json(&ws, &config));
+    } else if dot && effects {
         let config = mp_lint::EffectConfig::materials_project_defaults();
         let order_config = mp_lint::OrderConfig::materials_project_defaults();
-        if as_json {
-            println!("{}", mp_lint::effect_graph_json(&graph, &sources, &config));
-        } else {
-            println!(
-                "{}",
-                graph.to_dot(
-                    &mp_lint::effect_roles(&graph, &sources, &config),
-                    &mp_lint::order_edge_roles(&graph, &order_config),
-                )
-            );
-        }
+        println!(
+            "{}",
+            graph.to_dot(
+                &mp_lint::effect_roles(&ws, &config),
+                &mp_lint::order_edge_roles(graph, &order_config),
+            )
+        );
     } else if dot {
         let config = mp_lint::FlowConfig::materials_project_defaults();
         println!(
             "{}",
             graph.to_dot(
-                &mp_lint::flow::roles(&graph, &config),
+                &mp_lint::flow::roles(graph, &config),
                 &std::collections::BTreeMap::new(),
             )
         );

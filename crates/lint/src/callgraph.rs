@@ -17,11 +17,11 @@
 //! * Plain calls prefer a definition in the same file, then the same
 //!   crate, then any depended-upon crate.
 //!
-//! The same graph feeds both flow passes and `mp-lint callgraph --dot`.
+//! One graph, built once per [`Workspace`](crate::core::Workspace),
+//! feeds every graph pass and `mp-lint callgraph`.
 
-use crate::summary::{summarize_source, Callee, FnSummary};
+use crate::summary::{Callee, FnSummary};
 use std::collections::{BTreeMap, BTreeSet};
-use std::path::Path;
 
 /// One resolved edge: caller index → callee index, at a source line.
 #[derive(Debug, Clone, Copy)]
@@ -246,141 +246,41 @@ impl CallGraph {
     }
 }
 
-/// Directories never scanned (vendored shims, build output, VCS, test
-/// trees) and crates whose panics are deliberate debug-build checks.
-fn skip_dir(name: &str) -> bool {
-    matches!(
-        name,
-        "target" | "shims" | ".git" | "tests" | "examples" | "benches" | "fixtures"
-    )
-}
-
-/// Crates excluded from the flow scan: `sync`'s rank-violation panics
-/// are its contract (debug-build deadlock detection), and `bench` is a
-/// harness, not servable surface.
-fn skip_crate(name: &str) -> bool {
-    matches!(name, "sync" | "bench")
-}
-
-/// Walk the workspace at `root`, summarize every non-test `.rs` file,
-/// parse each crate's `Cargo.toml` for its in-workspace dependencies,
-/// and build the call graph.
-pub fn scan_tree(root: &Path) -> std::io::Result<CallGraph> {
-    let mut fns = Vec::new();
-    let mut deps: BTreeMap<String, BTreeSet<String>> = BTreeMap::new();
-
-    let crates_dir = root.join("crates");
-    if crates_dir.is_dir() {
-        // Sort the directory walk so summary order — and with it node
-        // indexes, edge order, and diagnostic order — is deterministic
-        // across filesystems.
-        let mut entries: Vec<_> = std::fs::read_dir(&crates_dir)?
-            .collect::<std::io::Result<Vec<_>>>()?
-            .into_iter()
-            .collect();
-        entries.sort_by_key(|e| e.path());
-        for entry in entries {
-            let name = entry.file_name().to_string_lossy().to_string();
-            if !entry.path().is_dir() || skip_crate(&name) {
-                continue;
-            }
-            let dep_set = deps.entry(name.clone()).or_default();
-            if let Ok(manifest) = std::fs::read_to_string(entry.path().join("Cargo.toml")) {
-                for line in manifest.lines() {
-                    let t = line.trim();
-                    // `mp-docstore = { path = "../docstore" }` — workspace
-                    // deps are all `mp-<dir>`.
-                    if let Some(rest) = t.strip_prefix("mp-") {
-                        if let Some(dep) = rest.split(['=', ' ', '.']).next() {
-                            if !dep.is_empty() {
-                                dep_set.insert(dep.to_string());
-                            }
-                        }
-                    }
-                }
-            }
-            collect_rs(&entry.path().join("src"), root, &mut fns)?;
-        }
-    }
-    Ok(CallGraph::build(fns, &deps))
-}
-
-fn collect_rs(dir: &Path, root: &Path, fns: &mut Vec<FnSummary>) -> std::io::Result<()> {
-    if !dir.is_dir() {
-        return Ok(());
-    }
-    let mut entries: Vec<_> = std::fs::read_dir(dir)?
-        .collect::<std::io::Result<Vec<_>>>()?
-        .into_iter()
-        .collect();
-    entries.sort_by_key(|e| e.path());
-    for entry in entries {
-        let path = entry.path();
-        let name = entry.file_name().to_string_lossy().to_string();
-        if path.is_dir() {
-            if !skip_dir(&name) {
-                collect_rs(&path, root, fns)?;
-            }
-        } else if name.ends_with(".rs") {
-            let rel = path
-                .strip_prefix(root)
-                .unwrap_or(&path)
-                .to_string_lossy()
-                .replace('\\', "/");
-            let src = std::fs::read_to_string(&path)?;
-            fns.extend(summarize_source(&rel, &src));
-        }
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn graph_of(files: &[(&str, &str)], deps: &[(&str, &[&str])]) -> CallGraph {
-        let mut fns = Vec::new();
-        for (path, src) in files {
-            fns.extend(summarize_source(path, src));
-        }
-        let mut dep_map = BTreeMap::new();
-        for (k, vs) in deps {
-            dep_map.insert(
-                (*k).to_string(),
-                vs.iter().map(|v| (*v).to_string()).collect(),
-            );
-        }
-        CallGraph::build(fns, &dep_map)
-    }
+    use crate::core::workspace_of;
 
     #[test]
     fn path_calls_resolve_to_type() {
-        let g = graph_of(
+        let g = workspace_of(
             &[(
                 "crates/a/src/lib.rs",
                 "pub struct T;\nimpl T {\n  pub fn go(&self) { T::helper(); }\n  fn helper() {}\n}\n",
             )],
             &[("a", &[])],
-        );
+        )
+        .graph;
         assert_eq!(g.edges.len(), 1, "{:?}", g.edges);
         assert_eq!(g.fns[g.edges[0].to].name, "helper");
     }
 
     #[test]
     fn self_calls_resolve_via_impl_type() {
-        let g = graph_of(
+        let g = workspace_of(
             &[(
                 "crates/a/src/lib.rs",
                 "pub struct T;\nimpl T {\n  pub fn go(&self) { Self::helper(); }\n  fn helper() {}\n}\n",
             )],
             &[("a", &[])],
-        );
+        )
+        .graph;
         assert_eq!(g.edges.len(), 1);
     }
 
     #[test]
     fn method_calls_filter_by_arity() {
-        let g = graph_of(
+        let g = workspace_of(
             &[
                 (
                     "crates/a/src/lib.rs",
@@ -392,14 +292,15 @@ mod tests {
                 ),
             ],
             &[("a", &["b"]), ("b", &[])],
-        );
+        )
+        .graph;
         // Only the 1-arg c.count(f) resolves; .count() (0 args) is filtered.
         assert_eq!(g.edges.len(), 1, "{:?}", g.edges);
     }
 
     #[test]
     fn dependency_filter_blocks_unrelated_crates() {
-        let g = graph_of(
+        let g = workspace_of(
             &[
                 ("crates/a/src/lib.rs", "pub fn go(r: &R) { r.run(x); }\n"),
                 (
@@ -408,13 +309,14 @@ mod tests {
                 ),
             ],
             &[("a", &[]), ("b", &[])],
-        );
+        )
+        .graph;
         assert!(g.edges.is_empty(), "no dep a->b declared: {:?}", g.edges);
     }
 
     #[test]
     fn plain_calls_prefer_same_file() {
-        let g = graph_of(
+        let g = workspace_of(
             &[
                 (
                     "crates/a/src/x.rs",
@@ -423,20 +325,22 @@ mod tests {
                 ("crates/a/src/y.rs", "pub fn helper() {}\n"),
             ],
             &[("a", &[])],
-        );
+        )
+        .graph;
         assert_eq!(g.edges.len(), 1);
         assert_eq!(g.fns[g.edges[0].to].file, "crates/a/src/x.rs");
     }
 
     #[test]
     fn dot_renders_roles() {
-        let g = graph_of(
+        let g = workspace_of(
             &[(
                 "crates/a/src/lib.rs",
                 "pub fn go() { helper(); }\nfn helper() {}\n",
             )],
             &[("a", &[])],
-        );
+        )
+        .graph;
         let mut roles = BTreeMap::new();
         roles.insert(0usize, "source");
         let dot = g.to_dot(&roles, &BTreeMap::new());
@@ -447,13 +351,14 @@ mod tests {
 
     #[test]
     fn dot_colors_ordering_edges() {
-        let g = graph_of(
+        let g = workspace_of(
             &[(
                 "crates/a/src/lib.rs",
                 "pub fn go() { helper(); }\nfn helper() {}\n",
             )],
             &[("a", &[])],
-        );
+        )
+        .graph;
         let mut edge_roles = BTreeMap::new();
         edge_roles.insert((g.edges[0].from, g.edges[0].to), "journal");
         let dot = g.to_dot(&BTreeMap::new(), &edge_roles);

@@ -33,8 +33,8 @@
 //! file's own source never matches the patterns it searches for — the
 //! workspace self-scan test would otherwise flag the scanner itself.
 
+use crate::core::{Allow, Scope, Workspace};
 use crate::diagnostics::Diagnostic;
-use std::path::Path;
 
 const RAW_MUTEX: &str = concat!("Mutex::", "new(");
 const RAW_RWLOCK: &str = concat!("RwLock::", "new(");
@@ -46,7 +46,6 @@ const ACQ_WRITE: &str = concat!(".write", "()");
 const UNWRAP_CALL: &str = concat!(".unwrap", "(");
 const EXPECT_CALL: &str = concat!(".expect", "(");
 const COLLECTION_CALL: &str = concat!(".collection", "(");
-const ALLOW_MARK: &str = "mp-lint: allow(";
 
 /// A live `let`-bound lock guard discovered by the scanner.
 #[derive(Debug, Clone)]
@@ -66,18 +65,29 @@ struct Guard {
 
 /// Scan one Rust source file; `path` is used verbatim in diagnostics.
 pub fn analyze_source(path: &str, source: &str) -> Vec<Diagnostic> {
+    scan(path, source.lines())
+}
+
+/// The pass-table entry: every file outside the facade crate.
+pub fn pass(ws: &Workspace) -> Vec<Diagnostic> {
+    ws.files(&Scope::OUTSIDE_FACADE)
+        .flat_map(|(path, file)| scan(path, file.raw.iter().map(String::as_str)))
+        .collect()
+}
+
+fn scan<'a>(path: &str, lines: impl Iterator<Item = &'a str>) -> Vec<Diagnostic> {
     let mut diags = Vec::new();
     let mut guards: Vec<Guard> = Vec::new();
     let mut depth: i32 = 0;
     let mut allow_from_prev: Vec<String> = Vec::new();
 
-    for (idx, raw_line) in source.lines().enumerate() {
+    for (idx, raw_line) in lines.enumerate() {
         let lineno = idx + 1;
         let (code, comment) = split_comment(raw_line);
         let trimmed = code.trim();
 
         let mut allowed = std::mem::take(&mut allow_from_prev);
-        allowed.extend(parse_allows(comment));
+        allowed.extend(Allow::parse(comment).into_iter().flat_map(|a| a.codes));
         if trimmed.is_empty() {
             // Comment-only line: its allows apply to the next line.
             allow_from_prev = allowed;
@@ -245,70 +255,12 @@ pub fn analyze_source(path: &str, source: &str) -> Vec<Diagnostic> {
     diags
 }
 
-/// Recursively scan every `.rs` file under `root`, skipping build output
-/// (`target/`), vendored shims (`shims/` — third-party API surface), the
-/// facade crate itself (`crates/sync` constructs raw locks by design),
-/// and VCS metadata.
-pub fn analyze_tree(root: &Path) -> std::io::Result<Vec<Diagnostic>> {
-    let mut diags = Vec::new();
-    let mut stack = vec![root.to_path_buf()];
-    while let Some(dir) = stack.pop() {
-        let mut entries: Vec<_> = std::fs::read_dir(&dir)?
-            .collect::<std::io::Result<Vec<_>>>()?
-            .into_iter()
-            .map(|e| e.path())
-            .collect();
-        entries.sort();
-        for path in entries {
-            let name = path.file_name().and_then(|n| n.to_str()).unwrap_or("");
-            if path.is_dir() {
-                if matches!(name, "target" | "shims" | ".git")
-                    || (name == "sync"
-                        && path
-                            .parent()
-                            .and_then(|p| p.file_name())
-                            .and_then(|n| n.to_str())
-                            == Some("crates"))
-                {
-                    continue;
-                }
-                stack.push(path);
-            } else if name.ends_with(".rs") {
-                let source = std::fs::read_to_string(&path)?;
-                let shown = path
-                    .strip_prefix(root)
-                    .unwrap_or(&path)
-                    .display()
-                    .to_string();
-                diags.extend(analyze_source(&shown, &source));
-            }
-        }
-    }
-    Ok(diags)
-}
-
 /// Split a line at a `//` comment (string-literal-blind, good enough).
 pub(crate) fn split_comment(line: &str) -> (&str, &str) {
     match line.find("//") {
         Some(i) => (&line[..i], &line[i..]),
         None => (line, ""),
     }
-}
-
-/// Codes named in a `mp-lint: allow(Lxxx)` / `allow(Lxxx, Lyyy)` comment.
-pub(crate) fn parse_allows(comment: &str) -> Vec<String> {
-    let Some(start) = comment.find(ALLOW_MARK) else {
-        return Vec::new();
-    };
-    let rest = &comment[start + ALLOW_MARK.len()..];
-    let Some(end) = rest.find(')') else {
-        return Vec::new();
-    };
-    rest[..end]
-        .split(',')
-        .map(|c| c.trim().to_string())
-        .filter(|c| !c.is_empty())
-        .collect()
 }
 
 /// All start offsets of `pat` in `code`.
@@ -386,6 +338,7 @@ fn dropped_guard(trimmed: &str) -> Option<String> {
 mod tests {
     use super::*;
     use crate::diagnostics::has_errors;
+    use std::path::Path;
 
     #[test]
     fn raw_construction_is_l001() {
@@ -558,7 +511,8 @@ mod tests {
         // findings (warnings included). Sanctioned nesting is annotated
         // at the site.
         let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
-        let diags = analyze_tree(&root).expect("scan workspace");
+        let ws = Workspace::scan(&root, &[&Scope::OUTSIDE_FACADE]).expect("scan workspace");
+        let diags = pass(&ws);
         assert!(
             diags.is_empty(),
             "workspace L0xx findings:\n{}",

@@ -34,34 +34,33 @@
 //!   workspace no longer defines, or `DESIGN.md` fails to document one
 //!   of the `E0xx` codes (the allow policy is part of the contract).
 //!
-//! Suppression mirrors the hotpath pass: `mp-lint: allow(E002) — <justification>`
-//! on the line, the line directly above, or the function's signature
-//! line (or any line of the comment block directly above the signature,
-//! covering the whole body). The justification after the closing paren
-//! is mandatory.
+//! Allows follow the one policy (DESIGN §7 "Allow policy").
 //!
 //! Known granularity limits, by design: effects propagate through calls
-//! resolved by name+arity, so method names shared with the std
-//! containers (`insert`, `clear`, `len`, …) neither grant nor propagate
-//! effects — a plain `map.clear()` must not make its caller a
-//! collection mutator, and the cost is that a genuine
+//! resolved by name+arity, so the std-shadowed method names
+//! ([`crate::core::shadowed`]) neither grant nor propagate effects — a
+//! plain `map.clear()` must not make its caller a collection mutator,
+//! and the cost is that a genuine
 //! `Collection::clear` call site is only checked at the coverage level
 //! (its enclosing function is not marked as mutating). Guard extents
 //! are tracked per `let`-binding line; destructuring bindings
 //! (`if let Some(g) = …read()`) are not tracked.
 
-use std::collections::{BTreeMap, VecDeque};
-use std::path::Path;
+use std::collections::BTreeMap;
 
-use crate::callgraph::{scan_tree, CallGraph};
-use crate::concurrency::match_positions;
+use crate::callgraph::CallGraph;
+use crate::concurrency::{match_positions, receiver_before};
+use crate::core::{
+    design_coverage, matches_any, reach, resolve, shadowed, unjustified_allows, Dir, Drift, FnRef,
+    Scope, Workspace,
+};
 use crate::diagnostics::Diagnostic;
-use crate::flow::FnRef;
-use crate::summary::mask_source;
 
-/// Assembled with `concat!` so this file never matches its own pattern
-/// literals (the other source passes scan this file too).
-const ALLOW_MARK: &str = concat!("mp-", "lint: allow(");
+const DRIFT: Drift = Drift {
+    code: "E007",
+    pass: "effects",
+    config: "EffectConfig",
+};
 
 /// Every code this pass can emit; `DESIGN.md` must document each one.
 pub const EFFECT_CODES: &[&str] = &["E001", "E002", "E003", "E004", "E005", "E006", "E007"];
@@ -98,25 +97,6 @@ const SCATTER_PATTERNS: &[&str] = &[concat!(".scat", "ter("), concat!(".scatter_
 /// would be visible to every concurrent reader mid-scan.
 const COW_PATTERNS: &[&str] = &[concat!("Arc::get_", "mut("), concat!("Arc::make_", "mut(")];
 
-/// Method names shared with the std containers (same list as the
-/// hotpath pass): a bare `m.insert(k, v)` resolves by name+arity to any
-/// same-named workspace method, so effects neither enter nor leave
-/// functions with these names via method-call edges.
-const STD_SHADOWED: &[&str] = &[
-    "len",
-    "get",
-    "insert",
-    "push",
-    "remove",
-    "extend",
-    "clear",
-    "is_empty",
-    "contains",
-    "contains_key",
-    "entry",
-    "iter",
-];
-
 /// Configuration: which functions carry which leaf effects, and where
 /// the journaling contract applies.
 #[derive(Debug, Clone)]
@@ -137,11 +117,10 @@ impl EffectConfig {
     /// `Collection::bump_version` is the generation bump; the
     /// `Persister` appenders are the journal.
     pub fn materials_project_defaults() -> Self {
-        let parse = |v: &[&str]| v.iter().map(|s| FnRef::parse(s)).collect();
         EffectConfig {
-            mutation_fns: parse(&["raw_apply"]),
-            bump_fns: parse(&["Collection::bump_version"]),
-            journal_fns: parse(&["Persister::append_ops", "Persister::snapshot"]),
+            mutation_fns: FnRef::list(&["raw_apply"]),
+            bump_fns: FnRef::list(&["Collection::bump_version"]),
+            journal_fns: FnRef::list(&["Persister::append_ops", "Persister::snapshot"]),
         }
     }
 }
@@ -166,209 +145,25 @@ pub struct FnEffects {
     pub locks: Vec<(String, &'static str, usize, Option<String>)>,
 }
 
-/// `allow(...)` codes named on a raw line via the mp-lint marker, plus
-/// whether a justification follows the closing paren.
-fn effect_allows(raw: &str) -> (Vec<String>, bool) {
-    let Some(start) = raw.find(ALLOW_MARK) else {
-        return (Vec::new(), true);
-    };
-    let rest = &raw[start + ALLOW_MARK.len()..];
-    let Some(end) = rest.find(')') else {
-        return (Vec::new(), true);
-    };
-    let codes = rest[..end]
-        .split(',')
-        .map(|c| c.trim().to_string())
-        .filter(|c| !c.is_empty())
-        .collect();
-    let justification = rest[end + 1..]
-        .trim_matches(|c: char| c.is_whitespace() || matches!(c, '—' | '-' | ':' | '.' | ','));
-    (codes, justification.chars().count() >= 8)
-}
-
-/// The fn-level suppression line for a signature on 1-based `fn_line`:
-/// the signature line itself, or any line of the contiguous
-/// comment/attribute block directly above it.
-fn fn_allow_line(raw_lines: &[String], fn_line: usize) -> &str {
-    let sig = raw_lines
-        .get(fn_line.wrapping_sub(1))
-        .map(String::as_str)
-        .unwrap_or("");
-    if sig.contains(ALLOW_MARK) {
-        return sig;
-    }
-    let mut idx = fn_line.wrapping_sub(1);
-    while idx >= 1 {
-        let above = raw_lines.get(idx - 1).map(String::as_str).unwrap_or("");
-        let lead = above.trim_start();
-        if !lead.starts_with("//") && !lead.starts_with("#[") {
-            break;
-        }
-        if above.contains(ALLOW_MARK) {
-            return above;
-        }
-        idx -= 1;
-    }
-    sig
-}
-
-/// Per-file scan artifacts: raw lines (for allow comments) and masked
-/// lines (for structural/pattern scanning).
-struct FileArt {
-    raw: Vec<String>,
-    masked: Vec<String>,
-}
-
-impl FileArt {
-    /// Is `code` allowed (with any justification state) at 1-based
-    /// `line`, by an inline comment, the line directly above, or the
-    /// enclosing function level (`fn_line` is the signature line)?
-    fn allowed(&self, code: &str, line: usize, fn_line: usize) -> bool {
-        let fn_level = fn_allow_line(&self.raw, fn_line);
-        [
-            self.raw.get(line.wrapping_sub(1)).map(String::as_str),
-            self.raw.get(line.wrapping_sub(2)).map(String::as_str),
-            Some(fn_level),
-        ]
-        .into_iter()
-        .flatten()
-        .any(|src| effect_allows(src).0.iter().any(|c| c == code))
-    }
-}
-
-/// `(body-open line, body-open column, end line)` of the function whose
-/// signature starts at 1-based `fn_line`, by brace matching over the
-/// masked text.
-fn fn_extent(masked: &[String], fn_line: usize) -> Option<(usize, usize, usize)> {
-    let mut open: Option<(usize, usize)> = None;
-    let mut depth = 0i64;
-    for (idx, line) in masked.iter().enumerate().skip(fn_line.saturating_sub(1)) {
-        for (col, c) in line.char_indices() {
-            match c {
-                '{' => {
-                    depth += 1;
-                    if open.is_none() {
-                        open = Some((idx + 1, col));
-                    }
-                }
-                '}' if open.is_some() => {
-                    depth -= 1;
-                    if depth == 0 {
-                        let (ol, oc) = open.unwrap_or((idx + 1, col));
-                        return Some((ol, oc, idx + 1));
-                    }
-                }
-                _ => {}
-            }
-        }
-    }
-    open.map(|(ol, oc)| (ol, oc, masked.len()))
-}
-
-/// Resolve a ref list against the graph; every ref with zero matches is
-/// one `E007` (config drift would silently disable the pass).
-fn resolve(
-    graph: &CallGraph,
-    refs: &[FnRef],
-    kind: &str,
-    diags: &mut Vec<Diagnostic>,
-) -> Vec<bool> {
-    let mut mask = vec![false; graph.fns.len()];
-    for r in refs {
-        let mut hit = false;
-        for (i, f) in graph.fns.iter().enumerate() {
-            if r.is_match(f) {
-                mask[i] = true;
-                hit = true;
-            }
-        }
-        if !hit {
-            diags.push(
-                Diagnostic::error(
-                    "E007",
-                    r.display(),
-                    format!(
-                        "effects config names {kind} `{}` but the workspace defines no such \
-                         function — the pass would silently skip it",
-                        r.display()
-                    ),
-                )
-                .with_suggestion(
-                    "update EffectConfig (or materials_project_defaults) to match the renamed \
-                     or removed function",
-                ),
-            );
-        }
-    }
-    mask
-}
-
 /// Transitive closure of an effect up the call graph: a caller carries
 /// the effect when any of its call edges reaches a function carrying
 /// it. Propagation never passes *through* a std-shadowed method name
 /// (the edge may be a plain container call resolved by coincidence).
 fn propagate(graph: &CallGraph, seed: &[bool]) -> Vec<bool> {
-    let shadowed = |v: usize| -> bool {
-        let f = &graph.fns[v];
-        f.impl_type.is_some() && STD_SHADOWED.contains(&f.name.as_str())
-    };
-    let mut eff = seed.to_vec();
-    let mut q: VecDeque<usize> = (0..eff.len()).filter(|&i| eff[i]).collect();
-    while let Some(u) = q.pop_front() {
-        if shadowed(u) {
-            continue;
-        }
-        for &(caller, _line) in &graph.rin[u] {
-            if !eff[caller] {
-                eff[caller] = true;
-                q.push_back(caller);
-            }
-        }
-    }
-    eff
-}
-
-/// Every masked body line of function `i` (1-based), with the signature
-/// clipped off the body-open line.
-fn body_lines<'a>(
-    graph: &CallGraph,
-    arts: &'a BTreeMap<&str, FileArt>,
-    i: usize,
-) -> Vec<(usize, &'a str)> {
-    let f = &graph.fns[i];
-    let Some(art) = arts.get(f.file.as_str()) else {
-        return Vec::new();
-    };
-    let Some((ol, oc, end)) = fn_extent(&art.masked, f.line) else {
-        return Vec::new();
-    };
-    (ol..=end)
-        .map(|lineno| {
-            let full = art.masked.get(lineno - 1).map(String::as_str).unwrap_or("");
-            let seg = if lineno == ol {
-                full.get(oc..).unwrap_or("")
-            } else {
-                full
-            };
-            (lineno, seg)
-        })
-        .collect()
-}
-
-fn matches_any(seg: &str, pats: &[&str]) -> bool {
-    pats.iter().any(|p| !match_positions(seg, p).is_empty())
+    let seeds = (0..seed.len()).filter(|&i| seed[i]).map(|i| (i, None));
+    reach(graph, Dir::Callers, seeds, |u, _, _| !shadowed(graph, u)).seen
 }
 
 /// `field name → LockRank name`, harvested from constructor lines of
 /// the form `journal: OrderedMutex::new(LockRank::Journal, …)`.
-fn lock_ranks(sources: &BTreeMap<String, String>) -> BTreeMap<String, String> {
+fn lock_ranks(ws: &Workspace) -> BTreeMap<String, String> {
     let mut ranks = BTreeMap::new();
     let ctors = [
         concat!("OrderedMutex::", "new(LockRank::"),
         concat!("OrderedRwLock::", "new(LockRank::"),
     ];
-    for src in sources.values() {
-        for line in mask_source(src).lines() {
+    for (_, file) in ws.files(&Scope::GRAPH) {
+        for line in &file.masked {
             for ctor in ctors {
                 for pos in match_positions(line, ctor) {
                     let rank: String = line[pos + ctor.len()..]
@@ -413,21 +208,22 @@ struct Computed {
     ranks: BTreeMap<String, String>,
 }
 
-fn compute(
-    graph: &CallGraph,
-    arts: &BTreeMap<&str, FileArt>,
-    sources: &BTreeMap<String, String>,
-    config: &EffectConfig,
-    diags: &mut Vec<Diagnostic>,
-) -> Computed {
+fn compute(ws: &Workspace, config: &EffectConfig, diags: &mut Vec<Diagnostic>) -> Computed {
+    let graph = &ws.graph;
     let n = graph.fns.len();
-    let mutation = resolve(graph, &config.mutation_fns, "mutation primitive", diags);
-    let bump = resolve(graph, &config.bump_fns, "generation bump", diags);
-    let journal = resolve(graph, &config.journal_fns, "journal append", diags);
+    let mutation = resolve(
+        graph,
+        &config.mutation_fns,
+        "mutation primitive",
+        &DRIFT,
+        diags,
+    );
+    let bump = resolve(graph, &config.bump_fns, "generation bump", &DRIFT, diags);
+    let journal = resolve(graph, &config.journal_fns, "journal append", &DRIFT, diags);
     let mut io = vec![false; n];
     let mut scatter = vec![false; n];
     for i in 0..n {
-        for (_, seg) in body_lines(graph, arts, i) {
+        for (_, seg) in ws.body_lines(i) {
             io[i] |= matches_any(seg, IO_PATTERNS);
             scatter[i] |= matches_any(seg, SCATTER_PATTERNS);
         }
@@ -442,36 +238,15 @@ fn compute(
         mutation,
         bump,
         journal,
-        ranks: lock_ranks(sources),
+        ranks: lock_ranks(ws),
     }
-}
-
-fn build_arts(sources: &BTreeMap<String, String>) -> BTreeMap<&str, FileArt> {
-    sources
-        .iter()
-        .map(|(p, s)| {
-            (
-                p.as_str(),
-                FileArt {
-                    raw: s.lines().map(str::to_string).collect(),
-                    masked: mask_source(s).lines().map(str::to_string).collect(),
-                },
-            )
-        })
-        .collect()
 }
 
 /// Effect summaries for every function, aligned with `graph.fns`. Used
 /// by the annotated call-graph export.
-pub fn effect_summaries(
-    graph: &CallGraph,
-    sources: &BTreeMap<String, String>,
-    config: &EffectConfig,
-) -> Vec<FnEffects> {
-    let arts = build_arts(sources);
-    let mut sink = Vec::new();
-    let c = compute(graph, &arts, sources, config, &mut sink);
-    graph
+pub fn effect_summaries(ws: &Workspace, config: &EffectConfig) -> Vec<FnEffects> {
+    let c = compute(ws, config, &mut Vec::new());
+    ws.graph
         .fns
         .iter()
         .enumerate()
@@ -503,17 +278,11 @@ pub fn effect_summaries(
 /// ([`crate::order::order_traces`] with the Materials Project
 /// defaults), plus the resolved edges. This is the artifact CI
 /// uploads.
-pub fn effect_graph_json(
-    graph: &CallGraph,
-    sources: &BTreeMap<String, String>,
-    config: &EffectConfig,
-) -> String {
-    let effects = effect_summaries(graph, sources, config);
-    let traces = crate::order::order_traces(
-        graph,
-        sources,
-        &crate::order::OrderConfig::materials_project_defaults(),
-    );
+pub fn effect_graph_json(ws: &Workspace, config: &EffectConfig) -> String {
+    let graph = &ws.graph;
+    let effects = effect_summaries(ws, config);
+    let traces =
+        crate::order::order_traces(ws, &crate::order::OrderConfig::materials_project_defaults());
     let fns: Vec<serde_json::Value> = graph
         .fns
         .iter()
@@ -557,16 +326,10 @@ pub fn effect_graph_json(
 
 /// Role map for the DOT rendering: mutation primitives gold, journal
 /// appenders green, generation bumps blue, I/O performers red.
-pub fn effect_roles(
-    graph: &CallGraph,
-    sources: &BTreeMap<String, String>,
-    config: &EffectConfig,
-) -> BTreeMap<usize, &'static str> {
-    let arts = build_arts(sources);
-    let mut sink = Vec::new();
-    let c = compute(graph, &arts, sources, config, &mut sink);
+pub fn effect_roles(ws: &Workspace, config: &EffectConfig) -> BTreeMap<usize, &'static str> {
+    let c = compute(ws, config, &mut Vec::new());
     let mut roles = BTreeMap::new();
-    for i in 0..graph.fns.len() {
+    for i in 0..ws.graph.fns.len() {
         if c.mutation[i] {
             roles.insert(i, "mutates");
         } else if c.journal[i] {
@@ -590,52 +353,22 @@ struct LiveGuard {
     depth: i64,
 }
 
-/// The receiver expression ending just before byte `pos`:
-/// `self.journal.lock()` → `self.journal`.
-fn receiver_before(seg: &str, pos: usize) -> String {
-    let head = &seg[..pos];
-    let start = head
-        .rfind(|c: char| !(c.is_alphanumeric() || c == '_' || c == '.'))
-        .map(|p| p + 1)
-        .unwrap_or(0);
-    head[start..].trim_matches('.').to_string()
-}
-
 /// E003: walk each body once, tracking live bound guards by brace
 /// depth (and explicit `drop(name)`), and flag lines inside a guard
 /// extent that perform blocking I/O or a scatter, directly or through a
 /// call edge.
-fn check_lock_extents(
-    graph: &CallGraph,
-    arts: &BTreeMap<&str, FileArt>,
-    c: &Computed,
-    diags: &mut Vec<Diagnostic>,
-) {
+fn check_lock_extents(ws: &Workspace, c: &Computed, diags: &mut Vec<Diagnostic>) {
+    let graph = &ws.graph;
     let lock_ops: [&str; 3] = [
         concat!(".lo", "ck()"),
         concat!(".re", "ad()"),
         concat!(".wri", "te()"),
     ];
-    let shadowed = |v: usize| -> bool {
-        let f = &graph.fns[v];
-        f.impl_type.is_some() && STD_SHADOWED.contains(&f.name.as_str())
-    };
     for (i, f) in graph.fns.iter().enumerate() {
-        let Some(art) = arts.get(f.file.as_str()) else {
-            continue;
-        };
-        let body = body_lines(graph, arts, i);
-        if body.is_empty() {
-            continue;
-        }
-        // Call edges out of this function, by line.
-        let mut calls_at: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
-        for &(v, line) in &graph.out[i] {
-            calls_at.entry(line).or_default().push(v);
-        }
+        let calls_at = ws.calls_by_line(i);
         let mut depth = 0i64;
         let mut guards: Vec<LiveGuard> = Vec::new();
-        for (lineno, seg) in body {
+        for (lineno, seg) in ws.body_lines(i) {
             // A guard bound on an earlier line covers this one.
             if !guards.is_empty() && lineno > guards[0].line {
                 let offending = guards.iter().find(|_| {
@@ -643,12 +376,12 @@ fn check_lock_extents(
                         matches_any(seg, IO_PATTERNS) || matches_any(seg, SCATTER_PATTERNS);
                     let via_call = calls_at.get(&lineno).is_some_and(|vs| {
                         vs.iter()
-                            .any(|&v| !shadowed(v) && (c.io_star[v] || c.scatter_star[v]))
+                            .any(|&v| !shadowed(graph, v) && (c.io_star[v] || c.scatter_star[v]))
                     });
                     direct || via_call
                 });
                 if let Some(g) = offending {
-                    if !art.allowed("E003", lineno, f.line) {
+                    if !ws.allowed("E003", i, lineno) {
                         let field = g.receiver.rsplit('.').next().unwrap_or(&g.receiver);
                         let rank = c
                             .ranks
@@ -720,48 +453,21 @@ fn check_lock_extents(
     }
 }
 
-/// Run the effects pass over a prebuilt call graph. `sources` maps the
-/// summary-relative file path of every scanned file to its raw text;
-/// `design` is the text of `DESIGN.md` when available (its E-code
-/// coverage is part of the E007 drift check).
-pub fn analyze_effects(
-    graph: &CallGraph,
-    sources: &BTreeMap<String, String>,
-    config: &EffectConfig,
-    design: Option<&str>,
-) -> Vec<Diagnostic> {
+/// Run the effects pass over the workspace; its `DESIGN.md`, when it
+/// has one, takes part in the E007 drift check.
+pub fn analyze_effects(ws: &Workspace, config: &EffectConfig) -> Vec<Diagnostic> {
+    let graph = &ws.graph;
     let mut diags = Vec::new();
-    let arts = build_arts(sources);
-    let c = compute(graph, &arts, sources, config, &mut diags);
+    let c = compute(ws, config, &mut diags);
     let n = graph.fns.len();
 
     // E006: a justification-free E-allow is wrong anywhere.
-    for (path, art) in &arts {
-        for (idx, raw) in art.raw.iter().enumerate() {
-            if !raw.contains(ALLOW_MARK) {
-                continue;
-            }
-            let (codes, justified) = effect_allows(raw);
-            if !justified && codes.iter().any(|code| code.starts_with('E')) {
-                diags.push(
-                    Diagnostic::error(
-                        "E006",
-                        format!("{path}:{}", idx + 1),
-                        "`mp-lint: allow(E...)` has no justification".to_string(),
-                    )
-                    .with_suggestion(
-                        "append a justification after the closing paren, e.g. \
-                         `mp-lint: allow(E002) — staging area is rebuilt from scratch on open`",
-                    ),
-                );
-            }
-        }
-    }
+    diags.extend(unjustified_allows(ws, "E006"));
 
     // E004: COW violations are a flat source property.
-    for (path, art) in &arts {
-        for (idx, masked) in art.masked.iter().enumerate() {
-            if matches_any(masked, COW_PATTERNS) && !art.allowed("E004", idx + 1, idx + 1) {
+    for (path, file) in ws.files(&Scope::GRAPH) {
+        for (idx, masked) in file.masked.iter().enumerate() {
+            if matches_any(masked, COW_PATTERNS) && !file.allowed("E004", idx + 1, idx + 1) {
                 diags.push(
                     Diagnostic::error(
                         "E004",
@@ -782,7 +488,7 @@ pub fn analyze_effects(
     // E001: every mutation primitive must reach a generation bump.
     for i in (0..n).filter(|&i| c.mutation[i]) {
         let f = &graph.fns[i];
-        if !c.bump_star[i] && !arts[f.file.as_str()].allowed("E001", f.line, f.line) {
+        if !c.bump_star[i] && !ws.allowed("E001", i, f.line) {
             diags.push(
                 Diagnostic::error(
                     "E001",
@@ -810,7 +516,7 @@ pub fn analyze_effects(
                 continue;
             }
             let locked_before = f.locks.iter().any(|l| l.line <= line);
-            if !locked_before && !arts[f.file.as_str()].allowed("E005", line, f.line) {
+            if !locked_before && !ws.allowed("E005", i, line) {
                 diags.push(
                     Diagnostic::error(
                         "E005",
@@ -844,9 +550,7 @@ pub fn analyze_effects(
             let mut callers: Vec<usize> = graph.rin[m].iter().map(|&(u, _)| u).collect();
             callers.sort_unstable();
             callers.dedup();
-            if !callers.iter().any(|&u| c.journal_star[u])
-                && !arts[prim.file.as_str()].allowed("E002", prim.line, prim.line)
-            {
+            if !callers.iter().any(|&u| c.journal_star[u]) && !ws.allowed("E002", m, prim.line) {
                 diags.push(
                     Diagnostic::error(
                         "E002",
@@ -864,12 +568,12 @@ pub fn analyze_effects(
                     ),
                 );
             }
-            if prim.impl_type.is_some() && STD_SHADOWED.contains(&prim.name.as_str()) {
+            if shadowed(graph, m) {
                 continue;
             }
             for u in callers {
                 let f = &graph.fns[u];
-                if c.journal_star[u] || arts[f.file.as_str()].allowed("E002", f.line, f.line) {
+                if c.journal_star[u] || ws.allowed("E002", u, f.line) {
                     continue;
                 }
                 diags.push(
@@ -894,80 +598,33 @@ pub fn analyze_effects(
     }
 
     // E003: no blocking I/O or scatter under a bound Ordered guard.
-    check_lock_extents(graph, &arts, &c, &mut diags);
+    check_lock_extents(ws, &c, &mut diags);
 
-    // E007 (second half): DESIGN.md must document every code — the
-    // allow policy is part of the public contract.
-    if let Some(text) = design {
-        for code in EFFECT_CODES {
-            if !text.contains(code) {
-                diags.push(
-                    Diagnostic::error(
-                        "E007",
-                        "DESIGN.md",
-                        format!(
-                            "DESIGN.md does not document `{code}` — every effects code and its \
-                             allow policy must be specified"
-                        ),
-                    )
-                    .with_suggestion("add the code to the effects section of DESIGN.md"),
-                );
-            }
-        }
-    }
+    // E007 (second half): DESIGN.md must document every code.
+    diags.extend(design_coverage(ws, EFFECT_CODES, "effects", &DRIFT));
 
     diags
 }
 
-/// Scan the workspace at `root` and run the pass with the Materials
-/// Project defaults; `root/DESIGN.md` participates in the E007 check
-/// when present.
-pub fn analyze_effects_tree(root: &Path) -> std::io::Result<Vec<Diagnostic>> {
-    let graph = scan_tree(root)?;
-    let mut sources: BTreeMap<String, String> = BTreeMap::new();
-    for f in &graph.fns {
-        if !sources.contains_key(&f.file) {
-            let text = std::fs::read_to_string(root.join(&f.file))?;
-            sources.insert(f.file.clone(), text);
-        }
-    }
-    let design = std::fs::read_to_string(root.join("DESIGN.md")).ok();
-    Ok(analyze_effects(
-        &graph,
-        &sources,
-        &EffectConfig::materials_project_defaults(),
-        design.as_deref(),
-    ))
+/// The pass-table entry: the pass with the Materials Project defaults.
+pub fn pass(ws: &Workspace) -> Vec<Diagnostic> {
+    analyze_effects(ws, &EffectConfig::materials_project_defaults())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::summary::summarize_source;
-    use std::collections::BTreeSet;
+    use crate::core::{workspace_of, ALLOW_MARKS};
+    use std::path::Path;
 
-    fn graph_and_sources(files: &[(&str, &str)]) -> (CallGraph, BTreeMap<String, String>) {
-        let mut fns = Vec::new();
-        let mut sources = BTreeMap::new();
-        for (path, src) in files {
-            fns.extend(summarize_source(path, src));
-            sources.insert((*path).to_string(), (*src).to_string());
-        }
-        let mut deps = BTreeMap::new();
-        deps.insert("a".to_string(), BTreeSet::new());
-        deps.insert(
-            "api".to_string(),
-            ["a".to_string()].into_iter().collect::<BTreeSet<_>>(),
-        );
-        (CallGraph::build(fns, &deps), sources)
-    }
+    /// Crate `api` may call into crate `a`.
+    const DEPS: &[(&str, &[&str])] = &[("api", &["a"])];
 
     fn cfg(mutation: &[&str], bump: &[&str], journal: &[&str]) -> EffectConfig {
-        let parse = |v: &[&str]| v.iter().map(|s| FnRef::parse(s)).collect();
         EffectConfig {
-            mutation_fns: parse(mutation),
-            bump_fns: parse(bump),
-            journal_fns: parse(journal),
+            mutation_fns: FnRef::list(mutation),
+            bump_fns: FnRef::list(bump),
+            journal_fns: FnRef::list(journal),
         }
     }
 
@@ -999,16 +656,16 @@ mod tests {
 
     #[test]
     fn clean_store_has_no_findings() {
-        let (g, s) = graph_and_sources(&[("crates/a/src/lib.rs", CLEAN_STORE)]);
-        let diags = analyze_effects(&g, &s, &clean_cfg(), None);
+        let ws = workspace_of(&[("crates/a/src/lib.rs", CLEAN_STORE)], DEPS);
+        let diags = analyze_effects(&ws, &clean_cfg());
         assert!(diags.is_empty(), "{diags:?}");
     }
 
     #[test]
     fn e001_mutation_without_bump() {
         let src = CLEAN_STORE.replace("    self.bump_version();\n", "");
-        let (g, s) = graph_and_sources(&[("crates/a/src/lib.rs", &src)]);
-        let diags = analyze_effects(&g, &s, &clean_cfg(), None);
+        let ws = workspace_of(&[("crates/a/src/lib.rs", &src)], DEPS);
+        let diags = analyze_effects(&ws, &clean_cfg());
         assert_eq!(diags.len(), 1, "{diags:?}");
         assert_eq!(diags[0].code, "E001");
         assert!(diags[0].message.contains("a::Coll::insert_doc"));
@@ -1017,7 +674,7 @@ mod tests {
     #[test]
     fn e002_caller_without_journal() {
         let src = CLEAN_STORE.replace("    self.j.log(&op(d));\n", "");
-        let (g, s) = graph_and_sources(&[("crates/a/src/lib.rs", &src)]);
+        let ws = workspace_of(&[("crates/a/src/lib.rs", &src)], DEPS);
         // A separate batch importer gives the primitive a journaling
         // caller, so the non-journaling caller is the only finding.
         let importer = concat!(
@@ -1027,13 +684,13 @@ mod tests {
             "}\n"
         );
         let full = format!("{src}{importer}");
-        let (g2, s2) = graph_and_sources(&[("crates/a/src/lib.rs", &full)]);
-        let diags = analyze_effects(&g2, &s2, &clean_cfg(), None);
+        let ws2 = workspace_of(&[("crates/a/src/lib.rs", &full)], DEPS);
+        let diags = analyze_effects(&ws2, &clean_cfg());
         assert_eq!(diags.len(), 1, "{diags:?}");
         assert_eq!(diags[0].code, "E002");
         assert!(diags[0].message.contains("a::Dur::store_doc"));
         // Without the importer, the uncovered primitive fires too.
-        let diags = analyze_effects(&g, &s, &clean_cfg(), None);
+        let diags = analyze_effects(&ws, &clean_cfg());
         assert_eq!(diags.len(), 2, "{diags:?}");
         assert!(diags.iter().all(|d| d.code == "E002"));
     }
@@ -1045,25 +702,31 @@ mod tests {
             "  c.insert_doc(d);\n",
             "}\n"
         );
-        let (g, s) = graph_and_sources(&[
-            ("crates/a/src/lib.rs", CLEAN_STORE),
-            ("crates/api/src/lib.rs", api),
-        ]);
+        let ws = workspace_of(
+            &[
+                ("crates/a/src/lib.rs", CLEAN_STORE),
+                ("crates/api/src/lib.rs", api),
+            ],
+            DEPS,
+        );
         let config = clean_cfg();
-        let diags = analyze_effects(&g, &s, &config, None);
+        let diags = analyze_effects(&ws, &config);
         assert_eq!(diags.len(), 1, "{diags:?}");
         assert_eq!(diags[0].code, "E002");
         assert!(diags[0].message.contains("api::upload"));
         // A justified fn-level allow silences it.
         let allowed = format!(
             "// {}E002) — staging uploads are rebuilt from scratch on open\n{api}",
-            ALLOW_MARK
+            ALLOW_MARKS[0]
         );
-        let (g, s) = graph_and_sources(&[
-            ("crates/a/src/lib.rs", CLEAN_STORE),
-            ("crates/api/src/lib.rs", &allowed),
-        ]);
-        let diags = analyze_effects(&g, &s, &config, None);
+        let ws = workspace_of(
+            &[
+                ("crates/a/src/lib.rs", CLEAN_STORE),
+                ("crates/api/src/lib.rs", &allowed),
+            ],
+            DEPS,
+        );
+        let diags = analyze_effects(&ws, &config);
         assert!(diags.is_empty(), "{diags:?}");
     }
 
@@ -1079,8 +742,8 @@ mod tests {
             "  }\n",
             "}\n"
         );
-        let (g, s) = graph_and_sources(&[("crates/a/src/lib.rs", src)]);
-        let diags = analyze_effects(&g, &s, &cfg(&[], &[], &[]), None);
+        let ws = workspace_of(&[("crates/a/src/lib.rs", src)], DEPS);
+        let diags = analyze_effects(&ws, &cfg(&[], &[], &[]));
         assert_eq!(diags.len(), 1, "{diags:?}");
         assert_eq!(diags[0].code, "E003");
         assert!(diags[0].path.ends_with(":5"), "{}", diags[0].path);
@@ -1101,8 +764,8 @@ mod tests {
             "  }\n",
             "}\n"
         );
-        let (g, s) = graph_and_sources(&[("crates/a/src/lib.rs", src)]);
-        let diags = analyze_effects(&g, &s, &cfg(&[], &[], &[]), None);
+        let ws = workspace_of(&[("crates/a/src/lib.rs", src)], DEPS);
+        let diags = analyze_effects(&ws, &cfg(&[], &[], &[]));
         assert_eq!(diags.len(), 1, "{diags:?}");
         assert_eq!(diags[0].code, "E003");
         assert!(diags[0].path.ends_with(":5"), "{}", diags[0].path);
@@ -1123,8 +786,8 @@ mod tests {
             "  }\n",
             "}\n"
         );
-        let (g, s) = graph_and_sources(&[("crates/a/src/lib.rs", src)]);
-        let diags = analyze_effects(&g, &s, &cfg(&[], &[], &[]), None);
+        let ws = workspace_of(&[("crates/a/src/lib.rs", src)], DEPS);
+        let diags = analyze_effects(&ws, &cfg(&[], &[], &[]));
         assert_eq!(diags.len(), 1, "{diags:?}");
         assert_eq!(diags[0].code, "E003");
         assert!(diags[0].path.ends_with(":5"), "{}", diags[0].path);
@@ -1147,8 +810,8 @@ mod tests {
             "  }\n",
             "}\n"
         );
-        let (g, s) = graph_and_sources(&[("crates/a/src/lib.rs", src)]);
-        let diags = analyze_effects(&g, &s, &cfg(&[], &[], &[]), None);
+        let ws = workspace_of(&[("crates/a/src/lib.rs", src)], DEPS);
+        let diags = analyze_effects(&ws, &cfg(&[], &[], &[]));
         assert!(diags.is_empty(), "{diags:?}");
     }
 
@@ -1165,10 +828,10 @@ mod tests {
                 "  }}\n",
                 "}}\n"
             ),
-            ALLOW_MARK
+            ALLOW_MARKS[0]
         );
-        let (g, s) = graph_and_sources(&[("crates/a/src/lib.rs", &src)]);
-        let diags = analyze_effects(&g, &s, &cfg(&[], &[], &[]), None);
+        let ws = workspace_of(&[("crates/a/src/lib.rs", &src)], DEPS);
+        let diags = analyze_effects(&ws, &cfg(&[], &[], &[]));
         assert!(diags.is_empty(), "{diags:?}");
     }
 
@@ -1180,8 +843,8 @@ mod tests {
             "mut(d) { v.take(); }\n",
             "}\n"
         );
-        let (g, s) = graph_and_sources(&[("crates/a/src/lib.rs", src)]);
-        let diags = analyze_effects(&g, &s, &cfg(&[], &[], &[]), None);
+        let ws = workspace_of(&[("crates/a/src/lib.rs", src)], DEPS);
+        let diags = analyze_effects(&ws, &cfg(&[], &[], &[]));
         assert_eq!(diags.len(), 1, "{diags:?}");
         assert_eq!(diags[0].code, "E004");
     }
@@ -1198,12 +861,10 @@ mod tests {
             "  pub(crate) fn bump_version(&self) {}\n",
             "}\n"
         );
-        let (g, s) = graph_and_sources(&[("crates/a/src/lib.rs", src)]);
+        let ws = workspace_of(&[("crates/a/src/lib.rs", src)], DEPS);
         let diags = analyze_effects(
-            &g,
-            &s,
+            &ws,
             &cfg(&["Coll::insert_doc"], &["Coll::bump_version"], &[]),
-            None,
         );
         assert_eq!(diags.len(), 1, "{diags:?}");
         assert_eq!(diags[0].code, "E005");
@@ -1219,24 +880,25 @@ mod tests {
                 "  let x = 1;\n",
                 "}}\n"
             ),
-            ALLOW_MARK
+            ALLOW_MARKS[0]
         );
-        let (g, s) = graph_and_sources(&[("crates/a/src/lib.rs", &src)]);
-        let diags = analyze_effects(&g, &s, &cfg(&[], &[], &[]), None);
+        let ws = workspace_of(&[("crates/a/src/lib.rs", &src)], DEPS);
+        let diags = analyze_effects(&ws, &cfg(&[], &[], &[]));
         assert_eq!(diags.len(), 1, "{diags:?}");
         assert_eq!(diags[0].code, "E006");
     }
 
     #[test]
     fn e007_config_drift_and_design_coverage() {
-        let (g, s) = graph_and_sources(&[("crates/a/src/lib.rs", "pub fn real() {}\n")]);
-        let diags = analyze_effects(&g, &s, &cfg(&["Gone::missing"], &[], &[]), None);
+        let mut ws = workspace_of(&[("crates/a/src/lib.rs", "pub fn real() {}\n")], DEPS);
+        let diags = analyze_effects(&ws, &cfg(&["Gone::missing"], &[], &[]));
         assert_eq!(diags.len(), 1, "{diags:?}");
         assert_eq!(diags[0].code, "E007");
         assert!(diags[0].message.contains("Gone::missing"));
         // A DESIGN.md missing exactly one code fires exactly once.
         let design = "E001 E002 E003 E004 E005 E007";
-        let diags = analyze_effects(&g, &s, &cfg(&[], &[], &[]), Some(design));
+        ws.design = Some(design.to_string());
+        let diags = analyze_effects(&ws, &cfg(&[], &[], &[]));
         assert_eq!(diags.len(), 1, "{diags:?}");
         assert_eq!(diags[0].code, "E007");
         assert!(diags[0].message.contains("E006"), "{}", diags[0].message);
@@ -1268,21 +930,25 @@ mod tests {
             "  m.clear();\n",
             "}\n"
         );
-        let (g, s) = graph_and_sources(&[
-            ("crates/a/src/lib.rs", store),
-            ("crates/api/src/lib.rs", api),
-        ]);
+        let ws = workspace_of(
+            &[
+                ("crates/a/src/lib.rs", store),
+                ("crates/api/src/lib.rs", api),
+            ],
+            DEPS,
+        );
         let config = cfg(&["Coll::clear"], &["Coll::bump_version"], &["Jr::log"]);
-        let diags = analyze_effects(&g, &s, &config, None);
+        let diags = analyze_effects(&ws, &config);
         assert!(diags.is_empty(), "{diags:?}");
     }
 
     #[test]
     fn effect_summaries_annotate_the_graph() {
-        let (g, s) = graph_and_sources(&[("crates/a/src/lib.rs", CLEAN_STORE)]);
-        let effects = effect_summaries(&g, &s, &clean_cfg());
+        let ws = workspace_of(&[("crates/a/src/lib.rs", CLEAN_STORE)], DEPS);
+        let effects = effect_summaries(&ws, &clean_cfg());
         let idx = |name: &str| {
-            g.fns
+            ws.graph
+                .fns
                 .iter()
                 .position(|f| f.qualified() == name)
                 .unwrap_or_else(|| panic!("{name} not found"))
@@ -1291,7 +957,7 @@ mod tests {
         assert!(dur.mutates && dur.bumps && dur.journals);
         let coll = &effects[idx("a::Coll::insert_doc")];
         assert!(coll.mutates && coll.bumps && !coll.journals);
-        let json = effect_graph_json(&g, &s, &clean_cfg());
+        let json = effect_graph_json(&ws, &clean_cfg());
         let v: serde_json::Value = serde_json::from_str(&json).expect("valid JSON");
         assert!(v["functions"].as_array().is_some_and(|a| !a.is_empty()));
         assert!(v["edges"].as_array().is_some_and(|a| !a.is_empty()));
@@ -1312,8 +978,8 @@ mod tests {
             "  }\n",
             "}\n"
         );
-        let (g, s) = graph_and_sources(&[("crates/a/src/lib.rs", src)]);
-        let diags = analyze_effects(&g, &s, &cfg(&[], &[], &[]), None);
+        let ws = workspace_of(&[("crates/a/src/lib.rs", src)], DEPS);
+        let diags = analyze_effects(&ws, &cfg(&[], &[], &[]));
         assert_eq!(diags.len(), 1, "{diags:?}");
         assert!(
             diags[0].message.contains("rank Journal"),
@@ -1329,7 +995,8 @@ mod tests {
         // every durable path journals, no lock spans I/O, and DESIGN.md
         // documents the codes.
         let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
-        let diags = analyze_effects_tree(&root).expect("scan workspace");
+        let ws = Workspace::scan(&root, &[&Scope::GRAPH]).expect("scan workspace");
+        let diags = pass(&ws);
         assert!(
             diags.is_empty(),
             "workspace effects findings:\n{}",

@@ -22,54 +22,16 @@
 //! `mp-flow: allow(...)` comment with no justification. All codes are
 //! errors — CI gates the workspace at zero.
 
-use crate::callgraph::{scan_tree, CallGraph};
+use crate::callgraph::CallGraph;
+use crate::core::{reach, resolve, unjustified_allows, Dir, Drift, FnRef, Workspace};
 use crate::diagnostics::Diagnostic;
-use crate::summary::FnSummary;
-use std::collections::{BTreeMap, VecDeque};
-use std::path::Path;
+use std::collections::BTreeMap;
 
-/// A function named by the config: optional impl type plus name.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FnRef {
-    /// `Some("QueryEngine")` to match only methods of that type; `None`
-    /// matches free functions and methods of any type.
-    pub type_name: Option<String>,
-    /// Function name.
-    pub name: String,
-}
-
-impl FnRef {
-    /// `"QueryEngine::sanitize"` or `"visibility_filter"`.
-    pub fn parse(s: &str) -> Self {
-        match s.split_once("::") {
-            Some((t, n)) => FnRef {
-                type_name: Some(t.to_string()),
-                name: n.to_string(),
-            },
-            None => FnRef {
-                type_name: None,
-                name: s.to_string(),
-            },
-        }
-    }
-
-    pub(crate) fn is_match(&self, f: &FnSummary) -> bool {
-        if f.name != self.name {
-            return false;
-        }
-        match &self.type_name {
-            Some(t) => f.impl_type.as_deref() == Some(t.as_str()),
-            None => true,
-        }
-    }
-
-    pub(crate) fn display(&self) -> String {
-        match &self.type_name {
-            Some(t) => format!("{}::{}", t, self.name),
-            None => self.name.clone(),
-        }
-    }
-}
+const DRIFT: Drift = Drift {
+    code: "S002",
+    pass: "flow",
+    config: "FlowConfig",
+};
 
 /// Configuration for both flow passes.
 #[derive(Debug, Clone)]
@@ -92,9 +54,8 @@ impl FlowConfig {
     /// aggregation pipeline as sinks. Roots for panic reachability are
     /// the public functions of `mapi`.
     pub fn materials_project_defaults() -> Self {
-        let parse = |v: &[&str]| v.iter().map(|s| FnRef::parse(s)).collect();
         FlowConfig {
-            sources: parse(&[
+            sources: FnRef::list(&[
                 "MaterialsApi::handle",
                 "MaterialsApi::structured_query",
                 "WebUi::search_page",
@@ -105,7 +66,7 @@ impl FlowConfig {
                 "Sandbox::share",
                 "Sandbox::publish",
             ]),
-            sanitizers: parse(&[
+            sanitizers: FnRef::list(&[
                 "QueryEngine::sanitize",
                 "QueryEngine::sanitize_level",
                 "QueryEngine::sanitize_pipeline",
@@ -113,7 +74,7 @@ impl FlowConfig {
                 "visibility_filter",
                 "Sandbox::scalar_only",
             ]),
-            sinks: parse(&[
+            sinks: FnRef::list(&[
                 "Filter::parse",
                 "Filter::compile",
                 "Collection::find",
@@ -138,119 +99,46 @@ impl FlowConfig {
     }
 }
 
-/// Resolve a ref list against the graph. Returns the matched indexes
-/// and an S002 diagnostic for every ref with zero matches.
-fn resolve(
-    graph: &CallGraph,
-    refs: &[FnRef],
-    kind: &str,
-    diags: &mut Vec<Diagnostic>,
-) -> Vec<bool> {
-    let mut mask = vec![false; graph.fns.len()];
-    for r in refs {
-        let mut hit = false;
-        for (i, f) in graph.fns.iter().enumerate() {
-            if r.is_match(f) {
-                mask[i] = true;
-                hit = true;
-            }
-        }
-        if !hit {
-            diags.push(
-                Diagnostic::error(
-                    "S002",
-                    r.display(),
-                    format!(
-                        "flow config names {kind} `{}` but the workspace defines no such \
-                         function — the pass would silently skip it",
-                        r.display()
-                    ),
-                )
-                .with_suggestion(
-                    "update FlowConfig (or materials_project_defaults) to match the renamed \
-                     or removed function",
-                ),
-            );
-        }
-    }
-    mask
-}
-
-fn chain_text(graph: &CallGraph, parent: &BTreeMap<usize, usize>, mut node: usize) -> String {
-    let mut rev = vec![node];
-    while let Some(&p) = parent.get(&node) {
-        node = p;
-        rev.push(node);
-    }
-    rev.reverse();
-    rev.iter()
-        .map(|&i| graph.fns[i].qualified())
-        .collect::<Vec<_>>()
-        .join(" -> ")
-}
-
 /// S0xx: taint pass. A function is *protected* when it is a sanitizer
-/// or directly calls one; BFS from each unprotected source never
+/// or directly calls one; the walk from each unprotected source never
 /// expands through a protected node, and every sink reached yields one
 /// S001 with the full chain.
-pub fn analyze_taint(graph: &CallGraph, config: &FlowConfig) -> Vec<Diagnostic> {
+pub fn analyze_taint(ws: &Workspace, config: &FlowConfig) -> Vec<Diagnostic> {
+    let graph = &ws.graph;
     let mut diags = Vec::new();
-    let sources = resolve(graph, &config.sources, "source", &mut diags);
-    let sanitizers = resolve(graph, &config.sanitizers, "sanitizer", &mut diags);
-    let sinks = resolve(graph, &config.sinks, "sink", &mut diags);
+    let sources = resolve(graph, &config.sources, "source", &DRIFT, &mut diags);
+    let sanitizers = resolve(graph, &config.sanitizers, "sanitizer", &DRIFT, &mut diags);
+    let sinks = resolve(graph, &config.sinks, "sink", &DRIFT, &mut diags);
 
     let protected: Vec<bool> = (0..graph.fns.len())
         .map(|i| sanitizers[i] || graph.out[i].iter().any(|&(j, _)| sanitizers[j]))
         .collect();
 
-    let mut reported: Vec<bool> = vec![false; graph.fns.len()];
-    for src in 0..graph.fns.len() {
-        if !sources[src] || protected[src] {
-            continue;
-        }
-        let mut parent: BTreeMap<usize, usize> = BTreeMap::new();
-        let mut seen = vec![false; graph.fns.len()];
-        seen[src] = true;
-        let mut q = VecDeque::from([src]);
-        while let Some(u) = q.pop_front() {
-            for &(v, line) in &graph.out[u] {
-                if sinks[v] {
-                    if reported[v] && parent.contains_key(&v) {
-                        continue;
-                    }
-                    let chain = format!(
-                        "{} -> {}",
-                        chain_text(graph, &parent, u),
-                        graph.fns[v].qualified()
-                    );
-                    let caller = &graph.fns[u];
-                    diags.push(
-                        Diagnostic::error(
-                            "S001",
-                            format!("{}:{}", caller.file, line),
-                            format!(
-                                "untrusted input from `{}` reaches sink `{}` with no \
-                                 sanitizer on the chain: {}",
-                                graph.fns[src].qualified(),
-                                graph.fns[v].qualified(),
-                                chain
-                            ),
-                        )
-                        .with_suggestion(
-                            "route the request through QueryEngine::sanitize (or validate \
-                             the document / reject non-scalar ids) before it reaches the \
-                             datastore",
+    for src in (0..graph.fns.len()).filter(|&i| sources[i] && !protected[i]) {
+        let walk = reach(graph, Dir::Callees, [(src, None)], |_, v, _| {
+            !sinks[v] && !protected[v]
+        });
+        for &u in &walk.order {
+            for &(v, line) in graph.out[u].iter().filter(|&&(v, _)| sinks[v]) {
+                let chain = format!("{} -> {}", walk.chain(graph, u), graph.fns[v].qualified());
+                diags.push(
+                    Diagnostic::error(
+                        "S001",
+                        format!("{}:{}", graph.fns[u].file, line),
+                        format!(
+                            "untrusted input from `{}` reaches sink `{}` with no \
+                             sanitizer on the chain: {}",
+                            graph.fns[src].qualified(),
+                            graph.fns[v].qualified(),
+                            chain
                         ),
-                    );
-                    reported[v] = true;
-                    continue;
-                }
-                if seen[v] || protected[v] {
-                    continue;
-                }
-                seen[v] = true;
-                parent.insert(v, u);
-                q.push_back(v);
+                    )
+                    .with_suggestion(
+                        "route the request through QueryEngine::sanitize (or validate \
+                         the document / reject non-scalar ids) before it reaches the \
+                         datastore",
+                    ),
+                );
             }
         }
     }
@@ -258,57 +146,25 @@ pub fn analyze_taint(graph: &CallGraph, config: &FlowConfig) -> Vec<Diagnostic> 
 }
 
 /// R0xx: panic-reachability pass. Roots are every non-test `pub fn` of
-/// `config.roots_crate`; a multi-source BFS yields shortest chains, and
-/// each panic site in a reachable function is one diagnostic.
-pub fn analyze_panic_reach(graph: &CallGraph, config: &FlowConfig) -> Vec<Diagnostic> {
-    let mut diags = Vec::new();
-
+/// `config.roots_crate`; the breadth-first walk yields shortest chains,
+/// and each panic site in a reachable function is one diagnostic.
+pub fn analyze_panic_reach(ws: &Workspace, config: &FlowConfig) -> Vec<Diagnostic> {
+    let graph = &ws.graph;
     // R003 everywhere, reachable or not — a justification-free allow is
     // wrong even in dead code.
-    for f in &graph.fns {
-        for &line in &f.bad_allows {
-            diags.push(
-                Diagnostic::error(
-                    "R003",
-                    format!("{}:{line}", f.file),
-                    format!(
-                        "`mp-flow: allow(...)` in `{}` has no justification",
-                        f.qualified()
-                    ),
-                )
-                .with_suggestion(
-                    "append a justification after the closing paren, e.g. \
-                     `mp-flow: allow(R001) — invariant: checked non-empty above`",
-                ),
-            );
-        }
-    }
+    let mut diags = unjustified_allows(ws, "R003");
 
-    let mut parent: BTreeMap<usize, usize> = BTreeMap::new();
-    let mut seen = vec![false; graph.fns.len()];
-    let mut q = VecDeque::new();
-    for (i, f) in graph.fns.iter().enumerate() {
-        if f.is_pub && f.crate_name == config.roots_crate {
-            seen[i] = true;
-            q.push_back(i);
-        }
-    }
-    let mut order = Vec::new();
-    while let Some(u) = q.pop_front() {
-        order.push(u);
-        for &(v, _) in &graph.out[u] {
-            if !seen[v] {
-                seen[v] = true;
-                parent.insert(v, u);
-                q.push_back(v);
-            }
-        }
-    }
+    let roots = graph
+        .fns
+        .iter()
+        .enumerate()
+        .filter(|(_, f)| f.is_pub && f.crate_name == config.roots_crate)
+        .map(|(i, _)| (i, None));
+    let walk = reach(graph, Dir::Callees, roots, |_, _, _| true);
 
-    for &i in &order {
+    for &i in &walk.order {
         let f = &graph.fns[i];
         for p in &f.panics {
-            let chain = chain_text(graph, &parent, i);
             diags.push(
                 Diagnostic::error(
                     p.kind.code(),
@@ -319,7 +175,7 @@ pub fn analyze_panic_reach(graph: &CallGraph, config: &FlowConfig) -> Vec<Diagno
                         p.kind.describe(),
                         f.qualified(),
                         config.roots_crate,
-                        chain,
+                        walk.chain(graph, i),
                         p.line
                     ),
                 )
@@ -334,10 +190,15 @@ pub fn analyze_panic_reach(graph: &CallGraph, config: &FlowConfig) -> Vec<Diagno
 }
 
 /// Run both passes.
-pub fn analyze_flow(graph: &CallGraph, config: &FlowConfig) -> Vec<Diagnostic> {
-    let mut diags = analyze_taint(graph, config);
-    diags.extend(analyze_panic_reach(graph, config));
+pub fn analyze_flow(ws: &Workspace, config: &FlowConfig) -> Vec<Diagnostic> {
+    let mut diags = analyze_taint(ws, config);
+    diags.extend(analyze_panic_reach(ws, config));
     diags
+}
+
+/// The pass-table entry: both passes with the Materials Project defaults.
+pub fn pass(ws: &Workspace) -> Vec<Diagnostic> {
+    analyze_flow(ws, &FlowConfig::materials_project_defaults())
 }
 
 /// Role map for DOT rendering: source / sanitizer / sink / panics.
@@ -357,35 +218,11 @@ pub fn roles(graph: &CallGraph, config: &FlowConfig) -> BTreeMap<usize, &'static
     m
 }
 
-/// Scan the workspace at `root` and run both passes with the Materials
-/// Project defaults.
-pub fn analyze_flow_tree(root: &Path) -> std::io::Result<Vec<Diagnostic>> {
-    let graph = scan_tree(root)?;
-    Ok(analyze_flow(
-        &graph,
-        &FlowConfig::materials_project_defaults(),
-    ))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::summary::summarize_source;
-
-    fn graph_of(files: &[(&str, &str)], deps: &[(&str, &[&str])]) -> CallGraph {
-        let mut fns = Vec::new();
-        for (path, src) in files {
-            fns.extend(summarize_source(path, src));
-        }
-        let mut dep_map = std::collections::BTreeMap::new();
-        for (k, vs) in deps {
-            dep_map.insert(
-                (*k).to_string(),
-                vs.iter().map(|v| (*v).to_string()).collect(),
-            );
-        }
-        CallGraph::build(fns, &dep_map)
-    }
+    use crate::core::{workspace_of, Scope};
+    use std::path::Path;
 
     fn cfg(sources: &[&str], sanitizers: &[&str], sinks: &[&str], roots: &str) -> FlowConfig {
         FlowConfig {
@@ -400,7 +237,7 @@ mod tests {
     /// full chain in the message.
     #[test]
     fn taint_reports_bypass_with_full_chain() {
-        let g = graph_of(
+        let g = workspace_of(
             &[
                 (
                     "crates/api/src/lib.rs",
@@ -440,7 +277,7 @@ mod tests {
     /// The same chain with a sanitizer call on it is clean.
     #[test]
     fn taint_chain_through_sanitizer_is_clean() {
-        let g = graph_of(
+        let g = workspace_of(
             &[
                 (
                     "crates/api/src/lib.rs",
@@ -478,7 +315,7 @@ mod tests {
     /// shortest chain.
     #[test]
     fn panic_reach_reports_unwrap_with_chain() {
-        let g = graph_of(
+        let g = workspace_of(
             &[(
                 "crates/api/src/lib.rs",
                 "pub struct Api;\nimpl Api {\n\
@@ -505,7 +342,7 @@ mod tests {
     /// not reported; a justified allow suppresses a reachable one.
     #[test]
     fn panic_reach_respects_reachability_and_allowlist() {
-        let g = graph_of(
+        let g = workspace_of(
             &[(
                 "crates/api/src/lib.rs",
                 "pub struct Api;\nimpl Api {\n\
@@ -528,7 +365,7 @@ mod tests {
     /// An allow with no justification is an R003 error.
     #[test]
     fn bare_allow_is_r003() {
-        let g = graph_of(
+        let g = workspace_of(
             &[(
                 "crates/api/src/lib.rs",
                 "pub fn handle(x: Option<u8>) -> u8 {\n\
@@ -544,7 +381,7 @@ mod tests {
     /// Index sites are R002 with the same reachability rules.
     #[test]
     fn index_sites_are_r002() {
-        let g = graph_of(
+        let g = workspace_of(
             &[(
                 "crates/api/src/lib.rs",
                 "pub fn handle(xs: &[u8]) -> u8 { first(xs) }\n\
@@ -562,7 +399,8 @@ mod tests {
         // the whole workspace with the Materials Project defaults. Every
         // surviving panic site carries a justified `mp-flow: allow(...)`.
         let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
-        let diags = analyze_flow_tree(&root).expect("scan workspace");
+        let ws = Workspace::scan(&root, &[&Scope::GRAPH]).expect("scan workspace");
+        let diags = pass(&ws);
         assert!(
             diags.is_empty(),
             "workspace flow findings:\n{}",

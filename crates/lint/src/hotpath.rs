@@ -46,13 +46,10 @@
 //! - `H007`: config drift — the [`HotConfig`] names a function the
 //!   workspace no longer defines (mirrors `S002`).
 //!
-//! Suppression mirrors the flow pass: `mp-lint: allow(H001) — <justification>`
-//! on the line, the line directly above, or the function's signature
-//! line (or any line of the comment block directly above the
-//! signature, covering the whole body). The justification after the
-//! closing paren is mandatory. An allowed line also stops hotness
-//! propagation through its call sites: the annotation asserts the line
-//! is not per-document, so its callees are not dragged hot by it.
+//! Allows follow the one policy (DESIGN §7 "Allow policy"). One thing
+//! is this pass's own: an allowed line also stops hotness propagation
+//! through its call sites — the annotation asserts the line is not
+//! per-document, so its callees are not dragged hot by it.
 //!
 //! Known granularity limit, by design: hotness of a call site is judged
 //! by its *line*. A once-per-query call placed on the same line as an
@@ -60,18 +57,19 @@
 //! written as one line) is treated as hot; hoist the closure body onto
 //! its own lines instead of suppressing.
 
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
-use std::path::Path;
+use std::collections::{BTreeMap, BTreeSet};
 
-use crate::callgraph::{scan_tree, CallGraph};
 use crate::concurrency::match_positions;
+use crate::core::{
+    matches_any, reach, resolve, shadowed, unjustified_allows, Dir, Drift, FnRef, Workspace,
+};
 use crate::diagnostics::Diagnostic;
-use crate::flow::FnRef;
-use crate::summary::mask_source;
 
-/// Assembled with `concat!` so this file never matches its own pattern
-/// literals (the other source passes scan this file too).
-const ALLOW_MARK: &str = concat!("mp-", "lint: allow(");
+const DRIFT: Drift = Drift {
+    code: "H007",
+    pass: "hotpath",
+    config: "HotConfig",
+};
 
 /// One hot-path anti-pattern family.
 struct HotPattern {
@@ -202,9 +200,8 @@ impl HotConfig {
     /// uncompiled `Filter::matches` and the naive `FindOptions`
     /// reference implementations are cold spec oracles.
     pub fn materials_project_defaults() -> Self {
-        let parse = |v: &[&str]| v.iter().map(|s| FnRef::parse(s)).collect();
         HotConfig {
-            driver_roots: parse(&[
+            driver_roots: FnRef::list(&[
                 "filter_matches",
                 "scatter_matches",
                 "project_matches",
@@ -220,12 +217,12 @@ impl HotConfig {
                 "WorkPool::scatter_morsels",
                 "MorselRun::claim",
             ]),
-            per_doc_roots: parse(&[
+            per_doc_roots: FnRef::list(&[
                 "CompiledFilter::matches",
                 "CompiledProjection::project_one",
                 "CompiledFindOptions::cmp_docs",
             ]),
-            cold_fns: parse(&[
+            cold_fns: FnRef::list(&[
                 "Filter::matches",
                 "FindOptions::project_doc",
                 "FindOptions::compare",
@@ -233,89 +230,6 @@ impl HotConfig {
             ]),
         }
     }
-}
-
-/// `allow(...)` codes named on a raw line via the mp-lint marker, plus
-/// whether a justification follows the closing paren.
-fn hot_allows(raw: &str) -> (Vec<String>, bool) {
-    let Some(start) = raw.find(ALLOW_MARK) else {
-        return (Vec::new(), true);
-    };
-    let rest = &raw[start + ALLOW_MARK.len()..];
-    let Some(end) = rest.find(')') else {
-        return (Vec::new(), true);
-    };
-    let codes = rest[..end]
-        .split(',')
-        .map(|c| c.trim().to_string())
-        .filter(|c| !c.is_empty())
-        .collect();
-    let justification = rest[end + 1..]
-        .trim_matches(|c: char| c.is_whitespace() || matches!(c, '—' | '-' | ':' | '.' | ','));
-    (codes, justification.chars().count() >= 8)
-}
-
-/// The fn-level suppression line for a signature on 1-based `fn_line`:
-/// the signature line itself, or any line of the contiguous
-/// comment/attribute block directly above it (the hot allow may share
-/// that block with doc text and other passes' allow comments).
-fn fn_allow_line(raw_lines: &[String], fn_line: usize) -> &str {
-    let sig = raw_lines
-        .get(fn_line.wrapping_sub(1))
-        .map(String::as_str)
-        .unwrap_or("");
-    if sig.contains(ALLOW_MARK) {
-        return sig;
-    }
-    let mut idx = fn_line.wrapping_sub(1);
-    while idx >= 1 {
-        let above = raw_lines.get(idx - 1).map(String::as_str).unwrap_or("");
-        let lead = above.trim_start();
-        if !lead.starts_with("//") && !lead.starts_with("#[") {
-            break;
-        }
-        if above.contains(ALLOW_MARK) {
-            return above;
-        }
-        idx -= 1;
-    }
-    sig
-}
-
-/// Per-file scan artifacts: raw lines (for allow comments) and masked
-/// lines (for structural/pattern scanning).
-struct FileArt {
-    raw: Vec<String>,
-    masked: Vec<String>,
-}
-
-/// `(body-open line, body-open column, end line)` of the function whose
-/// signature starts at 1-based `fn_line`, by brace matching over the
-/// masked text. `None` when no body opens (declaration only).
-fn fn_extent(masked: &[String], fn_line: usize) -> Option<(usize, usize, usize)> {
-    let mut open: Option<(usize, usize)> = None;
-    let mut depth = 0i64;
-    for (idx, line) in masked.iter().enumerate().skip(fn_line.saturating_sub(1)) {
-        for (col, c) in line.char_indices() {
-            match c {
-                '{' => {
-                    depth += 1;
-                    if open.is_none() {
-                        open = Some((idx + 1, col));
-                    }
-                }
-                '}' if open.is_some() => {
-                    depth -= 1;
-                    if depth == 0 {
-                        let (ol, oc) = open.unwrap_or((idx + 1, col));
-                        return Some((ol, oc, idx + 1));
-                    }
-                }
-                _ => {}
-            }
-        }
-    }
-    open.map(|(ol, oc)| (ol, oc, masked.len()))
 }
 
 /// Does a loop marker at `pos` leave its region unopened at end of
@@ -348,26 +262,16 @@ fn marker_spills(seg: &str, pos: usize, marker: &str) -> bool {
     true
 }
 
-/// 1-based lines of the body that sit inside a loop region: inside a
-/// block opened after a loop marker, or carrying a marker themselves
-/// (single-line adapter closures). Shared with the ordering pass
-/// ([`crate::order`]), whose `O004` charges fsyncs inside these lines.
-pub(crate) fn loop_lines(
-    masked: &[String],
-    open_line: usize,
-    open_col: usize,
-    end: usize,
-) -> BTreeSet<usize> {
+/// 1-based lines of function `i`'s body that sit inside a loop region:
+/// inside a block opened after a loop marker, or carrying a marker
+/// themselves (single-line adapter closures). Shared with the ordering
+/// pass ([`crate::order`]), whose `O004` charges fsyncs inside these
+/// lines.
+pub(crate) fn loop_lines(ws: &Workspace, i: usize) -> BTreeSet<usize> {
     let mut set = BTreeSet::new();
     let mut stack: Vec<bool> = Vec::new();
     let mut pending = false;
-    for lineno in open_line..=end {
-        let full = masked.get(lineno - 1).map(String::as_str).unwrap_or("");
-        let seg = if lineno == open_line {
-            full.get(open_col..).unwrap_or("")
-        } else {
-            full
-        };
+    for (lineno, seg) in ws.body_lines(i) {
         let marks: Vec<(usize, &str)> = LOOP_MARKERS
             .iter()
             .flat_map(|m| match_positions(seg, m).into_iter().map(move |p| (p, *m)))
@@ -397,120 +301,24 @@ pub(crate) fn loop_lines(
     set
 }
 
-/// Resolve a ref list against the graph; every ref with zero matches is
-/// one `H007` (config drift would silently disable the pass).
-fn resolve(
-    graph: &CallGraph,
-    refs: &[FnRef],
-    kind: &str,
-    diags: &mut Vec<Diagnostic>,
-) -> Vec<bool> {
-    let mut mask = vec![false; graph.fns.len()];
-    for r in refs {
-        let mut hit = false;
-        for (i, f) in graph.fns.iter().enumerate() {
-            if r.is_match(f) {
-                mask[i] = true;
-                hit = true;
-            }
-        }
-        if !hit {
-            diags.push(
-                Diagnostic::error(
-                    "H007",
-                    r.display(),
-                    format!(
-                        "hotpath config names {kind} `{}` but the workspace defines no such \
-                         function — the pass would silently skip it",
-                        r.display()
-                    ),
-                )
-                .with_suggestion(
-                    "update HotConfig (or materials_project_defaults) to match the renamed \
-                     or removed function",
-                ),
-            );
-        }
-    }
-    mask
-}
-
-fn chain_text(graph: &CallGraph, parent: &BTreeMap<usize, usize>, mut node: usize) -> String {
-    let mut rev = vec![node];
-    while let Some(&p) = parent.get(&node) {
-        node = p;
-        rev.push(node);
-    }
-    rev.reverse();
-    rev.iter()
-        .map(|&i| graph.fns[i].qualified())
-        .collect::<Vec<_>>()
-        .join(" -> ")
-}
-
-/// Method names shared with the std containers. A bare `m.insert(k, v)`
-/// or `v.len()` resolves by name+arity to any same-named workspace
-/// method (`Index::insert`, `Collection::len`), so following those
-/// edges would manufacture hot chains out of plain `BTreeMap`/`Vec`
-/// calls. Hotness never propagates *through* a method with one of
-/// these names; the body is still scanned when hot by other means
-/// (e.g. named as a root).
-const STD_SHADOWED: &[&str] = &[
-    "len",
-    "get",
-    "insert",
-    "push",
-    "remove",
-    "extend",
-    "clear",
-    "is_empty",
-    "contains",
-    "contains_key",
-    "entry",
-    "iter",
-];
-
-/// Scan the given 1-based `lines` of function `i`'s body for the H0xx
-/// anti-patterns, suppressing allowed codes. `clip` is the body-open
-/// position: text before it on that line (the signature) is excluded,
-/// so a function whose own name matches a pattern (`compile_path`)
-/// never flags its signature.
-#[allow(clippy::too_many_arguments)]
+/// Scan function `i`'s body — only the given 1-based `lines` of it, if
+/// any are given — for the H0xx anti-patterns, suppressing allowed
+/// codes. Text before the body-open
+/// position on its line (the signature) is excluded, so a function
+/// whose own name matches a pattern (`compile_path`) never flags its
+/// signature.
 fn scan_lines(
-    graph: &CallGraph,
+    ws: &Workspace,
     i: usize,
-    art: &FileArt,
-    lines: &BTreeSet<usize>,
-    clip: Option<(usize, usize)>,
+    lines: Option<&BTreeSet<usize>>,
     chain: &str,
     diags: &mut Vec<Diagnostic>,
 ) {
-    let f = &graph.fns[i];
-    let fn_level = fn_allow_line(&art.raw, f.line);
-    for &lineno in lines {
-        let masked_full = art.masked.get(lineno - 1).map(String::as_str).unwrap_or("");
-        let masked = match clip {
-            Some((l, c)) if l == lineno => masked_full.get(c..).unwrap_or(""),
-            _ => masked_full,
-        };
-        let raw = art.raw.get(lineno - 1).map(String::as_str).unwrap_or("");
-        let prev = if lineno >= 2 {
-            art.raw.get(lineno - 2).map(String::as_str).unwrap_or("")
-        } else {
-            ""
-        };
-        let mut allowed = Vec::new();
-        for src in [raw, prev, fn_level] {
-            allowed.extend(hot_allows(src).0);
-        }
+    let f = &ws.graph.fns[i];
+    let wanted = |l: &usize| lines.is_none_or(|set| set.contains(l));
+    for (lineno, masked) in ws.body_lines(i).filter(|(l, _)| wanted(l)) {
         for p in PATTERNS {
-            if allowed.iter().any(|a| a == p.code) {
-                continue;
-            }
-            if p.pats
-                .iter()
-                .any(|pat| !match_positions(masked, pat).is_empty())
-            {
+            if matches_any(masked, p.pats) && !ws.allowed(p.code, i, lineno) {
                 diags.push(
                     Diagnostic::error(
                         p.code,
@@ -529,199 +337,83 @@ fn scan_lines(
     }
 }
 
-/// Run the hot-path pass over a prebuilt call graph. `sources` maps the
-/// summary-relative file path of every scanned file to its raw text.
-pub fn analyze_hotpath(
-    graph: &CallGraph,
-    sources: &BTreeMap<String, String>,
-    config: &HotConfig,
-) -> Vec<Diagnostic> {
-    let mut diags = Vec::new();
-
-    let arts: BTreeMap<&str, FileArt> = sources
-        .iter()
-        .map(|(p, s)| {
-            (
-                p.as_str(),
-                FileArt {
-                    raw: s.lines().map(str::to_string).collect(),
-                    masked: mask_source(s).lines().map(str::to_string).collect(),
-                },
-            )
-        })
-        .collect();
-
+/// Run the hot-path pass over the workspace.
+pub fn analyze_hotpath(ws: &Workspace, config: &HotConfig) -> Vec<Diagnostic> {
+    let graph = &ws.graph;
     // H006: a justification-free H-allow is wrong even in cold code.
-    for (path, art) in &arts {
-        for (idx, raw) in art.raw.iter().enumerate() {
-            if !raw.contains(ALLOW_MARK) {
-                continue;
-            }
-            let (codes, justified) = hot_allows(raw);
-            if !justified && codes.iter().any(|c| c.starts_with('H')) {
-                diags.push(
-                    Diagnostic::error(
-                        "H006",
-                        format!("{path}:{}", idx + 1),
-                        "`mp-lint: allow(H...)` has no justification".to_string(),
-                    )
-                    .with_suggestion(
-                        "append a justification after the closing paren, e.g. \
-                         `mp-lint: allow(H002) — one output row per group is inherent`",
-                    ),
-                );
-            }
-        }
-    }
+    let mut diags = unjustified_allows(ws, "H006");
 
-    let drivers = resolve(graph, &config.driver_roots, "driver root", &mut diags);
+    let drivers = resolve(
+        graph,
+        &config.driver_roots,
+        "driver root",
+        &DRIFT,
+        &mut diags,
+    );
     let per_doc = resolve(
         graph,
         &config.per_doc_roots,
         "per-document root",
+        &DRIFT,
         &mut diags,
     );
-    let cold = resolve(graph, &config.cold_fns, "cold function", &mut diags);
+    let cold = resolve(graph, &config.cold_fns, "cold function", &DRIFT, &mut diags);
 
-    // Body extents and loop regions, computed lazily per function.
-    let extent_of = |i: usize| -> Option<(usize, usize, usize)> {
-        let f = &graph.fns[i];
-        arts.get(f.file.as_str())
-            .and_then(|a| fn_extent(&a.masked, f.line))
-    };
     // A call site on a line carrying an H-code allow (inline or on the
-    // line directly above, matching the suppression contexts) asserts
-    // the line is not per-document; it neither fires nor propagates
-    // hotness.
-    let allowed_line = |file: &str, line: usize| -> bool {
-        let Some(art) = arts.get(file) else {
-            return false;
-        };
-        [line, line.wrapping_sub(1)].iter().any(|&l| {
-            art.raw
-                .get(l.wrapping_sub(1))
-                .map(|raw| hot_allows(raw).0.iter().any(|c| c.starts_with('H')))
-                .unwrap_or(false)
-        })
-    };
-    let shadowed = |v: usize| -> bool {
-        let f = &graph.fns[v];
-        f.impl_type.is_some() && STD_SHADOWED.contains(&f.name.as_str())
+    // line directly above) asserts the line is not per-document; it
+    // neither fires nor propagates hotness.
+    let propagates = |u: usize, v: usize, line: usize| -> bool {
+        !cold[v] && !shadowed(graph, v) && !ws.file_of(u).site_allows_family(line, 'H')
     };
 
-    // Hotness propagation: per-document roots are fully hot; driver
-    // roots seed hotness through call sites inside their loop regions.
+    // Hotness seeds: per-document roots are fully hot; driver roots
+    // seed hotness through call sites inside their loop regions.
     let n = graph.fns.len();
-    let mut hot = vec![false; n];
-    let mut parent: BTreeMap<usize, usize> = BTreeMap::new();
-    let mut q = VecDeque::new();
-    for i in 0..n {
-        if per_doc[i] && !cold[i] {
-            hot[i] = true;
-            q.push_back(i);
-        }
-    }
+    let mut seeds: Vec<(usize, Option<usize>)> = (0..n)
+        .filter(|&i| per_doc[i] && !cold[i])
+        .map(|i| (i, None))
+        .collect();
     let mut driver_loops: BTreeMap<usize, BTreeSet<usize>> = BTreeMap::new();
-    for (i, _) in drivers.iter().enumerate().filter(|(_, d)| **d) {
-        let Some((ol, oc, end)) = extent_of(i) else {
-            continue;
-        };
-        let f = &graph.fns[i];
-        let loops = arts
-            .get(f.file.as_str())
-            .map(|a| loop_lines(&a.masked, ol, oc, end))
-            .unwrap_or_default();
+    for i in (0..n).filter(|&i| drivers[i]) {
+        let loops = loop_lines(ws, i);
         for &(v, line) in &graph.out[i] {
-            if loops.contains(&line)
-                && !hot[v]
-                && !cold[v]
-                && !shadowed(v)
-                && !allowed_line(&f.file, line)
-            {
-                hot[v] = true;
-                parent.insert(v, i);
-                q.push_back(v);
+            if loops.contains(&line) && propagates(i, v, line) {
+                seeds.push((v, Some(i)));
             }
         }
         driver_loops.insert(i, loops);
     }
-    while let Some(u) = q.pop_front() {
-        let file = graph.fns[u].file.clone();
-        for &(v, line) in &graph.out[u] {
-            if !hot[v] && !cold[v] && !shadowed(v) && !allowed_line(&file, line) {
-                hot[v] = true;
-                parent.insert(v, u);
-                q.push_back(v);
-            }
-        }
-    }
+    let hot = reach(graph, Dir::Callees, seeds, propagates);
 
     // Pattern scan: fully hot bodies everywhere, driver roots only in
     // their loop regions.
     for i in 0..n {
-        let f = &graph.fns[i];
-        let Some(art) = arts.get(f.file.as_str()) else {
-            continue;
-        };
-        if hot[i] {
-            let Some((ol, oc, end)) = extent_of(i) else {
-                continue;
-            };
-            let lines: BTreeSet<usize> = (ol..=end).collect();
-            let chain = chain_text(graph, &parent, i);
-            scan_lines(graph, i, art, &lines, Some((ol, oc)), &chain, &mut diags);
-        } else if drivers[i] {
-            if let Some(loops) = driver_loops.get(&i) {
-                let clip = extent_of(i).map(|(ol, oc, _)| (ol, oc));
-                let chain = graph.fns[i].qualified();
-                scan_lines(graph, i, art, loops, clip, &chain, &mut diags);
-            }
+        if hot.seen[i] {
+            scan_lines(ws, i, None, &hot.chain(graph, i), &mut diags);
+        } else if let Some(loops) = driver_loops.get(&i) {
+            let chain = graph.fns[i].qualified();
+            scan_lines(ws, i, Some(loops), &chain, &mut diags);
         }
     }
     diags
 }
 
-/// Scan the workspace at `root` and run the pass with the Materials
-/// Project defaults.
-pub fn analyze_hotpath_tree(root: &Path) -> std::io::Result<Vec<Diagnostic>> {
-    let graph = scan_tree(root)?;
-    let mut sources: BTreeMap<String, String> = BTreeMap::new();
-    for f in &graph.fns {
-        if !sources.contains_key(&f.file) {
-            let text = std::fs::read_to_string(root.join(&f.file))?;
-            sources.insert(f.file.clone(), text);
-        }
-    }
-    Ok(analyze_hotpath(
-        &graph,
-        &sources,
-        &HotConfig::materials_project_defaults(),
-    ))
+/// The pass-table entry: the pass with the Materials Project defaults.
+pub fn pass(ws: &Workspace) -> Vec<Diagnostic> {
+    analyze_hotpath(ws, &HotConfig::materials_project_defaults())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::summary::summarize_source;
-
-    fn graph_and_sources(files: &[(&str, &str)]) -> (CallGraph, BTreeMap<String, String>) {
-        let mut fns = Vec::new();
-        let mut sources = BTreeMap::new();
-        for (path, src) in files {
-            fns.extend(summarize_source(path, src));
-            sources.insert((*path).to_string(), (*src).to_string());
-        }
-        let mut deps = BTreeMap::new();
-        deps.insert("a".to_string(), BTreeSet::new());
-        (CallGraph::build(fns, &deps), sources)
-    }
+    use crate::core::{workspace_of, Scope};
+    use std::path::Path;
 
     fn cfg(drivers: &[&str], per_doc: &[&str], cold: &[&str]) -> HotConfig {
-        let parse = |v: &[&str]| v.iter().map(|s| FnRef::parse(s)).collect();
         HotConfig {
-            driver_roots: parse(drivers),
-            per_doc_roots: parse(per_doc),
-            cold_fns: parse(cold),
+            driver_roots: FnRef::list(drivers),
+            per_doc_roots: FnRef::list(per_doc),
+            cold_fns: FnRef::list(cold),
         }
     }
 
@@ -736,8 +428,8 @@ mod tests {
             "    copy.is_object()\n",
             "  }\n}\n"
         );
-        let (g, s) = graph_and_sources(&[("crates/a/src/lib.rs", src)]);
-        let diags = analyze_hotpath(&g, &s, &cfg(&[], &["M::matches"], &[]));
+        let ws = workspace_of(&[("crates/a/src/lib.rs", src)], &[]);
+        let diags = analyze_hotpath(&ws, &cfg(&[], &["M::matches"], &[]));
         assert_eq!(diags.len(), 1, "{diags:?}");
         assert_eq!(diags[0].code, "H001");
         assert!(
@@ -764,8 +456,8 @@ mod tests {
             "  out\n",
             "}\n"
         );
-        let (g, s) = graph_and_sources(&[("crates/a/src/lib.rs", src)]);
-        let diags = analyze_hotpath(&g, &s, &cfg(&["drive"], &[], &[]));
+        let ws = workspace_of(&[("crates/a/src/lib.rs", src)], &[]);
+        let diags = analyze_hotpath(&ws, &cfg(&["drive"], &[], &[]));
         assert_eq!(diags.len(), 1, "{diags:?}");
         assert_eq!(diags[0].code, "H003");
         assert!(diags[0].path.ends_with(":5"), "{}", diags[0].path);
@@ -788,8 +480,8 @@ mod tests {
             "    out\n",
             "  }\n}\n"
         );
-        let (g, s) = graph_and_sources(&[("crates/a/src/lib.rs", src)]);
-        let diags = analyze_hotpath(&g, &s, &HotConfig::materials_project_defaults());
+        let ws = workspace_of(&[("crates/a/src/lib.rs", src)], &[]);
+        let diags = analyze_hotpath(&ws, &HotConfig::materials_project_defaults());
         let h001: Vec<_> = diags.iter().filter(|d| d.code == "H001").collect();
         assert_eq!(h001.len(), 1, "{diags:?}");
         assert!(
@@ -814,8 +506,8 @@ mod tests {
             "  v.push(d);\n",
             "}\n"
         );
-        let (g, s) = graph_and_sources(&[("crates/a/src/lib.rs", src)]);
-        let diags = analyze_hotpath(&g, &s, &cfg(&["drive"], &[], &[]));
+        let ws = workspace_of(&[("crates/a/src/lib.rs", src)], &[]);
+        let diags = analyze_hotpath(&ws, &cfg(&["drive"], &[], &[]));
         let h002: Vec<_> = diags.iter().filter(|d| d.code == "H002").collect();
         assert_eq!(h002.len(), 1, "{diags:?}");
         assert!(
@@ -840,8 +532,8 @@ mod tests {
             "  v.push(1);\n",
             "}\n"
         );
-        let (g, s) = graph_and_sources(&[("crates/a/src/lib.rs", src)]);
-        let diags = analyze_hotpath(&g, &s, &cfg(&["drive"], &[], &[]));
+        let ws = workspace_of(&[("crates/a/src/lib.rs", src)], &[]);
+        let diags = analyze_hotpath(&ws, &cfg(&["drive"], &[], &[]));
         assert!(diags.is_empty(), "{diags:?}");
     }
 
@@ -860,11 +552,11 @@ mod tests {
             "}\n",
             "fn get_path(d: &Value, p: &str) -> Option<Value> { None }\n"
         );
-        let (g, s) = graph_and_sources(&[("crates/a/src/lib.rs", src)]);
-        let diags = analyze_hotpath(&g, &s, &cfg(&["drive"], &[], &["spec_oracle"]));
+        let ws = workspace_of(&[("crates/a/src/lib.rs", src)], &[]);
+        let diags = analyze_hotpath(&ws, &cfg(&["drive"], &[], &["spec_oracle"]));
         assert!(diags.is_empty(), "{diags:?}");
         // Without the cold exemption the same graph flags H004.
-        let diags = analyze_hotpath(&g, &s, &cfg(&["drive"], &[], &[]));
+        let diags = analyze_hotpath(&ws, &cfg(&["drive"], &[], &[]));
         assert!(diags.iter().any(|d| d.code == "H004"), "{diags:?}");
     }
 
@@ -880,8 +572,8 @@ mod tests {
             "  }\n",
             "}\n"
         );
-        let (g, s) = graph_and_sources(&[("crates/a/src/lib.rs", src)]);
-        let diags = analyze_hotpath(&g, &s, &cfg(&["drive"], &[], &[]));
+        let ws = workspace_of(&[("crates/a/src/lib.rs", src)], &[]);
+        let diags = analyze_hotpath(&ws, &cfg(&["drive"], &[], &[]));
         assert_eq!(diags.len(), 1, "{diags:?}");
         assert_eq!(diags[0].code, "H005");
     }
@@ -908,8 +600,8 @@ mod tests {
             ),
             allow_ok, allow_bad
         );
-        let (g, s) = graph_and_sources(&[("crates/a/src/lib.rs", &src)]);
-        let diags = analyze_hotpath(&g, &s, &cfg(&[], &["hot"], &[]));
+        let ws = workspace_of(&[("crates/a/src/lib.rs", &src)], &[]);
+        let diags = analyze_hotpath(&ws, &cfg(&[], &["hot"], &[]));
         // Both sites suppressed (one justified, one pending H006), and
         // the bare allow itself is the only finding.
         assert_eq!(diags.len(), 1, "{diags:?}");
@@ -927,15 +619,15 @@ mod tests {
             "(\"{d:?}\")\n",
             "}\n"
         );
-        let (g, s) = graph_and_sources(&[("crates/a/src/lib.rs", src)]);
-        let diags = analyze_hotpath(&g, &s, &cfg(&[], &["hot"], &[]));
+        let ws = workspace_of(&[("crates/a/src/lib.rs", src)], &[]);
+        let diags = analyze_hotpath(&ws, &cfg(&[], &["hot"], &[]));
         assert!(diags.is_empty(), "{diags:?}");
     }
 
     #[test]
     fn config_drift_is_h007() {
-        let (g, s) = graph_and_sources(&[("crates/a/src/lib.rs", "pub fn real() {}\n")]);
-        let diags = analyze_hotpath(&g, &s, &cfg(&["Gone::missing"], &[], &[]));
+        let ws = workspace_of(&[("crates/a/src/lib.rs", "pub fn real() {}\n")], &[]);
+        let diags = analyze_hotpath(&ws, &cfg(&["Gone::missing"], &[], &[]));
         assert_eq!(diags.len(), 1, "{diags:?}");
         assert_eq!(diags[0].code, "H007");
         assert!(diags[0].message.contains("Gone::missing"));
@@ -950,8 +642,8 @@ mod tests {
             "  out\n",
             "}\n"
         );
-        let (g, s) = graph_and_sources(&[("crates/a/src/lib.rs", src)]);
-        let diags = analyze_hotpath(&g, &s, &cfg(&[], &["hot"], &[]));
+        let ws = workspace_of(&[("crates/a/src/lib.rs", src)], &[]);
+        let diags = analyze_hotpath(&ws, &cfg(&[], &["hot"], &[]));
         assert!(diags.is_empty(), "{diags:?}");
     }
 
@@ -963,8 +655,8 @@ mod tests {
             "}\n",
             "fn get_path_segs(d: &Value, s: &[PathSeg]) -> Option<&Value> { None }\n"
         );
-        let (g, s) = graph_and_sources(&[("crates/a/src/lib.rs", src)]);
-        let diags = analyze_hotpath(&g, &s, &cfg(&[], &["hot"], &[]));
+        let ws = workspace_of(&[("crates/a/src/lib.rs", src)], &[]);
+        let diags = analyze_hotpath(&ws, &cfg(&[], &["hot"], &[]));
         assert!(diags.is_empty(), "{diags:?}");
     }
 
@@ -987,8 +679,8 @@ mod tests {
             "  }\n",
             "}\n"
         );
-        let (g, s) = graph_and_sources(&[("crates/a/src/lib.rs", src)]);
-        let diags = analyze_hotpath(&g, &s, &cfg(&["drive"], &[], &[]));
+        let ws = workspace_of(&[("crates/a/src/lib.rs", src)], &[]);
+        let diags = analyze_hotpath(&ws, &cfg(&["drive"], &[], &[]));
         assert!(diags.is_empty(), "{diags:?}");
     }
 
@@ -1014,8 +706,8 @@ mod tests {
             ),
             allow
         );
-        let (g, s) = graph_and_sources(&[("crates/a/src/lib.rs", &src)]);
-        let diags = analyze_hotpath(&g, &s, &cfg(&["drive"], &[], &[]));
+        let ws = workspace_of(&[("crates/a/src/lib.rs", &src)], &[]);
+        let diags = analyze_hotpath(&ws, &cfg(&["drive"], &[], &[]));
         assert!(diags.is_empty(), "{diags:?}");
     }
 
@@ -1038,8 +730,8 @@ mod tests {
             "  }\n",
             "}\n"
         );
-        let (g, s) = graph_and_sources(&[("crates/a/src/lib.rs", src)]);
-        let diags = analyze_hotpath(&g, &s, &cfg(&["drive"], &[], &[]));
+        let ws = workspace_of(&[("crates/a/src/lib.rs", src)], &[]);
+        let diags = analyze_hotpath(&ws, &cfg(&["drive"], &[], &[]));
         assert!(diags.is_empty(), "{diags:?}");
     }
 
@@ -1058,8 +750,8 @@ mod tests {
             "()\n",
             "}\n"
         );
-        let (g, s) = graph_and_sources(&[("crates/a/src/lib.rs", src)]);
-        let diags = analyze_hotpath(&g, &s, &cfg(&[], &["hot"], &[]));
+        let ws = workspace_of(&[("crates/a/src/lib.rs", src)], &[]);
+        let diags = analyze_hotpath(&ws, &cfg(&[], &["hot"], &[]));
         assert!(diags.is_empty(), "{diags:?}");
     }
 
@@ -1070,7 +762,8 @@ mod tests {
         // surviving per-document allocation carries a justified
         // H-code allow comment.
         let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
-        let diags = analyze_hotpath_tree(&root).expect("scan workspace");
+        let ws = Workspace::scan(&root, &[&Scope::GRAPH]).expect("scan workspace");
+        let diags = pass(&ws);
         assert!(
             diags.is_empty(),
             "workspace hotpath findings:\n{}",

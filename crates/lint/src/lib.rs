@@ -1,8 +1,12 @@
 //! mp-lint: schema-aware static analysis for the MP datastore pipeline.
 //!
-//! Three passes share one rustc-style diagnostics framework
+//! Nine passes share one rustc-style diagnostics framework
 //! ([`Diagnostic`]: severity, stable code, span-ish path, message,
-//! optional suggestion):
+//! optional suggestion). Passes 1–3 (and `P001` of pass 5) analyze
+//! *values* on the request path; passes 4–9 analyze the *source tree*
+//! and are rows of one pass table ([`PASSES`]) over one [`Workspace`]
+//! — the files read once, the call graph built once, one allow policy
+//! ([`core`]):
 //!
 //! 1. **Query analyzer** ([`query`]) — checks Mongo-style filters against
 //!    per-collection schemas inferred from sampled documents plus index
@@ -57,6 +61,7 @@
 
 pub mod callgraph;
 pub mod concurrency;
+pub mod core;
 pub mod diagnostics;
 pub mod effects;
 pub mod flow;
@@ -69,19 +74,17 @@ pub mod summary;
 pub mod vnv;
 pub mod workflow;
 
-pub use callgraph::{scan_tree, CallGraph};
-pub use concurrency::{analyze_source, analyze_tree};
+pub use crate::core::{FnRef, Pass, Scope, Workspace, PASSES};
+pub use callgraph::CallGraph;
+pub use concurrency::analyze_source;
 pub use diagnostics::{has_errors, render, render_envelope, render_json, Diagnostic, Severity};
 pub use effects::{
-    analyze_effects, analyze_effects_tree, effect_graph_json, effect_roles, effect_summaries,
-    EffectConfig, FnEffects,
+    analyze_effects, effect_graph_json, effect_roles, effect_summaries, EffectConfig, FnEffects,
 };
-pub use flow::{analyze_flow, analyze_flow_tree, FlowConfig, FnRef};
-pub use hotpath::{analyze_hotpath, analyze_hotpath_tree, HotConfig};
-pub use order::{
-    analyze_order, analyze_order_tree, order_edge_roles, order_traces, OrderConfig, TraceEvent,
-};
-pub use perf::{analyze_perf_source, analyze_perf_tree, analyze_query_perf};
+pub use flow::{analyze_flow, FlowConfig};
+pub use hotpath::{analyze_hotpath, HotConfig};
+pub use order::{analyze_order, order_edge_roles, order_traces, OrderConfig, TraceEvent};
+pub use perf::{analyze_perf_source, analyze_query_perf};
 pub use query::{analyze_query, analyze_query_with_schema};
 pub use schema::{CollectionSchema, TypeSet};
 pub use summary::{summarize_source, FnSummary};

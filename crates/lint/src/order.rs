@@ -37,9 +37,7 @@
 //!   durable type the workspace no longer defines, or `DESIGN.md`
 //!   fails to document one of the `O0xx` codes.
 //!
-//! Suppression mirrors the effects pass: `mp-lint: allow(O001) — <justification>`
-//! on the line, the line directly above, or the function's signature
-//! line (or the comment block directly above it).
+//! Allows follow the one policy (DESIGN §7 "Allow policy").
 //!
 //! Known granularity limits, by design: events are ordered by source
 //! line (calls inlined at their call line keep their callee's internal
@@ -51,18 +49,19 @@
 //! on distinct lines so the trace is faithful where it matters.
 
 use std::collections::BTreeMap;
-use std::path::Path;
 
-use crate::callgraph::{scan_tree, CallGraph};
-use crate::concurrency::match_positions;
+use crate::callgraph::CallGraph;
+use crate::core::{
+    design_coverage, matches_any, resolve, shadowed, unjustified_allows, Drift, FnRef, Workspace,
+};
 use crate::diagnostics::Diagnostic;
-use crate::flow::FnRef;
 use crate::hotpath::loop_lines;
-use crate::summary::mask_source;
 
-/// Assembled with `concat!` so this file never matches its own pattern
-/// literals (the other source passes scan this file too).
-const ALLOW_MARK: &str = concat!("mp-", "lint: allow(");
+const DRIFT: Drift = Drift {
+    code: "O007",
+    pass: "order",
+    config: "OrderConfig",
+};
 
 /// Every code this pass can emit; `DESIGN.md` must document each one.
 pub const ORDER_CODES: &[&str] = &["O001", "O002", "O003", "O004", "O005", "O006", "O007"];
@@ -71,25 +70,6 @@ pub const ORDER_CODES: &[&str] = &["O001", "O002", "O003", "O004", "O005", "O006
 /// lines. Narrower than the effects `IO_PATTERNS` on purpose: a
 /// buffered `flush()` is not a barrier, only an fsync is.
 const BARRIER_PATTERNS: &[&str] = &[concat!(".sync_", "all("), concat!(".sync_", "data(")];
-
-/// Method names shared with the std containers (same list as the
-/// hotpath and effects passes): a bare `m.insert(k, v)` resolves by
-/// name+arity to any same-named workspace method, so traces neither
-/// enter nor leave functions with these names via method-call edges.
-const STD_SHADOWED: &[&str] = &[
-    "len",
-    "get",
-    "insert",
-    "push",
-    "remove",
-    "extend",
-    "clear",
-    "is_empty",
-    "contains",
-    "contains_key",
-    "entry",
-    "iter",
-];
 
 /// Events per trace cap: a runaway inline (deep helper chains) stops
 /// here rather than blowing up the scan. Workspace traces are tiny.
@@ -132,15 +112,14 @@ impl OrderConfig {
     /// mutates, and `Shared` — whose `commit` is the one function that
     /// sequences an append and an apply — is the write-ahead surface.
     pub fn materials_project_defaults() -> Self {
-        let parse = |v: &[&str]| v.iter().map(|s| FnRef::parse(s)).collect();
         OrderConfig {
-            journal_fns: parse(&["Persister::append_ops"]),
-            frame_fns: parse(&["frame_record"]),
-            barrier_fns: parse(&["GroupCommit::sync_to"]),
-            verify_fns: parse(&["decode_frame"]),
-            apply_fns: parse(&["JournalOp::apply"]),
-            recovery_fns: parse(&["Persister::recover_with_report"]),
-            mutation_fns: parse(&["raw_apply"]),
+            journal_fns: FnRef::list(&["Persister::append_ops"]),
+            frame_fns: FnRef::list(&["frame_record"]),
+            barrier_fns: FnRef::list(&["GroupCommit::sync_to"]),
+            verify_fns: FnRef::list(&["decode_frame"]),
+            apply_fns: FnRef::list(&["JournalOp::apply"]),
+            recovery_fns: FnRef::list(&["Persister::recover_with_report"]),
+            mutation_fns: FnRef::list(&["raw_apply"]),
             durable_surface: vec!["Shared".to_string()],
         }
     }
@@ -193,173 +172,6 @@ pub struct TraceEvent {
     pub via: Vec<String>,
 }
 
-/// `allow(...)` codes named on a raw line via the mp-lint marker, plus
-/// whether a justification follows the closing paren.
-fn order_allows(raw: &str) -> (Vec<String>, bool) {
-    let Some(start) = raw.find(ALLOW_MARK) else {
-        return (Vec::new(), true);
-    };
-    let rest = &raw[start + ALLOW_MARK.len()..];
-    let Some(end) = rest.find(')') else {
-        return (Vec::new(), true);
-    };
-    let codes = rest[..end]
-        .split(',')
-        .map(|c| c.trim().to_string())
-        .filter(|c| !c.is_empty())
-        .collect();
-    let justification = rest[end + 1..]
-        .trim_matches(|c: char| c.is_whitespace() || matches!(c, '—' | '-' | ':' | '.' | ','));
-    (codes, justification.chars().count() >= 8)
-}
-
-/// The fn-level suppression line for a signature on 1-based `fn_line`:
-/// the signature line itself, or any line of the contiguous
-/// comment/attribute block directly above it.
-fn fn_allow_line(raw_lines: &[String], fn_line: usize) -> &str {
-    let sig = raw_lines
-        .get(fn_line.wrapping_sub(1))
-        .map(String::as_str)
-        .unwrap_or("");
-    if sig.contains(ALLOW_MARK) {
-        return sig;
-    }
-    let mut idx = fn_line.wrapping_sub(1);
-    while idx >= 1 {
-        let above = raw_lines.get(idx - 1).map(String::as_str).unwrap_or("");
-        let lead = above.trim_start();
-        if !lead.starts_with("//") && !lead.starts_with("#[") {
-            break;
-        }
-        if above.contains(ALLOW_MARK) {
-            return above;
-        }
-        idx -= 1;
-    }
-    sig
-}
-
-/// Per-file scan artifacts: raw lines (for allow comments) and masked
-/// lines (for structural/pattern scanning).
-struct FileArt {
-    raw: Vec<String>,
-    masked: Vec<String>,
-}
-
-impl FileArt {
-    /// Is `code` allowed at 1-based `line`, by an inline comment, the
-    /// line directly above, or the enclosing function level?
-    fn allowed(&self, code: &str, line: usize, fn_line: usize) -> bool {
-        let fn_level = fn_allow_line(&self.raw, fn_line);
-        [
-            self.raw.get(line.wrapping_sub(1)).map(String::as_str),
-            self.raw.get(line.wrapping_sub(2)).map(String::as_str),
-            Some(fn_level),
-        ]
-        .into_iter()
-        .flatten()
-        .any(|src| order_allows(src).0.iter().any(|c| c == code))
-    }
-}
-
-/// `(body-open line, body-open column, end line)` of the function whose
-/// signature starts at 1-based `fn_line`, by brace matching over the
-/// masked text.
-fn fn_extent(masked: &[String], fn_line: usize) -> Option<(usize, usize, usize)> {
-    let mut open: Option<(usize, usize)> = None;
-    let mut depth = 0i64;
-    for (idx, line) in masked.iter().enumerate().skip(fn_line.saturating_sub(1)) {
-        for (col, c) in line.char_indices() {
-            match c {
-                '{' => {
-                    depth += 1;
-                    if open.is_none() {
-                        open = Some((idx + 1, col));
-                    }
-                }
-                '}' if open.is_some() => {
-                    depth -= 1;
-                    if depth == 0 {
-                        let (ol, oc) = open.unwrap_or((idx + 1, col));
-                        return Some((ol, oc, idx + 1));
-                    }
-                }
-                _ => {}
-            }
-        }
-    }
-    open.map(|(ol, oc)| (ol, oc, masked.len()))
-}
-
-/// Every masked body line of function `i` (1-based), with the signature
-/// clipped off the body-open line.
-fn body_lines<'a>(
-    graph: &CallGraph,
-    arts: &'a BTreeMap<&str, FileArt>,
-    i: usize,
-) -> Vec<(usize, &'a str)> {
-    let f = &graph.fns[i];
-    let Some(art) = arts.get(f.file.as_str()) else {
-        return Vec::new();
-    };
-    let Some((ol, oc, end)) = fn_extent(&art.masked, f.line) else {
-        return Vec::new();
-    };
-    (ol..=end)
-        .map(|lineno| {
-            let full = art.masked.get(lineno - 1).map(String::as_str).unwrap_or("");
-            let seg = if lineno == ol {
-                full.get(oc..).unwrap_or("")
-            } else {
-                full
-            };
-            (lineno, seg)
-        })
-        .collect()
-}
-
-fn matches_any(seg: &str, pats: &[&str]) -> bool {
-    pats.iter().any(|p| !match_positions(seg, p).is_empty())
-}
-
-/// Resolve a ref list against the graph; every ref with zero matches is
-/// one `O007` (config drift would silently disable the pass).
-fn resolve(
-    graph: &CallGraph,
-    refs: &[FnRef],
-    kind: &str,
-    diags: &mut Vec<Diagnostic>,
-) -> Vec<bool> {
-    let mut mask = vec![false; graph.fns.len()];
-    for r in refs {
-        let mut hit = false;
-        for (i, f) in graph.fns.iter().enumerate() {
-            if r.is_match(f) {
-                mask[i] = true;
-                hit = true;
-            }
-        }
-        if !hit {
-            diags.push(
-                Diagnostic::error(
-                    "O007",
-                    r.display(),
-                    format!(
-                        "order config names {kind} `{}` but the workspace defines no such \
-                         function — the pass would silently skip it",
-                        r.display()
-                    ),
-                )
-                .with_suggestion(
-                    "update OrderConfig (or materials_project_defaults) to match the renamed \
-                     or removed function",
-                ),
-            );
-        }
-    }
-    mask
-}
-
 /// The per-kind masks the trace builder classifies call edges with.
 struct Masks {
     journal: Vec<bool>,
@@ -395,20 +207,16 @@ impl Masks {
 }
 
 fn resolve_masks(graph: &CallGraph, config: &OrderConfig, diags: &mut Vec<Diagnostic>) -> Masks {
+    let mut mask = |refs: &[FnRef], kind: &str| resolve(graph, refs, kind, &DRIFT, diags);
     Masks {
-        journal: resolve(graph, &config.journal_fns, "journal appender", diags),
-        frame: resolve(graph, &config.frame_fns, "record framer", diags),
-        barrier: resolve(graph, &config.barrier_fns, "durability barrier", diags),
-        verify: resolve(graph, &config.verify_fns, "frame verifier", diags),
-        apply: resolve(graph, &config.apply_fns, "replay application", diags),
-        recovery: resolve(graph, &config.recovery_fns, "recovery entry point", diags),
-        mutation: resolve(graph, &config.mutation_fns, "mutation primitive", diags),
+        journal: mask(&config.journal_fns, "journal appender"),
+        frame: mask(&config.frame_fns, "record framer"),
+        barrier: mask(&config.barrier_fns, "durability barrier"),
+        verify: mask(&config.verify_fns, "frame verifier"),
+        apply: mask(&config.apply_fns, "replay application"),
+        recovery: mask(&config.recovery_fns, "recovery entry point"),
+        mutation: mask(&config.mutation_fns, "mutation primitive"),
     }
-}
-
-fn shadowed(graph: &CallGraph, v: usize) -> bool {
-    let f = &graph.fns[v];
-    f.impl_type.is_some() && STD_SHADOWED.contains(&f.name.as_str())
 }
 
 /// The sequenced trace of function `i`: its body lines in order, each
@@ -418,8 +226,7 @@ fn shadowed(graph: &CallGraph, v: usize) -> bool {
 /// patterns. Memoized; cycles contribute nothing on re-entry.
 fn trace_of(
     i: usize,
-    graph: &CallGraph,
-    arts: &BTreeMap<&str, FileArt>,
+    ws: &Workspace,
     masks: &Masks,
     memo: &mut Vec<Option<Vec<Event>>>,
     visiting: &mut Vec<bool>,
@@ -431,12 +238,9 @@ fn trace_of(
         return Vec::new();
     }
     visiting[i] = true;
-    let mut calls_at: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
-    for &(v, line) in &graph.out[i] {
-        calls_at.entry(line).or_default().push(v);
-    }
+    let calls_at = ws.calls_by_line(i);
     let mut events: Vec<Event> = Vec::new();
-    for (lineno, seg) in body_lines(graph, arts, i) {
+    for (lineno, seg) in ws.body_lines(i) {
         if events.len() >= EVENT_CAP {
             break;
         }
@@ -448,8 +252,8 @@ fn trace_of(
                         line: lineno,
                         via: Vec::new(),
                     }),
-                    None if !shadowed(graph, v) => {
-                        let sub = trace_of(v, graph, arts, masks, memo, visiting);
+                    None if !shadowed(&ws.graph, v) => {
+                        let sub = trace_of(v, ws, masks, memo, visiting);
                         for e in sub {
                             if events.len() >= EVENT_CAP {
                                 break;
@@ -480,31 +284,12 @@ fn trace_of(
     events
 }
 
-fn build_traces(
-    graph: &CallGraph,
-    arts: &BTreeMap<&str, FileArt>,
-    masks: &Masks,
-) -> Vec<Vec<Event>> {
-    let n = graph.fns.len();
+fn build_traces(ws: &Workspace, masks: &Masks) -> Vec<Vec<Event>> {
+    let n = ws.graph.fns.len();
     let mut memo: Vec<Option<Vec<Event>>> = vec![None; n];
     let mut visiting = vec![false; n];
     (0..n)
-        .map(|i| trace_of(i, graph, arts, masks, &mut memo, &mut visiting))
-        .collect()
-}
-
-fn build_arts(sources: &BTreeMap<String, String>) -> BTreeMap<&str, FileArt> {
-    sources
-        .iter()
-        .map(|(p, s)| {
-            (
-                p.as_str(),
-                FileArt {
-                    raw: s.lines().map(str::to_string).collect(),
-                    masked: mask_source(s).lines().map(str::to_string).collect(),
-                },
-            )
-        })
+        .map(|i| trace_of(i, ws, masks, &mut memo, &mut visiting))
         .collect()
 }
 
@@ -537,15 +322,10 @@ fn describe_via(graph: &CallGraph, via: &[usize]) -> String {
 /// Sequenced traces for every function, aligned with `graph.fns`, with
 /// provenance rendered as qualified names. This is what
 /// `mp-lint callgraph --json` exports per function.
-pub fn order_traces(
-    graph: &CallGraph,
-    sources: &BTreeMap<String, String>,
-    config: &OrderConfig,
-) -> Vec<Vec<TraceEvent>> {
-    let arts = build_arts(sources);
-    let mut sink = Vec::new();
-    let masks = resolve_masks(graph, config, &mut sink);
-    build_traces(graph, &arts, &masks)
+pub fn order_traces(ws: &Workspace, config: &OrderConfig) -> Vec<Vec<TraceEvent>> {
+    let graph = &ws.graph;
+    let masks = resolve_masks(graph, config, &mut Vec::new());
+    build_traces(ws, &masks)
         .into_iter()
         .map(|trace| {
             trace
@@ -568,8 +348,7 @@ pub fn order_edge_roles(
     graph: &CallGraph,
     config: &OrderConfig,
 ) -> BTreeMap<(usize, usize), &'static str> {
-    let mut sink = Vec::new();
-    let masks = resolve_masks(graph, config, &mut sink);
+    let masks = resolve_masks(graph, config, &mut Vec::new());
     let mut roles = BTreeMap::new();
     for e in &graph.edges {
         if let Some(kind) = masks.classify(e.to) {
@@ -579,44 +358,17 @@ pub fn order_edge_roles(
     roles
 }
 
-/// Run the ordering pass over a prebuilt call graph. `sources` maps the
-/// summary-relative file path of every scanned file to its raw text;
-/// `design` is the text of `DESIGN.md` when available (its O-code
-/// coverage is part of the O007 drift check).
-pub fn analyze_order(
-    graph: &CallGraph,
-    sources: &BTreeMap<String, String>,
-    config: &OrderConfig,
-    design: Option<&str>,
-) -> Vec<Diagnostic> {
+/// Run the ordering pass over the workspace; its `DESIGN.md`, when it
+/// has one, takes part in the O007 drift check.
+pub fn analyze_order(ws: &Workspace, config: &OrderConfig) -> Vec<Diagnostic> {
+    let graph = &ws.graph;
     let mut diags = Vec::new();
-    let arts = build_arts(sources);
     let masks = resolve_masks(graph, config, &mut diags);
-    let traces = build_traces(graph, &arts, &masks);
+    let traces = build_traces(ws, &masks);
     let n = graph.fns.len();
 
     // O006: a justification-free O-allow is wrong anywhere.
-    for (path, art) in &arts {
-        for (idx, raw) in art.raw.iter().enumerate() {
-            if !raw.contains(ALLOW_MARK) {
-                continue;
-            }
-            let (codes, justified) = order_allows(raw);
-            if !justified && codes.iter().any(|code| code.starts_with('O')) {
-                diags.push(
-                    Diagnostic::error(
-                        "O006",
-                        format!("{path}:{}", idx + 1),
-                        "`mp-lint: allow(O...)` has no justification".to_string(),
-                    )
-                    .with_suggestion(
-                        "append a justification after the closing paren, e.g. \
-                         `mp-lint: allow(O004) — bootstrap writes the initial manifest once`",
-                    ),
-                );
-            }
-        }
-    }
+    diags.extend(unjustified_allows(ws, "O006"));
 
     // O007 (surface half): every configured durable type must exist.
     for t in &config.durable_surface {
@@ -654,7 +406,7 @@ pub fn analyze_order(
         if let (Some(j), Some(m)) = (first_journal, first_mutate) {
             if m < j {
                 let ev = &trace[m];
-                if !arts[f.file.as_str()].allowed("O001", ev.line, f.line) {
+                if !ws.allowed("O001", i, ev.line) {
                     diags.push(
                         Diagnostic::error(
                             "O001",
@@ -686,7 +438,7 @@ pub fn analyze_order(
             let barriered = trace[last_journal + 1..]
                 .iter()
                 .any(|e| e.kind == Kind::Barrier);
-            if !barriered && !arts[f.file.as_str()].allowed("O002", ev.line, f.line) {
+            if !barriered && !ws.allowed("O002", i, ev.line) {
                 diags.push(
                     Diagnostic::error(
                         "O002",
@@ -712,7 +464,7 @@ pub fn analyze_order(
     for i in (0..n).filter(|&i| masks.journal[i]) {
         let f = &graph.fns[i];
         let frames = traces[i].iter().any(|e| e.kind == Kind::Frame);
-        if !frames && !arts[f.file.as_str()].allowed("O003", f.line, f.line) {
+        if !frames && !ws.allowed("O003", i, f.line) {
             diags.push(
                 Diagnostic::error(
                     "O003",
@@ -746,7 +498,7 @@ pub fn analyze_order(
         };
         if bad {
             let ev = &trace[first_apply.unwrap_or(0)];
-            if !arts[f.file.as_str()].allowed("O005", ev.line, f.line) {
+            if !ws.allowed("O005", i, ev.line) {
                 diags.push(
                     Diagnostic::error(
                         "O005",
@@ -771,21 +523,12 @@ pub fn analyze_order(
     // patterns and direct calls to configured barrier fns only — the
     // function that owns the loop is charged, nothing transitive.
     for (i, f) in graph.fns.iter().enumerate() {
-        let Some(art) = arts.get(f.file.as_str()) else {
-            continue;
-        };
-        let Some((ol, oc, end)) = fn_extent(&art.masked, f.line) else {
-            continue;
-        };
-        let hot = loop_lines(&art.masked, ol, oc, end);
+        let hot = loop_lines(ws, i);
         if hot.is_empty() {
             continue;
         }
-        let mut calls_at: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
-        for &(v, line) in &graph.out[i] {
-            calls_at.entry(line).or_default().push(v);
-        }
-        for (lineno, seg) in body_lines(graph, &arts, i) {
+        let calls_at = ws.calls_by_line(i);
+        for (lineno, seg) in ws.body_lines(i) {
             if !hot.contains(&lineno) {
                 continue;
             }
@@ -793,7 +536,7 @@ pub fn analyze_order(
             let via_call = calls_at
                 .get(&lineno)
                 .is_some_and(|vs| vs.iter().any(|&v| masks.barrier[v]));
-            if (direct || via_call) && !art.allowed("O004", lineno, f.line) {
+            if (direct || via_call) && !ws.allowed("O004", i, lineno) {
                 diags.push(
                     Diagnostic::error(
                         "O004",
@@ -813,78 +556,32 @@ pub fn analyze_order(
         }
     }
 
-    // O007 (second half): DESIGN.md must document every code — the
-    // allow policy is part of the public contract.
-    if let Some(text) = design {
-        for code in ORDER_CODES {
-            if !text.contains(code) {
-                diags.push(
-                    Diagnostic::error(
-                        "O007",
-                        "DESIGN.md",
-                        format!(
-                            "DESIGN.md does not document `{code}` — every ordering code and its \
-                             allow policy must be specified"
-                        ),
-                    )
-                    .with_suggestion("add the code to the ordering section of DESIGN.md"),
-                );
-            }
-        }
-    }
+    // O007 (second half): DESIGN.md must document every code.
+    diags.extend(design_coverage(ws, ORDER_CODES, "ordering", &DRIFT));
 
     diags
 }
 
-/// Scan the workspace at `root` and run the pass with the Materials
-/// Project defaults; `root/DESIGN.md` participates in the O007 check
-/// when present.
-pub fn analyze_order_tree(root: &Path) -> std::io::Result<Vec<Diagnostic>> {
-    let graph = scan_tree(root)?;
-    let mut sources: BTreeMap<String, String> = BTreeMap::new();
-    for f in &graph.fns {
-        if !sources.contains_key(&f.file) {
-            let text = std::fs::read_to_string(root.join(&f.file))?;
-            sources.insert(f.file.clone(), text);
-        }
-    }
-    let design = std::fs::read_to_string(root.join("DESIGN.md")).ok();
-    Ok(analyze_order(
-        &graph,
-        &sources,
-        &OrderConfig::materials_project_defaults(),
-        design.as_deref(),
-    ))
+/// The pass-table entry: the pass with the Materials Project defaults.
+pub fn pass(ws: &Workspace) -> Vec<Diagnostic> {
+    analyze_order(ws, &OrderConfig::materials_project_defaults())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::summary::summarize_source;
-    use std::collections::BTreeSet;
-
-    fn graph_and_sources(files: &[(&str, &str)]) -> (CallGraph, BTreeMap<String, String>) {
-        let mut fns = Vec::new();
-        let mut sources = BTreeMap::new();
-        for (path, src) in files {
-            fns.extend(summarize_source(path, src));
-            sources.insert((*path).to_string(), (*src).to_string());
-        }
-        let mut deps = BTreeMap::new();
-        deps.insert("a".to_string(), BTreeSet::new());
-        (CallGraph::build(fns, &deps), sources)
-    }
+    use crate::core::{workspace_of, Scope, ALLOW_MARKS};
+    use std::path::Path;
 
     fn cfg() -> OrderConfig {
-        let parse = |v: &[&str]| v.iter().map(|s| FnRef::parse(s)).collect();
         OrderConfig {
-            journal_fns: parse(&["Wal::append"]),
-            frame_fns: parse(&["frame"]),
-            barrier_fns: parse(&["Gc::wait_durable"]),
-            verify_fns: parse(&["Rec::check"]),
-            apply_fns: parse(&["Rec::apply_frame"]),
-            recovery_fns: parse(&["Rec::replay"]),
-            mutation_fns: parse(&["Coll::insert_doc"]),
+            journal_fns: FnRef::list(&["Wal::append"]),
+            frame_fns: FnRef::list(&["frame"]),
+            barrier_fns: FnRef::list(&["Gc::wait_durable"]),
+            verify_fns: FnRef::list(&["Rec::check"]),
+            apply_fns: FnRef::list(&["Rec::apply_frame"]),
+            recovery_fns: FnRef::list(&["Rec::replay"]),
+            mutation_fns: FnRef::list(&["Coll::insert_doc"]),
             durable_surface: vec!["Dur".to_string()],
         }
     }
@@ -924,8 +621,8 @@ mod tests {
 
     #[test]
     fn clean_wal_store_has_no_findings() {
-        let (g, s) = graph_and_sources(&[("crates/a/src/lib.rs", WAL_STORE)]);
-        let diags = analyze_order(&g, &s, &cfg(), None);
+        let ws = workspace_of(&[("crates/a/src/lib.rs", WAL_STORE)], &[]);
+        let diags = analyze_order(&ws, &cfg());
         assert!(diags.is_empty(), "{diags:?}");
     }
 
@@ -941,8 +638,8 @@ mod tests {
                 "    let lsn = self.w.append(&op(d));\n"
             ),
         );
-        let (g, s) = graph_and_sources(&[("crates/a/src/lib.rs", &src)]);
-        let diags = analyze_order(&g, &s, &cfg(), None);
+        let ws = workspace_of(&[("crates/a/src/lib.rs", &src)], &[]);
+        let diags = analyze_order(&ws, &cfg());
         assert_eq!(diags.len(), 1, "{diags:?}");
         assert_eq!(diags[0].code, "O001");
         assert!(diags[0].message.contains("a::Dur::store_doc"));
@@ -951,8 +648,8 @@ mod tests {
     #[test]
     fn o002_journal_without_barrier() {
         let src = WAL_STORE.replace("    self.g.wait_durable(lsn);\n", "");
-        let (g, s) = graph_and_sources(&[("crates/a/src/lib.rs", &src)]);
-        let diags = analyze_order(&g, &s, &cfg(), None);
+        let ws = workspace_of(&[("crates/a/src/lib.rs", &src)], &[]);
+        let diags = analyze_order(&ws, &cfg());
         assert_eq!(diags.len(), 1, "{diags:?}");
         assert_eq!(diags[0].code, "O002");
         assert!(diags[0].message.contains("durability barrier"));
@@ -964,8 +661,8 @@ mod tests {
             "    self.g.wait_durable(lsn);\n",
             concat!("    let _ = self.f.sync_", "data();\n"),
         );
-        let (g, s) = graph_and_sources(&[("crates/a/src/lib.rs", &src)]);
-        let diags = analyze_order(&g, &s, &cfg(), None);
+        let ws = workspace_of(&[("crates/a/src/lib.rs", &src)], &[]);
+        let diags = analyze_order(&ws, &cfg());
         assert!(diags.is_empty(), "{diags:?}");
     }
 
@@ -975,8 +672,8 @@ mod tests {
             "    let b = frame(op);\n    self.sink(b)\n",
             "    self.sink(op)\n",
         );
-        let (g, s) = graph_and_sources(&[("crates/a/src/lib.rs", &src)]);
-        let diags = analyze_order(&g, &s, &cfg(), None);
+        let ws = workspace_of(&[("crates/a/src/lib.rs", &src)], &[]);
+        let diags = analyze_order(&ws, &cfg());
         assert_eq!(diags.len(), 1, "{diags:?}");
         assert_eq!(diags[0].code, "O003");
         assert!(diags[0].message.contains("a::Wal::append"));
@@ -996,8 +693,8 @@ mod tests {
             "}\n"
         );
         let src = format!("{WAL_STORE}{extra}");
-        let (g, s) = graph_and_sources(&[("crates/a/src/lib.rs", &src)]);
-        let diags = analyze_order(&g, &s, &cfg(), None);
+        let ws = workspace_of(&[("crates/a/src/lib.rs", &src)], &[]);
+        let diags = analyze_order(&ws, &cfg());
         assert_eq!(diags.len(), 1, "{diags:?}");
         assert_eq!(diags[0].code, "O004");
         assert!(diags[0].message.contains("a::Dur::store_all"));
@@ -1006,8 +703,8 @@ mod tests {
             concat!("      self.g.wait_durable(lsn);\n", "    }\n"),
             concat!("    }\n", "    self.g.wait_durable(lsn);\n"),
         );
-        let (g, s) = graph_and_sources(&[("crates/a/src/lib.rs", &fixed)]);
-        let diags = analyze_order(&g, &s, &cfg(), None);
+        let ws = workspace_of(&[("crates/a/src/lib.rs", &fixed)], &[]);
+        let diags = analyze_order(&ws, &cfg());
         assert!(diags.is_empty(), "{diags:?}");
     }
 
@@ -1017,8 +714,8 @@ mod tests {
             concat!("    let f = self.check(b);\n", "    self.apply_frame(f);\n"),
             concat!("    self.apply_frame(f);\n", "    let f = self.check(b);\n"),
         );
-        let (g, s) = graph_and_sources(&[("crates/a/src/lib.rs", &src)]);
-        let diags = analyze_order(&g, &s, &cfg(), None);
+        let ws = workspace_of(&[("crates/a/src/lib.rs", &src)], &[]);
+        let diags = analyze_order(&ws, &cfg());
         assert_eq!(diags.len(), 1, "{diags:?}");
         assert_eq!(diags[0].code, "O005");
         assert!(diags[0].message.contains("a::Rec::replay"));
@@ -1026,25 +723,26 @@ mod tests {
 
     #[test]
     fn o006_unjustified_allow() {
-        let src = format!("// {}O001)\n{WAL_STORE}", ALLOW_MARK);
-        let (g, s) = graph_and_sources(&[("crates/a/src/lib.rs", &src)]);
-        let diags = analyze_order(&g, &s, &cfg(), None);
+        let src = format!("// {}O001)\n{WAL_STORE}", ALLOW_MARKS[0]);
+        let ws = workspace_of(&[("crates/a/src/lib.rs", &src)], &[]);
+        let diags = analyze_order(&ws, &cfg());
         assert_eq!(diags.len(), 1, "{diags:?}");
         assert_eq!(diags[0].code, "O006");
     }
 
     #[test]
     fn o007_config_drift_and_design_coverage() {
-        let (g, s) = graph_and_sources(&[("crates/a/src/lib.rs", WAL_STORE)]);
+        let mut ws = workspace_of(&[("crates/a/src/lib.rs", WAL_STORE)], &[]);
         let mut config = cfg();
         config.barrier_fns = vec![FnRef::parse("Gc::renamed_barrier")];
-        let diags = analyze_order(&g, &s, &config, None);
+        let diags = analyze_order(&ws, &config);
         // The dangling ref plus the O002s it causes everywhere a
         // barrier used to resolve.
         assert!(diags.iter().any(|d| d.code == "O007"), "{diags:?}");
         // DESIGN.md must name every code.
         let design = "O001 O002 O003 O004 O005 O006"; // O007 missing
-        let diags = analyze_order(&g, &s, &cfg(), Some(design));
+        ws.design = Some(design.to_string());
+        let diags = analyze_order(&ws, &cfg());
         assert_eq!(diags.len(), 1, "{diags:?}");
         assert_eq!(diags[0].code, "O007");
         assert!(diags[0].path == "DESIGN.md");
@@ -1063,11 +761,11 @@ mod tests {
                     "    self.c.insert_doc(d);\n",
                     "    let lsn = self.w.append(&op(d));\n"
                 ),
-                ALLOW_MARK
+                ALLOW_MARKS[0]
             ),
         );
-        let (g, s) = graph_and_sources(&[("crates/a/src/lib.rs", &src)]);
-        let diags = analyze_order(&g, &s, &cfg(), None);
+        let ws = workspace_of(&[("crates/a/src/lib.rs", &src)], &[]);
+        let diags = analyze_order(&ws, &cfg());
         assert!(diags.is_empty(), "{diags:?}");
     }
 
@@ -1090,12 +788,13 @@ mod tests {
             "}\n"
         );
         let src = format!("{WAL_STORE}{extra}");
-        let (g, s) = graph_and_sources(&[("crates/a/src/lib.rs", &src)]);
-        let diags = analyze_order(&g, &s, &cfg(), None);
+        let ws = workspace_of(&[("crates/a/src/lib.rs", &src)], &[]);
+        let diags = analyze_order(&ws, &cfg());
         assert!(diags.is_empty(), "{diags:?}");
         // And the trace export shows the provenance.
-        let traces = order_traces(&g, &s, &cfg());
-        let idx = g
+        let traces = order_traces(&ws, &cfg());
+        let idx = ws
+            .graph
             .fns
             .iter()
             .position(|f| f.qualified() == "a::Dur::store_fast")
@@ -1121,8 +820,8 @@ mod tests {
             "}\n"
         );
         let src = format!("{WAL_STORE}{extra}");
-        let (g, s) = graph_and_sources(&[("crates/a/src/lib.rs", &src)]);
-        let diags = analyze_order(&g, &s, &cfg(), None);
+        let ws = workspace_of(&[("crates/a/src/lib.rs", &src)], &[]);
+        let diags = analyze_order(&ws, &cfg());
         assert_eq!(diags.len(), 1, "{diags:?}");
         assert_eq!(diags[0].code, "O001");
         assert!(diags[0].message.contains("a::Dur::store_late"));
@@ -1130,8 +829,8 @@ mod tests {
 
     #[test]
     fn order_edge_roles_color_configured_targets() {
-        let (g, _s) = graph_and_sources(&[("crates/a/src/lib.rs", WAL_STORE)]);
-        let roles = order_edge_roles(&g, &cfg());
+        let ws = workspace_of(&[("crates/a/src/lib.rs", WAL_STORE)], &[]);
+        let roles = order_edge_roles(&ws.graph, &cfg());
         assert!(roles.values().any(|&r| r == "journal"), "{roles:?}");
         assert!(roles.values().any(|&r| r == "barrier"), "{roles:?}");
         assert!(roles.values().any(|&r| r == "mutate"), "{roles:?}");
@@ -1144,7 +843,8 @@ mod tests {
         // store is write-ahead, framed, group-committed, and recovery
         // verifies before it applies.
         let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
-        let diags = analyze_order_tree(&root).expect("scan workspace");
+        let ws = Workspace::scan(&root, &[&Scope::GRAPH]).expect("scan workspace");
+        let diags = pass(&ws);
         assert!(
             diags.is_empty(),
             "workspace ordering findings:\n{}",

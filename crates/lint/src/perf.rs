@@ -30,13 +30,13 @@
 //! matches its own patterns.
 
 use std::collections::BTreeMap;
-use std::path::Path;
 
 use mp_docstore::query::Predicate;
 use mp_docstore::Filter;
 use serde_json::Value;
 
-use crate::concurrency::{match_positions, parse_allows, receiver_before, split_comment};
+use crate::concurrency::{match_positions, receiver_before, split_comment};
+use crate::core::{Allow, Scope, Workspace};
 use crate::diagnostics::Diagnostic;
 use crate::query::collect_conjuncts;
 use crate::schema::CollectionSchema;
@@ -192,17 +192,29 @@ fn compiled_receiver(receiver: &str) -> bool {
 /// from `P003` — that file *is* the matcher implementation and its
 /// recursive `$and`/`$or` walks are the thing being compiled away.
 pub fn analyze_perf_source(path: &str, source: &str) -> Vec<Diagnostic> {
+    scan(path, source.lines())
+}
+
+/// The pass-table entry: every file of the tree, tests and examples
+/// included.
+pub fn pass(ws: &Workspace) -> Vec<Diagnostic> {
+    ws.files(&Scope::TREE)
+        .flat_map(|(path, file)| scan(path, file.raw.iter().map(String::as_str)))
+        .collect()
+}
+
+fn scan<'a>(path: &str, lines: impl Iterator<Item = &'a str>) -> Vec<Diagnostic> {
     let p003_applies = !path.replace('\\', "/").ends_with("docstore/src/query.rs");
     let mut diags = Vec::new();
     let mut allow_from_prev: Vec<String> = Vec::new();
 
-    for (idx, raw_line) in source.lines().enumerate() {
+    for (idx, raw_line) in lines.enumerate() {
         let lineno = idx + 1;
         let (code, comment) = split_comment(raw_line);
         let trimmed = code.trim();
 
         let mut allowed = std::mem::take(&mut allow_from_prev);
-        allowed.extend(parse_allows(comment));
+        allowed.extend(Allow::parse(comment).into_iter().flat_map(|a| a.codes));
         if trimmed.is_empty() {
             allow_from_prev = allowed;
             continue;
@@ -273,45 +285,12 @@ pub fn analyze_perf_source(path: &str, source: &str) -> Vec<Diagnostic> {
     diags
 }
 
-/// Recursively scan every `.rs` file under `root` for `P002`/`P003`,
-/// skipping build output, vendored shims, and VCS metadata — the same
-/// exclusions as [`crate::concurrency::analyze_tree`].
-pub fn analyze_perf_tree(root: &Path) -> std::io::Result<Vec<Diagnostic>> {
-    let mut diags = Vec::new();
-    let mut stack = vec![root.to_path_buf()];
-    while let Some(dir) = stack.pop() {
-        let mut entries: Vec<_> = std::fs::read_dir(&dir)?
-            .collect::<std::io::Result<Vec<_>>>()?
-            .into_iter()
-            .map(|e| e.path())
-            .collect();
-        entries.sort();
-        for path in entries {
-            let name = path.file_name().and_then(|n| n.to_str()).unwrap_or("");
-            if path.is_dir() {
-                if matches!(name, "target" | "shims" | ".git") {
-                    continue;
-                }
-                stack.push(path);
-            } else if name.ends_with(".rs") {
-                let source = std::fs::read_to_string(&path)?;
-                let shown = path
-                    .strip_prefix(root)
-                    .unwrap_or(&path)
-                    .display()
-                    .to_string();
-                diags.extend(analyze_perf_source(&shown, &source));
-            }
-        }
-    }
-    Ok(diags)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::schema::TypeSet;
     use serde_json::json;
+    use std::path::Path;
 
     fn schema() -> CollectionSchema {
         CollectionSchema {
@@ -502,7 +481,8 @@ mod tests {
         // The acceptance gate: the whole workspace reports zero P002/P003
         // findings. The sanctioned serialization boundary is annotated.
         let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
-        let diags = analyze_perf_tree(&root).expect("scan workspace");
+        let ws = Workspace::scan(&root, &[&Scope::TREE]).expect("scan workspace");
+        let diags = pass(&ws);
         assert!(
             diags.is_empty(),
             "workspace P002/P003 findings:\n{}",

@@ -13,14 +13,15 @@
 //! renderers interpolate `{`/`}` inside format strings and
 //! `canonical_json` pushes brace *characters*, either of which would
 //! corrupt naive brace-depth tracking. The masked text is what the
-//! structural scan reads; the raw text is consulted only for
-//! `mp-flow: allow(...)` suppression comments.
+//! structural scan reads; the raw text is consulted only for allow
+//! comments.
 //!
-//! Suppression: `mp-flow: allow(RXXX) — justification` on the panic
-//! site's line, the line directly above it, or the function's signature
-//! line (covering the whole body). A justification is mandatory; an
-//! allow with no prose after the closing paren is recorded in
+//! Panic sites covered by an `R` allow (the one allow policy,
+//! [`crate::core::SourceFile::allowed`]) are left out of the summary;
+//! allows with no justification are recorded in
 //! [`FnSummary::bad_allows`] and surfaced as `R003` by the flow pass.
+
+use crate::core::SourceFile;
 
 /// What kind of panic a site is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -99,6 +100,20 @@ pub struct LockSite {
     pub line: usize,
 }
 
+/// Where a function's body sits: the line and column of its opening
+/// `{` and the line of its closing `}` (the file's last line when it
+/// never closes). The summarizer records it when its brace depth closes
+/// the body; every pass reads bodies through it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Extent {
+    /// 1-based line of the body's `{`.
+    pub open_line: usize,
+    /// Byte column of that `{` in the masked line.
+    pub open_col: usize,
+    /// 1-based line of the matching `}`.
+    pub end_line: usize,
+}
+
 /// Summary of one function definition.
 #[derive(Debug, Clone)]
 pub struct FnSummary {
@@ -112,6 +127,8 @@ pub struct FnSummary {
     pub name: String,
     /// 1-based line of the `fn` keyword.
     pub line: usize,
+    /// Where the body opens and closes.
+    pub body: Extent,
     /// `pub fn` (not `pub(crate)`) — the externally callable surface.
     pub is_pub: bool,
     /// Non-`self` parameter count, when the signature parsed cleanly.
@@ -122,7 +139,8 @@ pub struct FnSummary {
     pub panics: Vec<PanicSite>,
     /// Every lock acquisition in the body.
     pub locks: Vec<LockSite>,
-    /// Lines carrying a `mp-flow: allow(...)` with no justification.
+    /// Lines of the function (signature block and body) carrying an `R`
+    /// allow with no justification.
     pub bad_allows: Vec<usize>,
 }
 
@@ -135,8 +153,6 @@ impl FnSummary {
         }
     }
 }
-
-const ALLOW_MARK: &str = "mp-flow: allow(";
 
 /// Blank string literals, char literals, and comments with spaces,
 /// preserving every byte offset and newline. The output is what all
@@ -275,43 +291,6 @@ fn is_ident_char(c: char) -> bool {
     c.is_alphanumeric() || c == '_'
 }
 
-/// `allow(...)` codes named on a raw line, plus whether a justification
-/// follows the closing paren.
-fn flow_allows(raw: &str) -> (Vec<String>, bool) {
-    let Some(start) = raw.find(ALLOW_MARK) else {
-        return (Vec::new(), true);
-    };
-    let rest = &raw[start + ALLOW_MARK.len()..];
-    let Some(end) = rest.find(')') else {
-        return (Vec::new(), true);
-    };
-    let codes = rest[..end]
-        .split(',')
-        .map(|c| c.trim().to_string())
-        .filter(|c| !c.is_empty())
-        .collect();
-    let justification = rest[end + 1..]
-        .trim_matches(|c: char| c.is_whitespace() || matches!(c, '—' | '-' | ':' | '.' | ','));
-    (codes, justification.chars().count() >= 8)
-}
-
-/// The fn-level suppression line for a function whose signature sits on
-/// 1-based `fn_line`: the signature line itself, or a pure comment line
-/// directly above it. Returns the chosen line and its 1-based number.
-fn fn_allow_context<'a>(raw_lines: &[&'a str], fn_line: usize) -> (&'a str, usize) {
-    let sig = raw_lines
-        .get(fn_line.wrapping_sub(1))
-        .copied()
-        .unwrap_or("");
-    if !sig.contains(ALLOW_MARK) && fn_line >= 2 {
-        let above = raw_lines.get(fn_line - 2).copied().unwrap_or("");
-        if above.trim_start().starts_with("//") && above.contains(ALLOW_MARK) {
-            return (above, fn_line - 1);
-        }
-    }
-    (sig, fn_line)
-}
-
 /// Crate name from a workspace-relative path (`crates/mapi/src/rest.rs`
 /// → `mapi`; `src/lib.rs` → `root`).
 pub fn crate_of(path: &str) -> String {
@@ -320,10 +299,7 @@ pub fn crate_of(path: &str) -> String {
     match parts.as_slice() {
         ["crates", name, ..] => (*name).to_string(),
         ["src", ..] => "root".to_string(),
-        [one] => {
-            let _ = one;
-            "root".to_string()
-        }
+        [_] => "root".to_string(),
         [first, ..] => (*first).to_string(),
         [] => "root".to_string(),
     }
@@ -342,200 +318,201 @@ const PANIC_MACROS: &[&str] = &["panic", "unreachable", "todo", "unimplemented"]
 /// Parse one source file into function summaries. Test code
 /// (`#[cfg(test)]` modules, `#[test]` functions) is skipped entirely.
 pub fn summarize_source(path: &str, source: &str) -> Vec<FnSummary> {
-    let crate_name = crate_of(path);
-    let masked = mask_source(source);
-    let masked_lines: Vec<&str> = masked.lines().collect();
-    let raw_lines: Vec<&str> = source.lines().collect();
+    summarize_file(path, &SourceFile::parse(source))
+}
 
-    let mut out: Vec<FnSummary> = Vec::new();
-    let mut depth: i64 = 0;
-    // (close_when_below, type name) for impl/trait blocks.
-    let mut impl_stack: Vec<(i64, String)> = Vec::new();
-    // Innermost-first open function indexes with their close depths.
-    let mut fn_stack: Vec<(i64, usize)> = Vec::new();
-    // Skip test scopes: pop when depth drops below.
-    let mut skip_stack: Vec<i64> = Vec::new();
-    let mut pending_attrs: Vec<String> = Vec::new();
-    // Multiline signature accumulation: (text, start line, is_test, fn-line allows).
-    let mut sig: Option<(String, usize, bool)> = None;
+/// The structural scan's state while it walks one file.
+struct Scan<'a> {
+    path: &'a str,
+    crate_name: String,
+    file: &'a SourceFile,
+    out: Vec<FnSummary>,
+    /// Brace depth before the current line.
+    depth: i64,
+    /// (close_when_below, type name) for impl/trait blocks.
+    impl_stack: Vec<(i64, String)>,
+    /// Innermost-last open function indexes with their body depths.
+    fn_stack: Vec<(i64, usize)>,
+    /// Test scopes being skipped: pop when depth drops below.
+    skip_stack: Vec<i64>,
+}
 
-    for (idx, mline) in masked_lines.iter().enumerate() {
-        let lineno = idx + 1;
-        let trimmed = mline.trim();
-        let opens = mline.matches(['{', '}']).count() as i64; // placeholder, replaced below
-        let _ = opens;
-        let line_opens = mline.matches('{').count() as i64;
-        let line_closes = mline.matches('}').count() as i64;
-        let depth_after = depth + line_opens - line_closes;
-
-        if let Some(skip_below) = skip_stack.last().copied() {
-            if depth_after < skip_below {
-                skip_stack.pop();
-            }
-            depth = depth_after;
-            continue;
+impl Scan<'_> {
+    /// The body of the (masked, body-less) signature `sig_text` opens at
+    /// `open_col` of `lineno`: start the function — or, for test code,
+    /// a skipped scope — and scan the rest of the line as body content.
+    fn open_fn(
+        &mut self,
+        sig_text: &str,
+        start_line: usize,
+        is_test: bool,
+        lineno: usize,
+        open_col: usize,
+    ) {
+        if is_test {
+            self.skip_stack.push(self.depth + 1);
+            return;
         }
-
-        if let Some((text, start, is_test)) = sig.take() {
-            // Continue a multiline signature until its body opens.
-            let mut text = text;
-            text.push(' ');
-            text.push_str(trimmed);
-            if let Some(b) = text.find('{') {
-                finish_fn(
-                    &crate_name,
-                    path,
-                    &text[..b],
-                    start,
-                    is_test,
-                    &impl_stack,
-                    &mut out,
-                    &mut fn_stack,
-                    &mut skip_stack,
-                    depth + 1,
-                );
-                // Scan the remainder of this line as body content.
-                if !is_test {
-                    if let Some(cut) = mline.find('{') {
-                        scan_body_segment(
-                            &mline[cut..],
-                            cut,
-                            raw_lines.get(idx).copied().unwrap_or(""),
-                            raw_lines.get(idx.wrapping_sub(1)).copied().unwrap_or(""),
-                            "",
-                            0,
-                            lineno,
-                            &masked_lines,
-                            idx,
-                            &mut out,
-                            &fn_stack,
-                        );
-                    }
-                }
-            } else if text.contains(';') {
-                // Trait method declaration / extern: no body.
-            } else {
-                sig = Some((text, start, is_test));
-            }
-            depth = depth_after;
-            continue;
-        }
-
-        if trimmed.starts_with("#[") {
-            pending_attrs.push(trimmed.to_string());
-            depth = depth_after;
-            continue;
-        }
-        if trimmed.is_empty() {
-            depth = depth_after;
-            continue;
-        }
-
-        let attrs = std::mem::take(&mut pending_attrs);
-        let cfg_test = attrs
-            .iter()
-            .any(|a| a.contains("cfg(test)") || a.contains("cfg(all(test"));
-        let is_test_fn = cfg_test || attrs.iter().any(|a| a.starts_with("#[test]"));
-
-        // Test module: skip its whole extent.
-        if cfg_test && (trimmed.starts_with("mod ") || trimmed.starts_with("pub mod ")) {
-            if mline.contains('{') {
-                skip_stack.push(depth + 1);
-            }
-            depth = depth_after;
-            continue;
-        }
-
-        // impl / trait block header.
-        if trimmed.starts_with("impl")
-            || trimmed.starts_with("trait ")
-            || trimmed.starts_with("pub trait ")
-        {
-            if let Some(t) = impl_type_of(trimmed) {
-                if mline.contains('{') {
-                    if cfg_test {
-                        skip_stack.push(depth + 1);
-                    } else {
-                        impl_stack.push((depth + 1, t));
-                    }
-                    depth = depth_after;
-                    continue;
-                }
-            }
-        }
-
-        // fn signature?
-        if let Some(fn_pos) = fn_keyword_pos(trimmed) {
-            let _ = fn_pos;
-            if let Some(b) = mline.find('{') {
-                finish_fn(
-                    &crate_name,
-                    path,
-                    trimmed.split('{').next().unwrap_or(trimmed),
-                    lineno,
-                    is_test_fn,
-                    &impl_stack,
-                    &mut out,
-                    &mut fn_stack,
-                    &mut skip_stack,
-                    depth + 1,
-                );
-                if !is_test_fn {
-                    let (fn_raw, fn_raw_line) = fn_allow_context(&raw_lines, lineno);
-                    scan_body_segment(
-                        &mline[b..],
-                        b,
-                        raw_lines.get(idx).copied().unwrap_or(""),
-                        raw_lines.get(idx.wrapping_sub(1)).copied().unwrap_or(""),
-                        fn_raw,
-                        fn_raw_line,
-                        lineno,
-                        &masked_lines,
-                        idx,
-                        &mut out,
-                        &fn_stack,
-                    );
-                }
-            } else if trimmed.contains(';') {
-                // declaration only
-            } else {
-                sig = Some((trimmed.to_string(), lineno, is_test_fn));
-            }
-            depth = depth_after;
-            continue;
-        }
-
-        // Ordinary body line.
-        if let Some(&(_, fi)) = fn_stack.last() {
-            let fn_line = out[fi].line;
-            let (fn_raw, fn_raw_line) = fn_allow_context(&raw_lines, fn_line);
-            scan_body_segment(
-                mline,
-                0,
-                raw_lines.get(idx).copied().unwrap_or(""),
-                raw_lines.get(idx.wrapping_sub(1)).copied().unwrap_or(""),
-                fn_raw,
-                fn_raw_line,
-                lineno,
-                &masked_lines,
-                idx,
-                &mut out,
-                &fn_stack,
-            );
-        }
-
-        depth = depth_after;
-        while fn_stack.last().is_some_and(|&(d, _)| depth_after < d) {
-            fn_stack.pop();
-        }
-        while impl_stack.last().is_some_and(|&(d, _)| depth_after < d) {
-            impl_stack.pop();
-        }
-        continue;
+        let Some((name, is_pub, params)) = parse_sig(sig_text) else {
+            return;
+        };
+        self.out.push(FnSummary {
+            crate_name: self.crate_name.clone(),
+            file: self.path.to_string(),
+            impl_type: self.impl_stack.last().map(|(_, t)| t.clone()),
+            name,
+            line: start_line,
+            body: Extent {
+                open_line: lineno,
+                open_col,
+                end_line: self.file.masked.len(),
+            },
+            is_pub,
+            params,
+            calls: Vec::new(),
+            panics: Vec::new(),
+            locks: Vec::new(),
+            bad_allows: Vec::new(),
+        });
+        self.fn_stack.push((self.depth + 1, self.out.len() - 1));
+        self.scan_body(lineno, open_col);
     }
 
-    out.retain(|f| !f.name.is_empty());
-    out
+    /// Charge the sites on `lineno` from byte `seg_off` on to the
+    /// innermost open function.
+    fn scan_body(&mut self, lineno: usize, seg_off: usize) {
+        if let Some(&(_, fi)) = self.fn_stack.last() {
+            scan_body_segment(self.file, lineno, seg_off, &mut self.out[fi]);
+        }
+    }
+
+    /// End of `lineno`: close every function and impl/trait block whose
+    /// body the line's closing braces ended. A function is closed on the
+    /// line its depth closes — a one-line function on its own line — so
+    /// nothing after it is charged to it.
+    fn end_line(&mut self, lineno: usize, depth_after: i64) {
+        self.depth = depth_after;
+        while let Some(&(_, fi)) = self.fn_stack.last().filter(|&&(d, _)| depth_after < d) {
+            self.fn_stack.pop();
+            self.out[fi].body.end_line = lineno;
+        }
+        while self
+            .impl_stack
+            .last()
+            .is_some_and(|&(d, _)| depth_after < d)
+        {
+            self.impl_stack.pop();
+        }
+    }
+}
+
+/// Summarize one already split and masked file.
+pub fn summarize_file(path: &str, file: &SourceFile) -> Vec<FnSummary> {
+    let mut s = Scan {
+        path,
+        crate_name: crate_of(path),
+        file,
+        out: Vec::new(),
+        depth: 0,
+        impl_stack: Vec::new(),
+        fn_stack: Vec::new(),
+        skip_stack: Vec::new(),
+    };
+    let mut pending_attrs: Vec<String> = Vec::new();
+    // Multiline signature accumulation: (text, start line, is_test).
+    let mut sig: Option<(String, usize, bool)> = None;
+
+    for (idx, mline) in file.masked.iter().enumerate() {
+        let lineno = idx + 1;
+        let trimmed = mline.trim();
+        let line_opens = mline.matches('{').count() as i64;
+        let line_closes = mline.matches('}').count() as i64;
+        let depth_after = s.depth + line_opens - line_closes;
+
+        'line: {
+            if let Some(skip_below) = s.skip_stack.last().copied() {
+                if depth_after < skip_below {
+                    s.skip_stack.pop();
+                }
+                break 'line;
+            }
+
+            if let Some((mut text, start, is_test)) = sig.take() {
+                // Continue a multiline signature until its body opens.
+                text.push(' ');
+                text.push_str(trimmed);
+                if let Some(b) = text.find('{') {
+                    let open_col = mline.find('{').unwrap_or(0);
+                    s.open_fn(&text[..b], start, is_test, lineno, open_col);
+                } else if !text.contains(';') {
+                    // (`;` ends a trait method declaration / extern: no body.)
+                    sig = Some((text, start, is_test));
+                }
+                break 'line;
+            }
+
+            if trimmed.starts_with("#[") {
+                pending_attrs.push(trimmed.to_string());
+                break 'line;
+            }
+            if trimmed.is_empty() {
+                break 'line;
+            }
+
+            let attrs = std::mem::take(&mut pending_attrs);
+            let cfg_test = attrs
+                .iter()
+                .any(|a| a.contains("cfg(test)") || a.contains("cfg(all(test"));
+            let is_test_fn = cfg_test || attrs.iter().any(|a| a.starts_with("#[test]"));
+
+            // Test module: skip its whole extent.
+            if cfg_test && (trimmed.starts_with("mod ") || trimmed.starts_with("pub mod ")) {
+                if mline.contains('{') {
+                    s.skip_stack.push(s.depth + 1);
+                }
+                break 'line;
+            }
+
+            // impl / trait block header.
+            if trimmed.starts_with("impl")
+                || trimmed.starts_with("trait ")
+                || trimmed.starts_with("pub trait ")
+            {
+                if let Some(t) = impl_type_of(trimmed) {
+                    if mline.contains('{') {
+                        if cfg_test {
+                            s.skip_stack.push(s.depth + 1);
+                        } else {
+                            s.impl_stack.push((s.depth + 1, t));
+                        }
+                        break 'line;
+                    }
+                }
+            }
+
+            // fn signature?
+            if fn_keyword_pos(trimmed).is_some() {
+                if let Some(b) = mline.find('{') {
+                    let sig_text = trimmed.split('{').next().unwrap_or(trimmed);
+                    s.open_fn(sig_text, lineno, is_test_fn, lineno, b);
+                } else if !trimmed.contains(';') {
+                    // (`;` is a declaration only.)
+                    sig = Some((trimmed.to_string(), lineno, is_test_fn));
+                }
+                break 'line;
+            }
+
+            // Ordinary body line.
+            s.scan_body(lineno, 0);
+        }
+        s.end_line(lineno, depth_after);
+    }
+
+    for f in &mut s.out {
+        let span = file.block_start(f.line)..=f.body.end_line;
+        f.bad_allows = file.unjustified(span, 'R');
+    }
+    s.out
 }
 
 /// Position of the `fn ` keyword when the line is a function signature
@@ -544,8 +521,7 @@ fn fn_keyword_pos(trimmed: &str) -> Option<usize> {
     let mut rest = trimmed;
     let mut offset = 0;
     loop {
-        if let Some(r) = rest.strip_prefix("fn ") {
-            let _ = r;
+        if rest.starts_with("fn ") {
             return Some(offset);
         }
         let qualifiers = ["pub", "async", "const", "unsafe", "extern"];
@@ -630,32 +606,15 @@ fn skip_generics(s: &str) -> &str {
     s
 }
 
-/// Finalize a function from its (masked, body-less) signature text.
-#[allow(clippy::too_many_arguments)]
-fn finish_fn(
-    crate_name: &str,
-    path: &str,
-    sig_text: &str,
-    start_line: usize,
-    is_test: bool,
-    impl_stack: &[(i64, String)],
-    out: &mut Vec<FnSummary>,
-    fn_stack: &mut Vec<(i64, usize)>,
-    skip_stack: &mut Vec<i64>,
-    body_depth: i64,
-) {
-    if is_test {
-        skip_stack.push(body_depth);
-        return;
-    }
+/// (name, is `pub fn`, non-`self` parameter count) from a masked,
+/// body-less signature text.
+fn parse_sig(sig_text: &str) -> Option<(String, bool, Option<usize>)> {
     let trimmed = sig_text.trim();
-    let Some(fp) = fn_keyword_pos(trimmed) else {
-        return;
-    };
+    let fp = fn_keyword_pos(trimmed)?;
     let after = &trimmed[fp + 3..];
     let name: String = after.chars().take_while(|&c| is_ident_char(c)).collect();
     if name.is_empty() {
-        return;
+        return None;
     }
     let is_pub = trimmed.starts_with("pub fn")
         || trimmed.starts_with("pub async fn")
@@ -684,20 +643,7 @@ fn finish_fn(
             .unwrap_or(false);
         args.saturating_sub(usize::from(has_self))
     });
-    out.push(FnSummary {
-        crate_name: crate_name.to_string(),
-        file: path.to_string(),
-        impl_type: impl_stack.last().map(|(_, t)| t.clone()),
-        name,
-        line: start_line,
-        is_pub,
-        params,
-        calls: Vec::new(),
-        panics: Vec::new(),
-        locks: Vec::new(),
-        bad_allows: Vec::new(),
-    });
-    fn_stack.push((body_depth, out.len() - 1));
+    Some((name, is_pub, params))
 }
 
 /// Offset of the `)` matching an implicit `(` already consumed.
@@ -740,45 +686,12 @@ fn count_top_level_commas(s: &str) -> usize {
     n
 }
 
-/// Scan one masked body segment for calls, panics, indexes, and locks,
-/// attributing findings to the innermost open function.
-#[allow(clippy::too_many_arguments)]
-fn scan_body_segment(
-    mseg: &str,
-    seg_off: usize,
-    raw_line: &str,
-    raw_prev: &str,
-    fn_raw: &str,
-    fn_raw_line: usize,
-    lineno: usize,
-    masked_lines: &[&str],
-    line_idx: usize,
-    out: &mut [FnSummary],
-    fn_stack: &[(i64, usize)],
-) {
-    let Some(&(_, fi)) = fn_stack.last() else {
-        return;
-    };
-    // Suppression context: this line, the line above, or the fn-level
-    // line (the signature line, or a comment line directly above it).
-    let (mut allowed, mut ok) = flow_allows(raw_line);
-    for src in [raw_prev, fn_raw] {
-        let (more, j) = flow_allows(src);
-        allowed.extend(more);
-        ok &= j;
-    }
-    if !ok && raw_line.contains(ALLOW_MARK) {
-        // Only charge the site whose own line carries the bad allow.
-        let (_, self_ok) = flow_allows(raw_line);
-        if !self_ok {
-            out[fi].bad_allows.push(lineno);
-        }
-    } else if raw_prev.contains(ALLOW_MARK) && !flow_allows(raw_prev).1 {
-        out[fi].bad_allows.push(lineno - 1);
-    } else if fn_raw.contains(ALLOW_MARK) && !flow_allows(fn_raw).1 {
-        out[fi].bad_allows.push(fn_raw_line);
-    }
-    let is_allowed = |code: &str| allowed.iter().any(|a| a == code);
+/// Scan the masked text of `lineno` from byte `seg_off` on for calls,
+/// panics, indexes, and locks, charging them to `f`.
+fn scan_body_segment(file: &SourceFile, lineno: usize, seg_off: usize, f: &mut FnSummary) {
+    let mseg = file.masked_line(lineno).get(seg_off..).unwrap_or("");
+    let fn_line = f.line;
+    let is_allowed = |code: &str| file.allowed(code, lineno, fn_line);
 
     let bytes = mseg.as_bytes();
 
@@ -795,7 +708,7 @@ fn scan_body_segment(
             // `(` differs), but `.unwrap()` must not match `.unwrap_or()`
             // (it cannot either: `_or` breaks the `()`). Direct push.
             if !is_allowed(kind.code()) {
-                out[fi].panics.push(PanicSite { kind, line: lineno });
+                f.panics.push(PanicSite { kind, line: lineno });
             }
         }
     }
@@ -810,7 +723,7 @@ fn scan_body_segment(
                 continue; // debug_unreachable! etc.
             }
             if !is_allowed("R001") {
-                out[fi].panics.push(PanicSite {
+                f.panics.push(PanicSite {
                     kind: PanicKind::PanicMacro,
                     line: lineno,
                 });
@@ -843,7 +756,7 @@ fn scan_body_segment(
             }
         }
         if !is_allowed("R002") {
-            out[fi].panics.push(PanicSite {
+            f.panics.push(PanicSite {
                 kind: PanicKind::Index,
                 line: lineno,
             });
@@ -858,7 +771,7 @@ fn scan_body_segment(
             from = pos + pat.len();
             let receiver = receiver_ending_at(mseg, pos);
             if !receiver.is_empty() {
-                out[fi].locks.push(LockSite {
+                f.locks.push(LockSite {
                     receiver,
                     op: match op {
                         "lock" => "lock",
@@ -910,8 +823,8 @@ fn scan_body_segment(
             continue;
         }
         let args = call_args(
-            masked_lines,
-            line_idx,
+            &file.masked,
+            lineno - 1,
             seg_off + after + (mseg[after..].len() - rest.len()),
         );
         let callee = if before.ends_with('.') {
@@ -938,7 +851,7 @@ fn scan_body_segment(
             }
             Callee::Plain(ident)
         };
-        out[fi].calls.push(CallSite {
+        f.calls.push(CallSite {
             callee,
             line: lineno,
             args,
@@ -963,7 +876,7 @@ fn receiver_ending_at(s: &str, pos: usize) -> String {
 
 /// Count arguments of the call whose `(` sits at `col` of line
 /// `line_idx`, scanning up to 40 lines ahead in the masked text.
-fn call_args(masked_lines: &[&str], line_idx: usize, col: usize) -> Option<usize> {
+fn call_args(masked_lines: &[String], line_idx: usize, col: usize) -> Option<usize> {
     let mut depth = 0i32;
     let mut commas = 0usize;
     let mut any = false;
@@ -1261,6 +1174,53 @@ fn uncovered(xs: &[f64]) -> f64 {
         assert!(fns[0].bad_allows.is_empty());
         // The allow is scoped to `dense`; the next fn is still flagged.
         assert!(fns[1].panics.iter().any(|p| p.kind == PanicKind::Index));
+    }
+
+    #[test]
+    fn a_function_is_closed_on_the_line_its_body_closes() {
+        let src = "\
+pub fn a() -> u8 { 1 }
+pub static T: u8 = TABLE[0];
+static N: usize = helper();
+fn helper() -> usize {
+    0
+}
+static M: u8 = TABLE[1];
+impl Marker for X {}
+pub fn free() {}
+";
+        let fns = summarize_source("crates/demo/src/lib.rs", src);
+        assert_eq!(fns.len(), 3, "{fns:?}");
+        // The lines after a one-line function are charged to nothing —
+        // exactly like the line after a multi-line one.
+        assert!(fns.iter().all(|f| f.panics.is_empty()), "{fns:?}");
+        assert!(fns.iter().all(|f| f.calls.is_empty()), "{fns:?}");
+        let ends: Vec<usize> = fns.iter().map(|f| f.body.end_line).collect();
+        assert_eq!(ends, [1, 6, 9]);
+        // A one-line impl block is closed on its line too.
+        assert_eq!(fns[2].name, "free");
+        assert_eq!(fns[2].impl_type, None);
+    }
+
+    #[test]
+    fn body_extent_clips_a_multiline_signature() {
+        let src = "\
+impl T {
+    pub fn go(
+        &self,
+        x: u8,
+    ) -> u8 { x.max(
+        1)
+    }
+}
+";
+        let fns = summarize_source("crates/demo/src/lib.rs", src);
+        let body = fns[0].body;
+        assert_eq!((body.open_line, body.end_line), (5, 7));
+        assert_eq!(
+            &src.lines().nth(4).unwrap_or("")[body.open_col..],
+            "{ x.max("
+        );
     }
 
     #[test]
