@@ -7,7 +7,7 @@ use crate::cursor::{CompiledFindOptions, CompiledProjection, FindOptions};
 use crate::error::{Result, StoreError};
 use crate::index::{DocId, Index};
 use crate::journal::{Shared, Store};
-use crate::persist::JournalOp;
+use crate::persist::{JournalOp, JournalRef};
 use crate::profiler::OpKind;
 use crate::query::{CompiledFilter, Filter};
 use crate::update::Update;
@@ -222,10 +222,10 @@ impl Collection {
         Ok(Some((id_num, doc)))
     }
 
-    fn journal_insert(&self, doc: &Value) -> JournalOp {
+    fn journal_insert<'a>(&'a self, doc: &'a Value) -> JournalRef<'a> {
         JournalOp::Insert {
-            collection: self.name.clone(),
-            doc: doc.clone(),
+            collection: &self.name,
+            doc,
         }
     }
 
@@ -245,7 +245,7 @@ impl Collection {
             self,
             docs,
             |_, doc| self.materialize(doc),
-            |(_, doc)| self.journal_insert(doc),
+            |coll, (_, doc)| coll.journal_insert(doc),
             |inner, (id_num, doc)| {
                 ids.push(Self::raw_insert(inner, id_num, doc)?);
                 Ok(())
@@ -388,11 +388,16 @@ impl Collection {
         self.update(filter, update, false)
     }
 
-    fn journal_update(&self, filter: &Value, update: &Value, many: bool) -> JournalOp {
+    fn journal_update<'a>(
+        &'a self,
+        filter: &'a Value,
+        update: &'a Value,
+        many: bool,
+    ) -> JournalRef<'a> {
         JournalOp::Update {
-            collection: self.name.clone(),
-            filter: filter.clone(),
-            update: update.clone(),
+            collection: &self.name,
+            filter,
+            update,
             many,
         }
     }
@@ -408,11 +413,10 @@ impl Collection {
         let cf = Filter::parse(filter)?.compile();
         let u = Update::parse(update)?;
         let now = self.now();
-        self.shared.commit_one(
-            self,
-            || self.journal_update(filter, update, many),
-            |inner| Self::raw_update(inner, &cf, &u, now, many),
-        )
+        self.shared
+            .commit_one(self, self.journal_update(filter, update, many), |inner| {
+                Self::raw_update(inner, &cf, &u, now, many)
+            })
     }
 
     /// Update one; insert a new document from the update if none
@@ -437,9 +441,9 @@ impl Collection {
                 u.apply(&mut seed, now, true)?;
                 self.materialize(seed).map(Some)
             },
-            |seed| match seed {
-                None => self.journal_update(filter, update, false),
-                Some((_, doc)) => self.journal_insert(doc),
+            |coll, seed| match seed {
+                None => coll.journal_update(filter, update, false),
+                Some((_, doc)) => coll.journal_insert(doc),
             },
             |inner, seed| match seed {
                 None => Self::raw_update(inner, &cf, &u, now, false),
@@ -478,12 +482,18 @@ impl Collection {
         self.shared.commit(
             self,
             Some(()),
-            |inner, ()| Ok(Self::first_match(inner, &cf, sort.as_ref())),
-            |(_, old)| {
-                let id = old.get("_id").cloned().unwrap_or(Value::Null);
-                self.journal_update(&json!({ "_id": id }), update, false)
+            // The `_id` filter the journal records rides with the match.
+            |inner, ()| {
+                Ok(
+                    Self::first_match(inner, &cf, sort.as_ref()).map(|(id, old)| {
+                        let target =
+                            json!({ "_id": old.get("_id").cloned().unwrap_or(Value::Null) });
+                        (id, old, target)
+                    }),
+                )
             },
-            |inner, (id, old)| {
+            |coll, (_, _, target)| coll.journal_update(target, update, false),
+            |inner, (id, old, _)| {
                 let new = Self::raw_modify(inner, id, &old, &u, now)?;
                 Ok(if return_new { new.unwrap_or(old) } else { old })
             },
@@ -506,9 +516,9 @@ impl Collection {
         let cf = Filter::parse(filter)?.compile();
         self.shared.commit_one(
             self,
-            || JournalOp::Delete {
-                collection: self.name.clone(),
-                filter: filter.clone(),
+            JournalOp::Delete {
+                collection: &self.name,
+                filter,
                 many,
             },
             |inner| Ok(Self::raw_delete(inner, &cf, many)),
@@ -522,9 +532,9 @@ impl Collection {
     pub fn create_index(&self, path: &str, unique: bool) -> Result<()> {
         self.shared.commit_one(
             self,
-            || JournalOp::CreateIndex {
-                collection: self.name.clone(),
-                path: path.to_string(),
+            JournalOp::CreateIndex {
+                collection: &self.name,
+                path,
                 unique,
             },
             |inner| {
@@ -548,9 +558,9 @@ impl Collection {
     pub fn drop_index(&self, path: &str) -> Result<()> {
         self.shared.commit_one(
             self,
-            || JournalOp::DropIndex {
-                collection: self.name.clone(),
-                path: path.to_string(),
+            JournalOp::DropIndex {
+                collection: &self.name,
+                path,
             },
             |inner| {
                 let before = inner.indexes.len();
@@ -568,8 +578,8 @@ impl Collection {
     pub fn clear(&self) -> Result<()> {
         self.shared.commit_one(
             self,
-            || JournalOp::Clear {
-                collection: self.name.clone(),
+            JournalOp::Clear {
+                collection: &self.name,
             },
             |inner| {
                 inner.docs.clear();
@@ -587,12 +597,32 @@ impl Collection {
     /// Snapshots persist these so recovery rebuilds the same plans and
     /// unique constraints, not just the same documents.
     pub fn index_specs(&self) -> Vec<(String, bool)> {
-        self.inner
-            .read()
+        Self::specs_of(&self.inner.read())
+    }
+
+    fn specs_of(inner: &Inner) -> Vec<(String, bool)> {
+        inner
             .indexes
             .iter()
             .map(|ix| (ix.path.clone(), ix.unique))
             .collect()
+    }
+
+    /// What a checkpoint keeps of this collection, under one read-lock
+    /// hold: the index definitions and this generation's scan segment —
+    /// every document handle in store order, shared with the scans of
+    /// the generation (one `Arc` bump if a scan built it already, one
+    /// per document otherwise). Nothing is serialized here.
+    pub(crate) fn capture(&self) -> (Vec<(String, bool)>, Arc<Segment>) {
+        let inner = self.inner.read();
+        (Self::specs_of(&inner), Arc::clone(Self::segment_of(&inner)))
+    }
+
+    /// This generation's scan segment, built on first use.
+    fn segment_of(inner: &Inner) -> &Arc<Segment> {
+        inner
+            .segment
+            .get_or_init(|| Arc::new(Segment::new(inner.docs.values().cloned().collect())))
     }
 
     /// Paths of the existing indexes.
@@ -794,10 +824,7 @@ impl Collection {
         let (plan, considered) = Self::plan_query(&inner, cf);
         let candidates = match plan.kind {
             PlanKind::Collscan if scan || inner.segment.get().is_some() => {
-                let seg = inner
-                    .segment
-                    .get_or_init(|| Arc::new(Segment::new(inner.docs.values().cloned().collect())));
-                Candidates::scan(Arc::clone(seg))
+                Candidates::scan(Arc::clone(Self::segment_of(&inner)))
             }
             PlanKind::Collscan => Candidates::unscanned(inner.docs.len()),
             _ => Self::plan_candidates(&inner, cf, &plan)

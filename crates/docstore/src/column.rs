@@ -41,6 +41,11 @@ impl Segment {
         }
     }
 
+    /// The generation's document handles, in store order.
+    pub(crate) fn docs(&self) -> &[Arc<Document>] {
+        &self.docs
+    }
+
     /// The column for `path`, built on first request. `None` when no
     /// document holds a plain number there — such a column would prune
     /// nothing, so it takes no slot from a path that has numbers — or

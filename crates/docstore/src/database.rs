@@ -116,9 +116,7 @@ impl Database {
     pub fn drop_collection(&self, name: &str) -> Result<bool> {
         self.inner.shared.commit_one(
             self,
-            || JournalOp::DropCollection {
-                collection: name.to_string(),
-            },
+            JournalOp::DropCollection { collection: name },
             |reg| {
                 let dropped = reg.map.remove(name);
                 if let Some(c) = &dropped {

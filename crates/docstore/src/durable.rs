@@ -12,14 +12,18 @@
 //! different timestamp.
 //!
 //! Compaction is log-structured: when the WAL outgrows
-//! [`DurableOptions::compact_after_bytes`], the committing call
-//! checkpoints — snapshot, fsync, truncate the WAL — so recovery time
-//! tracks the compaction threshold, not total writes.
+//! [`DurableOptions::compact_after_bytes`], the committing call starts
+//! a checkpoint — it captures the collections' document handles and
+//! seals the WAL generation, which is all it waits for — and a
+//! short-lived thread writes the snapshot, publishes it and retires the
+//! sealed generation while commits continue. Recovery time tracks the
+//! compaction threshold, not total writes. [`DurableDatabase::checkpoint`]
+//! runs the same four steps on the caller.
 
 use crate::collection::UpdateResult;
 use crate::database::Database;
 use crate::error::Result;
-use crate::persist::{GroupCommit, Persister};
+use crate::persist::{join_checkpoint, Begin, GroupCommit, Persister};
 use mp_sync::{LockRank, OrderedMutex};
 use serde_json::Value;
 use std::path::Path;
@@ -33,8 +37,9 @@ pub struct DurableOptions {
     /// reach the OS but not necessarily the disk) — the bench baseline,
     /// and MongoDB's `j:false`.
     pub fsync: bool,
-    /// Checkpoint (snapshot + WAL truncate) once the WAL exceeds this
-    /// many bytes. `None` disables auto-compaction.
+    /// Checkpoint (snapshot, then retire the WAL generation it covers)
+    /// once the WAL exceeds this many bytes. `None` disables
+    /// auto-compaction.
     pub compact_after_bytes: Option<u64>,
 }
 
@@ -90,17 +95,34 @@ impl DurableDatabase {
         self.sync.stats()
     }
 
-    /// Current WAL length in bytes (the compaction trigger input).
+    /// Bytes in the active WAL generation (the compaction trigger
+    /// input); falls to zero when a checkpoint seals the generation.
     pub fn wal_len(&self) -> u64 {
         self.wal.lock().wal_len()
     }
 
-    /// Write a full snapshot (fsynced) and truncate the WAL. The WAL
-    /// guard is held across the snapshot write: an append landing
-    /// mid-snapshot would be truncated away while its effect is only
-    /// partially captured.
+    /// Fold the log into a published snapshot: on return, everything
+    /// acknowledged before the call is in `snapshot.jsonl` and no WAL
+    /// generation older than the active one is left. The WAL guard is
+    /// held only to capture handles and seal the generation; the
+    /// snapshot is written with it released, so commits continue. A
+    /// threshold-triggered checkpoint in flight is waited for first,
+    /// and if it already covers the log nothing more is written.
+    /// Explicit checkpoints do not queue: one called while another
+    /// caller's is being written returns an error.
     pub fn checkpoint(&self) -> Result<()> {
-        self.wal.lock().snapshot(&self.db)
+        loop {
+            match self.begin_checkpoint()? {
+                Begin::InFlight(worker) => join_checkpoint(worker)?,
+                Begin::Covered => return Ok(()),
+                Begin::Captured(checkpoint) => return Persister::complete(checkpoint),
+            }
+        }
+    }
+
+    /// The one part of a checkpoint that holds the WAL guard.
+    fn begin_checkpoint(&self) -> Result<Begin> {
+        self.wal.lock().begin_checkpoint(&self.db)
     }
 
     /// `database().collection(collection).create_index(path, unique)`.
@@ -355,19 +377,68 @@ mod tests {
             },
         )
         .unwrap();
+        let mut appended = 0;
+        let mut sealed = 0;
         for i in 0..200 {
+            let before = d.wal_len();
             d.insert_one("c", json!({"_id": i, "pad": "x".repeat(32)}))
                 .unwrap();
+            match d.wal_len() {
+                // The commit that crossed the threshold sealed the
+                // generation and left the snapshot to a thread.
+                after if after < before => sealed += 1,
+                after => appended += after - before,
+            }
         }
         assert!(
-            d.wal_len() <= 1024 + 256,
-            "auto-checkpoint must keep the WAL near the threshold, got {}",
+            sealed >= 1,
+            "the first crossing finds no checkpoint in flight"
+        );
+        assert!(
+            d.wal_len() < appended,
+            "sealed generations left the active one, got {}",
             d.wal_len()
         );
-        assert!(dir.join("snapshot.jsonl").exists());
+        // The last handle waits for the checkpoint in flight.
         drop(d);
+        assert!(dir.join("snapshot.jsonl").exists());
+        assert!(!dir.join("snapshot.jsonl.tmp").exists());
         let d = reopen(&dir);
         assert_eq!(d.database().collection("c").len(), 200);
+        let _ = std::fs::remove_dir_all(dir);
+    }
+
+    /// The bulk-load shape: one `insert_many` leaves the log far over
+    /// its threshold, so its commit starts a checkpoint; the explicit
+    /// checkpoint that follows waits for that one and, since it covers
+    /// the whole log, writes nothing more.
+    #[test]
+    fn explicit_checkpoint_joins_the_one_in_flight_that_covers_the_log() {
+        let dir = tmpdir("join");
+        let d = DurableDatabase::open_with(
+            &dir,
+            DurableOptions {
+                fsync: true,
+                compact_after_bytes: Some(1024),
+            },
+        )
+        .unwrap();
+        d.insert_many("c", (0..500).map(|i| json!({"_id": i})).collect())
+            .unwrap();
+        assert_eq!(d.wal_len(), 0, "the bulk commit sealed its generation");
+        d.checkpoint().unwrap();
+        let mut names: Vec<_> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().into_string().unwrap())
+            .collect();
+        names.sort();
+        assert_eq!(names, ["snapshot.jsonl"]);
+        let (_, report) = Persister::open(&dir)
+            .unwrap()
+            .recover_with_report()
+            .unwrap();
+        assert_eq!(report.snapshot_gen, Some(1), "one checkpoint, not two");
+        assert_eq!(report.snapshot_docs, 500);
         let _ = std::fs::remove_dir_all(dir);
     }
 }

@@ -9,14 +9,14 @@
 //! in-memory apply; with one attached it is the write-ahead protocol
 //!
 //! ```text
-//! take Journal(380) → decide → append → apply (same guard) → release
-//!                   → group-commit barrier → maybe checkpoint → Ok
+//! take Journal(380) → decide → append → apply (same guard) → flush
+//!       → release → group-commit barrier → maybe checkpoint → Ok
 //! ```
 //!
 //! `mp-lint effects` (E002) proves `raw_apply` is reachable only from a
 //! journaling caller; `mp-lint order` proves, on `commit` itself, that
 //! the append precedes the apply (O001) and a barrier follows the last
-//! append before the caller sees `Ok` (O002).
+//! append and the flush before the caller sees `Ok` (O002).
 //!
 //! * **Decide once, materialize first.** Whatever the apply would
 //!   choose — an assigned `_id`, the upsert insert-vs-update branch, the
@@ -28,9 +28,20 @@
 //!   other writer between them.
 //! * **Append and apply under one guard**, so journal order is apply
 //!   order; a batch (`insert_many`) is one guard hold and one barrier.
+//! * **Journal from a borrow, write once.** `record` hands the sink a
+//!   [`JournalRef`] borrowed from what was decided — the document is
+//!   encoded straight into the commit's frame buffer, never cloned —
+//!   and the commit's frames reach the OS in one write, before the
+//!   guard is released (the LSN the barrier waits on comes from that
+//!   write, so the barrier cannot precede it).
 //! * **Barrier outside the guard.** Committers pile up on the
 //!   [`GroupCommit`] sync lock and one leader fsync covers the queue;
 //!   readers never wait on an fsync.
+//! * **Checkpoint outside the commit path.** A commit that leaves the
+//!   log over its threshold captures document handles and seals the WAL
+//!   generation under the guard (no serialization), and a thread of its
+//!   own writes the snapshot while commits continue
+//!   ([`crate::persist`]).
 //! * **An op that fails to apply stays in the log** and replays as the
 //!   same deterministic failure ([`JournalOp::apply`]); replay itself
 //!   never journals — recovery and secondary apply run on a database
@@ -38,24 +49,30 @@
 
 use crate::database::{Database, DbInner};
 use crate::error::Result;
-use crate::persist::{GroupCommit, JournalOp};
+use crate::persist::{GroupCommit, JournalRef};
 use crate::profiler::Profiler;
 use mp_sync::{LockRank, OrderedMutex, OrderedRwLock};
 use std::sync::{Arc, OnceLock, Weak};
 
 /// Where a journaled database records each op before applying it. Two
-/// implementors: the file WAL ([`crate::persist::Persister`]) and a
-/// replica set's in-memory oplog (`Vec<JournalOp>`).
+/// implementors: the file WAL ([`crate::persist::Persister`], which
+/// encodes the borrowed op and forgets it) and a replica set's
+/// in-memory oplog (`Vec<JournalOp>`, which keeps a copy).
 pub(crate) trait JournalSink: Send {
-    /// Record `op`; returns the LSN a durability barrier must reach
-    /// before the op is acknowledged, and whether the log has outgrown
-    /// its checkpoint threshold.
-    fn append_op(&mut self, op: &JournalOp) -> Result<(u64, bool)>;
+    /// Record `op`, borrowed from the commit that decided it.
+    fn append_op(&mut self, op: JournalRef<'_>) -> Result<()>;
 
-    /// Fold the log into a snapshot of `db` if it is (still) over its
-    /// threshold. Runs after the barrier of a commit whose last append
-    /// reported the log due, with the sink locked so no append lands
-    /// mid-snapshot. By default nothing is ever folded away.
+    /// Hand everything appended so far to the log's medium (the OS, for
+    /// the file WAL). Returns the LSN a durability barrier must reach
+    /// before those ops are acknowledged, and whether the log has
+    /// outgrown its checkpoint threshold.
+    fn flush_appended(&mut self) -> Result<(u64, bool)>;
+
+    /// Start folding the log into a snapshot of `db` if it is (still)
+    /// over its threshold. Runs after the barrier of a commit whose
+    /// flush reported the log due, with the sink locked so the state
+    /// captured is the state as of one point in the log. By default
+    /// nothing is ever folded away.
     fn maybe_checkpoint(&mut self, _db: &Database) -> Result<()> {
         Ok(())
     }
@@ -76,10 +93,10 @@ pub(crate) struct Journal {
 }
 
 impl Journal {
-    /// Acknowledge a commit whose last append reached `lsn`: wait for
-    /// the durability barrier, then checkpoint if that append left the
-    /// log due. The sink lock is not held across the barrier, and is
-    /// re-taken only for a checkpoint.
+    /// Acknowledge a commit whose flush reached `lsn`: wait for the
+    /// durability barrier, then start a checkpoint if that flush left
+    /// the log due. The sink lock is not held across the barrier, and
+    /// is re-taken only to capture a checkpoint.
     fn acknowledge(&self, (lsn, checkpoint_due): (u64, bool)) -> Result<()> {
         if let Some(sync) = &self.sync {
             sync.sync_to(lsn)?;
@@ -141,20 +158,22 @@ impl Shared {
 
     /// The one mutation choke point (see the module docs). For each of
     /// `items`: `decide` what will happen from the current state (or
-    /// decline with `None`), journal the decided form, `apply` it.
-    /// Stops at the first error; returns the last output.
-    // mp-lint: allow(E003) — write-ahead core: each frame must reach the log before its in-memory apply, and both must share one journal guard hold so journal order is apply order; the barrier waits outside
-    pub(crate) fn commit<S: Store, I, D, T>(
+    /// decline with `None`), journal the decided form — `record` borrows
+    /// it from the store and the decision, which is why it is handed
+    /// both — then `apply` it. Stops at the first error; returns the
+    /// last output.
+    // mp-lint: allow(E003) — write-ahead core: each op is staged in the log's frame buffer before its in-memory apply and the buffer is written out before the guard is released, all under one journal guard hold so journal order is apply order; the barrier waits outside
+    pub(crate) fn commit<'r, S: Store, I, D, T>(
         &self,
-        store: &S,
+        store: &'r S,
         items: impl IntoIterator<Item = I>,
         decide: impl Fn(&S::State, I) -> Result<Option<D>>,
-        record: impl Fn(&D) -> JournalOp,
+        record: impl for<'a> Fn(&'a &'r S, &'a D) -> JournalRef<'a>,
         mut apply: impl FnMut(&mut S::State, D) -> Result<T>,
     ) -> Result<Option<T>> {
         let journal = self.journal.get();
         let mut sink = journal.map(|j| j.sink.lock());
-        let mut appended = None;
+        let mut appended = false;
         let mut last = Ok(None);
         for item in items {
             let step = match sink.as_mut() {
@@ -162,7 +181,8 @@ impl Shared {
                     let decided = decide(&store.state().read(), item);
                     decided.and_then(|d| match d {
                         Some(d) => {
-                            appended = Some(sink.append_op(&record(&d))?);
+                            sink.append_op(record(&store, &d))?;
+                            appended = true;
                             raw_apply(store, |state| apply(state, d)).map(Some)
                         }
                         None => Ok(None),
@@ -182,9 +202,13 @@ impl Shared {
                 }
             }
         }
+        let flushed = match sink.as_mut() {
+            Some(sink) if appended => Some(sink.flush_appended()),
+            _ => None,
+        };
         drop(sink);
-        if let (Some(journal), Some(appended)) = (journal, appended) {
-            journal.acknowledge(appended)?;
+        if let (Some(journal), Some(flushed)) = (journal, flushed) {
+            journal.acknowledge(flushed?)?;
         }
         last
     }
@@ -193,15 +217,15 @@ impl Shared {
     pub(crate) fn commit_one<S: Store, T: Default>(
         &self,
         store: &S,
-        record: impl Fn() -> JournalOp,
+        op: JournalRef<'_>,
         mut apply: impl FnMut(&mut S::State) -> Result<T>,
     ) -> Result<T> {
         let out = self.commit(
             store,
-            Some(()),
-            |_, ()| Ok(Some(())),
-            |()| record(),
-            |state, ()| apply(state),
+            Some(op),
+            |_, op| Ok(Some(op)),
+            |_, op| *op,
+            |state, _| apply(state),
         )?;
         Ok(out.unwrap_or_default())
     }

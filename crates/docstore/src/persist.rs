@@ -1,13 +1,15 @@
 //! Durability: snapshot + checksummed write-ahead log, with crash
-//! recovery and group commit.
+//! recovery, group commit, and checkpoints that do not stop the writer.
 //!
 //! The production MongoDB deployment journals writes ahead of the data
-//! files; we reproduce the same recovery semantics with two files per
-//! store directory: a `snapshot.jsonl` (one line per document: `{"c":
-//! collection, "d": doc}`, plus one line per index definition: `{"c":
-//! collection, "idx": {"path": p, "unique": u}}`) and a `journal.wal` of
-//! CRC32-framed operation records appended *before* each operation is
-//! applied in memory. Recovery loads the snapshot then replays the WAL.
+//! files; we reproduce the same recovery semantics with a
+//! `snapshot.jsonl` (a generation stamp `{"gen": g}`, then one line per
+//! index definition: `{"c": collection, "idx": {"path": p, "unique":
+//! u}}`, and one line per document: `{"c": collection, "d": doc}`) and
+//! a `journal.wal` of CRC32-framed operation records staged *before*
+//! each operation is applied in memory and handed to the OS before the
+//! commit releases the journal guard. Recovery loads the snapshot, then
+//! replays the WAL generations the snapshot does not contain.
 //!
 //! ## Frame format
 //!
@@ -21,13 +23,46 @@
 //! every torn or flipped byte into a *detected* bad frame, so recovery
 //! can truncate the replay point at the first bad frame instead of
 //! guessing where a JSON line was supposed to end (the PR 7 JSON-lines
-//! journal could only classify the final record).
+//! journal could only classify the final record). A record is encoded
+//! once, from a borrow of what the commit decided ([`JournalRef`]): no
+//! document is cloned to be journaled.
+//!
+//! ## Generations and checkpoints
+//!
+//! The WAL is a sequence of *generations*. The active one is always
+//! `journal.wal`; its first frame names its generation (`{"op": "gen",
+//! "g": g}`). A checkpoint is four steps ([`Persister::capture`],
+//! [`Persister::write`], [`Persister::publish`], [`Persister::retire`]):
+//!
+//! 1. **capture**, under the journal guard: per collection, its index
+//!    definitions and its scan segment — the `Arc<Document>` handles of
+//!    one write generation, a reference-count bump per document and no
+//!    serialization — then *seal* the active WAL generation (fsync it,
+//!    rename it `journal.<g>.sealed`) so later commits start generation
+//!    `g + 1`;
+//! 2. **write**, with the guard released: serialize the captured
+//!    handles into `snapshot.jsonl.tmp`, stamped `g`, while commits
+//!    continue (the handles are immutable: updates copy on write);
+//! 3. **publish**: fsync the file, rename it over `snapshot.jsonl`,
+//!    fsync the directory;
+//! 4. **retire**: delete the sealed generations the snapshot covers.
+//!
+//! A threshold-triggered checkpoint runs steps 2–4 on a short-lived
+//! thread, at most one in flight, joined when the persister is dropped;
+//! an explicit one runs them on the caller. Recovery replays exactly the
+//! generations above the snapshot's stamp — sealed ones oldest first,
+//! then the active one — and discards the rest, so a crash between any
+//! two steps recovers the acknowledged state (DESIGN §15 has the table).
+//! Files written before generations existed carry no stamp: an
+//! unstamped snapshot covers nothing and an unstamped `journal.wal` is
+//! always replayed, which is what the old two-file protocol did.
 //!
 //! ## Recovery policy
 //!
 //! Frames are decoded in order ([`decode_frame`], the checksum gate) and
 //! each decoded op is applied ([`JournalOp::apply`]) — verify strictly
-//! before apply, which `mp-lint order` proves as O005.
+//! before apply, in sealed and active generations alike, which `mp-lint
+//! order` proves as O005.
 //!
 //! * A frame that runs past end-of-file is a **torn tail**: the crash
 //!   interrupted that append, its operation was never acknowledged, and
@@ -35,7 +70,9 @@
 //! * A complete frame whose checksum mismatches is **corruption**: the
 //!   replay point truncates there ([`RecoveryReport::corruption`]) —
 //!   with length-prefixed framing nothing after a bad frame can be
-//!   trusted, so the tail is dropped *by design*, not silently.
+//!   trusted, so the tail is dropped *by design*, not silently. That
+//!   includes every later generation: an op must never replay against a
+//!   pre-state other than the one it was acknowledged on.
 //! * In both cases the file is physically truncated to the last good
 //!   frame ([`RecoveryReport::replay_lsn`]) so subsequent appends start
 //!   from a clean boundary. (The PR 7 journal re-appended after a torn
@@ -45,7 +82,7 @@
 //!
 //! ## Group commit
 //!
-//! Appends go to the OS (`BufWriter` + flush) under the WAL lock;
+//! A commit's frames go to the OS in one write under the WAL lock;
 //! durability comes from a separate [`GroupCommit`] barrier. A
 //! committer calls [`GroupCommit::sync_to`] with the LSN (byte offset)
 //! its append reached: whoever acquires the sync lock first fsyncs once
@@ -59,115 +96,236 @@
 //! violation) is in the WAL; replay reaches the same pre-op state, fails
 //! the same deterministic way, and converges on the live outcome.
 
+use crate::column::Segment;
 use crate::database::Database;
 use crate::error::{Result, StoreError};
 use crate::journal::JournalSink;
 use mp_sync::{LockRank, OrderedMutex};
-use serde_json::{json, Value};
+use serde_json::{Map, Value};
+use std::borrow::Borrow;
 use std::fs::{File, OpenOptions};
-use std::io::{BufRead, BufReader, BufWriter, Write};
+use std::io::{BufRead, BufReader, Write};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
+use std::thread::JoinHandle;
 
-/// One journaled operation.
-#[derive(Debug, Clone, PartialEq)]
-pub enum JournalOp {
+/// One journaled operation. `JournalOp` (the defaults) owns its names
+/// and documents — what replay decodes and a replica's oplog keeps;
+/// [`JournalRef`] borrows them from the commit that decided the op.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum JournalOp<S = String, V = Value> {
     /// Insert `doc` into `collection`.
-    Insert { collection: String, doc: Value },
+    Insert { collection: S, doc: V },
     /// Apply `update` to documents matching `filter`.
     Update {
-        collection: String,
-        filter: Value,
-        update: Value,
+        collection: S,
+        filter: V,
+        update: V,
         many: bool,
     },
     /// Delete documents matching `filter`.
     Delete {
-        collection: String,
-        filter: Value,
+        collection: S,
+        filter: V,
         many: bool,
     },
     /// Remove every document (index definitions survive).
-    Clear { collection: String },
+    Clear { collection: S },
     /// Create a secondary index on `path`.
     CreateIndex {
-        collection: String,
-        path: String,
+        collection: S,
+        path: S,
         unique: bool,
     },
     /// Drop the secondary index on `path`.
-    DropIndex { collection: String, path: String },
+    DropIndex { collection: S, path: S },
     /// Drop the collection entirely.
-    DropCollection { collection: String },
+    DropCollection { collection: S },
 }
 
-impl JournalOp {
-    fn to_json(&self) -> Value {
+/// A journaled operation borrowed from whoever decided it: what
+/// [`crate::journal::Shared::commit`] hands the journal, so the WAL
+/// encodes a document straight from the one the store is about to hold.
+pub type JournalRef<'a> = JournalOp<&'a str, &'a Value>;
+
+impl JournalRef<'_> {
+    /// An owned copy, for a sink that keeps the op (a replica's oplog).
+    pub(crate) fn into_owned(self) -> JournalOp {
+        let s = str::to_string;
+        match self {
+            JournalOp::Insert { collection, doc } => JournalOp::Insert {
+                collection: s(collection),
+                doc: doc.clone(),
+            },
+            JournalOp::Update {
+                collection,
+                filter,
+                update,
+                many,
+            } => JournalOp::Update {
+                collection: s(collection),
+                filter: filter.clone(),
+                update: update.clone(),
+                many,
+            },
+            JournalOp::Delete {
+                collection,
+                filter,
+                many,
+            } => JournalOp::Delete {
+                collection: s(collection),
+                filter: filter.clone(),
+                many,
+            },
+            JournalOp::Clear { collection } => JournalOp::Clear {
+                collection: s(collection),
+            },
+            JournalOp::CreateIndex {
+                collection,
+                path,
+                unique,
+            } => JournalOp::CreateIndex {
+                collection: s(collection),
+                path: s(path),
+                unique,
+            },
+            JournalOp::DropIndex { collection, path } => JournalOp::DropIndex {
+                collection: s(collection),
+                path: s(path),
+            },
+            JournalOp::DropCollection { collection } => JournalOp::DropCollection {
+                collection: s(collection),
+            },
+        }
+    }
+}
+
+impl<S: AsRef<str>, V: Borrow<Value>> JournalOp<S, V> {
+    /// Append this op's record — the JSON a frame carries — to `out`,
+    /// written from the borrow: `{"op": kind, "c": collection, …}`.
+    fn encode(&self, out: &mut String) {
+        use serde_json::{write_compact, write_string};
+        let open = |out: &mut String, kind: &str, collection: &S| {
+            out.push_str("{\"op\":\"");
+            out.push_str(kind);
+            out.push_str("\",\"c\":");
+            write_string(out, collection.as_ref());
+        };
+        let value = |out: &mut String, key: &str, v: &V| {
+            out.push_str(key);
+            write_compact(out, v.borrow());
+        };
+        let flag = |out: &mut String, key: &str, b: bool| {
+            out.push_str(key);
+            out.push_str(if b { "true" } else { "false" });
+        };
         match self {
             JournalOp::Insert { collection, doc } => {
-                json!({"op": "i", "c": collection, "d": doc})
+                open(out, "i", collection);
+                value(out, ",\"d\":", doc);
             }
             JournalOp::Update {
                 collection,
                 filter,
                 update,
                 many,
-            } => json!({"op": "u", "c": collection, "q": filter, "u": update, "m": many}),
+            } => {
+                open(out, "u", collection);
+                value(out, ",\"q\":", filter);
+                value(out, ",\"u\":", update);
+                flag(out, ",\"m\":", *many);
+            }
             JournalOp::Delete {
                 collection,
                 filter,
                 many,
-            } => json!({"op": "d", "c": collection, "q": filter, "m": many}),
-            JournalOp::Clear { collection } => json!({"op": "cl", "c": collection}),
+            } => {
+                open(out, "d", collection);
+                value(out, ",\"q\":", filter);
+                flag(out, ",\"m\":", *many);
+            }
+            JournalOp::Clear { collection } => open(out, "cl", collection),
             JournalOp::CreateIndex {
                 collection,
                 path,
                 unique,
-            } => json!({"op": "ci", "c": collection, "p": path, "uq": unique}),
-            JournalOp::DropIndex { collection, path } => {
-                json!({"op": "di", "c": collection, "p": path})
+            } => {
+                open(out, "ci", collection);
+                out.push_str(",\"p\":");
+                write_string(out, path.as_ref());
+                flag(out, ",\"uq\":", *unique);
             }
-            JournalOp::DropCollection { collection } => json!({"op": "dc", "c": collection}),
+            JournalOp::DropIndex { collection, path } => {
+                open(out, "di", collection);
+                out.push_str(",\"p\":");
+                write_string(out, path.as_ref());
+            }
+            JournalOp::DropCollection { collection } => open(out, "dc", collection),
         }
+        out.push('}');
     }
+}
 
-    fn from_json(v: &Value) -> Result<JournalOp> {
-        let op = v["op"].as_str().unwrap_or_default();
-        let collection = v["c"]
-            .as_str()
-            .ok_or_else(|| StoreError::Persistence("journal entry missing collection".into()))?
-            .to_string();
-        let index_path = |v: &Value| -> Result<String> {
-            v["p"]
-                .as_str()
-                .map(str::to_string)
+/// What one WAL frame holds.
+enum Record {
+    /// The first frame of a generation file: which generation it is.
+    Generation(u64),
+    Op(JournalOp),
+}
+
+impl Record {
+    /// Decode a frame's payload, moving documents out of the parsed
+    /// record rather than copying them.
+    fn parse(payload: &[u8]) -> Result<Record> {
+        let text = std::str::from_utf8(payload)
+            .map_err(|e| StoreError::Persistence(format!("wal not UTF-8: {e}")))?;
+        let Value::Object(mut v) = serde_json::from_str_value(text)
+            .map_err(|e| StoreError::Persistence(format!("wal not JSON: {e}")))?
+        else {
+            return Err(StoreError::Persistence(
+                "wal record is not an object".into(),
+            ));
+        };
+        let kind = text_field(&mut v, "op").unwrap_or_default();
+        if kind == "gen" {
+            return v
+                .get("g")
+                .and_then(Value::as_u64)
+                .map(Record::Generation)
+                .ok_or_else(|| StoreError::Persistence("generation frame missing g".into()));
+        }
+        let collection = text_field(&mut v, "c")
+            .ok_or_else(|| StoreError::Persistence("journal entry missing collection".into()))?;
+        let index_path = |v: &mut Map<String, Value>| {
+            text_field(v, "p")
                 .ok_or_else(|| StoreError::Persistence("journal index op missing path".into()))
         };
-        Ok(match op {
+        let many = |v: &Map<String, Value>| v.get("m").and_then(Value::as_bool).unwrap_or(true);
+        Ok(Record::Op(match kind.as_str() {
             "i" => JournalOp::Insert {
                 collection,
-                doc: v["d"].clone(),
+                doc: document_field(&mut v, "d"),
             },
             "u" => JournalOp::Update {
                 collection,
-                filter: v["q"].clone(),
-                update: v["u"].clone(),
-                many: v["m"].as_bool().unwrap_or(true),
+                filter: document_field(&mut v, "q"),
+                update: document_field(&mut v, "u"),
+                many: many(&v),
             },
             "d" => JournalOp::Delete {
                 collection,
-                filter: v["q"].clone(),
-                many: v["m"].as_bool().unwrap_or(true),
+                filter: document_field(&mut v, "q"),
+                many: many(&v),
             },
             "cl" => JournalOp::Clear { collection },
             "ci" => JournalOp::CreateIndex {
-                path: index_path(v)?,
-                unique: v["uq"].as_bool().unwrap_or(false),
+                path: index_path(&mut v)?,
+                unique: v.get("uq").and_then(Value::as_bool).unwrap_or(false),
                 collection,
             },
             "di" => JournalOp::DropIndex {
-                path: index_path(v)?,
+                path: index_path(&mut v)?,
                 collection,
             },
             "dc" => JournalOp::DropCollection { collection },
@@ -176,12 +334,46 @@ impl JournalOp {
                     "unknown journal op '{other}'"
                 )))
             }
-        })
+        }))
     }
+}
 
+/// Take the document at `key` out of a parsed record, giving back the
+/// spare capacity the parser's growing containers hold: the document
+/// is about to become resident in the store, where a clone of it (what
+/// recovery used to insert) would have been allocated to size.
+fn document_field(v: &mut Map<String, Value>, key: &str) -> Value {
+    fn trim(v: &mut Value) {
+        match v {
+            Value::Array(items) => {
+                items.iter_mut().for_each(trim);
+                items.shrink_to_fit();
+            }
+            Value::Object(fields) => {
+                fields.values_mut().for_each(trim);
+                fields.shrink_to_fit();
+            }
+            _ => {}
+        }
+    }
+    let mut doc = v.remove(key).unwrap_or(Value::Null);
+    trim(&mut doc);
+    doc
+}
+
+/// Take the string at `key` out of a parsed record.
+fn text_field(v: &mut Map<String, Value>, key: &str) -> Option<String> {
+    match v.remove(key) {
+        Some(Value::String(s)) => Some(s),
+        _ => None,
+    }
+}
+
+impl JournalOp {
     /// Apply this operation to a live database, best-effort. WAL replay
     /// and the replica-set secondary apply path share this, so "what an
-    /// op means" is defined exactly once.
+    /// op means" is defined exactly once. It consumes the op: replay
+    /// inserts the document it decoded, not a copy of it.
     ///
     /// A failing op is *skipped*, never an error: the write-ahead seam
     /// journals before it applies, so the WAL legitimately contains
@@ -189,10 +381,10 @@ impl JournalOp {
     /// violation). Replay reaches the same pre-op state and the op fails
     /// the same deterministic way — propagating it would turn an
     /// ordinary rejected write into an unrecoverable store.
-    pub fn apply(&self, db: &Database) -> Result<()> {
+    pub fn apply(self, db: &Database) -> Result<()> {
         match self {
             JournalOp::Insert { collection, doc } => {
-                let _ = db.collection(collection).insert_one(doc.clone());
+                let _ = db.collection(&collection).insert_one(doc);
             }
             JournalOp::Update {
                 collection,
@@ -200,30 +392,30 @@ impl JournalOp {
                 update,
                 many,
             } => {
-                let _ = db.collection(collection).update(filter, update, *many);
+                let _ = db.collection(&collection).update(&filter, &update, many);
             }
             JournalOp::Delete {
                 collection,
                 filter,
                 many,
             } => {
-                let _ = db.collection(collection).delete(filter, *many);
+                let _ = db.collection(&collection).delete(&filter, many);
             }
             JournalOp::Clear { collection } => {
-                let _ = db.collection(collection).clear();
+                let _ = db.collection(&collection).clear();
             }
             JournalOp::CreateIndex {
                 collection,
                 path,
                 unique,
             } => {
-                let _ = db.collection(collection).create_index(path, *unique);
+                let _ = db.collection(&collection).create_index(&path, unique);
             }
             JournalOp::DropIndex { collection, path } => {
-                let _ = db.collection(collection).drop_index(path);
+                let _ = db.collection(&collection).drop_index(&path);
             }
             JournalOp::DropCollection { collection } => {
-                let _ = db.drop_collection(collection);
+                let _ = db.drop_collection(&collection);
             }
         }
         Ok(())
@@ -266,16 +458,14 @@ pub fn crc32(bytes: &[u8]) -> u32 {
     !c
 }
 
-/// Encode one WAL frame: `[len u32 LE][crc32 u32 LE][payload]`.
+/// Append one WAL frame to `buf`: `[len u32 LE][crc32 u32 LE][payload]`.
 ///
 /// This is the checksum-framing gate `mp-lint order` proves (O003):
 /// every byte the journal appends must pass through here.
-pub fn frame_record(payload: &[u8]) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(payload.len() + 8);
+pub fn frame_record(buf: &mut Vec<u8>, payload: &[u8]) {
     buf.extend_from_slice(&(payload.len() as u32).to_le_bytes());
     buf.extend_from_slice(&crc32(payload).to_le_bytes());
     buf.extend_from_slice(payload);
-    buf
 }
 
 /// Outcome of decoding the frame at one offset.
@@ -325,8 +515,8 @@ pub fn decode_frame(bytes: &[u8], off: usize) -> FrameDecode<'_> {
 // Group commit.
 // ---------------------------------------------------------------------
 
-/// State behind the sync lock: the WAL file handle to fsync (absent
-/// until the first append after open or checkpoint rotation).
+/// State behind the sync lock: the active generation's file handle to
+/// fsync (absent until the first append after open or after a seal).
 struct SyncState {
     file: Option<File>,
 }
@@ -338,10 +528,10 @@ struct SyncState {
 /// advances when an fsync returns. `sync_to(lsn)` is the barrier: it
 /// returns once `lsn` is durable, fsyncing at most once — the committer
 /// that wins the sync lock covers everyone queued behind it (their
-/// re-check sees `durable` already past their LSN). Checkpoint rotation
-/// resets the generation; a committer whose barrier straddles the
-/// rotation is already covered by the snapshot, which captured its
-/// applied op before truncating the WAL.
+/// re-check sees `durable` already past their LSN). Sealing a
+/// generation resets the counters; a committer whose barrier straddles
+/// the seal is already covered, because the seal fsynced the generation
+/// its frames are in before resetting.
 pub struct GroupCommit {
     inner: OrderedMutex<SyncState>,
     /// Bytes appended (flushed to the OS) in this WAL generation.
@@ -374,7 +564,7 @@ impl GroupCommit {
         self.durable.store(len, Ordering::SeqCst);
     }
 
-    /// Start a new generation (checkpoint rotated the WAL away).
+    /// Start a new generation (the previous one was sealed, fsynced).
     fn reset(&self) {
         let mut st = self.inner.lock();
         st.file = None;
@@ -408,8 +598,8 @@ impl GroupCommit {
             self.syncs.fetch_add(1, Ordering::Relaxed);
             self.durable.fetch_max(target, Ordering::SeqCst);
         }
-        // No file: the generation rotated under us, which means a
-        // checkpoint snapshot (itself fsynced) superseded this LSN.
+        // No file: the generation was sealed under us, and the seal
+        // fsynced it — this LSN included — before it reset the counters.
         Ok(())
     }
 
@@ -424,7 +614,7 @@ impl GroupCommit {
 }
 
 // ---------------------------------------------------------------------
-// Recovery report and the persister.
+// Recovery report, checkpoints and the persister.
 // ---------------------------------------------------------------------
 
 /// What recovery found and did, for callers that need more than the
@@ -433,6 +623,17 @@ impl GroupCommit {
 pub struct RecoveryReport {
     /// Documents loaded from `snapshot.jsonl`.
     pub snapshot_docs: usize,
+    /// The WAL generation the snapshot is stamped with — it contains
+    /// every effect of that generation and the ones before it. `None`
+    /// without a snapshot, or with one written before generations.
+    pub snapshot_gen: Option<u64>,
+    /// Sealed generations replayed: a checkpoint sealed them, and the
+    /// crash came before its snapshot was published.
+    pub sealed_replayed: usize,
+    /// Generation files discarded unread because the snapshot already
+    /// contains them: the crash came after a checkpoint's snapshot was
+    /// published and before the generation was retired.
+    pub generations_discarded: usize,
     /// WAL operations replayed.
     pub replayed_ops: usize,
     /// Description of a torn trailing frame that was skipped, when the
@@ -441,38 +642,169 @@ pub struct RecoveryReport {
     /// Description of a checksum-failed frame that truncated the replay
     /// point mid-file.
     pub corruption: Option<String>,
-    /// Byte offset of the end of the last good frame; the WAL is
-    /// physically truncated here so new appends start clean.
+    /// Byte offset of the end of the last good frame of the active
+    /// generation; the WAL is physically truncated here so new appends
+    /// start clean.
     pub replay_lsn: u64,
+}
+
+/// What a persister shares with the checkpoint it has in flight.
+#[derive(Default)]
+struct Flight {
+    /// A captured checkpoint has neither finished nor been abandoned.
+    busy: AtomicBool,
+    /// The highest generation a published snapshot covers.
+    published: AtomicU64,
+}
+
+/// A captured checkpoint: what [`Persister::capture`] took under the
+/// journal guard and the later steps need — no reference to the
+/// persister or the database, so they run with the guard released, on
+/// any thread. Dropping it (finished or abandoned) lets the next
+/// checkpoint start.
+pub struct Checkpoint {
+    dir: PathBuf,
+    /// The generation sealed by the capture: the snapshot will contain
+    /// every effect of it and of the generations before it.
+    covers: u64,
+    collections: Vec<Captured>,
+    flight: Arc<Flight>,
+}
+
+/// One collection as a checkpoint captured it.
+struct Captured {
+    name: String,
+    /// `(path, unique)` of its indexes, in creation order.
+    indexes: Vec<(String, bool)>,
+    /// Its document handles: the scan segment of its write generation.
+    docs: Arc<Segment>,
+}
+
+impl Drop for Checkpoint {
+    fn drop(&mut self) {
+        self.flight.busy.store(false, Ordering::SeqCst);
+    }
+}
+
+/// What [`Persister::begin_checkpoint`] found.
+pub(crate) enum Begin {
+    /// A threshold-triggered checkpoint is in flight: join it (with the
+    /// guard released) and look again.
+    InFlight(JoinHandle<Result<()>>),
+    /// The published snapshot already contains the whole log.
+    Covered,
+    /// Captured and sealed: write, publish, retire.
+    Captured(Checkpoint),
+}
+
+/// Frames staged past this many bytes go to the OS without waiting for
+/// the end of the commit, so a bulk load holds a bounded buffer.
+const STAGE_LIMIT: usize = 256 << 10;
+
+/// Snapshot text buffered per write.
+const SNAPSHOT_CHUNK: usize = 256 << 10;
+
+fn io_err(what: &str, e: std::io::Error) -> StoreError {
+    StoreError::Persistence(format!("{what}: {e}"))
+}
+
+/// Persist the directory's entries (a create, a rename).
+fn sync_dir(dir: &Path) -> Result<()> {
+    File::open(dir)
+        .and_then(|d| d.sync_all())
+        .map_err(|e| io_err("directory fsync", e))
+}
+
+fn snapshot_path(dir: &Path) -> PathBuf {
+    dir.join("snapshot.jsonl")
+}
+
+fn snapshot_tmp_path(dir: &Path) -> PathBuf {
+    dir.join("snapshot.jsonl.tmp")
+}
+
+fn sealed_path(dir: &Path, gen: u64) -> PathBuf {
+    dir.join(format!("journal.{gen}.sealed"))
+}
+
+/// The sealed generations in `dir`, oldest first.
+fn sealed_generations(dir: &Path) -> Result<Vec<(u64, PathBuf)>> {
+    let mut sealed = Vec::new();
+    for entry in std::fs::read_dir(dir).map_err(|e| io_err("wal directory", e))? {
+        let path = entry.map_err(|e| io_err("wal directory", e))?.path();
+        let gen = path.file_name().and_then(|n| n.to_str()).and_then(|n| {
+            n.strip_prefix("journal.")?
+                .strip_suffix(".sealed")?
+                .parse()
+                .ok()
+        });
+        if let Some(gen) = gen {
+            sealed.push((gen, path));
+        }
+    }
+    sealed.sort();
+    Ok(sealed)
 }
 
 /// Snapshot/WAL manager rooted at a directory.
 pub struct Persister {
     dir: PathBuf,
-    wal: Option<BufWriter<File>>,
-    /// Bytes in the current WAL generation (replayed + appended).
+    /// The active generation's file, opened by the first write to it.
+    wal: Option<File>,
+    /// Bytes in the active generation (replayed + handed to the OS).
     wal_len: u64,
+    /// The active generation's number; `journal.wal` starts with it.
+    gen: u64,
+    /// Frames of the commit in progress that the OS does not have yet.
+    staged: Vec<u8>,
+    /// Where a record is encoded before it is framed.
+    record: String,
     sync: Arc<GroupCommit>,
     /// Checkpoint once the WAL outgrows this many bytes
     /// ([`crate::durable::DurableOptions::compact_after_bytes`]).
     pub(crate) compact_after_bytes: Option<u64>,
+    flight: Arc<Flight>,
+    /// The thread finishing a threshold-triggered checkpoint.
+    worker: Option<JoinHandle<Result<()>>>,
 }
 
 /// The file WAL as a database's journal: one checksummed frame per op.
 impl JournalSink for Persister {
-    fn append_op(&mut self, op: &JournalOp) -> Result<(u64, bool)> {
-        let lsn = self.append_ops(std::slice::from_ref(op))?;
-        Ok((
-            lsn,
-            self.compact_after_bytes.is_some_and(|limit| lsn > limit),
-        ))
+    fn append_op(&mut self, op: JournalRef<'_>) -> Result<()> {
+        self.stage(&op)
     }
 
+    fn flush_appended(&mut self) -> Result<(u64, bool)> {
+        let lsn = self.write_staged()?;
+        Ok((lsn, self.checkpoint_due()))
+    }
+
+    /// Capture and seal here, under the guard; write, publish and
+    /// retire on a thread of their own. One checkpoint at a time: while
+    /// one is in flight the log just keeps growing, and the next commit
+    /// over the threshold asks again.
     fn maybe_checkpoint(&mut self, db: &Database) -> Result<()> {
-        match self.compact_after_bytes {
-            Some(limit) if self.wal_len > limit => self.snapshot(db),
-            _ => Ok(()),
+        if !self.checkpoint_due() {
+            return Ok(());
         }
+        self.join_worker()?;
+        let checkpoint = self.capture(db)?;
+        let worker = std::thread::Builder::new()
+            .name("mp-checkpoint".into())
+            .spawn(move || Persister::complete(checkpoint))
+            .map_err(|e| io_err("checkpoint thread", e))?;
+        self.worker = Some(worker);
+        Ok(())
+    }
+}
+
+impl Drop for Persister {
+    /// The last handle of the store is closing: let a checkpoint in
+    /// flight finish, so the directory is left with one snapshot and one
+    /// WAL. Its error, if any, has nobody left to go to; the sealed
+    /// generation it leaves behind replays on the next open.
+    fn drop(&mut self) {
+        let _ = self.join_worker();
     }
 }
 
@@ -486,13 +818,14 @@ impl Persister {
             dir,
             wal: None,
             wal_len: 0,
+            gen: 1,
+            staged: Vec::new(),
+            record: String::new(),
             sync: Arc::new(GroupCommit::new()),
             compact_after_bytes: None,
+            flight: Arc::default(),
+            worker: None,
         })
-    }
-
-    fn snapshot_path(&self) -> PathBuf {
-        self.dir.join("snapshot.jsonl")
     }
 
     fn wal_path(&self) -> PathBuf {
@@ -504,99 +837,254 @@ impl Persister {
         Arc::clone(&self.sync)
     }
 
-    /// Bytes in the current WAL generation (compaction trigger input).
+    /// Bytes in the active WAL generation (compaction trigger input).
     pub fn wal_len(&self) -> u64 {
         self.wal_len
     }
 
-    /// Write a full snapshot of `db` — index definitions first, then
-    /// every document — fsync it, and truncate the WAL.
-    pub fn snapshot(&mut self, db: &Database) -> Result<()> {
-        let tmp = self.dir.join("snapshot.jsonl.tmp");
-        {
-            let f = File::create(&tmp)
-                .map_err(|e| StoreError::Persistence(format!("snapshot: {e}")))?;
-            let mut w = BufWriter::new(f);
-            for name in db.collection_names() {
-                let coll = db.collection(&name);
-                // Index definitions precede the documents so unique
-                // constraints are enforced while the docs stream back in.
-                for (path, unique) in coll.index_specs() {
-                    let line = json!({"c": name, "idx": {"path": path, "unique": unique}});
-                    writeln!(w, "{line}")
-                        .map_err(|e| StoreError::Persistence(format!("snapshot write: {e}")))?;
-                }
-                for doc in coll.dump() {
-                    // `doc` is a shared Arc handle; borrow it into the
-                    // snapshot line rather than cloning the document.
-                    let line = json!({"c": name, "d": *doc});
-                    writeln!(w, "{line}")
-                        .map_err(|e| StoreError::Persistence(format!("snapshot write: {e}")))?;
-                }
-            }
-            w.flush()
-                .map_err(|e| StoreError::Persistence(format!("snapshot flush: {e}")))?;
-            // The rename only publishes a durable snapshot: sync the
-            // data before the name swap, or a crash could leave a named
-            // snapshot full of unwritten pages — and no WAL to cover it.
-            w.get_ref()
-                .sync_data()
-                .map_err(|e| StoreError::Persistence(format!("snapshot fsync: {e}")))?;
+    /// The active generation has outgrown the threshold and no
+    /// checkpoint is in flight to fold it.
+    fn checkpoint_due(&self) -> bool {
+        self.compact_after_bytes
+            .is_some_and(|limit| self.wal_len > limit)
+            && !self.flight.busy.load(Ordering::SeqCst)
+    }
+
+    /// Wait for the checkpoint thread, if there is one, and take its
+    /// result. Under the journal guard this is only called once the
+    /// thread has dropped its [`Checkpoint`], its last act.
+    fn join_worker(&mut self) -> Result<()> {
+        match self.worker.take() {
+            Some(worker) => join_checkpoint(worker),
+            None => Ok(()),
         }
-        std::fs::rename(&tmp, self.snapshot_path())
-            .map_err(|e| StoreError::Persistence(format!("snapshot rename: {e}")))?;
-        if let Ok(d) = File::open(&self.dir) {
-            let _ = d.sync_all(); // persist the rename itself
+    }
+
+    // ---- the commit side: stage, then one write ----
+
+    /// Encode `op` once, from the borrow, and stage its frame.
+    fn stage<S: AsRef<str>, V: Borrow<Value>>(&mut self, op: &JournalOp<S, V>) -> Result<()> {
+        self.record.clear();
+        op.encode(&mut self.record);
+        frame_record(&mut self.staged, self.record.as_bytes());
+        if self.staged.len() >= STAGE_LIMIT {
+            self.write_staged()?;
         }
-        // A new snapshot supersedes the WAL: start a fresh generation.
-        self.wal = None;
-        self.wal_len = 0;
-        self.sync.reset();
-        let _ = std::fs::remove_file(self.wal_path());
         Ok(())
     }
 
-    fn ensure_wal(&mut self) -> Result<&mut BufWriter<File>> {
-        if self.wal.is_none() {
-            let f = OpenOptions::new()
-                .create(true)
-                .append(true)
-                .open(self.wal_path())
-                .map_err(|e| StoreError::Persistence(format!("wal open: {e}")))?;
-            let dup = f
-                .try_clone()
-                .map_err(|e| StoreError::Persistence(format!("wal handle clone: {e}")))?;
-            self.sync.register(dup, self.wal_len);
-            self.wal = Some(BufWriter::new(f));
-        }
-        match self.wal.as_mut() {
-            Some(w) => Ok(w),
-            None => Err(StoreError::Persistence("wal writer unavailable".into())),
-        }
-    }
-
-    /// Append a batch of operations as checksummed frames and flush
-    /// them to the OS. Returns the LSN (byte offset past the batch) to
-    /// hand to [`GroupCommit::sync_to`] — the commit seam
-    /// ([`crate::journal`]) appends through this *before* applying the
-    /// op in memory.
-    pub fn append_ops(&mut self, ops: &[JournalOp]) -> Result<u64> {
-        if ops.is_empty() {
+    /// Hand the staged frames to the OS in one write — after the frame
+    /// that names the generation, if they are its first. Returns the
+    /// LSN (byte offset past them) to give [`GroupCommit::sync_to`].
+    fn write_staged(&mut self) -> Result<u64> {
+        if self.staged.is_empty() {
             return Ok(self.wal_len);
         }
-        let mut batch = Vec::new();
-        for op in ops {
-            batch.extend_from_slice(&frame_record(op.to_json().to_string().as_bytes()));
+        if self.wal.is_none() {
+            self.wal = Some(self.open_wal()?);
         }
-        let w = self.ensure_wal()?;
-        w.write_all(&batch)
-            .map_err(|e| StoreError::Persistence(format!("wal write: {e}")))?;
-        w.flush()
-            .map_err(|e| StoreError::Persistence(format!("wal flush: {e}")))?;
-        self.wal_len += batch.len() as u64;
+        let Some(wal) = self.wal.as_mut() else {
+            return Err(StoreError::Persistence("wal writer unavailable".into()));
+        };
+        if self.wal_len == 0 {
+            let mut header = Vec::new();
+            frame_record(
+                &mut header,
+                format!("{{\"op\":\"gen\",\"g\":{}}}", self.gen).as_bytes(),
+            );
+            wal.write_all(&header).map_err(|e| io_err("wal write", e))?;
+            self.wal_len = header.len() as u64;
+        }
+        wal.write_all(&self.staged)
+            .map_err(|e| io_err("wal write", e))?;
+        self.wal_len += self.staged.len() as u64;
+        self.staged.clear();
         self.sync.note_appended(self.wal_len);
         Ok(self.wal_len)
     }
+
+    /// Open the active generation for appending and give the barrier a
+    /// handle to it. A file this creates gets its name made durable
+    /// here — together with the rename that sealed its predecessor —
+    /// before any frame in it can be acknowledged.
+    fn open_wal(&mut self) -> Result<File> {
+        let path = self.wal_path();
+        let created = !path.exists();
+        let f = OpenOptions::new()
+            .create(true)
+            .append(true)
+            .open(path)
+            .map_err(|e| io_err("wal open", e))?;
+        if created {
+            sync_dir(&self.dir)?;
+        }
+        let dup = f.try_clone().map_err(|e| io_err("wal handle clone", e))?;
+        self.sync.register(dup, self.wal_len);
+        Ok(f)
+    }
+
+    /// Append a batch of operations as checksummed frames and hand them
+    /// to the OS. Returns the LSN (byte offset past the batch) to give
+    /// [`GroupCommit::sync_to`]. (The commit seam,
+    /// [`crate::journal`], stages each op *before* applying it in
+    /// memory; this is the same two steps for a caller that journals by
+    /// hand.)
+    pub fn append_ops(&mut self, ops: &[JournalOp]) -> Result<u64> {
+        for op in ops {
+            self.stage(op)?;
+        }
+        self.write_staged()
+    }
+
+    // ---- checkpoints: capture, write, publish, retire ----
+
+    /// Write a full snapshot of `db` and fold the WAL into it: the four
+    /// checkpoint steps, one after the other, on the caller.
+    pub fn snapshot(&mut self, db: &Database) -> Result<()> {
+        self.join_worker()?;
+        let checkpoint = self.capture(db)?;
+        Persister::complete(checkpoint)
+    }
+
+    /// What an explicit checkpoint should do, decided under the journal
+    /// guard (which the caller holds for this call only).
+    pub(crate) fn begin_checkpoint(&mut self, db: &Database) -> Result<Begin> {
+        if let Some(worker) = self.worker.take() {
+            return Ok(Begin::InFlight(worker));
+        }
+        // Every generation before the active one is in the published
+        // snapshot, and the active one is empty.
+        let published = self.flight.published.load(Ordering::SeqCst);
+        if self.wal_len == 0 && published + 1 >= self.gen {
+            return Ok(Begin::Covered);
+        }
+        self.capture(db).map(Begin::Captured)
+    }
+
+    /// Step 1, under the journal guard (`&mut self`): take each
+    /// collection's index definitions and document handles — the scan
+    /// segment of its write generation, one reference-count bump per
+    /// document if no scan has built it yet, one per collection if one
+    /// has — then seal the active WAL generation. Nothing is
+    /// serialized, and no commit runs meanwhile, so the handles are the
+    /// store exactly as of the seal.
+    pub fn capture(&mut self, db: &Database) -> Result<Checkpoint> {
+        if self.flight.busy.swap(true, Ordering::SeqCst) {
+            return Err(StoreError::Persistence(
+                "a checkpoint is already in flight".into(),
+            ));
+        }
+        let mut checkpoint = Checkpoint {
+            dir: self.dir.clone(),
+            covers: self.gen,
+            collections: Vec::new(),
+            flight: Arc::clone(&self.flight),
+        };
+        for name in db.collection_names() {
+            let (indexes, docs) = db.collection(&name).capture();
+            checkpoint.collections.push(Captured {
+                name,
+                indexes,
+                docs,
+            });
+        }
+        self.seal()?;
+        Ok(checkpoint)
+    }
+
+    /// Close the active generation: everything in it is fsynced and the
+    /// file renamed `journal.<gen>.sealed`, so frames appended from now
+    /// on belong to the next generation — none of them is acknowledged
+    /// before this fsync has returned.
+    fn seal(&mut self) -> Result<()> {
+        self.write_staged()?;
+        if self.wal_len > 0 {
+            let wal = match self.wal.take() {
+                Some(wal) => wal,
+                None => File::open(self.wal_path()).map_err(|e| io_err("wal open", e))?,
+            };
+            wal.sync_data().map_err(|e| io_err("wal seal fsync", e))?;
+            std::fs::rename(self.wal_path(), sealed_path(&self.dir, self.gen))
+                .map_err(|e| io_err("wal seal", e))?;
+        }
+        self.gen += 1;
+        self.wal_len = 0;
+        self.sync.reset();
+        Ok(())
+    }
+
+    /// Steps 2–4 in order; what a checkpoint thread runs.
+    pub(crate) fn complete(checkpoint: Checkpoint) -> Result<()> {
+        Persister::write(&checkpoint)?;
+        Persister::publish(&checkpoint)?;
+        Persister::retire(checkpoint)
+    }
+
+    /// Step 2, no guard held: serialize the captured handles into
+    /// `snapshot.jsonl.tmp` — the generation stamp, then per collection
+    /// its index definitions (so unique constraints are enforced while
+    /// the documents stream back in) and its documents.
+    pub fn write(checkpoint: &Checkpoint) -> Result<()> {
+        use serde_json::{write_compact, write_string};
+        let write_err = |e| io_err("snapshot write", e);
+        let mut file =
+            File::create(snapshot_tmp_path(&checkpoint.dir)).map_err(|e| io_err("snapshot", e))?;
+        let mut out = format!("{{\"gen\":{}}}\n", checkpoint.covers);
+        for captured in &checkpoint.collections {
+            let mut open = String::from("{\"c\":");
+            write_string(&mut open, &captured.name);
+            for (path, unique) in &captured.indexes {
+                out.push_str(&open);
+                out.push_str(",\"idx\":{\"path\":");
+                write_string(&mut out, path);
+                out.push_str(",\"unique\":");
+                out.push_str(if *unique { "true}}\n" } else { "false}}\n" });
+            }
+            open.push_str(",\"d\":");
+            for doc in captured.docs.docs() {
+                out.push_str(&open);
+                write_compact(&mut out, doc);
+                out.push_str("}\n");
+                if out.len() >= SNAPSHOT_CHUNK {
+                    file.write_all(out.as_bytes()).map_err(write_err)?;
+                    out.clear();
+                }
+            }
+        }
+        file.write_all(out.as_bytes()).map_err(write_err)
+    }
+
+    /// Step 3: make the written snapshot *the* snapshot. The rename
+    /// only publishes durable data: the file is fsynced before the name
+    /// swap, or a crash could leave a named snapshot full of unwritten
+    /// pages — and the sealed generation it replaces about to go.
+    pub fn publish(checkpoint: &Checkpoint) -> Result<()> {
+        let dir = &checkpoint.dir;
+        let tmp = snapshot_tmp_path(dir);
+        File::open(&tmp)
+            .and_then(|f| f.sync_all())
+            .map_err(|e| io_err("snapshot fsync", e))?;
+        std::fs::rename(&tmp, snapshot_path(dir)).map_err(|e| io_err("snapshot rename", e))?;
+        sync_dir(dir)?;
+        checkpoint
+            .flight
+            .published
+            .fetch_max(checkpoint.covers, Ordering::SeqCst);
+        Ok(())
+    }
+
+    /// Step 4: delete the sealed generations the published snapshot
+    /// contains (its own, and any an earlier failed checkpoint left).
+    pub fn retire(checkpoint: Checkpoint) -> Result<()> {
+        for (gen, path) in sealed_generations(&checkpoint.dir)? {
+            if gen <= checkpoint.covers {
+                std::fs::remove_file(path).map_err(|e| io_err("wal retire", e))?;
+            }
+        }
+        Ok(())
+    }
+
+    // ---- recovery ----
 
     /// Rebuild a database from snapshot + WAL replay. See
     /// [`Persister::recover_with_report`] for the bad-frame policy.
@@ -604,102 +1092,201 @@ impl Persister {
         self.recover_with_report().map(|(db, _)| db)
     }
 
-    /// Rebuild a database from snapshot + WAL replay, reporting what
-    /// was loaded.
+    /// Rebuild a database from the snapshot and the WAL generations it
+    /// does not contain, reporting what was loaded.
     ///
-    /// Each frame is checksum-verified ([`decode_frame`]) before its op
-    /// is applied. A frame running past end-of-file is a torn tail; a
+    /// Sealed generations above the snapshot's stamp replay oldest
+    /// first, then the active `journal.wal`; a generation at or below
+    /// the stamp is deleted unread (the checkpoint that covers it was
+    /// published but never got to retire it). In every file each frame
+    /// is checksum-verified ([`decode_frame`]) before its op is
+    /// applied. A frame running past end-of-file is a torn tail; a
     /// complete frame with a bad checksum is corruption; either one
-    /// truncates the replay point (and the file) at the last good
-    /// frame. A checksum-valid frame that fails to parse is a hard
-    /// error — the CRC proves the store wrote those bytes itself.
+    /// truncates the replay point (and the file) at the last good frame
+    /// and drops every later generation. A checksum-valid frame that
+    /// fails to parse is a hard error — the CRC proves the store wrote
+    /// those bytes itself.
     pub fn recover_with_report(&mut self) -> Result<(Database, RecoveryReport)> {
         let db = Database::new();
         let mut report = RecoveryReport::default();
-        if let Ok(f) = File::open(self.snapshot_path()) {
-            for line in BufReader::new(f).lines() {
-                let line =
-                    line.map_err(|e| StoreError::Persistence(format!("snapshot read: {e}")))?;
-                if line.trim().is_empty() {
-                    continue;
-                }
-                let v: Value = serde_json::from_str(&line)
-                    .map_err(|e| StoreError::Persistence(format!("snapshot parse: {e}")))?;
-                let cname = v["c"]
-                    .as_str()
-                    .ok_or_else(|| StoreError::Persistence("snapshot entry missing c".into()))?;
-                if let Some(idx) = v.get("idx") {
-                    let path = idx["path"].as_str().ok_or_else(|| {
-                        StoreError::Persistence("snapshot index entry missing path".into())
-                    })?;
-                    let unique = idx["unique"].as_bool().unwrap_or(false);
-                    db.collection(cname).create_index(path, unique)?;
-                } else {
-                    db.collection(cname).insert_one(v["d"].clone())?;
-                    report.snapshot_docs += 1;
-                }
+        // A checkpoint that never published: its sealed generation is
+        // still here, which is all that matters.
+        let _ = std::fs::remove_file(snapshot_tmp_path(&self.dir));
+        report.snapshot_gen = load_snapshot(&snapshot_path(&self.dir), &db, &mut report)?;
+        let covered = report.snapshot_gen.unwrap_or(0);
+        let mut newest = covered;
+        let mut intact = true;
+        for (gen, path) in sealed_generations(&self.dir)? {
+            if gen <= covered || !intact {
+                report.generations_discarded += usize::from(gen <= covered);
+                std::fs::remove_file(&path).map_err(|e| io_err("wal discard", e))?;
+                continue;
             }
+            let replay = replay_generation(&path, covered, &db, &mut report)?;
+            report.sealed_replayed += 1;
+            intact = replay.intact;
+            newest = gen;
         }
-        if let Ok(bytes) = std::fs::read(self.wal_path()) {
-            let mut off = 0usize;
-            while off < bytes.len() {
-                match decode_frame(&bytes, off) {
-                    FrameDecode::Frame { payload, next } => {
-                        let op = std::str::from_utf8(payload)
-                            .map_err(|e| StoreError::Persistence(format!("wal not UTF-8: {e}")))
-                            .and_then(|s| {
-                                serde_json::from_str::<Value>(s).map_err(|e| {
-                                    StoreError::Persistence(format!("wal not JSON: {e}"))
-                                })
-                            })
-                            .and_then(|v| JournalOp::from_json(&v))
-                            .map_err(|e| {
-                                StoreError::Persistence(format!(
-                                    "wal frame at byte {off} passed its checksum but failed to \
-                                     parse — the store wrote a bad record: {e}"
-                                ))
-                            })?;
-                        op.apply(&db)?;
-                        report.replayed_ops += 1;
-                        off = next;
-                    }
-                    FrameDecode::Torn(msg) => {
-                        let msg = format!("skipping torn wal tail: {msg}");
-                        eprintln!("mp-docstore: warning: {msg}");
-                        report.torn_tail = Some(msg);
-                        break;
-                    }
-                    FrameDecode::Corrupt(msg) => {
-                        let msg = format!("truncating wal replay at first corrupt frame: {msg}");
-                        eprintln!("mp-docstore: warning: {msg}");
-                        report.corruption = Some(msg);
-                        break;
-                    }
+        let active = self.wal_path();
+        if active.exists() {
+            // After a bad frame in a sealed generation the active one is
+            // not even read.
+            let replay = match intact {
+                true => Some(replay_generation(&active, covered, &db, &mut report)?),
+                false => None,
+            };
+            match replay {
+                Some(replay) if !replay.stale => {
+                    report.replay_lsn = replay.len;
+                    newest = newest.max(replay.gen.unwrap_or(0).saturating_sub(1));
                 }
-            }
-            report.replay_lsn = off as u64;
-            if (off as u64) < bytes.len() as u64 {
-                // Physically drop the bad tail so the next append does
-                // not bury a torn frame mid-file (where the next
-                // recovery would read it as corruption).
-                let f = OpenOptions::new()
-                    .write(true)
-                    .open(self.wal_path())
-                    .map_err(|e| StoreError::Persistence(format!("wal truncate open: {e}")))?;
-                f.set_len(off as u64)
-                    .map_err(|e| StoreError::Persistence(format!("wal truncate: {e}")))?;
-                f.sync_data()
-                    .map_err(|e| StoreError::Persistence(format!("wal truncate fsync: {e}")))?;
+                unread => {
+                    report.generations_discarded += usize::from(unread.is_some());
+                    std::fs::remove_file(&active).map_err(|e| io_err("wal discard", e))?;
+                }
             }
         }
         self.wal_len = report.replay_lsn;
+        self.gen = newest + 1;
+        self.flight.published.store(covered, Ordering::SeqCst);
         Ok((db, report))
     }
+}
+
+/// Wait for a checkpoint thread and take its result.
+pub(crate) fn join_checkpoint(worker: JoinHandle<Result<()>>) -> Result<()> {
+    worker
+        .join()
+        .unwrap_or_else(|_| Err(StoreError::Persistence("checkpoint thread panicked".into())))
+}
+
+/// Load `snapshot.jsonl` into `db`; returns its generation stamp.
+fn load_snapshot(path: &Path, db: &Database, report: &mut RecoveryReport) -> Result<Option<u64>> {
+    let Ok(f) = File::open(path) else {
+        return Ok(None);
+    };
+    let mut stamp = None;
+    for line in BufReader::new(f).lines() {
+        let line = line.map_err(|e| io_err("snapshot read", e))?;
+        if line.trim().is_empty() {
+            continue;
+        }
+        let Value::Object(mut v) = serde_json::from_str_value(&line)
+            .map_err(|e| StoreError::Persistence(format!("snapshot parse: {e}")))?
+        else {
+            return Err(StoreError::Persistence(
+                "snapshot entry is not an object".into(),
+            ));
+        };
+        if let Some(gen) = v.get("gen") {
+            stamp = gen.as_u64();
+            continue;
+        }
+        let cname = text_field(&mut v, "c")
+            .ok_or_else(|| StoreError::Persistence("snapshot entry missing c".into()))?;
+        if let Some(idx) = v.get("idx") {
+            let path = idx["path"].as_str().ok_or_else(|| {
+                StoreError::Persistence("snapshot index entry missing path".into())
+            })?;
+            let unique = idx["unique"].as_bool().unwrap_or(false);
+            db.collection(&cname).create_index(path, unique)?;
+        } else {
+            let doc = document_field(&mut v, "d");
+            db.collection(&cname).insert_one(doc)?;
+            report.snapshot_docs += 1;
+        }
+    }
+    Ok(stamp)
+}
+
+/// What replaying one generation file came to.
+struct Replay {
+    /// The generation its first frame names; `None` for a file written
+    /// before generations (always replayed).
+    gen: Option<u64>,
+    /// The snapshot already contains this generation: nothing applied.
+    stale: bool,
+    /// Bytes up to the end of the last good frame.
+    len: u64,
+    /// No torn or corrupt frame: later generations may replay.
+    intact: bool,
+}
+
+/// Replay one generation file into `db` — each frame verified before
+/// its op is applied — unless its first frame names a generation the
+/// snapshot (`covered`) already contains. A bad frame ends the replay
+/// and truncates the file there, so the next append does not bury a
+/// torn frame mid-file (where the next recovery would read it as
+/// corruption).
+fn replay_generation(
+    path: &Path,
+    covered: u64,
+    db: &Database,
+    report: &mut RecoveryReport,
+) -> Result<Replay> {
+    let bytes = std::fs::read(path).map_err(|e| io_err("wal read", e))?;
+    let mut replay = Replay {
+        gen: None,
+        stale: false,
+        len: 0,
+        intact: true,
+    };
+    let mut off = 0usize;
+    while off < bytes.len() {
+        match decode_frame(&bytes, off) {
+            FrameDecode::Frame { payload, next } => {
+                let record = Record::parse(payload).map_err(|e| {
+                    StoreError::Persistence(format!(
+                        "wal frame at byte {off} passed its checksum but failed to \
+                         parse — the store wrote a bad record: {e}"
+                    ))
+                })?;
+                match record {
+                    Record::Generation(gen) if off == 0 && gen <= covered => {
+                        replay.stale = true;
+                        return Ok(replay);
+                    }
+                    Record::Generation(gen) => replay.gen = replay.gen.or(Some(gen)),
+                    Record::Op(op) => {
+                        op.apply(db)?;
+                        report.replayed_ops += 1;
+                    }
+                }
+                off = next;
+            }
+            FrameDecode::Torn(msg) => {
+                let msg = format!("skipping torn wal tail: {msg}");
+                eprintln!("mp-docstore: warning: {msg}");
+                report.torn_tail = Some(msg);
+                replay.intact = false;
+                break;
+            }
+            FrameDecode::Corrupt(msg) => {
+                let msg = format!("truncating wal replay at first corrupt frame: {msg}");
+                eprintln!("mp-docstore: warning: {msg}");
+                report.corruption = Some(msg);
+                replay.intact = false;
+                break;
+            }
+        }
+    }
+    replay.len = off as u64;
+    if !replay.intact {
+        let f = OpenOptions::new()
+            .write(true)
+            .open(path)
+            .map_err(|e| io_err("wal truncate open", e))?;
+        f.set_len(replay.len)
+            .map_err(|e| io_err("wal truncate", e))?;
+        f.sync_data().map_err(|e| io_err("wal truncate fsync", e))?;
+    }
+    Ok(replay)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use serde_json::json;
 
     fn tmpdir(tag: &str) -> PathBuf {
         let d = std::env::temp_dir().join(format!("mp-docstore-test-{tag}-{}", std::process::id()));
@@ -716,7 +1303,8 @@ mod tests {
 
     #[test]
     fn frame_roundtrip() {
-        let frame = frame_record(b"hello");
+        let mut frame = Vec::new();
+        frame_record(&mut frame, b"hello");
         match decode_frame(&frame, 0) {
             FrameDecode::Frame { payload, next } => {
                 assert_eq!(payload, b"hello");
@@ -724,6 +1312,122 @@ mod tests {
             }
             _ => panic!("clean frame must decode"),
         }
+    }
+
+    /// The record a frame carries is the text `json!` rendered before
+    /// ops were encoded from a borrow, field for field — so a WAL
+    /// written by either decodes the same — and it decodes back to the
+    /// op, borrowed or owned.
+    #[test]
+    fn encoded_record_is_the_json_rendering_and_round_trips() {
+        let (doc, filter, update) = (
+            json!({"_id": "m\"1", "n": [1, 2.5, null], "s": {"k": "v\n"}}),
+            json!({"_id": {"$in": [1, 2]}}),
+            json!({"$inc": {"n": 5}}),
+        );
+        let cases: Vec<(JournalRef<'_>, Value)> = vec![
+            (
+                JournalOp::Insert {
+                    collection: "c\"x",
+                    doc: &doc,
+                },
+                json!({"op": "i", "c": "c\"x", "d": doc}),
+            ),
+            (
+                JournalOp::Update {
+                    collection: "c",
+                    filter: &filter,
+                    update: &update,
+                    many: false,
+                },
+                json!({"op": "u", "c": "c", "q": filter, "u": update, "m": false}),
+            ),
+            (
+                JournalOp::Delete {
+                    collection: "c",
+                    filter: &filter,
+                    many: true,
+                },
+                json!({"op": "d", "c": "c", "q": filter, "m": true}),
+            ),
+            (
+                JournalOp::Clear { collection: "c" },
+                json!({"op": "cl", "c": "c"}),
+            ),
+            (
+                JournalOp::CreateIndex {
+                    collection: "c",
+                    path: "a.b",
+                    unique: true,
+                },
+                json!({"op": "ci", "c": "c", "p": "a.b", "uq": true}),
+            ),
+            (
+                JournalOp::DropIndex {
+                    collection: "c",
+                    path: "a.b",
+                },
+                json!({"op": "di", "c": "c", "p": "a.b"}),
+            ),
+            (
+                JournalOp::DropCollection { collection: "c" },
+                json!({"op": "dc", "c": "c"}),
+            ),
+        ];
+        for (op, rendering) in cases {
+            let mut text = String::new();
+            op.encode(&mut text);
+            assert_eq!(text, rendering.to_string());
+            let owned = op.into_owned();
+            let mut again = String::new();
+            owned.encode(&mut again);
+            assert_eq!(again, text, "owned and borrowed ops encode alike");
+            match Record::parse(text.as_bytes()).unwrap() {
+                Record::Op(back) => assert_eq!(back, owned),
+                Record::Generation(_) => panic!("an op is not a generation frame"),
+            }
+        }
+    }
+
+    /// An explicit snapshot is the four steps; afterwards the directory
+    /// holds the stamped snapshot and nothing of the generation it
+    /// covers, and the next append opens the next generation.
+    #[test]
+    fn snapshot_stamps_the_generation_it_covers_and_retires_it() {
+        let dir = tmpdir("stamp");
+        let db = Database::new();
+        let mut p = Persister::open(&dir).unwrap();
+        p.append_ops(&[JournalOp::Insert {
+            collection: "c".into(),
+            doc: json!({"_id": 1}),
+        }])
+        .unwrap();
+        db.collection("c").insert_one(json!({"_id": 1})).unwrap();
+        p.snapshot(&db).unwrap();
+        let mut names: Vec<_> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().into_string().unwrap())
+            .collect();
+        names.sort();
+        assert_eq!(names, ["snapshot.jsonl"]);
+        assert_eq!(p.wal_len(), 0);
+        p.append_ops(&[JournalOp::Insert {
+            collection: "c".into(),
+            doc: json!({"_id": 2}),
+        }])
+        .unwrap();
+        let (rec, report) = Persister::open(&dir)
+            .unwrap()
+            .recover_with_report()
+            .unwrap();
+        assert_eq!(report.snapshot_gen, Some(1));
+        assert_eq!((report.snapshot_docs, report.replayed_ops), (1, 1));
+        assert_eq!(
+            (report.sealed_replayed, report.generations_discarded),
+            (0, 0)
+        );
+        assert_eq!(rec.collection("c").len(), 2);
+        let _ = std::fs::remove_dir_all(dir);
     }
 
     #[test]
@@ -926,15 +1630,8 @@ mod tests {
             }])
             .unwrap();
         // Simulate a crash mid-append: half a frame of a second insert.
-        let frame = frame_record(
-            JournalOp::Insert {
-                collection: "c".into(),
-                doc: json!({"_id": 2}),
-            }
-            .to_json()
-            .to_string()
-            .as_bytes(),
-        );
+        let mut frame = Vec::new();
+        frame_record(&mut frame, br#"{"op":"i","c":"c","d":{"_id":2}}"#);
         {
             let mut f = OpenOptions::new()
                 .append(true)
@@ -1053,7 +1750,7 @@ mod tests {
         drop(p);
         let path = dir.join("journal.wal");
         let mut bytes = std::fs::read(&path).unwrap();
-        bytes.extend_from_slice(&frame_record(b"{not a journal op}"));
+        frame_record(&mut bytes, b"{not a journal op}");
         std::fs::write(&path, &bytes).unwrap();
         let err = Persister::open(&dir).unwrap().recover().err();
         assert!(

@@ -13,12 +13,13 @@ use crate::collection::UpdateResult;
 use crate::database::Database;
 use crate::error::{Result, StoreError};
 use crate::journal::JournalSink;
-use crate::persist::JournalOp;
+use crate::persist::{JournalOp, JournalRef};
 use crate::query::Filter;
 use crate::value::{get_path, Docs};
 use mp_exec::WorkPool;
 use mp_sync::{LockRank, OrderedMutex};
 use serde_json::{json, Value};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Stable hash of a shard-key value.
@@ -39,6 +40,10 @@ pub struct ShardedCluster {
     shard_key: String,
     /// Router statistics: (targeted reads, scatter-gather reads).
     stats: OrderedMutex<(u64, u64)>,
+    /// Migration epoch: `rebalance` bumps it between a document's
+    /// insert at its destination and its delete at its source; a
+    /// scatter read that sees it move reads again.
+    migration_epoch: AtomicU64,
 }
 
 impl ShardedCluster {
@@ -56,15 +61,28 @@ impl ShardedCluster {
             shards,
             shard_key: shard_key.into(),
             stats: OrderedMutex::new(LockRank::ShardStats, (0, 0)),
+            migration_epoch: AtomicU64::new(0),
         }
     }
 
     /// Move every document whose shard key no longer hashes to its
     /// current shard (the cluster shape changed) onto the right one.
-    /// Returns how many documents moved. Each document is inserted at
-    /// its destination *before* being deleted at the source, so a
-    /// concurrent scatter-gather read sees it once or (transiently)
-    /// twice, never zero times.
+    /// Returns how many documents moved.
+    ///
+    /// Each document is inserted at its destination, the migration
+    /// epoch is bumped, and only then is it deleted at the source. A
+    /// scatter-gather `find`/`count` visits the shards in turn, so on
+    /// its own it could pass the destination before the insert and the
+    /// source after the delete and miss the document; it therefore
+    /// reads the epoch before and after picking its candidates and
+    /// reads again if it moved ([`Self::stable_read`]). A read that
+    /// keeps its result saw no source copy disappear meanwhile, so it
+    /// sees every document once or (a copy at each end) twice, never
+    /// zero times. Not covered: a read *targeted* by the shard key
+    /// routes to the new owner and misses a document that has not moved
+    /// yet, and a scatter `update_many` may update a source copy whose
+    /// duplicate was already taken — quiesce writers and targeted
+    /// readers around a rebalance.
     pub fn rebalance(&self, collection: &str) -> Result<usize> {
         // One migration job per source shard, scattered over the pool;
         // destinations are distinct Database instances, so concurrent
@@ -88,6 +106,7 @@ impl ShardedCluster {
                 self.shards[target]
                     .collection(collection)
                     .insert_one((*doc).clone())?;
+                self.migration_epoch.fetch_add(1, Ordering::SeqCst);
                 coll.delete_one(&json!({ "_id": id }))?;
                 moved += 1;
             }
@@ -111,6 +130,20 @@ impl ShardedCluster {
     /// (targeted, scatter-gather) read counts since creation.
     pub fn routing_stats(&self) -> (u64, u64) {
         *self.stats.lock()
+    }
+
+    /// Run `read` over the shards, again if a `rebalance` was about to
+    /// delete a source copy meanwhile. The delete follows the bump in
+    /// the mover's program order and the shard's lock orders it before
+    /// a read that misses the copy, so such a read sees the new epoch.
+    fn stable_read<T>(&self, read: impl Fn() -> T) -> T {
+        loop {
+            let epoch = self.migration_epoch.load(Ordering::SeqCst);
+            let out = read();
+            if self.migration_epoch.load(Ordering::SeqCst) == epoch {
+                return out;
+            }
+        }
     }
 
     fn shard_for(&self, key_value: &Value) -> &Database {
@@ -150,11 +183,12 @@ impl ShardedCluster {
         // into an intermediate union vector first. Output is
         // shard-major, identical to a shard-by-shard concatenation.
         let cf = parsed.compile();
-        let mut sets: Vec<_> = self
-            .shards
-            .iter()
-            .map(|s| s.collection(collection).candidates(&cf))
-            .collect();
+        let mut sets: Vec<_> = self.stable_read(|| {
+            self.shards
+                .iter()
+                .map(|s| s.collection(collection).candidates(&cf))
+                .collect()
+        });
         Ok(crate::collection::filter_matches(
             WorkPool::global(),
             &mut sets,
@@ -179,10 +213,12 @@ impl ShardedCluster {
         // its claiming worker), so the router pays O(workers) dispatch
         // rather than one boxed job per shard.
         let shards: Vec<&Database> = self.shards.iter().collect();
-        let counts = WorkPool::global().scatter_morsels(&shards, 1, |m| {
-            m.iter()
-                .map(|s| s.collection(collection).count_filter(&cf))
-                .sum::<usize>()
+        let counts = self.stable_read(|| {
+            WorkPool::global().scatter_morsels(&shards, 1, |m| {
+                m.iter()
+                    .map(|s| s.collection(collection).count_filter(&cf))
+                    .sum::<usize>()
+            })
         });
         Ok(counts.into_iter().sum())
     }
@@ -243,12 +279,17 @@ struct RouterState {
     secondary_reads: u64,
 }
 
-/// The in-memory oplog as the primary's journal: entry count is the
-/// LSN, nothing to fsync, and nothing is ever folded away (a lagging
-/// secondary may still need any suffix).
+/// The in-memory oplog as the primary's journal: it keeps each op, so
+/// it is the one sink that copies it; entry count is the LSN, nothing
+/// to fsync, and nothing is ever folded away (a lagging secondary may
+/// still need any suffix).
 impl JournalSink for Vec<JournalOp> {
-    fn append_op(&mut self, op: &JournalOp) -> Result<(u64, bool)> {
-        self.push(op.clone());
+    fn append_op(&mut self, op: JournalRef<'_>) -> Result<()> {
+        self.push(op.into_owned());
+        Ok(())
+    }
+
+    fn flush_appended(&mut self) -> Result<(u64, bool)> {
         Ok((self.len() as u64, false))
     }
 }
@@ -335,7 +376,7 @@ impl ReplicaSet {
             let from = applied[i];
             let to = (from + self.batch).min(oplog.len());
             for op in &oplog[from..to] {
-                op.apply(sec)?;
+                op.clone().apply(sec)?;
             }
             applied[i] = to;
             max_lag = max_lag.max(oplog.len() - to);

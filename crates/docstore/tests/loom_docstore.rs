@@ -126,11 +126,13 @@ fn collection_creation_race_yields_single_instance() {
     });
 }
 
-/// Cluster growth: rebalance migrates documents onto new shards while a
-/// scatter query runs. Rebalance inserts at the destination before
-/// deleting at the source, so a concurrent scatter may double-count but
-/// can never *under*-count; after the join the count is exact and every
-/// targeted read routes to exactly one copy.
+/// Cluster growth: rebalance migrates documents onto new shards while
+/// scatter queries run. Rebalance inserts at the destination, bumps the
+/// migration epoch, then deletes at the source, and a scatter reads
+/// again when the epoch moved under it — so it may double-count but can
+/// never *under*-count (visiting the destination before the insert and
+/// the source after the delete); after the join the count is exact and
+/// every targeted read routes to exactly one copy.
 #[test]
 fn shard_rebalance_vs_scatter_query() {
     const N: usize = 6;
@@ -156,6 +158,12 @@ fn shard_rebalance_vs_scatter_query() {
         assert!(
             during >= N,
             "scatter under-counted during rebalance: {during}"
+        );
+        let found = big.find("tasks", &json!({"i": {"$gte": 0}})).unwrap();
+        assert!(
+            found.len() >= N,
+            "scatter find missed a document during rebalance: {}",
+            found.len()
         );
         mover.join().unwrap();
 

@@ -3,9 +3,13 @@
 //! suite and double as the curated TSan subset: iteration counts are
 //! reduced under `--cfg tsan` so instrumented builds stay fast.
 
-use mp_docstore::{Database, FindOptions, ShardedCluster, SortDir, StoreError};
+use mp_docstore::{
+    Database, DurableDatabase, DurableOptions, FindOptions, ShardedCluster, SortDir, StoreError,
+};
 use serde_json::json;
 use std::collections::BTreeSet;
+use std::path::Path;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread;
 
@@ -237,4 +241,98 @@ fn column_scans_against_a_writer_see_only_states_it_passed_through() {
     let c = db.collection("rows");
     assert_eq!(c.count(&in_range).unwrap() as i64, n - n / 2);
     assert_eq!(c.count(&json!({"n": {"$gte": n}})).unwrap() as i64, n / 2);
+}
+
+/// Sealed WAL generations in `dir`: one is there from the moment a
+/// checkpoint has captured until it has retired.
+fn sealed_generations(dir: &Path) -> BTreeSet<String> {
+    std::fs::read_dir(dir)
+        .unwrap()
+        .map(|e| e.unwrap().file_name().into_string().unwrap())
+        .filter(|name| name.ends_with(".sealed"))
+        .collect()
+}
+
+/// Two threads commit through a store whose log keeps crossing its
+/// checkpoint threshold. A commit that finds the same sealed generation
+/// in the directory before it starts and after it is acknowledged ran
+/// wholly inside that checkpoint's flight — the writer was not stopped
+/// for it. Counted, not timed: the threads go on until enough such
+/// commits were seen. Then every handle is dropped with a checkpoint
+/// (most likely) still being written, and the directory must reopen to
+/// exactly what was acknowledged.
+#[test]
+fn commits_are_acknowledged_while_a_checkpoint_is_in_flight() {
+    const WANTED: usize = 16;
+    const GIVE_UP_AFTER: usize = 200_000;
+    let dir = std::env::temp_dir().join(format!("mp-stress-ckpt-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let store = DurableDatabase::open_with(
+        &dir,
+        DurableOptions {
+            fsync: false,
+            compact_after_bytes: Some(4096),
+        },
+    )
+    .unwrap();
+    // A body of documents, so a snapshot takes many commits to write.
+    let body = iters(4000);
+    store
+        .insert_many(
+            "body",
+            (0..body)
+                .map(|i| json!({"_id": i, "pad": "x".repeat(64)}))
+                .collect(),
+        )
+        .unwrap();
+
+    let in_flight = Arc::new(AtomicUsize::new(0));
+    let writers: Vec<_> = (0..2)
+        .map(|t| {
+            let (db, dir, in_flight) = (store.database().clone(), dir.clone(), in_flight.clone());
+            thread::spawn(move || {
+                let rows = db.collection("rows");
+                let mut acked = 0usize;
+                while in_flight.load(Ordering::SeqCst) < WANTED {
+                    assert!(acked < GIVE_UP_AFTER, "no commit overlapped a checkpoint");
+                    let before = sealed_generations(&dir);
+                    rows.insert_one(json!({"_id": format!("{t}-{acked}"), "n": acked}))
+                        .unwrap();
+                    acked += 1;
+                    if !before.is_disjoint(&sealed_generations(&dir)) {
+                        in_flight.fetch_add(1, Ordering::SeqCst);
+                    }
+                }
+                acked
+            })
+        })
+        .collect();
+    let acked: Vec<usize> = writers.into_iter().map(|w| w.join().unwrap()).collect();
+    assert!(in_flight.load(Ordering::SeqCst) >= WANTED);
+    drop(store);
+
+    // The last handle waited for the checkpoint in flight: one
+    // snapshot, at most the active generation beside it.
+    let left: Vec<String> = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|e| e.unwrap().file_name().into_string().unwrap())
+        .filter(|name| name != "journal.wal")
+        .collect();
+    assert_eq!(left, ["snapshot.jsonl"]);
+    let store = DurableDatabase::open(&dir).unwrap();
+    let db = store.database();
+    assert_eq!(db.collection("body").len(), body);
+    assert_eq!(db.collection("rows").len(), acked.iter().sum::<usize>());
+    for (t, &n) in acked.iter().enumerate() {
+        for k in 0..n {
+            assert!(
+                db.collection("rows")
+                    .get(&json!(format!("{t}-{k}")))
+                    .is_some(),
+                "acknowledged insert {t}-{k} lost"
+            );
+        }
+    }
+    drop(store);
+    let _ = std::fs::remove_dir_all(dir);
 }

@@ -17,8 +17,13 @@
 //! also write *after* recovery and reopen once more, proving the
 //! replay point is physically truncated — appending after a torn tail
 //! must not resurrect garbage between old and new frames.
+//!
+//! Then the checkpoint protocol: a checkpoint is stopped at every step
+//! boundary (capture → write → publish → retire), with writes
+//! acknowledged into the next WAL generation meanwhile, and every
+//! directory state must recover exactly the acknowledged state.
 
-use mp_docstore::{DurableDatabase, DurableOptions, Persister};
+use mp_docstore::{Database, DurableDatabase, DurableOptions, JournalOp, Persister};
 use serde_json::{json, Value};
 use std::path::{Path, PathBuf};
 
@@ -188,4 +193,298 @@ fn recovery_report_distinguishes_torn_tail_from_corruption() {
     for d in [base, work, work2] {
         let _ = std::fs::remove_dir_all(d);
     }
+}
+
+// ---------------------------------------------------------------------
+// The checkpoint protocol, stopped at every step boundary.
+// ---------------------------------------------------------------------
+
+/// Journal `op` and apply it to the live database, the way the commit
+/// seam does: once this returns the op is acknowledged.
+fn commit(p: &mut Persister, live: &Database, op: JournalOp) {
+    p.append_ops(std::slice::from_ref(&op)).unwrap();
+    op.apply(live).unwrap();
+}
+
+fn insert(id: u64, n: i64) -> JournalOp {
+    JournalOp::Insert {
+        collection: "c".into(),
+        doc: json!({"_id": id, "n": n}),
+    }
+}
+
+fn inc(id: u64, by: i64) -> JournalOp {
+    JournalOp::Update {
+        collection: "c".into(),
+        filter: json!({"_id": id}),
+        update: json!({"$inc": {"n": by}}),
+        many: false,
+    }
+}
+
+/// Every document of every collection, in a comparable order.
+type Contents = Vec<(String, Vec<String>)>;
+
+fn contents(db: &Database) -> Contents {
+    db.collection_names()
+        .into_iter()
+        .map(|name| {
+            let mut docs: Vec<String> = db
+                .collection(&name)
+                .dump()
+                .iter()
+                .map(|d| d.to_string())
+                .collect();
+            docs.sort();
+            (name, docs)
+        })
+        .collect()
+}
+
+fn file_names(dir: &Path) -> Vec<String> {
+    let mut names: Vec<String> = std::fs::read_dir(dir)
+        .unwrap()
+        .map(|e| e.unwrap().file_name().into_string().unwrap())
+        .collect();
+    names.sort();
+    names
+}
+
+/// What recovery must report for one crash point: the snapshot's
+/// stamp, sealed generations replayed, generations discarded.
+type Expect = (Option<u64>, usize, usize);
+
+#[test]
+fn crash_at_every_checkpoint_step_recovers_the_acknowledged_state() {
+    let dir = tmpdir("ckpt-live");
+    let live = Database::new();
+    let mut p = Persister::open(&dir).unwrap();
+    p.recover().unwrap();
+    live.collection("c").create_index("n", false).unwrap();
+    commit(
+        &mut p,
+        &live,
+        JournalOp::CreateIndex {
+            collection: "c".into(),
+            path: "n".into(),
+            unique: false,
+        },
+    );
+    // Generation 1: what the checkpoint will contain.
+    commit(&mut p, &live, insert(1, 0));
+    commit(&mut p, &live, inc(1, 5));
+    commit(&mut p, &live, insert(2, 100));
+
+    let mut states: Vec<(&str, PathBuf, Expect, Contents)> = Vec::new();
+    let mut crash_here = |tag: &'static str, expect: Expect, live: &Database| {
+        let copy = tmpdir(&format!("ckpt-{tag}"));
+        copy_dir(&dir, &copy);
+        states.push((tag, copy, expect, contents(live)));
+    };
+
+    // Step 1, capture: generation 1 is sealed, nothing appended since.
+    let checkpoint = p.capture(&live).unwrap();
+    assert_eq!(p.wal_len(), 0, "the seal starts an empty generation");
+    crash_here("sealed-empty-active", (None, 1, 0), &live);
+
+    // Commits go on while the checkpoint is in flight — acknowledged
+    // into generation 2. None of them is idempotent against the
+    // snapshot: a second replay of generation 1 under them, or a replay
+    // of them over a state missing generation 1, gives another `n`.
+    commit(&mut p, &live, inc(1, 7));
+    commit(&mut p, &live, inc(2, -1)); // the update half of insert(2)/inc(2)
+    commit(&mut p, &live, insert(3, 30));
+    commit(&mut p, &live, inc(3, 3));
+    crash_here("sealed-active", (None, 1, 0), &live);
+
+    // Step 2, write — stopped halfway, then complete but not renamed.
+    Persister::write(&checkpoint).unwrap();
+    let tmp = dir.join("snapshot.jsonl.tmp");
+    let whole = std::fs::read(&tmp).unwrap();
+    std::fs::write(&tmp, &whole[..whole.len() / 2]).unwrap();
+    crash_here("partial-tmp", (None, 1, 0), &live);
+    std::fs::write(&tmp, &whole).unwrap();
+    crash_here("complete-tmp", (None, 1, 0), &live);
+
+    // Step 3, publish: the snapshot is named, the sealed generation it
+    // covers is still there and must not replay over it.
+    Persister::publish(&checkpoint).unwrap();
+    assert!(dir.join("journal.1.sealed").exists());
+    commit(&mut p, &live, inc(1, 11));
+    crash_here("published-unretired", (Some(1), 0, 1), &live);
+
+    // Step 4, retire.
+    Persister::retire(checkpoint).unwrap();
+    assert_eq!(file_names(&dir), ["journal.wal", "snapshot.jsonl"]);
+    crash_here("retired", (Some(1), 0, 0), &live);
+
+    for (tag, copy, (stamp, replayed, discarded), acknowledged) in states {
+        let (db, report) = Persister::open(&copy)
+            .unwrap()
+            .recover_with_report()
+            .unwrap_or_else(|e| panic!("{tag}: recovery failed: {e}"));
+        assert_eq!(contents(&db), acknowledged, "{tag}: {report:?}");
+        assert_eq!(
+            db.collection("c").index_specs(),
+            vec![("n".to_string(), false)],
+            "{tag}"
+        );
+        assert_eq!(report.snapshot_gen, stamp, "{tag}: {report:?}");
+        assert_eq!(report.sealed_replayed, replayed, "{tag}: {report:?}");
+        assert_eq!(report.generations_discarded, discarded, "{tag}: {report:?}");
+        assert!(report.torn_tail.is_none() && report.corruption.is_none());
+        assert!(!copy.join("snapshot.jsonl.tmp").exists(), "{tag}");
+        // The recovered store takes writes and a full checkpoint, and
+        // is left with one snapshot and nothing else.
+        drop(db);
+        let d = DurableDatabase::open(&copy).unwrap();
+        d.insert_one("c", json!({"_id": 99, "n": 0})).unwrap();
+        d.checkpoint().unwrap();
+        assert_eq!(file_names(&copy), ["snapshot.jsonl"], "{tag}");
+        drop(d);
+        let again = DurableDatabase::open(&copy).unwrap();
+        assert_eq!(
+            again.database().collection("c").len(),
+            acknowledged[0].1.len() + 1,
+            "{tag}"
+        );
+        let _ = std::fs::remove_dir_all(copy);
+    }
+    let _ = std::fs::remove_dir_all(dir);
+}
+
+/// The seal fsyncs a generation before its successor's first frame can
+/// be acknowledged, so a torn sealed generation is media damage, not a
+/// crash. Recovery must then stop there: ops of the active generation
+/// were acknowledged on top of the *whole* sealed one and may not
+/// replay against less.
+#[test]
+fn torn_sealed_generation_never_lets_the_active_one_replay() {
+    let dir = tmpdir("torn-sealed");
+    let live = Database::new();
+    let mut p = Persister::open(&dir).unwrap();
+    commit(&mut p, &live, insert(1, 0));
+    let kept = p.wal_len();
+    commit(&mut p, &live, inc(1, 5));
+    let _in_flight = p.capture(&live).unwrap();
+    commit(&mut p, &live, inc(1, 7));
+
+    let sealed = dir.join("journal.1.sealed");
+    let len = std::fs::metadata(&sealed).unwrap().len();
+    let f = std::fs::OpenOptions::new()
+        .write(true)
+        .open(&sealed)
+        .unwrap();
+    f.set_len(len - 3).unwrap();
+    drop(f);
+
+    let (db, report) = Persister::open(&dir)
+        .unwrap()
+        .recover_with_report()
+        .unwrap();
+    assert!(report.torn_tail.is_some(), "{report:?}");
+    assert_eq!(
+        db.collection("c").get(&json!(1)).unwrap()["n"],
+        json!(0),
+        "the $inc 7 of the active generation replayed without the $inc 5 under it"
+    );
+    assert_eq!(report.replayed_ops, 1);
+    assert_eq!(std::fs::metadata(&sealed).unwrap().len(), kept);
+    assert!(!dir.join("journal.wal").exists());
+    let _ = std::fs::remove_dir_all(dir);
+}
+
+/// The bug the generation stamp fixes. Before it, a crash after the
+/// snapshot's rename and before the WAL's removal recovered the *new*
+/// snapshot and then replayed the *whole old* WAL over it: `n` read 10.
+#[test]
+fn old_wal_left_beside_a_newer_snapshot_is_not_replayed_over_it() {
+    let dir = tmpdir("stale-wal");
+    let d = DurableDatabase::open(&dir).unwrap();
+    d.insert_one("c", json!({"_id": 1, "n": 0})).unwrap();
+    d.update_one("c", &json!({"_id": 1}), &json!({"$inc": {"n": 5}}))
+        .unwrap();
+    let old_wal = std::fs::read(dir.join("journal.wal")).unwrap();
+    d.checkpoint().unwrap();
+    drop(d);
+    std::fs::write(dir.join("journal.wal"), old_wal).unwrap();
+
+    let (db, report) = Persister::open(&dir)
+        .unwrap()
+        .recover_with_report()
+        .unwrap();
+    assert_eq!(db.collection("c").get(&json!(1)).unwrap()["n"], json!(5));
+    assert_eq!(report.snapshot_gen, Some(1));
+    assert_eq!(
+        (report.replayed_ops, report.generations_discarded),
+        (0, 1),
+        "{report:?}"
+    );
+    // And through the front door, with a write after it.
+    let d = DurableDatabase::open(&dir).unwrap();
+    d.update_one("c", &json!({"_id": 1}), &json!({"$inc": {"n": 1}}))
+        .unwrap();
+    drop(d);
+    let d = DurableDatabase::open(&dir).unwrap();
+    assert_eq!(
+        d.database().collection("c").get(&json!(1)).unwrap()["n"],
+        json!(6)
+    );
+    let _ = std::fs::remove_dir_all(dir);
+}
+
+/// A directory written before generations existed — an unstamped
+/// snapshot, a WAL whose first frame is an op — opens as it always did:
+/// snapshot, then the whole WAL over it.
+#[test]
+fn unstamped_directory_opens_as_before() {
+    let dir = tmpdir("legacy");
+    std::fs::create_dir_all(&dir).unwrap();
+    std::fs::write(
+        dir.join("snapshot.jsonl"),
+        concat!(
+            r#"{"c":"c","idx":{"path":"n","unique":false}}"#,
+            "\n",
+            r#"{"c":"c","d":{"_id":1,"n":5}}"#,
+            "\n"
+        ),
+    )
+    .unwrap();
+    let mut wal = Vec::new();
+    for record in [
+        r#"{"op":"u","c":"c","q":{"_id":1},"u":{"$inc":{"n":5}},"m":false}"#,
+        r#"{"op":"i","c":"c","d":{"_id":2,"n":1}}"#,
+    ] {
+        mp_docstore::persist::frame_record(&mut wal, record.as_bytes());
+    }
+    std::fs::write(dir.join("journal.wal"), &wal).unwrap();
+
+    let (db, report) = Persister::open(&dir)
+        .unwrap()
+        .recover_with_report()
+        .unwrap();
+    assert_eq!(report.snapshot_gen, None);
+    assert_eq!((report.snapshot_docs, report.replayed_ops), (1, 2));
+    assert_eq!(report.replay_lsn, wal.len() as u64);
+    assert_eq!(db.collection("c").get(&json!(1)).unwrap()["n"], json!(10));
+    assert_eq!(db.collection("c").len(), 2);
+    drop(db);
+
+    // It keeps working as a store: append to the old WAL, checkpoint
+    // into the stamped format, reopen.
+    let d = DurableDatabase::open(&dir).unwrap();
+    d.insert_one("c", json!({"_id": 3, "n": 0})).unwrap();
+    drop(d);
+    let d = DurableDatabase::open(&dir).unwrap();
+    assert_eq!(d.database().collection("c").len(), 3);
+    d.checkpoint().unwrap();
+    assert_eq!(file_names(&dir), ["snapshot.jsonl"]);
+    drop(d);
+    let d = DurableDatabase::open(&dir).unwrap();
+    assert_eq!(d.database().collection("c").len(), 3);
+    assert_eq!(
+        d.database().collection("c").index_specs(),
+        vec![("n".to_string(), false)]
+    );
+    let _ = std::fs::remove_dir_all(dir);
 }

@@ -120,7 +120,7 @@ impl EffectConfig {
         EffectConfig {
             mutation_fns: FnRef::list(&["raw_apply"]),
             bump_fns: FnRef::list(&["Collection::bump_version"]),
-            journal_fns: FnRef::list(&["Persister::append_ops", "Persister::snapshot"]),
+            journal_fns: FnRef::list(&["Persister::stage", "Persister::write_staged"]),
         }
     }
 }

@@ -103,19 +103,30 @@ pub struct OrderConfig {
 }
 
 impl OrderConfig {
-    /// The Materials Project workspace defaults: `Persister::append_ops`
-    /// is the journal seam, `frame_record`/`decode_frame` the checksum
-    /// framing gate, `GroupCommit::sync_to` the group-commit barrier,
-    /// `JournalOp::apply` the replay application,
-    /// `Persister::recover_with_report` the recovery entry point,
+    /// The Materials Project workspace defaults: `Persister::stage`
+    /// (encode and frame one op into the commit's buffer) and
+    /// `Persister::write_staged` (hand the buffer to the OS, and frame a
+    /// new generation's header on the way) are the journal seam,
+    /// `frame_record`/`decode_frame` the checksum framing gate,
+    /// `GroupCommit::sync_to` the group-commit barrier — with the two
+    /// checkpoint steps that fsync, `Persister::seal` and
+    /// `Persister::publish`, so O004 keeps them out of per-operation
+    /// loops too — `JournalOp::apply` the replay application,
+    /// `Persister::recover_with_report` the recovery entry point (it
+    /// replays sealed and active generations through one
+    /// verify-then-apply helper),
     /// `raw_apply` (the one function that write-locks store state)
     /// mutates, and `Shared` — whose `commit` is the one function that
     /// sequences an append and an apply — is the write-ahead surface.
     pub fn materials_project_defaults() -> Self {
         OrderConfig {
-            journal_fns: FnRef::list(&["Persister::append_ops"]),
+            journal_fns: FnRef::list(&["Persister::stage", "Persister::write_staged"]),
             frame_fns: FnRef::list(&["frame_record"]),
-            barrier_fns: FnRef::list(&["GroupCommit::sync_to"]),
+            barrier_fns: FnRef::list(&[
+                "GroupCommit::sync_to",
+                "Persister::seal",
+                "Persister::publish",
+            ]),
             verify_fns: FnRef::list(&["decode_frame"]),
             apply_fns: FnRef::list(&["JournalOp::apply"]),
             recovery_fns: FnRef::list(&["Persister::recover_with_report"]),

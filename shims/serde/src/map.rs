@@ -28,6 +28,11 @@ impl Map<String, Value> {
         }
     }
 
+    /// Drop the spare capacity insertion left behind.
+    pub fn shrink_to_fit(&mut self) {
+        self.entries.shrink_to_fit();
+    }
+
     /// Number of entries.
     pub fn len(&self) -> usize {
         self.entries.len()
