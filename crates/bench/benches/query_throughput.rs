@@ -188,7 +188,7 @@ fn bench_scale(n: usize, reps: usize) -> Value {
             let (rows, hit) = primed
                 .query_cached("materials", &collscan_filter, &[], None)
                 .unwrap();
-            assert!(hit && !rows.is_empty());
+            assert!(hit && !rows.docs().is_empty());
         }));
         t_hit.push(
             time_us(|| {
@@ -196,7 +196,7 @@ fn bench_scale(n: usize, reps: usize) -> Value {
                     let (rows, hit) = primed
                         .query_cached("materials", &collscan_filter, &[], None)
                         .unwrap();
-                    assert!(hit && !rows.is_empty());
+                    assert!(hit && !rows.docs().is_empty());
                 }
             }) / f64::from(HIT_BURST),
         );

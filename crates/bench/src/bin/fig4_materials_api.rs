@@ -52,7 +52,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let resp = api.handle(&ApiRequest::get(uri));
     println!("GET {uri}");
-    println!("-> {}", serde_json::to_string_pretty(&resp.body)?);
+    println!("-> {}", serde_json::to_string_pretty(&resp.body())?);
     assert_eq!(resp.status, 200);
     let energy = resp.payload()[0]["output"]["energy"].as_f64().unwrap();
     println!("\ncalculated energy of Fe2O3: {energy:.3} eV/cell");
@@ -72,7 +72,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     // Results are JSON "that can easily be consumed by other software":
-    let as_json: serde_json::Value = resp.body;
+    let as_json: serde_json::Value = resp.body();
     assert!(as_json["valid_response"].as_bool().unwrap());
     let _ = json!({"consumed_by": "pymatgen-equivalent tooling"});
     Ok(())

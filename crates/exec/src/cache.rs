@@ -11,7 +11,9 @@
 //! writers never touch the cache, yet a hit can never serve data from
 //! before the last write. Eviction is FIFO by insertion order, which is
 //! enough for the bounded-memory guarantee without an access-order list
-//! on the (hot) probe path.
+//! on the (hot) probe path. No entry is freed under the cache's lock:
+//! `get`, `put` and `clear` move what they remove out of the guard's
+//! scope first, so dropping a large result never stalls another probe.
 
 use mp_sync::{LockRank, OrderedMutex};
 use std::collections::{BTreeMap, VecDeque};
@@ -74,62 +76,65 @@ impl<V: Clone> QueryCache<V> {
     /// generation is removed (counted as an invalidation) and reported
     /// as a miss.
     pub fn get(&self, key: &str, generation: u64) -> Option<V> {
-        enum Probe<V> {
-            Hit(V),
-            Stale,
-            Empty,
-        }
-        let mut st = self.state.lock();
-        let probe = match st.map.get(key) {
-            Some(e) if e.generation == generation => Probe::Hit(e.value.clone()),
-            Some(_) => Probe::Stale,
-            None => Probe::Empty,
+        // The guard lives in the inner block only: a stale entry is
+        // moved out of it and freed after the lock is released.
+        let (found, _stale) = {
+            let mut st = self.state.lock();
+            match st.map.get(key) {
+                Some(e) if e.generation == generation => {
+                    let value = e.value.clone();
+                    st.hits += 1;
+                    (Some(value), None)
+                }
+                Some(_) => {
+                    let stale = st.map.remove(key);
+                    st.order.retain(|k| k != key);
+                    st.invalidations += 1;
+                    st.misses += 1;
+                    (None, stale)
+                }
+                None => {
+                    st.misses += 1;
+                    (None, None)
+                }
+            }
         };
-        match probe {
-            Probe::Hit(v) => {
-                st.hits += 1;
-                Some(v)
-            }
-            Probe::Stale => {
-                st.map.remove(key);
-                st.order.retain(|k| k != key);
-                st.invalidations += 1;
-                st.misses += 1;
-                None
-            }
-            Probe::Empty => {
-                st.misses += 1;
-                None
-            }
-        }
+        found
     }
 
     /// Store `value` for `key` as of `generation`, evicting the oldest
     /// entries if the cache is over capacity.
     pub fn put(&self, key: String, generation: u64, value: V) {
-        let mut st = self.state.lock();
-        if st
-            .map
-            .insert(key.clone(), Entry { generation, value })
-            .is_none()
-        {
-            st.order.push_back(key);
-        }
-        while st.map.len() > self.capacity {
-            let Some(oldest) = st.order.pop_front() else {
-                break;
-            };
-            if st.map.remove(&oldest).is_some() {
-                st.evictions += 1;
+        // As in `get`: what this call replaces or evicts is dropped once
+        // the guard is gone — one client evicting a 10,000-row result
+        // must not stall every other client's probe while it is freed.
+        let _removed = {
+            let mut removed = Vec::new();
+            let mut st = self.state.lock();
+            match st.map.insert(key.clone(), Entry { generation, value }) {
+                Some(replaced) => removed.push(replaced),
+                None => st.order.push_back(key),
             }
-        }
+            while st.map.len() > self.capacity {
+                let Some(oldest) = st.order.pop_front() else {
+                    break;
+                };
+                if let Some(evicted) = st.map.remove(&oldest) {
+                    st.evictions += 1;
+                    removed.push(evicted);
+                }
+            }
+            removed
+        };
     }
 
     /// Drop every entry (counters are preserved).
     pub fn clear(&self) {
-        let mut st = self.state.lock();
-        st.map.clear();
-        st.order.clear();
+        let _removed = {
+            let mut st = self.state.lock();
+            st.order.clear();
+            std::mem::take(&mut st.map)
+        };
     }
 
     /// Snapshot of the usage counters.
@@ -219,5 +224,53 @@ mod tests {
         assert_eq!(st.hits, 1);
         assert_eq!(st.misses, 1);
         assert_eq!(st.len, 0);
+    }
+
+    /// A value whose `Drop` re-takes the cache's lock. If any path
+    /// freed an entry under the guard this would trip the rank check
+    /// (debug) or self-deadlock (release).
+    #[derive(Clone)]
+    struct Reentrant {
+        cache: std::sync::Weak<QueryCache<Reentrant>>,
+        drops: std::sync::Arc<std::sync::atomic::AtomicUsize>,
+    }
+
+    impl Drop for Reentrant {
+        fn drop(&mut self) {
+            if let Some(cache) = self.cache.upgrade() {
+                let _ = cache.stats();
+            }
+            self.drops
+                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        }
+    }
+
+    #[test]
+    fn entries_are_freed_outside_the_lock() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        use std::sync::Arc;
+        let cache = Arc::new(QueryCache::new(1));
+        let drops = Arc::new(AtomicUsize::new(0));
+        let value = || Reentrant {
+            cache: Arc::downgrade(&cache),
+            drops: Arc::clone(&drops),
+        };
+        cache.put("a".into(), 0, value());
+        // Replaced by a newer generation of the same key.
+        cache.put("a".into(), 1, value());
+        assert_eq!(drops.load(Ordering::Relaxed), 1);
+        // Evicted by `put` at capacity.
+        cache.put("b".into(), 0, value());
+        assert_eq!(drops.load(Ordering::Relaxed), 2);
+        assert_eq!(cache.stats().evictions, 1);
+        // Invalidated by a `get` at a newer generation.
+        assert!(cache.get("b", 1).is_none());
+        assert_eq!(drops.load(Ordering::Relaxed), 3);
+        assert_eq!(cache.stats().invalidations, 1);
+        // Dropped by `clear`.
+        cache.put("c".into(), 0, value());
+        cache.clear();
+        assert_eq!(drops.load(Ordering::Relaxed), 4);
+        assert_eq!(cache.stats().len, 0);
     }
 }

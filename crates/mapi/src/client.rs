@@ -7,7 +7,7 @@
 //! over [`crate::MaterialsApi`] that fetches structures, entries, and
 //! spectra ready for the analysis tools — pymatgen's `MPRester`.
 
-use crate::rest::{ApiRequest, MaterialsApi};
+use crate::rest::{ApiRequest, ApiResponse, MaterialsApi};
 use mp_matsci::analysis::phase_diagram::PdEntry;
 use mp_matsci::{Composition, Structure};
 use serde_json::{json, Value};
@@ -74,14 +74,28 @@ impl<'a> MpClient<'a> {
         r
     }
 
-    fn expect_ok(resp: crate::rest::ApiResponse) -> Result<Value, ClientError> {
+    /// The response itself once its status is checked: callers borrow
+    /// the payload or take it by value, so a client call copies rows at
+    /// most once — when they are shared with the server's cache.
+    fn expect_ok(resp: ApiResponse) -> Result<ApiResponse, ClientError> {
         if resp.status != 200 {
             return Err(ClientError::Api {
                 status: resp.status,
-                message: resp.body["error"].as_str().unwrap_or("unknown").to_string(),
+                message: resp.body()["error"]
+                    .as_str()
+                    .unwrap_or("unknown")
+                    .to_string(),
             });
         }
-        Ok(resp.payload().clone())
+        Ok(resp)
+    }
+
+    /// The rows of a checked response, by value.
+    fn expect_rows(resp: ApiResponse) -> Result<Vec<Value>, ClientError> {
+        match Self::expect_ok(resp)?.into_payload() {
+            Value::Array(rows) => Ok(rows),
+            _ => Err(ClientError::Malformed("expected array payload".into())),
+        }
     }
 
     /// Fetch the full materials documents for an identifier (mp-id,
@@ -90,11 +104,7 @@ impl<'a> MpClient<'a> {
         let resp = self
             .api
             .handle(&self.request(&format!("/rest/v1/materials/{identifier}")));
-        let payload = Self::expect_ok(resp)?;
-        payload
-            .as_array()
-            .cloned()
-            .ok_or_else(|| ClientError::Malformed("expected array payload".into()))
+        Self::expect_rows(resp)
     }
 
     /// Fetch one material's structure, ready for local analysis.
@@ -119,8 +129,9 @@ impl<'a> MpClient<'a> {
             &criteria,
             &["formula", "energy_per_atom", "elements"],
         );
-        let payload = Self::expect_ok(resp)?;
-        let docs = payload
+        let resp = Self::expect_ok(resp)?;
+        let docs = resp
+            .payload()
             .as_array()
             .ok_or_else(|| ClientError::Malformed("expected array".into()))?;
         let mut entries = Vec::new();
@@ -160,11 +171,7 @@ impl<'a> MpClient<'a> {
             criteria,
             properties,
         );
-        let payload = Self::expect_ok(resp)?;
-        payload
-            .as_array()
-            .cloned()
-            .ok_or_else(|| ClientError::Malformed("expected array".into()))
+        Self::expect_rows(resp)
     }
 }
 

@@ -6,13 +6,18 @@
 //! in a single central place. ... Because all queries go through the
 //! QueryEngine abstraction layer, all queries are sanitized and cannot
 //! access the database directly."
+//!
+//! Reads go through a result cache whose entries ([`CachedRows`]) hold
+//! the document handles a miss computed and, from the entry's first hit
+//! on, the one response array all its hits share: from the probe to the
+//! response body a hit copies `Arc`s, never documents.
 
 use mp_docstore::{Database, Docs, FindOptions, Result, StoreError};
 use mp_exec::{CacheStats, QueryCache};
 use mp_lint::{CollectionSchema, Diagnostic};
 use serde_json::{Map, Value};
 use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// How many documents schema inference samples per collection.
 const SCHEMA_SAMPLE: usize = 256;
@@ -83,6 +88,55 @@ fn push_json_string(s: &str, out: &mut String) {
     out.push('"');
 }
 
+/// One cached result: the document handles a miss computed and, once the
+/// entry has been hit, the response array every later hit shares.
+///
+/// The array is built by the *first hit*, not by the miss that stores
+/// the entry: an entry that is never asked for twice (an exploratory
+/// scan, a bulk pull) costs the handles alone, exactly as before, and
+/// its one response is the caller's private copy, freed when the caller
+/// drops it rather than whenever the cache evicts (DESIGN §9, "Entry
+/// shape"). What an entry can pin is bounded by what bounded it before —
+/// the route's row cap — at most doubled once it has been hit.
+#[derive(Debug)]
+pub struct CachedRows {
+    docs: Docs,
+    array: OnceLock<Arc<Value>>,
+}
+
+impl CachedRows {
+    fn new(docs: Docs) -> Self {
+        CachedRows {
+            docs,
+            array: OnceLock::new(),
+        }
+    }
+
+    /// The result rows as shared handles into the store.
+    pub fn docs(&self) -> &Docs {
+        &self.docs
+    }
+
+    /// Materialize the rows into an owned JSON array. This is the
+    /// serialization boundary: the one place on the read path where
+    /// documents are deep-copied, because a response body must own its
+    /// bytes. A miss calls it for its private response, [`shared_json`]
+    /// once per entry.
+    ///
+    /// [`shared_json`]: Self::shared_json
+    pub fn to_json(&self) -> Value {
+        Value::Array(self.docs.iter().map(|d| (**d).clone()).collect()) // mp-lint: allow(P002)
+    }
+
+    /// The response array of this entry, shared: the first call builds
+    /// it with [`to_json`](Self::to_json) — callers racing to be first
+    /// wait on the cell and one copy is made — and every later call is a
+    /// reference-count bump, whatever the row count.
+    pub fn shared_json(&self) -> Arc<Value> {
+        Arc::clone(self.array.get_or_init(|| Arc::new(self.to_json())))
+    }
+}
+
 /// Central query gateway with aliasing and sanitization.
 pub struct QueryEngine {
     db: Database,
@@ -96,8 +150,8 @@ pub struct QueryEngine {
     max_depth: usize,
     /// Read-through result cache, invalidated by collection version.
     /// Rows are shared `Arc<Document>` handles: a hit hands back the
-    /// cached result set without copying a single document.
-    cache: QueryCache<Arc<Docs>>,
+    /// cached entry without copying a single document.
+    cache: QueryCache<Arc<CachedRows>>,
 }
 
 impl QueryEngine {
@@ -276,11 +330,11 @@ impl QueryEngine {
     ) -> Result<Docs> {
         let (rows, _cached) = self.query_cached(collection, criteria, properties, limit)?;
         // Cloning `Docs` copies Arc handles, not documents.
-        Ok(rows.as_ref().clone())
+        Ok(rows.docs().clone())
     }
 
     /// Like [`query`](Self::query), but read-through the result cache:
-    /// returns the (shared) result rows plus whether they were served
+    /// returns the (shared) cache entry plus whether it was served
     /// from the cache. A cache hit is only possible while the backing
     /// collection's version counter is unchanged since the entry was
     /// stored — every write bumps it, so hits never serve pre-write
@@ -296,15 +350,17 @@ impl QueryEngine {
     /// filter object and walks it through the static analyzer on every
     /// call, allocation churn that used to scale a "hit" with the size
     /// of whatever scan ran before it. A hit now touches one small key
-    /// buffer, one version load, and one cache probe — it clones `Arc`
-    /// handles, never documents.
+    /// buffer, one version load, and one cache probe — it clones one
+    /// `Arc`, never documents, and never builds the entry's response
+    /// array: that is [`CachedRows::shared_json`], which the REST layer
+    /// calls on a hit, outside the cache's lock.
     pub fn query_cached(
         &self,
         collection: &str,
         criteria: &Value,
         properties: &[&str],
         limit: Option<usize>,
-    ) -> Result<(Arc<Docs>, bool)> {
+    ) -> Result<(Arc<CachedRows>, bool)> {
         use std::fmt::Write as _;
         let mut key = String::with_capacity(96);
         key.push_str(collection);
@@ -340,7 +396,7 @@ impl QueryEngine {
         if !real_props.is_empty() {
             opts = opts.project(&real_props);
         }
-        let rows = Arc::new(coll.find_with(&filter, &opts)?);
+        let rows = Arc::new(CachedRows::new(coll.find_with(&filter, &opts)?));
         self.cache.put(key, generation, Arc::clone(&rows));
         Ok((rows, false))
     }
@@ -565,7 +621,7 @@ mod tests {
         let crit = json!({"band_gap": {"$gt": 1.0}});
         let (rows1, hit1) = qe.query_cached("materials", &crit, &[], None).unwrap();
         assert!(!hit1, "first read is a miss");
-        assert_eq!(rows1.len(), 2);
+        assert_eq!(rows1.docs().len(), 2);
         let (rows2, hit2) = qe.query_cached("materials", &crit, &[], None).unwrap();
         assert!(hit2, "repeat read is a hit");
         assert!(Arc::ptr_eq(&rows1, &rows2), "hit shares the cached rows");
@@ -578,10 +634,44 @@ mod tests {
             .unwrap();
         let (rows3, hit3) = qe.query_cached("materials", &crit, &[], None).unwrap();
         assert!(!hit3, "write must invalidate the cached entry");
-        assert_eq!(rows3.len(), 3);
+        assert_eq!(rows3.docs().len(), 3);
         let st = qe.cache_stats();
         assert_eq!(st.hits, 1);
         assert_eq!(st.invalidations, 1);
+    }
+
+    #[test]
+    fn query_returns_handles_whether_or_not_the_entry_was_hit() {
+        let qe = engine();
+        let crit = json!({"band_gap": {"$gt": 1.0}});
+        let stored = qe
+            .database()
+            .collection("materials")
+            .find(&json!({"output.band_gap": {"$gt": 1.0}}))
+            .unwrap();
+        assert_eq!(stored.len(), 2);
+        let are_handles = |rows: &Docs| {
+            rows.len() == stored.len() && rows.iter().zip(&stored).all(|(r, s)| Arc::ptr_eq(r, s))
+        };
+        // A miss, then a hit of an entry whose array nobody has built.
+        assert!(are_handles(
+            &qe.query("materials", &crit, &[], None).unwrap()
+        ));
+        assert!(are_handles(
+            &qe.query("materials", &crit, &[], None).unwrap()
+        ));
+        // Build it, as a REST hit does: one array, equal to a private copy.
+        let (entry, hit) = qe.query_cached("materials", &crit, &[], None).unwrap();
+        assert!(hit);
+        let array = entry.shared_json();
+        assert!(Arc::ptr_eq(&array, &entry.shared_json()));
+        assert_eq!(*array, entry.to_json());
+        // The entry still hands out the store's documents, not the array's.
+        assert!(are_handles(entry.docs()));
+        assert!(are_handles(
+            &qe.query("materials", &crit, &[], None).unwrap()
+        ));
+        assert_eq!(qe.cache_stats().hits, 3);
     }
 
     #[test]
@@ -589,7 +679,7 @@ mod tests {
         let qe = engine();
         let crit = json!({"band_gap": {"$gt": 1.0}});
         let (rows1, _) = qe.query_cached("materials", &crit, &[], None).unwrap();
-        assert_eq!(rows1.len(), 2);
+        assert_eq!(rows1.docs().len(), 2);
         // Drop the whole collection and rebuild it with one different
         // document. The successor collection seeds its generation above
         // the dropped one's final version (the registry floor), so the
@@ -606,8 +696,8 @@ mod tests {
             !hit2,
             "recreated collection must not serve the dropped collection's cached rows"
         );
-        assert_eq!(rows2.len(), 1);
-        assert_eq!(rows2[0]["formula"], json!("LiCoO2"));
+        assert_eq!(rows2.docs().len(), 1);
+        assert_eq!(rows2.docs()[0]["formula"], json!("LiCoO2"));
     }
 
     #[test]
@@ -632,7 +722,7 @@ mod tests {
         let crit = json!({"band_gap": {"$gt": 1.0}});
         let (rows1, h1) = qe.query_cached("materials", &crit, &[], None).unwrap();
         assert!(!h1);
-        assert_eq!(rows1.len(), 2);
+        assert_eq!(rows1.docs().len(), 2);
         let (_, h2) = qe.query_cached("materials", &crit, &[], None).unwrap();
         assert!(h2);
         // Repoint the alias: the same raw request now means a different
@@ -640,7 +730,7 @@ mod tests {
         qe.alias_field("band_gap", "no.such.path");
         let (rows3, h3) = qe.query_cached("materials", &crit, &[], None).unwrap();
         assert!(!h3, "alias edit must clear raw-keyed entries");
-        assert!(rows3.is_empty(), "repointed alias matches nothing");
+        assert!(rows3.docs().is_empty(), "repointed alias matches nothing");
     }
 
     #[test]

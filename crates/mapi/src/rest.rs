@@ -10,22 +10,27 @@
 //! Responses are a JSON envelope `{valid_response, response, ...}`. The
 //! router is in-process (the substitution documented in DESIGN.md): a
 //! request is a method + path + key, a response is a status + JSON body.
+//!
+//! Every route that returns rows answers through one function,
+//! `ApiResponse::rows`. A query-cache **miss** deep-copies its rows once
+//! into a private array — the serialization boundary,
+//! [`CachedRows::to_json`] — and the caller frees that copy when it
+//! drops the response. A **hit** copies nothing: the first hit of an
+//! entry builds the entry's response array, every later hit clones an
+//! `Arc` to it, so a hit costs the same for 1 row and for 10,000. That
+//! is why an [`ApiResponse`] keeps its rows beside the envelope rather
+//! than inside it: [`ApiResponse::payload`] borrows them whoever owns
+//! them, and [`ApiResponse::body`] assembles the full envelope for the
+//! callers that print or inspect it.
 
 use crate::auth::AuthRegistry;
 use crate::error::ApiError;
-use crate::queryengine::QueryEngine;
+use crate::queryengine::{CachedRows, QueryEngine};
 use crate::ratelimit::{RateLimitConfig, RateLimiter};
 use crate::weblog::WebLog;
 use serde_json::{json, Value};
+use std::sync::Arc;
 use std::time::Instant;
-
-/// Materialize shared result rows into an owned JSON array for the
-/// response envelope. This is the serialization boundary: the one place
-/// on the read path where documents are deep-copied, because the HTTP
-/// body must own its bytes.
-fn rows_to_json(docs: &[std::sync::Arc<Value>]) -> Value {
-    Value::Array(docs.iter().map(|d| (**d).clone()).collect()) // mp-lint: allow(P002)
-}
 
 /// An API request.
 #[derive(Debug, Clone)]
@@ -61,28 +66,71 @@ impl ApiRequest {
     }
 }
 
+/// The `response` member of an envelope: owned by this response (a
+/// miss's private rows, a count, an error's `null`) or shared with the
+/// query-cache entry it was served from and with every other hit of it.
+#[derive(Debug, Clone)]
+enum Payload {
+    Owned(Value),
+    Shared(Arc<Value>),
+}
+
+impl Payload {
+    fn value(&self) -> &Value {
+        match self {
+            Payload::Owned(v) => v,
+            Payload::Shared(v) => v,
+        }
+    }
+}
+
+/// Responses compare by what they say, not by who owns the rows.
+impl PartialEq for Payload {
+    fn eq(&self, other: &Self) -> bool {
+        self.value() == other.value()
+    }
+}
+
 /// An API response.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ApiResponse {
     /// HTTP-style status code.
     pub status: u16,
-    /// JSON body (the envelope).
-    pub body: Value,
+    /// The envelope; on a success its `response` member is left `null`
+    /// and [`body`](Self::body) fills it in from `payload`, so a hit can
+    /// carry rows it does not own.
+    envelope: Value,
+    payload: Payload,
     /// Response headers, e.g. `X-Cache: HIT`.
     pub headers: Vec<(String, String)>,
 }
 
 impl ApiResponse {
-    fn ok(response: Value) -> Self {
+    fn ok(payload: Payload) -> Self {
         ApiResponse {
             status: 200,
-            body: json!({
+            envelope: json!({
                 "valid_response": true,
                 "version": {"api": "v1", "db": "2012.08"},
-                "response": response,
+                "response": null,
             }),
+            payload,
             headers: Vec::new(),
         }
+    }
+
+    /// The one way a rows-returning route answers. A miss owns a
+    /// private copy of its rows, freed when the caller drops the
+    /// response; a hit shares the entry's response array with every
+    /// other hit of that entry, so its cost does not depend on the row
+    /// count (why not build the array at miss time: DESIGN §9).
+    fn rows(rows: &CachedRows, cached: bool) -> Self {
+        let (payload, x_cache) = if cached {
+            (Payload::Shared(rows.shared_json()), "HIT")
+        } else {
+            (Payload::Owned(rows.to_json()), "MISS")
+        };
+        ApiResponse::ok(payload).with_header("X-Cache", x_cache)
     }
 
     /// Attach a response header.
@@ -107,7 +155,7 @@ impl ApiResponse {
                 .iter()
                 .map(|d| Value::String(d.to_string()))
                 .collect();
-            self.body["warnings"] = Value::Array(rendered);
+            self.envelope["warnings"] = Value::Array(rendered);
         }
         self
     }
@@ -115,17 +163,40 @@ impl ApiResponse {
     fn error(status: u16, msg: &str) -> Self {
         ApiResponse {
             status,
-            body: json!({
+            envelope: json!({
                 "valid_response": false,
                 "error": msg,
             }),
+            payload: Payload::Owned(Value::Null),
             headers: Vec::new(),
         }
     }
 
-    /// The `response` payload (empty array on error).
+    /// The `response` payload (`null` on error).
     pub fn payload(&self) -> &Value {
-        self.body.get("response").unwrap_or(&Value::Null)
+        self.payload.value()
+    }
+
+    /// The payload by value: moved out when this response owns it (a
+    /// miss), copied once when it is shared with the cache (a hit).
+    pub fn into_payload(self) -> Value {
+        match self.payload {
+            Payload::Owned(v) => v,
+            Payload::Shared(v) => Arc::unwrap_or_clone(v),
+        }
+    }
+
+    /// The JSON body: the envelope `{valid_response, version, response,
+    /// [warnings]}` (or `{valid_response, error}`) with the payload
+    /// copied into its `response` member. For callers that print or
+    /// inspect the whole body; [`payload`](Self::payload) borrows the
+    /// rows without assembling anything.
+    pub fn body(&self) -> Value {
+        let mut body = self.envelope.clone();
+        if let Some(response) = body.get_mut("response") {
+            *response = self.payload().clone();
+        }
+        body
     }
 }
 
@@ -269,8 +340,10 @@ impl MaterialsApi {
                 } else {
                     json!({"framework": ident})
                 };
-                let docs = self.qe.query("batteries", &criteria, &[], Some(100))?;
-                Ok(ApiResponse::ok(json!(docs)))
+                let (rows, cached) =
+                    self.qe
+                        .query_cached("batteries", &criteria, &[], Some(100))?;
+                Ok(ApiResponse::rows(&rows, cached))
             }
             _ => Err(ApiError::NotFound("not found".into())),
         }
@@ -281,7 +354,7 @@ impl MaterialsApi {
         match rest {
             ["count"] => {
                 let n = self.qe.count("tasks", &json!({}))?;
-                Ok(ApiResponse::ok(json!({ "count": n })))
+                Ok(ApiResponse::ok(Payload::Owned(json!({ "count": n }))))
             }
             _ => Err(ApiError::Forbidden("tasks are not public".into())),
         }
@@ -298,16 +371,15 @@ impl MaterialsApi {
             Some(p) => vec![p],
             None => vec![],
         };
-        let (docs, cached) = self
+        let (rows, cached) = self
             .qe
             .query_cached(collection, &criteria, &props, Some(500))?;
-        if docs.is_empty() {
+        if rows.docs().is_empty() {
             return Err(ApiError::NotFound(format!(
                 "no {collection} match '{ident}'"
             )));
         }
-        Ok(ApiResponse::ok(rows_to_json(&docs))
-            .with_header("X-Cache", if cached { "HIT" } else { "MISS" }))
+        Ok(ApiResponse::rows(&rows, cached))
     }
 
     /// POST-style structured query: sanitized criteria + properties
@@ -343,9 +415,7 @@ impl MaterialsApi {
             .qe
             .query_cached(collection, criteria, properties, Some(10_000))
         {
-            Ok((docs, cached)) => ApiResponse::ok(rows_to_json(&docs))
-                .with_warnings(&warnings)
-                .with_header("X-Cache", if cached { "HIT" } else { "MISS" }),
+            Ok((rows, cached)) => ApiResponse::rows(&rows, cached).with_warnings(&warnings),
             Err(e) => ApiResponse::error(400, &e.to_string()),
         };
         let nrecords = match resp.payload() {
@@ -394,7 +464,7 @@ mod tests {
         let api = api();
         let resp = api.handle(&ApiRequest::get("/rest/v1/materials/Fe2O3/vasp/energy"));
         assert_eq!(resp.status, 200);
-        assert_eq!(resp.body["valid_response"], true);
+        assert_eq!(resp.body()["valid_response"], true);
         let docs = resp.payload().as_array().unwrap();
         assert_eq!(docs.len(), 1);
         assert_eq!(docs[0]["output"]["energy"], json!(-67.5));
@@ -417,7 +487,7 @@ mod tests {
         let api = api();
         let resp = api.handle(&ApiRequest::get("/rest/v1/materials/Zr3N4/vasp/energy"));
         assert_eq!(resp.status, 404);
-        assert_eq!(resp.body["valid_response"], false);
+        assert_eq!(resp.body()["valid_response"], false);
     }
 
     #[test]
@@ -535,9 +605,9 @@ mod tests {
         );
         assert_eq!(resp.status, 400);
         assert!(
-            resp.body["error"].as_str().unwrap().contains("Q002"),
+            resp.body()["error"].as_str().unwrap().contains("Q002"),
             "{:?}",
-            resp.body
+            resp.body()
         );
 
         // An unindexed scan succeeds but carries a warning in the envelope.
@@ -548,7 +618,8 @@ mod tests {
             &[],
         );
         assert_eq!(ok.status, 200);
-        let warnings = ok.body["warnings"].as_array().expect("warnings surfaced");
+        let body = ok.body();
+        let warnings = body["warnings"].as_array().expect("warnings surfaced");
         assert!(
             warnings
                 .iter()
@@ -573,6 +644,44 @@ mod tests {
             .unwrap();
         let r3 = api.handle(&ApiRequest::get("/rest/v1/materials/Fe2O3").at(20.0));
         assert_eq!(r3.header("X-Cache"), Some("MISS"));
+    }
+
+    #[test]
+    fn body_is_the_same_envelope_whoever_owns_the_rows() {
+        let api = api();
+        let keys = |resp: &ApiResponse| -> Vec<String> {
+            resp.body().as_object().unwrap().keys().cloned().collect()
+        };
+        let miss = api.handle(&ApiRequest::get("/rest/v1/battery/CoO2"));
+        let hit = api.handle(&ApiRequest::get("/rest/v1/battery/CoO2").at(10.0));
+        assert_eq!(miss.header("X-Cache"), Some("MISS"));
+        assert_eq!(hit.header("X-Cache"), Some("HIT"));
+        for resp in [&miss, &hit] {
+            assert_eq!(
+                resp.body().to_string(),
+                r#"{"valid_response":true,"version":{"api":"v1","db":"2012.08"},"response":[{"_id":"bat-1","framework":"CoO2","working_ion":"Li","average_voltage":3.9,"capacity_grav":274.0}]}"#
+            );
+        }
+        // Warnings follow the rows; an error has no `response` member.
+        let warned = api.structured_query(
+            &ApiRequest::get("/query").at(20.0),
+            "materials",
+            &json!({"band_gap": {"$gt": 2.5}}),
+            &[],
+        );
+        assert_eq!(
+            keys(&warned),
+            ["valid_response", "version", "response", "warnings"]
+        );
+        assert_eq!(warned.body()["response"], *warned.payload());
+        let missing = api.handle(&ApiRequest::get("/rest/v1/materials/Zr3N4").at(30.0));
+        assert_eq!(keys(&missing), ["valid_response", "error"]);
+        assert_eq!(*missing.payload(), Value::Null);
+        // A non-row payload is carried the same way.
+        let count = api.handle(&ApiRequest::get("/rest/v1/tasks/count").at(40.0));
+        assert_eq!(count.body()["response"], json!({"count": 0}));
+        assert_eq!(count.clone().into_payload(), json!({"count": 0}));
+        assert_eq!(hit.clone().into_payload(), *miss.payload());
     }
 
     #[test]

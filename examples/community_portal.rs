@@ -63,7 +63,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     println!(
         "injection attempt -> {} ({})",
-        evil.status, evil.body["error"]
+        evil.status,
+        evil.body()["error"]
     );
 
     // --- a scraper hits the rate limiter ---

@@ -84,7 +84,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .to_string();
     let uri = format!("/rest/v1/materials/{a_formula}/vasp/energy");
     let resp = api.handle(&ApiRequest::get(&uri));
-    println!("\nGET {uri}\n  status {}\n  {}", resp.status, resp.body);
+    println!("\nGET {uri}\n  status {}\n  {}", resp.status, resp.body());
 
     Ok(())
 }

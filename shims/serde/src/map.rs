@@ -33,6 +33,11 @@ impl Map<String, Value> {
         self.entries.shrink_to_fit();
     }
 
+    /// Entries the map can hold before it reallocates.
+    pub fn capacity(&self) -> usize {
+        self.entries.capacity()
+    }
+
     /// Number of entries.
     pub fn len(&self) -> usize {
         self.entries.len()
@@ -97,8 +102,10 @@ impl Map<String, Value> {
     }
 
     /// Iterate over `(key, value)` pairs in insertion order.
-    pub fn iter(&self) -> impl Iterator<Item = (&String, &Value)> {
-        self.entries.iter().map(|(k, v)| (k, v))
+    pub fn iter(&self) -> Iter<'_> {
+        Iter {
+            entries: self.entries.iter(),
+        }
     }
 
     /// Iterate with mutable values.
@@ -196,27 +203,56 @@ impl IntoIterator for Map<String, Value> {
     }
 }
 
+/// Borrowing iterator over a [`Map`]'s entries in insertion order
+/// (what [`Map::iter`] and `for (k, v) in &map` return).
+pub struct Iter<'a> {
+    entries: std::slice::Iter<'a, (String, Value)>,
+}
+
+impl<'a> Iterator for Iter<'a> {
+    type Item = (&'a String, &'a Value);
+
+    fn next(&mut self) -> Option<Self::Item> {
+        self.entries.next().map(|(k, v)| (k, v))
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        self.entries.size_hint()
+    }
+}
+
 impl<'a> IntoIterator for &'a Map<String, Value> {
     type Item = (&'a String, &'a Value);
-    type IntoIter = Box<dyn Iterator<Item = (&'a String, &'a Value)> + 'a>;
+    type IntoIter = Iter<'a>;
 
     fn into_iter(self) -> Self::IntoIter {
-        Box::new(self.entries.iter().map(|(k, v)| (k, v)))
+        self.iter()
     }
 }
 
 impl FromIterator<(String, Value)> for Map<String, Value> {
+    /// Allocated once, at the iterator's lower size bound.
     fn from_iter<I: IntoIterator<Item = (String, Value)>>(iter: I) -> Self {
-        let mut m = Map::new();
-        for (k, v) in iter {
-            m.insert(k, v);
-        }
+        let iter = iter.into_iter();
+        let mut m = Map::with_capacity(iter.size_hint().0);
+        m.extend(iter);
         m
     }
 }
 
 impl Extend<(String, Value)> for Map<String, Value> {
+    /// Reserves from the iterator's lower size bound before inserting:
+    /// all of it into an empty map, half of it into a populated one,
+    /// whose keys the iterator may be overwriting (the rule
+    /// `HashMap::extend` follows).
     fn extend<I: IntoIterator<Item = (String, Value)>>(&mut self, iter: I) {
+        let iter = iter.into_iter();
+        let hint = iter.size_hint().0;
+        self.entries.reserve(if self.is_empty() {
+            hint
+        } else {
+            hint.div_ceil(2)
+        });
         for (k, v) in iter {
             self.insert(k, v);
         }

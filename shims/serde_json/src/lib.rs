@@ -8,7 +8,7 @@
 
 mod parse;
 
-pub use serde::{Error, Map, Number, Value};
+pub use serde::{map, Error, Map, Number, Value};
 
 pub use parse::from_str_value;
 
@@ -56,6 +56,11 @@ pub fn from_str<T: Deserialize>(s: &str) -> Result<T, Error> {
 ///
 /// Supports nested objects/arrays, trailing commas, expression values, and
 /// expression keys (`json!({ field.as_str(): 1 })`).
+///
+/// An object is allocated at its final size: its entries are counted
+/// before the first insert (one per top-level `:` — see [`json_count!`]),
+/// so a nine-field document holds nine slots rather than the sixteen
+/// that doubling growth would leave it with, and `{}` allocates nothing.
 #[macro_export]
 macro_rules! json {
     (null) => { $crate::Value::Null };
@@ -64,12 +69,32 @@ macro_rules! json {
     ([ $($tt:tt)* ]) => { $crate::json_internal!(@array () $($tt)*) };
     ({ $($tt:tt)* }) => {{
         #[allow(unused_mut)]
-        let mut __json_map = $crate::Map::new();
+        let mut __json_map =
+            $crate::Map::with_capacity(0usize $(+ $crate::json_count!($tt))*);
         $crate::json_internal!(@object __json_map () $($tt)*);
         $crate::Value::Object(__json_map)
     }};
     ($other:expr) => {
         $crate::to_value(&$other).expect("json!: value failed to serialize")
+    };
+}
+
+/// Implementation detail of [`json!`]: 1 for a `:` token, 0 for any
+/// other token tree. Summed over an object's top-level tokens it counts
+/// the entries — a flat repetition, one expansion per token, never a
+/// recursion per token (`recursion_limit` is 128 and documents are
+/// longer than that). Nested objects, arrays and calls are one token
+/// tree each and `::` is its own token, so only a value that spells a
+/// bare `:` at top level (a typed closure parameter, a block label) is
+/// counted twice, which costs a spare slot and nothing else.
+#[doc(hidden)]
+#[macro_export]
+macro_rules! json_count {
+    (:) => {
+        1usize
+    };
+    ($other:tt) => {
+        0usize
     };
 }
 

@@ -35,7 +35,7 @@ fn api_serves_every_material_by_three_identifier_kinds() {
             ))
             .at(t),
         );
-        assert_eq!(by_id.status, 200, "by id: {:?}", by_id.body);
+        assert_eq!(by_id.status, 200, "by id: {:?}", by_id.body());
         let by_formula = api.handle(
             &ApiRequest::get(&format!(
                 "/rest/v1/materials/{}",

@@ -68,7 +68,7 @@ fn campaign_produces_queryable_database() {
     let resp = api.handle(&mp_mapi::ApiRequest::get(&format!(
         "/rest/v1/materials/{some_formula}/vasp/energy"
     )));
-    assert_eq!(resp.status, 200, "{:?}", resp.body);
+    assert_eq!(resp.status, 200, "{:?}", resp.body());
     assert!(resp.payload()[0]["output"]["energy"].as_f64().unwrap() < 0.0);
 }
 
