@@ -264,8 +264,7 @@ impl CompiledProjection {
                     for (key, child) in &root.children {
                         if let Some(v) = m.get(key) {
                             if let Some(pv) = project_node(v, child) {
-                                // mp-lint: allow(H001) — owned output keys are required by the Map API; one short clone per projected field.
-                                out.insert(key.clone(), pv);
+                                out.insert_str(key, pv);
                             }
                         }
                     }
@@ -337,8 +336,7 @@ fn project_node(v: &Value, node: &ProjNode) -> Option<Value> {
     for (key, child) in &node.children {
         if let Some(cv) = m.get(key) {
             if let Some(pv) = project_node(cv, child) {
-                // mp-lint: allow(H001) — owned output keys are required by the Map API.
-                out.insert(key.clone(), pv);
+                out.insert_str(key, pv);
             }
         }
     }

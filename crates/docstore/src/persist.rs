@@ -96,6 +96,7 @@
 //! violation) is in the WAL; replay reaches the same pre-op state, fails
 //! the same deterministic way, and converges on the live outcome.
 
+use crate::collection::Collection;
 use crate::column::Segment;
 use crate::database::Database;
 use crate::error::{Result, StoreError};
@@ -104,7 +105,7 @@ use mp_sync::{LockRank, OrderedMutex};
 use serde_json::{Map, Value};
 use std::borrow::Borrow;
 use std::fs::{File, OpenOptions};
-use std::io::{BufRead, BufReader, Write};
+use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -338,27 +339,11 @@ impl Record {
     }
 }
 
-/// Take the document at `key` out of a parsed record, giving back the
-/// spare capacity the parser's growing containers hold: the document
-/// is about to become resident in the store, where a clone of it (what
-/// recovery used to insert) would have been allocated to size.
+/// Take the document at `key` out of a parsed record. It is about to
+/// become resident in the store as it is: the parser allocates every
+/// object and array at its final size, so there is nothing to trim.
 fn document_field(v: &mut Map<String, Value>, key: &str) -> Value {
-    fn trim(v: &mut Value) {
-        match v {
-            Value::Array(items) => {
-                items.iter_mut().for_each(trim);
-                items.shrink_to_fit();
-            }
-            Value::Object(fields) => {
-                fields.values_mut().for_each(trim);
-                fields.shrink_to_fit();
-            }
-            _ => {}
-        }
-    }
-    let mut doc = v.remove(key).unwrap_or(Value::Null);
-    trim(&mut doc);
-    doc
+    v.remove(key).unwrap_or(Value::Null)
 }
 
 /// Take the string at `key` out of a parsed record.
@@ -1161,17 +1146,27 @@ pub(crate) fn join_checkpoint(worker: JoinHandle<Result<()>>) -> Result<()> {
 }
 
 /// Load `snapshot.jsonl` into `db`; returns its generation stamp.
+///
+/// The file is read once and each line parsed as a slice of it. A
+/// snapshot lists a collection's entries together, so the collection
+/// is looked up when a line names a different one from the line before
+/// — once per collection, not once per document. Documents still go in
+/// one `insert_one` at a time: unique indexes (created by the `idx`
+/// lines ahead of them) are enforced while they stream back in.
 fn load_snapshot(path: &Path, db: &Database, report: &mut RecoveryReport) -> Result<Option<u64>> {
-    let Ok(f) = File::open(path) else {
+    let Ok(mut f) = File::open(path) else {
         return Ok(None);
     };
+    let mut text = String::new();
+    f.read_to_string(&mut text)
+        .map_err(|e| io_err("snapshot read", e))?;
     let mut stamp = None;
-    for line in BufReader::new(f).lines() {
-        let line = line.map_err(|e| io_err("snapshot read", e))?;
+    let mut current: Option<(String, Arc<Collection>)> = None;
+    for line in text.lines() {
         if line.trim().is_empty() {
             continue;
         }
-        let Value::Object(mut v) = serde_json::from_str_value(&line)
+        let Value::Object(mut v) = serde_json::from_str_value(line)
             .map_err(|e| StoreError::Persistence(format!("snapshot parse: {e}")))?
         else {
             return Err(StoreError::Persistence(
@@ -1182,17 +1177,22 @@ fn load_snapshot(path: &Path, db: &Database, report: &mut RecoveryReport) -> Res
             stamp = gen.as_u64();
             continue;
         }
-        let cname = text_field(&mut v, "c")
+        let cname = v
+            .get("c")
+            .and_then(Value::as_str)
             .ok_or_else(|| StoreError::Persistence("snapshot entry missing c".into()))?;
+        let collection = match &current {
+            Some((name, collection)) if name == cname => collection,
+            _ => &current.insert((cname.to_owned(), db.collection(cname))).1,
+        };
         if let Some(idx) = v.get("idx") {
             let path = idx["path"].as_str().ok_or_else(|| {
                 StoreError::Persistence("snapshot index entry missing path".into())
             })?;
             let unique = idx["unique"].as_bool().unwrap_or(false);
-            db.collection(&cname).create_index(path, unique)?;
+            collection.create_index(path, unique)?;
         } else {
-            let doc = document_field(&mut v, "d");
-            db.collection(&cname).insert_one(doc)?;
+            collection.insert_one(document_field(&mut v, "d"))?;
             report.snapshot_docs += 1;
         }
     }

@@ -221,8 +221,8 @@ pub fn set_path(doc: &mut Value, path: &str, value: Value) -> Result<(), String>
 /// query ([`compile_path`]) instead of re-split and re-parsed per
 /// document. Semantics are identical, including array creation when the
 /// next segment is numeric and null-padding of extended arrays.
-// mp-lint: allow(H001, H002, H003) — building an owned output document requires owned keys and fresh containers; the format! calls are error paths.
-// mp-flow: allow(R001, R002) — same shape as `set_path`: the `segs[i + 1]` lookahead is guarded by `!last` and the loop returns on the last segment, so the trailing `unreachable!` cannot fire.
+// mp-lint: allow(H002, H003) — building an owned output document requires fresh containers; the format! calls are error paths.
+// mp-flow: allow(R001, R002) — same shape as `set_path`: the `segs[i + 1]` lookahead is guarded by `!last`, the `m[…]` entry is present because the lines above it insert one where it was missing, and the loop returns on the last segment, so the trailing `unreachable!` cannot fire.
 pub fn set_path_segs(doc: &mut Value, segs: &[PathSeg], value: Value) -> Result<(), String> {
     if segs.is_empty() {
         return Err("empty path".into());
@@ -233,25 +233,21 @@ pub fn set_path_segs(doc: &mut Value, segs: &[PathSeg], value: Value) -> Result<
         match cur {
             Value::Object(m) => {
                 if last {
-                    m.insert(seg.key.clone(), value);
+                    m.insert_str(&seg.key, value);
                     return Ok(());
                 }
-                let next_is_index = segs[i + 1].index.is_some();
-                let entry = m.entry(seg.key.clone()).or_insert_with(|| {
-                    if next_is_index {
-                        Value::Array(vec![])
-                    } else {
-                        Value::Object(Map::new())
-                    }
-                });
-                if entry.is_null() {
-                    *entry = if next_is_index {
+                // A missing entry and a null one both become the
+                // container the next segment needs (a null keeps its
+                // position); the key is never copied to find out.
+                if m.get(&seg.key).is_none_or(Value::is_null) {
+                    let fresh = if segs[i + 1].index.is_some() {
                         Value::Array(vec![])
                     } else {
                         Value::Object(Map::new())
                     };
+                    m.insert_str(&seg.key, fresh);
                 }
-                cur = entry;
+                cur = &mut m[&seg.key];
             }
             Value::Array(a) => {
                 let idx: usize = seg

@@ -7,6 +7,7 @@
 //! visitor-based serde data model. The companion `serde_json` shim re-exports
 //! [`Value`], [`Number`], and [`Map`] from here.
 
+mod key;
 pub mod map;
 #[doc(hidden)]
 pub mod value;

@@ -1,30 +1,41 @@
 //! Insertion-ordered map matching `serde_json::Map` with `preserve_order`.
 
 use std::fmt;
+use std::marker::PhantomData;
 
+use crate::key::Key;
 use crate::value::Value;
 
 /// An insertion-ordered `String -> Value` map backed by a vector.
 ///
 /// Lookups are linear; documents in this workspace are small enough that this
 /// beats hashing in practice and keeps the shim dependency-free.
+///
+/// An entry does not own its field name: the name is stored once per
+/// process, the first time any map sees it, and every entry that uses it
+/// holds a pointer to that one copy — so cloning or dropping a map, or
+/// inserting under a name some map has held before, allocates and frees
+/// nothing for the key. The store of names is bounded; a name it does
+/// not take (there are too many, or this one is long) is owned by its
+/// entry instead. No method tells the two apart: keys go in as `String`
+/// or `&str` and come out as `&String` or `String` either way.
 #[derive(Clone, Default)]
 pub struct Map<K = String, V = Value> {
-    entries: Vec<(K, V)>,
+    entries: Vec<(Key, V)>,
+    marker: PhantomData<K>,
 }
 
 impl Map<String, Value> {
     /// Create an empty map.
     pub fn new() -> Self {
-        Map {
-            entries: Vec::new(),
-        }
+        Map::with_capacity(0)
     }
 
     /// Create an empty map with room for `cap` entries.
     pub fn with_capacity(cap: usize) -> Self {
         Map {
             entries: Vec::with_capacity(cap),
+            marker: PhantomData,
         }
     }
 
@@ -50,28 +61,43 @@ impl Map<String, Value> {
 
     /// Look up a value by key.
     pub fn get(&self, key: &str) -> Option<&Value> {
-        self.entries.iter().find(|(k, _)| k == key).map(|(_, v)| v)
+        self.entries
+            .iter()
+            .find(|(k, _)| k.as_string() == key)
+            .map(|(_, v)| v)
     }
 
     /// Mutable lookup by key.
     pub fn get_mut(&mut self, key: &str) -> Option<&mut Value> {
         self.entries
             .iter_mut()
-            .find(|(k, _)| k == key)
+            .find(|(k, _)| k.as_string() == key)
             .map(|(_, v)| v)
     }
 
     /// True when `key` is present.
     pub fn contains_key(&self, key: &str) -> bool {
-        self.entries.iter().any(|(k, _)| k == key)
+        self.get(key).is_some()
     }
 
     /// Insert a key/value pair, returning the previous value if any.
     pub fn insert(&mut self, key: String, value: Value) -> Option<Value> {
-        match self.entries.iter_mut().find(|(k, _)| *k == key) {
-            Some((_, slot)) => Some(std::mem::replace(slot, value)),
+        self.put(key, value)
+    }
+
+    /// [`Map::insert`] for a caller that holds the key by borrow: no
+    /// `String` is built to be thrown away when the name is one the
+    /// process already shares. (An addition to `serde_json::Map`'s
+    /// surface, like `write_compact`.)
+    pub fn insert_str(&mut self, key: &str, value: Value) -> Option<Value> {
+        self.put(key, value)
+    }
+
+    fn put(&mut self, key: impl AsRef<str> + Into<String>, value: Value) -> Option<Value> {
+        match self.get_mut(key.as_ref()) {
+            Some(slot) => Some(std::mem::replace(slot, value)),
             None => {
-                self.entries.push((key, value));
+                self.entries.push((Key::new(key), value));
                 None
             }
         }
@@ -79,8 +105,12 @@ impl Map<String, Value> {
 
     /// Remove a key, returning its value if present.
     pub fn remove(&mut self, key: &str) -> Option<Value> {
-        let idx = self.entries.iter().position(|(k, _)| k == key)?;
+        let idx = self.position(key)?;
         Some(self.entries.remove(idx).1)
+    }
+
+    fn position(&self, key: &str) -> Option<usize> {
+        self.entries.iter().position(|(k, _)| k.as_string() == key)
     }
 
     /// Drop all entries.
@@ -90,7 +120,7 @@ impl Map<String, Value> {
 
     /// Keep only entries for which `f` returns true.
     pub fn retain(&mut self, mut f: impl FnMut(&String, &mut Value) -> bool) {
-        self.entries.retain_mut(|(k, v)| f(k, v));
+        self.entries.retain_mut(|(k, v)| f(k.as_string(), v));
     }
 
     /// Vacant-or-occupied entry handle.
@@ -110,12 +140,12 @@ impl Map<String, Value> {
 
     /// Iterate with mutable values.
     pub fn iter_mut(&mut self) -> impl Iterator<Item = (&String, &mut Value)> {
-        self.entries.iter_mut().map(|(k, v)| (&*k, v))
+        self.entries.iter_mut().map(|(k, v)| (k.as_string(), v))
     }
 
     /// Iterate over keys in insertion order.
     pub fn keys(&self) -> impl Iterator<Item = &String> {
-        self.entries.iter().map(|(k, _)| k)
+        self.entries.iter().map(|(k, _)| k.as_string())
     }
 
     /// Iterate over values in insertion order.
@@ -143,10 +173,10 @@ impl<'a> Entry<'a> {
 
     /// Insert `default()` if vacant, then return the value.
     pub fn or_insert_with(self, default: impl FnOnce() -> Value) -> &'a mut Value {
-        let idx = match self.map.entries.iter().position(|(k, _)| *k == self.key) {
+        let idx = match self.map.position(&self.key) {
             Some(i) => i,
             None => {
-                self.map.entries.push((self.key, default()));
+                self.map.entries.push((Key::new(self.key), default()));
                 self.map.entries.len() - 1
             }
         };
@@ -155,8 +185,8 @@ impl<'a> Entry<'a> {
 
     /// Mutate the value in place if occupied.
     pub fn and_modify(self, f: impl FnOnce(&mut Value)) -> Self {
-        if let Some(idx) = self.map.entries.iter().position(|(k, _)| *k == self.key) {
-            f(&mut self.map.entries[idx].1);
+        if let Some(value) = self.map.get_mut(&self.key) {
+            f(value);
         }
         self
     }
@@ -196,24 +226,45 @@ impl fmt::Debug for Map<String, Value> {
 
 impl IntoIterator for Map<String, Value> {
     type Item = (String, Value);
-    type IntoIter = std::vec::IntoIter<(String, Value)>;
+    type IntoIter = IntoIter;
 
-    fn into_iter(self) -> Self::IntoIter {
-        self.entries.into_iter()
+    fn into_iter(self) -> IntoIter {
+        IntoIter {
+            entries: self.entries.into_iter(),
+        }
+    }
+}
+
+/// Owning iterator over a [`Map`]'s entries in insertion order. Each
+/// key is handed over as a `String` of its own, which for a shared
+/// name is a copy made here.
+pub struct IntoIter {
+    entries: std::vec::IntoIter<(Key, Value)>,
+}
+
+impl Iterator for IntoIter {
+    type Item = (String, Value);
+
+    fn next(&mut self) -> Option<Self::Item> {
+        self.entries.next().map(|(k, v)| (k.into_string(), v))
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        self.entries.size_hint()
     }
 }
 
 /// Borrowing iterator over a [`Map`]'s entries in insertion order
 /// (what [`Map::iter`] and `for (k, v) in &map` return).
 pub struct Iter<'a> {
-    entries: std::slice::Iter<'a, (String, Value)>,
+    entries: std::slice::Iter<'a, (Key, Value)>,
 }
 
 impl<'a> Iterator for Iter<'a> {
     type Item = (&'a String, &'a Value);
 
     fn next(&mut self) -> Option<Self::Item> {
-        self.entries.next().map(|(k, v)| (k, v))
+        self.entries.next().map(|(k, v)| (k.as_string(), v))
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {

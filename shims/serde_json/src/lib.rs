@@ -103,34 +103,39 @@ macro_rules! json_count {
 #[macro_export]
 macro_rules! json_internal {
     // ----- objects: `(key tokens so far)` accumulates until a top-level `:` -----
+    // The key expression is borrowed, not rendered to a `String`: a name
+    // the process already shares is inserted without copying it.
+    (@insert $m:ident ($($k:tt)+) $v:expr) => {
+        $m.insert_str(::core::convert::AsRef::<str>::as_ref(&($($k)+)), $v)
+    };
     (@object $m:ident ()) => {};
     (@object $m:ident ($($k:tt)+) : null , $($rest:tt)*) => {
-        $m.insert(($($k)+).to_string(), $crate::Value::Null);
+        $crate::json_internal!(@insert $m ($($k)+) $crate::Value::Null);
         $crate::json_internal!(@object $m () $($rest)*);
     };
     (@object $m:ident ($($k:tt)+) : null) => {
-        $m.insert(($($k)+).to_string(), $crate::Value::Null);
+        $crate::json_internal!(@insert $m ($($k)+) $crate::Value::Null);
     };
     (@object $m:ident ($($k:tt)+) : { $($inner:tt)* } , $($rest:tt)*) => {
-        $m.insert(($($k)+).to_string(), $crate::json!({ $($inner)* }));
+        $crate::json_internal!(@insert $m ($($k)+) $crate::json!({ $($inner)* }));
         $crate::json_internal!(@object $m () $($rest)*);
     };
     (@object $m:ident ($($k:tt)+) : { $($inner:tt)* }) => {
-        $m.insert(($($k)+).to_string(), $crate::json!({ $($inner)* }));
+        $crate::json_internal!(@insert $m ($($k)+) $crate::json!({ $($inner)* }));
     };
     (@object $m:ident ($($k:tt)+) : [ $($inner:tt)* ] , $($rest:tt)*) => {
-        $m.insert(($($k)+).to_string(), $crate::json!([ $($inner)* ]));
+        $crate::json_internal!(@insert $m ($($k)+) $crate::json!([ $($inner)* ]));
         $crate::json_internal!(@object $m () $($rest)*);
     };
     (@object $m:ident ($($k:tt)+) : [ $($inner:tt)* ]) => {
-        $m.insert(($($k)+).to_string(), $crate::json!([ $($inner)* ]));
+        $crate::json_internal!(@insert $m ($($k)+) $crate::json!([ $($inner)* ]));
     };
     (@object $m:ident ($($k:tt)+) : $v:expr , $($rest:tt)*) => {
-        $m.insert(($($k)+).to_string(), $crate::json!($v));
+        $crate::json_internal!(@insert $m ($($k)+) $crate::json!($v));
         $crate::json_internal!(@object $m () $($rest)*);
     };
     (@object $m:ident ($($k:tt)+) : $v:expr) => {
-        $m.insert(($($k)+).to_string(), $crate::json!($v));
+        $crate::json_internal!(@insert $m ($($k)+) $crate::json!($v));
     };
     (@object $m:ident ($($k:tt)*) $next:tt $($rest:tt)*) => {
         $crate::json_internal!(@object $m ($($k)* $next) $($rest)*);

@@ -1,33 +1,92 @@
 //! Recursive-descent JSON parser for the `serde_json` shim.
+//!
+//! Every array and object is allocated once, at its final size: the
+//! parser gathers a container's members on a stack it keeps for the
+//! purpose and copies them out when the closing bracket tells it how
+//! many there are. (`Vec::new()` and pushing would leave a nine-field
+//! document holding sixteen slots, and every stored document has been
+//! through here at least once — recovery parses the snapshot.)
+
+use std::cell::Cell;
+use std::ops::Range;
 
 use serde::{Error, Map, Number, Value};
 
 const MAX_DEPTH: usize = 128;
 
+/// The members of the containers that are open, innermost last: a
+/// container's members are everything above the mark taken when it
+/// opened.
+#[derive(Default)]
+struct Scratch {
+    items: Vec<Value>,
+    fields: Vec<(Literal, Value)>,
+}
+
+/// A string literal as scanned: its span of the input when it was
+/// written without an escape — so a field name the process already
+/// shares is looked up from the input and never copied — and its
+/// decoded text otherwise.
+enum Literal {
+    Span(Range<usize>),
+    Decoded(String),
+}
+
+thread_local! {
+    /// The stack the previous parse on this thread used, kept for its
+    /// capacity: a document is parsed with no allocation that does not
+    /// end up in the document.
+    static SCRATCH: Cell<Scratch> = const {
+        Cell::new(Scratch { items: Vec::new(), fields: Vec::new() })
+    };
+}
+
+/// Members above which a finished parse drops its stack instead of
+/// keeping it: one huge array must not pin its size on the thread.
+const SCRATCH_KEEP: usize = 1024;
+
 struct Parser<'a> {
+    src: &'a str,
     bytes: &'a [u8],
     pos: usize,
+    scratch: Scratch,
 }
 
 /// Parse a JSON document into a [`Value`].
 pub fn from_str_value(s: &str) -> Result<Value, Error> {
     let mut p = Parser {
+        src: s,
         bytes: s.as_bytes(),
         pos: 0,
+        // `try_with`: a parse inside a thread-local destructor, after
+        // this one is gone, gathers on a stack of its own.
+        scratch: SCRATCH.try_with(Cell::take).unwrap_or_default(),
     };
-    p.skip_ws();
-    let v = p.value(0)?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(Error::custom(format!(
-            "trailing characters at byte {}",
-            p.pos
-        )));
+    let parsed = p.document();
+    let mut scratch = p.scratch;
+    if scratch.items.capacity() <= SCRATCH_KEEP && scratch.fields.capacity() <= SCRATCH_KEEP {
+        // An error inside a container leaves its members behind.
+        scratch.items.clear();
+        scratch.fields.clear();
+        let _ = SCRATCH.try_with(|kept| kept.set(scratch));
     }
-    Ok(v)
+    parsed
 }
 
 impl<'a> Parser<'a> {
+    fn document(&mut self) -> Result<Value, Error> {
+        self.skip_ws();
+        let v = self.value(0)?;
+        self.skip_ws();
+        if self.pos != self.bytes.len() {
+            return Err(Error::custom(format!(
+                "trailing characters at byte {}",
+                self.pos
+            )));
+        }
+        Ok(v)
+    }
+
     fn peek(&self) -> Option<u8> {
         self.bytes.get(self.pos).copied()
     }
@@ -72,7 +131,10 @@ impl<'a> Parser<'a> {
             Some(b'n') => self.literal("null", Value::Null),
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
-            Some(b'"') => self.string().map(Value::String),
+            Some(b'"') => Ok(Value::String(match self.string()? {
+                Literal::Span(span) => self.src[span].to_owned(),
+                Literal::Decoded(text) => text,
+            })),
             Some(b'[') => self.array(depth),
             Some(b'{') => self.object(depth),
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
@@ -86,21 +148,23 @@ impl<'a> Parser<'a> {
 
     fn array(&mut self, depth: usize) -> Result<Value, Error> {
         self.expect(b'[')?;
-        let mut out = Vec::new();
         self.skip_ws();
         if self.peek() == Some(b']') {
             self.pos += 1;
-            return Ok(Value::Array(out));
+            return Ok(Value::Array(Vec::new()));
         }
+        let mark = self.scratch.items.len();
         loop {
             self.skip_ws();
-            out.push(self.value(depth + 1)?);
+            let item = self.value(depth + 1)?;
+            self.scratch.items.push(item);
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,
                 Some(b']') => {
                     self.pos += 1;
-                    return Ok(Value::Array(out));
+                    // `Drain` reports its exact length: one allocation.
+                    return Ok(Value::Array(self.scratch.items.drain(mark..).collect()));
                 }
                 _ => {
                     return Err(Error::custom(format!(
@@ -114,26 +178,26 @@ impl<'a> Parser<'a> {
 
     fn object(&mut self, depth: usize) -> Result<Value, Error> {
         self.expect(b'{')?;
-        let mut out = Map::new();
         self.skip_ws();
         if self.peek() == Some(b'}') {
             self.pos += 1;
-            return Ok(Value::Object(out));
+            return Ok(Value::Object(Map::new()));
         }
+        let mark = self.scratch.fields.len();
         loop {
             self.skip_ws();
-            let key = self.string()?;
+            let name = self.string()?;
             self.skip_ws();
             self.expect(b':')?;
             self.skip_ws();
             let val = self.value(depth + 1)?;
-            out.insert(key, val);
+            self.scratch.fields.push((name, val));
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,
                 Some(b'}') => {
                     self.pos += 1;
-                    return Ok(Value::Object(out));
+                    return Ok(Value::Object(self.finish_object(mark)));
                 }
                 _ => {
                     return Err(Error::custom(format!(
@@ -145,8 +209,32 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn string(&mut self) -> Result<String, Error> {
+    /// The fields gathered above `mark`, as a map with a slot for each
+    /// and none spare. A name that repeats keeps its first position and
+    /// its last value.
+    fn finish_object(&mut self, mark: usize) -> Map<String, Value> {
+        let src = self.src;
+        let fields = self.scratch.fields.drain(mark..);
+        let gathered = fields.len();
+        let mut out = Map::with_capacity(gathered);
+        for (name, val) in fields {
+            match name {
+                Literal::Span(span) => out.insert_str(&src[span], val),
+                Literal::Decoded(name) => out.insert(name, val),
+            };
+        }
+        if out.len() < gathered {
+            out.shrink_to_fit();
+        }
+        out
+    }
+
+    /// The string literal at the cursor: its span of the input when it
+    /// has no escape (the quotes and every byte that ends a run are
+    /// ASCII, so the span's ends are character boundaries of `src`).
+    fn string(&mut self) -> Result<Literal, Error> {
         self.expect(b'"')?;
+        let open = self.pos;
         let mut out = String::new();
         loop {
             let start = self.pos;
@@ -157,14 +245,15 @@ impl<'a> Parser<'a> {
                 }
                 self.pos += 1;
             }
-            out.push_str(
-                std::str::from_utf8(&self.bytes[start..self.pos])
-                    .map_err(|_| Error::custom("invalid UTF-8 in string"))?,
-            );
+            if start == open && self.peek() == Some(b'"') {
+                self.pos += 1;
+                return Ok(Literal::Span(open..self.pos - 1));
+            }
+            out.push_str(&self.src[start..self.pos]);
             match self.peek() {
                 Some(b'"') => {
                     self.pos += 1;
-                    return Ok(out);
+                    return Ok(Literal::Decoded(out));
                 }
                 Some(b'\\') => {
                     self.pos += 1;

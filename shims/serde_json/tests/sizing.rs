@@ -1,5 +1,5 @@
-//! `json!` allocates every object at its final size, and `Map` sizes
-//! itself from what it is built from.
+//! `json!` and the parser allocate every object at its final size, and
+//! `Map` sizes itself from what it is built from.
 
 use serde_json::{json, Map, Value};
 
@@ -17,6 +17,58 @@ fn assert_exact(v: &Value) {
         Value::Array(items) => items.iter().for_each(assert_exact),
         _ => {}
     }
+}
+
+/// [`assert_exact`], and the same of every array and string: what the
+/// parser owes a document that is about to become resident.
+fn assert_exact_throughout(v: &Value) {
+    assert_exact(v);
+    match v {
+        Value::Object(m) => m.values().for_each(assert_exact_throughout),
+        Value::Array(items) => {
+            assert_eq!(items.capacity(), items.len(), "{v}");
+            items.iter().for_each(assert_exact_throughout);
+        }
+        Value::String(s) => assert_eq!(s.capacity(), s.len(), "{v}"),
+        _ => {}
+    }
+}
+
+#[test]
+fn parsed_documents_are_allocated_at_their_final_size() {
+    // Nine fields (growth by doubling would leave sixteen slots), nested
+    // objects and arrays closing inside one another, empty containers.
+    let doc = json!({
+        "_id": "mp-1", "formula": "Fe2O3", "chemsys": "Fe-O",
+        "elements": ["Fe", "O", "a longer string than the small ones"],
+        "nelements": 2, "nsites": 10, "density": 5.2,
+        "spacegroup": {"symbol": "R-3c", "number": 167, "ops": [[1, 0], [0, 1], []]},
+        "output": {"energy": -67.5, "steps": [{"e": -1.0, "f": [{}, {"g": null}]}, {}]},
+    });
+    for text in [doc.to_string(), serde_json::to_string_pretty(&doc).unwrap()] {
+        let parsed = serde_json::from_str_value(&text).unwrap();
+        assert_eq!(parsed, doc);
+        assert_eq!(parsed.to_string(), doc.to_string(), "entry order");
+        assert_exact_throughout(&parsed);
+    }
+    let empty = serde_json::from_str_value("{}").unwrap();
+    assert_eq!(object(&empty).capacity(), 0);
+    assert_eq!(serde_json::from_str_value("[ ]").unwrap(), json!([]));
+
+    // A repeated name keeps its first position and its last value, and
+    // leaves no slot behind — also when it is spelled with an escape.
+    let dup = serde_json::from_str_value(r#"{"a": 1, "b": {"x": 1, "x": 2}, "a": 3, "c": 4}"#);
+    let dup = dup.unwrap();
+    assert_eq!(dup.to_string(), r#"{"a":3,"b":{"x":2},"c":4}"#);
+    assert_exact_throughout(&dup);
+
+    // An error inside a container leaves nothing behind for the next
+    // parse on this thread to pick up.
+    assert!(serde_json::from_str_value(r#"{"a": [1, 2, {"b": 3}, oops]}"#).is_err());
+    assert!(serde_json::from_str_value(r#"{"a": 1, "b" 2}"#).is_err());
+    let after = serde_json::from_str_value(r#"{"k": [true]}"#).unwrap();
+    assert_eq!(after, json!({"k": [true]}));
+    assert_exact_throughout(&after);
 }
 
 #[test]
