@@ -185,18 +185,18 @@ fn bench_scale(n: usize, reps: usize) -> Value {
         // probe after it is a genuinely cold hit. The burst that follows
         // measures the steady-state per-hit cost.
         t_hit_cold.push(time_us(|| {
-            let (rows, hit) = primed
+            let fetched = primed
                 .query_cached("materials", &collscan_filter, &[], None)
                 .unwrap();
-            assert!(hit && !rows.docs().is_empty());
+            assert!(fetched.cached && !fetched.entry.is_empty());
         }));
         t_hit.push(
             time_us(|| {
                 for _ in 0..HIT_BURST {
-                    let (rows, hit) = primed
+                    let fetched = primed
                         .query_cached("materials", &collscan_filter, &[], None)
                         .unwrap();
-                    assert!(hit && !rows.docs().is_empty());
+                    assert!(fetched.cached && !fetched.entry.is_empty());
                 }
             }) / f64::from(HIT_BURST),
         );

@@ -225,8 +225,8 @@ fn run_stage(stream: Docs, stage: &Stage) -> Result<Docs> {
                 mp_exec::WorkPool::global(),
                 &mut [stream.into()],
                 &cf,
-                None,
                 crate::collection::UNBOUNDED,
+                Arc::clone,
             )
         }
         Stage::Project(paths) => {

@@ -238,17 +238,29 @@ impl Collection {
 
     /// Insert many documents; stops at the first error. On a journaled
     /// database the batch is one journal guard hold and one barrier.
+    ///
+    /// The ids the call returns are cloned in one run *before* the
+    /// commit loop, not one per document between the key, index entries
+    /// and `Arc<Document>` the store keeps for it: the caller drops them
+    /// together, and freed between kept chunks each would stay a hole
+    /// for the life of the store (DESIGN §10, "The heap a load leaves").
+    /// A document that arrives without `_id` has its slot filled when
+    /// `materialize` has assigned one; that rare path may interleave.
     pub fn insert_many(&self, docs: Vec<Value>) -> Result<Vec<Value>> {
         let _t = self.shared.profiler.start(&self.name, OpKind::Insert);
-        let mut ids = Vec::with_capacity(docs.len());
+        let mut ids: Vec<Value> = docs.iter().map(id_of).collect();
+        let mut slots = ids.iter_mut();
         self.shared.commit(
             self,
             docs,
             |_, doc| self.materialize(doc),
             |coll, (_, doc)| coll.journal_insert(doc),
             |inner, (id_num, doc)| {
-                ids.push(Self::raw_insert(inner, id_num, doc)?);
-                Ok(())
+                // An explicit `"_id": null` reads as null again.
+                if let Some(slot) = slots.next().filter(|slot| slot.is_null()) {
+                    *slot = id_of(&doc);
+                }
+                Self::raw_insert(inner, id_num, doc)
             },
         )?;
         Ok(ids)
@@ -282,20 +294,45 @@ impl Collection {
         let candidates = &mut [self.candidates(&cf)];
         if !copts.has_sort() {
             let window = (copts.skip(), copts.limit());
-            return Ok(filter_matches(
-                pool,
-                candidates,
-                &cf,
-                copts.projection(),
-                window,
-            ));
+            return Ok(match copts.projection() {
+                Some(proj) => {
+                    filter_matches(pool, candidates, &cf, window, |d| projected_doc(proj, d))
+                }
+                None => filter_matches(pool, candidates, &cf, window, Arc::clone),
+            });
         }
-        let mut out = filter_matches(pool, candidates, &cf, None, UNBOUNDED);
+        let mut out: Docs = filter_matches(pool, candidates, &cf, UNBOUNDED, Arc::clone);
         copts.apply_order(&mut out);
         if let Some(proj) = copts.projection() {
             out = project_matches(pool, &out, proj);
         }
         Ok(out)
+    }
+
+    /// An unsorted, windowed, projected find that returns each match
+    /// twice over: the handle of the stored document it matched, and
+    /// the projected row, as a plain [`Value`] — both made in the one
+    /// pass that matched the document, while its lines are warm. What a
+    /// response and a cache entry need of a projected read (the rows to
+    /// send, the handles to re-project from later) without an `Arc` per
+    /// row or a second materialization. `rows[i]` is what
+    /// [`find_with`](Self::find_with) with the same projection and
+    /// window returns at `i`; `docs[i]` what it returns there without
+    /// the projection.
+    pub fn find_rows(
+        &self,
+        filter: &Value,
+        proj: &CompiledProjection,
+        skip: usize,
+        limit: Option<usize>,
+    ) -> Result<(Docs, Vec<Value>)> {
+        let _t = self.shared.profiler.start(&self.name, OpKind::Find);
+        let cf = Filter::parse(filter)?.compile();
+        let candidates = &mut [self.candidates(&cf)];
+        let pool = WorkPool::global();
+        Ok(filter_matches(pool, candidates, &cf, (skip, limit), |d| {
+            handle_and_row(proj, d)
+        }))
     }
 
     /// First matching document, if any.
@@ -322,7 +359,7 @@ impl Collection {
     /// re-compile) and operation-sampling overhead of [`Collection::find`].
     pub fn find_filter(&self, cf: &CompiledFilter) -> Docs {
         let candidates = &mut [self.candidates(cf)];
-        filter_matches(WorkPool::global(), candidates, cf, None, UNBOUNDED)
+        filter_matches(WorkPool::global(), candidates, cf, UNBOUNDED, Arc::clone)
     }
 
     /// Count with a pre-compiled filter (lean scatter path, see
@@ -447,11 +484,15 @@ impl Collection {
             },
             |inner, seed| match seed {
                 None => Self::raw_update(inner, &cf, &u, now, false),
-                Some((id_num, doc)) => Ok(UpdateResult {
-                    upserted: true,
-                    upserted_id: Some(Self::raw_insert(inner, id_num, doc)?),
-                    ..UpdateResult::default()
-                }),
+                Some((id_num, doc)) => {
+                    let upserted_id = Some(id_of(&doc));
+                    Self::raw_insert(inner, id_num, doc)?;
+                    Ok(UpdateResult {
+                        upserted: true,
+                        upserted_id,
+                        ..UpdateResult::default()
+                    })
+                }
             },
         )?;
         Ok(out.unwrap_or_default())
@@ -486,8 +527,7 @@ impl Collection {
             |inner, ()| {
                 Ok(
                     Self::first_match(inner, &cf, sort.as_ref()).map(|(id, old)| {
-                        let target =
-                            json!({ "_id": old.get("_id").cloned().unwrap_or(Value::Null) });
+                        let target = json!({ "_id": id_of(&old) });
                         (id, old, target)
                     }),
                 )
@@ -847,10 +887,12 @@ impl Collection {
 
     // ---- raw mutations: reached only through `Shared::commit` ----
 
-    fn raw_insert(inner: &mut Inner, id_num: DocId, doc: Value) -> Result<Value> {
-        let id_val = doc.get("_id").cloned().unwrap_or(Value::Null);
-        if inner.by_id.contains_key(&OrderedValue(id_val.clone())) {
-            return Err(StoreError::DuplicateKey(format!("_id {id_val}")));
+    /// One `_id` clone per document, and the store keeps it (the
+    /// `by_id` key): a caller that wants the id takes its own first.
+    fn raw_insert(inner: &mut Inner, id_num: DocId, doc: Value) -> Result<()> {
+        let id_key = OrderedValue(id_of(&doc));
+        if inner.by_id.contains_key(&id_key) {
+            return Err(StoreError::DuplicateKey(format!("_id {}", id_key.0)));
         }
         // Unique-index check before any mutation.
         for ix in &inner.indexes {
@@ -859,10 +901,10 @@ impl Collection {
         for ix in &mut inner.indexes {
             ix.insert(id_num, &doc)?;
         }
-        inner.by_id.insert(OrderedValue(id_val.clone()), id_num);
+        inner.by_id.insert(id_key, id_num);
         inner.docs.insert(id_num, Arc::new(doc));
         inner.dirty = true;
-        Ok(id_val)
+        Ok(())
     }
 
     /// The first match of `cf` under `sort` (store order without one,
@@ -936,8 +978,7 @@ impl Collection {
                 continue;
             }
             if let Some(doc) = inner.docs.remove(&id) {
-                let idv = doc.get("_id").cloned().unwrap_or(Value::Null);
-                inner.by_id.remove(&OrderedValue(idv));
+                inner.by_id.remove(&OrderedValue(id_of(&doc)));
                 for ix in &mut inner.indexes {
                     ix.remove(id, &doc);
                 }
@@ -962,8 +1003,7 @@ impl Collection {
             ix.insert(id, new)?;
         }
         // _id changes are not permitted via update; keep by_id consistent.
-        let old_id = old.get("_id").cloned().unwrap_or(Value::Null);
-        let new_id = new.get("_id").cloned().unwrap_or(Value::Null);
+        let (old_id, new_id) = (id_of(old), id_of(new));
         if old_id != new_id {
             inner.by_id.remove(&OrderedValue(old_id));
             inner.by_id.insert(OrderedValue(new_id), id);
@@ -976,13 +1016,16 @@ impl Collection {
 pub(crate) const UNBOUNDED: (usize, Option<usize>) = (0, None);
 
 /// The match-evaluation scan: run `cf` over one or more candidate sets
-/// (a collection's, or one per shard) and collect the matches, in set
-/// order then store order. With `proj` each match is projected at once,
-/// while its cache lines are still warm from match evaluation —
-/// re-walking the matched set afterwards pays a second pass of memory
-/// stalls over documents that long since fell out of cache. A match
-/// otherwise retains the `Arc` (pointer bump); documents are never
-/// copied.
+/// (a collection's, or one per shard) and hand each match to `sink`, in
+/// set order then store order. The sink says what a match becomes, in
+/// the pass that matched it — the document's cache lines are still warm
+/// then, where re-walking the matched set afterwards pays a second pass
+/// of memory stalls over documents that long since fell out of cache.
+/// Three are in use: `Arc::clone` keeps the *handle* (a pointer bump;
+/// documents are never copied), [`projected_doc`] makes the *projected
+/// document*, [`handle_and_row`] both the handle and the projected row.
+/// The results are collected into `C`: a vector, or a pair of them for
+/// a sink that makes pairs.
 ///
 /// `window` is (skip, limit) over the match stream. A bounded window
 /// runs sequentially and lazily, so it touches nothing past the row
@@ -990,19 +1033,19 @@ pub(crate) const UNBOUNDED: (usize, Option<usize>) = (0, None);
 /// [`SCAN_CROSSOVER`]) says that pays — priced on the rows left after
 /// column pruning, and sequential runs feed the model a per-row cost of
 /// the matcher, not of the pruning pass.
-pub(crate) fn filter_matches(
+pub(crate) fn filter_matches<T: Send, C: FromIterator<T>>(
     pool: &WorkPool,
     sets: &mut [Candidates],
     cf: &CompiledFilter,
-    proj: Option<&CompiledProjection>,
     (skip, limit): (usize, Option<usize>),
-) -> Docs {
+    sink: impl Fn(&Arc<Document>) -> T + Sync,
+) -> C {
     let unbounded = (skip, limit) == UNBOUNDED;
     let total: usize = sets.iter().map(Candidates::len).sum();
     if unbounded && SCAN_CROSSOVER.decide(pool, total).parallel {
         sets.iter_mut().for_each(Candidates::settle);
         let slices: Vec<&[Arc<Document>]> = sets.iter().map(Candidates::as_slice).collect();
-        return scatter_matches(pool, &slices, cf, proj);
+        return scatter_matches(pool, &slices, cf, sink);
     }
     let t = Instant::now();
     let limit = limit.unwrap_or(usize::MAX);
@@ -1012,7 +1055,7 @@ pub(crate) fn filter_matches(
         .filter(|d| cf.matches(d))
         .skip(skip)
         .take(limit)
-        .map(|d| emit(d, proj))
+        .map(sink)
         .collect();
     // A bounded window early-exits, so its timing says nothing about
     // full-scan per-item cost; only unbounded runs feed the model.
@@ -1022,11 +1065,15 @@ pub(crate) fn filter_matches(
     out
 }
 
-fn emit(doc: &Arc<Document>, proj: Option<&CompiledProjection>) -> Arc<Document> {
-    match proj {
-        Some(proj) => Arc::new(proj.project_one(doc)),
-        None => Arc::clone(doc),
-    }
+/// The *projected document* sink: what `find_with(project)` returns.
+fn projected_doc(proj: &CompiledProjection, doc: &Arc<Document>) -> Arc<Document> {
+    Arc::new(proj.project_one(doc))
+}
+
+/// The *handle + row* sink of [`Collection::find_rows`]: the served
+/// miss path of a projected read.
+fn handle_and_row(proj: &CompiledProjection, doc: &Arc<Document>) -> (Arc<Document>, Value) {
+    (Arc::clone(doc), proj.project_one(doc))
 }
 
 /// The parallel arm of [`filter_matches`]: ONE morsel scatter over all
@@ -1035,24 +1082,21 @@ fn emit(doc: &Arc<Document>, proj: Option<&CompiledProjection>) -> Arc<Document>
 /// descriptors, not documents) is what the workers claim from. Morsel
 /// results land in pre-allocated slots in morsel order, so the output
 /// order is identical to the sequential arm by construction.
-fn scatter_matches(
+fn scatter_matches<T: Send, C: FromIterator<T>>(
     pool: &WorkPool,
     slices: &[&[Arc<Document>]],
     cf: &CompiledFilter,
-    proj: Option<&CompiledProjection>,
-) -> Docs {
+    sink: impl Fn(&Arc<Document>) -> T + Sync,
+) -> C {
     let total: usize = slices.iter().map(|s| s.len()).sum();
-    if total == 0 {
-        return Docs::new();
-    }
     let per_morsel = pool.chunk_size(total, MORSEL_FLOOR);
     let morsels: Vec<&[Arc<Document>]> = slices.iter().flat_map(|s| s.chunks(per_morsel)).collect();
     let parts = pool.scatter_morsels(&morsels, 1, |one| {
         one.iter()
             .flat_map(|morsel| morsel.iter())
             .filter(|d| cf.matches(d))
-            .map(|d| emit(d, proj))
-            .collect::<Docs>()
+            .map(&sink)
+            .collect::<Vec<T>>()
     });
     parts.into_iter().flatten().collect()
 }
@@ -1067,13 +1111,18 @@ fn project_matches(pool: &WorkPool, docs: &[Arc<Document>], proj: &CompiledProje
         let parts = pool.scatter_morsels(docs, per_morsel, |morsel| {
             morsel
                 .iter()
-                .map(|d| Arc::new(proj.project_one(d)))
+                .map(|d| projected_doc(proj, d))
                 .collect::<Docs>()
         });
         parts.into_iter().flatten().collect()
     } else {
-        docs.iter().map(|d| Arc::new(proj.project_one(d))).collect()
+        docs.iter().map(|d| projected_doc(proj, d)).collect()
     }
+}
+
+/// A document's `_id` (`null` without one), cloned.
+fn id_of(doc: &Value) -> Value {
+    doc.get("_id").cloned().unwrap_or(Value::Null)
 }
 
 /// For upserts, seed the new document from the filter's equality fields
@@ -1448,18 +1497,30 @@ mod tests {
         // The crossover-routed entry point must agree with the
         // sequential path whichever arm it picks on this host.
         let sets = &mut [docs.clone().into()];
-        let routed = filter_matches(&WorkPool::new(4), sets, &cf, None, UNBOUNDED);
+        let routed: Docs = filter_matches(&WorkPool::new(4), sets, &cf, UNBOUNDED, Arc::clone);
         assert_eq!(routed, seq, "routed scan must preserve order");
         // The parallel arm itself, pinned on a fresh pool: a segmented
         // union fans out as ONE morsel scatter and must come back in
         // segment-major order.
         let pool = WorkPool::new(4);
         let mid = docs.len() / 2;
-        let par = scatter_matches(&pool, &[&docs[..mid], &docs[mid..]], &cf, None);
+        let halves = [&docs[..mid], &docs[mid..]];
+        let par: Docs = scatter_matches(&pool, &halves, &cf, Arc::clone);
         assert_eq!(par, seq, "morsel scan must preserve segment-major order");
         let st = pool.stats();
         assert_eq!(st.morsel_scatters, 1, "one fan-out for the whole union");
         assert_eq!(st.jobs_dispatched, 0, "no per-chunk boxed jobs");
+        // The same arm under the other two sinks: one scan, so the same
+        // matches in the same order — as projected documents, and as
+        // the handles beside their rows.
+        let proj = CompiledProjection::compile(&["n"]);
+        let rows: Vec<Value> = seq.iter().map(|d| proj.project_one(d)).collect();
+        let projected: Docs = scatter_matches(&pool, &halves, &cf, |d| projected_doc(&proj, d));
+        assert!(projected.iter().map(|d| &**d).eq(&rows));
+        let (handles, par_rows): (Docs, Vec<Value>) =
+            scatter_matches(&pool, &halves, &cf, |d| handle_and_row(&proj, d));
+        assert!(handles.iter().zip(&seq).all(|(h, s)| Arc::ptr_eq(h, s)));
+        assert_eq!((handles.len(), par_rows), (seq.len(), rows));
     }
 
     #[test]

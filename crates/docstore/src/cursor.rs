@@ -245,10 +245,10 @@ struct ProjNode {
 
 impl CompiledProjection {
     /// Compile an include-list of dotted paths (`_id` is always added).
-    pub fn compile(paths: &[String]) -> Self {
+    pub fn compile<S: AsRef<str>>(paths: &[S]) -> Self {
         let mut all: Vec<Vec<PathSeg>> = Vec::with_capacity(paths.len() + 1);
         all.push(compile_path("_id"));
-        all.extend(paths.iter().map(|p| compile_path(p)));
+        all.extend(paths.iter().map(|p| compile_path(p.as_ref())));
         let plan = build_plan(&all);
         CompiledProjection { paths: all, plan }
     }

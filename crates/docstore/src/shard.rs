@@ -193,8 +193,8 @@ impl ShardedCluster {
             WorkPool::global(),
             &mut sets,
             &cf,
-            None,
             crate::collection::UNBOUNDED,
+            Arc::clone,
         ))
     }
 

@@ -23,10 +23,16 @@
 //! (DESIGN §16) to [`Filter::matches`]: find, count, projected, sorted
 //! and windowed results are the oracle's on the scan that builds the
 //! segment and its columns and on the ones that find them there.
+//!
+//! The rows arm (`rows_sink_agrees_with_find_with`, and a step of the
+//! column arm) pins the scan's third sink, `Collection::find_rows`, to
+//! the other two: its handles are `find_with`'s without the projection,
+//! its rows `find_with`'s with it.
 
-use mp_docstore::{Database, Filter, FindOptions, SortDir};
+use mp_docstore::{Collection, CompiledProjection, Database, Filter, FindOptions, SortDir};
 use proptest::prelude::*;
 use serde_json::{json, Map, Value};
+use std::sync::Arc;
 
 // ---------------------------------------------------------------------------
 // Strategies
@@ -282,7 +288,45 @@ fn reads_match_oracle(
     ] {
         prop_assert_eq!(got(&opts), reference(&opts));
     }
+    rows_sink_matches_find_with(&coll, filter, &["v", "o.v"], 0, None)?;
+    rows_sink_matches_find_with(&coll, filter, &["w"], skip, Some(limit))
+}
+
+/// `find_rows` against `find_with` over the same window: the handles it
+/// returns are the very documents an unprojected find returns, the rows
+/// equal what a projected one returns.
+fn rows_sink_matches_find_with(
+    coll: &Collection,
+    filter: &Value,
+    paths: &[&str],
+    skip: usize,
+    limit: Option<usize>,
+) -> Result<(), TestCaseError> {
+    let window = FindOptions {
+        skip,
+        limit,
+        ..FindOptions::all()
+    };
+    let proj = CompiledProjection::compile(paths);
+    let (handles, rows) = coll.find_rows(filter, &proj, skip, limit).unwrap();
+    let whole = coll.find_with(filter, &window).unwrap();
+    let projected = coll.find_with(filter, &window.project(paths)).unwrap();
+    prop_assert_eq!(handles.len(), whole.len());
+    prop_assert!(handles.iter().zip(&whole).all(|(h, w)| Arc::ptr_eq(h, w)));
+    prop_assert!(rows.iter().eq(projected.iter().map(|d| &**d)));
     Ok(())
+}
+
+/// A filter over the [`document`] alphabet: everything, presence of a
+/// path, equality with a leaf, or a numeric bound (which a COLLSCAN
+/// tests against a column first).
+fn document_filter() -> impl Strategy<Value = Value> {
+    prop_oneof![
+        Just(json!({})),
+        (path_string(), any::<bool>()).prop_map(|(p, yes)| json!({ p: {"$exists": yes} })),
+        (path_string(), leaf()).prop_map(|(p, x)| json!({ p: x })),
+        (path_string(), -40i64..40).prop_map(|(p, x)| json!({ p: {"$gte": x} })),
+    ]
 }
 
 /// The uncompiled reference verdict on one document.
@@ -375,6 +419,36 @@ proptest! {
         }
 
         byte_identical(&compiled, &naive)?;
+    }
+
+    /// The scan's rows sink returns the handles of the documents an
+    /// unprojected find returns and the rows a projected one returns —
+    /// for trie-plan projections and for ones with a numeric segment
+    /// (`project_one`'s sequential fallback), bounded windows and the
+    /// unbounded one (the only one the crossover may fan out), on the
+    /// scan that builds the segment and on the ones that find it.
+    #[test]
+    fn rows_sink_agrees_with_find_with(
+        docs in prop::collection::vec(document(), 0..30),
+        filter in document_filter(),
+        paths in prop::collection::vec(path_string(), 0..4),
+        skip in 0usize..6,
+        limit in prop_oneof![Just(None), (0usize..12).prop_map(Some)],
+    ) {
+        let db = Database::new();
+        let coll = db.collection("c");
+        let stored = docs.into_iter().enumerate().map(|(i, mut d)| {
+            d["_id"] = json!(i);
+            d
+        });
+        coll.insert_many(stored.collect()).unwrap();
+        let paths: Vec<&str> = paths.iter().map(String::as_str).collect();
+        for _ in 0..3 {
+            rows_sink_matches_find_with(&coll, &filter, &paths, skip, limit)?;
+        }
+        // A path that addresses an array element, whatever was drawn.
+        let indexed = [paths.as_slice(), &["a.0", "b.1.c"]].concat();
+        rows_sink_matches_find_with(&coll, &filter, &indexed, skip, limit)?;
     }
 
     /// A COLLSCAN through the scan segment returns what the generic

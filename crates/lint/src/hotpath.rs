@@ -9,7 +9,11 @@
 //!
 //! * **per-document roots** run once per document by contract
 //!   (`CompiledFilter::matches`, `CompiledProjection::project_one`,
-//!   `CompiledFindOptions::cmp_docs`): their whole body is hot.
+//!   `CompiledFindOptions::cmp_docs`, and the scan's sinks
+//!   `projected_doc` and `handle_and_row` — the match-evaluation scan
+//!   calls a sink through a closure parameter, which the call graph
+//!   cannot follow, and `handle_and_row` is the served miss path of a
+//!   projected read): their whole body is hot.
 //! * **driver roots** own the per-document loop
 //!   (`filter_matches`, `scatter_matches`, `project_matches`, the scan
 //!   segment's `build_column`, `has_numbers_at`, `narrow` and
@@ -196,9 +200,10 @@ impl HotConfig {
     /// pass and survivor iterator, and the executor's morsel
     /// dispatch/claim loops), the aggregation
     /// stage runner, and the MapReduce engines own the loops; the compiled
-    /// projection, and compiled sort comparator run per document; the
-    /// uncompiled `Filter::matches` and the naive `FindOptions`
-    /// reference implementations are cold spec oracles.
+    /// projection, the scan's two projecting sinks and the compiled sort
+    /// comparator run per document; the uncompiled `Filter::matches` and
+    /// the naive `FindOptions` reference implementations are cold spec
+    /// oracles.
     pub fn materials_project_defaults() -> Self {
         HotConfig {
             driver_roots: FnRef::list(&[
@@ -221,6 +226,8 @@ impl HotConfig {
                 "CompiledFilter::matches",
                 "CompiledProjection::project_one",
                 "CompiledFindOptions::cmp_docs",
+                "projected_doc",
+                "handle_and_row",
             ]),
             cold_fns: FnRef::list(&[
                 "Filter::matches",

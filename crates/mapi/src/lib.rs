@@ -29,7 +29,7 @@ pub use auth::{visibility_filter, Account, AuthError, AuthRegistry, Provider, Pr
 pub use builder::{build_materials_view, run_vnv_checks, vnv_clean, VnvViolations};
 pub use client::{ClientError, MpClient};
 pub use error::ApiError;
-pub use queryengine::{CachedRows, QueryEngine};
+pub use queryengine::{CachedRows, Fetched, QueryEngine};
 pub use ratelimit::{RateLimitConfig, RateLimiter};
 pub use rest::{ApiRequest, ApiResponse, MaterialsApi};
 pub use sandbox::Sandbox;

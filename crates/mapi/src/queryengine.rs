@@ -8,11 +8,14 @@
 //! access the database directly."
 //!
 //! Reads go through a result cache whose entries ([`CachedRows`]) hold
-//! the document handles a miss computed and, from the entry's first hit
-//! on, the one response array all its hits share: from the probe to the
-//! response body a hit copies `Arc`s, never documents.
+//! handles to the stored documents a miss matched, the projection the
+//! request asked for and, from the entry's first hit on, the one
+//! response array all its hits share: from the probe to the response
+//! body a hit copies `Arc`s, never documents. A miss answers with the
+//! rows its scan pass built ([`Fetched::rows`]); the entry never owns a
+//! copy of them.
 
-use mp_docstore::{Database, Docs, FindOptions, Result, StoreError};
+use mp_docstore::{CompiledProjection, Database, Docs, FindOptions, Result, StoreError};
 use mp_exec::{CacheStats, QueryCache};
 use mp_lint::{CollectionSchema, Diagnostic};
 use serde_json::{Map, Value};
@@ -88,44 +91,80 @@ fn push_json_string(s: &str, out: &mut String) {
     out.push('"');
 }
 
-/// One cached result: the document handles a miss computed and, once the
-/// entry has been hit, the response array every later hit shares.
+/// One cached result: handles to the stored documents a miss matched,
+/// how to project them, and, once the entry has been hit, the response
+/// array every later hit shares.
+///
+/// The handles are into the store whether or not the request projects:
+/// a projected entry keeps the source documents and the compiled
+/// projection, not projected copies, so it costs 8 bytes per row, pins
+/// nothing the store does not hold anyway (an old version of a document
+/// only until the probe that invalidates the entry or the put that
+/// evicts it), and evicting it drops reference counts instead of
+/// freeing rows inside someone else's request. Handles are immutable,
+/// so whenever the rows are rendered they are the snapshot the miss
+/// scanned.
 ///
 /// The array is built by the *first hit*, not by the miss that stores
 /// the entry: an entry that is never asked for twice (an exploratory
-/// scan, a bulk pull) costs the handles alone, exactly as before, and
-/// its one response is the caller's private copy, freed when the caller
-/// drops it rather than whenever the cache evicts (DESIGN §9, "Entry
-/// shape"). What an entry can pin is bounded by what bounded it before —
-/// the route's row cap — at most doubled once it has been hit.
+/// scan, a bulk pull) costs the handles alone, and its one response is
+/// the caller's private rows, freed when the caller drops them rather
+/// than whenever the cache evicts (DESIGN §9, "Entry shape").
 #[derive(Debug)]
 pub struct CachedRows {
     docs: Docs,
+    /// Compiled once, by the miss; `None` when the request asked for
+    /// whole documents.
+    projection: Option<Arc<CompiledProjection>>,
     array: OnceLock<Arc<Value>>,
 }
 
 impl CachedRows {
-    fn new(docs: Docs) -> Self {
+    fn new(docs: Docs, projection: Option<Arc<CompiledProjection>>) -> Self {
         CachedRows {
             docs,
+            projection,
             array: OnceLock::new(),
         }
     }
 
-    /// The result rows as shared handles into the store.
-    pub fn docs(&self) -> &Docs {
-        &self.docs
+    /// Number of result rows.
+    pub fn len(&self) -> usize {
+        self.docs.len()
+    }
+
+    /// True when the query matched nothing.
+    pub fn is_empty(&self) -> bool {
+        self.docs.is_empty()
+    }
+
+    /// The result rows as shared documents: the store's own handles
+    /// when the request asked for whole documents, one freshly projected
+    /// document per row otherwise.
+    pub fn to_docs(&self) -> Docs {
+        match &self.projection {
+            Some(proj) => self
+                .docs
+                .iter()
+                .map(|d| Arc::new(proj.project_one(d)))
+                .collect(),
+            None => self.docs.clone(),
+        }
     }
 
     /// Materialize the rows into an owned JSON array. This is the
-    /// serialization boundary: the one place on the read path where
-    /// documents are deep-copied, because a response body must own its
-    /// bytes. A miss calls it for its private response, [`shared_json`]
-    /// once per entry.
+    /// serialization boundary: a response body must own its bytes, so a
+    /// projected row is projected out of its document here and a whole
+    /// document deep-copied — the one place on the read path that
+    /// happens. An unprojected miss calls it for its private response,
+    /// [`shared_json`] once per entry.
     ///
     /// [`shared_json`]: Self::shared_json
     pub fn to_json(&self) -> Value {
-        Value::Array(self.docs.iter().map(|d| (**d).clone()).collect()) // mp-lint: allow(P002)
+        Value::Array(match &self.projection {
+            Some(proj) => self.docs.iter().map(|d| proj.project_one(d)).collect(),
+            None => self.docs.iter().map(|d| (**d).clone()).collect(), // mp-lint: allow(P002)
+        })
     }
 
     /// The response array of this entry, shared: the first call builds
@@ -135,6 +174,21 @@ impl CachedRows {
     pub fn shared_json(&self) -> Arc<Value> {
         Arc::clone(self.array.get_or_init(|| Arc::new(self.to_json())))
     }
+}
+
+/// What [`QueryEngine::query_cached`] answers with.
+#[derive(Debug)]
+pub struct Fetched {
+    /// The cache entry: the one the probe found, or the one this call
+    /// stored.
+    pub entry: Arc<CachedRows>,
+    /// Whether the probe found it.
+    pub cached: bool,
+    /// A projected miss's rows, exactly as the scan pass that matched
+    /// them built them: the caller's to send, not a copy of anything the
+    /// entry holds. `None` on a hit (the entry's shared array answers)
+    /// and on an unprojected miss (its rows are the entry's documents).
+    pub rows: Option<Vec<Value>>,
 }
 
 /// Central query gateway with aliasing and sanitization.
@@ -320,7 +374,12 @@ impl QueryEngine {
 
     /// Query a collection with criteria + requested properties, both in
     /// alias space — the pymatgen `MPRester.query(criteria, properties)`
-    /// shape.
+    /// shape. Without properties the rows are the store's own handles
+    /// (an `Arc` bump each, hit or miss). With properties each row is a
+    /// projected document of its own: a miss wraps the rows its scan
+    /// built, a hit re-projects them from the entry's handles — an
+    /// in-process caller repeating a projected query pays the projection
+    /// each time, not a copy of a cached one.
     pub fn query(
         &self,
         collection: &str,
@@ -328,14 +387,17 @@ impl QueryEngine {
         properties: &[&str],
         limit: Option<usize>,
     ) -> Result<Docs> {
-        let (rows, _cached) = self.query_cached(collection, criteria, properties, limit)?;
-        // Cloning `Docs` copies Arc handles, not documents.
-        Ok(rows.docs().clone())
+        let fetched = self.query_cached(collection, criteria, properties, limit)?;
+        Ok(match fetched.rows {
+            Some(rows) => rows.into_iter().map(Arc::new).collect(),
+            None => fetched.entry.to_docs(),
+        })
     }
 
     /// Like [`query`](Self::query), but read-through the result cache:
-    /// returns the (shared) cache entry plus whether it was served
-    /// from the cache. A cache hit is only possible while the backing
+    /// returns the (shared) cache entry, whether it was served from the
+    /// cache, and — on a projected miss — the rows the scan built
+    /// ([`Fetched`]). A cache hit is only possible while the backing
     /// collection's version counter is unchanged since the entry was
     /// stored — every write bumps it, so hits never serve pre-write
     /// data.
@@ -354,13 +416,19 @@ impl QueryEngine {
     /// `Arc`, never documents, and never builds the entry's response
     /// array: that is [`CachedRows::shared_json`], which the REST layer
     /// calls on a hit, outside the cache's lock.
+    ///
+    /// A miss that projects compiles the projection once, runs the one
+    /// pass that makes a handle and a row per match
+    /// (`Collection::find_rows`), stores the handles with that same
+    /// compiled projection and hands the rows back; one that does not
+    /// stores the handles `find_with` returns, as it always has.
     pub fn query_cached(
         &self,
         collection: &str,
         criteria: &Value,
         properties: &[&str],
         limit: Option<usize>,
-    ) -> Result<(Arc<CachedRows>, bool)> {
+    ) -> Result<Fetched> {
         use std::fmt::Write as _;
         let mut key = String::with_capacity(96);
         key.push_str(collection);
@@ -382,23 +450,35 @@ impl QueryEngine {
         // the next probe), never let a hit serve pre-write rows as
         // current.
         let generation = coll.version();
-        if let Some(rows) = self.cache.get(&key, generation) {
+        if let Some(entry) = self.cache.get(&key, generation) {
             self.db.profiler().bump("cache.hit");
-            return Ok((rows, true));
+            return Ok(Fetched {
+                entry,
+                cached: true,
+                rows: None,
+            });
         }
         self.db.profiler().bump("cache.miss");
         let filter = self.sanitize(criteria)?;
-        let real_props: Vec<&str> = properties.iter().map(|p| self.resolve_field(p)).collect();
-        let mut opts = FindOptions::all();
-        if let Some(l) = limit {
-            opts = opts.limit(l);
-        }
-        if !real_props.is_empty() {
-            opts = opts.project(&real_props);
-        }
-        let rows = Arc::new(CachedRows::new(coll.find_with(&filter, &opts)?));
-        self.cache.put(key, generation, Arc::clone(&rows));
-        Ok((rows, false))
+        let (entry, rows) = if properties.is_empty() {
+            let opts = FindOptions {
+                limit,
+                ..FindOptions::all()
+            };
+            (CachedRows::new(coll.find_with(&filter, &opts)?, None), None)
+        } else {
+            let real_props: Vec<&str> = properties.iter().map(|p| self.resolve_field(p)).collect();
+            let proj = Arc::new(CompiledProjection::compile(&real_props));
+            let (docs, rows) = coll.find_rows(&filter, &proj, 0, limit)?;
+            (CachedRows::new(docs, Some(proj)), Some(rows))
+        };
+        let entry = Arc::new(entry);
+        self.cache.put(key, generation, Arc::clone(&entry));
+        Ok(Fetched {
+            entry,
+            cached: false,
+            rows,
+        })
     }
 
     /// Hit/miss/invalidation/eviction counters of the query cache.
@@ -619,12 +699,15 @@ mod tests {
     fn query_cache_hits_and_write_invalidation() {
         let qe = engine();
         let crit = json!({"band_gap": {"$gt": 1.0}});
-        let (rows1, hit1) = qe.query_cached("materials", &crit, &[], None).unwrap();
-        assert!(!hit1, "first read is a miss");
-        assert_eq!(rows1.docs().len(), 2);
-        let (rows2, hit2) = qe.query_cached("materials", &crit, &[], None).unwrap();
-        assert!(hit2, "repeat read is a hit");
-        assert!(Arc::ptr_eq(&rows1, &rows2), "hit shares the cached rows");
+        let first = qe.query_cached("materials", &crit, &[], None).unwrap();
+        assert!(!first.cached, "first read is a miss");
+        assert_eq!(first.entry.len(), 2);
+        let second = qe.query_cached("materials", &crit, &[], None).unwrap();
+        assert!(second.cached, "repeat read is a hit");
+        assert!(
+            Arc::ptr_eq(&first.entry, &second.entry),
+            "hit shares the cached rows"
+        );
         assert_eq!(qe.database().profiler().counter("cache.hit"), 1);
         // A write to the collection bumps its version: the entry is
         // stale and the next read recomputes.
@@ -632,9 +715,9 @@ mod tests {
             .collection("materials")
             .insert_one(json!({"formula": "NaCl", "output": {"band_gap": 5.0}}))
             .unwrap();
-        let (rows3, hit3) = qe.query_cached("materials", &crit, &[], None).unwrap();
-        assert!(!hit3, "write must invalidate the cached entry");
-        assert_eq!(rows3.docs().len(), 3);
+        let third = qe.query_cached("materials", &crit, &[], None).unwrap();
+        assert!(!third.cached, "write must invalidate the cached entry");
+        assert_eq!(third.entry.len(), 3);
         let st = qe.cache_stats();
         assert_eq!(st.hits, 1);
         assert_eq!(st.invalidations, 1);
@@ -661,25 +744,68 @@ mod tests {
             &qe.query("materials", &crit, &[], None).unwrap()
         ));
         // Build it, as a REST hit does: one array, equal to a private copy.
-        let (entry, hit) = qe.query_cached("materials", &crit, &[], None).unwrap();
-        assert!(hit);
-        let array = entry.shared_json();
-        assert!(Arc::ptr_eq(&array, &entry.shared_json()));
-        assert_eq!(*array, entry.to_json());
+        let hit = qe.query_cached("materials", &crit, &[], None).unwrap();
+        assert!(hit.cached && hit.rows.is_none());
+        let array = hit.entry.shared_json();
+        assert!(Arc::ptr_eq(&array, &hit.entry.shared_json()));
+        assert_eq!(*array, hit.entry.to_json());
         // The entry still hands out the store's documents, not the array's.
-        assert!(are_handles(entry.docs()));
+        assert!(are_handles(&hit.entry.to_docs()));
         assert!(are_handles(
             &qe.query("materials", &crit, &[], None).unwrap()
         ));
         assert_eq!(qe.cache_stats().hits, 3);
     }
 
+    /// A projected entry keeps the handles of the documents it matched
+    /// and the projection; the miss hands out the rows its scan built,
+    /// and everything rendered from the entry later equals them.
+    #[test]
+    fn a_projected_entry_holds_source_handles_and_the_miss_owns_its_rows() {
+        let qe = engine();
+        let crit = json!({"band_gap": {"$gt": 1.0}});
+        let stored = qe
+            .database()
+            .collection("materials")
+            .find(&json!({"output.band_gap": {"$gt": 1.0}}))
+            .unwrap();
+        let props = ["energy", "formula"];
+        let miss = qe.query_cached("materials", &crit, &props, None).unwrap();
+        assert!(!miss.cached);
+        let rows = miss.rows.expect("a projected miss built its rows");
+        assert_eq!(
+            rows,
+            [
+                json!({"_id": "mp-1", "output": {"energy": -67.5}, "formula": "Fe2O3"}),
+                json!({"_id": "mp-2", "output": {"energy": -191.0}, "formula": "LiFePO4"}),
+            ]
+        );
+        assert!(miss
+            .entry
+            .docs
+            .iter()
+            .zip(&stored)
+            .all(|(d, s)| Arc::ptr_eq(d, s)));
+        let hit = qe.query_cached("materials", &crit, &props, None).unwrap();
+        assert!(hit.cached && hit.rows.is_none());
+        assert!(Arc::ptr_eq(&hit.entry, &miss.entry));
+        assert_eq!(hit.entry.to_json(), Value::Array(rows.clone()));
+        assert_eq!(*hit.entry.shared_json(), Value::Array(rows.clone()));
+        // In process: a miss wraps its rows, a hit re-projects.
+        let fresh = QueryEngine::new(qe.database().clone());
+        for _ in 0..2 {
+            let docs = fresh.query("materials", &crit, &props, None).unwrap();
+            assert!(docs.iter().map(|d| &**d).eq(&rows));
+        }
+        assert_eq!(fresh.cache_stats().hits, 1);
+    }
+
     #[test]
     fn drop_and_recreate_cannot_serve_stale_cached_rows() {
         let qe = engine();
         let crit = json!({"band_gap": {"$gt": 1.0}});
-        let (rows1, _) = qe.query_cached("materials", &crit, &[], None).unwrap();
-        assert_eq!(rows1.docs().len(), 2);
+        let first = qe.query_cached("materials", &crit, &[], None).unwrap();
+        assert_eq!(first.entry.len(), 2);
         // Drop the whole collection and rebuild it with one different
         // document. The successor collection seeds its generation above
         // the dropped one's final version (the registry floor), so the
@@ -691,13 +817,13 @@ mod tests {
             .insert_one(json!({"_id": "mp-9", "formula": "LiCoO2",
                                "output": {"band_gap": 2.7}}))
             .unwrap();
-        let (rows2, hit2) = qe.query_cached("materials", &crit, &[], None).unwrap();
+        let second = qe.query_cached("materials", &crit, &[], None).unwrap();
         assert!(
-            !hit2,
+            !second.cached,
             "recreated collection must not serve the dropped collection's cached rows"
         );
-        assert_eq!(rows2.docs().len(), 1);
-        assert_eq!(rows2.docs()[0]["formula"], json!("LiCoO2"));
+        assert_eq!(second.entry.len(), 1);
+        assert_eq!(second.entry.to_json()[0]["formula"], json!("LiCoO2"));
     }
 
     #[test]
@@ -705,32 +831,35 @@ mod tests {
         let qe = engine();
         let a = json!({"band_gap": {"$gt": 1.0}, "formula": "Fe2O3"});
         let b = json!({"formula": "Fe2O3", "band_gap": {"$gt": 1.0}});
-        let (_, h1) = qe.query_cached("materials", &a, &[], None).unwrap();
-        assert!(!h1);
-        let (_, h2) = qe.query_cached("materials", &b, &[], None).unwrap();
-        assert!(h2, "key-order permutations must share one cache slot");
+        let cached = |criteria: &Value, props: &[&str], limit| {
+            let fetched = qe.query_cached("materials", criteria, props, limit);
+            fetched.unwrap().cached
+        };
+        assert!(!cached(&a, &[], None));
+        assert!(
+            cached(&b, &[], None),
+            "key-order permutations must share one cache slot"
+        );
         // Projection and limit are part of the key, though.
-        let (_, h3) = qe.query_cached("materials", &a, &["energy"], None).unwrap();
-        assert!(!h3, "projection changes the key");
-        let (_, h4) = qe.query_cached("materials", &a, &[], Some(1)).unwrap();
-        assert!(!h4, "limit changes the key");
+        assert!(!cached(&a, &["energy"], None), "projection changes the key");
+        assert!(!cached(&a, &[], Some(1)), "limit changes the key");
     }
 
     #[test]
     fn alias_edit_invalidates_raw_keyed_cache() {
         let mut qe = engine();
         let crit = json!({"band_gap": {"$gt": 1.0}});
-        let (rows1, h1) = qe.query_cached("materials", &crit, &[], None).unwrap();
-        assert!(!h1);
-        assert_eq!(rows1.docs().len(), 2);
-        let (_, h2) = qe.query_cached("materials", &crit, &[], None).unwrap();
-        assert!(h2);
+        let first = qe.query_cached("materials", &crit, &[], None).unwrap();
+        assert!(!first.cached);
+        assert_eq!(first.entry.len(), 2);
+        let second = qe.query_cached("materials", &crit, &[], None).unwrap();
+        assert!(second.cached);
         // Repoint the alias: the same raw request now means a different
         // query, so the raw-keyed entry must not survive.
         qe.alias_field("band_gap", "no.such.path");
-        let (rows3, h3) = qe.query_cached("materials", &crit, &[], None).unwrap();
-        assert!(!h3, "alias edit must clear raw-keyed entries");
-        assert!(rows3.docs().is_empty(), "repointed alias matches nothing");
+        let third = qe.query_cached("materials", &crit, &[], None).unwrap();
+        assert!(!third.cached, "alias edit must clear raw-keyed entries");
+        assert!(third.entry.is_empty(), "repointed alias matches nothing");
     }
 
     #[test]

@@ -12,20 +12,23 @@
 //! request is a method + path + key, a response is a status + JSON body.
 //!
 //! Every route that returns rows answers through one function,
-//! `ApiResponse::rows`. A query-cache **miss** deep-copies its rows once
-//! into a private array — the serialization boundary,
-//! [`CachedRows::to_json`] — and the caller frees that copy when it
-//! drops the response. A **hit** copies nothing: the first hit of an
-//! entry builds the entry's response array, every later hit clones an
-//! `Arc` to it, so a hit costs the same for 1 row and for 10,000. That
-//! is why an [`ApiResponse`] keeps its rows beside the envelope rather
-//! than inside it: [`ApiResponse::payload`] borrows them whoever owns
-//! them, and [`ApiResponse::body`] assembles the full envelope for the
-//! callers that print or inspect it.
+//! `ApiResponse::rows`. A query-cache **miss** owns its rows: a
+//! projected one the rows its scan pass built, moved in and never
+//! copied; an unprojected one the single deep copy of its documents —
+//! the serialization boundary, [`CachedRows::to_json`] — and the caller
+//! frees them when it drops the response. A **hit** copies nothing: the
+//! first hit of an entry builds the entry's response array, every later
+//! hit clones an `Arc` to it, so a hit costs the same for 1 row and for
+//! 10,000. That is why an [`ApiResponse`] keeps its rows beside the
+//! envelope rather than inside it: [`ApiResponse::payload`] borrows them
+//! whoever owns them, and [`ApiResponse::body`] assembles the full
+//! envelope for the callers that print or inspect it.
+//!
+//! [`CachedRows::to_json`]: crate::queryengine::CachedRows::to_json
 
 use crate::auth::AuthRegistry;
 use crate::error::ApiError;
-use crate::queryengine::{CachedRows, QueryEngine};
+use crate::queryengine::{Fetched, QueryEngine};
 use crate::ratelimit::{RateLimitConfig, RateLimiter};
 use crate::weblog::WebLog;
 use serde_json::{json, Value};
@@ -119,16 +122,21 @@ impl ApiResponse {
         }
     }
 
-    /// The one way a rows-returning route answers. A miss owns a
-    /// private copy of its rows, freed when the caller drops the
-    /// response; a hit shares the entry's response array with every
-    /// other hit of that entry, so its cost does not depend on the row
-    /// count (why not build the array at miss time: DESIGN §9).
-    fn rows(rows: &CachedRows, cached: bool) -> Self {
-        let (payload, x_cache) = if cached {
-            (Payload::Shared(rows.shared_json()), "HIT")
+    /// The one way a rows-returning route answers. A miss owns its
+    /// rows, freed when the caller drops the response: the ones its scan
+    /// pass built when it projects, a copy of its documents when it does
+    /// not. A hit shares the entry's response array with every other hit
+    /// of that entry, so its cost does not depend on the row count (why
+    /// not build the array at miss time: DESIGN §9).
+    fn rows(fetched: Fetched) -> Self {
+        let (payload, x_cache) = if fetched.cached {
+            (Payload::Shared(fetched.entry.shared_json()), "HIT")
         } else {
-            (Payload::Owned(rows.to_json()), "MISS")
+            let rows = match fetched.rows {
+                Some(rows) => Value::Array(rows),
+                None => fetched.entry.to_json(),
+            };
+            (Payload::Owned(rows), "MISS")
         };
         ApiResponse::ok(payload).with_header("X-Cache", x_cache)
     }
@@ -340,10 +348,10 @@ impl MaterialsApi {
                 } else {
                     json!({"framework": ident})
                 };
-                let (rows, cached) =
-                    self.qe
-                        .query_cached("batteries", &criteria, &[], Some(100))?;
-                Ok(ApiResponse::rows(&rows, cached))
+                let fetched = self
+                    .qe
+                    .query_cached("batteries", &criteria, &[], Some(100))?;
+                Ok(ApiResponse::rows(fetched))
             }
             _ => Err(ApiError::NotFound("not found".into())),
         }
@@ -371,15 +379,15 @@ impl MaterialsApi {
             Some(p) => vec![p],
             None => vec![],
         };
-        let (rows, cached) = self
+        let fetched = self
             .qe
             .query_cached(collection, &criteria, &props, Some(500))?;
-        if rows.docs().is_empty() {
+        if fetched.entry.is_empty() {
             return Err(ApiError::NotFound(format!(
                 "no {collection} match '{ident}'"
             )));
         }
-        Ok(ApiResponse::rows(&rows, cached))
+        Ok(ApiResponse::rows(fetched))
     }
 
     /// POST-style structured query: sanitized criteria + properties
@@ -415,7 +423,7 @@ impl MaterialsApi {
             .qe
             .query_cached(collection, criteria, properties, Some(10_000))
         {
-            Ok((rows, cached)) => ApiResponse::rows(&rows, cached).with_warnings(&warnings),
+            Ok(fetched) => ApiResponse::rows(fetched).with_warnings(&warnings),
             Err(e) => ApiResponse::error(400, &e.to_string()),
         };
         let nrecords = match resp.payload() {
