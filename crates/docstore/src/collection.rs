@@ -24,12 +24,11 @@ use std::time::Instant;
 /// morsels pay more in claim traffic than they earn in overlap.
 const MORSEL_FLOOR: usize = 1024;
 
-/// Seq-vs-parallel decision point for the match-evaluation scan family:
-/// [`filter_matches`] (finds, the shard router's union, aggregation
-/// `$match`) and parallel counting share one cost model, since all of
-/// them are dominated by `CompiledFilter::matches` per candidate.
-/// Sequential scans feed the model; `decide` prices fan-out against the
-/// pool's calibrated dispatch overhead (DESIGN §14).
+/// Seq-vs-parallel decision point of the match-evaluation scan,
+/// [`filter_matches`]: finds, counts, `distinct`, the shard router's
+/// union and aggregation `$match` are all that one scan, so they share
+/// one cost model. Sequential scans feed the model; `decide` prices
+/// fan-out against the pool's calibrated dispatch overhead (DESIGN §14).
 static SCAN_CROSSOVER: Crossover = Crossover::new();
 
 /// Outcome of an update call.
@@ -303,10 +302,16 @@ impl Collection {
         }
         let mut out: Docs = filter_matches(pool, candidates, &cf, UNBOUNDED, Arc::clone);
         copts.apply_order(&mut out);
-        if let Some(proj) = copts.projection() {
-            out = project_matches(pool, &out, proj);
-        }
-        Ok(out)
+        Ok(match copts.projection() {
+            // The ordered window through the same scan: every row of it
+            // matches, and the sink projects it.
+            Some(proj) => {
+                let window = &mut [out.into()];
+                let every = CompiledFilter::default();
+                filter_matches(pool, window, &every, UNBOUNDED, |d| projected_doc(proj, d))
+            }
+            None => out,
+        })
     }
 
     /// An unsorted, windowed, projected find that returns each match
@@ -347,50 +352,19 @@ impl Collection {
         inner.docs.get(&did).cloned()
     }
 
-    /// Count documents matching the filter.
+    /// Count documents matching the filter: the match scan with a sink
+    /// that keeps nothing (see [`Count`]). A COLLSCAN counts through the
+    /// shared segment, so no handle is cloned but a pruned scan's
+    /// survivors.
     pub fn count(&self, filter: &Value) -> Result<usize> {
         let _t = self.shared.profiler.start(&self.name, OpKind::Count);
         let cf = Filter::parse(filter)?.compile();
-        Ok(self.count_exec(&cf))
-    }
-
-    /// Find with a pre-compiled filter: the lean path the shard router's
-    /// scatter-gather uses, skipping the per-shard filter re-parse (and
-    /// re-compile) and operation-sampling overhead of [`Collection::find`].
-    pub fn find_filter(&self, cf: &CompiledFilter) -> Docs {
-        let candidates = &mut [self.candidates(cf)];
-        filter_matches(WorkPool::global(), candidates, cf, UNBOUNDED, Arc::clone)
-    }
-
-    /// Count with a pre-compiled filter (lean scatter path, see
-    /// [`Collection::find_filter`]).
-    pub fn count_filter(&self, cf: &CompiledFilter) -> usize {
-        self.count_exec(cf)
-    }
-
-    /// Count the candidates that match, in morsels on the pool when the
-    /// crossover predicts fan-out pays. A COLLSCAN counts through the
-    /// shared segment: no handle is cloned but a pruned scan's survivors.
-    fn count_exec(&self, cf: &CompiledFilter) -> usize {
         if cf.is_empty() {
-            return self.len();
+            return Ok(self.len());
         }
-        let pool = WorkPool::global();
-        let mut candidates = self.candidates(cf);
-        if !SCAN_CROSSOVER.decide(pool, candidates.len()).parallel {
-            let t = Instant::now();
-            let count = candidates.iter().filter(|d| cf.matches(d)).count();
-            SCAN_CROSSOVER.record_seq(candidates.len(), t.elapsed());
-            return count;
-        }
-        candidates.settle();
-        let docs = candidates.as_slice();
-        let per_morsel = pool.chunk_size(docs.len(), MORSEL_FLOOR);
-        pool.scatter_morsels(docs, per_morsel, |morsel| {
-            morsel.iter().filter(|d| cf.matches(d)).count()
-        })
-        .into_iter()
-        .sum()
+        let candidates = &mut [self.candidates(&cf)];
+        let Count(n) = filter_matches(WorkPool::global(), candidates, &cf, UNBOUNDED, |_| ());
+        Ok(n)
     }
 
     /// Distinct values at `path` among documents matching `filter`.
@@ -398,7 +372,9 @@ impl Collection {
         let _t = self.shared.profiler.start(&self.name, OpKind::Find);
         let cf = Filter::parse(filter)?.compile();
         let mut set: BTreeMap<OrderedValue, ()> = BTreeMap::new();
-        for doc in self.find_filter(&cf) {
+        let candidates = &mut [self.candidates(&cf)];
+        let docs: Docs = filter_matches(WorkPool::global(), candidates, &cf, UNBOUNDED, Arc::clone);
+        for doc in docs {
             for v in crate::value::get_path_multi(&doc, path) {
                 match v {
                     Value::Array(a) => {
@@ -737,13 +713,6 @@ impl Collection {
         }))
     }
 
-    /// The plan `find`/`count` would execute for `filter` right now.
-    pub fn plan_for(&self, filter: &Value) -> Result<QueryPlan> {
-        let cf = Filter::parse(filter)?.compile();
-        let inner = self.inner.read();
-        Ok(Self::plan_query(&inner, &cf).0)
-    }
-
     // ---- internals ----
 
     /// Cost-based plan selection: cost every applicable access path
@@ -1021,11 +990,13 @@ pub(crate) const UNBOUNDED: (usize, Option<usize>) = (0, None);
 /// the pass that matched it — the document's cache lines are still warm
 /// then, where re-walking the matched set afterwards pays a second pass
 /// of memory stalls over documents that long since fell out of cache.
-/// Three are in use: `Arc::clone` keeps the *handle* (a pointer bump;
+/// Four are in use: `Arc::clone` keeps the *handle* (a pointer bump;
 /// documents are never copied), [`projected_doc`] makes the *projected
-/// document*, [`handle_and_row`] both the handle and the projected row.
-/// The results are collected into `C`: a vector, or a pair of them for
-/// a sink that makes pairs.
+/// document* (of a match, or of a sorted find's ordered window under a
+/// filter that matches everything), [`handle_and_row`] both the handle
+/// and the projected row, and `|_| ()` keeps *nothing*. The results are
+/// collected into `C`: a vector, a pair of them for a sink that makes
+/// pairs, or a [`Count`].
 ///
 /// `window` is (skip, limit) over the match stream. A bounded window
 /// runs sequentially and lazily, so it touches nothing past the row
@@ -1065,6 +1036,17 @@ pub(crate) fn filter_matches<T: Send, C: FromIterator<T>>(
     out
 }
 
+/// What a scan whose sink keeps nothing collects into: how many rows
+/// matched. `count` is [`filter_matches`] with this collector, not a scan
+/// of its own; the parallel arm's per-morsel `Vec<()>` allocates nothing.
+pub(crate) struct Count(pub(crate) usize);
+
+impl FromIterator<()> for Count {
+    fn from_iter<I: IntoIterator<Item = ()>>(matched: I) -> Self {
+        Count(matched.into_iter().count())
+    }
+}
+
 /// The *projected document* sink: what `find_with(project)` returns.
 fn projected_doc(proj: &CompiledProjection, doc: &Arc<Document>) -> Arc<Document> {
     Arc::new(proj.project_one(doc))
@@ -1099,25 +1081,6 @@ fn scatter_matches<T: Send, C: FromIterator<T>>(
             .collect::<Vec<T>>()
     });
     parts.into_iter().flatten().collect()
-}
-
-/// Materialize a compiled projection over a matched result set, in
-/// parallel chunks for large sets (same policy as [`filter_matches`]).
-/// Output order is the input order; each output document holds only the
-/// projected fields.
-fn project_matches(pool: &WorkPool, docs: &[Arc<Document>], proj: &CompiledProjection) -> Docs {
-    if SCAN_CROSSOVER.decide(pool, docs.len()).parallel {
-        let per_morsel = pool.chunk_size(docs.len(), MORSEL_FLOOR);
-        let parts = pool.scatter_morsels(docs, per_morsel, |morsel| {
-            morsel
-                .iter()
-                .map(|d| projected_doc(proj, d))
-                .collect::<Docs>()
-        });
-        parts.into_iter().flatten().collect()
-    } else {
-        docs.iter().map(|d| projected_doc(proj, d)).collect()
-    }
 }
 
 /// A document's `_id` (`null` without one), cloned.
@@ -1352,6 +1315,8 @@ mod tests {
         }
         assert_eq!(c.count(&json!({})).unwrap(), 10);
         assert_eq!(c.count(&json!({"n": {"$lt": 5}})).unwrap(), 5);
+        c.create_index("n", false).unwrap();
+        assert_eq!(c.count(&json!({"n": {"$lt": 5}})).unwrap(), 5);
     }
 
     #[test]
@@ -1447,7 +1412,8 @@ mod tests {
             json!({"_id": "nope"}),             // id point lookup
         ];
         for q in queries {
-            let plan = c.plan_for(&q).unwrap();
+            let cf = Filter::parse(&q).unwrap().compile();
+            let plan = Collection::plan_query(&c.inner.read(), &cf).0;
             let explained = c.explain(&q).unwrap();
             assert_eq!(explained["plan"], plan.kind.name(), "{q}");
             let before = prof.counter(plan.kind.counter());
@@ -1521,6 +1487,10 @@ mod tests {
             scatter_matches(&pool, &halves, &cf, |d| handle_and_row(&proj, d));
         assert!(handles.iter().zip(&seq).all(|(h, s)| Arc::ptr_eq(h, s)));
         assert_eq!((handles.len(), par_rows), (seq.len(), rows));
+        // And under the sink that keeps nothing: `count`, as one fan-out.
+        let pool = WorkPool::new(4);
+        let Count(n) = scatter_matches(&pool, &halves, &cf, |_| ());
+        assert_eq!((n, pool.stats().morsel_scatters), (seq.len(), 1));
     }
 
     #[test]
@@ -1617,7 +1587,7 @@ mod tests {
             c.update_one(&json!({"_id": 0}), &json!({"$inc": {"k": 1}}))
                 .unwrap();
             let t = Instant::now();
-            let found = c.find_filter(&cf);
+            let found = c.find(&q).unwrap();
             cold.push(t.elapsed());
             assert_eq!(found, hits);
             // What the cold scan did: one column, 600 rows matched.
@@ -1629,21 +1599,6 @@ mod tests {
             *cold * 4 <= *generic * 5,
             "cold {cold:?} vs generic {generic:?}"
         );
-    }
-
-    #[test]
-    fn find_filter_and_count_filter_match_parsed_paths() {
-        let c = coll();
-        for i in 0..30 {
-            c.insert_one(json!({"grp": i % 5, "n": i})).unwrap();
-        }
-        c.create_index("grp", false).unwrap();
-        let q = json!({"grp": 2});
-        let cf = Filter::parse(&q).unwrap().compile();
-        assert_eq!(c.find_filter(&cf), c.find(&q).unwrap());
-        assert_eq!(c.count_filter(&cf), c.count(&q).unwrap());
-        let empty = Filter::parse(&json!({})).unwrap().compile();
-        assert_eq!(c.count_filter(&empty), 30);
     }
 
     #[test]

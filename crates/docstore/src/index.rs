@@ -199,21 +199,6 @@ impl Index {
             .map(|(_, ids)| ids.len())
             .sum()
     }
-
-    /// All ids in value order (supports index-assisted sort).
-    pub fn scan_ordered(&self, descending: bool) -> Vec<DocId> {
-        let mut out = Vec::new();
-        if descending {
-            for (_, ids) in self.map.iter().rev() {
-                out.extend(ids.iter().copied());
-            }
-        } else {
-            for (_, ids) in self.map.iter() {
-                out.extend(ids.iter().copied());
-            }
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -284,16 +269,6 @@ mod tests {
         ix.insert(1, &json!({"spec": {"task_type": "static"}}))
             .unwrap();
         assert_eq!(ix.lookup_eq(&json!("static")), vec![1]);
-    }
-
-    #[test]
-    fn ordered_scan() {
-        let mut ix = Index::new("n", false);
-        ix.insert(1, &json!({"n": 30})).unwrap();
-        ix.insert(2, &json!({"n": 10})).unwrap();
-        ix.insert(3, &json!({"n": 20})).unwrap();
-        assert_eq!(ix.scan_ordered(false), vec![2, 3, 1]);
-        assert_eq!(ix.scan_ordered(true), vec![1, 3, 2]);
     }
 
     #[test]

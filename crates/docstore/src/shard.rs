@@ -9,13 +9,13 @@
 //! reads), and replica sets with oplog-based secondaries, lag, and
 //! failover.
 
-use crate::collection::UpdateResult;
+use crate::collection::{filter_matches, Count, UpdateResult, UNBOUNDED};
 use crate::database::Database;
 use crate::error::{Result, StoreError};
 use crate::journal::JournalSink;
 use crate::persist::{JournalOp, JournalRef};
-use crate::query::Filter;
-use crate::value::{get_path, Docs};
+use crate::query::{CompiledFilter, Filter};
+use crate::value::{get_path, Docs, Document};
 use mp_exec::WorkPool;
 use mp_sync::{LockRank, OrderedMutex};
 use serde_json::{json, Value};
@@ -89,7 +89,8 @@ impl ShardedCluster {
         // inserts from different sources are safe, and the per-document
         // insert-before-delete ordering is preserved inside each job.
         let sources: Vec<usize> = (0..self.shards.len()).collect();
-        let moved_per_shard = WorkPool::global().scatter(sources, |i| -> Result<usize> {
+        let moved_per_shard = WorkPool::global().scatter_morsels(&sources, 1, |one| {
+            let i = one[0];
             let coll = self.shards[i].collection(collection);
             let mut moved = 0;
             for doc in coll.dump() {
@@ -173,32 +174,11 @@ impl ShardedCluster {
                 .find(filter);
         }
         self.stats.lock().1 += 1;
-        // Scatter-gather: the filter is parsed and compiled once here.
-        // Each shard's planner picks its own candidates (index-assisted
-        // where possible, the shard's scan segment otherwise; the lock
-        // is held only for the handle clones), and the sets are matched
-        // as one scan spanning shard boundaries: the crossover prices
-        // their union, a fan-out is ONE morsel scatter in which every
-        // pool slot helps with every shard, and nothing is flattened
-        // into an intermediate union vector first. Output is
-        // shard-major, identical to a shard-by-shard concatenation.
-        let cf = parsed.compile();
-        let mut sets: Vec<_> = self.stable_read(|| {
-            self.shards
-                .iter()
-                .map(|s| s.collection(collection).candidates(&cf))
-                .collect()
-        });
-        Ok(crate::collection::filter_matches(
-            WorkPool::global(),
-            &mut sets,
-            &cf,
-            crate::collection::UNBOUNDED,
-            Arc::clone,
-        ))
+        Ok(self.scatter_gather(collection, &parsed.compile(), Arc::clone))
     }
 
-    /// Count across the cluster (targeted when possible).
+    /// Count across the cluster (targeted when possible): the same
+    /// scatter-gather scan as [`find`](Self::find), keeping nothing.
     pub fn count(&self, collection: &str, filter: &Value) -> Result<usize> {
         let parsed = Filter::parse(filter)?;
         if let Some(key_value) = parsed.equality_on(&self.shard_key) {
@@ -208,19 +188,36 @@ impl ShardedCluster {
                 .count(filter);
         }
         let cf = parsed.compile();
-        // One morsel per shard: counting needs no gather order and each
-        // shard's count is itself crossover-routed (it runs inline on
-        // its claiming worker), so the router pays O(workers) dispatch
-        // rather than one boxed job per shard.
-        let shards: Vec<&Database> = self.shards.iter().collect();
-        let counts = self.stable_read(|| {
-            WorkPool::global().scatter_morsels(&shards, 1, |m| {
-                m.iter()
-                    .map(|s| s.collection(collection).count_filter(&cf))
-                    .sum::<usize>()
-            })
+        if cf.is_empty() {
+            return Ok(self.stable_read(|| self.distribution(collection).iter().sum()));
+        }
+        let Count(n) = self.scatter_gather(collection, &cf, |_| ());
+        Ok(n)
+    }
+
+    /// The router's one scatter-gather read, over a filter parsed and
+    /// compiled once by the caller. Each shard's planner picks its own
+    /// candidates (index-assisted where possible, the shard's scan
+    /// segment otherwise; the lock is held only for the handle clones),
+    /// and the sets are matched as one scan spanning shard boundaries:
+    /// the crossover prices their union, a fan-out is ONE morsel scatter
+    /// in which every pool slot helps with every shard, and nothing is
+    /// flattened into an intermediate union vector first. `sink` says
+    /// what a match becomes; output is shard-major, identical to a
+    /// shard-by-shard concatenation.
+    fn scatter_gather<T: Send, C: FromIterator<T>>(
+        &self,
+        collection: &str,
+        cf: &CompiledFilter,
+        sink: impl Fn(&Arc<Document>) -> T + Sync,
+    ) -> C {
+        let mut sets: Vec<_> = self.stable_read(|| {
+            self.shards
+                .iter()
+                .map(|s| s.collection(collection).candidates(cf))
+                .collect()
         });
-        Ok(counts.into_iter().sum())
+        filter_matches(WorkPool::global(), &mut sets, cf, UNBOUNDED, sink)
     }
 
     /// Update across the cluster; returns the merged result.
@@ -238,9 +235,8 @@ impl ShardedCluster {
                 .collection(collection)
                 .update_many(filter, update);
         }
-        let shards: Vec<&Database> = self.shards.iter().collect();
-        let results = WorkPool::global().scatter(shards, |s| {
-            s.collection(collection).update_many(filter, update)
+        let results = WorkPool::global().scatter_morsels(&self.shards, 1, |one| {
+            one[0].collection(collection).update_many(filter, update)
         });
         for r in results {
             let r = r?;

@@ -6,7 +6,7 @@
 
 use crate::error::{Result, StoreError};
 use crate::value::{cmp_values, get_path, remove_path, set_path, values_equal};
-use serde_json::{Map, Number, Value};
+use serde_json::{Number, Value};
 use std::cmp::Ordering;
 
 /// A parsed update: either operator-based mutations or full replacement.
@@ -268,17 +268,6 @@ fn ensure_array<'a>(doc: &'a mut Value, path: &str) -> Result<&'a mut Vec<Value>
             "could not create array at '{path}'"
         ))),
     }
-}
-
-/// Build a `$set` update document from pairs — convenience for callers.
-pub fn set_doc(pairs: &[(&str, Value)]) -> Value {
-    let mut m = Map::new();
-    for (k, v) in pairs {
-        m.insert((*k).to_string(), v.clone());
-    }
-    let mut outer = Map::new();
-    outer.insert("$set".into(), Value::Object(m));
-    Value::Object(outer)
 }
 
 #[cfg(test)]

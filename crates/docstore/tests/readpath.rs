@@ -195,6 +195,33 @@ proptest! {
     }
 }
 
+/// A sorted find projects its ordered window after the sort, through the
+/// same scan that matched (under a filter every row of the window
+/// passes). The generated collections above stay under 30 documents; this
+/// one is past the 64 items below which a scan does not feed the
+/// crossover model, with and without a window.
+#[test]
+fn sorted_projection_of_a_large_window_matches_the_reference() {
+    let db = Database::new();
+    let coll = db.collection("c");
+    let doc = |i: i64| json!({"n": (i * 37) % 101, "a": i, "sub": {"x": i % 7}, "tags": [i]});
+    coll.insert_many((0..400).map(doc).collect()).unwrap();
+    let q = json!({"a": {"$gte": 25}});
+    let sorted = FindOptions::all()
+        .sort_by("n", SortDir::Desc)
+        .sort_by("a", SortDir::Asc);
+    for opts in [
+        sorted.clone().project(&["n", "sub.x", "tags"]),
+        sorted.clone().skip(7).limit(200).project(&["a"]),
+        sorted.skip(370).project(&["n"]),
+    ] {
+        let engine = coll.find_with(&q, &opts).unwrap();
+        let reference = reference_find(&coll, &q, &opts);
+        assert!(!reference.is_empty(), "{opts:?}");
+        assert_byte_identical(&engine, &reference).unwrap();
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Mutation isolation
 // ---------------------------------------------------------------------------

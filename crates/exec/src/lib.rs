@@ -5,16 +5,15 @@
 //! execution primitives the rest of the workspace fans work out on:
 //!
 //! * [`WorkPool`] — a fixed-size pool of persistent worker threads with
-//!   two scoped fan-out primitives. [`WorkPool::scatter`] maps N owned
-//!   inputs through a borrowing closure (one boxed job per input — right
-//!   for heterogeneous work like per-shard updates). For the homogeneous
-//!   chunk-scans that dominate the read path, [`WorkPool::scatter_morsels`]
-//!   is morsel-driven: workers claim contiguous morsels off a shared
-//!   slice via an atomic cursor and write into pre-allocated output
-//!   slots — O(workers) boxes and channel sends per scatter instead of
-//!   O(jobs), order preserved by construction. The caller participates
-//!   as worker zero, so a pool of size 1 degrades to a plain sequential
-//!   map with no thread traffic at all.
+//!   one scoped fan-out, [`WorkPool::scatter_morsels`]: the caller and
+//!   the workers claim contiguous morsels off a shared slice via an
+//!   atomic cursor and write into pre-allocated output slots —
+//!   O(workers) boxes and channel sends per scatter, order preserved by
+//!   construction. Chunk-scans cut their candidates into morsels of a
+//!   thousand documents or more; per-shard updates and migrations are the
+//!   same call with a morsel of one. The caller participates as worker
+//!   zero, so a pool of size 1 degrades to a plain sequential map with
+//!   no thread traffic at all.
 //! * [`Crossover`] — an adaptive seq-vs-parallel decision point: a
 //!   learned per-item cost (EWMA over sequential scans) and a per-pool
 //!   calibrated dispatch overhead decide, per query, whether fan-out

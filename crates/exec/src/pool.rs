@@ -1,20 +1,20 @@
-//! Fixed-size work pool with a scoped scatter-gather primitive.
+//! Fixed-size work pool with one scoped fan-out, the morsel scatter.
 //!
 //! The pool owns `size - 1` persistent worker threads, each fed by its
 //! own single-consumer channel (no shared run-queue lock on the dispatch
-//! path). The caller of [`WorkPool::scatter`] acts as worker zero: it
-//! keeps every `size`-th input for itself and runs that share while the
-//! workers chew on theirs, so a pool of size 1 has no workers, spawns no
-//! threads, and degrades to a plain in-order sequential map.
+//! path). The caller of [`WorkPool::scatter_morsels`] acts as worker
+//! zero: it claims morsels off the same cursor the workers' runners do,
+//! so a pool of size 1 has no workers, spawns no threads, and degrades
+//! to a plain in-order sequential map.
 //!
-//! Scatter is *scoped*: the closure and inputs may borrow from the
-//! caller's stack even though the dispatched jobs are sent to
-//! `'static` worker threads. Soundness rests on one invariant, enforced
-//! by construction below: **scatter does not return (or unwind) until it
-//! has collected a completion message for every job it dispatched**, so
-//! no borrow escapes the call. Panics inside a job are caught on the
-//! worker, shipped back as a completion, and re-raised on the caller
-//! after all other jobs finish.
+//! The scatter is *scoped*: the closure and inputs may borrow from the
+//! caller's stack even though the runners are sent to `'static` worker
+//! threads. Soundness rests on one invariant, enforced by construction
+//! below: **the scatter does not return (or unwind) until it has
+//! collected a completion message for every runner it dispatched**, so
+//! no borrow escapes the call. A panic inside a morsel is caught by its
+//! claimer, shipped back as a completion, and re-raised on the caller
+//! after every runner has finished.
 
 use mp_sync::{LockRank, OrderedMutex};
 use std::cell::{Cell, UnsafeCell};
@@ -36,7 +36,7 @@ const CHUNKS_PER_SLOT: usize = 4;
 
 thread_local! {
     /// Set for the lifetime of a pool worker thread: a nested scatter
-    /// issued from inside a job runs inline instead of re-entering the
+    /// issued from inside a morsel runs inline instead of re-entering the
     /// pool, which would risk starving the pool of workers (deadlock
     /// when every worker blocks waiting for a slot).
     static IN_WORKER: Cell<bool> = const { Cell::new(false) };
@@ -45,18 +45,17 @@ thread_local! {
 /// Counters describing pool usage, for benches and EXPERIMENTS.md.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PoolStats {
-    /// Scatter calls that fanned out to worker threads.
-    pub scatters: u64,
-    /// Scatter calls that ran inline (size 1, single input, or nested).
+    /// Scatter calls that ran inline (size 1, at most one morsel, or nested).
     pub inline_runs: u64,
-    /// Jobs shipped to worker threads across all scatters.
+    /// Always 0: nothing increments it since the per-item `scatter` folded
+    /// into [`WorkPool::scatter_morsels`] (every `serve` workload already
+    /// read 0). The frozen harness prints it as `exec.jobs_dispatched`;
+    /// ROADMAP item 9-I retires row and field together.
     pub jobs_dispatched: u64,
     /// Morsel scatters that fanned out to worker threads.
     pub morsel_scatters: u64,
-    /// Runner jobs shipped across all morsel scatters. Bounded by the
-    /// worker count per scatter — never by the morsel count — which is
-    /// what makes the morsel path O(workers) boxes and channel sends
-    /// instead of O(jobs).
+    /// Runner jobs shipped across all morsel scatters: at most one per
+    /// worker per scatter, whatever the morsel count.
     pub morsel_runners: u64,
     /// Morsels claimed off the shared cursor across all morsel scatters
     /// (by runners and scattering callers alike).
@@ -189,116 +188,21 @@ impl WorkPool {
         n.div_ceil(target_chunks).max(floor.max(1))
     }
 
-    /// Map `inputs` through `f` in parallel, returning outputs in input
-    /// order. The closure may borrow from the caller's environment; see
-    /// the module docs for the scoping argument. A panic in any job is
-    /// re-raised here after every dispatched job has completed.
-    pub fn scatter<I, R, F>(&self, inputs: Vec<I>, f: F) -> Vec<R>
-    where
-        I: Send,
-        R: Send,
-        F: Fn(I) -> R + Sync,
-    {
-        let n = inputs.len();
-        if n == 0 {
-            return Vec::new();
-        }
-        let workers = self.senders.len();
-        if workers == 0 || n == 1 || IN_WORKER.with(|w| w.get()) {
-            {
-                let mut st = self.stats.lock();
-                st.inline_runs += 1;
-            }
-            return inputs.into_iter().map(f).collect();
-        }
-
-        let (done_tx, done_rx) = mpsc::channel::<(usize, std::thread::Result<R>)>();
-        let fref: &F = &f;
-        let slots = workers + 1;
-        let start = self.cursor.fetch_add(1, Ordering::Relaxed);
-        let mut local: Vec<(usize, I)> = Vec::new();
-        let mut dispatched = 0usize;
-        for (idx, item) in inputs.into_iter().enumerate() {
-            if idx % slots == 0 {
-                // The caller's own share, run below while workers work.
-                local.push((idx, item));
-                continue;
-            }
-            let tx = done_tx.clone();
-            let job: Box<dyn FnOnce() + Send + '_> = Box::new(move || {
-                let out = panic::catch_unwind(AssertUnwindSafe(|| fref(item)));
-                let _ = tx.send((idx, out));
-            });
-            // SAFETY: the job borrows `fref` and `item` from this stack
-            // frame. Every dispatched job sends exactly one completion
-            // (the send is the job's last action, panic or not), and the
-            // recv loop below blocks until `dispatched` completions have
-            // arrived before this frame can return or unwind — so every
-            // borrow in the erased closure is live for the job's whole
-            // execution.
-            let job: Job =
-                unsafe { std::mem::transmute::<Box<dyn FnOnce() + Send + '_>, Job>(job) };
-            // mp-flow: allow(R002) — index is reduced modulo `workers == self.senders.len()`, nonzero on this branch
-            match self.senders[(start + idx) % workers].send(job) {
-                Ok(()) => dispatched += 1,
-                Err(mpsc::SendError(job)) => {
-                    // Worker gone (only possible mid-teardown): run the
-                    // job here; it still sends its completion.
-                    job();
-                    dispatched += 1;
-                }
-            }
-        }
-        drop(done_tx);
-        {
-            let mut st = self.stats.lock();
-            st.scatters += 1;
-            st.jobs_dispatched += dispatched as u64;
-        }
-
-        let mut results: Vec<(usize, std::thread::Result<R>)> = Vec::with_capacity(n);
-        for (idx, item) in local {
-            let out = panic::catch_unwind(AssertUnwindSafe(|| fref(item)));
-            results.push((idx, out));
-        }
-        for _ in 0..dispatched {
-            // mp-flow: allow(R001) — every dispatched job sends exactly one completion (panic or not, see safety comment above), so recv cannot see a hung-up channel early
-            let msg = done_rx.recv().expect("mp-exec worker completion");
-            results.push(msg);
-        }
-        results.sort_by_key(|(idx, _)| *idx);
-
-        let mut out = Vec::with_capacity(n);
-        let mut first_panic = None;
-        for (_, r) in results {
-            match r {
-                Ok(v) => out.push(v),
-                Err(p) if first_panic.is_none() => first_panic = Some(p),
-                Err(_) => {}
-            }
-        }
-        if let Some(p) = first_panic {
-            panic::resume_unwind(p);
-        }
-        out
-    }
-
-    /// Morsel-driven map over a homogeneous slice: `items` is cut into
-    /// contiguous morsels of `morsel` items (the last may be short), and
-    /// the caller plus up to `workers` *runner* jobs claim morsel indices
-    /// off a shared atomic cursor, writing each result into its
-    /// pre-allocated output slot. Output order equals input order by
-    /// construction — slot `k` holds `f(&items[k*morsel ..])` — with no
-    /// per-morsel boxing, channel send, or gather sort: the whole scatter
-    /// allocates two `Vec`s of `num_morsels` slots and dispatches at most
-    /// one boxed runner per worker thread.
+    /// Morsel-driven map over a slice, the pool's one fan-out: `items` is
+    /// cut into contiguous morsels of `morsel` items (the last may be
+    /// short; `morsel == 1` maps item by item, which is how heterogeneous
+    /// per-shard work is fanned out), and the caller plus up to
+    /// `workers` *runner* jobs claim morsel indices off a shared atomic
+    /// cursor, writing each result into its pre-allocated output slot.
+    /// Output order equals input order by construction — slot `k` holds
+    /// `f(&items[k*morsel ..])` — with no per-morsel boxing, channel send,
+    /// or gather sort: the whole scatter allocates two `Vec`s of
+    /// `num_morsels` slots and dispatches at most one boxed runner per
+    /// worker thread.
     ///
-    /// The same scoping argument as [`WorkPool::scatter`] applies: the
-    /// closure and slice may borrow from the caller's stack because this
-    /// call does not return (or unwind) before every runner has sent its
-    /// completion. A panic in `f` aborts the remaining claims, is carried
-    /// back, and re-raised here after the barrier; initialized slots are
-    /// dropped first.
+    /// Scoped as the module docs argue. A panic in `f` aborts the
+    /// remaining claims, is carried back, and re-raised here after the
+    /// barrier; initialized slots are dropped first.
     pub fn scatter_morsels<T, R, F>(&self, items: &[T], morsel: usize, f: F) -> Vec<R>
     where
         T: Sync,
@@ -306,16 +210,10 @@ impl WorkPool {
         F: Fn(&[T]) -> R + Sync,
     {
         let morsel = morsel.max(1);
-        if items.is_empty() {
-            return Vec::new();
-        }
         let num = items.len().div_ceil(morsel);
         let workers = self.senders.len();
-        if workers == 0 || num == 1 || IN_WORKER.with(|w| w.get()) {
-            {
-                let mut st = self.stats.lock();
-                st.inline_runs += 1;
-            }
+        if workers == 0 || num <= 1 || IN_WORKER.with(|w| w.get()) {
+            self.stats.lock().inline_runs += 1;
             return items.chunks(morsel).map(f).collect();
         }
 
@@ -366,11 +264,6 @@ impl WorkPool {
             }
         }
         drop(done_tx);
-        {
-            let mut st = self.stats.lock();
-            st.morsel_scatters += 1;
-            st.morsel_runners += dispatched as u64;
-        }
 
         let mut first_panic = rref.claim().err();
         for _ in 0..dispatched {
@@ -383,6 +276,8 @@ impl WorkPool {
         }
         {
             let mut st = self.stats.lock();
+            st.morsel_scatters += 1;
+            st.morsel_runners += dispatched as u64;
             st.morsels_claimed += run.cursor.load(Ordering::Relaxed).min(num) as u64;
         }
 
@@ -486,75 +381,22 @@ mod tests {
     use std::sync::atomic::AtomicU64;
 
     #[test]
-    fn scatter_preserves_input_order() {
-        let pool = WorkPool::new(4);
-        let inputs: Vec<u64> = (0..100).collect();
-        let out = pool.scatter(inputs, |i| i * 2);
-        assert_eq!(out, (0..100).map(|i| i * 2).collect::<Vec<_>>());
-        assert_eq!(pool.stats().scatters, 1);
-        assert!(pool.stats().jobs_dispatched > 0);
-    }
-
-    #[test]
-    fn scatter_borrows_from_the_callers_stack() {
+    fn morsels_borrow_from_the_callers_stack() {
         let pool = WorkPool::new(3);
         let data: Vec<String> = (0..32).map(|i| format!("doc-{i}")).collect();
+        let refs: Vec<&String> = data.iter().collect();
         let total = AtomicU64::new(0);
-        let lens = pool.scatter(data.iter().collect::<Vec<&String>>(), |s| {
-            total.fetch_add(s.len() as u64, Ordering::Relaxed);
-            s.len()
+        // One `Result` per morsel, the way the shard router's `rebalance`
+        // asks: an `Err` stops nothing, and the first in input order wins.
+        let lens = pool.scatter_morsels(&refs, 1, |one| {
+            total.fetch_add(one[0].len() as u64, Ordering::Relaxed);
+            one[0].strip_prefix("doc-1").map(str::len).ok_or(one[0])
         });
         assert_eq!(lens.len(), 32);
         let expect: u64 = data.iter().map(|s| s.len() as u64).sum();
         assert_eq!(total.load(Ordering::Relaxed), expect);
-    }
-
-    #[test]
-    fn size_one_pool_runs_inline() {
-        let pool = WorkPool::new(1);
-        assert_eq!(pool.size(), 1);
-        let out = pool.scatter(vec![1, 2, 3], |i| i + 1);
-        assert_eq!(out, vec![2, 3, 4]);
-        let st = pool.stats();
-        assert_eq!(st.scatters, 0);
-        assert_eq!(st.inline_runs, 1);
-        assert_eq!(st.jobs_dispatched, 0);
-    }
-
-    #[test]
-    fn nested_scatter_runs_inline_and_completes() {
-        let pool = WorkPool::new(2);
-        // Each outer job issues another scatter on the same pool; the
-        // IN_WORKER guard makes the inner one inline on the worker, so
-        // this terminates even though the pool has a single worker.
-        let out = pool.scatter(vec![10u64, 20, 30, 40], |base| {
-            pool.scatter((0..4).map(|k| base + k).collect(), |v| v)
-                .into_iter()
-                .sum::<u64>()
-        });
-        assert_eq!(out, vec![10 * 4 + 6, 20 * 4 + 6, 30 * 4 + 6, 40 * 4 + 6]);
-    }
-
-    #[test]
-    fn panic_in_job_propagates_and_pool_survives() {
-        let pool = WorkPool::new(3);
-        let err = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            pool.scatter((0..16).collect::<Vec<u32>>(), |i| {
-                assert!(i != 7, "boom at 7");
-                i
-            })
-        }))
-        .expect_err("panic must propagate to the caller");
-        let msg = err
-            .downcast_ref::<&str>()
-            .map(|s| (*s).to_string())
-            .or_else(|| err.downcast_ref::<String>().cloned())
-            .unwrap_or_default();
-        assert!(msg.contains("boom at 7"), "{msg}");
-        // The workers caught the panic locally and are still serving.
-        let out = pool.scatter((0..16).collect::<Vec<u32>>(), |i| i + 1);
-        assert_eq!(out.len(), 16);
-        assert_eq!(out[15], 16);
+        let folded: Result<Vec<usize>, &String> = lens.into_iter().collect();
+        assert_eq!(folded, Err(&data[0]));
     }
 
     #[test]
@@ -568,14 +410,6 @@ mod tests {
         assert_eq!(pool.chunk_size(0, 0), 1);
         let single = WorkPool::new(1);
         assert_eq!(single.chunk_size(10_000, 1024), 2500);
-    }
-
-    #[test]
-    fn empty_input_is_a_no_op() {
-        let pool = WorkPool::new(4);
-        let out: Vec<u32> = pool.scatter(Vec::<u32>::new(), |i| i);
-        assert!(out.is_empty());
-        assert_eq!(pool.stats(), PoolStats::default());
     }
 
     #[test]
@@ -604,9 +438,6 @@ mod tests {
             "runner jobs must be bounded by workers, got {}",
             st.morsel_runners
         );
-        // The classic per-job path was not involved at all.
-        assert_eq!(st.jobs_dispatched, 0);
-        assert_eq!(st.scatters, 0);
     }
 
     #[test]

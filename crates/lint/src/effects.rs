@@ -86,11 +86,11 @@ const IO_PATTERNS: &[&str] = &[
     concat!("read_to_", "string("),
 ];
 
-/// Work-pool scatter markers: the calls that fan work out to every pool
-/// thread — the classic per-job `scatter` and the morsel-driven
-/// `scatter_morsels` (which also runs on the calling thread, so a held
-/// guard both parks the pool and re-enters with work of its own).
-const SCATTER_PATTERNS: &[&str] = &[concat!(".scat", "ter("), concat!(".scatter_", "morsels(")];
+/// Work-pool scatter marker: the one call that fans work out to every
+/// pool thread, `scatter_morsels` (which also runs on the calling
+/// thread, so a held guard both parks the pool and re-enters with work
+/// of its own).
+const SCATTER_PATTERNS: &[&str] = &[concat!(".scatter_", "morsels(")];
 
 /// In-place mutation of `Arc`-shared data (E004): the read path hands
 /// out clones of shared `Arc<Document>`s, so mutating through them
@@ -771,9 +771,8 @@ mod tests {
         assert!(diags[0].path.ends_with(":5"), "{}", diags[0].path);
     }
 
-    /// The morsel-driven fan-out is a scatter too: dispatching
-    /// `scatter_morsels` while a guard is bound parks the pool behind it
-    /// exactly like the classic per-job `scatter`.
+    /// Dispatching `scatter_morsels` while a guard is bound parks the
+    /// pool behind it.
     #[test]
     fn e003_morsel_scatter_under_bound_guard() {
         let src = concat!(

@@ -80,9 +80,7 @@ impl FlowConfig {
                 "Collection::find",
                 "Collection::find_with",
                 "Collection::find_one",
-                "Collection::find_filter",
                 "Collection::count",
-                "Collection::count_filter",
                 "Collection::distinct",
                 "Collection::update_one",
                 "Collection::update_many",

@@ -15,7 +15,7 @@
 //!   cannot follow, and `handle_and_row` is the served miss path of a
 //!   projected read): their whole body is hot.
 //! * **driver roots** own the per-document loop
-//!   (`filter_matches`, `scatter_matches`, `project_matches`, the scan
+//!   (`filter_matches`, `scatter_matches`, the scan
 //!   segment's `build_column`, `has_numbers_at`, `narrow` and
 //!   `Candidates::iter`,
 //!   the aggregation `run_stage`, the MapReduce engines): only their
@@ -57,7 +57,7 @@
 //!
 //! Known granularity limit, by design: hotness of a call site is judged
 //! by its *line*. A once-per-query call placed on the same line as an
-//! iterator adapter (e.g. `pool.scatter(chunks, |c| c.iter().map(...))`
+//! iterator adapter (e.g. `pool.scatter_morsels(docs, n, |m| m.iter().map(...))`
 //! written as one line) is treated as hot; hoist the closure body onto
 //! its own lines instead of suppressing.
 
@@ -194,11 +194,11 @@ pub struct HotConfig {
 }
 
 impl HotConfig {
-    /// The Materials Project workspace defaults: the morsel/chunked scan
-    /// and projection drivers (including the segmented parallel arm, the
-    /// crossover-routed counter, the scan segment's column build, pruning
-    /// pass and survivor iterator, and the executor's morsel
-    /// dispatch/claim loops), the aggregation
+    /// The Materials Project workspace defaults: the match scan (with its
+    /// segmented parallel arm; counting is that scan under a sink with no
+    /// per-document code of its own), the scan segment's column build,
+    /// pruning pass and survivor iterator, the executor's morsel
+    /// dispatch/claim loops, the aggregation
     /// stage runner, and the MapReduce engines own the loops; the compiled
     /// projection, the scan's two projecting sinks and the compiled sort
     /// comparator run per document; the uncompiled `Filter::matches` and
@@ -209,8 +209,6 @@ impl HotConfig {
             driver_roots: FnRef::list(&[
                 "filter_matches",
                 "scatter_matches",
-                "project_matches",
-                "Collection::count_exec",
                 "build_column",
                 "Segment::has_numbers_at",
                 "narrow",
