@@ -19,7 +19,8 @@
 //! * document **structure statistics** (nodes/depth/mean depth) exactly
 //!   as Table I reports them — [`docgraph`];
 //! * snapshot + write-ahead-log **persistence** with crash recovery —
-//!   [`persist`];
+//!   [`persist`], both files in one checksummed binary record format
+//!   ([`codec`]);
 //! * **durability as a property of the database**: one commit seam every
 //!   mutation runs through, write-ahead once a journal is attached —
 //!   [`journal`]; [`durable`] opens a directory that way, so every handle
@@ -44,6 +45,7 @@
 //! ```
 
 pub mod aggregate;
+pub mod codec;
 pub mod collection;
 mod column;
 pub mod cursor;

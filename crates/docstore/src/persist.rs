@@ -2,36 +2,76 @@
 //! recovery, group commit, and checkpoints that do not stop the writer.
 //!
 //! The production MongoDB deployment journals writes ahead of the data
-//! files; we reproduce the same recovery semantics with a
-//! `snapshot.jsonl` (a generation stamp `{"gen": g}`, then one line per
-//! index definition: `{"c": collection, "idx": {"path": p, "unique":
-//! u}}`, and one line per document: `{"c": collection, "d": doc}`) and
-//! a `journal.wal` of CRC32-framed operation records staged *before*
-//! each operation is applied in memory and handed to the OS before the
-//! commit releases the journal guard. Recovery loads the snapshot, then
-//! replays the WAL generations the snapshot does not contain.
+//! files and keeps one binary document form (BSON) for both; we
+//! reproduce the same recovery semantics with two files of the same
+//! checksummed records: a `journal.wal` of operation records staged
+//! *before* each operation is applied in memory and handed to the OS
+//! before the commit releases the journal guard, and a `snapshot.jsonl`
+//! (the name predates the format) holding a generation stamp, then per
+//! collection its index definitions and its documents, each a record of
+//! its own. Recovery loads the snapshot, then replays the WAL
+//! generations the snapshot does not contain.
 //!
 //! ## Frame format
 //!
-//! Each WAL record is a binary frame:
+//! Every record of either file is a frame:
 //!
 //! ```text
-//! [len: u32 LE] [crc32: u32 LE] [payload: len bytes of JSON]
+//! [len: u32 LE] [crc32: u32 LE] [payload: len bytes]
 //! ```
 //!
 //! where `crc32` is the IEEE CRC-32 of the payload. The checksum turns
 //! every torn or flipped byte into a *detected* bad frame, so recovery
 //! can truncate the replay point at the first bad frame instead of
-//! guessing where a JSON line was supposed to end (the PR 7 JSON-lines
+//! guessing where a record was supposed to end (the PR 7 JSON-lines
 //! journal could only classify the final record). A record is encoded
-//! once, from a borrow of what the commit decided ([`JournalRef`]): no
-//! document is cloned to be journaled.
+//! once, from a borrow of what the commit decided ([`JournalRef`]),
+//! straight into the frame buffer ([`frame_record`]): no document is
+//! cloned or rendered to text to be journaled.
+//!
+//! ## Payload format
+//!
+//! A payload is a tag byte, then the record's fields ([`crate::codec`]
+//! has `text` and `value`):
+//!
+//! ```text
+//! 0x01 u64 LE                       generation g (a WAL file's first frame,
+//!                                   a snapshot's first record)
+//! 0x02 text:c value:doc             insert
+//! 0x03 text:c flag:many value:filter value:update
+//! 0x04 text:c flag:many value:filter
+//! 0x05 text:c                       clear
+//! 0x06 text:c flag:unique text:path create index
+//! 0x07 text:c text:path             drop index
+//! 0x08 text:c                       drop collection
+//! ```
+//!
+//! Every record names its collection, so every frame decodes without
+//! any other — the torn/corrupt rule below needs nothing but the frame,
+//! and a frame can be shipped alone. A snapshot is a generation record,
+//! then per collection a create-index record per index (so unique
+//! constraints are enforced while the documents stream back in) and an
+//! insert record per document: one decoder (`Record::decode`) reads
+//! both files.
+//!
+//! **Legacy readers.** Builds before PR 25 wrote JSON: WAL payloads
+//! `{"op": kind, "c": collection, …}` (a generation frame
+//! `{"op":"gen","g":g}`) and an unframed snapshot of JSON lines (`{"gen":
+//! g}`, `{"c": c, "idx": {"path": p, "unique": u}}`, `{"c": c, "d":
+//! doc}`). A JSON payload starts with `{` and a binary one never does
+//! (record tags are 1–8); likewise a JSON snapshot starts with `{` and
+//! a binary one with the header of its nine-byte generation frame. So
+//! the first byte picks the reader, both decode into the same
+//! `Record`, the same apply loop runs after either, and a WAL a parent
+//! build started takes binary appends. Only binary is written. The JSON readers go when the files
+//! are renamed (ROADMAP 9-II); a JSON snapshot carries no checksum, so
+//! until then it is the one input recovery cannot verify.
 //!
 //! ## Generations and checkpoints
 //!
 //! The WAL is a sequence of *generations*. The active one is always
-//! `journal.wal`; its first frame names its generation (`{"op": "gen",
-//! "g": g}`). A checkpoint is four steps ([`Persister::capture`],
+//! `journal.wal`; its first frame names its generation. A checkpoint is
+//! four steps ([`Persister::capture`],
 //! [`Persister::write`], [`Persister::publish`], [`Persister::retire`]):
 //!
 //! 1. **capture**, under the journal guard: per collection, its index
@@ -40,9 +80,9 @@
 //!    serialization — then *seal* the active WAL generation (fsync it,
 //!    rename it `journal.<g>.sealed`) so later commits start generation
 //!    `g + 1`;
-//! 2. **write**, with the guard released: serialize the captured
-//!    handles into `snapshot.jsonl.tmp`, stamped `g`, while commits
-//!    continue (the handles are immutable: updates copy on write);
+//! 2. **write**, with the guard released: encode the captured handles
+//!    into `snapshot.jsonl.tmp`, stamped `g`, while commits continue
+//!    (the handles are immutable: updates copy on write);
 //! 3. **publish**: fsync the file, rename it over `snapshot.jsonl`,
 //!    fsync the directory;
 //! 4. **retire**: delete the sealed generations the snapshot covers.
@@ -61,8 +101,16 @@
 //!
 //! Frames are decoded in order ([`decode_frame`], the checksum gate) and
 //! each decoded op is applied ([`JournalOp::apply`]) — verify strictly
-//! before apply, in sealed and active generations alike, which `mp-lint
-//! order` proves as O005.
+//! before apply, in the snapshot and in sealed and active generations
+//! alike, which `mp-lint order` proves as O005.
+//!
+//! * A bad frame in the **snapshot** — torn, corrupt or unparseable — is
+//!   a hard error naming its offset: the snapshot was fsynced before it
+//!   was published, so a bad frame is damage, and loading around it
+//!   would open a store that differs from every acknowledged state. So
+//!   is a snapshot record that fails to apply.
+//!
+//! In the WAL:
 //!
 //! * A frame that runs past end-of-file is a **torn tail**: the crash
 //!   interrupted that append, its operation was never acknowledged, and
@@ -96,7 +144,7 @@
 //! violation) is in the WAL; replay reaches the same pre-op state, fails
 //! the same deterministic way, and converges on the live outcome.
 
-use crate::collection::Collection;
+use crate::codec;
 use crate::column::Segment;
 use crate::database::Database;
 use crate::error::{Result, StoreError};
@@ -105,7 +153,7 @@ use mp_sync::{LockRank, OrderedMutex};
 use serde_json::{Map, Value};
 use std::borrow::Borrow;
 use std::fs::{File, OpenOptions};
-use std::io::{Read, Write};
+use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -202,29 +250,46 @@ impl JournalRef<'_> {
     }
 }
 
-impl<S: AsRef<str>, V: Borrow<Value>> JournalOp<S, V> {
-    /// Append this op's record — the JSON a frame carries — to `out`,
-    /// written from the borrow: `{"op": kind, "c": collection, …}`.
-    fn encode(&self, out: &mut String) {
-        use serde_json::{write_compact, write_string};
-        let open = |out: &mut String, kind: &str, collection: &S| {
-            out.push_str("{\"op\":\"");
-            out.push_str(kind);
-            out.push_str("\",\"c\":");
-            write_string(out, collection.as_ref());
-        };
-        let value = |out: &mut String, key: &str, v: &V| {
-            out.push_str(key);
-            write_compact(out, v.borrow());
-        };
-        let flag = |out: &mut String, key: &str, b: bool| {
-            out.push_str(key);
-            out.push_str(if b { "true" } else { "false" });
+/// The first byte of a binary payload: which record it is. None is `{`,
+/// the first byte of every JSON payload a build before PR 25 wrote.
+const GENERATION: u8 = 0x01;
+const INSERT: u8 = 0x02;
+const UPDATE: u8 = 0x03;
+const DELETE: u8 = 0x04;
+const CLEAR: u8 = 0x05;
+const CREATE_INDEX: u8 = 0x06;
+const DROP_INDEX: u8 = 0x07;
+const DROP_COLLECTION: u8 = 0x08;
+
+/// What a frame carries. [`frame_record`] reserves the frame header,
+/// has the payload write itself after it, then fills in the length and
+/// checksum — so a record is encoded straight into the buffer that goes
+/// to the file, and every byte either file holds passes the one framing
+/// gate.
+pub trait Payload {
+    /// Append the payload's bytes to `out`.
+    fn write_payload(&self, out: &mut Vec<u8>);
+}
+
+/// Bytes already encoded.
+impl Payload for [u8] {
+    fn write_payload(&self, out: &mut Vec<u8>) {
+        out.extend_from_slice(self);
+    }
+}
+
+/// An op's record, encoded from the borrow: its tag, its collection,
+/// then its fields (the module docs have the layout).
+impl<S: AsRef<str>, V: Borrow<Value>> Payload for JournalOp<S, V> {
+    fn write_payload(&self, out: &mut Vec<u8>) {
+        let open = |out: &mut Vec<u8>, tag: u8, collection: &S| {
+            out.push(tag);
+            codec::encode_text(collection.as_ref(), out);
         };
         match self {
             JournalOp::Insert { collection, doc } => {
-                open(out, "i", collection);
-                value(out, ",\"d\":", doc);
+                open(out, INSERT, collection);
+                codec::encode(doc.borrow(), out);
             }
             JournalOp::Update {
                 collection,
@@ -232,118 +297,203 @@ impl<S: AsRef<str>, V: Borrow<Value>> JournalOp<S, V> {
                 update,
                 many,
             } => {
-                open(out, "u", collection);
-                value(out, ",\"q\":", filter);
-                value(out, ",\"u\":", update);
-                flag(out, ",\"m\":", *many);
+                open(out, UPDATE, collection);
+                out.push(u8::from(*many));
+                codec::encode(filter.borrow(), out);
+                codec::encode(update.borrow(), out);
             }
             JournalOp::Delete {
                 collection,
                 filter,
                 many,
             } => {
-                open(out, "d", collection);
-                value(out, ",\"q\":", filter);
-                flag(out, ",\"m\":", *many);
+                open(out, DELETE, collection);
+                out.push(u8::from(*many));
+                codec::encode(filter.borrow(), out);
             }
-            JournalOp::Clear { collection } => open(out, "cl", collection),
+            JournalOp::Clear { collection } => open(out, CLEAR, collection),
             JournalOp::CreateIndex {
                 collection,
                 path,
                 unique,
             } => {
-                open(out, "ci", collection);
-                out.push_str(",\"p\":");
-                write_string(out, path.as_ref());
-                flag(out, ",\"uq\":", *unique);
+                open(out, CREATE_INDEX, collection);
+                out.push(u8::from(*unique));
+                codec::encode_text(path.as_ref(), out);
             }
             JournalOp::DropIndex { collection, path } => {
-                open(out, "di", collection);
-                out.push_str(",\"p\":");
-                write_string(out, path.as_ref());
+                open(out, DROP_INDEX, collection);
+                codec::encode_text(path.as_ref(), out);
             }
-            JournalOp::DropCollection { collection } => open(out, "dc", collection),
+            JournalOp::DropCollection { collection } => open(out, DROP_COLLECTION, collection),
         }
-        out.push('}');
     }
 }
 
-/// What one WAL frame holds.
+/// The record that opens a WAL generation and a snapshot: which
+/// generation it is.
+struct Stamp(u64);
+
+impl Payload for Stamp {
+    fn write_payload(&self, out: &mut Vec<u8>) {
+        out.push(GENERATION);
+        out.extend_from_slice(&self.0.to_le_bytes());
+    }
+}
+
+/// What one frame (or one line of a JSON snapshot) holds.
+#[derive(Debug, PartialEq)]
 enum Record {
-    /// The first frame of a generation file: which generation it is.
+    /// Which generation the file holds (a snapshot: contains).
     Generation(u64),
     Op(JournalOp),
 }
 
 impl Record {
-    /// Decode a frame's payload, moving documents out of the parsed
-    /// record rather than copying them.
-    fn parse(payload: &[u8]) -> Result<Record> {
-        let text = std::str::from_utf8(payload)
-            .map_err(|e| StoreError::Persistence(format!("wal not UTF-8: {e}")))?;
-        let Value::Object(mut v) = serde_json::from_str_value(text)
-            .map_err(|e| StoreError::Persistence(format!("wal not JSON: {e}")))?
-        else {
-            return Err(StoreError::Persistence(
-                "wal record is not an object".into(),
-            ));
-        };
-        let kind = text_field(&mut v, "op").unwrap_or_default();
-        if kind == "gen" {
-            return v
-                .get("g")
-                .and_then(Value::as_u64)
-                .map(Record::Generation)
-                .ok_or_else(|| StoreError::Persistence("generation frame missing g".into()));
+    /// Decode a payload: binary, or the JSON a parent build wrote.
+    fn decode(payload: &[u8]) -> Result<Record> {
+        if payload.first() == Some(&b'{') {
+            return Record::from_json(payload);
         }
-        let collection = text_field(&mut v, "c")
-            .ok_or_else(|| StoreError::Persistence("journal entry missing collection".into()))?;
-        let index_path = |v: &mut Map<String, Value>| {
-            text_field(v, "p")
-                .ok_or_else(|| StoreError::Persistence("journal index op missing path".into()))
+        let mut r = codec::Reader::new(payload);
+        let tag = r.byte()?;
+        if tag == GENERATION {
+            let gen = r.fixed_u64()?;
+            r.finish()?;
+            return Ok(Record::Generation(gen));
+        }
+        if !(INSERT..=DROP_COLLECTION).contains(&tag) {
+            return Err(StoreError::Persistence(format!(
+                "unknown record tag {tag:#04x}"
+            )));
+        }
+        let collection = r.text()?.to_owned();
+        let op = match tag {
+            INSERT => JournalOp::Insert {
+                collection,
+                doc: r.value()?,
+            },
+            UPDATE => {
+                let many = r.flag()?;
+                let filter = r.value()?;
+                JournalOp::Update {
+                    collection,
+                    filter,
+                    update: r.value()?,
+                    many,
+                }
+            }
+            DELETE => {
+                let many = r.flag()?;
+                JournalOp::Delete {
+                    collection,
+                    filter: r.value()?,
+                    many,
+                }
+            }
+            CLEAR => JournalOp::Clear { collection },
+            CREATE_INDEX => {
+                let unique = r.flag()?;
+                JournalOp::CreateIndex {
+                    collection,
+                    path: r.text()?.to_owned(),
+                    unique,
+                }
+            }
+            DROP_INDEX => JournalOp::DropIndex {
+                collection,
+                path: r.text()?.to_owned(),
+            },
+            _ => JournalOp::DropCollection { collection },
         };
-        let many = |v: &Map<String, Value>| v.get("m").and_then(Value::as_bool).unwrap_or(true);
+        r.finish()?;
+        Ok(Record::Op(op))
+    }
+
+    /// Decode one JSON record, moving documents out of the parsed text
+    /// rather than copying them: a WAL payload `{"op": kind, …}`, or a
+    /// snapshot line — `{"gen": g}`, `{"c": c, "idx": {…}}` or `{"c":
+    /// c, "d": doc}`.
+    fn from_json(text: &[u8]) -> Result<Record> {
+        let bad = |what: &str| StoreError::Persistence(format!("json record {what}"));
+        let text = std::str::from_utf8(text).map_err(|e| bad(&format!("not UTF-8: {e}")))?;
+        let Value::Object(mut v) =
+            serde_json::from_str_value(text).map_err(|e| bad(&format!("not JSON: {e}")))?
+        else {
+            return Err(bad("is not an object"));
+        };
+        let generation = |g: Option<&Value>| {
+            g.and_then(Value::as_u64)
+                .map(Record::Generation)
+                .ok_or_else(|| bad("has a generation that is not an integer"))
+        };
+        let kind = text_field(&mut v, "op");
+        if kind.as_deref() == Some("gen") {
+            return generation(v.get("g"));
+        }
+        if kind.is_none() && v.contains_key("gen") {
+            return generation(v.get("gen"));
+        }
+        let collection = text_field(&mut v, "c").ok_or_else(|| bad("missing collection"))?;
+        let mut take = |key: &str| v.remove(key).unwrap_or(Value::Null);
+        let Some(kind) = kind else {
+            // A snapshot line: an index definition or a document.
+            return Ok(Record::Op(match take("idx") {
+                Value::Null => JournalOp::Insert {
+                    collection,
+                    doc: take("d"),
+                },
+                idx => JournalOp::CreateIndex {
+                    path: idx["path"]
+                        .as_str()
+                        .ok_or_else(|| bad("index entry missing path"))?
+                        .to_owned(),
+                    unique: idx["unique"].as_bool().unwrap_or(false),
+                    collection,
+                },
+            }));
+        };
+        let many = |v: &Value| v.as_bool().unwrap_or(true);
+        let path = |p: Value| match p {
+            Value::String(p) => Ok(p),
+            _ => Err(bad("index op missing path")),
+        };
         Ok(Record::Op(match kind.as_str() {
             "i" => JournalOp::Insert {
                 collection,
-                doc: document_field(&mut v, "d"),
+                doc: take("d"),
             },
             "u" => JournalOp::Update {
                 collection,
-                filter: document_field(&mut v, "q"),
-                update: document_field(&mut v, "u"),
-                many: many(&v),
+                filter: take("q"),
+                update: take("u"),
+                many: many(&take("m")),
             },
             "d" => JournalOp::Delete {
                 collection,
-                filter: document_field(&mut v, "q"),
-                many: many(&v),
+                filter: take("q"),
+                many: many(&take("m")),
             },
             "cl" => JournalOp::Clear { collection },
             "ci" => JournalOp::CreateIndex {
-                path: index_path(&mut v)?,
-                unique: v.get("uq").and_then(Value::as_bool).unwrap_or(false),
+                path: path(take("p"))?,
+                unique: take("uq").as_bool().unwrap_or(false),
                 collection,
             },
             "di" => JournalOp::DropIndex {
-                path: index_path(&mut v)?,
+                path: path(take("p"))?,
                 collection,
             },
             "dc" => JournalOp::DropCollection { collection },
-            other => {
-                return Err(StoreError::Persistence(format!(
-                    "unknown journal op '{other}'"
-                )))
-            }
+            other => return Err(bad(&format!("has unknown op '{other}'"))),
         }))
     }
 }
 
-/// Take the document at `key` out of a parsed record. It is about to
-/// become resident in the store as it is: the parser allocates every
-/// object and array at its final size, so there is nothing to trim.
-fn document_field(v: &mut Map<String, Value>, key: &str) -> Value {
-    v.remove(key).unwrap_or(Value::Null)
+impl From<codec::CodecError> for StoreError {
+    fn from(e: codec::CodecError) -> Self {
+        StoreError::Persistence(format!("record payload: {e}"))
+    }
 }
 
 /// Take the string at `key` out of a parsed record.
@@ -367,43 +517,43 @@ impl JournalOp {
     /// the same deterministic way — propagating it would turn an
     /// ordinary rejected write into an unrecoverable store.
     pub fn apply(self, db: &Database) -> Result<()> {
+        let _ = self.try_apply(db);
+        Ok(())
+    }
+
+    /// Apply this operation and return its own outcome: what a snapshot
+    /// record gets. A snapshot is captured from one consistent state,
+    /// so a record of it that fails to apply is the store's bug.
+    pub(crate) fn try_apply(self, db: &Database) -> Result<()> {
         match self {
             JournalOp::Insert { collection, doc } => {
-                let _ = db.collection(&collection).insert_one(doc);
+                db.collection(&collection).insert_one(doc).map(drop)
             }
             JournalOp::Update {
                 collection,
                 filter,
                 update,
                 many,
-            } => {
-                let _ = db.collection(&collection).update(&filter, &update, many);
-            }
+            } => db
+                .collection(&collection)
+                .update(&filter, &update, many)
+                .map(drop),
             JournalOp::Delete {
                 collection,
                 filter,
                 many,
-            } => {
-                let _ = db.collection(&collection).delete(&filter, many);
-            }
-            JournalOp::Clear { collection } => {
-                let _ = db.collection(&collection).clear();
-            }
+            } => db.collection(&collection).delete(&filter, many).map(drop),
+            JournalOp::Clear { collection } => db.collection(&collection).clear(),
             JournalOp::CreateIndex {
                 collection,
                 path,
                 unique,
-            } => {
-                let _ = db.collection(&collection).create_index(&path, unique);
-            }
+            } => db.collection(&collection).create_index(&path, unique),
             JournalOp::DropIndex { collection, path } => {
-                let _ = db.collection(&collection).drop_index(&path);
+                db.collection(&collection).drop_index(&path)
             }
-            JournalOp::DropCollection { collection } => {
-                let _ = db.drop_collection(&collection);
-            }
+            JournalOp::DropCollection { collection } => db.drop_collection(&collection).map(drop),
         }
-        Ok(())
     }
 }
 
@@ -411,10 +561,13 @@ impl JournalOp {
 // CRC-32 (IEEE) and the frame codec.
 // ---------------------------------------------------------------------
 
-/// IEEE CRC-32 lookup table, built at compile time (reflected
-/// polynomial 0xEDB88320 — the zlib/gzip/`cksum -o 3` checksum).
-const CRC32_TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
+/// Slice-by-8 tables for the IEEE CRC-32 (reflected polynomial
+/// 0xEDB88320 — the zlib/gzip/`cksum -o 3` checksum), built at compile
+/// time: `[0]` is the classic byte-at-a-time table and `[k][b]` the CRC
+/// of byte `b` followed by `k` zero bytes, so eight lookups fold eight
+/// input bytes at once.
+static CRC32_TABLES: [[u32; 256]; 8] = {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut c = i as u32;
@@ -427,30 +580,62 @@ const CRC32_TABLE: [u32; 256] = {
             };
             k += 1;
         }
-        table[i] = c;
+        tables[0][i] = c;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
 };
 
-/// IEEE CRC-32 of `bytes`.
+/// IEEE CRC-32 of `bytes`, eight bytes a step (slice-by-8): the same
+/// values as the byte-at-a-time loop, which still folds the tail.
+// mp-flow: allow(R002) — every table index is a byte of the running value (masked to 0..=255 or its top byte) and every table has 256 entries; flagged only now that every `Collection` mutator reaches the WAL
 pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut c = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        // mp-flow: allow(R002) — index masked to 0..=255, table has 256 entries; flagged only now that every `Collection` mutator reaches the WAL
-        c = CRC32_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+    let [t0, t1, t2, t3, t4, t5, t6, t7] = &CRC32_TABLES;
+    let b = |x: u64, k: u32| ((x >> (8 * k)) & 0xFF) as usize;
+    let mut c = !0u32;
+    let mut words = bytes.chunks_exact(8);
+    for word in &mut words {
+        let x = u64::from_le_bytes(word.try_into().unwrap_or_default()) ^ u64::from(c);
+        c = t7[b(x, 0)]
+            ^ t6[b(x, 1)]
+            ^ t5[b(x, 2)]
+            ^ t4[b(x, 3)]
+            ^ t3[b(x, 4)]
+            ^ t2[b(x, 5)]
+            ^ t1[b(x, 6)]
+            ^ t0[b(x, 7)];
+    }
+    for &byte in words.remainder() {
+        c = t0[((c ^ u32::from(byte)) & 0xFF) as usize] ^ (c >> 8);
     }
     !c
 }
 
-/// Append one WAL frame to `buf`: `[len u32 LE][crc32 u32 LE][payload]`.
+/// Append one frame to `buf`: `[len u32 LE][crc32 u32 LE][payload]`,
+/// the payload written in place after the header it reserves.
 ///
 /// This is the checksum-framing gate `mp-lint order` proves (O003):
-/// every byte the journal appends must pass through here.
-pub fn frame_record(buf: &mut Vec<u8>, payload: &[u8]) {
-    buf.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    buf.extend_from_slice(&crc32(payload).to_le_bytes());
-    buf.extend_from_slice(payload);
+/// every byte the journal appends must pass through here — and every
+/// byte the snapshot holds does too.
+pub fn frame_record<P: Payload + ?Sized>(buf: &mut Vec<u8>, payload: &P) {
+    let start = buf.len();
+    buf.extend_from_slice(&[0; 8]);
+    payload.write_payload(buf);
+    let body = buf.get(start + 8..).unwrap_or_default();
+    let header = u64::from(body.len() as u32) | u64::from(crc32(body)) << 32;
+    if let Some(slot) = buf.get_mut(start..start + 8) {
+        slot.copy_from_slice(&header.to_le_bytes());
+    }
 }
 
 /// Outcome of decoding the frame at one offset.
@@ -742,8 +927,6 @@ pub struct Persister {
     gen: u64,
     /// Frames of the commit in progress that the OS does not have yet.
     staged: Vec<u8>,
-    /// Where a record is encoded before it is framed.
-    record: String,
     sync: Arc<GroupCommit>,
     /// Checkpoint once the WAL outgrows this many bytes
     /// ([`crate::durable::DurableOptions::compact_after_bytes`]).
@@ -805,7 +988,6 @@ impl Persister {
             wal_len: 0,
             gen: 1,
             staged: Vec::new(),
-            record: String::new(),
             sync: Arc::new(GroupCommit::new()),
             compact_after_bytes: None,
             flight: Arc::default(),
@@ -847,11 +1029,10 @@ impl Persister {
 
     // ---- the commit side: stage, then one write ----
 
-    /// Encode `op` once, from the borrow, and stage its frame.
+    /// Encode `op` once, from the borrow, straight into its staged
+    /// frame.
     fn stage<S: AsRef<str>, V: Borrow<Value>>(&mut self, op: &JournalOp<S, V>) -> Result<()> {
-        self.record.clear();
-        op.encode(&mut self.record);
-        frame_record(&mut self.staged, self.record.as_bytes());
+        frame_record(&mut self.staged, op);
         if self.staged.len() >= STAGE_LIMIT {
             self.write_staged()?;
         }
@@ -873,10 +1054,7 @@ impl Persister {
         };
         if self.wal_len == 0 {
             let mut header = Vec::new();
-            frame_record(
-                &mut header,
-                format!("{{\"op\":\"gen\",\"g\":{}}}", self.gen).as_bytes(),
-            );
+            frame_record(&mut header, &Stamp(self.gen));
             wal.write_all(&header).map_err(|e| io_err("wal write", e))?;
             self.wal_len = header.len() as u64;
         }
@@ -1005,38 +1183,42 @@ impl Persister {
         Persister::retire(checkpoint)
     }
 
-    /// Step 2, no guard held: serialize the captured handles into
-    /// `snapshot.jsonl.tmp` — the generation stamp, then per collection
-    /// its index definitions (so unique constraints are enforced while
-    /// the documents stream back in) and its documents.
+    /// Step 2, no guard held: encode the captured handles into
+    /// `snapshot.jsonl.tmp`, one frame per record — the generation
+    /// stamp, then per collection its index definitions (so unique
+    /// constraints are enforced while the documents stream back in) and
+    /// its documents.
     pub fn write(checkpoint: &Checkpoint) -> Result<()> {
-        use serde_json::{write_compact, write_string};
         let write_err = |e| io_err("snapshot write", e);
         let mut file =
             File::create(snapshot_tmp_path(&checkpoint.dir)).map_err(|e| io_err("snapshot", e))?;
-        let mut out = format!("{{\"gen\":{}}}\n", checkpoint.covers);
+        let mut out = Vec::with_capacity(SNAPSHOT_CHUNK);
+        frame_record(&mut out, &Stamp(checkpoint.covers));
         for captured in &checkpoint.collections {
-            let mut open = String::from("{\"c\":");
-            write_string(&mut open, &captured.name);
+            let collection = captured.name.as_str();
             for (path, unique) in &captured.indexes {
-                out.push_str(&open);
-                out.push_str(",\"idx\":{\"path\":");
-                write_string(&mut out, path);
-                out.push_str(",\"unique\":");
-                out.push_str(if *unique { "true}}\n" } else { "false}}\n" });
+                let op: JournalRef<'_> = JournalOp::CreateIndex {
+                    collection,
+                    path: path.as_str(),
+                    unique: *unique,
+                };
+                frame_record(&mut out, &op);
             }
-            open.push_str(",\"d\":");
             for doc in captured.docs.docs() {
-                out.push_str(&open);
-                write_compact(&mut out, doc);
-                out.push_str("}\n");
+                frame_record(
+                    &mut out,
+                    &JournalOp::Insert {
+                        collection,
+                        doc: &**doc,
+                    },
+                );
                 if out.len() >= SNAPSHOT_CHUNK {
-                    file.write_all(out.as_bytes()).map_err(write_err)?;
+                    file.write_all(&out).map_err(write_err)?;
                     out.clear();
                 }
             }
         }
-        file.write_all(out.as_bytes()).map_err(write_err)
+        file.write_all(&out).map_err(write_err)
     }
 
     /// Step 3: make the written snapshot *the* snapshot. The rename
@@ -1147,56 +1329,54 @@ pub(crate) fn join_checkpoint(worker: JoinHandle<Result<()>>) -> Result<()> {
 
 /// Load `snapshot.jsonl` into `db`; returns its generation stamp.
 ///
-/// The file is read once and each line parsed as a slice of it. A
-/// snapshot lists a collection's entries together, so the collection
-/// is looked up when a line names a different one from the line before
-/// — once per collection, not once per document. Documents still go in
-/// one `insert_one` at a time: unique indexes (created by the `idx`
-/// lines ahead of them) are enforced while they stream back in.
+/// The file is read once. Each record is decoded from a slice of it —
+/// a frame, checksum-verified before its record is applied, or a line
+/// of a parent build's JSON snapshot — and applied through
+/// [`JournalOp::try_apply`] in file order: unique indexes (created by
+/// the records ahead of the documents) are enforced while the documents
+/// stream back in. Anything wrong — a torn or corrupt frame, a record
+/// that does not decode or does not apply — is an error naming the
+/// offset; a snapshot is never loaded around a bad record.
 fn load_snapshot(path: &Path, db: &Database, report: &mut RecoveryReport) -> Result<Option<u64>> {
-    let Ok(mut f) = File::open(path) else {
-        return Ok(None);
+    let bytes = match std::fs::read(path) {
+        Ok(bytes) => bytes,
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
+        Err(e) => return Err(io_err("snapshot read", e)),
     };
-    let mut text = String::new();
-    f.read_to_string(&mut text)
-        .map_err(|e| io_err("snapshot read", e))?;
+    let bad =
+        |what: String| StoreError::Persistence(format!("snapshot {}: {what}", path.display()));
+    let json = bytes.first() == Some(&b'{');
     let mut stamp = None;
-    let mut current: Option<(String, Arc<Collection>)> = None;
-    for line in text.lines() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        let Value::Object(mut v) = serde_json::from_str_value(line)
-            .map_err(|e| StoreError::Persistence(format!("snapshot parse: {e}")))?
-        else {
-            return Err(StoreError::Persistence(
-                "snapshot entry is not an object".into(),
-            ));
-        };
-        if let Some(gen) = v.get("gen") {
-            stamp = gen.as_u64();
-            continue;
-        }
-        let cname = v
-            .get("c")
-            .and_then(Value::as_str)
-            .ok_or_else(|| StoreError::Persistence("snapshot entry missing c".into()))?;
-        let collection = match &current {
-            Some((name, collection)) if name == cname => collection,
-            _ => &current.insert((cname.to_owned(), db.collection(cname))).1,
-        };
-        if let Some(idx) = v.get("idx") {
-            let path = idx["path"].as_str().ok_or_else(|| {
-                StoreError::Persistence("snapshot index entry missing path".into())
-            })?;
-            let unique = idx["unique"].as_bool().unwrap_or(false);
-            collection.create_index(path, unique)?;
+    let mut off = 0;
+    while off < bytes.len() {
+        let (record, next) = if json {
+            json_line(&bytes, off)
         } else {
-            collection.insert_one(document_field(&mut v, "d"))?;
-            report.snapshot_docs += 1;
+            match decode_frame(&bytes, off) {
+                FrameDecode::Frame { payload, next } => (Record::decode(payload), next),
+                FrameDecode::Torn(msg) | FrameDecode::Corrupt(msg) => return Err(bad(msg)),
+            }
+        };
+        match record.map_err(|e| bad(format!("record at byte {off}: {e}")))? {
+            Record::Generation(gen) => stamp = Some(gen),
+            Record::Op(op) => {
+                report.snapshot_docs += usize::from(matches!(op, JournalOp::Insert { .. }));
+                op.try_apply(db)
+                    .map_err(|e| bad(format!("record at byte {off} failed to apply: {e}")))?;
+            }
         }
+        off = next;
     }
     Ok(stamp)
+}
+
+/// The record on the JSON snapshot line starting at `off`, and the
+/// offset past the line.
+fn json_line(bytes: &[u8], off: usize) -> (Result<Record>, usize) {
+    let rest = bytes.get(off..).unwrap_or_default();
+    let len = rest.iter().position(|&b| b == b'\n').unwrap_or(rest.len());
+    let line = rest.get(..len).unwrap_or_default();
+    (Record::from_json(line), off + len + 1)
 }
 
 /// What replaying one generation file came to.
@@ -1235,7 +1415,7 @@ fn replay_generation(
     while off < bytes.len() {
         match decode_frame(&bytes, off) {
             FrameDecode::Frame { payload, next } => {
-                let record = Record::parse(payload).map_err(|e| {
+                let record = Record::decode(payload).map_err(|e| {
                     StoreError::Persistence(format!(
                         "wal frame at byte {off} passed its checksum but failed to \
                          parse — the store wrote a bad record: {e}"
@@ -1301,10 +1481,34 @@ mod tests {
         assert_eq!(crc32(b""), 0);
     }
 
+    /// The byte-at-a-time CRC-32 the slice-by-8 one replaced.
+    fn crc32_bytewise(bytes: &[u8]) -> u32 {
+        let mut c = !0u32;
+        for &b in bytes {
+            c = CRC32_TABLES[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+        }
+        !c
+    }
+
+    /// Slice-by-8 gives the bytewise values on every length from 0 to
+    /// 300 at every alignment of the slice within its buffer.
+    #[test]
+    fn slice_by_8_equals_the_bytewise_crc() {
+        let buf: Vec<u8> = (0..316u32)
+            .map(|i| (i.wrapping_mul(2_654_435_761) >> 13) as u8)
+            .collect();
+        for align in 0..8 {
+            for len in 0..=300 {
+                let bytes = &buf[align..align + len];
+                assert_eq!(crc32(bytes), crc32_bytewise(bytes), "len {len} at {align}");
+            }
+        }
+    }
+
     #[test]
     fn frame_roundtrip() {
         let mut frame = Vec::new();
-        frame_record(&mut frame, b"hello");
+        frame_record(&mut frame, b"hello".as_slice());
         match decode_frame(&frame, 0) {
             FrameDecode::Frame { payload, next } => {
                 assert_eq!(payload, b"hello");
@@ -1314,12 +1518,11 @@ mod tests {
         }
     }
 
-    /// The record a frame carries is the text `json!` rendered before
-    /// ops were encoded from a borrow, field for field — so a WAL
-    /// written by either decodes the same — and it decodes back to the
-    /// op, borrowed or owned.
+    /// An op's record decodes back to the op, borrowed or owned; the
+    /// JSON a parent build wrote for it decodes to the same op; every
+    /// truncation of the record is an error, never a panic.
     #[test]
-    fn encoded_record_is_the_json_rendering_and_round_trips() {
+    fn encoded_record_round_trips_and_its_legacy_json_decodes_alike() {
         let (doc, filter, update) = (
             json!({"_id": "m\"1", "n": [1, 2.5, null], "s": {"k": "v\n"}}),
             json!({"_id": {"$in": [1, 2]}}),
@@ -1375,18 +1578,58 @@ mod tests {
             ),
         ];
         for (op, rendering) in cases {
-            let mut text = String::new();
-            op.encode(&mut text);
-            assert_eq!(text, rendering.to_string());
+            let mut bytes = Vec::new();
+            op.write_payload(&mut bytes);
+            assert_ne!(
+                bytes.first(),
+                Some(&b'{'),
+                "a binary payload never looks like JSON"
+            );
             let owned = op.into_owned();
-            let mut again = String::new();
-            owned.encode(&mut again);
-            assert_eq!(again, text, "owned and borrowed ops encode alike");
-            match Record::parse(text.as_bytes()).unwrap() {
-                Record::Op(back) => assert_eq!(back, owned),
-                Record::Generation(_) => panic!("an op is not a generation frame"),
+            let mut again = Vec::new();
+            owned.write_payload(&mut again);
+            assert_eq!(again, bytes, "owned and borrowed ops encode alike");
+            assert_eq!(Record::decode(&bytes).unwrap(), Record::Op(owned.clone()));
+            let legacy = rendering.to_string();
+            assert_eq!(
+                Record::decode(legacy.as_bytes()).unwrap(),
+                Record::Op(owned)
+            );
+            for n in 0..bytes.len() {
+                assert!(Record::decode(&bytes[..n]).is_err(), "{n}-byte prefix");
             }
+            bytes.push(0);
+            assert!(Record::decode(&bytes).is_err(), "a trailing byte");
         }
+        // The generation record: binary, a legacy WAL frame, a legacy
+        // snapshot line.
+        let mut stamp = Vec::new();
+        Stamp(7).write_payload(&mut stamp);
+        for payload in [&stamp[..], br#"{"op":"gen","g":7}"#, br#"{"gen":7}"#] {
+            assert_eq!(Record::decode(payload).unwrap(), Record::Generation(7));
+        }
+        // Legacy snapshot lines are the same records as the binary ones.
+        let lines: [(&[u8], JournalOp); 2] = [
+            (
+                br#"{"c":"c","idx":{"path":"a.b","unique":true}}"#,
+                JournalOp::CreateIndex {
+                    collection: "c".into(),
+                    path: "a.b".into(),
+                    unique: true,
+                },
+            ),
+            (
+                br#"{"c":"c","d":{"_id":1}}"#,
+                JournalOp::Insert {
+                    collection: "c".into(),
+                    doc: json!({"_id": 1}),
+                },
+            ),
+        ];
+        for (line, op) in lines {
+            assert_eq!(Record::decode(line).unwrap(), Record::Op(op));
+        }
+        assert!(Record::decode(&[0x09, 1, b'c']).is_err(), "unknown tag");
     }
 
     /// An explicit snapshot is the four steps; afterwards the directory
@@ -1631,7 +1874,12 @@ mod tests {
             .unwrap();
         // Simulate a crash mid-append: half a frame of a second insert.
         let mut frame = Vec::new();
-        frame_record(&mut frame, br#"{"op":"i","c":"c","d":{"_id":2}}"#);
+        let doc = json!({"_id": 2});
+        let op: JournalRef<'_> = JournalOp::Insert {
+            collection: "c",
+            doc: &doc,
+        };
+        frame_record(&mut frame, &op);
         {
             let mut f = OpenOptions::new()
                 .append(true)
@@ -1749,14 +1997,17 @@ mod tests {
         .unwrap();
         drop(p);
         let path = dir.join("journal.wal");
-        let mut bytes = std::fs::read(&path).unwrap();
-        frame_record(&mut bytes, b"{not a journal op}");
-        std::fs::write(&path, &bytes).unwrap();
-        let err = Persister::open(&dir).unwrap().recover().err();
-        assert!(
-            err.is_some(),
-            "a frame we provably wrote must parse — refusing is the only safe move"
-        );
+        let bytes = std::fs::read(&path).unwrap();
+        for garbage in [&b"{not a journal op}"[..], &[INSERT, 1, b'c', 0x7F]] {
+            let mut bytes = bytes.clone();
+            frame_record(&mut bytes, garbage);
+            std::fs::write(&path, &bytes).unwrap();
+            let err = Persister::open(&dir).unwrap().recover().err();
+            assert!(
+                err.is_some(),
+                "a frame we provably wrote must parse — refusing is the only safe move"
+            );
+        }
         let _ = std::fs::remove_dir_all(dir);
     }
 

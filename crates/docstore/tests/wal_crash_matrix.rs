@@ -488,3 +488,207 @@ fn unstamped_directory_opens_as_before() {
     );
     let _ = std::fs::remove_dir_all(dir);
 }
+
+/// Offsets at which the frames of `bytes` start.
+fn frame_starts(bytes: &[u8]) -> Vec<usize> {
+    let mut starts = Vec::new();
+    let mut off = 0;
+    while off < bytes.len() {
+        starts.push(off);
+        match mp_docstore::persist::decode_frame(bytes, off) {
+            mp_docstore::persist::FrameDecode::Frame { next, .. } => off = next,
+            _ => panic!("the reference snapshot has a bad frame at byte {off}"),
+        }
+    }
+    starts
+}
+
+/// Snapshot records are checksummed: flip any one byte of a published
+/// snapshot — every bit of it alone, or all eight — and the reopen
+/// either refuses, naming the offset of the frame the byte is in, or
+/// recovers exactly the reference store — never a different one. (A
+/// JSON snapshot, which carried no checksum, loaded about a third of
+/// its single-bit flips as a different store: EXPERIMENTS PR 25.)
+#[test]
+fn flipping_any_byte_of_a_published_snapshot_is_refused_or_harmless() {
+    let base = tmpdir("snap-flip-base");
+    {
+        let d = DurableDatabase::open(&base).unwrap();
+        d.create_index("mats", "seq", true).unwrap();
+        for i in 0..3 {
+            d.insert_one("mats", doc(i)).unwrap();
+        }
+        d.checkpoint().unwrap();
+    }
+    assert_eq!(file_names(&base), ["snapshot.jsonl"]);
+    let reference = contents(&Persister::open(&base).unwrap().recover().unwrap());
+    let snapshot = std::fs::read(base.join("snapshot.jsonl")).unwrap();
+    assert_ne!(
+        snapshot.first(),
+        Some(&b'{'),
+        "the snapshot is written binary"
+    );
+    let starts = frame_starts(&snapshot);
+    assert_eq!(starts.len(), 1 + 1 + 3, "stamp, index, three documents");
+    let work = tmpdir("snap-flip-work");
+    let masks = [0x01u8, 0x02, 0x04, 0x08, 0x10, 0x20, 0x40, 0x80, 0xFF];
+    let mut refused = 0;
+    for (off, mask) in (0..snapshot.len()).flat_map(|off| masks.map(|m| (off, m))) {
+        copy_dir(&base, &work);
+        let mut bytes = snapshot.clone();
+        bytes[off] ^= mask;
+        std::fs::write(work.join("snapshot.jsonl"), &bytes).unwrap();
+        let frame = starts.iter().rev().find(|&&s| s <= off).unwrap();
+        let ctx = format!("byte {off} ^ {mask:#04x}");
+        match Persister::open(&work).unwrap().recover() {
+            Err(e) => {
+                let msg = e.to_string();
+                assert!(msg.contains(&format!("byte {frame}")), "{ctx}: {msg}");
+                refused += 1;
+            }
+            Ok(db) => {
+                assert_eq!(contents(&db), reference, "{ctx}");
+                let specs = db.collection("mats").index_specs();
+                assert_eq!(specs, vec![("seq".to_string(), true)], "{ctx}");
+            }
+        }
+    }
+    assert_eq!(
+        refused,
+        snapshot.len() * masks.len(),
+        "every flip lands in a checksummed frame"
+    );
+    let _ = std::fs::remove_dir_all(&base);
+    let _ = std::fs::remove_dir_all(&work);
+}
+
+/// `records` as CRC frames of their JSON text: a WAL as builds before
+/// PR 25 wrote it.
+fn json_wal(records: &[&str]) -> Vec<u8> {
+    let mut wal = Vec::new();
+    for record in records {
+        mp_docstore::persist::frame_record(&mut wal, record.as_bytes());
+    }
+    wal
+}
+
+/// The PR 16–24 layout — a JSON snapshot stamped `{"gen":g}`, WAL
+/// generations of JSON frames opened by `{"op":"gen"}` — opens by the
+/// generation rule: the sealed generation the stamp covers is discarded
+/// unread, the later sealed one and the active one replay.
+#[test]
+fn stamped_json_directory_opens_as_before() {
+    let dir = tmpdir("legacy-stamped");
+    std::fs::create_dir_all(&dir).unwrap();
+    std::fs::write(
+        dir.join("snapshot.jsonl"),
+        concat!(
+            r#"{"gen":2}"#,
+            "\n",
+            r#"{"c":"c","idx":{"path":"n","unique":false}}"#,
+            "\n",
+            r#"{"c":"c","d":{"_id":1,"n":5}}"#,
+            "\n"
+        ),
+    )
+    .unwrap();
+    let inc = |by: u32| {
+        format!(r#"{{"op":"u","c":"c","q":{{"_id":1}},"u":{{"$inc":{{"n":{by}}}}},"m":false}}"#)
+    };
+    let covered = json_wal(&[r#"{"op":"gen","g":2}"#, &inc(100)]);
+    std::fs::write(dir.join("journal.2.sealed"), covered).unwrap();
+    let sealed = json_wal(&[r#"{"op":"gen","g":3}"#, &inc(5)]);
+    std::fs::write(dir.join("journal.3.sealed"), sealed).unwrap();
+    let active = json_wal(&[
+        r#"{"op":"gen","g":4}"#,
+        r#"{"op":"i","c":"c","d":{"_id":2,"n":1}}"#,
+    ]);
+    std::fs::write(dir.join("journal.wal"), &active).unwrap();
+
+    let (db, report) = Persister::open(&dir)
+        .unwrap()
+        .recover_with_report()
+        .unwrap();
+    assert_eq!(report.snapshot_gen, Some(2));
+    assert_eq!(
+        (report.sealed_replayed, report.generations_discarded),
+        (1, 1)
+    );
+    assert_eq!((report.snapshot_docs, report.replayed_ops), (1, 2));
+    assert_eq!(report.replay_lsn, active.len() as u64);
+    assert_eq!(db.collection("c").get(&json!(1)).unwrap()["n"], json!(10));
+    assert_eq!(db.collection("c").len(), 2);
+    drop(db);
+
+    // It keeps working as a store: binary appends to the JSON active
+    // generation, a reopen, a checkpoint into the binary format.
+    let d = DurableDatabase::open(&dir).unwrap();
+    d.insert_one("c", json!({"_id": 3, "n": 0})).unwrap();
+    drop(d);
+    let d = DurableDatabase::open(&dir).unwrap();
+    assert_eq!(d.database().collection("c").len(), 3);
+    d.checkpoint().unwrap();
+    assert_eq!(file_names(&dir), ["snapshot.jsonl"]);
+    drop(d);
+    let snapshot = std::fs::read(dir.join("snapshot.jsonl")).unwrap();
+    assert_ne!(snapshot.first(), Some(&b'{'));
+    let (db, report) = Persister::open(&dir)
+        .unwrap()
+        .recover_with_report()
+        .unwrap();
+    assert_eq!(report.snapshot_gen, Some(4));
+    assert_eq!(db.collection("c").get(&json!(1)).unwrap()["n"], json!(10));
+    assert_eq!(db.collection("c").len(), 3);
+    assert_eq!(
+        db.collection("c").index_specs(),
+        vec![("n".to_string(), false)]
+    );
+    let _ = std::fs::remove_dir_all(dir);
+}
+
+/// A JSON active WAL takes binary frames after its JSON ones; the mixed
+/// file replays both — a rejected write included — and checkpoints.
+#[test]
+fn json_active_wal_takes_binary_appends_then_reopens_and_checkpoints() {
+    let dir = tmpdir("legacy-mixed");
+    std::fs::create_dir_all(&dir).unwrap();
+    let legacy = json_wal(&[
+        r#"{"op":"gen","g":1}"#,
+        r#"{"op":"ci","c":"c","p":"k","uq":true}"#,
+        r#"{"op":"i","c":"c","d":{"_id":1,"k":1}}"#,
+    ]);
+    std::fs::write(dir.join("journal.wal"), &legacy).unwrap();
+
+    let d = DurableDatabase::open(&dir).unwrap();
+    d.insert_one("c", json!({"_id": 2, "k": 2})).unwrap();
+    assert!(
+        d.insert_one("c", json!({"_id": 3, "k": 1})).is_err(),
+        "the unique index replayed from JSON is live"
+    );
+    drop(d);
+    let wal = std::fs::read(dir.join("journal.wal")).unwrap();
+    assert!(wal.len() > legacy.len() && wal.starts_with(&legacy));
+
+    let (db, report) = Persister::open(&dir)
+        .unwrap()
+        .recover_with_report()
+        .unwrap();
+    assert_eq!(report.snapshot_gen, None);
+    assert_eq!(report.replayed_ops, 2 + 2, "two JSON ops, two binary");
+    assert_eq!(report.replay_lsn, wal.len() as u64);
+    assert!(report.torn_tail.is_none() && report.corruption.is_none());
+    assert_eq!(db.collection("c").len(), 2);
+    assert!(db.collection("c").get(&json!(3)).is_none());
+    drop(db);
+
+    let d = DurableDatabase::open(&dir).unwrap();
+    d.checkpoint().unwrap();
+    assert_eq!(file_names(&dir), ["snapshot.jsonl"]);
+    drop(d);
+    let d = DurableDatabase::open(&dir).unwrap();
+    let c = d.database().collection("c");
+    assert_eq!(c.len(), 2);
+    assert_eq!(c.index_specs(), vec![("k".to_string(), true)]);
+    assert!(c.insert_one(json!({"_id": 4, "k": 2})).is_err());
+    let _ = std::fs::remove_dir_all(dir);
+}

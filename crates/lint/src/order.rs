@@ -111,10 +111,12 @@ impl OrderConfig {
     /// `GroupCommit::sync_to` the group-commit barrier — with the two
     /// checkpoint steps that fsync, `Persister::seal` and
     /// `Persister::publish`, so O004 keeps them out of per-operation
-    /// loops too — `JournalOp::apply` the replay application,
-    /// `Persister::recover_with_report` the recovery entry point (it
-    /// replays sealed and active generations through one
-    /// verify-then-apply helper),
+    /// loops too — `JournalOp::apply` (best-effort, WAL replay) and
+    /// `JournalOp::try_apply` (strict, snapshot records) the replay
+    /// application, `Persister::recover_with_report` the recovery entry
+    /// point (it replays sealed and active generations through one
+    /// verify-then-apply helper) and `load_snapshot`, the snapshot's
+    /// own verify-then-apply loop, checked on its own,
     /// `raw_apply` (the one function that write-locks store state)
     /// mutates, and `Shared` — whose `commit` is the one function that
     /// sequences an append and an apply — is the write-ahead surface.
@@ -128,8 +130,8 @@ impl OrderConfig {
                 "Persister::publish",
             ]),
             verify_fns: FnRef::list(&["decode_frame"]),
-            apply_fns: FnRef::list(&["JournalOp::apply"]),
-            recovery_fns: FnRef::list(&["Persister::recover_with_report"]),
+            apply_fns: FnRef::list(&["JournalOp::apply", "JournalOp::try_apply"]),
+            recovery_fns: FnRef::list(&["Persister::recover_with_report", "load_snapshot"]),
             mutation_fns: FnRef::list(&["raw_apply"]),
             durable_surface: vec!["Shared".to_string()],
         }

@@ -88,7 +88,7 @@ impl Map<String, Value> {
     /// [`Map::insert`] for a caller that holds the key by borrow: no
     /// `String` is built to be thrown away when the name is one the
     /// process already shares. (An addition to `serde_json::Map`'s
-    /// surface, like `write_compact`.)
+    /// surface.)
     pub fn insert_str(&mut self, key: &str, value: Value) -> Option<Value> {
         self.put(key, value)
     }

@@ -531,9 +531,8 @@ impl PartialEq<f64> for Value {
 
 // --- rendering --------------------------------------------------------------
 
-/// Append `s` as a JSON string literal (used by `serde_json::write_string`).
-#[doc(hidden)]
-pub fn escape_into(out: &mut String, s: &str) {
+/// Append `s` as a JSON string literal.
+fn escape_into(out: &mut String, s: &str) {
     out.push('"');
     for c in s.chars() {
         match c {
@@ -553,9 +552,8 @@ pub fn escape_into(out: &mut String, s: &str) {
     out.push('"');
 }
 
-/// Append compact JSON (used by `serde_json::write_compact`).
-#[doc(hidden)]
-pub fn write_compact(out: &mut String, v: &Value) {
+/// Append compact JSON.
+fn write_compact(out: &mut String, v: &Value) {
     match v {
         Value::Null => out.push_str("null"),
         Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),

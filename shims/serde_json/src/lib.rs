@@ -19,18 +19,6 @@ pub fn to_string<T: Serialize + ?Sized>(value: &T) -> Result<String, Error> {
     Ok(serde::value::json_to_string(&value.to_json()))
 }
 
-/// Append `value` as compact JSON to `out`: the text [`to_string`]
-/// renders, written from the borrow with no copy of the tree and no
-/// intermediate `String` (the shim's stand-in for `to_writer`).
-pub fn write_compact(out: &mut String, value: &Value) {
-    serde::value::write_compact(out, value)
-}
-
-/// Append `s` to `out` as a JSON string literal.
-pub fn write_string(out: &mut String, s: &str) {
-    serde::value::escape_into(out, s)
-}
-
 /// Serialize any value to an indented JSON string.
 pub fn to_string_pretty<T: Serialize + ?Sized>(value: &T) -> Result<String, Error> {
     Ok(serde::value::json_to_string_pretty(&value.to_json()))
