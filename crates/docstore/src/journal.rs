@@ -55,9 +55,10 @@ use mp_sync::{LockRank, OrderedMutex, OrderedRwLock};
 use std::sync::{Arc, OnceLock, Weak};
 
 /// Where a journaled database records each op before applying it. Two
-/// implementors: the file WAL ([`crate::persist::Persister`], which
-/// encodes the borrowed op and forgets it) and a replica set's
-/// in-memory oplog (`Vec<JournalOp>`, which keeps a copy).
+/// implementors: the file WAL ([`crate::persist::Persister`]) and a
+/// replica set's in-memory oplog. Both encode the borrowed op into a
+/// CRC frame and keep the bytes, not the op: the WAL until they reach
+/// the OS, the oplog for its secondaries to decode.
 pub(crate) trait JournalSink: Send {
     /// Record `op`, borrowed from the commit that decided it.
     fn append_op(&mut self, op: JournalRef<'_>) -> Result<()>;

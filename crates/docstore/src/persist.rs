@@ -52,20 +52,12 @@
 //! then per collection a create-index record per index (so unique
 //! constraints are enforced while the documents stream back in) and an
 //! insert record per document: one decoder (`Record::decode`) reads
-//! both files.
+//! both files, and a replica set's oplog too ([`crate::shard`]).
 //!
-//! **Legacy readers.** Builds before PR 25 wrote JSON: WAL payloads
-//! `{"op": kind, "c": collection, …}` (a generation frame
-//! `{"op":"gen","g":g}`) and an unframed snapshot of JSON lines (`{"gen":
-//! g}`, `{"c": c, "idx": {"path": p, "unique": u}}`, `{"c": c, "d":
-//! doc}`). A JSON payload starts with `{` and a binary one never does
-//! (record tags are 1–8); likewise a JSON snapshot starts with `{` and
-//! a binary one with the header of its nine-byte generation frame. So
-//! the first byte picks the reader, both decode into the same
-//! `Record`, the same apply loop runs after either, and a WAL a parent
-//! build started takes binary appends. Only binary is written. The JSON readers go when the files
-//! are renamed (ROADMAP 9-II); a JSON snapshot carries no checksum, so
-//! until then it is the one input recovery cannot verify.
+//! A directory an older build wrote — JSON records before PR 25, files
+//! without a generation record before PR 16 — fails these frame, tag
+//! and first-record checks, so it is refused with an error naming the
+//! file and the offset, and left as it was.
 //!
 //! ## Generations and checkpoints
 //!
@@ -93,9 +85,6 @@
 //! generations above the snapshot's stamp — sealed ones oldest first,
 //! then the active one — and discards the rest, so a crash between any
 //! two steps recovers the acknowledged state (DESIGN §15 has the table).
-//! Files written before generations existed carry no stamp: an
-//! unstamped snapshot covers nothing and an unstamped `journal.wal` is
-//! always replayed, which is what the old two-file protocol did.
 //!
 //! ## Recovery policy
 //!
@@ -126,7 +115,9 @@
 //!   from a clean boundary. (The PR 7 journal re-appended after a torn
 //!   tail, which turned the next recovery into a hard mid-file error.)
 //! * A checksum-valid frame that fails to parse is a hard error: the
-//!   CRC proves we wrote those bytes, so the store itself is buggy.
+//!   CRC proves we wrote those bytes, so the store itself is buggy. So
+//!   is a generation record anywhere but first in its file, or a first
+//!   frame that is not one.
 //!
 //! ## Group commit
 //!
@@ -150,7 +141,7 @@ use crate::database::Database;
 use crate::error::{Result, StoreError};
 use crate::journal::JournalSink;
 use mp_sync::{LockRank, OrderedMutex};
-use serde_json::{Map, Value};
+use serde_json::Value;
 use std::borrow::Borrow;
 use std::fs::{File, OpenOptions};
 use std::io::Write;
@@ -160,8 +151,8 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 
 /// One journaled operation. `JournalOp` (the defaults) owns its names
-/// and documents — what replay decodes and a replica's oplog keeps;
-/// [`JournalRef`] borrows them from the commit that decided the op.
+/// and documents — what replay decodes; [`JournalRef`] borrows them
+/// from the commit that decided the op.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum JournalOp<S = String, V = Value> {
     /// Insert `doc` into `collection`.
@@ -198,60 +189,7 @@ pub enum JournalOp<S = String, V = Value> {
 /// encodes a document straight from the one the store is about to hold.
 pub type JournalRef<'a> = JournalOp<&'a str, &'a Value>;
 
-impl JournalRef<'_> {
-    /// An owned copy, for a sink that keeps the op (a replica's oplog).
-    pub(crate) fn into_owned(self) -> JournalOp {
-        let s = str::to_string;
-        match self {
-            JournalOp::Insert { collection, doc } => JournalOp::Insert {
-                collection: s(collection),
-                doc: doc.clone(),
-            },
-            JournalOp::Update {
-                collection,
-                filter,
-                update,
-                many,
-            } => JournalOp::Update {
-                collection: s(collection),
-                filter: filter.clone(),
-                update: update.clone(),
-                many,
-            },
-            JournalOp::Delete {
-                collection,
-                filter,
-                many,
-            } => JournalOp::Delete {
-                collection: s(collection),
-                filter: filter.clone(),
-                many,
-            },
-            JournalOp::Clear { collection } => JournalOp::Clear {
-                collection: s(collection),
-            },
-            JournalOp::CreateIndex {
-                collection,
-                path,
-                unique,
-            } => JournalOp::CreateIndex {
-                collection: s(collection),
-                path: s(path),
-                unique,
-            },
-            JournalOp::DropIndex { collection, path } => JournalOp::DropIndex {
-                collection: s(collection),
-                path: s(path),
-            },
-            JournalOp::DropCollection { collection } => JournalOp::DropCollection {
-                collection: s(collection),
-            },
-        }
-    }
-}
-
-/// The first byte of a binary payload: which record it is. None is `{`,
-/// the first byte of every JSON payload a build before PR 25 wrote.
+/// The first byte of a payload: which record it is.
 const GENERATION: u8 = 0x01;
 const INSERT: u8 = 0x02;
 const UPDATE: u8 = 0x03;
@@ -341,20 +279,17 @@ impl Payload for Stamp {
     }
 }
 
-/// What one frame (or one line of a JSON snapshot) holds.
+/// What one frame holds.
 #[derive(Debug, PartialEq)]
-enum Record {
+pub(crate) enum Record {
     /// Which generation the file holds (a snapshot: contains).
     Generation(u64),
     Op(JournalOp),
 }
 
 impl Record {
-    /// Decode a payload: binary, or the JSON a parent build wrote.
-    fn decode(payload: &[u8]) -> Result<Record> {
-        if payload.first() == Some(&b'{') {
-            return Record::from_json(payload);
-        }
+    /// Decode a frame's payload.
+    pub(crate) fn decode(payload: &[u8]) -> Result<Record> {
         let mut r = codec::Reader::new(payload);
         let tag = r.byte()?;
         if tag == GENERATION {
@@ -409,98 +344,11 @@ impl Record {
         r.finish()?;
         Ok(Record::Op(op))
     }
-
-    /// Decode one JSON record, moving documents out of the parsed text
-    /// rather than copying them: a WAL payload `{"op": kind, …}`, or a
-    /// snapshot line — `{"gen": g}`, `{"c": c, "idx": {…}}` or `{"c":
-    /// c, "d": doc}`.
-    fn from_json(text: &[u8]) -> Result<Record> {
-        let bad = |what: &str| StoreError::Persistence(format!("json record {what}"));
-        let text = std::str::from_utf8(text).map_err(|e| bad(&format!("not UTF-8: {e}")))?;
-        let Value::Object(mut v) =
-            serde_json::from_str_value(text).map_err(|e| bad(&format!("not JSON: {e}")))?
-        else {
-            return Err(bad("is not an object"));
-        };
-        let generation = |g: Option<&Value>| {
-            g.and_then(Value::as_u64)
-                .map(Record::Generation)
-                .ok_or_else(|| bad("has a generation that is not an integer"))
-        };
-        let kind = text_field(&mut v, "op");
-        if kind.as_deref() == Some("gen") {
-            return generation(v.get("g"));
-        }
-        if kind.is_none() && v.contains_key("gen") {
-            return generation(v.get("gen"));
-        }
-        let collection = text_field(&mut v, "c").ok_or_else(|| bad("missing collection"))?;
-        let mut take = |key: &str| v.remove(key).unwrap_or(Value::Null);
-        let Some(kind) = kind else {
-            // A snapshot line: an index definition or a document.
-            return Ok(Record::Op(match take("idx") {
-                Value::Null => JournalOp::Insert {
-                    collection,
-                    doc: take("d"),
-                },
-                idx => JournalOp::CreateIndex {
-                    path: idx["path"]
-                        .as_str()
-                        .ok_or_else(|| bad("index entry missing path"))?
-                        .to_owned(),
-                    unique: idx["unique"].as_bool().unwrap_or(false),
-                    collection,
-                },
-            }));
-        };
-        let many = |v: &Value| v.as_bool().unwrap_or(true);
-        let path = |p: Value| match p {
-            Value::String(p) => Ok(p),
-            _ => Err(bad("index op missing path")),
-        };
-        Ok(Record::Op(match kind.as_str() {
-            "i" => JournalOp::Insert {
-                collection,
-                doc: take("d"),
-            },
-            "u" => JournalOp::Update {
-                collection,
-                filter: take("q"),
-                update: take("u"),
-                many: many(&take("m")),
-            },
-            "d" => JournalOp::Delete {
-                collection,
-                filter: take("q"),
-                many: many(&take("m")),
-            },
-            "cl" => JournalOp::Clear { collection },
-            "ci" => JournalOp::CreateIndex {
-                path: path(take("p"))?,
-                unique: take("uq").as_bool().unwrap_or(false),
-                collection,
-            },
-            "di" => JournalOp::DropIndex {
-                path: path(take("p"))?,
-                collection,
-            },
-            "dc" => JournalOp::DropCollection { collection },
-            other => return Err(bad(&format!("has unknown op '{other}'"))),
-        }))
-    }
 }
 
 impl From<codec::CodecError> for StoreError {
     fn from(e: codec::CodecError) -> Self {
         StoreError::Persistence(format!("record payload: {e}"))
-    }
-}
-
-/// Take the string at `key` out of a parsed record.
-fn text_field(v: &mut Map<String, Value>, key: &str) -> Option<String> {
-    match v.remove(key) {
-        Some(Value::String(s)) => Some(s),
-        _ => None,
     }
 }
 
@@ -652,33 +500,31 @@ pub enum FrameDecode<'a> {
 /// recovery loop calls this before any op is applied — the O005
 /// verify-before-apply gate.
 pub fn decode_frame(bytes: &[u8], off: usize) -> FrameDecode<'_> {
-    let n = bytes.len();
-    if off + 8 > n {
+    let rest = bytes.get(off..).unwrap_or_default();
+    let Some((header, body)) = rest.split_first_chunk::<8>() else {
         return FrameDecode::Torn(format!(
             "frame header torn at byte {off} ({} of 8 header bytes present)",
-            n - off
+            rest.len()
         ));
-    }
-    // mp-flow: allow(R002) — off + 8 <= n checked above
-    let len = u32::from_le_bytes(bytes[off..off + 4].try_into().unwrap_or_default()) as usize;
-    // mp-flow: allow(R002) — same check; flagged only now that every `Collection` mutator reaches the WAL
-    let want = u32::from_le_bytes(bytes[off + 4..off + 8].try_into().unwrap_or_default());
-    let end = off + 8 + len;
-    if end > n {
+    };
+    let header = u64::from_le_bytes(*header);
+    let (len, want) = (header as u32 as usize, (header >> 32) as u32);
+    let Some(payload) = body.get(..len) else {
         return FrameDecode::Torn(format!(
             "frame at byte {off} claims {len} payload bytes but only {} remain",
-            n - off - 8
+            body.len()
         ));
-    }
-    // mp-flow: allow(R002) — end <= n checked above
-    let payload = &bytes[off + 8..end];
+    };
     let got = crc32(payload);
     if got != want {
         return FrameDecode::Corrupt(format!(
             "frame at byte {off}: crc32 {got:08x} != recorded {want:08x}"
         ));
     }
-    FrameDecode::Frame { payload, next: end }
+    FrameDecode::Frame {
+        payload,
+        next: off + 8 + len,
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -794,8 +640,9 @@ pub struct RecoveryReport {
     /// Documents loaded from `snapshot.jsonl`.
     pub snapshot_docs: usize,
     /// The WAL generation the snapshot is stamped with — it contains
-    /// every effect of that generation and the ones before it. `None`
-    /// without a snapshot, or with one written before generations.
+    /// every effect of that generation and the ones before it, and its
+    /// first record says which. `None` without a snapshot, or with an
+    /// empty one.
     pub snapshot_gen: Option<u64>,
     /// Sealed generations replayed: a checkpoint sealed them, and the
     /// crash came before its snapshot was published.
@@ -871,7 +718,7 @@ pub(crate) enum Begin {
 /// the end of the commit, so a bulk load holds a bounded buffer.
 const STAGE_LIMIT: usize = 256 << 10;
 
-/// Snapshot text buffered per write.
+/// Snapshot bytes buffered per write.
 const SNAPSHOT_CHUNK: usize = 256 << 10;
 
 fn io_err(what: &str, e: std::io::Error) -> StoreError {
@@ -1276,9 +1123,6 @@ impl Persister {
     pub fn recover_with_report(&mut self) -> Result<(Database, RecoveryReport)> {
         let db = Database::new();
         let mut report = RecoveryReport::default();
-        // A checkpoint that never published: its sealed generation is
-        // still here, which is all that matters.
-        let _ = std::fs::remove_file(snapshot_tmp_path(&self.dir));
         report.snapshot_gen = load_snapshot(&snapshot_path(&self.dir), &db, &mut report)?;
         let covered = report.snapshot_gen.unwrap_or(0);
         let mut newest = covered;
@@ -1303,7 +1147,7 @@ impl Persister {
                 false => None,
             };
             match replay {
-                Some(replay) if !replay.stale => {
+                Some(replay) if replay.gen.is_none_or(|gen| gen > covered) => {
                     report.replay_lsn = replay.len;
                     newest = newest.max(replay.gen.unwrap_or(0).saturating_sub(1));
                 }
@@ -1313,6 +1157,9 @@ impl Persister {
                 }
             }
         }
+        // A checkpoint that never published: its sealed generation is
+        // still here. Removed last, so a refused directory is untouched.
+        let _ = std::fs::remove_file(snapshot_tmp_path(&self.dir));
         self.wal_len = report.replay_lsn;
         self.gen = newest + 1;
         self.flight.published.store(covered, Ordering::SeqCst);
@@ -1329,14 +1176,14 @@ pub(crate) fn join_checkpoint(worker: JoinHandle<Result<()>>) -> Result<()> {
 
 /// Load `snapshot.jsonl` into `db`; returns its generation stamp.
 ///
-/// The file is read once. Each record is decoded from a slice of it —
-/// a frame, checksum-verified before its record is applied, or a line
-/// of a parent build's JSON snapshot — and applied through
+/// The file is read once. Each record is decoded from a frame of it,
+/// checksum-verified before its record is applied, and applied through
 /// [`JournalOp::try_apply`] in file order: unique indexes (created by
 /// the records ahead of the documents) are enforced while the documents
 /// stream back in. Anything wrong — a torn or corrupt frame, a record
-/// that does not decode or does not apply — is an error naming the
-/// offset; a snapshot is never loaded around a bad record.
+/// that does not decode or does not apply, a first record that is not
+/// the stamp or a second stamp — is an error naming the offset; a
+/// snapshot is never loaded around a bad record.
 fn load_snapshot(path: &Path, db: &Database, report: &mut RecoveryReport) -> Result<Option<u64>> {
     let bytes = match std::fs::read(path) {
         Ok(bytes) => bytes,
@@ -1345,47 +1192,36 @@ fn load_snapshot(path: &Path, db: &Database, report: &mut RecoveryReport) -> Res
     };
     let bad =
         |what: String| StoreError::Persistence(format!("snapshot {}: {what}", path.display()));
-    let json = bytes.first() == Some(&b'{');
     let mut stamp = None;
     let mut off = 0;
     while off < bytes.len() {
-        let (record, next) = if json {
-            json_line(&bytes, off)
-        } else {
-            match decode_frame(&bytes, off) {
-                FrameDecode::Frame { payload, next } => (Record::decode(payload), next),
-                FrameDecode::Torn(msg) | FrameDecode::Corrupt(msg) => return Err(bad(msg)),
-            }
+        let (payload, next) = match decode_frame(&bytes, off) {
+            FrameDecode::Frame { payload, next } => (payload, next),
+            FrameDecode::Torn(msg) | FrameDecode::Corrupt(msg) => return Err(bad(msg)),
         };
-        match record.map_err(|e| bad(format!("record at byte {off}: {e}")))? {
-            Record::Generation(gen) => stamp = Some(gen),
-            Record::Op(op) => {
+        match Record::decode(payload).map_err(|e| bad(format!("record at byte {off}: {e}")))? {
+            Record::Generation(gen) if off == 0 => stamp = Some(gen),
+            Record::Op(op) if off > 0 => {
                 report.snapshot_docs += usize::from(matches!(op, JournalOp::Insert { .. }));
                 op.try_apply(db)
                     .map_err(|e| bad(format!("record at byte {off} failed to apply: {e}")))?;
             }
+            _ => return Err(bad(format!("record at byte {off}: {OUT_OF_PLACE}"))),
         }
         off = next;
     }
     Ok(stamp)
 }
 
-/// The record on the JSON snapshot line starting at `off`, and the
-/// offset past the line.
-fn json_line(bytes: &[u8], off: usize) -> (Result<Record>, usize) {
-    let rest = bytes.get(off..).unwrap_or_default();
-    let len = rest.iter().position(|&b| b == b'\n').unwrap_or(rest.len());
-    let line = rest.get(..len).unwrap_or_default();
-    (Record::from_json(line), off + len + 1)
-}
+/// Why a record is refused for where it sits in its file.
+const OUT_OF_PLACE: &str = "a file opens with its generation record and holds no other";
 
 /// What replaying one generation file came to.
 struct Replay {
-    /// The generation its first frame names; `None` for a file written
-    /// before generations (always replayed).
+    /// The generation its first frame names; `None` for a file with no
+    /// complete frame. At or below the snapshot's stamp, nothing was
+    /// applied: the snapshot already contains it.
     gen: Option<u64>,
-    /// The snapshot already contains this generation: nothing applied.
-    stale: bool,
     /// Bytes up to the end of the last good frame.
     len: u64,
     /// No torn or corrupt frame: later generations may replay.
@@ -1397,7 +1233,9 @@ struct Replay {
 /// snapshot (`covered`) already contains. A bad frame ends the replay
 /// and truncates the file there, so the next append does not bury a
 /// torn frame mid-file (where the next recovery would read it as
-/// corruption).
+/// corruption). A frame that verifies but does not decode, or a
+/// generation record out of place, is an error and the file is left
+/// as it is.
 fn replay_generation(
     path: &Path,
     covered: u64,
@@ -1407,7 +1245,6 @@ fn replay_generation(
     let bytes = std::fs::read(path).map_err(|e| io_err("wal read", e))?;
     let mut replay = Replay {
         gen: None,
-        stale: false,
         len: 0,
         intact: true,
     };
@@ -1415,22 +1252,25 @@ fn replay_generation(
     while off < bytes.len() {
         match decode_frame(&bytes, off) {
             FrameDecode::Frame { payload, next } => {
-                let record = Record::decode(payload).map_err(|e| {
+                let bad = |what: String| {
+                    let path = path.display();
                     StoreError::Persistence(format!(
-                        "wal frame at byte {off} passed its checksum but failed to \
-                         parse — the store wrote a bad record: {e}"
+                        "wal {path}: frame at byte {off} passed its checksum but {what}"
                     ))
-                })?;
-                match record {
-                    Record::Generation(gen) if off == 0 && gen <= covered => {
-                        replay.stale = true;
-                        return Ok(replay);
+                };
+                // The checksum proves the store wrote it: a bug, not a crash.
+                match Record::decode(payload).map_err(|e| bad(format!("fails to parse: {e}")))? {
+                    Record::Generation(gen) if off == 0 => {
+                        replay.gen = Some(gen);
+                        if gen <= covered {
+                            return Ok(replay);
+                        }
                     }
-                    Record::Generation(gen) => replay.gen = replay.gen.or(Some(gen)),
-                    Record::Op(op) => {
+                    Record::Op(op) if off > 0 => {
                         op.apply(db)?;
                         report.replayed_ops += 1;
                     }
+                    _ => return Err(bad(format!("is out of place: {OUT_OF_PLACE}"))),
                 }
                 off = next;
             }
@@ -1518,11 +1358,11 @@ mod tests {
         }
     }
 
-    /// An op's record decodes back to the op, borrowed or owned; the
-    /// JSON a parent build wrote for it decodes to the same op; every
-    /// truncation of the record is an error, never a panic.
+    /// A record decodes and re-encodes to the same bytes; every prefix
+    /// of it, a trailing byte, and the JSON a build before PR 25 wrote
+    /// for it are refused, never a panic.
     #[test]
-    fn encoded_record_round_trips_and_its_legacy_json_decodes_alike() {
+    fn encoded_record_round_trips_and_nothing_else_decodes() {
         let (doc, filter, update) = (
             json!({"_id": "m\"1", "n": [1, 2.5, null], "s": {"k": "v\n"}}),
             json!({"_id": {"$in": [1, 2]}}),
@@ -1577,58 +1417,34 @@ mod tests {
                 json!({"op": "dc", "c": "c"}),
             ),
         ];
-        for (op, rendering) in cases {
+        let mut stamp = Vec::new();
+        Stamp(7).write_payload(&mut stamp);
+        let generation = (stamp, json!({"op": "gen", "g": 7}));
+        let ops = cases.into_iter().map(|(op, rendering)| {
             let mut bytes = Vec::new();
             op.write_payload(&mut bytes);
-            assert_ne!(
-                bytes.first(),
-                Some(&b'{'),
-                "a binary payload never looks like JSON"
-            );
-            let owned = op.into_owned();
+            (bytes, rendering)
+        });
+        for (mut bytes, legacy) in ops.chain([generation]) {
             let mut again = Vec::new();
-            owned.write_payload(&mut again);
-            assert_eq!(again, bytes, "owned and borrowed ops encode alike");
-            assert_eq!(Record::decode(&bytes).unwrap(), Record::Op(owned.clone()));
-            let legacy = rendering.to_string();
-            assert_eq!(
-                Record::decode(legacy.as_bytes()).unwrap(),
-                Record::Op(owned)
-            );
+            match Record::decode(&bytes).unwrap() {
+                Record::Op(op) => op.write_payload(&mut again),
+                Record::Generation(gen) => Stamp(gen).write_payload(&mut again),
+            }
+            assert_eq!(again, bytes, "decode, then encode, gives the same bytes");
             for n in 0..bytes.len() {
                 assert!(Record::decode(&bytes[..n]).is_err(), "{n}-byte prefix");
             }
+            let legacy = legacy.to_string();
+            assert!(Record::decode(legacy.as_bytes()).is_err(), "{legacy}");
             bytes.push(0);
             assert!(Record::decode(&bytes).is_err(), "a trailing byte");
         }
-        // The generation record: binary, a legacy WAL frame, a legacy
-        // snapshot line.
-        let mut stamp = Vec::new();
-        Stamp(7).write_payload(&mut stamp);
-        for payload in [&stamp[..], br#"{"op":"gen","g":7}"#, br#"{"gen":7}"#] {
-            assert_eq!(Record::decode(payload).unwrap(), Record::Generation(7));
-        }
-        // Legacy snapshot lines are the same records as the binary ones.
-        let lines: [(&[u8], JournalOp); 2] = [
-            (
-                br#"{"c":"c","idx":{"path":"a.b","unique":true}}"#,
-                JournalOp::CreateIndex {
-                    collection: "c".into(),
-                    path: "a.b".into(),
-                    unique: true,
-                },
-            ),
-            (
-                br#"{"c":"c","d":{"_id":1}}"#,
-                JournalOp::Insert {
-                    collection: "c".into(),
-                    doc: json!({"_id": 1}),
-                },
-            ),
-        ];
-        for (line, op) in lines {
-            assert_eq!(Record::decode(line).unwrap(), Record::Op(op));
-        }
+        let snapshot_line = br#"{"c":"c","d":{"_id":1}}"#;
+        assert!(
+            Record::decode(snapshot_line).is_err(),
+            "a JSON snapshot line"
+        );
         assert!(Record::decode(&[0x09, 1, b'c']).is_err(), "unknown tag");
     }
 

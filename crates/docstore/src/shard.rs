@@ -13,7 +13,7 @@ use crate::collection::{filter_matches, Count, UpdateResult, UNBOUNDED};
 use crate::database::Database;
 use crate::error::{Result, StoreError};
 use crate::journal::JournalSink;
-use crate::persist::{JournalOp, JournalRef};
+use crate::persist::{decode_frame, frame_record, FrameDecode, JournalRef, Record};
 use crate::query::{CompiledFilter, Filter};
 use crate::value::{get_path, Docs, Document};
 use mp_exec::WorkPool;
@@ -275,18 +275,42 @@ struct RouterState {
     secondary_reads: u64,
 }
 
-/// The in-memory oplog as the primary's journal: it keeps each op, so
-/// it is the one sink that copies it; entry count is the LSN, nothing
-/// to fsync, and nothing is ever folded away (a lagging secondary may
-/// still need any suffix).
-impl JournalSink for Vec<JournalOp> {
+/// The in-memory oplog: the WAL's own CRC frames, written by the same
+/// `frame_record` into one buffer, and where each frame ends — entry
+/// count is the LSN, nothing to fsync, and nothing is ever folded away
+/// (a lagging secondary may still need any suffix).
+#[derive(Default)]
+struct Oplog {
+    frames: Vec<u8>,
+    ends: Vec<usize>,
+}
+
+impl Oplog {
+    /// Byte offset of entry `i`: where the entries before it end.
+    fn offset(&self, i: usize) -> usize {
+        self.ends
+            .get(..i)
+            .and_then(<[_]>::last)
+            .map_or(0, |&end| end)
+    }
+
+    /// Keep the first `n` entries.
+    fn truncate(&mut self, n: usize) {
+        self.frames.truncate(self.offset(n));
+        self.ends.truncate(n);
+    }
+}
+
+/// The primary's journal: each op framed as the WAL frames it.
+impl JournalSink for Oplog {
     fn append_op(&mut self, op: JournalRef<'_>) -> Result<()> {
-        self.push(op.into_owned());
+        frame_record(&mut self.frames, &op);
+        self.ends.push(self.frames.len());
         Ok(())
     }
 
     fn flush_appended(&mut self) -> Result<(u64, bool)> {
-        Ok((self.len() as u64, false))
+        Ok((self.ends.len() as u64, false))
     }
 }
 
@@ -296,7 +320,7 @@ pub struct ReplicaSet {
     secondaries: Vec<Database>,
     /// The primary's journal (`LockRank::Journal`): every write through
     /// any handle of the primary lands here before it is applied.
-    oplog: Arc<OrderedMutex<Vec<JournalOp>>>,
+    oplog: Arc<OrderedMutex<Oplog>>,
     /// How many oplog entries each secondary has applied.
     applied: OrderedMutex<Vec<usize>>,
     /// Entries applied per `replicate()` call per secondary (lag model).
@@ -308,7 +332,7 @@ impl ReplicaSet {
     /// A set with `n_secondaries` secondaries applying up to `batch`
     /// oplog entries per replication round.
     pub fn new(n_secondaries: usize, batch: usize) -> Self {
-        let oplog = Arc::new(OrderedMutex::new(LockRank::Journal, Vec::new()));
+        let oplog = Arc::new(OrderedMutex::new(LockRank::Journal, Oplog::default()));
         let primary = Database::new();
         primary.attach_journal(oplog.clone(), None);
         ReplicaSet {
@@ -356,7 +380,9 @@ impl ReplicaSet {
     }
 
     /// One replication round: each secondary applies up to `batch`
-    /// pending oplog entries. Returns the max remaining lag (entries).
+    /// pending oplog entries, read as recovery reads the WAL — each
+    /// frame checksum-verified, then decoded, then applied. Returns the
+    /// max remaining lag (entries).
     // mp-lint: allow(E003) — oplog-ordered application is the replication
     // contract: the applied/oplog guards must span the whole round so no
     // concurrent round interleaves ops and the primary appends nothing
@@ -370,12 +396,22 @@ impl ReplicaSet {
         let mut max_lag = 0;
         for (i, sec) in self.secondaries.iter().enumerate() {
             let from = applied[i];
-            let to = (from + self.batch).min(oplog.len());
-            for op in &oplog[from..to] {
-                op.clone().apply(sec)?;
+            let to = (from + self.batch).min(oplog.ends.len());
+            let mut off = oplog.offset(from);
+            for _ in from..to {
+                let FrameDecode::Frame { payload, next } = decode_frame(&oplog.frames, off) else {
+                    return Err(StoreError::Persistence(format!(
+                        "oplog frame at byte {off} failed its checksum"
+                    )));
+                };
+                // `append_op` frames ops only: the oplog has no stamp.
+                if let Record::Op(op) = Record::decode(payload)? {
+                    op.apply(sec)?;
+                }
+                off = next;
             }
             applied[i] = to;
-            max_lag = max_lag.max(oplog.len() - to);
+            max_lag = max_lag.max(oplog.ends.len() - to);
         }
         Ok(max_lag)
     }
@@ -439,7 +475,7 @@ impl ReplicaSet {
 
     /// Current replication lag (pending entries) per secondary.
     pub fn lag(&self) -> Vec<usize> {
-        let oplog_len = self.oplog.lock().len();
+        let oplog_len = self.oplog.lock().ends.len();
         self.applied.lock().iter().map(|a| oplog_len - a).collect()
     }
 
@@ -461,7 +497,7 @@ impl ReplicaSet {
         // so a write through a handle taken from it before the failover
         // never reaches the set.
         let mut kept = std::mem::take(&mut *self.oplog.lock());
-        let lost = kept.len() - best_applied;
+        let lost = kept.ends.len() - best_applied;
         kept.truncate(best_applied);
         self.oplog = Arc::new(OrderedMutex::new(LockRank::Journal, kept));
         self.primary = self.secondaries.remove(best);

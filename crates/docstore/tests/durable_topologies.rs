@@ -4,7 +4,9 @@
 //! secondaries — neither `ShardedCluster` nor `ReplicaSet` journals
 //! anything itself.
 
-use mp_docstore::{Database, DurableDatabase, ReadPreference, ReplicaSet, ShardedCluster};
+use mp_docstore::{
+    Database, DurableDatabase, FindOptions, ReadPreference, ReplicaSet, ShardedCluster, SortDir,
+};
 use serde_json::{json, Value};
 use std::path::PathBuf;
 
@@ -115,6 +117,110 @@ fn a_promoted_secondary_logs_through_the_hook() {
     assert_eq!(rs.lag(), vec![1]);
     rs.replicate().unwrap();
     assert_eq!(rs.secondary(0).collection("c").len(), 2);
+}
+
+/// Step `i` of one op sequence: every `JournalOp` kind, a rejected
+/// duplicate `_id`, a unique-index violation, an upsert and a sorted
+/// `find_one_and_update`.
+fn step(db: &Database, i: usize) {
+    let m = db.collection("m");
+    match i {
+        0 => m.create_index("formula", true).unwrap(),
+        1 => m.create_index("nsites", false).unwrap(),
+        2 => {
+            let docs = (0..24)
+                .map(|k| json!({"_id": k, "formula": format!("F{k}"), "nsites": k % 5, "state": "READY", "priority": k % 7}))
+                .collect();
+            m.insert_many(docs).unwrap();
+        }
+        3 => assert!(m.insert_one(json!({"_id": 3, "formula": "X"})).is_err()),
+        4 => assert!(m.insert_one(json!({"_id": 99, "formula": "F4"})).is_err()),
+        5 => {
+            let hit = m.update_many(&json!({"nsites": 2}), &json!({"$inc": {"priority": 10}}));
+            assert_eq!(hit.unwrap().modified, 5);
+        }
+        6 => {
+            let up = json!({"$set": {"formula": "F50", "state": "READY", "priority": 20}});
+            m.upsert(&json!({"_id": 50}), &up).unwrap();
+        }
+        7 => {
+            let by_priority = FindOptions::all().sort_by("priority", SortDir::Desc);
+            let claimed = m
+                .find_one_and_update(
+                    &json!({"state": "READY"}),
+                    &json!({"$set": {"state": "RUNNING"}}),
+                    Some(&by_priority),
+                    true,
+                )
+                .unwrap();
+            assert_eq!(claimed.unwrap()["_id"], json!(50));
+        }
+        8 => assert_eq!(m.delete_many(&json!({"nsites": 4})).unwrap(), 4),
+        9 => m.drop_index("nsites").unwrap(),
+        10 => {
+            let scratch = db.collection("scratch");
+            scratch.insert_one(json!({"_id": 1})).unwrap();
+            scratch.clear().unwrap();
+            scratch.insert_one(json!({"_id": 2})).unwrap();
+        }
+        _ => {
+            db.collection("gone").insert_one(json!({"_id": 1})).unwrap();
+            assert!(db.drop_collection("gone").unwrap());
+        }
+    }
+}
+
+const STEPS: usize = 12;
+
+/// Per collection: its documents and its index specs, comparable.
+type State = Vec<(String, Vec<String>, Vec<(String, bool)>)>;
+
+fn state(db: &Database) -> State {
+    let mut names = db.collection_names();
+    names.sort();
+    names
+        .into_iter()
+        .map(|name| {
+            let c = db.collection(&name);
+            let mut docs: Vec<String> = c.dump().iter().map(|d| d.to_string()).collect();
+            docs.sort();
+            (name, docs, c.index_specs())
+        })
+        .collect()
+}
+
+/// A replica set replays the oplog's frames as recovery replays the
+/// WAL's: one op sequence through a `ReplicaSet` primary — failing over
+/// partway — and through a `DurableDatabase` that is then reopened
+/// leaves the secondary, the new primary and the reopened store holding
+/// the same documents and index specs.
+#[test]
+fn a_replica_set_and_a_reopened_durable_store_converge() {
+    for batch in [1, 100] {
+        let dir = tmpdir(&format!("replica-vs-durable-{batch}"));
+        let durable = DurableDatabase::open(&dir).unwrap();
+        let mut rs = ReplicaSet::new(2, batch);
+        let failover_at = STEPS / 2;
+        for i in 0..STEPS {
+            if i == failover_at {
+                while rs.replicate().unwrap() > 0 {}
+                assert_eq!(rs.failover().unwrap(), 0);
+                durable.checkpoint().unwrap();
+            }
+            step(rs.primary(), i);
+            step(durable.database(), i);
+            rs.replicate().unwrap();
+        }
+        while rs.replicate().unwrap() > 0 {}
+        drop(durable);
+        let reopened = DurableDatabase::open(&dir).unwrap();
+        let want = state(reopened.database());
+        assert_eq!(want.len(), 2, "batch {batch}: {want:?}");
+        assert_eq!(want[0].1.len(), 21, "batch {batch}: m");
+        assert_eq!(state(rs.primary()), want, "batch {batch}: new primary");
+        assert_eq!(state(rs.secondary(0)), want, "batch {batch}: secondary");
+        let _ = std::fs::remove_dir_all(dir);
+    }
 }
 
 #[test]

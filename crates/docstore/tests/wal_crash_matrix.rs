@@ -21,9 +21,11 @@
 //! Then the checkpoint protocol: a checkpoint is stopped at every step
 //! boundary (capture → write → publish → retire), with writes
 //! acknowledged into the next WAL generation meanwhile, and every
-//! directory state must recover exactly the acknowledged state.
+//! directory state must recover exactly the acknowledged state. A
+//! directory in any layout an older build wrote is refused, untouched.
 
-use mp_docstore::{Database, DurableDatabase, DurableOptions, JournalOp, Persister};
+use mp_docstore::persist::{frame_record, JournalRef};
+use mp_docstore::{Database, DurableDatabase, DurableOptions, JournalOp, Persister, StoreError};
 use serde_json::{json, Value};
 use std::path::{Path, PathBuf};
 
@@ -433,62 +435,6 @@ fn old_wal_left_beside_a_newer_snapshot_is_not_replayed_over_it() {
     let _ = std::fs::remove_dir_all(dir);
 }
 
-/// A directory written before generations existed — an unstamped
-/// snapshot, a WAL whose first frame is an op — opens as it always did:
-/// snapshot, then the whole WAL over it.
-#[test]
-fn unstamped_directory_opens_as_before() {
-    let dir = tmpdir("legacy");
-    std::fs::create_dir_all(&dir).unwrap();
-    std::fs::write(
-        dir.join("snapshot.jsonl"),
-        concat!(
-            r#"{"c":"c","idx":{"path":"n","unique":false}}"#,
-            "\n",
-            r#"{"c":"c","d":{"_id":1,"n":5}}"#,
-            "\n"
-        ),
-    )
-    .unwrap();
-    let mut wal = Vec::new();
-    for record in [
-        r#"{"op":"u","c":"c","q":{"_id":1},"u":{"$inc":{"n":5}},"m":false}"#,
-        r#"{"op":"i","c":"c","d":{"_id":2,"n":1}}"#,
-    ] {
-        mp_docstore::persist::frame_record(&mut wal, record.as_bytes());
-    }
-    std::fs::write(dir.join("journal.wal"), &wal).unwrap();
-
-    let (db, report) = Persister::open(&dir)
-        .unwrap()
-        .recover_with_report()
-        .unwrap();
-    assert_eq!(report.snapshot_gen, None);
-    assert_eq!((report.snapshot_docs, report.replayed_ops), (1, 2));
-    assert_eq!(report.replay_lsn, wal.len() as u64);
-    assert_eq!(db.collection("c").get(&json!(1)).unwrap()["n"], json!(10));
-    assert_eq!(db.collection("c").len(), 2);
-    drop(db);
-
-    // It keeps working as a store: append to the old WAL, checkpoint
-    // into the stamped format, reopen.
-    let d = DurableDatabase::open(&dir).unwrap();
-    d.insert_one("c", json!({"_id": 3, "n": 0})).unwrap();
-    drop(d);
-    let d = DurableDatabase::open(&dir).unwrap();
-    assert_eq!(d.database().collection("c").len(), 3);
-    d.checkpoint().unwrap();
-    assert_eq!(file_names(&dir), ["snapshot.jsonl"]);
-    drop(d);
-    let d = DurableDatabase::open(&dir).unwrap();
-    assert_eq!(d.database().collection("c").len(), 3);
-    assert_eq!(
-        d.database().collection("c").index_specs(),
-        vec![("n".to_string(), false)]
-    );
-    let _ = std::fs::remove_dir_all(dir);
-}
-
 /// Offsets at which the frames of `bytes` start.
 fn frame_starts(bytes: &[u8]) -> Vec<usize> {
     let mut starts = Vec::new();
@@ -567,128 +513,158 @@ fn flipping_any_byte_of_a_published_snapshot_is_refused_or_harmless() {
 fn json_wal(records: &[&str]) -> Vec<u8> {
     let mut wal = Vec::new();
     for record in records {
-        mp_docstore::persist::frame_record(&mut wal, record.as_bytes());
+        frame_record(&mut wal, record.as_bytes());
     }
     wal
 }
 
-/// The PR 16–24 layout — a JSON snapshot stamped `{"gen":g}`, WAL
-/// generations of JSON frames opened by `{"op":"gen"}` — opens by the
-/// generation rule: the sealed generation the stamp covers is discarded
-/// unread, the later sealed one and the active one replay.
+/// The binary payload of the generation record `g`.
+fn stamp(g: u64) -> Vec<u8> {
+    let mut payload = vec![0x01];
+    payload.extend_from_slice(&g.to_le_bytes());
+    payload
+}
+
+/// Every file of `dir` with its bytes, by name.
+fn files(dir: &Path) -> Vec<(String, Vec<u8>)> {
+    file_names(dir)
+        .into_iter()
+        .map(|name| {
+            let bytes = std::fs::read(dir.join(&name)).unwrap();
+            (name, bytes)
+        })
+        .collect()
+}
+
+/// Directories in every layout an older build wrote, and two binary
+/// files whose generation record is out of place, are refused: `open`
+/// returns a `Persistence` error naming the file and the offset, and
+/// every file is left byte for byte as it was.
 #[test]
-fn stamped_json_directory_opens_as_before() {
-    let dir = tmpdir("legacy-stamped");
-    std::fs::create_dir_all(&dir).unwrap();
-    std::fs::write(
-        dir.join("snapshot.jsonl"),
-        concat!(
-            r#"{"gen":2}"#,
-            "\n",
-            r#"{"c":"c","idx":{"path":"n","unique":false}}"#,
-            "\n",
-            r#"{"c":"c","d":{"_id":1,"n":5}}"#,
-            "\n"
-        ),
-    )
-    .unwrap();
+fn older_layouts_are_refused_and_left_untouched() {
     let inc = |by: u32| {
         format!(r#"{{"op":"u","c":"c","q":{{"_id":1}},"u":{{"$inc":{{"n":{by}}}}},"m":false}}"#)
     };
-    let covered = json_wal(&[r#"{"op":"gen","g":2}"#, &inc(100)]);
-    std::fs::write(dir.join("journal.2.sealed"), covered).unwrap();
-    let sealed = json_wal(&[r#"{"op":"gen","g":3}"#, &inc(5)]);
-    std::fs::write(dir.join("journal.3.sealed"), sealed).unwrap();
-    let active = json_wal(&[
-        r#"{"op":"gen","g":4}"#,
-        r#"{"op":"i","c":"c","d":{"_id":2,"n":1}}"#,
-    ]);
-    std::fs::write(dir.join("journal.wal"), &active).unwrap();
-
-    let (db, report) = Persister::open(&dir)
-        .unwrap()
-        .recover_with_report()
-        .unwrap();
-    assert_eq!(report.snapshot_gen, Some(2));
-    assert_eq!(
-        (report.sealed_replayed, report.generations_discarded),
-        (1, 1)
-    );
-    assert_eq!((report.snapshot_docs, report.replayed_ops), (1, 2));
-    assert_eq!(report.replay_lsn, active.len() as u64);
-    assert_eq!(db.collection("c").get(&json!(1)).unwrap()["n"], json!(10));
-    assert_eq!(db.collection("c").len(), 2);
-    drop(db);
-
-    // It keeps working as a store: binary appends to the JSON active
-    // generation, a reopen, a checkpoint into the binary format.
-    let d = DurableDatabase::open(&dir).unwrap();
-    d.insert_one("c", json!({"_id": 3, "n": 0})).unwrap();
-    drop(d);
-    let d = DurableDatabase::open(&dir).unwrap();
-    assert_eq!(d.database().collection("c").len(), 3);
-    d.checkpoint().unwrap();
-    assert_eq!(file_names(&dir), ["snapshot.jsonl"]);
-    drop(d);
-    let snapshot = std::fs::read(dir.join("snapshot.jsonl")).unwrap();
-    assert_ne!(snapshot.first(), Some(&b'{'));
-    let (db, report) = Persister::open(&dir)
-        .unwrap()
-        .recover_with_report()
-        .unwrap();
-    assert_eq!(report.snapshot_gen, Some(4));
-    assert_eq!(db.collection("c").get(&json!(1)).unwrap()["n"], json!(10));
-    assert_eq!(db.collection("c").len(), 3);
-    assert_eq!(
-        db.collection("c").index_specs(),
-        vec![("n".to_string(), false)]
-    );
-    let _ = std::fs::remove_dir_all(dir);
-}
-
-/// A JSON active WAL takes binary frames after its JSON ones; the mixed
-/// file replays both — a rejected write included — and checkpoints.
-#[test]
-fn json_active_wal_takes_binary_appends_then_reopens_and_checkpoints() {
-    let dir = tmpdir("legacy-mixed");
-    std::fs::create_dir_all(&dir).unwrap();
-    let legacy = json_wal(&[
-        r#"{"op":"gen","g":1}"#,
-        r#"{"op":"ci","c":"c","p":"k","uq":true}"#,
-        r#"{"op":"i","c":"c","d":{"_id":1,"k":1}}"#,
-    ]);
-    std::fs::write(dir.join("journal.wal"), &legacy).unwrap();
-
-    let d = DurableDatabase::open(&dir).unwrap();
-    d.insert_one("c", json!({"_id": 2, "k": 2})).unwrap();
-    assert!(
-        d.insert_one("c", json!({"_id": 3, "k": 1})).is_err(),
-        "the unique index replayed from JSON is live"
-    );
-    drop(d);
-    let wal = std::fs::read(dir.join("journal.wal")).unwrap();
-    assert!(wal.len() > legacy.len() && wal.starts_with(&legacy));
-
-    let (db, report) = Persister::open(&dir)
-        .unwrap()
-        .recover_with_report()
-        .unwrap();
-    assert_eq!(report.snapshot_gen, None);
-    assert_eq!(report.replayed_ops, 2 + 2, "two JSON ops, two binary");
-    assert_eq!(report.replay_lsn, wal.len() as u64);
-    assert!(report.torn_tail.is_none() && report.corruption.is_none());
-    assert_eq!(db.collection("c").len(), 2);
-    assert!(db.collection("c").get(&json!(3)).is_none());
-    drop(db);
-
-    let d = DurableDatabase::open(&dir).unwrap();
-    d.checkpoint().unwrap();
-    assert_eq!(file_names(&dir), ["snapshot.jsonl"]);
-    drop(d);
-    let d = DurableDatabase::open(&dir).unwrap();
-    let c = d.database().collection("c");
-    assert_eq!(c.len(), 2);
-    assert_eq!(c.index_specs(), vec![("k".to_string(), true)]);
-    assert!(c.insert_one(json!({"_id": 4, "k": 2})).is_err());
-    let _ = std::fs::remove_dir_all(dir);
+    // Before PR 16: an unstamped JSON snapshot, a WAL whose first
+    // frame is an op.
+    let unstamped = vec![
+        (
+            "snapshot.jsonl",
+            concat!(
+                r#"{"c":"c","idx":{"path":"n","unique":false}}"#,
+                "\n",
+                r#"{"c":"c","d":{"_id":1,"n":5}}"#,
+                "\n"
+            )
+            .as_bytes()
+            .to_vec(),
+        ),
+        (
+            "journal.wal",
+            json_wal(&[&inc(5), r#"{"op":"i","c":"c","d":{"_id":2,"n":1}}"#]),
+        ),
+    ];
+    // PRs 16–24: a JSON snapshot stamped `{"gen":g}`, WAL generations
+    // of JSON frames opened by `{"op":"gen"}`.
+    let stamped_json = vec![
+        (
+            "snapshot.jsonl",
+            concat!(
+                r#"{"gen":2}"#,
+                "\n",
+                r#"{"c":"c","idx":{"path":"n","unique":false}}"#,
+                "\n",
+                r#"{"c":"c","d":{"_id":1,"n":5}}"#,
+                "\n"
+            )
+            .as_bytes()
+            .to_vec(),
+        ),
+        (
+            "journal.2.sealed",
+            json_wal(&[r#"{"op":"gen","g":2}"#, &inc(100)]),
+        ),
+        (
+            "journal.3.sealed",
+            json_wal(&[r#"{"op":"gen","g":3}"#, &inc(5)]),
+        ),
+        (
+            "journal.wal",
+            json_wal(&[
+                r#"{"op":"gen","g":4}"#,
+                r#"{"op":"i","c":"c","d":{"_id":2,"n":1}}"#,
+            ]),
+        ),
+    ];
+    // A JSON active WAL and nothing else.
+    let json_active = vec![(
+        "journal.wal",
+        json_wal(&[
+            r#"{"op":"gen","g":1}"#,
+            r#"{"op":"ci","c":"c","p":"k","uq":true}"#,
+            r#"{"op":"i","c":"c","d":{"_id":1,"k":1}}"#,
+        ]),
+    )];
+    // Binary frames with the generation record missing or repeated.
+    let doc = json!({"_id": 2, "n": 1});
+    let insert: JournalRef<'_> = JournalOp::Insert {
+        collection: "c",
+        doc: &doc,
+    };
+    let mut op_first = Vec::new();
+    frame_record(&mut op_first, &insert);
+    frame_record(&mut op_first, stamp(1).as_slice());
+    let mut stamped_twice = Vec::new();
+    frame_record(&mut stamped_twice, stamp(1).as_slice());
+    frame_record(&mut stamped_twice, &insert);
+    let second_stamp = stamped_twice.len();
+    frame_record(&mut stamped_twice, stamp(1).as_slice());
+    let cases = [
+        ("unstamped", unstamped, "snapshot.jsonl", 0),
+        ("stamped-json", stamped_json, "snapshot.jsonl", 0),
+        ("json-active-wal", json_active, "journal.wal", 0),
+        (
+            "binary-wal-op-first",
+            vec![("journal.wal", op_first.clone())],
+            "journal.wal",
+            0,
+        ),
+        (
+            "binary-snapshot-op-first",
+            vec![("snapshot.jsonl", op_first)],
+            "snapshot.jsonl",
+            0,
+        ),
+        (
+            "binary-wal-stamped-twice",
+            vec![("journal.wal", stamped_twice)],
+            "journal.wal",
+            second_stamp,
+        ),
+    ];
+    for (tag, layout, file, offset) in cases {
+        let dir = tmpdir(&format!("refuse-{tag}"));
+        std::fs::create_dir_all(&dir).unwrap();
+        for (name, bytes) in &layout {
+            std::fs::write(dir.join(name), bytes).unwrap();
+        }
+        let before = files(&dir);
+        match DurableDatabase::open(&dir) {
+            Err(StoreError::Persistence(msg)) => {
+                let path = dir.join(file).display().to_string();
+                assert!(msg.contains(&path), "{tag}: {msg}");
+                let at = msg.split("byte ").nth(1).and_then(|rest| {
+                    rest.split(|c: char| !c.is_ascii_digit())
+                        .next()?
+                        .parse::<usize>()
+                        .ok()
+                });
+                assert_eq!(at, Some(offset), "{tag}: {msg}");
+            }
+            Err(e) => panic!("{tag}: refused with a non-persistence error: {e}"),
+            Ok(_) => panic!("{tag}: an older layout opened"),
+        }
+        assert_eq!(files(&dir), before, "{tag}: refusing changed the directory");
+        let _ = std::fs::remove_dir_all(dir);
+    }
 }

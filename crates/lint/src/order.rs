@@ -115,8 +115,10 @@ impl OrderConfig {
     /// `JournalOp::try_apply` (strict, snapshot records) the replay
     /// application, `Persister::recover_with_report` the recovery entry
     /// point (it replays sealed and active generations through one
-    /// verify-then-apply helper) and `load_snapshot`, the snapshot's
-    /// own verify-then-apply loop, checked on its own,
+    /// verify-then-apply helper), `load_snapshot`, the snapshot's own
+    /// verify-then-apply loop, checked on its own, and
+    /// `ReplicaSet::replicate`, which replays the oplog's frames into
+    /// the secondaries,
     /// `raw_apply` (the one function that write-locks store state)
     /// mutates, and `Shared` — whose `commit` is the one function that
     /// sequences an append and an apply — is the write-ahead surface.
@@ -131,7 +133,11 @@ impl OrderConfig {
             ]),
             verify_fns: FnRef::list(&["decode_frame"]),
             apply_fns: FnRef::list(&["JournalOp::apply", "JournalOp::try_apply"]),
-            recovery_fns: FnRef::list(&["Persister::recover_with_report", "load_snapshot"]),
+            recovery_fns: FnRef::list(&[
+                "Persister::recover_with_report",
+                "load_snapshot",
+                "ReplicaSet::replicate",
+            ]),
             mutation_fns: FnRef::list(&["raw_apply"]),
             durable_surface: vec!["Shared".to_string()],
         }
