@@ -5,7 +5,7 @@
 use crate::column::{Candidates, Segment};
 use crate::cursor::{CompiledFindOptions, CompiledProjection, FindOptions};
 use crate::error::{Result, StoreError};
-use crate::index::{DocId, Index};
+use crate::index::{first_collision, push_entries, unique_violation, DocId, Entry, Index};
 use crate::journal::{Shared, Store};
 use crate::persist::{JournalOp, JournalRef};
 use crate::profiler::OpKind;
@@ -209,15 +209,11 @@ impl Collection {
     /// Assign the `_id` (when missing) and the `DocId` an insert will
     /// use, so the journal records the document the store will hold.
     fn materialize(&self, mut doc: Value) -> Result<Option<(DocId, Value)>> {
-        let Some(obj) = doc.as_object_mut() else {
-            return Err(StoreError::InvalidDocument(
-                "document must be a JSON object".into(),
-            ));
-        };
-        let id_num = self.next_id.fetch_add(1, AtomicOrdering::Relaxed);
-        if !obj.contains_key("_id") {
-            obj.insert("_id".into(), json!(format!("oid{:012x}", id_num)));
+        if !doc.is_object() {
+            return Err(not_an_object());
         }
+        let id_num = self.next_id.fetch_add(1, AtomicOrdering::Relaxed);
+        assign_id(&mut doc, id_num);
         Ok(Some((id_num, doc)))
     }
 
@@ -253,7 +249,7 @@ impl Collection {
             self,
             docs,
             |_, doc| self.materialize(doc),
-            |coll, (_, doc)| coll.journal_insert(doc),
+            |coll, (_, doc)| Some(coll.journal_insert(doc)),
             |inner, (id_num, doc)| {
                 // An explicit `"_id": null` reads as null again.
                 if let Some(slot) = slots.next().filter(|slot| slot.is_null()) {
@@ -263,6 +259,109 @@ impl Collection {
             },
         )?;
         Ok(ids)
+    }
+
+    /// Fill this empty collection with `docs` in one apply — what
+    /// recovery does with a snapshot's run of documents, instead of an
+    /// `insert_one` each. It reaches the state inserting them one by one
+    /// in order would: `DocId`s `first..first + n`, an `_id` assigned
+    /// where one is missing, and of keys that compare equal (`1`,
+    /// `1.0`) the lowest `DocId`'s value kept. It refuses what that
+    /// would refuse — a non-object document, a duplicate `_id`, a
+    /// unique-index collision, all found on the sorted runs — at the
+    /// position of the document where one-by-one insertion would have
+    /// stopped, and then applies nothing.
+    ///
+    /// `docs`, `by_id` and every index are built from `(key, DocId)`
+    /// vectors, sorted in place on the calling thread, which allocates
+    /// everything the collection keeps (DESIGN §10). The apply goes
+    /// through [`Shared::commit`]. A collection that already holds
+    /// documents is refused as a whole, before any document is looked at
+    /// and again under the lock (there is no per-document fallback); so
+    /// is one whose indexes changed since the build read them, and, by
+    /// `commit`, a database that journals: a build has no journaled
+    /// form, and recovery runs before the journal is attached. No
+    /// profiler sample is taken: nobody issued an insert.
+    pub(crate) fn bulk_build(&self, mut docs: Vec<Value>) -> std::result::Result<(), Refused> {
+        let out_of_place = |why: &str| {
+            let name = &self.name;
+            StoreError::Persistence(format!(
+                "a bulk build into collection '{name}' is out of place: {why}"
+            ))
+        };
+        const HOLDS_DOCUMENTS: &str = "it already holds documents";
+        if !self.is_empty() {
+            let error = out_of_place(HOLDS_DOCUMENTS);
+            return Err(Refused { at: 0, error });
+        }
+        let n = docs.len();
+        let first = self.next_id.fetch_add(n as u64, AtomicOrdering::Relaxed);
+        let objects = docs.iter().position(|d| !d.is_object()).unwrap_or(n);
+        let specs = self.index_specs();
+        let mut by_id: Vec<Entry> = Vec::with_capacity(objects);
+        let mut keyed: Vec<Vec<Entry>> =
+            specs.iter().map(|_| Vec::with_capacity(objects)).collect();
+        for (id, doc) in (first..).zip(docs.iter_mut().take(objects)) {
+            assign_id(doc, id);
+            by_id.push((OrderedValue(id_of(doc)), id, 0));
+            for ((path, _), entries) in specs.iter().zip(&mut keyed) {
+                push_entries(entries, id, doc, path);
+            }
+        }
+        by_id.sort_unstable();
+        keyed.iter_mut().for_each(|entries| entries.sort_unstable());
+        // Where one-by-one insertion stops: the lowest failing DocId,
+        // and of one document's failures the check `raw_insert` makes
+        // first (`_id`, then the indexes in order).
+        let taken = first_collision(&by_id)
+            .map(|(key, id, _)| (*id, StoreError::DuplicateKey(format!("_id {}", key.0))));
+        let collisions = specs.iter().zip(&keyed).filter(|((_, unique), _)| *unique);
+        let collided = collisions.filter_map(|((path, _), entries)| {
+            let (key, id, _) = first_collision(entries)?;
+            Some((*id, unique_violation(path, &key.0)))
+        });
+        let invalid = (objects < n).then(|| (first + objects as u64, not_an_object()));
+        if let Some((id, error)) = taken
+            .into_iter()
+            .chain(collided)
+            .chain(invalid)
+            .min_by_key(|(id, _)| *id)
+        {
+            let at = (id - first) as usize;
+            return Err(Refused { at, error });
+        }
+        let built = Built {
+            indexes: (specs.iter().zip(keyed))
+                .map(|((path, unique), sorted)| Index::built(path.clone(), *unique, sorted))
+                .collect(),
+            by_id: by_id.into_iter().map(|(key, id, _)| (key, id)).collect(),
+            docs: (first..).zip(docs.into_iter().map(Arc::new)).collect(),
+        };
+        self.shared
+            .commit(
+                self,
+                Some(built),
+                |inner, built| {
+                    if !inner.docs.is_empty() {
+                        Err(out_of_place(HOLDS_DOCUMENTS))
+                    } else if Self::specs_of(inner) != specs {
+                        Err(out_of_place("its indexes changed while it was built"))
+                    } else {
+                        Ok(Some(built))
+                    }
+                },
+                // No journaled form: `commit` refuses it once a journal is attached.
+                |_, _| None,
+                |inner, built| {
+                    inner.docs = built.docs;
+                    inner.by_id = built.by_id;
+                    inner.indexes = built.indexes;
+                    inner.dirty = true;
+                    Ok(())
+                },
+            )
+            .map(drop)
+            .map_err(|error| Refused { at: 0, error })
     }
 
     /// Find documents matching a JSON filter with default options.
@@ -455,8 +554,8 @@ impl Collection {
                 self.materialize(seed).map(Some)
             },
             |coll, seed| match seed {
-                None => coll.journal_update(filter, update, false),
-                Some((_, doc)) => coll.journal_insert(doc),
+                None => Some(coll.journal_update(filter, update, false)),
+                Some((_, doc)) => Some(coll.journal_insert(doc)),
             },
             |inner, seed| match seed {
                 None => Self::raw_update(inner, &cf, &u, now, false),
@@ -508,7 +607,7 @@ impl Collection {
                     }),
                 )
             },
-            |coll, (_, _, target)| coll.journal_update(target, update, false),
+            |coll, (_, _, target)| Some(coll.journal_update(target, update, false)),
             |inner, (id, old, _)| {
                 let new = Self::raw_modify(inner, id, &old, &u, now)?;
                 Ok(if return_new { new.unwrap_or(old) } else { old })
@@ -1086,6 +1185,33 @@ fn scatter_matches<T: Send, C: FromIterator<T>>(
 /// A document's `_id` (`null` without one), cloned.
 fn id_of(doc: &Value) -> Value {
     doc.get("_id").cloned().unwrap_or(Value::Null)
+}
+
+/// Give an object without an `_id` the one its `DocId` names.
+fn assign_id(doc: &mut Value, id_num: DocId) {
+    if let Some(obj) = doc.as_object_mut().filter(|obj| !obj.contains_key("_id")) {
+        obj.insert("_id".into(), json!(format!("oid{:012x}", id_num)));
+    }
+}
+
+fn not_an_object() -> StoreError {
+    StoreError::InvalidDocument("document must be a JSON object".into())
+}
+
+/// Why [`Collection::bulk_build`] refused: the error, and the position
+/// in the run of the document one-by-one insertion would have stopped
+/// at (0 when the build is refused as a whole).
+#[derive(Debug)]
+pub(crate) struct Refused {
+    pub(crate) at: usize,
+    pub(crate) error: StoreError,
+}
+
+/// What a bulk build hands its one apply.
+struct Built {
+    docs: BTreeMap<DocId, Arc<Document>>,
+    by_id: BTreeMap<OrderedValue, DocId>,
+    indexes: Vec<Index>,
 }
 
 /// For upserts, seed the new document from the filter's equality fields

@@ -189,6 +189,27 @@ mod tests {
     }
 
     #[test]
+    fn bulk_build_is_refused_once_journaled() {
+        // A bulk build has no journaled form: on a live store it must
+        // fail and change nothing, never log a stand-in record.
+        let dir = tmpdir("bulk");
+        {
+            let d = DurableDatabase::open(&dir).unwrap();
+            let c = d.database().collection("c");
+            let logged = d.wal_len();
+            let refused = c.bulk_build(vec![json!({"_id": 1})]).unwrap_err();
+            assert!(matches!(
+                refused.error,
+                crate::error::StoreError::Persistence(_)
+            ));
+            assert!(c.is_empty());
+            assert_eq!(d.wal_len(), logged);
+        }
+        assert!(reopen(&dir).database().collection("c").is_empty());
+        let _ = std::fs::remove_dir_all(dir);
+    }
+
+    #[test]
     fn ddl_survives_reopen() {
         let dir = tmpdir("ddl");
         {

@@ -7,7 +7,7 @@
 //! makes queries like `{elements: "Li"}` fast.
 
 use crate::error::{Result, StoreError};
-use crate::value::{get_path_multi, OrderedValue};
+use crate::value::{for_each_at_path, OrderedValue};
 use serde_json::Value;
 use std::collections::{BTreeMap, BTreeSet};
 use std::ops::Bound;
@@ -25,17 +25,54 @@ pub struct Index {
     map: BTreeMap<OrderedValue, BTreeSet<DocId>>,
 }
 
-/// The values a document exposes at an index path: one entry per array
-/// element for multikey behaviour, or the single value itself.
-fn index_keys(doc: &Value, path: &str) -> Vec<Value> {
+/// The keys a document exposes at an index path: one per array element
+/// for multikey behaviour, or the single value itself, in path-walk
+/// order. The walk allocates nothing; the vector and the key clones it
+/// returns are the only allocations.
+fn index_keys(doc: &Value, path: &str) -> Vec<OrderedValue> {
     let mut keys = Vec::new();
-    for v in get_path_multi(doc, path) {
-        match v {
-            Value::Array(a) => keys.extend(a.iter().cloned()),
-            other => keys.push(other.clone()),
+    for_each_at_path(doc, path, &mut |v| match v {
+        Value::Array(a) => keys.extend(a.iter().map(|e| OrderedValue(e.clone()))),
+        other => keys.push(OrderedValue(other.clone())),
+    });
+    keys
+}
+
+/// One key of a bulk build: the key, the document exposing it, and its
+/// place among that document's keys. Sorted, equal keys run in the
+/// order one-by-one insertion would have met them.
+pub(crate) type Entry = (OrderedValue, DocId, u32);
+
+/// Push `id`'s entries for the keys `doc` exposes at `path`.
+pub(crate) fn push_entries(out: &mut Vec<Entry>, id: DocId, doc: &Value, path: &str) {
+    out.extend(
+        (0..)
+            .zip(index_keys(doc, path))
+            .map(|(at, key)| (key, id, at)),
+    );
+}
+
+/// In sorted entries, the first key that one-by-one insertion in
+/// `DocId` order would have refused as taken: the lowest `(DocId,
+/// place)` whose key a lower `DocId` already exposed. The first entry of
+/// each run of equal keys holds that run's lowest id, so one pass finds
+/// it — wherever the two entries sit in the run.
+pub(crate) fn first_collision(sorted: &[Entry]) -> Option<&Entry> {
+    let mut head = sorted.first()?;
+    let mut first: Option<&Entry> = None;
+    for entry in sorted {
+        if entry.0 != head.0 {
+            head = entry;
+        } else if entry.1 != head.1 && first.is_none_or(|f| (entry.1, entry.2) < (f.1, f.2)) {
+            first = Some(entry);
         }
     }
-    keys
+    first
+}
+
+/// The duplicate-key error naming `key` of the unique index on `path`.
+pub(crate) fn unique_violation(path: &str, key: &Value) -> StoreError {
+    StoreError::DuplicateKey(format!("unique index on '{path}' value {key}"))
 }
 
 impl Index {
@@ -45,6 +82,34 @@ impl Index {
             path: path.into(),
             unique,
             map: BTreeMap::new(),
+        }
+    }
+
+    /// The index over `path` holding `sorted`, entries ordered by `(key,
+    /// DocId, place)`: each run of equal keys becomes one key — the
+    /// first, which is the value one-by-one insertion would have kept
+    /// (`1` or `1.0`) — and the set of its ids. Uniqueness is not
+    /// checked here ([`first_collision`] is).
+    pub(crate) fn built(path: String, unique: bool, sorted: Vec<Entry>) -> Index {
+        // Counted first, so the runs take one allocation and no freed
+        // smaller one is left between the id sets the index keeps.
+        let keys = 1 + sorted
+            .windows(2)
+            .filter(|w| matches!(w, [a, b] if a.0 != b.0))
+            .count();
+        let mut runs = Vec::with_capacity(keys);
+        let mut entries = sorted.into_iter().peekable();
+        while let Some((key, id, _)) = entries.next() {
+            let mut ids = BTreeSet::from([id]);
+            while let Some((_, id, _)) = entries.next_if(|(next, ..)| *next == key) {
+                ids.insert(id);
+            }
+            runs.push((key, ids));
+        }
+        Index {
+            path,
+            unique,
+            map: runs.into_iter().collect(),
         }
     }
 
@@ -61,15 +126,12 @@ impl Index {
             return Ok(());
         }
         for k in index_keys(doc, &self.path) {
-            if let Some(ids) = self.map.get(&OrderedValue(k.clone())) {
+            if let Some(ids) = self.map.get(&k) {
                 let conflict = ids
                     .iter()
                     .any(|&other| other != id && Some(other) != ignore);
                 if conflict {
-                    return Err(StoreError::DuplicateKey(format!(
-                        "unique index on '{}' value {k}",
-                        self.path
-                    )));
+                    return Err(unique_violation(&self.path, &k.0));
                 }
             }
         }
@@ -81,26 +143,22 @@ impl Index {
         let keys = index_keys(doc, &self.path);
         if self.unique {
             for k in &keys {
-                if let Some(ids) = self.map.get(&OrderedValue(k.clone())) {
+                if let Some(ids) = self.map.get(k) {
                     if !ids.is_empty() && !ids.contains(&id) {
-                        return Err(StoreError::DuplicateKey(format!(
-                            "unique index on '{}' value {k}",
-                            self.path
-                        )));
+                        return Err(unique_violation(&self.path, &k.0));
                     }
                 }
             }
         }
         for k in keys {
-            self.map.entry(OrderedValue(k)).or_default().insert(id);
+            self.map.entry(k).or_default().insert(id);
         }
         Ok(())
     }
 
     /// Remove `doc`'s entries.
     pub fn remove(&mut self, id: DocId, doc: &Value) {
-        for k in index_keys(doc, &self.path) {
-            let key = OrderedValue(k);
+        for key in index_keys(doc, &self.path) {
             if let Some(ids) = self.map.get_mut(&key) {
                 ids.remove(&id);
                 if ids.is_empty() {

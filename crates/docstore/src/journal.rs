@@ -45,10 +45,12 @@
 //! * **An op that fails to apply stays in the log** and replays as the
 //!   same deterministic failure ([`JournalOp::apply`]); replay itself
 //!   never journals — recovery and secondary apply run on a database
-//!   with no journal attached.
+//!   with no journal attached. The one commit with no journaled form,
+//!   a snapshot's bulk build of a collection, is refused by
+//!   [`Shared::commit`] once a journal is attached.
 
 use crate::database::{Database, DbInner};
-use crate::error::Result;
+use crate::error::{Result, StoreError};
 use crate::persist::{GroupCommit, JournalRef};
 use crate::profiler::Profiler;
 use mp_sync::{LockRank, OrderedMutex, OrderedRwLock};
@@ -162,14 +164,15 @@ impl Shared {
     /// decline with `None`), journal the decided form — `record` borrows
     /// it from the store and the decision, which is why it is handed
     /// both — then `apply` it. Stops at the first error; returns the
-    /// last output.
+    /// last output. A decision `record` has no form for (`None`: a
+    /// snapshot's bulk build) is refused once a journal is attached.
     // mp-lint: allow(E003) — write-ahead core: each op is staged in the log's frame buffer before its in-memory apply and the buffer is written out before the guard is released, all under one journal guard hold so journal order is apply order; the barrier waits outside
     pub(crate) fn commit<'r, S: Store, I, D, T>(
         &self,
         store: &'r S,
         items: impl IntoIterator<Item = I>,
         decide: impl Fn(&S::State, I) -> Result<Option<D>>,
-        record: impl for<'a> Fn(&'a &'r S, &'a D) -> JournalRef<'a>,
+        record: impl for<'a> Fn(&'a &'r S, &'a D) -> Option<JournalRef<'a>>,
         mut apply: impl FnMut(&mut S::State, D) -> Result<T>,
     ) -> Result<Option<T>> {
         let journal = self.journal.get();
@@ -182,7 +185,13 @@ impl Shared {
                     let decided = decide(&store.state().read(), item);
                     decided.and_then(|d| match d {
                         Some(d) => {
-                            sink.append_op(record(&store, &d))?;
+                            let op = record(&store, &d).ok_or_else(|| {
+                                StoreError::Persistence(
+                                    "a change with no journaled form on a journaled database"
+                                        .into(),
+                                )
+                            })?;
+                            sink.append_op(op)?;
                             appended = true;
                             raw_apply(store, |state| apply(state, d)).map(Some)
                         }
@@ -225,7 +234,7 @@ impl Shared {
             store,
             Some(op),
             |_, op| Ok(Some(op)),
-            |_, op| *op,
+            |_, op| Some(*op),
             |state, _| apply(state),
         )?;
         Ok(out.unwrap_or_default())

@@ -49,10 +49,10 @@
 //! Every record names its collection, so every frame decodes without
 //! any other — the torn/corrupt rule below needs nothing but the frame,
 //! and a frame can be shipped alone. A snapshot is a generation record,
-//! then per collection a create-index record per index (so unique
-//! constraints are enforced while the documents stream back in) and an
-//! insert record per document: one decoder (`Record::decode`) reads
-//! both files, and a replica set's oplog too ([`crate::shard`]).
+//! then per collection a create-index record per index (so its unique
+//! constraints exist before its documents are built) and an insert
+//! record per document: one decoder (`Record::decode`) reads both files,
+//! and a replica set's oplog too ([`crate::shard`]).
 //!
 //! A directory an older build wrote — JSON records before PR 25, files
 //! without a generation record before PR 16 — fails these frame, tag
@@ -88,16 +88,25 @@
 //!
 //! ## Recovery policy
 //!
-//! Frames are decoded in order ([`decode_frame`], the checksum gate) and
-//! each decoded op is applied ([`JournalOp::apply`]) — verify strictly
-//! before apply, in the snapshot and in sealed and active generations
-//! alike, which `mp-lint order` proves as O005.
+//! A WAL generation's frames are decoded in order ([`decode_frame`], the
+//! checksum gate) and each decoded op is applied ([`JournalOp::apply`]).
+//! The snapshot is built, not replayed ([`load_snapshot`]): its frames
+//! are verified and decoded in the same order, and each collection's
+//! run of documents goes to one bulk build (sorted `(key, DocId)`
+//! vectors, one apply) when it ends. Verify strictly before apply, in the
+//! snapshot and in sealed and active generations alike, which `mp-lint
+//! order` proves as O005. A snapshot's documents take no profiler
+//! sample: recovery no longer fills the profiler's ring with one
+//! `insert` per document, which nobody issued.
 //!
 //! * A bad frame in the **snapshot** — torn, corrupt or unparseable — is
 //!   a hard error naming its offset: the snapshot was fsynced before it
 //!   was published, so a bad frame is damage, and loading around it
 //!   would open a store that differs from every acknowledged state. So
-//!   is a snapshot record that fails to apply.
+//!   is a snapshot record that fails to apply (of a run of documents,
+//!   the one where inserting them one by one would have stopped), and a
+//!   second run of documents for one collection. Of several faults the
+//!   earliest is named.
 //!
 //! In the WAL:
 //!
@@ -279,17 +288,18 @@ impl Payload for Stamp {
     }
 }
 
-/// What one frame holds.
+/// What one frame holds. An op's names borrow the frame's bytes: only
+/// its documents are decoded into owned values.
 #[derive(Debug, PartialEq)]
-pub(crate) enum Record {
+pub(crate) enum Record<'a> {
     /// Which generation the file holds (a snapshot: contains).
     Generation(u64),
-    Op(JournalOp),
+    Op(JournalOp<&'a str>),
 }
 
-impl Record {
+impl Record<'_> {
     /// Decode a frame's payload.
-    pub(crate) fn decode(payload: &[u8]) -> Result<Record> {
+    pub(crate) fn decode(payload: &[u8]) -> Result<Record<'_>> {
         let mut r = codec::Reader::new(payload);
         let tag = r.byte()?;
         if tag == GENERATION {
@@ -302,7 +312,7 @@ impl Record {
                 "unknown record tag {tag:#04x}"
             )));
         }
-        let collection = r.text()?.to_owned();
+        let collection = r.text()?;
         let op = match tag {
             INSERT => JournalOp::Insert {
                 collection,
@@ -331,13 +341,13 @@ impl Record {
                 let unique = r.flag()?;
                 JournalOp::CreateIndex {
                     collection,
-                    path: r.text()?.to_owned(),
+                    path: r.text()?,
                     unique,
                 }
             }
             DROP_INDEX => JournalOp::DropIndex {
                 collection,
-                path: r.text()?.to_owned(),
+                path: r.text()?,
             },
             _ => JournalOp::DropCollection { collection },
         };
@@ -352,11 +362,12 @@ impl From<codec::CodecError> for StoreError {
     }
 }
 
-impl JournalOp {
+impl<S: AsRef<str>> JournalOp<S> {
     /// Apply this operation to a live database, best-effort. WAL replay
     /// and the replica-set secondary apply path share this, so "what an
     /// op means" is defined exactly once. It consumes the op: replay
-    /// inserts the document it decoded, not a copy of it.
+    /// inserts the document it decoded, not a copy of it. Its names may
+    /// be owned or borrowed from the frame it was decoded from.
     ///
     /// A failing op is *skipped*, never an error: the write-ahead seam
     /// journals before it applies, so the WAL legitimately contains
@@ -375,7 +386,7 @@ impl JournalOp {
     pub(crate) fn try_apply(self, db: &Database) -> Result<()> {
         match self {
             JournalOp::Insert { collection, doc } => {
-                db.collection(&collection).insert_one(doc).map(drop)
+                db.collection(collection.as_ref()).insert_one(doc).map(drop)
             }
             JournalOp::Update {
                 collection,
@@ -383,24 +394,31 @@ impl JournalOp {
                 update,
                 many,
             } => db
-                .collection(&collection)
+                .collection(collection.as_ref())
                 .update(&filter, &update, many)
                 .map(drop),
             JournalOp::Delete {
                 collection,
                 filter,
                 many,
-            } => db.collection(&collection).delete(&filter, many).map(drop),
-            JournalOp::Clear { collection } => db.collection(&collection).clear(),
+            } => db
+                .collection(collection.as_ref())
+                .delete(&filter, many)
+                .map(drop),
+            JournalOp::Clear { collection } => db.collection(collection.as_ref()).clear(),
             JournalOp::CreateIndex {
                 collection,
                 path,
                 unique,
-            } => db.collection(&collection).create_index(&path, unique),
+            } => db
+                .collection(collection.as_ref())
+                .create_index(path.as_ref(), unique),
             JournalOp::DropIndex { collection, path } => {
-                db.collection(&collection).drop_index(&path)
+                db.collection(collection.as_ref()).drop_index(path.as_ref())
             }
-            JournalOp::DropCollection { collection } => db.drop_collection(&collection).map(drop),
+            JournalOp::DropCollection { collection } => {
+                db.drop_collection(collection.as_ref()).map(drop)
+            }
         }
     }
 }
@@ -1032,9 +1050,9 @@ impl Persister {
 
     /// Step 2, no guard held: encode the captured handles into
     /// `snapshot.jsonl.tmp`, one frame per record — the generation
-    /// stamp, then per collection its index definitions (so unique
-    /// constraints are enforced while the documents stream back in) and
-    /// its documents.
+    /// stamp, then per collection its index definitions (so a reopen
+    /// builds the documents under their unique constraints) and its
+    /// documents, in store order: one run per collection.
     pub fn write(checkpoint: &Checkpoint) -> Result<()> {
         let write_err = |e| io_err("snapshot write", e);
         let mut file =
@@ -1177,13 +1195,22 @@ pub(crate) fn join_checkpoint(worker: JoinHandle<Result<()>>) -> Result<()> {
 /// Load `snapshot.jsonl` into `db`; returns its generation stamp.
 ///
 /// The file is read once. Each record is decoded from a frame of it,
-/// checksum-verified before its record is applied, and applied through
-/// [`JournalOp::try_apply`] in file order: unique indexes (created by
-/// the records ahead of the documents) are enforced while the documents
-/// stream back in. Anything wrong — a torn or corrupt frame, a record
-/// that does not decode or does not apply, a first record that is not
-/// the stamp or a second stamp — is an error naming the offset; a
-/// snapshot is never loaded around a bad record.
+/// checksum-verified before its record is applied, in file order. Each
+/// run of consecutive documents of one collection is collected, then
+/// built in one apply when it ends (`Collection::bulk_build`); the stamp
+/// and the index definitions apply as they come
+/// ([`JournalOp::try_apply`]), so a collection's unique indexes exist
+/// before its run is built and checked against them.
+///
+/// Anything wrong — a torn or corrupt frame, a record that does not
+/// decode or does not apply, a first record that is not the stamp or a
+/// second stamp, a second run of documents for one collection — is an
+/// error naming the offset; a snapshot is never loaded around a bad
+/// record. Of several faults the earliest is named, as inserting one
+/// document at a time would name it: a pending run is built before the
+/// loop acts on the frame after it, whether that frame is bad or not,
+/// and a refused run names the document one-by-one insertion would
+/// have stopped at.
 fn load_snapshot(path: &Path, db: &Database, report: &mut RecoveryReport) -> Result<Option<u64>> {
     let bytes = match std::fs::read(path) {
         Ok(bytes) => bytes,
@@ -1193,24 +1220,88 @@ fn load_snapshot(path: &Path, db: &Database, report: &mut RecoveryReport) -> Res
     let bad =
         |what: String| StoreError::Persistence(format!("snapshot {}: {what}", path.display()));
     let mut stamp = None;
+    let mut run: Option<Run<'_>> = None;
     let mut off = 0;
     while off < bytes.len() {
         let (payload, next) = match decode_frame(&bytes, off) {
             FrameDecode::Frame { payload, next } => (payload, next),
-            FrameDecode::Torn(msg) | FrameDecode::Corrupt(msg) => return Err(bad(msg)),
-        };
-        match Record::decode(payload).map_err(|e| bad(format!("record at byte {off}: {e}")))? {
-            Record::Generation(gen) if off == 0 => stamp = Some(gen),
-            Record::Op(op) if off > 0 => {
-                report.snapshot_docs += usize::from(matches!(op, JournalOp::Insert { .. }));
-                op.try_apply(db)
-                    .map_err(|e| bad(format!("record at byte {off} failed to apply: {e}")))?;
+            FrameDecode::Torn(msg) | FrameDecode::Corrupt(msg) => {
+                Run::finish(run, db, report).map_err(bad)?;
+                return Err(bad(msg));
             }
-            _ => return Err(bad(format!("record at byte {off}: {OUT_OF_PLACE}"))),
+        };
+        match Record::decode(payload) {
+            Ok(Record::Op(JournalOp::Insert { collection, doc })) if off > 0 => match &mut run {
+                Some(run) if run.collection == collection => run.push(off, doc),
+                _ => {
+                    Run::finish(run.take(), db, report).map_err(bad)?;
+                    run = Some(Run::new(collection, off, doc));
+                }
+            },
+            decoded => {
+                Run::finish(run.take(), db, report).map_err(bad)?;
+                match decoded.map_err(|e| bad(format!("record at byte {off}: {e}")))? {
+                    Record::Generation(gen) if off == 0 => stamp = Some(gen),
+                    Record::Op(op) if off > 0 => op
+                        .try_apply(db)
+                        .map_err(|e| bad(format!("record at byte {off} failed to apply: {e}")))?,
+                    _ => return Err(bad(format!("record at byte {off}: {OUT_OF_PLACE}"))),
+                }
+            }
         }
         off = next;
     }
+    Run::finish(run, db, report).map_err(bad)?;
     Ok(stamp)
+}
+
+/// A snapshot's run of consecutive documents of one collection,
+/// decoded in file order and waiting to be built.
+struct Run<'a> {
+    collection: &'a str,
+    /// Each document's frame offset, to name the one a refusal stops at.
+    offsets: Vec<usize>,
+    docs: Vec<Value>,
+}
+
+impl<'a> Run<'a> {
+    /// A run starting with the document decoded from the frame at `off`.
+    fn new(collection: &'a str, off: usize, doc: Value) -> Run<'a> {
+        Run {
+            collection,
+            offsets: vec![off],
+            docs: vec![doc],
+        }
+    }
+
+    fn push(&mut self, off: usize, doc: Value) {
+        self.offsets.push(off);
+        self.docs.push(doc);
+    }
+
+    /// Build a pending run into `db` in one apply; a refusal names the
+    /// offset of the record one-by-one insertion would have failed on.
+    fn finish(
+        run: Option<Self>,
+        db: &Database,
+        report: &mut RecoveryReport,
+    ) -> std::result::Result<(), String> {
+        let Some(Run {
+            collection,
+            offsets,
+            docs,
+        }) = run
+        else {
+            return Ok(());
+        };
+        report.snapshot_docs += docs.len();
+        db.collection(collection)
+            .bulk_build(docs)
+            .map_err(|refused| {
+                let off = offsets.get(refused.at).copied().unwrap_or_default();
+                format!("record at byte {off} failed to apply: {}", refused.error)
+            })
+    }
 }
 
 /// Why a record is refused for where it sits in its file.

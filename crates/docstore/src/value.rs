@@ -115,33 +115,34 @@ pub fn get_path<'a>(doc: &'a Value, path: &str) -> Option<&'a Value> {
 /// whose `tags` field is an array of objects yields the `name` of every
 /// element.
 pub fn get_path_multi<'a>(doc: &'a Value, path: &str) -> Vec<&'a Value> {
-    let segs: Vec<&str> = path_segments(path).collect();
     let mut out = Vec::new();
-    descend(doc, &segs, &mut out);
+    for_each_at_path(doc, path, &mut |v| out.push(v));
     out
 }
 
-fn descend<'a>(cur: &'a Value, segs: &[&str], out: &mut Vec<&'a Value>) {
-    let Some((seg, rest)) = segs.split_first() else {
-        out.push(cur);
-        return;
-    };
+/// Visit every value [`get_path_multi`] collects, in the same order,
+/// walking the dotted path in place: nothing is allocated, neither the
+/// segments nor the values visited.
+pub(crate) fn for_each_at_path<'a, F: FnMut(&'a Value)>(cur: &'a Value, path: &str, visit: &mut F) {
+    let path = path.trim_start_matches('.');
+    if path.is_empty() {
+        return visit(cur);
+    }
+    let (seg, rest) = path.split_once('.').unwrap_or((path, ""));
     match cur {
         Value::Object(m) => {
             if let Some(v) = m.get(seg) {
-                descend(v, rest, out);
+                for_each_at_path(v, rest, visit);
             }
         }
         Value::Array(a) => {
-            if let Ok(idx) = seg.parse::<usize>() {
-                if let Some(v) = a.get(idx) {
-                    descend(v, rest, out);
-                }
+            if let Some(v) = seg.parse::<usize>().ok().and_then(|idx| a.get(idx)) {
+                for_each_at_path(v, rest, visit);
             }
             // Implicit traversal: apply the same path to each element.
             for v in a {
                 if v.is_object() {
-                    descend(v, segs, out);
+                    for_each_at_path(v, path, visit);
                 }
             }
         }

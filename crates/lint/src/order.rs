@@ -111,10 +111,11 @@ impl OrderConfig {
     /// `GroupCommit::sync_to` the group-commit barrier — with the two
     /// checkpoint steps that fsync, `Persister::seal` and
     /// `Persister::publish`, so O004 keeps them out of per-operation
-    /// loops too — `JournalOp::apply` (best-effort, WAL replay) and
-    /// `JournalOp::try_apply` (strict, snapshot records) the replay
-    /// application, `Persister::recover_with_report` the recovery entry
-    /// point (it replays sealed and active generations through one
+    /// loops too — `JournalOp::apply` (best-effort, WAL replay),
+    /// `JournalOp::try_apply` (strict, a snapshot's index records) and
+    /// `Collection::bulk_build` (a snapshot's run of documents) the
+    /// replay application, `Persister::recover_with_report` the recovery
+    /// entry point (it replays sealed and active generations through one
     /// verify-then-apply helper), `load_snapshot`, the snapshot's own
     /// verify-then-apply loop, checked on its own, and
     /// `ReplicaSet::replicate`, which replays the oplog's frames into
@@ -132,7 +133,11 @@ impl OrderConfig {
                 "Persister::publish",
             ]),
             verify_fns: FnRef::list(&["decode_frame"]),
-            apply_fns: FnRef::list(&["JournalOp::apply", "JournalOp::try_apply"]),
+            apply_fns: FnRef::list(&[
+                "JournalOp::apply",
+                "JournalOp::try_apply",
+                "Collection::bulk_build",
+            ]),
             recovery_fns: FnRef::list(&[
                 "Persister::recover_with_report",
                 "load_snapshot",
