@@ -217,13 +217,10 @@ pub fn run_pipeline(docs: Docs, stages: &[Stage]) -> Result<Docs> {
 fn run_stage(stream: Docs, stage: &Stage) -> Result<Docs> {
     Ok(match stage {
         Stage::Match(f) => {
-            // Routed through the shared scan path: the crossover model
-            // decides whether this stage's stream is big enough for a
-            // morsel fan-out, exactly as a collection scan would.
+            // The shared match scan, as a collection's find runs it.
             let cf = f.compile();
             crate::collection::filter_matches(
-                mp_exec::WorkPool::global(),
-                &mut [stream.into()],
+                &[stream.into()],
                 &cf,
                 crate::collection::UNBOUNDED,
                 Arc::clone,

@@ -12,24 +12,11 @@ use crate::profiler::OpKind;
 use crate::query::{CompiledFilter, Filter};
 use crate::update::Update;
 use crate::value::{Docs, Document, OrderedValue};
-use mp_exec::{Crossover, WorkPool};
 use mp_sync::{LockRank, OrderedRwLock};
 use serde_json::{json, Value};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
 use std::sync::{Arc, OnceLock};
-use std::time::Instant;
-
-/// Fewest documents a morsel may carry when a scan fans out: finer
-/// morsels pay more in claim traffic than they earn in overlap.
-const MORSEL_FLOOR: usize = 1024;
-
-/// Seq-vs-parallel decision point of the match-evaluation scan,
-/// [`filter_matches`]: finds, counts, `distinct`, the shard router's
-/// union and aggregation `$match` are all that one scan, so they share
-/// one cost model. Sequential scans feed the model; `decide` prices
-/// fan-out against the pool's calibrated dispatch overhead (DESIGN §14).
-static SCAN_CROSSOVER: Crossover = Crossover::new();
 
 /// Outcome of an update call.
 #[derive(Debug, Clone, PartialEq, Default)]
@@ -375,8 +362,7 @@ impl Collection {
     /// way out. The options are compiled once per query — sort keys and
     /// projection paths are pre-split before the first document is
     /// touched — and a projection materializes only the projected fields
-    /// from the borrowed documents (in parallel chunks for large result
-    /// sets).
+    /// from the borrowed documents.
     ///
     /// An unsorted find takes the pushdown path: each matching document
     /// is projected (if asked) in the same pass that matched it, and a
@@ -388,26 +374,23 @@ impl Collection {
         let _t = self.shared.profiler.start(&self.name, OpKind::Find);
         let cf = Filter::parse(filter)?.compile();
         let copts = opts.compile();
-        let pool = WorkPool::global();
-        let candidates = &mut [self.candidates(&cf)];
+        let candidates = &[self.candidates(&cf)];
         if !copts.has_sort() {
             let window = (copts.skip(), copts.limit());
             return Ok(match copts.projection() {
-                Some(proj) => {
-                    filter_matches(pool, candidates, &cf, window, |d| projected_doc(proj, d))
-                }
-                None => filter_matches(pool, candidates, &cf, window, Arc::clone),
+                Some(proj) => filter_matches(candidates, &cf, window, |d| projected_doc(proj, d)),
+                None => filter_matches(candidates, &cf, window, Arc::clone),
             });
         }
-        let mut out: Docs = filter_matches(pool, candidates, &cf, UNBOUNDED, Arc::clone);
+        let mut out: Docs = filter_matches(candidates, &cf, UNBOUNDED, Arc::clone);
         copts.apply_order(&mut out);
         Ok(match copts.projection() {
             // The ordered window through the same scan: every row of it
             // matches, and the sink projects it.
             Some(proj) => {
-                let window = &mut [out.into()];
+                let window = &[out.into()];
                 let every = CompiledFilter::default();
-                filter_matches(pool, window, &every, UNBOUNDED, |d| projected_doc(proj, d))
+                filter_matches(window, &every, UNBOUNDED, |d| projected_doc(proj, d))
             }
             None => out,
         })
@@ -432,9 +415,8 @@ impl Collection {
     ) -> Result<(Docs, Vec<Value>)> {
         let _t = self.shared.profiler.start(&self.name, OpKind::Find);
         let cf = Filter::parse(filter)?.compile();
-        let candidates = &mut [self.candidates(&cf)];
-        let pool = WorkPool::global();
-        Ok(filter_matches(pool, candidates, &cf, (skip, limit), |d| {
+        let candidates = &[self.candidates(&cf)];
+        Ok(filter_matches(candidates, &cf, (skip, limit), |d| {
             handle_and_row(proj, d)
         }))
     }
@@ -461,8 +443,8 @@ impl Collection {
         if cf.is_empty() {
             return Ok(self.len());
         }
-        let candidates = &mut [self.candidates(&cf)];
-        let Count(n) = filter_matches(WorkPool::global(), candidates, &cf, UNBOUNDED, |_| ());
+        let candidates = &[self.candidates(&cf)];
+        let Count(n) = filter_matches(candidates, &cf, UNBOUNDED, |_| ());
         Ok(n)
     }
 
@@ -471,8 +453,8 @@ impl Collection {
         let _t = self.shared.profiler.start(&self.name, OpKind::Find);
         let cf = Filter::parse(filter)?.compile();
         let mut set: BTreeMap<OrderedValue, ()> = BTreeMap::new();
-        let candidates = &mut [self.candidates(&cf)];
-        let docs: Docs = filter_matches(WorkPool::global(), candidates, &cf, UNBOUNDED, Arc::clone);
+        let candidates = &[self.candidates(&cf)];
+        let docs: Docs = filter_matches(candidates, &cf, UNBOUNDED, Arc::clone);
         for doc in docs {
             for v in crate::value::get_path_multi(&doc, path) {
                 match v {
@@ -774,11 +756,6 @@ impl Collection {
     pub fn explain(&self, filter: &Value) -> Result<Value> {
         let cf = Filter::parse(filter)?.compile();
         let (plan, considered, docs_total, candidates) = self.plan_read(&cf, false);
-        let docs_examined = candidates.examined();
-        // Priced after the guard is dropped: the crossover may calibrate
-        // the pool's dispatch overhead on first use, and a scatter must
-        // never run under a collection lock.
-        let exec = SCAN_CROSSOVER.decide(WorkPool::global(), docs_examined);
         let considered: Vec<Value> = considered
             .iter()
             .map(|p| {
@@ -793,22 +770,11 @@ impl Collection {
             "collection": self.name,
             "plan": plan.kind.name(),
             "index": plan.index,
-            "docs_examined": docs_examined,
+            "docs_examined": candidates.examined(),
             "docs_total": docs_total,
             "column_pruned": candidates.pruned_by(&cf),
             "filter_paths": cf.touched_paths(),
             "considered": considered,
-            "exec": {
-                "mode": if exec.parallel { "parallel_morsels" } else { "sequential" },
-                "slots": exec.slots,
-                "per_item_ns": exec.per_item_ns,
-                "dispatch_ns": exec.dispatch_ns,
-                "parallel_threshold_items": if exec.threshold_items == usize::MAX {
-                    Value::Null
-                } else {
-                    json!(exec.threshold_items)
-                },
-            },
         }))
     }
 
@@ -1097,47 +1063,29 @@ pub(crate) const UNBOUNDED: (usize, Option<usize>) = (0, None);
 /// collected into `C`: a vector, a pair of them for a sink that makes
 /// pairs, or a [`Count`].
 ///
-/// `window` is (skip, limit) over the match stream. A bounded window
-/// runs sequentially and lazily, so it touches nothing past the row
-/// that fills it. An unbounded one fans out when the crossover (see
-/// [`SCAN_CROSSOVER`]) says that pays — priced on the rows left after
-/// column pruning, and sequential runs feed the model a per-row cost of
-/// the matcher, not of the pruning pass.
-pub(crate) fn filter_matches<T: Send, C: FromIterator<T>>(
-    pool: &WorkPool,
-    sets: &mut [Candidates],
+/// `window` is (skip, limit) over the match stream. The scan runs on the
+/// caller's thread and lazily, so a bounded window touches nothing past
+/// the row that fills it. It never fans out: on the task queue, the one
+/// workload whose scans were long enough to, two threads splitting a
+/// scan lost to one (DESIGN §14).
+pub(crate) fn filter_matches<T, C: FromIterator<T>>(
+    sets: &[Candidates],
     cf: &CompiledFilter,
     (skip, limit): (usize, Option<usize>),
-    sink: impl Fn(&Arc<Document>) -> T + Sync,
+    sink: impl Fn(&Arc<Document>) -> T,
 ) -> C {
-    let unbounded = (skip, limit) == UNBOUNDED;
-    let total: usize = sets.iter().map(Candidates::len).sum();
-    if unbounded && SCAN_CROSSOVER.decide(pool, total).parallel {
-        sets.iter_mut().for_each(Candidates::settle);
-        let slices: Vec<&[Arc<Document>]> = sets.iter().map(Candidates::as_slice).collect();
-        return scatter_matches(pool, &slices, cf, sink);
-    }
-    let t = Instant::now();
-    let limit = limit.unwrap_or(usize::MAX);
-    let out = sets
-        .iter()
+    sets.iter()
         .flat_map(Candidates::iter)
         .filter(|d| cf.matches(d))
         .skip(skip)
-        .take(limit)
+        .take(limit.unwrap_or(usize::MAX))
         .map(sink)
-        .collect();
-    // A bounded window early-exits, so its timing says nothing about
-    // full-scan per-item cost; only unbounded runs feed the model.
-    if unbounded {
-        SCAN_CROSSOVER.record_seq(total, t.elapsed());
-    }
-    out
+        .collect()
 }
 
 /// What a scan whose sink keeps nothing collects into: how many rows
 /// matched. `count` is [`filter_matches`] with this collector, not a scan
-/// of its own; the parallel arm's per-morsel `Vec<()>` allocates nothing.
+/// of its own.
 pub(crate) struct Count(pub(crate) usize);
 
 impl FromIterator<()> for Count {
@@ -1155,31 +1103,6 @@ fn projected_doc(proj: &CompiledProjection, doc: &Arc<Document>) -> Arc<Document
 /// miss path of a projected read.
 fn handle_and_row(proj: &CompiledProjection, doc: &Arc<Document>) -> (Arc<Document>, Value) {
     (Arc::clone(doc), proj.project_one(doc))
-}
-
-/// The parallel arm of [`filter_matches`]: ONE morsel scatter over all
-/// the slices, without first flattening them into a single vector —
-/// each is cut into morsels in place and the morsel list (slice
-/// descriptors, not documents) is what the workers claim from. Morsel
-/// results land in pre-allocated slots in morsel order, so the output
-/// order is identical to the sequential arm by construction.
-fn scatter_matches<T: Send, C: FromIterator<T>>(
-    pool: &WorkPool,
-    slices: &[&[Arc<Document>]],
-    cf: &CompiledFilter,
-    sink: impl Fn(&Arc<Document>) -> T + Sync,
-) -> C {
-    let total: usize = slices.iter().map(|s| s.len()).sum();
-    let per_morsel = pool.chunk_size(total, MORSEL_FLOOR);
-    let morsels: Vec<&[Arc<Document>]> = slices.iter().flat_map(|s| s.chunks(per_morsel)).collect();
-    let parts = pool.scatter_morsels(&morsels, 1, |one| {
-        one.iter()
-            .flat_map(|morsel| morsel.iter())
-            .filter(|d| cf.matches(d))
-            .map(&sink)
-            .collect::<Vec<T>>()
-    });
-    parts.into_iter().flatten().collect()
 }
 
 /// A document's `_id` (`null` without one), cloned.
@@ -1231,6 +1154,7 @@ fn filter_equality_seed(f: &Filter) -> Value {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Instant;
 
     fn coll() -> Collection {
         Collection::new("test", Arc::new(Shared::new()))
@@ -1576,47 +1500,6 @@ mod tests {
         let v4 = c.version();
         c.clear().unwrap();
         assert!(c.version() > v4, "clear must bump the generation");
-    }
-
-    #[test]
-    #[cfg_attr(miri, ignore = "10k docs and real threads are slow under miri")]
-    fn morsel_scan_matches_sequential() {
-        let docs: Docs = (0..10_000)
-            .map(|i| Arc::new(json!({"n": i, "grp": i % 7})))
-            .collect();
-        let cf = Filter::parse(&json!({"grp": 3})).unwrap().compile();
-        let seq: Docs = docs.iter().filter(|d| cf.matches(d)).cloned().collect();
-        // The crossover-routed entry point must agree with the
-        // sequential path whichever arm it picks on this host.
-        let sets = &mut [docs.clone().into()];
-        let routed: Docs = filter_matches(&WorkPool::new(4), sets, &cf, UNBOUNDED, Arc::clone);
-        assert_eq!(routed, seq, "routed scan must preserve order");
-        // The parallel arm itself, pinned on a fresh pool: a segmented
-        // union fans out as ONE morsel scatter and must come back in
-        // segment-major order.
-        let pool = WorkPool::new(4);
-        let mid = docs.len() / 2;
-        let halves = [&docs[..mid], &docs[mid..]];
-        let par: Docs = scatter_matches(&pool, &halves, &cf, Arc::clone);
-        assert_eq!(par, seq, "morsel scan must preserve segment-major order");
-        let st = pool.stats();
-        assert_eq!(st.morsel_scatters, 1, "one fan-out for the whole union");
-        assert_eq!(st.jobs_dispatched, 0, "no per-chunk boxed jobs");
-        // The same arm under the other two sinks: one scan, so the same
-        // matches in the same order — as projected documents, and as
-        // the handles beside their rows.
-        let proj = CompiledProjection::compile(&["n"]);
-        let rows: Vec<Value> = seq.iter().map(|d| proj.project_one(d)).collect();
-        let projected: Docs = scatter_matches(&pool, &halves, &cf, |d| projected_doc(&proj, d));
-        assert!(projected.iter().map(|d| &**d).eq(&rows));
-        let (handles, par_rows): (Docs, Vec<Value>) =
-            scatter_matches(&pool, &halves, &cf, |d| handle_and_row(&proj, d));
-        assert!(handles.iter().zip(&seq).all(|(h, s)| Arc::ptr_eq(h, s)));
-        assert_eq!((handles.len(), par_rows), (seq.len(), rows));
-        // And under the sink that keeps nothing: `count`, as one fan-out.
-        let pool = WorkPool::new(4);
-        let Count(n) = scatter_matches(&pool, &halves, &cf, |_| ());
-        assert_eq!((n, pool.stats().morsel_scatters), (seq.len(), 1));
     }
 
     #[test]

@@ -132,8 +132,8 @@ fn plain_number(doc: &Value, segs: &[PathSeg]) -> f64 {
 }
 
 enum Rows {
-    /// Handles cloned out of the store: an index plan's candidates, a
-    /// settled scan's survivors, or a caller's own stream.
+    /// Handles cloned out of the store: an index plan's candidates, or a
+    /// caller's own stream.
     Handles(Docs),
     /// The whole collection, shared.
     Scan(Arc<Segment>),
@@ -241,18 +241,8 @@ impl Candidates {
         })
     }
 
-    /// Make the survivors one slice (for morsel fan-out), cloning their
-    /// handles if a column pruned any.
-    pub(crate) fn settle(&mut self) {
-        if self.sel.is_some() {
-            *self = Candidates::from(self.iter().cloned().collect::<Docs>());
-        }
-    }
-
-    /// Every row as one slice. Only a settled set's slice is exactly
-    /// the survivors; an unsettled one is a superset, which costs work
-    /// but no answer.
-    pub(crate) fn as_slice(&self) -> &[Arc<Document>] {
+    /// Every row, before any pruning, as one slice.
+    fn as_slice(&self) -> &[Arc<Document>] {
         match &self.rows {
             Rows::Handles(docs) => docs,
             Rows::Scan(seg) => &seg.docs,
@@ -319,9 +309,6 @@ mod tests {
         );
         assert_eq!(prof.counter("column.build"), 1);
         assert_eq!(prof.counter("column.rows_pruned"), 1);
-        let mut settled = pruned;
-        settled.settle();
-        assert_eq!((settled.examined(), settled.as_slice().len()), (4, 4));
         // A second bounded path narrows the same selection.
         let both = compiled(json!({"n": {"$gte": 5}, "m": {"$lt": 0}}));
         let pruned = Candidates::scan(s).prune(&both, &prof);

@@ -199,25 +199,23 @@ impl ShardedCluster {
     /// compiled once by the caller. Each shard's planner picks its own
     /// candidates (index-assisted where possible, the shard's scan
     /// segment otherwise; the lock is held only for the handle clones),
-    /// and the sets are matched as one scan spanning shard boundaries:
-    /// the crossover prices their union, a fan-out is ONE morsel scatter
-    /// in which every pool slot helps with every shard, and nothing is
-    /// flattened into an intermediate union vector first. `sink` says
-    /// what a match becomes; output is shard-major, identical to a
-    /// shard-by-shard concatenation.
-    fn scatter_gather<T: Send, C: FromIterator<T>>(
+    /// and the sets are matched as one sequential scan spanning shard
+    /// boundaries, with nothing flattened into an intermediate union
+    /// vector first. `sink` says what a match becomes; output is
+    /// shard-major, identical to a shard-by-shard concatenation.
+    fn scatter_gather<T, C: FromIterator<T>>(
         &self,
         collection: &str,
         cf: &CompiledFilter,
-        sink: impl Fn(&Arc<Document>) -> T + Sync,
+        sink: impl Fn(&Arc<Document>) -> T,
     ) -> C {
-        let mut sets: Vec<_> = self.stable_read(|| {
+        let sets: Vec<_> = self.stable_read(|| {
             self.shards
                 .iter()
                 .map(|s| s.collection(collection).candidates(cf))
                 .collect()
         });
-        filter_matches(WorkPool::global(), &mut sets, cf, UNBOUNDED, sink)
+        filter_matches(&sets, cf, UNBOUNDED, sink)
     }
 
     /// Update across the cluster; returns the merged result.

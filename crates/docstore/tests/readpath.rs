@@ -198,8 +198,7 @@ proptest! {
 /// A sorted find projects its ordered window after the sort, through the
 /// same scan that matched (under a filter every row of the window
 /// passes). The generated collections above stay under 30 documents; this
-/// one is past the 64 items below which a scan does not feed the
-/// crossover model, with and without a window.
+/// one holds hundreds, with and without a window.
 #[test]
 fn sorted_projection_of_a_large_window_matches_the_reference() {
     let db = Database::new();

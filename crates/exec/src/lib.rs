@@ -9,15 +9,11 @@
 //!   the workers claim contiguous morsels off a shared slice via an
 //!   atomic cursor and write into pre-allocated output slots —
 //!   O(workers) boxes and channel sends per scatter, order preserved by
-//!   construction. Chunk-scans cut their candidates into morsels of a
-//!   thousand documents or more; per-shard updates and migrations are the
-//!   same call with a morsel of one. The caller participates as worker
-//!   zero, so a pool of size 1 degrades to a plain sequential map with
-//!   no thread traffic at all.
-//! * [`Crossover`] — an adaptive seq-vs-parallel decision point: a
-//!   learned per-item cost (EWMA over sequential scans) and a per-pool
-//!   calibrated dispatch overhead decide, per query, whether fan-out
-//!   pays for itself (DESIGN §14).
+//!   construction. The MapReduce map phase and the shard router's
+//!   per-shard updates and migrations fan out on it; the read path's
+//!   match scan does not (DESIGN §14). The caller participates as
+//!   worker zero, so a pool of size 1 degrades to a plain sequential
+//!   map with no thread traffic at all.
 //! * [`QueryCache`] — a bounded read-through cache keyed by a normalized
 //!   query string and guarded by per-collection *generation counters*:
 //!   every write bumps the collection's generation, and a cached entry
@@ -33,9 +29,7 @@
 #![deny(rust_2018_idioms)]
 
 pub mod cache;
-pub mod crossover;
 pub mod pool;
 
 pub use cache::{CacheStats, QueryCache};
-pub use crossover::{Crossover, Decision};
 pub use pool::{PoolStats, WorkPool};

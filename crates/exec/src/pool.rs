@@ -29,11 +29,6 @@ type Job = Box<dyn FnOnce() + Send + 'static>;
 /// A panic payload carried from a worker back to the scattering caller.
 type PanicPayload = Box<dyn std::any::Any + Send + 'static>;
 
-/// Chunks each execution slot should receive from [`WorkPool::chunk_size`].
-/// More than one so the slots stay busy when chunks finish unevenly; small
-/// enough that per-chunk dispatch overhead stays negligible.
-const CHUNKS_PER_SLOT: usize = 4;
-
 thread_local! {
     /// Set for the lifetime of a pool worker thread: a nested scatter
     /// issued from inside a morsel runs inline instead of re-entering the
@@ -71,7 +66,6 @@ pub struct WorkPool {
     senders: Vec<mpsc::Sender<Job>>,
     cursor: AtomicUsize,
     stats: OrderedMutex<PoolStats>,
-    dispatch_ns: OnceLock<u64>,
 }
 
 /// One write-once output slot of a morsel scatter.
@@ -155,7 +149,6 @@ impl WorkPool {
             senders,
             cursor: AtomicUsize::new(0),
             stats: OrderedMutex::new(LockRank::ExecPool, PoolStats::default()),
-            dispatch_ns: OnceLock::new(),
         }
     }
 
@@ -176,16 +169,6 @@ impl WorkPool {
     /// Snapshot of the usage counters.
     pub fn stats(&self) -> PoolStats {
         *self.stats.lock()
-    }
-
-    /// Items per chunk when splitting `n` items for a scatter: aims for
-    /// [`CHUNKS_PER_SLOT`] chunks per execution slot — enough slack that
-    /// one slow chunk cannot straggle the whole scatter behind an idle
-    /// pool — while never dropping below `floor` items per chunk, so tiny
-    /// chunks never pay more in dispatch than they earn in overlap.
-    pub fn chunk_size(&self, n: usize, floor: usize) -> usize {
-        let target_chunks = (self.size() * CHUNKS_PER_SLOT).max(1);
-        n.div_ceil(target_chunks).max(floor.max(1))
     }
 
     /// Morsel-driven map over a slice, the pool's one fan-out: `items` is
@@ -303,45 +286,6 @@ impl WorkPool {
             })
             .collect()
     }
-
-    /// Execution slots that can actually run concurrently: pool slots
-    /// capped by the machine's available parallelism. An oversized pool
-    /// on a small host still only has that many cores to run on, so
-    /// crossover decisions use this, not [`WorkPool::size`].
-    pub fn effective_slots(&self) -> usize {
-        static AVAIL: OnceLock<usize> = OnceLock::new();
-        let avail = *AVAIL.get_or_init(|| {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        });
-        self.size().min(avail)
-    }
-
-    /// Measured cost of one morsel fan-out on this pool — box the
-    /// runners, wake the workers, collect the completions — in
-    /// nanoseconds. Calibrated lazily on first use by timing a handful of
-    /// empty dispatches and taking the median, so the crossover model
-    /// prices dispatch at what *this* host actually charges rather than
-    /// a hard-coded constant.
-    pub fn dispatch_overhead_ns(&self) -> u64 {
-        *self.dispatch_ns.get_or_init(|| {
-            if self.senders.is_empty() {
-                return 0;
-            }
-            let items = vec![(); self.size() * 2];
-            let mut samples: Vec<u64> = (0..7)
-                .map(|_| {
-                    let t = std::time::Instant::now();
-                    let _ = self.scatter_morsels(&items, 1, |_| ());
-                    t.elapsed().as_nanos() as u64
-                })
-                .collect();
-            samples.sort_unstable();
-            // mp-flow: allow(R002) — `samples` holds exactly 7 timing draws, so the median index 3 is in bounds
-            samples[samples.len() / 2].max(1)
-        })
-    }
 }
 
 impl std::fmt::Debug for WorkPool {
@@ -397,19 +341,6 @@ mod tests {
         assert_eq!(total.load(Ordering::Relaxed), expect);
         let folded: Result<Vec<usize>, &String> = lens.into_iter().collect();
         assert_eq!(folded, Err(&data[0]));
-    }
-
-    #[test]
-    fn chunk_size_targets_a_few_chunks_per_slot() {
-        let pool = WorkPool::new(4);
-        // 100k items on 4 slots: 16 target chunks of 6250.
-        assert_eq!(pool.chunk_size(100_000, 1024), 6250);
-        // The floor wins when the even split would go finer.
-        assert_eq!(pool.chunk_size(5_000, 1024), 1024);
-        // Degenerate inputs still give a usable (>= 1) chunk size.
-        assert_eq!(pool.chunk_size(0, 0), 1);
-        let single = WorkPool::new(1);
-        assert_eq!(single.chunk_size(10_000, 1024), 2500);
     }
 
     #[test]
@@ -516,17 +447,6 @@ mod tests {
         let out = pool.scatter_morsels(&[1u32, 2, 3], 8, |m| m.len());
         assert_eq!(out, vec![3]);
         assert_eq!(pool.stats().morsel_scatters, 0);
-    }
-
-    #[test]
-    fn dispatch_overhead_is_calibrated_once() {
-        let pool = WorkPool::new(2);
-        let a = pool.dispatch_overhead_ns();
-        let b = pool.dispatch_overhead_ns();
-        assert!(a >= 1);
-        assert_eq!(a, b);
-        let single = WorkPool::new(1);
-        assert_eq!(single.dispatch_overhead_ns(), 0);
     }
 
     #[test]

@@ -15,10 +15,8 @@
 //!   cannot follow, and `handle_and_row` is the served miss path of a
 //!   projected read): their whole body is hot.
 //! * **driver roots** own the per-document loop
-//!   (`filter_matches`, `scatter_matches`, the scan
-//!   segment's `build_column`, `has_numbers_at`, `narrow` and
-//!   `Candidates::iter`,
-//!   the aggregation `run_stage`, the MapReduce engines): only their
+//!   (`filter_matches`, the scan segment's `build_column`,
+//!   `has_numbers_at`, `narrow` and `Candidates::iter`, the aggregation `run_stage`, the MapReduce engines): only their
 //!   *loop regions* —
 //!   lines inside `for`/`while` bodies or iterator-adapter closures —
 //!   are hot.
@@ -194,12 +192,11 @@ pub struct HotConfig {
 }
 
 impl HotConfig {
-    /// The Materials Project workspace defaults: the match scan (with its
-    /// segmented parallel arm; counting is that scan under a sink with no
-    /// per-document code of its own), the scan segment's column build,
-    /// pruning pass and survivor iterator, the executor's morsel
-    /// dispatch/claim loops, the aggregation
-    /// stage runner, and the MapReduce engines own the loops; the compiled
+    /// The Materials Project workspace defaults: the match scan (counting
+    /// is that scan under a sink with no per-document code of its own), the
+    /// scan segment's column build, pruning pass and survivor iterator, the
+    /// executor's morsel dispatch/claim loops, the aggregation stage
+    /// runner, and the MapReduce engines own the loops; the compiled
     /// projection, the scan's two projecting sinks and the compiled sort
     /// comparator run per document; the uncompiled `Filter::matches` and
     /// the naive `FindOptions` reference implementations are cold spec
@@ -208,7 +205,6 @@ impl HotConfig {
         HotConfig {
             driver_roots: FnRef::list(&[
                 "filter_matches",
-                "scatter_matches",
                 "build_column",
                 "Segment::has_numbers_at",
                 "narrow",

@@ -488,9 +488,8 @@ impl QueryEngine {
 
     /// Explain a query through the abstraction layer: alias-resolve and
     /// sanitize the criteria, then report the collection's chosen access
-    /// path, its cost, the considered alternatives, and the executor's
-    /// seq-vs-parallel verdict for the estimated candidate set (the
-    /// `"exec"` object — see DESIGN §14), without running the scan.
+    /// path, its cost and the considered alternatives, without running
+    /// the scan.
     pub fn explain(&self, collection: &str, criteria: &Value) -> Result<Value> {
         let real = self.resolve_collection(collection).to_string();
         let filter = self.sanitize(criteria)?;
@@ -876,7 +875,7 @@ mod tests {
     }
 
     #[test]
-    fn explain_reports_plan_and_exec_decision() {
+    fn explain_reports_plan_and_no_exec_verdict() {
         let qe = engine();
         let ex = qe
             .explain("materials", &json!({"band_gap": {"$gt": 1.0}}))
@@ -885,9 +884,8 @@ mod tests {
         // Aliases resolved before planning.
         let paths = ex["filter_paths"].to_string();
         assert!(paths.contains("output.band_gap"), "{paths}");
-        let mode = ex["exec"]["mode"].as_str().unwrap();
-        assert!(mode == "sequential" || mode == "parallel_morsels", "{mode}");
-        assert!(ex["exec"]["slots"].as_u64().unwrap() >= 1);
+        // Every scan runs on the caller: there is no executor verdict.
+        assert!(ex.get("exec").is_none(), "{ex}");
         // And the sanitize gate still guards explain.
         assert!(qe.explain("materials", &json!({"$where": "x"})).is_err());
     }
