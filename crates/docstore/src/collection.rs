@@ -5,7 +5,7 @@
 use crate::column::{Candidates, Segment};
 use crate::cursor::{CompiledFindOptions, CompiledProjection, FindOptions};
 use crate::error::{Result, StoreError};
-use crate::index::{first_collision, push_entries, unique_violation, DocId, Entry, Index};
+use crate::index::{first_collision, sorted_entries, unique_violation, DocId, Entry, Index};
 use crate::journal::{Shared, Store};
 use crate::persist::{JournalOp, JournalRef};
 use crate::profiler::OpKind;
@@ -14,6 +14,7 @@ use crate::update::Update;
 use crate::value::{Docs, Document, OrderedValue};
 use mp_sync::{LockRank, OrderedRwLock};
 use serde_json::{json, Value};
+use std::cell::Cell;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
 use std::sync::{Arc, OnceLock};
@@ -218,8 +219,16 @@ impl Collection {
         Ok(ids.into_iter().next().unwrap_or(Value::Null))
     }
 
-    /// Insert many documents; stops at the first error. On a journaled
-    /// database the batch is one journal guard hold and one barrier.
+    /// Insert many documents; stops at the first error, leaving the
+    /// documents before it inserted. On a journaled database the batch
+    /// is one journal guard hold and one barrier, and the document that
+    /// failed to apply stays in the log (it replays as the same failure).
+    ///
+    /// Into an empty collection the batch is one bulk build
+    /// ([`bulk_build`](Self::bulk_build)), which ends in the state, the
+    /// ids, the error and the log one-by-one insertion would have. If a
+    /// concurrent write got in first, the batch is inserted one by one
+    /// after all; emptiness decides, nothing else.
     ///
     /// The ids the call returns are cloned in one run *before* the
     /// commit loop, not one per document between the key, index entries
@@ -227,16 +236,24 @@ impl Collection {
     /// together, and freed between kept chunks each would stay a hole
     /// for the life of the store (DESIGN §10, "The heap a load leaves").
     /// A document that arrives without `_id` has its slot filled when
-    /// `materialize` has assigned one; that rare path may interleave.
+    /// one has been assigned; that rare path may interleave.
     pub fn insert_many(&self, docs: Vec<Value>) -> Result<Vec<Value>> {
         let _t = self.shared.profiler.start(&self.name, OpKind::Insert);
         let mut ids: Vec<Value> = docs.iter().map(id_of).collect();
+        let docs = if docs.is_empty() || !self.is_empty() {
+            docs
+        } else {
+            match self.bulk_build(docs, &mut ids) {
+                Bulk::Built(built) => return built.map(|()| ids).map_err(|r| r.error),
+                Bulk::Declined(docs) => docs,
+            }
+        };
         let mut slots = ids.iter_mut();
         self.shared.commit(
             self,
             docs,
             |_, doc| self.materialize(doc),
-            |coll, (_, doc)| Some(coll.journal_insert(doc)),
+            |coll, (_, doc), append| append(coll.journal_insert(doc)),
             |inner, (id_num, doc)| {
                 // An explicit `"_id": null` reads as null again.
                 if let Some(slot) = slots.next().filter(|slot| slot.is_null()) {
@@ -248,55 +265,97 @@ impl Collection {
         Ok(ids)
     }
 
-    /// Fill this empty collection with `docs` in one apply — what
-    /// recovery does with a snapshot's run of documents, instead of an
-    /// `insert_one` each. It reaches the state inserting them one by one
-    /// in order would: `DocId`s `first..first + n`, an `_id` assigned
-    /// where one is missing, and of keys that compare equal (`1`,
-    /// `1.0`) the lowest `DocId`'s value kept. It refuses what that
-    /// would refuse — a non-object document, a duplicate `_id`, a
-    /// unique-index collision, all found on the sorted runs — at the
-    /// position of the document where one-by-one insertion would have
-    /// stopped, and then applies nothing.
+    /// Fill this empty collection with `docs` in one apply, instead of
+    /// an insert each: what `insert_many` into an empty collection does,
+    /// and recovery with a snapshot's run of documents. It reaches the
+    /// state inserting them one by one in order would: `DocId`s `first..`
+    /// from `next_id`, an `_id` assigned where one is missing (its slot
+    /// in `ids` filled, if `ids` has one), and of keys that compare
+    /// equal (`1`, `1.0`) the lowest `DocId`'s value kept. Where that
+    /// would stop — a non-object document, a duplicate `_id`, a
+    /// unique-index collision, all found on the sorted runs — the
+    /// documents before it are built and the error names its position.
     ///
     /// `docs`, `by_id` and every index are built from `(key, DocId)`
-    /// vectors, sorted in place on the calling thread, which allocates
-    /// everything the collection keeps (DESIGN §10). The apply goes
-    /// through [`Shared::commit`]. A collection that already holds
-    /// documents is refused as a whole, before any document is looked at
-    /// and again under the lock (there is no per-document fallback); so
-    /// is one whose indexes changed since the build read them, and, by
-    /// `commit`, a database that journals: a build has no journaled
-    /// form, and recovery runs before the journal is attached. No
-    /// profiler sample is taken: nobody issued an insert.
-    pub(crate) fn bulk_build(&self, mut docs: Vec<Value>) -> std::result::Result<(), Refused> {
-        let out_of_place = |why: &str| {
-            let name = &self.name;
-            StoreError::Persistence(format!(
-                "a bulk build into collection '{name}' is out of place: {why}"
-            ))
-        };
-        const HOLDS_DOCUMENTS: &str = "it already holds documents";
-        if !self.is_empty() {
-            let error = out_of_place(HOLDS_DOCUMENTS);
-            return Err(Refused { at: 0, error });
+    /// vectors sorted in place on the calling thread, with no lock held
+    /// (DESIGN §10 has the allocation order). The apply goes through
+    /// [`Shared::commit`], which on a journaled database logs one
+    /// `Insert` record per document first — the records one-by-one
+    /// insertion writes, the failing document's included when it is an
+    /// object. If the collection is no longer what the build read when
+    /// the commit takes its lock — empty, with the same indexes, and no
+    /// id handed out since — nothing is applied or logged and the
+    /// documents come back as they came. No profiler sample is taken:
+    /// `insert_many` takes its own, and nobody issues a snapshot's.
+    pub(crate) fn bulk_build(&self, docs: Vec<Value>, ids: &mut [Value]) -> Bulk {
+        let built = self.build(docs);
+        let (first, at) = (built.first, built.docs.len());
+        let assigned = built.assigned.clone();
+        let declined = Cell::new(None);
+        let applied = self.shared.commit(
+            self,
+            Some(built),
+            |inner, built| {
+                if self.claims(inner, &built) {
+                    Ok(Some(built))
+                } else {
+                    declined.set(Some(built));
+                    Ok(None)
+                }
+            },
+            |coll, built, append| {
+                built
+                    .journaled()
+                    .try_for_each(|doc| append(coll.journal_insert(doc)))
+            },
+            |inner, built| built.install(inner),
+        );
+        if let Some(built) = declined.into_inner() {
+            return Bulk::Declined(built.into_docs());
         }
-        let n = docs.len();
-        let first = self.next_id.fetch_add(n as u64, AtomicOrdering::Relaxed);
-        let objects = docs.iter().position(|d| !d.is_object()).unwrap_or(n);
-        let specs = self.index_specs();
-        let mut by_id: Vec<Entry> = Vec::with_capacity(objects);
-        let mut keyed: Vec<Vec<Entry>> =
-            specs.iter().map(|_| Vec::with_capacity(objects)).collect();
-        for (id, doc) in (first..).zip(docs.iter_mut().take(objects)) {
-            assign_id(doc, id);
-            by_id.push((OrderedValue(id_of(doc)), id, 0));
-            for ((path, _), entries) in specs.iter().zip(&mut keyed) {
-                push_entries(entries, id, doc, path);
+        if applied.is_ok() {
+            for at in assigned {
+                if let Some(slot) = ids.get_mut(at) {
+                    *slot = auto_id(first + at as u64);
+                }
             }
         }
+        Bulk::Built(applied.map(drop).map_err(|error| Refused { at, error }))
+    }
+
+    /// The half of a bulk build that runs before its commit: the ids
+    /// read from `next_id`, the sorted runs, where insertion stops, and
+    /// the structures the collection will keep.
+    ///
+    /// Allocation order is the point (DESIGN §10, "The heap a load
+    /// leaves"). The `by_id` keys the store keeps are cloned in one run;
+    /// every index's sort keys in a run of their own right after it,
+    /// before anything is freed; each index clones its distinct keys
+    /// while all of them are still alive; and they are freed together:
+    /// one free region, where keys cloned between the chunks the store
+    /// keeps would leave one hole per document. (Building the `by_id`
+    /// map, or one index, before the next index's keys are cloned lets
+    /// those keys and what the indexes keep interleave in the freed
+    /// space: `tests/load_heap.rs` counted 999 and 446 holes.)
+    fn build(&self, mut docs: Vec<Value>) -> Built {
+        let n = docs.len();
+        // The counter publishes nothing: the commit's lock orders the
+        // build against every other write (see `claims`).
+        let first = self.next_id.load(AtomicOrdering::Relaxed);
+        let objects = docs.iter().position(|d| !d.is_object()).unwrap_or(n);
+        let specs = self.index_specs();
+        let mut assigned = Vec::new();
+        let mut by_id: Vec<Entry> = Vec::with_capacity(objects);
+        for ((at, id), doc) in (0..).zip(first..).zip(docs.iter_mut().take(objects)) {
+            if assign_id(doc, id) {
+                assigned.push(at);
+            }
+            by_id.push((OrderedValue(id_of(doc)), id, 0));
+        }
         by_id.sort_unstable();
-        keyed.iter_mut().for_each(|entries| entries.sort_unstable());
+        let mut keyed: Vec<Vec<Entry>> = (specs.iter())
+            .map(|(path, _)| sorted_entries(first, docs.iter().take(objects), path))
+            .collect();
         // Where one-by-one insertion stops: the lowest failing DocId,
         // and of one document's failures the check `raw_insert` makes
         // first (`_id`, then the indexes in order).
@@ -308,47 +367,53 @@ impl Collection {
             Some((*id, unique_violation(path, &key.0)))
         });
         let invalid = (objects < n).then(|| (first + objects as u64, not_an_object()));
-        if let Some((id, error)) = taken
+        let stop = taken
             .into_iter()
             .chain(collided)
             .chain(invalid)
-            .min_by_key(|(id, _)| *id)
-        {
-            let at = (id - first) as usize;
-            return Err(Refused { at, error });
-        }
-        let built = Built {
-            indexes: (specs.iter().zip(keyed))
-                .map(|((path, unique), sorted)| Index::built(path.clone(), *unique, sorted))
-                .collect(),
+            .min_by_key(|(id, _)| *id);
+        let tail = match &stop {
+            // The documents from the failing one on: built into nothing.
+            Some((end, _)) => {
+                by_id.retain(|(_, id, _)| id < end);
+                for entries in &mut keyed {
+                    entries.retain(|(_, id, _)| id < end);
+                }
+                docs.split_off((end - first) as usize)
+            }
+            None => Vec::new(),
+        };
+        let indexes = (specs.iter().zip(&keyed))
+            .map(|((path, unique), sorted)| Index::built(path.clone(), *unique, sorted))
+            .collect();
+        drop(keyed);
+        Built {
+            first,
+            specs,
+            assigned,
+            indexes,
             by_id: by_id.into_iter().map(|(key, id, _)| (key, id)).collect(),
             docs: (first..).zip(docs.into_iter().map(Arc::new)).collect(),
-        };
-        self.shared
-            .commit(
-                self,
-                Some(built),
-                |inner, built| {
-                    if !inner.docs.is_empty() {
-                        Err(out_of_place(HOLDS_DOCUMENTS))
-                    } else if Self::specs_of(inner) != specs {
-                        Err(out_of_place("its indexes changed while it was built"))
-                    } else {
-                        Ok(Some(built))
-                    }
-                },
-                // No journaled form: `commit` refuses it once a journal is attached.
-                |_, _| None,
-                |inner, built| {
-                    inner.docs = built.docs;
-                    inner.by_id = built.by_id;
-                    inner.indexes = built.indexes;
-                    inner.dirty = true;
-                    Ok(())
-                },
-            )
-            .map(drop)
-            .map_err(|error| Refused { at: 0, error })
+            tail,
+            stop: stop.map(|(_, error)| error),
+        }
+    }
+
+    /// Under the commit's lock: is the collection still what `built`
+    /// was built for — empty, the same indexes, and no id handed out
+    /// since it read `next_id`? If so, take the ids it uses.
+    fn claims(&self, inner: &Inner, built: &Built) -> bool {
+        inner.docs.is_empty()
+            && Self::specs_of(inner) == built.specs
+            && self
+                .next_id
+                .compare_exchange(
+                    built.first,
+                    built.first + built.taken(),
+                    AtomicOrdering::Relaxed,
+                    AtomicOrdering::Relaxed,
+                )
+                .is_ok()
     }
 
     /// Find documents matching a JSON filter with default options.
@@ -535,9 +600,11 @@ impl Collection {
                 u.apply(&mut seed, now, true)?;
                 self.materialize(seed).map(Some)
             },
-            |coll, seed| match seed {
-                None => Some(coll.journal_update(filter, update, false)),
-                Some((_, doc)) => Some(coll.journal_insert(doc)),
+            |coll, seed, append| {
+                append(match seed {
+                    None => coll.journal_update(filter, update, false),
+                    Some((_, doc)) => coll.journal_insert(doc),
+                })
             },
             |inner, seed| match seed {
                 None => Self::raw_update(inner, &cf, &u, now, false),
@@ -589,7 +656,7 @@ impl Collection {
                     }),
                 )
             },
-            |coll, (_, _, target)| Some(coll.journal_update(target, update, false)),
+            |coll, (_, _, target), append| append(coll.journal_update(target, update, false)),
             |inner, (id, old, _)| {
                 let new = Self::raw_modify(inner, id, &old, &u, now)?;
                 Ok(if return_new { new.unwrap_or(old) } else { old })
@@ -1110,31 +1177,101 @@ fn id_of(doc: &Value) -> Value {
     doc.get("_id").cloned().unwrap_or(Value::Null)
 }
 
-/// Give an object without an `_id` the one its `DocId` names.
-fn assign_id(doc: &mut Value, id_num: DocId) {
-    if let Some(obj) = doc.as_object_mut().filter(|obj| !obj.contains_key("_id")) {
-        obj.insert("_id".into(), json!(format!("oid{:012x}", id_num)));
-    }
+/// The `_id` a document that arrives without one gets from its `DocId`.
+fn auto_id(id_num: DocId) -> Value {
+    json!(format!("oid{:012x}", id_num))
+}
+
+/// Give an object without an `_id` the one its `DocId` names; true if
+/// it needed one.
+fn assign_id(doc: &mut Value, id_num: DocId) -> bool {
+    let missing = doc.as_object_mut().filter(|obj| !obj.contains_key("_id"));
+    missing
+        .map(|obj| obj.insert_str("_id", auto_id(id_num)))
+        .is_some()
 }
 
 fn not_an_object() -> StoreError {
     StoreError::InvalidDocument("document must be a JSON object".into())
 }
 
-/// Why [`Collection::bulk_build`] refused: the error, and the position
-/// in the run of the document one-by-one insertion would have stopped
-/// at (0 when the build is refused as a whole).
+/// What [`Collection::bulk_build`] made of a run of documents.
+pub(crate) enum Bulk {
+    /// Applied in one commit: every document, or those before the one
+    /// where one-by-one insertion would have stopped.
+    Built(std::result::Result<(), Refused>),
+    /// The collection changed between the build and its commit: nothing
+    /// applied or logged, the documents handed back as they came.
+    Declined(Vec<Value>),
+}
+
+/// Why a bulk build stopped: the error, and the position in the run of
+/// the document one-by-one insertion would have stopped at (the number
+/// of documents built before it).
 #[derive(Debug)]
 pub(crate) struct Refused {
     pub(crate) at: usize,
     pub(crate) error: StoreError,
 }
 
-/// What a bulk build hands its one apply.
+/// A bulk build before its commit: what the collection will keep, and
+/// what the commit needs to check, log and apply it.
 struct Built {
+    /// The `next_id` the build read: its first `DocId`.
+    first: DocId,
+    /// The index specs the build read.
+    specs: Vec<(String, bool)>,
+    /// Positions of the documents the build gave an `_id`.
+    assigned: Vec<usize>,
     docs: BTreeMap<DocId, Arc<Document>>,
     by_id: BTreeMap<OrderedValue, DocId>,
     indexes: Vec<Index>,
+    /// The documents from the one insertion stops at on, untouched
+    /// (empty when none fails), and why it stops.
+    tail: Vec<Value>,
+    stop: Option<StoreError>,
+}
+
+impl Built {
+    /// The failing document, if it reaches the log: an object, which
+    /// `materialize` accepts and the apply refuses.
+    fn failing(&self) -> Option<&Value> {
+        self.tail.first().filter(|doc| doc.is_object())
+    }
+
+    /// How many ids one-by-one insertion takes from `next_id`: one per
+    /// document it materializes.
+    fn taken(&self) -> u64 {
+        (self.docs.len() + usize::from(self.failing().is_some())) as u64
+    }
+
+    /// The documents whose `Insert` records the commit logs, in order.
+    fn journaled(&self) -> impl Iterator<Item = &Value> {
+        self.docs.values().map(|doc| &**doc).chain(self.failing())
+    }
+
+    /// The apply: the built structures replace the empty ones.
+    fn install(self, inner: &mut Inner) -> Result<()> {
+        inner.dirty = !self.docs.is_empty();
+        inner.docs = self.docs;
+        inner.by_id = self.by_id;
+        inner.indexes = self.indexes;
+        self.stop.map_or(Ok(()), Err)
+    }
+
+    /// The documents as they came, for one-by-one insertion after all:
+    /// the `_id`s the build assigned are taken out again.
+    fn into_docs(self) -> Vec<Value> {
+        let built = self.docs.into_values();
+        let unshared = built.map(|doc| Arc::try_unwrap(doc).unwrap_or_else(|doc| (*doc).clone()));
+        let mut docs: Vec<Value> = unshared.chain(self.tail).collect();
+        for at in self.assigned {
+            if let Some(obj) = docs.get_mut(at).and_then(Value::as_object_mut) {
+                obj.remove("_id");
+            }
+        }
+        docs
+    }
 }
 
 /// For upserts, seed the new document from the filter's equality fields
@@ -1176,6 +1313,49 @@ mod tests {
             c.insert_one(json!({"_id": "x", "a": 2})),
             Err(StoreError::DuplicateKey(_))
         ));
+    }
+
+    #[test]
+    fn insert_many_keeps_the_documents_before_a_duplicate() {
+        let c = coll();
+        let docs = vec![
+            json!({"_id": 1, "n": 0}),
+            json!({"_id": 2, "n": 1}),
+            json!({"_id": 1, "n": 2}), // taken by document 0
+            json!({"_id": 4, "n": 3}),
+        ];
+        assert!(matches!(
+            c.insert_many(docs),
+            Err(StoreError::DuplicateKey(_))
+        ));
+        let kept: Vec<Value> = c.dump().iter().map(|d| d["n"].clone()).collect();
+        assert_eq!(kept, [json!(0), json!(1)]);
+        // One id per document materialized, the duplicate's included.
+        assert_eq!(c.insert_one(json!({})).unwrap(), json!("oid000000000004"));
+    }
+
+    #[test]
+    fn a_build_overtaken_by_a_write_hands_its_documents_back_as_they_came() {
+        let c = coll();
+        c.create_index("k", false).unwrap();
+        let docs = vec![
+            json!({"k": 1}),
+            json!({"_id": "b", "k": 2}),
+            json!({"k": 3}),
+        ];
+        let built = c.build(docs.clone());
+        assert!(c.claims(&c.inner.read(), &built));
+        // Claimed: the ids are taken, so a second claim fails.
+        assert!(!c.claims(&c.inner.read(), &built));
+
+        let built = c.build(docs.clone());
+        c.insert_one(json!({"_id": "first"})).unwrap();
+        assert!(!c.claims(&c.inner.read(), &built));
+        assert_eq!(built.into_docs(), docs);
+        // Not empty any more: one by one, after the document that got in.
+        c.insert_many(docs).unwrap();
+        assert_eq!(c.dump()[0]["_id"], json!("first"));
+        assert_eq!(c.len(), 4);
     }
 
     #[test]

@@ -189,23 +189,39 @@ mod tests {
     }
 
     #[test]
-    fn bulk_build_is_refused_once_journaled() {
-        // A bulk build has no journaled form: on a live store it must
-        // fail and change nothing, never log a stand-in record.
+    fn a_journaled_bulk_insert_logs_the_records_of_one_by_one_insertion() {
+        // Into an empty collection `insert_many` is one build and one
+        // apply; its log is one `Insert` frame per document, as the
+        // store holds it, behind the generation record — and one barrier.
+        use crate::persist::{decode_frame, frame_record, FrameDecode, JournalOp};
         let dir = tmpdir("bulk");
-        {
+        let mut docs: Vec<Value> = (0..40).map(|i| json!({"_id": i, "k": i % 3})).collect();
+        docs.insert(7, json!({"k": "no id"}));
+        let live = {
             let d = DurableDatabase::open(&dir).unwrap();
+            let ids = d.insert_many("c", docs).unwrap();
+            let (commits, syncs) = d.commit_stats();
+            assert_eq!(commits, 1, "one barrier for the build");
+            assert!(syncs <= 1);
             let c = d.database().collection("c");
-            let logged = d.wal_len();
-            let refused = c.bulk_build(vec![json!({"_id": 1})]).unwrap_err();
-            assert!(matches!(
-                refused.error,
-                crate::error::StoreError::Persistence(_)
-            ));
-            assert!(c.is_empty());
-            assert_eq!(d.wal_len(), logged);
-        }
-        assert!(reopen(&dir).database().collection("c").is_empty());
+            assert_eq!(ids[7], json!("oid000000000008"));
+            let mut frames = Vec::new();
+            for doc in c.dump() {
+                let op = JournalOp::Insert {
+                    collection: "c",
+                    doc: &*doc,
+                };
+                frame_record(&mut frames, &op);
+            }
+            let wal = std::fs::read(dir.join("journal.wal")).unwrap();
+            let FrameDecode::Frame { next, .. } = decode_frame(&wal, 0) else {
+                panic!("no generation record");
+            };
+            assert_eq!(&wal[next..], frames.as_slice());
+            assert_eq!(d.wal_len(), wal.len() as u64);
+            c.dump()
+        };
+        assert_eq!(reopen(&dir).database().collection("c").dump(), live);
         let _ = std::fs::remove_dir_all(dir);
     }
 

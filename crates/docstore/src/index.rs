@@ -31,11 +31,17 @@ pub struct Index {
 /// returns are the only allocations.
 fn index_keys(doc: &Value, path: &str) -> Vec<OrderedValue> {
     let mut keys = Vec::new();
-    for_each_at_path(doc, path, &mut |v| match v {
-        Value::Array(a) => keys.extend(a.iter().map(|e| OrderedValue(e.clone()))),
-        other => keys.push(OrderedValue(other.clone())),
-    });
+    for_each_key(doc, path, |key| keys.push(OrderedValue(key.clone())));
     keys
+}
+
+/// Visit the keys [`index_keys`] returns, in the same order, without
+/// cloning them.
+fn for_each_key(doc: &Value, path: &str, mut visit: impl FnMut(&Value)) {
+    for_each_at_path(doc, path, &mut |v| match v {
+        Value::Array(a) => a.iter().for_each(&mut visit),
+        other => visit(other),
+    });
 }
 
 /// One key of a bulk build: the key, the document exposing it, and its
@@ -43,13 +49,26 @@ fn index_keys(doc: &Value, path: &str) -> Vec<OrderedValue> {
 /// order one-by-one insertion would have met them.
 pub(crate) type Entry = (OrderedValue, DocId, u32);
 
-/// Push `id`'s entries for the keys `doc` exposes at `path`.
-pub(crate) fn push_entries(out: &mut Vec<Entry>, id: DocId, doc: &Value, path: &str) {
-    out.extend(
-        (0..)
-            .zip(index_keys(doc, path))
-            .map(|(at, key)| (key, id, at)),
-    );
+/// The entries of `docs`, numbered from `first`, for the keys each
+/// exposes at `path`, sorted: one clone per key, cloned in one run.
+/// (One pass per index, not one pass for all: with two indexes' keys
+/// interleaved, freeing one index's before the other's leaves the
+/// other's between them, and `tests/load_heap.rs` counted 148 holes.)
+pub(crate) fn sorted_entries<'a>(
+    first: DocId,
+    docs: impl ExactSizeIterator<Item = &'a Value>,
+    path: &str,
+) -> Vec<Entry> {
+    let mut entries = Vec::with_capacity(docs.len());
+    for (id, doc) in (first..).zip(docs) {
+        let mut at = 0;
+        for_each_key(doc, path, |key| {
+            entries.push((OrderedValue(key.clone()), id, at));
+            at += 1;
+        });
+    }
+    entries.sort_unstable();
+    entries
 }
 
 /// In sorted entries, the first key that one-by-one insertion in
@@ -86,30 +105,28 @@ impl Index {
     }
 
     /// The index over `path` holding `sorted`, entries ordered by `(key,
-    /// DocId, place)`: each run of equal keys becomes one key — the
-    /// first, which is the value one-by-one insertion would have kept
-    /// (`1` or `1.0`) — and the set of its ids. Uniqueness is not
-    /// checked here ([`first_collision`] is).
-    pub(crate) fn built(path: String, unique: bool, sorted: Vec<Entry>) -> Index {
+    /// DocId, place)`: each run of equal keys becomes one key — a clone
+    /// of the first, which is the value one-by-one insertion would have
+    /// kept (`1` or `1.0`) — and the set of its ids. The caller frees
+    /// the sort keys afterwards, all together (DESIGN §10). Uniqueness
+    /// is not checked here ([`first_collision`] is).
+    pub(crate) fn built(path: String, unique: bool, sorted: &[Entry]) -> Index {
+        let runs = || sorted.chunk_by(|a, b| a.0 == b.0);
         // Counted first, so the runs take one allocation and no freed
         // smaller one is left between the id sets the index keeps.
-        let keys = 1 + sorted
-            .windows(2)
-            .filter(|w| matches!(w, [a, b] if a.0 != b.0))
-            .count();
-        let mut runs = Vec::with_capacity(keys);
-        let mut entries = sorted.into_iter().peekable();
-        while let Some((key, id, _)) = entries.next() {
-            let mut ids = BTreeSet::from([id]);
-            while let Some((_, id, _)) = entries.next_if(|(next, ..)| *next == key) {
-                ids.insert(id);
+        let mut map = Vec::with_capacity(runs().count());
+        for run in runs() {
+            let mut entries = run.iter();
+            if let Some((key, id, _)) = entries.next() {
+                let mut ids = BTreeSet::from([*id]);
+                ids.extend(entries.map(|(_, id, _)| *id));
+                map.push((key.clone(), ids));
             }
-            runs.push((key, ids));
         }
         Index {
             path,
             unique,
-            map: runs.into_iter().collect(),
+            map: map.into_iter().collect(),
         }
     }
 

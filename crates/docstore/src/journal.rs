@@ -45,12 +45,14 @@
 //! * **An op that fails to apply stays in the log** and replays as the
 //!   same deterministic failure ([`JournalOp::apply`]); replay itself
 //!   never journals — recovery and secondary apply run on a database
-//!   with no journal attached. The one commit with no journaled form,
-//!   a snapshot's bulk build of a collection, is refused by
-//!   [`Shared::commit`] once a journal is attached.
+//!   with no journal attached.
+//! * **Every decision has a journaled form.** A bulk build into an
+//!   empty collection is one decision and one apply, and its `record`
+//!   logs one `Insert` per document: the frames one-by-one insertion
+//!   writes, so replay needs no record of its own for it.
 
 use crate::database::{Database, DbInner};
-use crate::error::{Result, StoreError};
+use crate::error::Result;
 use crate::persist::{GroupCommit, JournalRef};
 use crate::profiler::Profiler;
 use mp_sync::{LockRank, OrderedMutex, OrderedRwLock};
@@ -113,6 +115,10 @@ impl Journal {
     }
 }
 
+/// Where a commit's `record` hands each record of a decision: the
+/// journal, which frames it into the commit's buffer.
+pub(crate) type Append<'f, 'a> = &'f mut dyn FnMut(JournalRef<'a>) -> Result<()>;
+
 /// State a database shares with each of its collections.
 pub(crate) struct Shared {
     pub(crate) profiler: Profiler,
@@ -161,18 +167,18 @@ impl Shared {
 
     /// The one mutation choke point (see the module docs). For each of
     /// `items`: `decide` what will happen from the current state (or
-    /// decline with `None`), journal the decided form — `record` borrows
-    /// it from the store and the decision, which is why it is handed
-    /// both — then `apply` it. Stops at the first error; returns the
-    /// last output. A decision `record` has no form for (`None`: a
-    /// snapshot's bulk build) is refused once a journal is attached.
+    /// decline with `None`), journal the decided form — `record` hands
+    /// each of its records to `append`, borrowed from the store and the
+    /// decision, which is why it is handed both; a bulk build has one
+    /// per document — then `apply` it. Stops at the first error; returns
+    /// the last output.
     // mp-lint: allow(E003) — write-ahead core: each op is staged in the log's frame buffer before its in-memory apply and the buffer is written out before the guard is released, all under one journal guard hold so journal order is apply order; the barrier waits outside
     pub(crate) fn commit<'r, S: Store, I, D, T>(
         &self,
         store: &'r S,
         items: impl IntoIterator<Item = I>,
         decide: impl Fn(&S::State, I) -> Result<Option<D>>,
-        record: impl for<'a> Fn(&'a &'r S, &'a D) -> Option<JournalRef<'a>>,
+        record: impl for<'a> Fn(&'a &'r S, &'a D, Append<'_, 'a>) -> Result<()>,
         mut apply: impl FnMut(&mut S::State, D) -> Result<T>,
     ) -> Result<Option<T>> {
         let journal = self.journal.get();
@@ -185,14 +191,11 @@ impl Shared {
                     let decided = decide(&store.state().read(), item);
                     decided.and_then(|d| match d {
                         Some(d) => {
-                            let op = record(&store, &d).ok_or_else(|| {
-                                StoreError::Persistence(
-                                    "a change with no journaled form on a journaled database"
-                                        .into(),
-                                )
+                            record(&store, &d, &mut |op| {
+                                sink.append_op(op)?;
+                                appended = true;
+                                Ok(())
                             })?;
-                            sink.append_op(op)?;
-                            appended = true;
                             raw_apply(store, |state| apply(state, d)).map(Some)
                         }
                         None => Ok(None),
@@ -234,7 +237,7 @@ impl Shared {
             store,
             Some(op),
             |_, op| Ok(Some(op)),
-            |_, op| Some(*op),
+            |_, op, append| append(*op),
             |state, _| apply(state),
         )?;
         Ok(out.unwrap_or_default())

@@ -93,11 +93,13 @@
 //! The snapshot is built, not replayed ([`load_snapshot`]): its frames
 //! are verified and decoded in the same order, and each collection's
 //! run of documents goes to one bulk build (sorted `(key, DocId)`
-//! vectors, one apply) when it ends. Verify strictly before apply, in the
-//! snapshot and in sealed and active generations alike, which `mp-lint
-//! order` proves as O005. A snapshot's documents take no profiler
-//! sample: recovery no longer fills the profiler's ring with one
-//! `insert` per document, which nobody issued.
+//! vectors, one apply) when it ends — the build a live `insert_many`
+//! into an empty collection takes too, logged as one `Insert` per
+//! document, so the WAL holds nothing else for it. Verify strictly
+//! before apply, in the snapshot and in sealed and active generations
+//! alike, which `mp-lint order` proves as O005. A snapshot's documents
+//! take no profiler sample: recovery no longer fills the profiler's
+//! ring with one `insert` per document, which nobody issued.
 //!
 //! * A bad frame in the **snapshot** — torn, corrupt or unparseable — is
 //!   a hard error naming its offset: the snapshot was fsynced before it
@@ -145,6 +147,7 @@
 //! the same deterministic way, and converges on the live outcome.
 
 use crate::codec;
+use crate::collection::{Bulk, Refused};
 use crate::column::Segment;
 use crate::database::Database;
 use crate::error::{Result, StoreError};
@@ -1197,7 +1200,8 @@ pub(crate) fn join_checkpoint(worker: JoinHandle<Result<()>>) -> Result<()> {
 /// The file is read once. Each record is decoded from a frame of it,
 /// checksum-verified before its record is applied, in file order. Each
 /// run of consecutive documents of one collection is collected, then
-/// built in one apply when it ends (`Collection::bulk_build`); the stamp
+/// built in one apply when it ends (`Collection::bulk_build`, the build
+/// `insert_many` into an empty collection takes); the stamp
 /// and the index definitions apply as they come
 /// ([`JournalOp::try_apply`]), so a collection's unique indexes exist
 /// before its run is built and checked against them.
@@ -1295,12 +1299,24 @@ impl<'a> Run<'a> {
             return Ok(());
         };
         report.snapshot_docs += docs.len();
-        db.collection(collection)
-            .bulk_build(docs)
-            .map_err(|refused| {
-                let off = offsets.get(refused.at).copied().unwrap_or_default();
-                format!("record at byte {off} failed to apply: {}", refused.error)
-            })
+        let refused = match db.collection(collection).bulk_build(docs, &mut []) {
+            Bulk::Built(built) => built.err(),
+            // Recovery is the only writer: only a collection that already
+            // holds documents declines.
+            Bulk::Declined(_) => Some(Refused {
+                at: 0,
+                error: StoreError::Persistence(format!(
+                    "a second run of documents for collection '{collection}'"
+                )),
+            }),
+        };
+        refused.map_or(Ok(()), |refused| {
+            let off = offsets.get(refused.at).copied().unwrap_or_default();
+            Err(format!(
+                "record at byte {off} failed to apply: {}",
+                refused.error
+            ))
+        })
     }
 }
 

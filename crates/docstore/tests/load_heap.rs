@@ -10,8 +10,10 @@
 //! underneath does not matter to the property, so it is stated on
 //! allocation *order*: every allocation gets a sequence number, and the
 //! ones freed after the load returned must form one run that nothing the
-//! store kept interrupts. Its own test binary, because it installs a
-//! recording `#[global_allocator]`.
+//! store kept interrupts. And what the load makes and frees on its own
+//! — a bulk build's sort keys — must leave few holes between the chunks
+//! the store keeps, not one per document. Its own test binary, because
+//! it installs a recording `#[global_allocator]`.
 
 use mp_docstore::Database;
 use serde_json::{json, Value};
@@ -136,6 +138,7 @@ fn a_load_returns_its_ids_as_one_run_and_clones_each_once_for_the_store() {
     RECORDING.with(|on| on.set(true));
     materials.create_index("chemsys", false).unwrap();
     materials.create_index("formula", false).unwrap();
+    let started = LOGGED.load(Ordering::Relaxed);
     let ids = materials.insert_many(docs).unwrap();
     let returned = LOGGED.load(Ordering::Relaxed);
     drop(ids);
@@ -149,10 +152,12 @@ fn a_load_returns_its_ids_as_one_run_and_clones_each_once_for_the_store() {
     let log = events(logged);
     assert_eq!(materials.len(), DOCS);
 
-    // Replay: which allocations of the window are still live, and which
-    // were freed only after `insert_many` had returned.
+    // Replay: which allocations of the window are still live, which
+    // were freed only after `insert_many` had returned, and which were
+    // made and freed inside it.
     let mut live: BTreeMap<usize, usize> = BTreeMap::new(); // address → sequence number
     let mut freed_late: Vec<usize> = Vec::new();
+    let mut freed_inside: Vec<usize> = Vec::new();
     for (seq, event) in log.iter().enumerate() {
         match *event {
             Event::Alloc { addr, .. } => {
@@ -163,11 +168,14 @@ fn a_load_returns_its_ids_as_one_run_and_clones_each_once_for_the_store() {
                 if let Some(made) = live.remove(&addr) {
                     if seq >= returned {
                         freed_late.push(made);
+                    } else if made >= started {
+                        freed_inside.push(made);
                     }
                 }
             }
         }
     }
+    let holes = holes_between_kept(&log, &live, &freed_inside);
     // The id vector and one string per document.
     assert_eq!(freed_late.len(), DOCS + 1);
     freed_late.sort_unstable();
@@ -194,4 +202,63 @@ fn a_load_returns_its_ids_as_one_run_and_clones_each_once_for_the_store() {
         (DOCS..=2 * DOCS).contains(&id_sized),
         "{id_sized} id-sized allocations for {DOCS} documents"
     );
+
+    // What the load itself made and freed: where it lies between two
+    // chunks the store kept, it is a hole for the life of the store. A
+    // transient freed as one run (the bulk build's sort keys) is one
+    // hole; a build that frees some transients before it allocates what
+    // the store keeps lets the two interleave (999 and 446 holes in two
+    // such orders; DESIGN §10).
+    assert!(
+        holes <= DISTINCT_INDEX_KEYS,
+        "the load left {holes} holes between chunks the store kept"
+    );
+}
+
+/// Distinct values of `chemsys` (3) and `formula` (21) in the corpus.
+const DISTINCT_INDEX_KEYS: usize = 24;
+
+/// Runs, in address order, of chunks made and freed inside the load
+/// (`freed_inside`, by sequence number) that have a chunk the store
+/// kept (`live`, address → sequence number) on either side. A freed
+/// chunk whose memory a kept one reuses is no hole; adjacent freed
+/// chunks coalesce, so a run of them counts once.
+fn holes_between_kept(
+    log: &[Event],
+    live: &BTreeMap<usize, usize>,
+    freed_inside: &[usize],
+) -> usize {
+    let span = |seq: usize| match log[seq] {
+        Event::Alloc { addr, size } => (addr, addr + size),
+        Event::Free { .. } => unreachable!("sequence numbers of allocations"),
+    };
+    let kept: BTreeMap<usize, usize> = live.values().map(|&seq| span(seq)).collect();
+    // address → whether the store kept the chunk there
+    let mut by_addr: BTreeMap<usize, bool> = kept.keys().map(|&addr| (addr, true)).collect();
+    for &seq in freed_inside {
+        let (start, end) = span(seq);
+        let reused = kept
+            .range(..end)
+            .next_back()
+            .is_some_and(|(_, &kept_end)| kept_end > start);
+        if !reused {
+            by_addr.entry(start).or_insert(false);
+        }
+    }
+    let kinds: Vec<bool> = by_addr.into_values().collect();
+    // Each maximal run of freed chunks, and the kept chunks around it.
+    let mut holes = 0;
+    let mut at = 0;
+    while at < kinds.len() {
+        if kinds[at] {
+            at += 1;
+            continue;
+        }
+        let end = at + kinds[at..].iter().take_while(|kept| !**kept).count();
+        if at > 0 && end < kinds.len() {
+            holes += 1;
+        }
+        at = end;
+    }
+    holes
 }

@@ -425,8 +425,8 @@ proptest! {
     /// unprojected find returns and the rows a projected one returns —
     /// for trie-plan projections and for ones with a numeric segment
     /// (`project_one`'s sequential fallback), bounded windows and the
-    /// unbounded one (the only one the crossover may fan out), on the
-    /// scan that builds the segment and on the ones that find it.
+    /// unbounded one, on the scan that builds the segment and on the
+    /// ones that find it.
     #[test]
     fn rows_sink_agrees_with_find_with(
         docs in prop::collection::vec(document(), 0..30),

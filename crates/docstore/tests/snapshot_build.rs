@@ -14,13 +14,19 @@
 //!   path, the `_id` the next insert is given. Where the oracle stops,
 //!   the reopen is refused, naming the offset of the record it stopped
 //!   at.
+//! * `insert_many_into_an_empty_collection_equals_insert_one_per_document`
+//!   feeds the same documents and index specs to `insert_many` into an
+//!   empty collection — the same build — on a plain `Database` and on a
+//!   `DurableDatabase` that is reopened afterwards, against `insert_one`
+//!   per document in order: the ids returned, or the error and the
+//!   documents before it; then the comparisons above.
 //! * `refusals_name_the_first_failing_record` builds the faults one at
 //!   a time and two to a file, some deep inside a run of thousands of
 //!   documents: each open returns `Persistence` naming the earliest
 //!   fault's offset, and leaves the directory byte for byte as it was.
 
 use mp_docstore::persist::{frame_record, JournalOp, JournalRef};
-use mp_docstore::{Database, DurableDatabase, StoreError};
+use mp_docstore::{Collection, Database, DurableDatabase, StoreError};
 use proptest::prelude::*;
 use serde_json::{json, Map, Value};
 use std::path::{Path, PathBuf};
@@ -281,41 +287,106 @@ proptest! {
         let store = DurableDatabase::open(&dir).unwrap();
         for coll in &colls {
             let (got, want) = (store.database().collection(coll.name), want_db.collection(coll.name));
-            prop_assert_eq!(got.dump(), want.dump());
-            for doc in want.dump() {
-                prop_assert_eq!(got.get(&doc["_id"]), Some(doc.clone()));
-            }
-            prop_assert_eq!(got.index_specs(), want.index_specs());
-            for (path, _) in &coll.indexes {
-                let values = want.distinct(path, &json!({})).unwrap();
-                prop_assert_eq!(&got.distinct(path, &json!({})).unwrap(), &values);
-                for v in values.iter().chain([&json!(1), &json!("zz")]) {
-                    // An equality probe never costs more than a scan, so
-                    // it always goes through the index; a multikey range
-                    // or `$in` may cost more, and then both scan.
-                    let eq = with_field(path, v.clone());
-                    let explained = got.explain(&eq).unwrap();
-                    prop_assert_eq!(&explained["index"], &json!(path), "explain {}", eq);
-                    let queries = [
-                        eq,
-                        with_field(path, json!({"$gte": v})),
-                        with_field(path, json!({"$in": [v, 2]})),
-                    ];
-                    for q in queries {
-                        let (g, w) = (got.explain(&q).unwrap(), want.explain(&q).unwrap());
-                        prop_assert_eq!((&g["plan"], &g["index"]), (&w["plan"], &w["index"]), "plan {}", q);
-                        prop_assert_eq!(got.find(&q).unwrap(), want.find(&q).unwrap(), "find {}", q);
-                    }
-                }
-            }
-            prop_assert_eq!(
-                got.insert_one(json!({})).unwrap(),
-                want.insert_one(json!({})).unwrap()
-            );
+            same_store(&got, &want, &coll.indexes)?;
         }
         drop(store);
         let _ = std::fs::remove_dir_all(dir);
     }
+
+    /// `insert_many` into an empty collection takes the bulk build; one
+    /// `insert_one` per document in order is its oracle, on a plain
+    /// database and on a journaled one, live and reopened.
+    #[test]
+    fn insert_many_into_an_empty_collection_equals_insert_one_per_document(
+        specs in index_specs(),
+        docs in prop::collection::vec(document(), 0..12),
+    ) {
+        // `same_store` inserts into the oracle: one for each comparison.
+        let oracle = || {
+            let want = Database::new().collection("c");
+            for (path, unique) in &specs {
+                want.create_index(path, *unique).unwrap();
+            }
+            let result: Result<Vec<Value>, StoreError> =
+                docs.iter().map(|doc| want.insert_one(doc.clone())).collect();
+            (want, result)
+        };
+        let (want, want_result) = oracle();
+
+        let got = Database::new().collection("c");
+        for (path, unique) in &specs {
+            got.create_index(path, *unique).unwrap();
+        }
+        prop_assert_eq!(got.insert_many(docs.clone()), want_result.clone());
+        same_store(&got, &want, &specs)?;
+        let (want, _) = oracle();
+
+        let dir = tmpdir("insert-many");
+        let live = {
+            let store = DurableDatabase::open(&dir).unwrap();
+            for (path, unique) in &specs {
+                store.create_index("c", path, *unique).unwrap();
+            }
+            prop_assert_eq!(store.insert_many("c", docs), want_result);
+            let got = store.database().collection("c");
+            prop_assert_eq!(got.dump(), want.dump());
+            got.dump()
+        };
+        let reopened = DurableDatabase::open(&dir).unwrap();
+        let got = reopened.database().collection("c");
+        prop_assert_eq!(got.dump(), live);
+        same_store(&got, &want, &specs)?;
+        drop(reopened);
+        let _ = std::fs::remove_dir_all(dir);
+    }
+}
+
+/// `got` holds what `want` does: documents in store order and by `_id`,
+/// the index specs, `distinct` on every indexed path, `find` through
+/// every index with `explain` naming it, and — inserted last into both —
+/// the `_id` the next insert is given.
+fn same_store(
+    got: &Collection,
+    want: &Collection,
+    indexes: &[(String, bool)],
+) -> Result<(), TestCaseError> {
+    prop_assert_eq!(got.dump(), want.dump());
+    for doc in want.dump() {
+        prop_assert_eq!(got.get(&doc["_id"]), Some(doc.clone()));
+    }
+    prop_assert_eq!(got.index_specs(), want.index_specs());
+    for (path, _) in indexes {
+        let values = want.distinct(path, &json!({})).unwrap();
+        prop_assert_eq!(&got.distinct(path, &json!({})).unwrap(), &values);
+        for v in values.iter().chain([&json!(1), &json!("zz")]) {
+            // An equality probe never costs more than a scan, so it
+            // always goes through the index; a multikey range or `$in`
+            // may cost more, and then both scan.
+            let eq = with_field(path, v.clone());
+            let explained = got.explain(&eq).unwrap();
+            prop_assert_eq!(&explained["index"], &json!(path), "explain {}", eq);
+            let queries = [
+                eq,
+                with_field(path, json!({"$gte": v})),
+                with_field(path, json!({"$in": [v, 2]})),
+            ];
+            for q in queries {
+                let (g, w) = (got.explain(&q).unwrap(), want.explain(&q).unwrap());
+                prop_assert_eq!(
+                    (&g["plan"], &g["index"]),
+                    (&w["plan"], &w["index"]),
+                    "plan {}",
+                    q
+                );
+                prop_assert_eq!(got.find(&q).unwrap(), want.find(&q).unwrap(), "find {}", q);
+            }
+        }
+    }
+    prop_assert_eq!(
+        got.insert_one(json!({})).unwrap(),
+        want.insert_one(json!({})).unwrap()
+    );
+    Ok(())
 }
 
 // ---------------------------------------------------------------------------

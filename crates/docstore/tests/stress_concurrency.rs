@@ -49,6 +49,102 @@ fn concurrent_inserts_are_all_retained() {
     assert_eq!(db.collection("stable").len(), THREADS * per_thread);
 }
 
+/// `insert_one`s race a bulk `insert_many` into the same empty
+/// collection. The batch is built with no lock held; if another insert
+/// commits first, the build is declined under the lock and the batch
+/// goes in one document at a time after all — no error, nothing lost.
+/// The final state is a serial order of the single inserts: each
+/// thread's documents in the order it issued them, the `_id`s assigned
+/// on the way numbered in store order, and no id skipped. Every other
+/// round journals, and its reopen equals the live store, so the log
+/// holds the inserts in that order too.
+#[test]
+fn inserts_racing_a_bulk_insert_into_an_empty_collection_lose_nothing() {
+    const SINGLES: usize = 3;
+    const BATCH: usize = 300;
+    let (rounds, each) = (iters(24), iters(16));
+    for round in 0..rounds {
+        let dir =
+            std::env::temp_dir().join(format!("mp-stress-bulk-{}-{round}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let store = (round % 2 == 1).then(|| {
+            let opts = DurableOptions {
+                fsync: false,
+                ..DurableOptions::default()
+            };
+            DurableDatabase::open_with(&dir, opts).unwrap()
+        });
+        let db = store
+            .as_ref()
+            .map_or_else(Database::new, |s| s.database().clone());
+        let start = Arc::new(std::sync::Barrier::new(1 + SINGLES));
+        let bulk = {
+            let (c, start) = (db.collection("c"), start.clone());
+            // Every third document without `_id`: a declined build must
+            // hand it back without the one it assigned.
+            let docs: Vec<_> = (0..BATCH)
+                .map(|i| match i % 3 {
+                    0 => json!({"src": "bulk", "seq": i}),
+                    _ => json!({"_id": format!("b{i}"), "src": "bulk", "seq": i}),
+                })
+                .collect();
+            thread::spawn(move || {
+                start.wait();
+                c.insert_many(docs).unwrap()
+            })
+        };
+        let singles: Vec<_> = (0..SINGLES)
+            .map(|t| {
+                let (c, start) = (db.collection("c"), start.clone());
+                thread::spawn(move || {
+                    start.wait();
+                    for i in 0..each {
+                        c.insert_one(json!({"src": format!("s{t}"), "seq": i}))
+                            .unwrap();
+                    }
+                })
+            })
+            .collect();
+        let returned = bulk.join().unwrap();
+        for s in singles {
+            s.join().unwrap();
+        }
+
+        let c = db.collection("c");
+        let docs = c.dump();
+        assert_eq!(docs.len(), BATCH + SINGLES * each, "round {round}");
+        let mut issued: std::collections::BTreeMap<&str, u64> = Default::default();
+        for (at, doc) in docs.iter().enumerate() {
+            let seq = issued.entry(doc["src"].as_str().unwrap()).or_default();
+            assert_eq!(
+                doc["seq"],
+                json!(*seq),
+                "round {round}: out of order at {at}"
+            );
+            *seq += 1;
+            if !doc["_id"].as_str().unwrap().starts_with('b') {
+                let assigned = json!(format!("oid{:012x}", at + 1));
+                assert_eq!(doc["_id"], assigned, "round {round}");
+            }
+        }
+        let bulk_ids: Vec<_> = docs
+            .iter()
+            .filter(|d| d["src"] == "bulk")
+            .map(|d| d["_id"].clone())
+            .collect();
+        assert_eq!(returned, bulk_ids, "round {round}");
+        let next = json!(format!("oid{:012x}", docs.len() + 1));
+        assert_eq!(c.insert_one(json!({})).unwrap(), next, "round {round}");
+        if let Some(store) = store {
+            let live = c.dump();
+            drop((c, db, store));
+            let reopened = DurableDatabase::open(&dir).unwrap();
+            assert_eq!(reopened.database().collection("c").dump(), live);
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
 /// A unique index under an insert storm admits exactly one winner per
 /// key; every loser gets `DuplicateKey`, never a torn half-insert.
 #[test]

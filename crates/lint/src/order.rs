@@ -113,7 +113,8 @@ impl OrderConfig {
     /// `Persister::publish`, so O004 keeps them out of per-operation
     /// loops too — `JournalOp::apply` (best-effort, WAL replay),
     /// `JournalOp::try_apply` (strict, a snapshot's index records) and
-    /// `Collection::bulk_build` (a snapshot's run of documents) the
+    /// `Collection::bulk_build` (a snapshot's run of documents, and an
+    /// `insert_many` into an empty collection) the
     /// replay application, `Persister::recover_with_report` the recovery
     /// entry point (it replays sealed and active generations through one
     /// verify-then-apply helper), `load_snapshot`, the snapshot's own

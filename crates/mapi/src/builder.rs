@@ -38,31 +38,33 @@ pub fn build_materials_view(db: &Database, engine: &dyn MapReduce) -> Result<usi
     };
     let groups = engine.run(&tasks, &map, &reduce)?;
 
+    let rows: Vec<Value> = groups
+        .into_iter()
+        .filter(|(_, best)| !best.is_null())
+        .map(|(mps_id, best)| {
+            let mps_str = mps_id.as_str().unwrap_or("unknown");
+            let material_id = format!("mp-{}", mps_str.trim_start_matches("mps-"));
+            let nelements = best["elements"].as_array().map(Vec::len).unwrap_or(0);
+            json!({
+                "_id": material_id,
+                "material_id": material_id,
+                "mps_id": mps_id,
+                "formula": best["formula"],
+                "chemsys": best["chemsys"],
+                "elements": best["elements"],
+                "nelements": nelements,
+                "nsites": best["nsites"],
+                "nelectrons": best["nelectrons"],
+                "output": best["output"],
+                "provenance": {"task_id": best["_id"], "fw_id": best["fw_id"]},
+            })
+        })
+        .collect();
+    let written = rows.len();
+    // Cleared, the view is refilled in one batch: the bulk build.
     let materials = db.collection("materials");
     materials.clear()?;
-    let mut written = 0;
-    for (mps_id, best) in groups {
-        if best.is_null() {
-            continue;
-        }
-        let mps_str = mps_id.as_str().unwrap_or("unknown");
-        let material_id = format!("mp-{}", mps_str.trim_start_matches("mps-"));
-        let nelements = best["elements"].as_array().map(Vec::len).unwrap_or(0);
-        materials.insert_one(json!({
-            "_id": material_id,
-            "material_id": material_id,
-            "mps_id": mps_id,
-            "formula": best["formula"],
-            "chemsys": best["chemsys"],
-            "elements": best["elements"],
-            "nelements": nelements,
-            "nsites": best["nsites"],
-            "nelectrons": best["nelectrons"],
-            "output": best["output"],
-            "provenance": {"task_id": best["_id"], "fw_id": best["fw_id"]},
-        }))?;
-        written += 1;
-    }
+    materials.insert_many(rows)?;
     materials.create_index("formula", false)?;
     materials.create_index("chemsys", false)?;
     materials.create_index("elements", false)?;
