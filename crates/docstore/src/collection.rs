@@ -5,7 +5,7 @@
 use crate::column::{Candidates, Segment};
 use crate::cursor::{CompiledFindOptions, CompiledProjection, FindOptions};
 use crate::error::{Result, StoreError};
-use crate::index::{first_collision, sorted_entries, unique_violation, DocId, Entry, Index};
+use crate::index::{first_collision, push_entries, unique_violation, DocId, Entry, Index, SortKey};
 use crate::journal::{Shared, Store};
 use crate::persist::{JournalOp, JournalRef};
 use crate::profiler::OpKind;
@@ -226,7 +226,8 @@ impl Collection {
     ///
     /// Into an empty collection the batch is one bulk build
     /// ([`bulk_build`](Self::bulk_build)), which ends in the state, the
-    /// ids, the error and the log one-by-one insertion would have. If a
+    /// ids, the error and the log one-by-one insertion would have, and
+    /// sorts keys it borrows: it clones only what the store keeps. If a
     /// concurrent write got in first, the batch is inserted one by one
     /// after all; emptiness decides, nothing else.
     ///
@@ -277,8 +278,8 @@ impl Collection {
     /// documents before it are built and the error names its position.
     ///
     /// `docs`, `by_id` and every index are built from `(key, DocId)`
-    /// vectors sorted in place on the calling thread, with no lock held
-    /// (DESIGN §10 has the allocation order). The apply goes through
+    /// entries borrowed from the documents and sorted on the calling
+    /// thread, with no lock held (DESIGN §10). The apply goes through
     /// [`Shared::commit`], which on a journaled database logs one
     /// `Insert` record per document first — the records one-by-one
     /// insertion writes, the failing document's included when it is an
@@ -327,16 +328,13 @@ impl Collection {
     /// read from `next_id`, the sorted runs, where insertion stops, and
     /// the structures the collection will keep.
     ///
-    /// Allocation order is the point (DESIGN §10, "The heap a load
-    /// leaves"). The `by_id` keys the store keeps are cloned in one run;
-    /// every index's sort keys in a run of their own right after it,
-    /// before anything is freed; each index clones its distinct keys
-    /// while all of them are still alive; and they are freed together:
-    /// one free region, where keys cloned between the chunks the store
-    /// keeps would leave one hole per document. (Building the `by_id`
-    /// map, or one index, before the next index's keys are cloned lets
-    /// those keys and what the indexes keep interleave in the freed
-    /// space: `tests/load_heap.rs` counted 999 and 446 holes.)
+    /// It clones only what the store keeps (DESIGN §10, "The heap a
+    /// load leaves"). One walk over the documents pushes each one's
+    /// `_id` entry and every index's entries, all borrowed from it; the
+    /// sorts compare inline prefixes and read a document only on a tie
+    /// the prefix cannot settle. Each index then clones its distinct
+    /// keys; the index entries are freed before the `by_id` map clones
+    /// its keys (a lower peak), and the `Arc<Document>`s come last.
     fn build(&self, mut docs: Vec<Value>) -> Built {
         let n = docs.len();
         // The counter publishes nothing: the commit's lock orders the
@@ -345,26 +343,29 @@ impl Collection {
         let objects = docs.iter().position(|d| !d.is_object()).unwrap_or(n);
         let specs = self.index_specs();
         let mut assigned = Vec::new();
-        let mut by_id: Vec<Entry> = Vec::with_capacity(objects);
+        let mut id_keys: Vec<Entry<'_>> = Vec::with_capacity(objects);
+        let mut keyed: Vec<Vec<Entry<'_>>> =
+            specs.iter().map(|_| Vec::with_capacity(objects)).collect();
         for ((at, id), doc) in (0..).zip(first..).zip(docs.iter_mut().take(objects)) {
             if assign_id(doc, id) {
                 assigned.push(at);
             }
-            by_id.push((OrderedValue(id_of(doc)), id, 0));
+            id_keys.push((SortKey::of(doc.get("_id").unwrap_or(&Value::Null)), id, 0));
+            for ((path, _), entries) in specs.iter().zip(&mut keyed) {
+                push_entries(entries, id, doc, path);
+            }
         }
-        by_id.sort_unstable();
-        let mut keyed: Vec<Vec<Entry>> = (specs.iter())
-            .map(|(path, _)| sorted_entries(first, docs.iter().take(objects), path))
-            .collect();
+        id_keys.sort_unstable();
+        keyed.iter_mut().for_each(|entries| entries.sort_unstable());
         // Where one-by-one insertion stops: the lowest failing DocId,
         // and of one document's failures the check `raw_insert` makes
         // first (`_id`, then the indexes in order).
-        let taken = first_collision(&by_id)
-            .map(|(key, id, _)| (*id, StoreError::DuplicateKey(format!("_id {}", key.0))));
+        let taken = first_collision(&id_keys)
+            .map(|(key, id, _)| (*id, StoreError::DuplicateKey(format!("_id {}", key.value))));
         let collisions = specs.iter().zip(&keyed).filter(|((_, unique), _)| *unique);
         let collided = collisions.filter_map(|((path, _), entries)| {
             let (key, id, _) = first_collision(entries)?;
-            Some((*id, unique_violation(path, &key.0)))
+            Some((*id, unique_violation(path, key.value)))
         });
         let invalid = (objects < n).then(|| (first + objects as u64, not_an_object()));
         let stop = taken
@@ -372,27 +373,28 @@ impl Collection {
             .chain(collided)
             .chain(invalid)
             .min_by_key(|(id, _)| *id);
-        let tail = match &stop {
+        if let Some((end, _)) = &stop {
             // The documents from the failing one on: built into nothing.
-            Some((end, _)) => {
-                by_id.retain(|(_, id, _)| id < end);
-                for entries in &mut keyed {
-                    entries.retain(|(_, id, _)| id < end);
-                }
-                docs.split_off((end - first) as usize)
+            id_keys.retain(|(_, id, _)| id < end);
+            for entries in &mut keyed {
+                entries.retain(|(_, id, _)| id < end);
             }
-            None => Vec::new(),
-        };
-        let indexes = (specs.iter().zip(&keyed))
-            .map(|((path, unique), sorted)| Index::built(path.clone(), *unique, sorted))
+        }
+        let indexes = (specs.into_iter().zip(&keyed))
+            .map(|((path, unique), sorted)| Index::built(path, unique, sorted))
             .collect();
         drop(keyed);
+        let by_id = (id_keys.iter())
+            .map(|(key, id, _)| (OrderedValue(key.value.clone()), *id))
+            .collect();
+        drop(id_keys);
+        let end = stop.as_ref().map_or(n, |(end, _)| (end - first) as usize);
+        let tail = docs.split_off(end);
         Built {
             first,
-            specs,
             assigned,
             indexes,
-            by_id: by_id.into_iter().map(|(key, id, _)| (key, id)).collect(),
+            by_id,
             docs: (first..).zip(docs.into_iter().map(Arc::new)).collect(),
             tail,
             stop: stop.map(|(_, error)| error),
@@ -404,7 +406,8 @@ impl Collection {
     /// since it read `next_id`? If so, take the ids it uses.
     fn claims(&self, inner: &Inner, built: &Built) -> bool {
         inner.docs.is_empty()
-            && Self::specs_of(inner) == built.specs
+            && (inner.indexes.iter().map(|ix| (&ix.path, ix.unique)))
+                .eq(built.indexes.iter().map(|ix| (&ix.path, ix.unique)))
             && self
                 .next_id
                 .compare_exchange(
@@ -1219,8 +1222,6 @@ pub(crate) struct Refused {
 struct Built {
     /// The `next_id` the build read: its first `DocId`.
     first: DocId,
-    /// The index specs the build read.
-    specs: Vec<(String, bool)>,
     /// Positions of the documents the build gave an `_id`.
     assigned: Vec<usize>,
     docs: BTreeMap<DocId, Arc<Document>>,

@@ -7,8 +7,9 @@
 //! makes queries like `{elements: "Li"}` fast.
 
 use crate::error::{Result, StoreError};
-use crate::value::{for_each_at_path, OrderedValue};
+use crate::value::{cmp_values, for_each_at_path, type_rank, OrderedValue};
 use serde_json::Value;
+use std::cmp::Ordering;
 use std::collections::{BTreeMap, BTreeSet};
 use std::ops::Bound;
 
@@ -37,38 +38,103 @@ fn index_keys(doc: &Value, path: &str) -> Vec<OrderedValue> {
 
 /// Visit the keys [`index_keys`] returns, in the same order, without
 /// cloning them.
-fn for_each_key(doc: &Value, path: &str, mut visit: impl FnMut(&Value)) {
+fn for_each_key<'a>(doc: &'a Value, path: &str, mut visit: impl FnMut(&'a Value)) {
     for_each_at_path(doc, path, &mut |v| match v {
         Value::Array(a) => a.iter().for_each(&mut visit),
         other => visit(other),
     });
 }
 
-/// One key of a bulk build: the key, the document exposing it, and its
-/// place among that document's keys. Sorted, equal keys run in the
-/// order one-by-one insertion would have met them.
-pub(crate) type Entry = (OrderedValue, DocId, u32);
+/// Bytes of a string that a [`SortKey`]'s prefix holds inline.
+const INLINE: usize = 14;
 
-/// The entries of `docs`, numbered from `first`, for the keys each
-/// exposes at `path`, sorted: one clone per key, cloned in one run.
-/// (One pass per index, not one pass for all: with two indexes' keys
-/// interleaved, freeing one index's before the other's leaves the
-/// other's between them, and `tests/load_heap.rs` counted 148 holes.)
-pub(crate) fn sorted_entries<'a>(
-    first: DocId,
-    docs: impl ExactSizeIterator<Item = &'a Value>,
-    path: &str,
-) -> Vec<Entry> {
-    let mut entries = Vec::with_capacity(docs.len());
-    for (id, doc) in (first..).zip(docs) {
-        let mut at = 0;
-        for_each_key(doc, path, |key| {
-            entries.push((OrderedValue(key.clone()), id, at));
-            at += 1;
-        });
+/// The length byte of a prefix that does not hold its whole key: a
+/// string longer than [`INLINE`] bytes, or any non-string.
+const INEXACT: u8 = INLINE as u8 + 1;
+
+/// A key as a bulk build sorts it: borrowed from its document, behind
+/// an inline summary that orders like [`cmp_values`] — the type rank,
+/// a string's first [`INLINE`] bytes (zero-padded) and its length
+/// (capped at [`INEXACT`]), big-endian in two words. Prefixes that
+/// differ order their keys; equal prefixes of strings that fit are
+/// equal keys, and comparing them reads no document. Any other tie —
+/// two longer strings, or two non-strings of one type — falls back to
+/// `cmp_values` on the values themselves.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct SortKey<'a> {
+    prefix: (u64, u64),
+    /// The key, in the document that exposes it.
+    pub(crate) value: &'a Value,
+}
+
+impl<'a> SortKey<'a> {
+    /// The sort key of `value`, borrowed.
+    pub(crate) fn of(value: &'a Value) -> Self {
+        let mut bytes = [0u8; 16];
+        let (rank, body) = bytes.split_at_mut(1);
+        let (inline, len) = body.split_at_mut(INLINE);
+        rank.fill(type_rank(value));
+        len.fill(INEXACT);
+        if let Value::String(s) = value {
+            inline.iter_mut().zip(s.bytes()).for_each(|(to, b)| *to = b);
+            len.fill(s.len().min(usize::from(INEXACT)) as u8);
+        }
+        let word = u128::from_be_bytes(bytes);
+        SortKey {
+            prefix: ((word >> 64) as u64, word as u64),
+            value,
+        }
     }
-    entries.sort_unstable();
-    entries
+
+    /// Does the prefix hold the whole key?
+    fn exact(&self) -> bool {
+        (self.prefix.1 & 0xff) < u64::from(INEXACT)
+    }
+}
+
+impl Ord for SortKey<'_> {
+    fn cmp(&self, other: &Self) -> Ordering {
+        match self.prefix.cmp(&other.prefix) {
+            Ordering::Equal if !self.exact() => cmp_values(self.value, other.value),
+            decided => decided,
+        }
+    }
+}
+
+impl PartialOrd for SortKey<'_> {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl PartialEq for SortKey<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
+}
+
+impl Eq for SortKey<'_> {}
+
+/// One key of a bulk build: the key, borrowed from the document that
+/// exposes it, that document's id, and the key's place among the
+/// document's keys. Sorted, equal keys run in the order one-by-one
+/// insertion would have met them. Nothing in it is allocated: the
+/// vector it sits in is the build's only transient per key.
+pub(crate) type Entry<'a> = (SortKey<'a>, DocId, u32);
+
+/// Push the entries `doc`, numbered `id`, exposes at `path`, in
+/// path-walk order, borrowed from it.
+pub(crate) fn push_entries<'a>(
+    entries: &mut Vec<Entry<'a>>,
+    id: DocId,
+    doc: &'a Value,
+    path: &str,
+) {
+    let mut at = 0;
+    for_each_key(doc, path, |key| {
+        entries.push((SortKey::of(key), id, at));
+        at += 1;
+    });
 }
 
 /// In sorted entries, the first key that one-by-one insertion in
@@ -76,9 +142,9 @@ pub(crate) fn sorted_entries<'a>(
 /// place)` whose key a lower `DocId` already exposed. The first entry of
 /// each run of equal keys holds that run's lowest id, so one pass finds
 /// it — wherever the two entries sit in the run.
-pub(crate) fn first_collision(sorted: &[Entry]) -> Option<&Entry> {
+pub(crate) fn first_collision<'e, 'a>(sorted: &'e [Entry<'a>]) -> Option<&'e Entry<'a>> {
     let mut head = sorted.first()?;
-    let mut first: Option<&Entry> = None;
+    let mut first: Option<&Entry<'a>> = None;
     for entry in sorted {
         if entry.0 != head.0 {
             head = entry;
@@ -107,10 +173,10 @@ impl Index {
     /// The index over `path` holding `sorted`, entries ordered by `(key,
     /// DocId, place)`: each run of equal keys becomes one key — a clone
     /// of the first, which is the value one-by-one insertion would have
-    /// kept (`1` or `1.0`) — and the set of its ids. The caller frees
-    /// the sort keys afterwards, all together (DESIGN §10). Uniqueness
-    /// is not checked here ([`first_collision`] is).
-    pub(crate) fn built(path: String, unique: bool, sorted: &[Entry]) -> Index {
+    /// kept (`1` or `1.0`) — and the set of its ids: one clone per
+    /// distinct key, none per entry. Uniqueness is not checked here
+    /// ([`first_collision`] is).
+    pub(crate) fn built(path: String, unique: bool, sorted: &[Entry<'_>]) -> Index {
         let runs = || sorted.chunk_by(|a, b| a.0 == b.0);
         // Counted first, so the runs take one allocation and no freed
         // smaller one is left between the id sets the index keeps.
@@ -120,7 +186,7 @@ impl Index {
             if let Some((key, id, _)) = entries.next() {
                 let mut ids = BTreeSet::from([*id]);
                 ids.extend(entries.map(|(_, id, _)| *id));
-                map.push((key.clone(), ids));
+                map.push((OrderedValue(key.value.clone()), ids));
             }
         }
         Index {
@@ -279,7 +345,79 @@ impl Index {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use serde_json::json;
+
+    /// Strings of 0–40 bytes that often tie on the inline prefix: a
+    /// stem that stops short of it, fills it or runs past it, then
+    /// pieces with NUL bytes and multi-byte UTF-8 that can straddle its
+    /// end, cut at a char boundary.
+    fn string() -> impl Strategy<Value = Value> {
+        let stem = prop_oneof![
+            Just(""),
+            Just("abcdefghijklm"),
+            Just("abcdefghijklmn"),
+            Just("abcdefghijklmnop")
+        ];
+        let piece = prop_oneof![
+            Just("\0"),
+            Just("a"),
+            Just("b"),
+            Just("\u{e9}"),
+            Just("\u{20ac}"),
+            Just("\u{1f600}")
+        ];
+        (stem, prop::collection::vec(piece, 0..12)).prop_map(|(stem, pieces)| {
+            let mut s = stem.to_string();
+            for piece in pieces {
+                if s.len() + piece.len() <= 40 {
+                    s.push_str(piece);
+                }
+            }
+            Value::String(s)
+        })
+    }
+
+    /// Every type: strings as above, `1` / `1.0` / `-0.0` and other
+    /// numbers, null, bools, and small arrays and objects of them.
+    fn key() -> impl Strategy<Value = Value> {
+        let scalar = || {
+            prop_oneof![
+                string(),
+                string(),
+                prop_oneof![
+                    Just(json!(1)),
+                    Just(json!(1.0)),
+                    Just(json!(-0.0)),
+                    Just(json!(0)),
+                    Just(json!(2.5))
+                ],
+                Just(Value::Null),
+                any::<bool>().prop_map(Value::from),
+            ]
+        };
+        prop_oneof![
+            scalar(),
+            scalar(),
+            prop::collection::vec(scalar(), 0..3).prop_map(Value::Array),
+            (scalar(), scalar()).prop_map(|(a, b)| json!({"a": a, "b": b})),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(4000))]
+
+        /// The prefix never changes an answer: `SortKey` orders and
+        /// equates exactly as `cmp_values` does.
+        #[test]
+        fn sort_keys_order_like_cmp_values(a in key(), b in key()) {
+            let (ka, kb) = (SortKey::of(&a), SortKey::of(&b));
+            let want = cmp_values(&a, &b);
+            prop_assert_eq!(ka.cmp(&kb), want, "{:?} vs {:?}", a, b);
+            prop_assert_eq!(ka == kb, want == Ordering::Equal, "{:?} vs {:?}", a, b);
+            prop_assert_eq!(kb.cmp(&ka), want.reverse(), "{:?} vs {:?}", b, a);
+        }
+    }
 
     #[test]
     fn eq_lookup() {

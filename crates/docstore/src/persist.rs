@@ -92,14 +92,15 @@
 //! checksum gate) and each decoded op is applied ([`JournalOp::apply`]).
 //! The snapshot is built, not replayed ([`load_snapshot`]): its frames
 //! are verified and decoded in the same order, and each collection's
-//! run of documents goes to one bulk build (sorted `(key, DocId)`
-//! vectors, one apply) when it ends — the build a live `insert_many`
-//! into an empty collection takes too, logged as one `Insert` per
-//! document, so the WAL holds nothing else for it. Verify strictly
-//! before apply, in the snapshot and in sealed and active generations
-//! alike, which `mp-lint order` proves as O005. A snapshot's documents
-//! take no profiler sample: recovery no longer fills the profiler's
-//! ring with one `insert` per document, which nobody issued.
+//! run of documents goes to one bulk build (`(key, DocId)` entries
+//! borrowed from the documents and sorted, one apply) when it ends —
+//! the build a live `insert_many` into an empty collection takes too,
+//! logged as one `Insert` per document, so the WAL holds nothing else
+//! for it. Verify strictly before apply, in the snapshot and in sealed
+//! and active generations alike, which `mp-lint order` proves as O005.
+//! A snapshot's documents take no profiler sample: recovery no longer
+//! fills the profiler's ring with one `insert` per document, which
+//! nobody issued.
 //!
 //! * A bad frame in the **snapshot** — torn, corrupt or unparseable — is
 //!   a hard error naming its offset: the snapshot was fsynced before it

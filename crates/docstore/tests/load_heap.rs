@@ -11,9 +11,10 @@
 //! allocation *order*: every allocation gets a sequence number, and the
 //! ones freed after the load returned must form one run that nothing the
 //! store kept interrupts. And what the load makes and frees on its own
-//! — a bulk build's sort keys — must leave few holes between the chunks
-//! the store keeps, not one per document. Its own test binary, because
-//! it installs a recording `#[global_allocator]`.
+//! — a bulk build's entry vectors, which borrow their keys, and the
+//! scratch of the maps it builds — must leave a handful of holes
+//! between the chunks the store keeps, not one per document. Its own
+//! test binary, because it installs a recording `#[global_allocator]`.
 
 use mp_docstore::Database;
 use serde_json::{json, Value};
@@ -204,19 +205,20 @@ fn a_load_returns_its_ids_as_one_run_and_clones_each_once_for_the_store() {
     );
 
     // What the load itself made and freed: where it lies between two
-    // chunks the store kept, it is a hole for the life of the store. A
-    // transient freed as one run (the bulk build's sort keys) is one
-    // hole; a build that frees some transients before it allocates what
-    // the store keeps lets the two interleave (999 and 446 holes in two
-    // such orders; DESIGN §10).
+    // chunks the store kept, it is a hole for the life of the store. The
+    // build allocates no key it does not keep, so what it frees is a few
+    // buffers — the entry vectors and the scratch of the maps it builds
+    // — each at most one hole; a key cloned per document only to be
+    // sorted would leave one per document (DESIGN §10).
     assert!(
-        holes <= DISTINCT_INDEX_KEYS,
+        holes <= BUILD_HOLES,
         "the load left {holes} holes between chunks the store kept"
     );
 }
 
-/// Distinct values of `chemsys` (3) and `formula` (21) in the corpus.
-const DISTINCT_INDEX_KEYS: usize = 24;
+/// Holes the bulk build leaves: the list of index specs it reads, one
+/// index's run vector and the documents map's collect buffer.
+const BUILD_HOLES: usize = 3;
 
 /// Runs, in address order, of chunks made and freed inside the load
 /// (`freed_inside`, by sequence number) that have a chunk the store

@@ -1,12 +1,13 @@
 //! A snapshot reopens as one bulk build per collection: the run of a
-//! collection's document records becomes sorted `(key, DocId)` vectors,
-//! with `_id`s and unique keys checked on the sorted runs.
+//! collection's document records becomes vectors of `(key, DocId)`
+//! entries borrowed from the documents and sorted on an inline prefix
+//! of each key, with `_id`s and unique keys checked on the sorted runs.
 //! Its oracle is the store the same records make applied one by one.
 //!
 //! * `bulk_built_store_equals_one_inserted_one_by_one` writes random
 //!   snapshots by hand — documents with nested paths, arrays with
-//!   repeated elements, `1` beside `1.0`, missing fields, now and then
-//!   no `_id` or not an object; index specs unique or not, dotted or
+//!   repeated elements, `1` beside `1.0`, strings that tie on the
+//!   prefix, missing fields, now and then no `_id` or not an object; index specs unique or not, dotted or
 //!   multikey — and reopens each. Where a plain `Database` fed
 //!   `insert_one` per document accepts every record, the reopened store
 //!   equals it: documents in store order and by `_id`, `find` through
@@ -169,12 +170,29 @@ fn number() -> impl Strategy<Value = Value> {
     ]
 }
 
+/// Short strings, and strings that tie on a sort key's inline prefix
+/// (its first 14 bytes) and differ after it — or, one exactly 14 bytes
+/// long, only in length — so the build's sorts, its duplicate-`_id`
+/// check and its unique-index stop all take the fallback comparison.
+fn text() -> impl Strategy<Value = Value> {
+    prop_oneof![
+        Just("p"),
+        Just("q"),
+        Just("materials-proj"),
+        Just("materials-proj\0"),
+        Just("materials-project-1"),
+        Just("materials-project-10"),
+        Just("materials-project-2"),
+    ]
+    .prop_map(Value::from)
+}
+
 fn leaf() -> impl Strategy<Value = Value> {
     prop_oneof![
         Just(Value::Null),
         number(),
         number(),
-        prop_oneof![Just("p"), Just("q")].prop_map(Value::from),
+        text(),
         any::<bool>().prop_map(Value::from),
     ]
 }
@@ -201,7 +219,8 @@ fn maybe(v: impl Strategy<Value = Value> + 'static) -> impl Strategy<Value = Opt
 /// object or an array of them (so `n.x` walks through an array), `t` a
 /// multikey array whose elements repeat, `u` a sparse key from a wider
 /// domain (as `7`, `7.0` or `[7, 7]`), and an `_id` that is sometimes
-/// missing and sometimes repeats another document's.
+/// missing and sometimes repeats another document's — some of them
+/// [`text`] strings that tie on the sort key's prefix.
 fn document() -> impl Strategy<Value = Value> {
     let u = (0i64..40, 0u8..3).prop_map(|(n, form)| match form {
         0 => json!(n),
@@ -221,6 +240,7 @@ fn document() -> impl Strategy<Value = Value> {
         (0i64..60).prop_map(|n| Some(json!(n))),
         (0i64..60).prop_map(|n| Some(json!(format!("i{n}")))),
         (0i64..60).prop_map(|n| Some(json!(n))),
+        text().prop_map(Some),
     ];
     (id, (maybe(leaf()), maybe(n), maybe(t), maybe(u)), 0u8..25).prop_map(
         |(id, (a, n, t, u), shape)| {
