@@ -129,10 +129,10 @@ impl MapReduce for HadoopEngine {
         let nw = self.workers.min(docs.len().max(1));
         let chunk = docs.len().div_ceil(nw);
 
-        // Morsel-scatter the map phase: partitions are claimed off the
-        // input slice by whichever pool slot frees up first (no boxed
-        // job per partition), and partials come back in partition order,
-        // so the merge below is deterministic regardless of scheduling.
+        // Morsel-scatter the map phase: one morsel per partition, the
+        // partitions grouped over the caller and the pool's scoped
+        // threads; partials come back in partition order, so the merge
+        // below is deterministic regardless of scheduling.
         let partials: Vec<BTreeMap<OrderedValue, Vec<Value>>> = mp_exec::WorkPool::global()
             .scatter_morsels(docs, chunk.max(1), |part| {
                 let mut groups: BTreeMap<OrderedValue, Vec<Value>> = BTreeMap::new();

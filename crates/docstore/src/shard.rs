@@ -15,23 +15,12 @@ use crate::error::{Result, StoreError};
 use crate::journal::JournalSink;
 use crate::persist::{decode_frame, frame_record, FrameDecode, JournalRef, Record};
 use crate::query::{CompiledFilter, Filter};
-use crate::value::{get_path, Docs, Document};
+use crate::value::{get_path, hash_value, Docs, Document};
 use mp_exec::WorkPool;
 use mp_sync::{LockRank, OrderedMutex};
 use serde_json::{json, Value};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-
-/// Stable hash of a shard-key value.
-fn key_hash(v: &Value) -> u64 {
-    let s = v.to_string();
-    let mut h: u64 = 0xcbf29ce484222325;
-    for b in s.bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
-}
 
 /// A hash-sharded cluster of databases with a router in front.
 pub struct ShardedCluster {
@@ -84,7 +73,7 @@ impl ShardedCluster {
     /// duplicate was already taken — quiesce writers and targeted
     /// readers around a rebalance.
     pub fn rebalance(&self, collection: &str) -> Result<usize> {
-        // One migration job per source shard, scattered over the pool;
+        // One migration job per source shard, scattered over scoped threads;
         // destinations are distinct Database instances, so concurrent
         // inserts from different sources are safe, and the per-document
         // insert-before-delete ordering is preserved inside each job.
@@ -97,7 +86,7 @@ impl ShardedCluster {
                 let Some(key) = get_path(&doc, &self.shard_key) else {
                     continue;
                 };
-                let target = (key_hash(key) % self.shards.len() as u64) as usize;
+                let target = (hash_value(key) % self.shards.len() as u64) as usize;
                 if target == i {
                     continue;
                 }
@@ -148,7 +137,7 @@ impl ShardedCluster {
     }
 
     fn shard_for(&self, key_value: &Value) -> &Database {
-        let idx = (key_hash(key_value) % self.shards.len() as u64) as usize;
+        let idx = (hash_value(key_value) % self.shards.len() as u64) as usize;
         &self.shards[idx]
     }
 
@@ -567,6 +556,45 @@ mod tests {
             .unwrap();
         assert_eq!(r.modified, 30);
         assert_eq!(cluster.count("c", &json!({"v": 1})).unwrap(), 30);
+    }
+
+    /// A targeted read finds what a single `Database` finds, whichever
+    /// numeric form the document and the filter spell the key in:
+    /// `values_equal(1, 1.0)` holds, so both must route to one shard.
+    #[test]
+    fn int_and_float_shard_keys_agree_with_a_single_database() {
+        let ns = |docs: Docs| -> Vec<Value> {
+            let mut ns: Vec<Value> = docs.iter().map(|d| d["n"].clone()).collect();
+            ns.sort_by_key(|n| n.as_i64());
+            ns
+        };
+        for shards in 2..=8 {
+            let cluster = ShardedCluster::new(shards, "k");
+            let single = Database::new();
+            for i in 0..20i64 {
+                let k = if i % 2 == 0 {
+                    json!(i)
+                } else {
+                    json!(i as f64)
+                };
+                let doc = json!({"k": k, "n": i});
+                cluster.insert_one("c", doc.clone()).unwrap();
+                single.collection("c").insert_one(doc).unwrap();
+            }
+            for i in 0..20i64 {
+                for filter in [json!({"k": i}), json!({"k": i as f64})] {
+                    let want = single.collection("c").find(&filter).unwrap();
+                    assert_eq!(want.len(), 1, "{filter}");
+                    let got = cluster.find("c", &filter).unwrap();
+                    assert_eq!(ns(got), ns(want), "{shards} shards, find {filter}");
+                    assert_eq!(
+                        cluster.count("c", &filter).unwrap(),
+                        single.collection("c").count(&filter).unwrap(),
+                        "{shards} shards, count {filter}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

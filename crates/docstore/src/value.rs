@@ -393,6 +393,58 @@ pub fn values_equal(a: &Value, b: &Value) -> bool {
     cmp_values(a, b) == Ordering::Equal && type_rank(a) == type_rank(b)
 }
 
+/// Stable 64-bit hash (FNV-1a) that agrees with [`values_equal`]: two
+/// values it calls equal hash alike, so `1` and `1.0` do. It walks the
+/// value the way [`cmp_values`] compares it — type rank first, a number
+/// by its `as_f64` bits (`-0.0` as `0.0`), a string by its bytes, an
+/// array element by element, an object in sorted-key order — and
+/// renders nothing. Change it together with [`cmp_values`].
+pub(crate) fn hash_value(v: &Value) -> u64 {
+    let mut h = 0xcbf29ce484222325;
+    hash_walk(v, &mut h);
+    h
+}
+
+fn hash_walk(v: &Value, h: &mut u64) {
+    fn eat(h: &mut u64, bytes: &[u8]) {
+        for &b in bytes {
+            *h ^= b as u64;
+            *h = h.wrapping_mul(0x100000001b3);
+        }
+    }
+    eat(h, &[type_rank(v)]);
+    match v {
+        Value::Null => {}
+        Value::Bool(b) => eat(h, &[*b as u8]),
+        Value::Number(n) => {
+            let f = n.as_f64().unwrap_or(f64::NAN);
+            // `-0.0 == 0.0`, but their bits differ.
+            let f = if f == 0.0 { 0.0 } else { f };
+            eat(h, &f.to_bits().to_le_bytes());
+        }
+        Value::String(s) => {
+            eat(h, &(s.len() as u64).to_le_bytes());
+            eat(h, s.as_bytes());
+        }
+        Value::Array(items) => {
+            eat(h, &(items.len() as u64).to_le_bytes());
+            for item in items {
+                hash_walk(item, h);
+            }
+        }
+        Value::Object(map) => {
+            let mut fields: Vec<_> = map.iter().collect();
+            fields.sort_by(|l, r| l.0.cmp(r.0));
+            eat(h, &(fields.len() as u64).to_le_bytes());
+            for (k, item) in fields {
+                eat(h, &(k.len() as u64).to_le_bytes());
+                eat(h, k.as_bytes());
+                hash_walk(item, h);
+            }
+        }
+    }
+}
+
 /// Wrapper giving [`Value`] a total order + `Eq`/`Ord` so it can key a
 /// `BTreeMap` (used by secondary indexes and `distinct`).
 #[derive(Debug, Clone)]
@@ -525,6 +577,36 @@ mod tests {
     fn numeric_cross_type_equality() {
         assert!(values_equal(&json!(1), &json!(1.0)));
         assert!(!values_equal(&json!(1), &json!(2)));
+    }
+
+    /// Values `values_equal` calls equal hash alike, whatever number form
+    /// or field order spells them.
+    #[test]
+    fn hash_agrees_with_values_equal() {
+        let vs = [
+            json!(1),
+            json!(1.0),
+            json!(0),
+            json!(-0.0),
+            json!(9007199254740993u64),
+            json!(9007199254740992.0),
+            json!("1"),
+            json!(null),
+            json!(true),
+            json!([1, 2.0]),
+            json!([1.0, 2]),
+            json!({"a": 1, "b": [0.0]}),
+            json!({"b": [-0.0], "a": 1.0}),
+            json!({"a": 1}),
+        ];
+        for a in &vs {
+            for b in &vs {
+                if values_equal(a, b) {
+                    assert_eq!(hash_value(a), hash_value(b), "{a} vs {b}");
+                }
+            }
+        }
+        assert_ne!(hash_value(&json!(1)), hash_value(&json!("1")));
     }
 
     #[test]

@@ -1,191 +1,95 @@
-//! Fixed-size work pool with one scoped fan-out, the morsel scatter.
+//! The morsel scatter: one scoped fan-out over a borrowed slice.
 //!
-//! The pool owns `size - 1` persistent worker threads, each fed by its
-//! own single-consumer channel (no shared run-queue lock on the dispatch
-//! path). The caller of [`WorkPool::scatter_morsels`] acts as worker
-//! zero: it claims morsels off the same cursor the workers' runners do,
-//! so a pool of size 1 has no workers, spawns no threads, and degrades
-//! to a plain in-order sequential map.
-//!
-//! The scatter is *scoped*: the closure and inputs may borrow from the
-//! caller's stack even though the runners are sent to `'static` worker
-//! threads. Soundness rests on one invariant, enforced by construction
-//! below: **the scatter does not return (or unwind) until it has
-//! collected a completion message for every runner it dispatched**, so
-//! no borrow escapes the call. A panic inside a morsel is caught by its
-//! claimer, shipped back as a completion, and re-raised on the caller
-//! after every runner has finished.
+//! A [`WorkPool`] is a width, not a set of threads. Each
+//! [`WorkPool::scatter_morsels`] cuts its morsels into at most `size`
+//! contiguous groups, runs the first on the caller and each further one
+//! on a thread of its own inside [`std::thread::scope`], and joins them
+//! all before it returns. The scope is what lets the closure and the
+//! input borrow from the caller's stack; nothing outlives the call, so
+//! there are no resident workers or channels, and no raw-memory code
+//! whose soundness needs arguing. A pool of size 1 — or a scatter of
+//! one group — never spawns.
 
-use mp_sync::{LockRank, OrderedMutex};
-use std::cell::{Cell, UnsafeCell};
-use std::mem::MaybeUninit;
 use std::panic::{self, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{mpsc, OnceLock};
-
-/// Type-erased unit of work shipped to a worker thread.
-type Job = Box<dyn FnOnce() + Send + 'static>;
-
-/// A panic payload carried from a worker back to the scattering caller.
-type PanicPayload = Box<dyn std::any::Any + Send + 'static>;
-
-thread_local! {
-    /// Set for the lifetime of a pool worker thread: a nested scatter
-    /// issued from inside a morsel runs inline instead of re-entering the
-    /// pool, which would risk starving the pool of workers (deadlock
-    /// when every worker blocks waiting for a slot).
-    static IN_WORKER: Cell<bool> = const { Cell::new(false) };
-}
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::OnceLock;
+use std::thread;
 
 /// Counters describing pool usage, for benches and EXPERIMENTS.md.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PoolStats {
-    /// Scatter calls that ran inline (size 1, at most one morsel, or nested).
-    pub inline_runs: u64,
-    /// Always 0: nothing increments it since the per-item `scatter` folded
-    /// into [`WorkPool::scatter_morsels`] (every `serve` workload already
-    /// read 0). The frozen harness prints it as `exec.jobs_dispatched`;
-    /// ROADMAP item 9-I retires row and field together.
+    /// Scoped threads spawned across all morsel scatters (the caller's
+    /// own group is not one). The frozen harness prints it as
+    /// `exec.jobs_dispatched`.
     pub jobs_dispatched: u64,
-    /// Morsel scatters that fanned out to worker threads.
+    /// Morsel scatters that fanned out to more than one group.
     pub morsel_scatters: u64,
-    /// Runner jobs shipped across all morsel scatters: at most one per
-    /// worker per scatter, whatever the morsel count.
-    pub morsel_runners: u64,
-    /// Morsels claimed off the shared cursor across all morsel scatters
-    /// (by runners and scattering callers alike).
+    /// Morsels mapped across all fanned-out scatters, by spawned threads
+    /// and scattering callers alike.
     pub morsels_claimed: u64,
 }
 
-/// A fixed-size pool of persistent worker threads.
+/// The fan-out width of [`WorkPool::scatter_morsels`], plus its usage
+/// counters.
 ///
-/// Cheap to share by reference; the process-wide instance is
-/// [`WorkPool::global`]. Dropping a non-global pool closes the feed
-/// channels and the workers exit after draining them.
+/// Holds no threads: a scatter spawns scoped threads and joins them
+/// before it returns. The process-wide instance is [`WorkPool::global`].
+#[derive(Debug)]
 pub struct WorkPool {
-    senders: Vec<mpsc::Sender<Job>>,
-    cursor: AtomicUsize,
-    stats: OrderedMutex<PoolStats>,
-}
-
-/// One write-once output slot of a morsel scatter.
-///
-/// The claiming thread — unique per slot index, because indices are
-/// handed out by a `fetch_add` on the shared cursor — is the only
-/// writer; the scattering caller reads the slot only after collecting a
-/// completion from every runner, so no two accesses ever overlap.
-struct MorselSlot<R>(UnsafeCell<MaybeUninit<R>>);
-
-// SAFETY: see the type docs — slot `k` is written by exactly one claimer
-// and read only after the scatter's completion barrier.
-unsafe impl<R: Send> Sync for MorselSlot<R> {}
-
-/// Shared state of one in-flight morsel scatter: the input slice, the
-/// claim cursor, and the pre-allocated output slots. Allocated once per
-/// scatter (O(morsels) slots in two `Vec`s), then raced over by the
-/// caller and up to `workers` runner jobs.
-struct MorselRun<'a, T, R, F> {
-    items: &'a [T],
-    morsel: usize,
-    num: usize,
-    cursor: AtomicUsize,
-    abort: AtomicBool,
-    done: Vec<AtomicBool>,
-    slots: Vec<MorselSlot<R>>,
-    f: &'a F,
-}
-
-impl<T: Sync, R: Send, F: Fn(&[T]) -> R + Sync> MorselRun<'_, T, R, F> {
-    /// Claim morsels off the shared cursor until the input is exhausted
-    /// (or another claimer panicked). A panic in `f` is caught here,
-    /// flips the abort flag so the other claimers stop early, and is
-    /// returned to be re-raised on the scattering caller.
-    fn claim(&self) -> Result<(), PanicPayload> {
-        loop {
-            if self.abort.load(Ordering::Relaxed) {
-                return Ok(());
-            }
-            let k = self.cursor.fetch_add(1, Ordering::Relaxed);
-            if k >= self.num {
-                return Ok(());
-            }
-            let lo = k * self.morsel;
-            let hi = (lo + self.morsel).min(self.items.len());
-            // mp-flow: allow(R002) — `k < num = ceil(len/morsel)` was checked above, so `lo <= (num-1)*morsel < len` and `hi` is clamped to `len`
-            match panic::catch_unwind(AssertUnwindSafe(|| (self.f)(&self.items[lo..hi]))) {
-                Ok(v) => {
-                    // SAFETY: index `k` was claimed exclusively by the
-                    // `fetch_add` above; nobody else writes this slot.
-                    // mp-flow: allow(R002) — `k < self.num == slots.len()` by the claim guard above
-                    unsafe { (*self.slots[k].0.get()).write(v) };
-                    // mp-flow: allow(R002) — `k < self.num == done.len()` by the claim guard above
-                    self.done[k].store(true, Ordering::Release);
-                }
-                Err(p) => {
-                    self.abort.store(true, Ordering::Relaxed);
-                    return Err(p);
-                }
-            }
-        }
-    }
+    size: usize,
+    jobs_dispatched: AtomicU64,
+    morsel_scatters: AtomicU64,
+    morsels_claimed: AtomicU64,
 }
 
 impl WorkPool {
-    /// Pool with `size` execution slots: the caller plus `size - 1`
-    /// worker threads. `size` is clamped to at least 1.
+    /// Pool of width `size`: a scatter runs on the caller plus at most
+    /// `size - 1` scoped threads. `size` is clamped to at least 1; it may
+    /// exceed the host's core count.
     pub fn new(size: usize) -> Self {
-        let workers = size.max(1) - 1;
-        let mut senders = Vec::with_capacity(workers);
-        for i in 0..workers {
-            let (tx, rx) = mpsc::channel::<Job>();
-            std::thread::Builder::new()
-                .name(format!("mp-exec-{i}"))
-                .spawn(move || worker_loop(rx))
-                // mp-flow: allow(R001) — spawn failure at one-time pool construction is an unrecoverable resource exhaustion, not a request-path condition
-                .expect("spawn mp-exec worker");
-            senders.push(tx);
-        }
         WorkPool {
-            senders,
-            cursor: AtomicUsize::new(0),
-            stats: OrderedMutex::new(LockRank::ExecPool, PoolStats::default()),
+            size: size.max(1),
+            jobs_dispatched: AtomicU64::new(0),
+            morsel_scatters: AtomicU64::new(0),
+            morsels_claimed: AtomicU64::new(0),
         }
     }
 
-    /// The process-wide pool, sized by `MP_EXEC_WORKERS` when set (>= 1)
-    /// and the machine's available parallelism otherwise. On a
-    /// single-core host this is size 1: no threads are ever spawned and
-    /// every scatter runs inline.
+    /// The process-wide pool, as wide as the machine's available
+    /// parallelism (1 if that is unknown).
     pub fn global() -> &'static WorkPool {
         static GLOBAL: OnceLock<WorkPool> = OnceLock::new();
-        GLOBAL.get_or_init(|| WorkPool::new(default_size()))
+        GLOBAL.get_or_init(|| WorkPool::new(thread::available_parallelism().map_or(1, |n| n.get())))
     }
 
-    /// Execution slots (workers plus the participating caller).
+    /// The fan-out width: the caller plus at most `size - 1` threads.
     pub fn size(&self) -> usize {
-        self.senders.len() + 1
+        self.size
     }
 
     /// Snapshot of the usage counters.
     pub fn stats(&self) -> PoolStats {
-        *self.stats.lock()
+        PoolStats {
+            jobs_dispatched: self.jobs_dispatched.load(Ordering::Relaxed),
+            morsel_scatters: self.morsel_scatters.load(Ordering::Relaxed),
+            morsels_claimed: self.morsels_claimed.load(Ordering::Relaxed),
+        }
     }
 
-    /// Morsel-driven map over a slice, the pool's one fan-out: `items` is
-    /// cut into contiguous morsels of `morsel` items (the last may be
-    /// short; `morsel == 1` maps item by item, which is how heterogeneous
-    /// per-shard work is fanned out), and the caller plus up to
-    /// `workers` *runner* jobs claim morsel indices off a shared atomic
-    /// cursor, writing each result into its pre-allocated output slot.
-    /// Output order equals input order by construction — slot `k` holds
-    /// `f(&items[k*morsel ..])` — with no per-morsel boxing, channel send,
-    /// or gather sort: the whole scatter allocates two `Vec`s of
-    /// `num_morsels` slots and dispatches at most one boxed runner per
-    /// worker thread.
+    /// Morsel-driven map over a slice: `items` is cut into contiguous
+    /// morsels of `morsel` items (the last may be short; `morsel == 1`
+    /// maps item by item, which is how per-shard work is fanned out), and
+    /// the result holds `f(morsel)` for each, in input order.
     ///
-    /// Scoped as the module docs argue. A panic in `f` aborts the
-    /// remaining claims, is carried back, and re-raised here after the
-    /// barrier; initialized slots are dropped first.
+    /// The morsels are grouped into runs of `ceil(morsels / size)`, at
+    /// most `size` groups — the fewest groups that keep the longest one
+    /// as short as an even split would. The caller maps the first group
+    /// and one scoped thread maps each further group, each in morsel
+    /// order; a single group runs inline.
+    ///
+    /// A panic in `f` is re-raised here with its original payload once
+    /// every group has finished: the first panicking group's, in input
+    /// order. Results already built by the other groups are dropped.
     pub fn scatter_morsels<T, R, F>(&self, items: &[T], morsel: usize, f: F) -> Vec<R>
     where
         T: Sync,
@@ -194,135 +98,42 @@ impl WorkPool {
     {
         let morsel = morsel.max(1);
         let num = items.len().div_ceil(morsel);
-        let workers = self.senders.len();
-        if workers == 0 || num <= 1 || IN_WORKER.with(|w| w.get()) {
-            self.stats.lock().inline_runs += 1;
+        let per_group = num.div_ceil(self.size) * morsel;
+        if per_group >= items.len() {
             return items.chunks(morsel).map(f).collect();
         }
+        let (first, rest) = items.split_at(per_group);
+        self.morsel_scatters.fetch_add(1, Ordering::Relaxed);
+        self.morsels_claimed
+            .fetch_add(num as u64, Ordering::Relaxed);
+        self.jobs_dispatched
+            .fetch_add(rest.len().div_ceil(per_group) as u64, Ordering::Relaxed);
 
-        let run = MorselRun {
-            items,
-            morsel,
-            num,
-            cursor: AtomicUsize::new(0),
-            abort: AtomicBool::new(false),
-            done: (0..num).map(|_| AtomicBool::new(false)).collect(),
-            slots: (0..num)
-                .map(|_| MorselSlot(UnsafeCell::new(MaybeUninit::uninit())))
-                .collect(),
-            f: &f,
-        };
-        let rref = &run;
-        let (done_tx, done_rx) = mpsc::channel::<Result<(), PanicPayload>>();
-        // More runners than morsels would only pay dispatch to claim
-        // nothing; the caller itself covers one share.
-        let runners = workers.min(num - 1);
-        let start = self.cursor.fetch_add(1, Ordering::Relaxed);
-        let mut dispatched = 0usize;
-        for w in 0..runners {
-            // mp-lint: allow(H001) — one Sender clone per runner, bounded by the worker count per scatter, never per document
-            let tx = done_tx.clone();
-            let job: Box<dyn FnOnce() + Send + '_> = Box::new(move || {
-                let r = rref.claim();
-                let _ = tx.send(r);
-            });
-            // SAFETY: the runner borrows `run` (and through it `items`
-            // and `f`) from this stack frame. Every runner sends exactly
-            // one completion as its last action (panic or not — `claim`
-            // catches), and the recv loop below blocks until
-            // `dispatched` completions have arrived before this frame
-            // can return or unwind, so every borrow in the erased
-            // closure outlives its use.
-            let job: Job =
-                unsafe { std::mem::transmute::<Box<dyn FnOnce() + Send + '_>, Job>(job) };
-            // mp-flow: allow(R002) — index is reduced modulo `workers == self.senders.len()`, nonzero on this branch
-            match self.senders[(start + w) % workers].send(job) {
-                Ok(()) => dispatched += 1,
-                Err(mpsc::SendError(job)) => {
-                    // Worker gone (only possible mid-teardown): run the
-                    // runner here; it still sends its completion.
-                    job();
-                    dispatched += 1;
-                }
+        let map = |group: &[T]| group.chunks(morsel).map(&f).collect::<Vec<R>>();
+        let outcomes: Vec<thread::Result<Vec<R>>> = thread::scope(|s| {
+            let handles: Vec<_> = rest
+                .chunks(per_group)
+                .map(|group| s.spawn(|| map(group)))
+                .collect();
+            let mine = panic::catch_unwind(AssertUnwindSafe(|| map(first)));
+            std::iter::once(mine)
+                .chain(handles.into_iter().map(|h| h.join()))
+                .collect()
+        });
+        let mut out = Vec::with_capacity(num);
+        for outcome in outcomes {
+            match outcome {
+                Ok(results) => out.extend(results),
+                Err(payload) => panic::resume_unwind(payload),
             }
         }
-        drop(done_tx);
-
-        let mut first_panic = rref.claim().err();
-        for _ in 0..dispatched {
-            // mp-flow: allow(R001) — every runner sends exactly one completion (panic or not, see safety comment above), so recv cannot see a hung-up channel early
-            if let Err(p) = done_rx.recv().expect("mp-exec runner completion") {
-                if first_panic.is_none() {
-                    first_panic = Some(p);
-                }
-            }
-        }
-        {
-            let mut st = self.stats.lock();
-            st.morsel_scatters += 1;
-            st.morsel_runners += dispatched as u64;
-            st.morsels_claimed += run.cursor.load(Ordering::Relaxed).min(num) as u64;
-        }
-
-        if let Some(p) = first_panic {
-            for (k, flag) in run.done.iter().enumerate() {
-                if flag.load(Ordering::Acquire) {
-                    // SAFETY: slot `k` was fully written before its done
-                    // flag was released, and no thread touches it again.
-                    // mp-flow: allow(R002) — `k` enumerates `done`, and `slots.len() == done.len()` by construction
-                    unsafe { (*run.slots[k].0.get()).assume_init_drop() };
-                }
-            }
-            panic::resume_unwind(p);
-        }
-        run.slots
-            .into_iter()
-            .map(|s| {
-                // SAFETY: no claimer panicked, so every morsel index was
-                // claimed and its slot written before the completion
-                // barrier above; the channel recv orders those writes
-                // before this read.
-                unsafe { s.0.into_inner().assume_init() }
-            })
-            .collect()
-    }
-}
-
-impl std::fmt::Debug for WorkPool {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("WorkPool")
-            .field("size", &self.size())
-            .finish_non_exhaustive()
-    }
-}
-
-/// Pool size for [`WorkPool::global`].
-fn default_size() -> usize {
-    std::env::var("MP_EXEC_WORKERS")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .filter(|&n| n >= 1)
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        })
-}
-
-fn worker_loop(rx: mpsc::Receiver<Job>) {
-    IN_WORKER.with(|w| w.set(true));
-    while let Ok(job) = rx.recv() {
-        // Panics are caught inside the job itself (and shipped back to
-        // the scattering caller), so the loop — and the thread — outlive
-        // any failing job.
-        job();
+        out
     }
 }
 
 #[cfg(all(test, not(loom)))]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicU64;
 
     #[test]
     fn morsels_borrow_from_the_callers_stack() {
@@ -353,22 +164,22 @@ mod tests {
     }
 
     #[test]
-    fn morsel_dispatch_is_o_workers_not_o_morsels() {
-        let pool = WorkPool::new(4);
+    fn scatter_runs_on_at_most_size_threads() {
         let items: Vec<u32> = (0..4096).collect();
-        // 64 morsels, but only `workers` (3) boxed runner jobs may ship:
-        // the steady-state morsel path allocates no per-morsel job and
-        // sends nothing per morsel.
-        let out = pool.scatter_morsels(&items, 64, |m| m.len());
-        assert_eq!(out.len(), 64);
-        let st = pool.stats();
-        assert_eq!(st.morsel_scatters, 1);
-        assert_eq!(st.morsels_claimed, 64);
-        assert!(
-            st.morsel_runners <= 3,
-            "runner jobs must be bounded by workers, got {}",
-            st.morsel_runners
-        );
+        for size in [4, 1] {
+            let pool = WorkPool::new(size);
+            // 64 morsels, but no more threads than the pool is wide.
+            let ids = pool.scatter_morsels(&items, 64, |m| {
+                assert_eq!(m.len(), 64);
+                std::thread::current().id()
+            });
+            assert_eq!(ids.len(), 64);
+            let seen = ids.iter().collect::<std::collections::HashSet<_>>().len();
+            assert!(seen <= size, "size {size}: {seen} threads");
+            let st = pool.stats();
+            assert_eq!(st.jobs_dispatched, size as u64 - 1);
+            assert_eq!(st.morsels_claimed, if size > 1 { 64 } else { 0 });
+        }
     }
 
     #[test]
@@ -388,7 +199,7 @@ mod tests {
             .or_else(|| err.downcast_ref::<String>().cloned())
             .unwrap_or_default();
         assert!(msg.contains("boom at morsel"), "{msg}");
-        // The runners caught the panic locally and keep serving.
+        // The pool holds no state a panic could poison.
         let out = pool.scatter_morsels(&items, 4, |m| m.len());
         assert_eq!(out.iter().sum::<usize>(), 64);
     }
@@ -416,9 +227,7 @@ mod tests {
         let items: Vec<u32> = (0..100).collect();
         let out = pool.scatter_morsels(&items, 7, |m| m.to_vec());
         assert_eq!(out.concat(), items);
-        let st = pool.stats();
-        assert_eq!(st.morsel_scatters, 0);
-        assert_eq!(st.inline_runs, 1);
+        assert_eq!(pool.stats(), PoolStats::default());
     }
 
     #[test]

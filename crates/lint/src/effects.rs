@@ -86,10 +86,10 @@ const IO_PATTERNS: &[&str] = &[
     concat!("read_to_", "string("),
 ];
 
-/// Work-pool scatter marker: the one call that fans work out to every
-/// pool thread, `scatter_morsels` (which also runs on the calling
-/// thread, so a held guard both parks the pool and re-enters with work
-/// of its own).
+/// Work-pool scatter marker: the one call that fans work out to scoped
+/// threads, `scatter_morsels` (which also runs on the calling thread and
+/// joins the others, so a held guard blocks every thread that needs it
+/// while the caller waits for them).
 const SCATTER_PATTERNS: &[&str] = &[concat!(".scatter_", "morsels(")];
 
 /// In-place mutation of `Arc`-shared data (E004): the read path hands
@@ -771,8 +771,8 @@ mod tests {
         assert!(diags[0].path.ends_with(":5"), "{}", diags[0].path);
     }
 
-    /// Dispatching `scatter_morsels` while a guard is bound parks the
-    /// pool behind it.
+    /// Dispatching `scatter_morsels` while a guard is bound blocks the
+    /// scoped threads behind it.
     #[test]
     fn e003_morsel_scatter_under_bound_guard() {
         let src = concat!(

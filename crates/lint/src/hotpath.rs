@@ -195,8 +195,8 @@ impl HotConfig {
     /// The Materials Project workspace defaults: the match scan (counting
     /// is that scan under a sink with no per-document code of its own), the
     /// scan segment's column build, pruning pass and survivor iterator, the
-    /// executor's morsel dispatch/claim loops, the aggregation stage
-    /// runner, and the MapReduce engines own the loops; the compiled
+    /// morsel scatter, the aggregation stage runner, and the MapReduce
+    /// engines own the loops; the compiled
     /// projection, the scan's two projecting sinks and the compiled sort
     /// comparator run per document; the uncompiled `Filter::matches` and
     /// the naive `FindOptions` reference implementations are cold spec
@@ -214,7 +214,6 @@ impl HotConfig {
                 "BuiltinEngine::run",
                 "HadoopEngine::run",
                 "WorkPool::scatter_morsels",
-                "MorselRun::claim",
             ]),
             per_doc_roots: FnRef::list(&[
                 "CompiledFilter::matches",
@@ -464,8 +463,8 @@ mod tests {
         assert!(diags[0].path.ends_with(":5"), "{}", diags[0].path);
     }
 
-    /// The workspace defaults classify the morsel executor's dispatch
-    /// and claim loops as hot roots: a per-morsel deep copy inside
+    /// The workspace defaults classify the morsel scatter as a hot
+    /// root: a per-morsel deep copy inside
     /// `WorkPool::scatter_morsels` is a finding out of the box.
     #[test]
     fn morsel_executor_is_a_default_hot_root() {

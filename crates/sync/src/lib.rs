@@ -17,7 +17,7 @@
 //! outermost (acquired first)                         innermost (acquired last)
 //! LaunchPad → RateLimit → AuthAccounts → AuthKeyCounter → WebLog
 //!   → QueryCache → ReplApplied → ReplRouter → ShardStats
-//!   → Journal → JournalSync → Database → Collection → Index → ExecPool → Clock
+//!   → Journal → JournalSync → Database → Collection → Index → Clock
 //!   → Profiler
 //! ```
 //!
@@ -80,9 +80,6 @@ pub enum LockRank {
     Collection = 500,
     /// Reserved for split-out secondary indexes.
     Index = 600,
-    /// mp-exec work-pool bookkeeping (taken under `Collection` by
-    /// chunked parallel scans).
-    ExecPool = 650,
     /// Simulated clock.
     Clock = 700,
     /// Operation profiler (innermost: recorded from RAII timers).
@@ -112,7 +109,6 @@ impl LockRank {
             LockRank::Database => "Database",
             LockRank::Collection => "Collection",
             LockRank::Index => "Index",
-            LockRank::ExecPool => "ExecPool",
             LockRank::Clock => "Clock",
             LockRank::Profiler => "Profiler",
         }
