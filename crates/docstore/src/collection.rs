@@ -5,7 +5,9 @@
 use crate::column::{Candidates, Segment};
 use crate::cursor::{CompiledFindOptions, CompiledProjection, FindOptions};
 use crate::error::{Result, StoreError};
-use crate::index::{first_collision, push_entries, unique_violation, DocId, Entry, Index, SortKey};
+use crate::index::{
+    first_collision, push_entries, unique_violation, DocId, Entry, Index, Probe, SortKey,
+};
 use crate::journal::{Shared, Store};
 use crate::persist::{JournalOp, JournalRef};
 use crate::profiler::OpKind;
@@ -16,6 +18,7 @@ use mp_sync::{LockRank, OrderedRwLock};
 use serde_json::{json, Value};
 use std::cell::Cell;
 use std::collections::BTreeMap;
+use std::slice;
 use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
 use std::sync::{Arc, OnceLock};
 
@@ -32,8 +35,10 @@ pub struct UpdateResult {
     pub upserted_id: Option<Value>,
 }
 
-/// Access-path kind a query plan uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// Access-path kind a query plan uses, declared in tie-break order:
+/// when two plans estimate the same cost, equality probes beat `$in`
+/// beat ranges beat a full scan.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum PlanKind {
     /// Point lookup on the `_id` primary map.
     IdLookup,
@@ -69,31 +74,51 @@ impl PlanKind {
             PlanKind::Collscan => "plan.collscan",
         }
     }
-
-    /// Tie-break when two plans estimate the same cost: equality probes
-    /// beat `$in` beat ranges beat a full scan.
-    fn preference(self) -> u8 {
-        match self {
-            PlanKind::IdLookup => 0,
-            PlanKind::IndexEq => 1,
-            PlanKind::IndexIn => 2,
-            PlanKind::IndexRange => 3,
-            PlanKind::Collscan => 4,
-        }
-    }
 }
 
-/// A costed access path. `explain()` reports the chosen plan plus every
-/// alternative considered; `Collection::find`/`count` execute exactly
-/// the plan this planner chooses, so the two always agree.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct QueryPlan {
-    /// Access-path kind.
-    pub kind: PlanKind,
-    /// Index path driving the plan (`None` for a full scan).
-    pub index: Option<String>,
+/// A costed access path, carrying what it reads. `explain()` reports
+/// the chosen plan plus every alternative considered; reads and writes
+/// execute exactly the plan this planner chooses, so the two always
+/// agree.
+#[derive(Clone, Copy)]
+struct Plan<'a> {
+    kind: PlanKind,
+    access: Access<'a>,
     /// Estimated documents the plan must examine.
-    pub cost: usize,
+    cost: usize,
+}
+
+/// What a plan reads.
+#[derive(Clone, Copy)]
+enum Access<'a> {
+    /// The document an `_id` equality found, if any.
+    Id(Option<DocId>),
+    /// A probe of one secondary index.
+    Index(&'a Index, Probe<'a>),
+    /// Every document.
+    Scan,
+}
+
+impl Plan<'_> {
+    /// The path `explain()` names: `_id` for a point lookup, none for
+    /// a scan.
+    fn index(&self) -> Option<&str> {
+        match self.access {
+            Access::Id(_) => Some("_id"),
+            Access::Index(ix, _) => Some(&ix.path),
+            Access::Scan => None,
+        }
+    }
+
+    /// The ids the plan reads, in store order; `None` for a scan, which
+    /// reads them all.
+    fn ids(&self) -> Option<Vec<DocId>> {
+        match self.access {
+            Access::Id(found) => Some(found.into_iter().collect()),
+            Access::Index(ix, probe) => Some(ix.lookup(&probe)),
+            Access::Scan => None,
+        }
+    }
 }
 
 pub(crate) struct Inner {
@@ -596,7 +621,7 @@ impl Collection {
             Some(()),
             // `None` updates in place; `Some` inserts the seed.
             |inner, ()| {
-                if Self::first_match(inner, &cf, None).is_some() {
+                if Self::matching(inner, &cf).next().is_some() {
                     return Ok(Some(None));
                 }
                 let mut seed = filter_equality_seed(&f);
@@ -825,13 +850,15 @@ impl Collection {
     /// same planner).
     pub fn explain(&self, filter: &Value) -> Result<Value> {
         let cf = Filter::parse(filter)?.compile();
-        let (plan, considered, docs_total, candidates) = self.plan_read(&cf, false);
+        let inner = self.inner.read();
+        let (plan, considered) = Self::plan_query(&inner, &cf);
+        let candidates = Self::plan_read(&inner, &plan, false);
         let considered: Vec<Value> = considered
             .iter()
             .map(|p| {
                 json!({
                     "plan": p.kind.name(),
-                    "index": p.index,
+                    "index": p.index(),
                     "cost": p.cost,
                 })
             })
@@ -839,9 +866,9 @@ impl Collection {
         Ok(serde_json::json!({
             "collection": self.name,
             "plan": plan.kind.name(),
-            "index": plan.index,
+            "index": plan.index(),
             "docs_examined": candidates.examined(),
-            "docs_total": docs_total,
+            "docs_total": inner.docs.len(),
             "column_pruned": candidates.pruned_by(&cf),
             "filter_paths": cf.touched_paths(),
             "considered": considered,
@@ -853,140 +880,105 @@ impl Collection {
     /// Cost-based plan selection: cost every applicable access path
     /// (index estimates are set-size counts, no candidate
     /// materialization) and keep the cheapest; ties prefer equality over
-    /// `$in` over range over scan, then earlier-created indexes. Returns
-    /// the winner plus everything considered, for `explain()`.
-    fn plan_query(inner: &Inner, f: &CompiledFilter) -> (QueryPlan, Vec<QueryPlan>) {
-        if let Some(id_val) = f.equality_on("_id") {
-            let plan = QueryPlan {
+    /// `$in` over range over scan, then earlier-created indexes. No index
+    /// probe is offered for an array operand, which a scan answers
+    /// (DESIGN §10). Returns the winner plus everything considered, for
+    /// `explain()`.
+    fn plan_query<'a>(inner: &'a Inner, f: &'a CompiledFilter) -> (Plan<'a>, Vec<Plan<'a>>) {
+        if let Some(id) = f.equality_on("_id") {
+            let found = inner.by_id.get(&OrderedValue(id.clone())).copied();
+            let plan = Plan {
                 kind: PlanKind::IdLookup,
-                index: Some("_id".to_string()),
-                cost: usize::from(inner.by_id.contains_key(&OrderedValue(id_val.clone()))),
+                access: Access::Id(found),
+                cost: usize::from(found.is_some()),
             };
-            return (plan.clone(), vec![plan]);
+            return (plan, vec![plan]);
         }
-        let mut considered: Vec<QueryPlan> = Vec::new();
+        let mut considered = Vec::new();
         for ix in &inner.indexes {
-            if let Some(v) = f.equality_on(&ix.path) {
-                considered.push(QueryPlan {
-                    kind: PlanKind::IndexEq,
-                    index: Some(ix.path.clone()),
-                    cost: ix.estimate_eq(v),
-                });
-            }
-            if let Some(vs) = f.in_on(&ix.path) {
-                considered.push(QueryPlan {
-                    kind: PlanKind::IndexIn,
-                    index: Some(ix.path.clone()),
-                    cost: ix.estimate_in(vs),
-                });
-            }
-            if let Some((lo, loi, hi, hii)) = f.range_on(&ix.path) {
-                considered.push(QueryPlan {
-                    kind: PlanKind::IndexRange,
-                    index: Some(ix.path.clone()),
-                    cost: ix.estimate_range(lo, loi, hi, hii),
-                });
+            let path = ix.path.as_str();
+            let probes = [
+                (
+                    PlanKind::IndexEq,
+                    f.equality_on(path).map(slice::from_ref).map(Probe::Keys),
+                ),
+                (PlanKind::IndexIn, f.in_on(path).map(Probe::Keys)),
+                (
+                    PlanKind::IndexRange,
+                    f.range_on(path).map(|(lo, hi)| Probe::Range(lo, hi)),
+                ),
+            ];
+            for (kind, probe) in probes {
+                if let Some(probe) = probe.filter(Probe::indexable) {
+                    let (access, cost) = (Access::Index(ix, probe), ix.estimate(&probe));
+                    considered.push(Plan { kind, access, cost });
+                }
             }
         }
-        considered.push(QueryPlan {
+        let scan = Plan {
             kind: PlanKind::Collscan,
-            index: None,
+            access: Access::Scan,
             cost: inner.docs.len(),
-        });
+        };
+        considered.push(scan);
         let best = considered
             .iter()
-            .min_by_key(|p| (p.cost, p.kind.preference()))
-            .cloned()
-            // mp-flow: allow(R001) — `considered` is non-empty: COLLSCAN is pushed unconditionally just above
-            .expect("COLLSCAN is always a considered plan");
+            .min_by_key(|p| (p.cost, p.kind))
+            .map_or(scan, |p| *p);
         (best, considered)
     }
 
-    /// Materialize the candidate ids for an already-chosen plan.
-    fn plan_candidates(inner: &Inner, f: &CompiledFilter, plan: &QueryPlan) -> Vec<DocId> {
-        if plan.kind == PlanKind::IdLookup {
-            let Some(id_val) = f.equality_on("_id") else {
-                return Vec::new();
-            };
-            return inner
-                .by_id
-                .get(&OrderedValue(id_val.clone()))
-                .map(|id| vec![*id])
-                .unwrap_or_default();
-        }
-        if plan.kind == PlanKind::Collscan {
-            return inner.docs.keys().copied().collect();
-        }
-        let Some(ix) = plan
-            .index
-            .as_deref()
-            .and_then(|p| inner.indexes.iter().find(|ix| ix.path == p))
-        else {
-            return Vec::new();
-        };
-        match plan.kind {
-            PlanKind::IndexEq => f
-                .equality_on(&ix.path)
-                .map(|v| ix.lookup_eq(v))
-                .unwrap_or_default(),
-            PlanKind::IndexIn => f
-                .in_on(&ix.path)
-                .map(|vs| ix.lookup_in(vs))
-                .unwrap_or_default(),
-            PlanKind::IndexRange => f
-                .range_on(&ix.path)
-                .map(|(lo, loi, hi, hii)| ix.lookup_range(lo, loi, hi, hii))
-                .unwrap_or_default(),
-            // mp-flow: allow(R001) — both variants return early before the index match
-            PlanKind::IdLookup | PlanKind::Collscan => unreachable!("handled above"),
-        }
-    }
-
-    /// Ids worth checking for `cf`, via the planner's chosen access path
-    /// (used by the update/delete paths, which need ids, not documents).
-    fn candidate_ids(inner: &Inner, cf: &CompiledFilter) -> Vec<DocId> {
-        let (plan, _) = Self::plan_query(inner, cf);
-        Self::plan_candidates(inner, cf, &plan)
-    }
-
-    /// Plan `cf` and pick what it will read — the one place a read
-    /// chooses its candidates. The lock is held only long enough to
-    /// choose the plan and clone the handles of an index plan's
-    /// candidate set; a COLLSCAN clones one `Arc` of the generation's
-    /// scan segment instead (building it, one handle per document, if
-    /// this is the first since a write). `explain` passes `scan: false`
-    /// and builds nothing: it reads through the segment only if a scan
-    /// has left one. Nothing is matched under the lock, so writers are
-    /// never blocked behind a large scan. Returns the plan, everything
-    /// considered, and the collection's size.
-    fn plan_read(
-        &self,
-        cf: &CompiledFilter,
-        scan: bool,
-    ) -> (QueryPlan, Vec<QueryPlan>, usize, Candidates) {
-        let inner = self.inner.read();
-        let (plan, considered) = Self::plan_query(&inner, cf);
-        let candidates = match plan.kind {
-            PlanKind::Collscan if scan || inner.segment.get().is_some() => {
-                Candidates::scan(Arc::clone(Self::segment_of(&inner)))
-            }
-            PlanKind::Collscan => Candidates::unscanned(inner.docs.len()),
-            _ => Self::plan_candidates(&inner, cf, &plan)
-                .into_iter()
+    /// Pick what the chosen `plan` reads — the one place a read chooses
+    /// its candidates, under the read lock the plan was chosen under.
+    /// An `_id` or index plan clones the handles of its ids; a COLLSCAN
+    /// clones one `Arc` of the generation's scan segment instead
+    /// (building it, one handle per document, if this is the first since
+    /// a write). `explain` passes `scan: false` and builds nothing: it
+    /// reads through the segment only if a scan has left one. Nothing is
+    /// matched under the lock, so writers are never blocked behind a
+    /// large scan.
+    fn plan_read(inner: &Inner, plan: &Plan<'_>, scan: bool) -> Candidates {
+        match plan.ids() {
+            Some(ids) => (ids.into_iter())
                 .filter_map(|id| inner.docs.get(&id).cloned())
                 .collect::<Docs>()
                 .into(),
-        };
-        (plan, considered, inner.docs.len(), candidates)
+            None if scan || inner.segment.get().is_some() => {
+                Candidates::scan(Arc::clone(Self::segment_of(inner)))
+            }
+            None => Candidates::unscanned(inner.docs.len()),
+        }
     }
 
     /// The rows a read of `cf` must run the filter over, column-pruned
     /// after the lock is released (DESIGN §16). Every find, count,
     /// distinct and shard scatter starts here.
     pub(crate) fn candidates(&self, cf: &CompiledFilter) -> Candidates {
-        let (plan, _, _, candidates) = self.plan_read(cf, true);
-        self.shared.profiler.bump(plan.kind.counter());
+        let (kind, candidates) = {
+            let inner = self.inner.read();
+            let (plan, _) = Self::plan_query(&inner, cf);
+            (plan.kind, Self::plan_read(&inner, &plan, true))
+        };
+        self.shared.profiler.bump(kind.counter());
         candidates.prune(cf, &self.shared.profiler)
+    }
+
+    /// Every match of `cf` with its `DocId`, in store order, through the
+    /// plan the planner chooses — the one candidate path of the write
+    /// side, which runs under the write lock. Lazy: a consumer that
+    /// wants one match reads no further.
+    fn matching<'a>(
+        inner: &'a Inner,
+        cf: &'a CompiledFilter,
+    ) -> impl Iterator<Item = (DocId, &'a Arc<Document>)> + 'a {
+        let ids = Self::plan_query(inner, cf).0.ids();
+        // A scan (no ids) walks the documents; any other plan looks its
+        // ids up.
+        let scan = ids.is_none().then_some(&inner.docs).into_iter().flatten();
+        let looked_up = (ids.into_iter().flatten()).filter_map(|id| inner.docs.get_key_value(&id));
+        (looked_up.chain(scan))
+            .map(|(id, doc)| (*id, doc))
+            .filter(|(_, doc)| cf.matches(doc))
     }
 
     // ---- raw mutations: reached only through `Shared::commit` ----
@@ -1018,10 +1010,7 @@ impl Collection {
         cf: &CompiledFilter,
         sort: Option<&CompiledFindOptions>,
     ) -> Option<(DocId, Arc<Document>)> {
-        let mut matches = Self::candidate_ids(inner, cf)
-            .into_iter()
-            .filter_map(|id| inner.docs.get(&id).map(|d| (id, d)))
-            .filter(|(_, d)| cf.matches(d));
+        let mut matches = Self::matching(inner, cf);
         let (id, doc) = match sort {
             None => matches.next()?,
             Some(copts) => matches.min_by(|a, b| copts.cmp_docs(a.1, b.1))?,
@@ -1052,6 +1041,8 @@ impl Collection {
         Ok(Some(new))
     }
 
+    /// Update every match (`many`) or the first, collected before the
+    /// first is modified.
     fn raw_update(
         inner: &mut Inner,
         cf: &CompiledFilter,
@@ -1059,41 +1050,39 @@ impl Collection {
         now: f64,
         many: bool,
     ) -> Result<UpdateResult> {
-        let mut res = UpdateResult::default();
-        for id in Self::candidate_ids(inner, cf) {
-            let Some(old) = inner.docs.get(&id).filter(|d| cf.matches(d)).cloned() else {
-                continue;
-            };
-            res.matched += 1;
+        let matched: Vec<(DocId, Arc<Document>)> = Self::matching(inner, cf)
+            .take(if many { usize::MAX } else { 1 })
+            .map(|(id, doc)| (id, Arc::clone(doc)))
+            .collect();
+        let mut res = UpdateResult {
+            matched: matched.len(),
+            ..UpdateResult::default()
+        };
+        for (id, old) in matched {
             if Self::raw_modify(inner, id, &old, u, now)?.is_some() {
                 res.modified += 1;
-            }
-            if !many {
-                break;
             }
         }
         Ok(res)
     }
 
+    /// Delete every match (`many`) or the first, collected before the
+    /// first is removed; returns how many.
     fn raw_delete(inner: &mut Inner, cf: &CompiledFilter, many: bool) -> usize {
-        let mut removed = 0;
-        for id in Self::candidate_ids(inner, cf) {
-            if !inner.docs.get(&id).is_some_and(|d| cf.matches(d)) {
-                continue;
-            }
-            if let Some(doc) = inner.docs.remove(&id) {
+        let doomed: Vec<DocId> = Self::matching(inner, cf)
+            .take(if many { usize::MAX } else { 1 })
+            .map(|(id, _)| id)
+            .collect();
+        for id in &doomed {
+            if let Some(doc) = inner.docs.remove(id) {
                 inner.by_id.remove(&OrderedValue(id_of(&doc)));
                 for ix in &mut inner.indexes {
-                    ix.remove(id, &doc);
+                    ix.remove(*id, &doc);
                 }
-                removed += 1;
-            }
-            if !many {
-                break;
             }
         }
-        inner.dirty |= removed > 0;
-        removed
+        inner.dirty |= !doomed.is_empty();
+        doomed.len()
     }
 
     fn reindex(inner: &mut Inner, id: DocId, old: &Value, new: &Value) -> Result<()> {
@@ -1644,16 +1633,16 @@ mod tests {
         ];
         for q in queries {
             let cf = Filter::parse(&q).unwrap().compile();
-            let plan = Collection::plan_query(&c.inner.read(), &cf).0;
+            let kind = Collection::plan_query(&c.inner.read(), &cf).0.kind;
             let explained = c.explain(&q).unwrap();
-            assert_eq!(explained["plan"], plan.kind.name(), "{q}");
-            let before = prof.counter(plan.kind.counter());
+            assert_eq!(explained["plan"], kind.name(), "{q}");
+            let before = prof.counter(kind.counter());
             c.find(&q).unwrap();
             assert_eq!(
-                prof.counter(plan.kind.counter()),
+                prof.counter(kind.counter()),
                 before + 1,
                 "query {q}: explain chose {} but find took a different path",
-                plan.kind.name()
+                kind.name()
             );
         }
     }

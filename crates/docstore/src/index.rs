@@ -251,94 +251,88 @@ impl Index {
         }
     }
 
-    /// Ids of documents whose indexed value equals `v`.
-    pub fn lookup_eq(&self, v: &Value) -> Vec<DocId> {
-        self.map
-            .get(&OrderedValue(v.clone()))
-            .map(|s| s.iter().copied().collect())
-            .unwrap_or_default()
+    /// The ids of the documents `probe` finds, sorted and without
+    /// repeats. One set visited is copied as it is; several are
+    /// concatenated, then sorted and deduplicated (a multikey document
+    /// sits in the set of each of its keys).
+    pub(crate) fn lookup(&self, probe: &Probe<'_>) -> Vec<DocId> {
+        let (mut ids, mut sets) = (Vec::new(), 0);
+        self.visit(probe, |set| {
+            ids.extend(set);
+            sets += 1;
+        });
+        if sets > 1 {
+            ids.sort_unstable();
+            ids.dedup();
+        }
+        ids
     }
 
-    /// Ids of documents whose indexed value is in any of `vs`.
-    pub fn lookup_in(&self, vs: &[Value]) -> Vec<DocId> {
-        let mut out = BTreeSet::new();
-        for v in vs {
-            if let Some(ids) = self.map.get(&OrderedValue(v.clone())) {
-                out.extend(ids.iter().copied());
+    /// What [`lookup`](Self::lookup) would walk: the sum of the sizes of
+    /// the sets `probe` visits, an upper bound on the ids it returns,
+    /// with nothing materialized. The cost the planner compares and
+    /// `explain` prints.
+    pub(crate) fn estimate(&self, probe: &Probe<'_>) -> usize {
+        let mut n = 0;
+        self.visit(probe, |set| n += set.len());
+        n
+    }
+
+    /// Hand each id set `probe` visits to `each`: a key's set per key
+    /// present, or every set in the range, in key order.
+    fn visit<'s>(&'s self, probe: &Probe<'_>, mut each: impl FnMut(&'s BTreeSet<DocId>)) {
+        let key = |v: &Value| OrderedValue(v.clone());
+        match *probe {
+            Probe::Keys(keys) => keys
+                .iter()
+                .filter_map(|v| self.map.get(&key(v)))
+                .for_each(each),
+            // `BTreeMap::range` panics on bounds that hold no key.
+            Probe::Range(lo, hi) if holds_nothing(lo, hi) => {}
+            Probe::Range(lo, hi) => self
+                .map
+                .range((lo.map(key), hi.map(key)))
+                .for_each(|(_, set)| each(set)),
+        }
+    }
+}
+
+/// What the planner asks of one index: the ids under some keys, or the
+/// ids in a range of keys.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Probe<'a> {
+    /// An equality (one key) or an `$in` (its operands).
+    Keys(&'a [Value]),
+    /// A range: the lower and the upper bound.
+    Range(Bound<&'a Value>, Bound<&'a Value>),
+}
+
+impl Probe<'_> {
+    /// Does the index answer this probe as a scan would? Not when an
+    /// operand is an array: the index holds a top-level array's
+    /// elements, never the array itself, so it cannot find the document
+    /// an array operand matches whole.
+    pub(crate) fn indexable(&self) -> bool {
+        let array = |b: &Bound<&Value>| matches!(b, Bound::Included(v) | Bound::Excluded(v) if v.is_array());
+        match self {
+            Probe::Keys(keys) => !keys.iter().any(Value::is_array),
+            Probe::Range(lo, hi) => !array(lo) && !array(hi),
+        }
+    }
+}
+
+/// Do the bounds hold no key at all: the lower above the upper, or both
+/// the same key with one excluding it?
+fn holds_nothing(lo: Bound<&Value>, hi: Bound<&Value>) -> bool {
+    match (lo, hi) {
+        (Bound::Included(a) | Bound::Excluded(a), Bound::Included(b) | Bound::Excluded(b)) => {
+            match cmp_values(a, b) {
+                Ordering::Greater => true,
+                Ordering::Equal => !matches!((lo, hi), (Bound::Included(_), Bound::Included(_))),
+                Ordering::Less => false,
             }
         }
-        out.into_iter().collect()
-    }
-
-    /// Ids of documents in the half-open/closed range.
-    pub fn lookup_range(
-        &self,
-        lo: Option<&Value>,
-        lo_incl: bool,
-        hi: Option<&Value>,
-        hi_incl: bool,
-    ) -> Vec<DocId> {
-        let lower: Bound<OrderedValue> = match lo {
-            Some(v) if lo_incl => Bound::Included(OrderedValue(v.clone())),
-            Some(v) => Bound::Excluded(OrderedValue(v.clone())),
-            None => Bound::Unbounded,
-        };
-        let upper: Bound<OrderedValue> = match hi {
-            Some(v) if hi_incl => Bound::Included(OrderedValue(v.clone())),
-            Some(v) => Bound::Excluded(OrderedValue(v.clone())),
-            None => Bound::Unbounded,
-        };
-        let mut out = BTreeSet::new();
-        for (_, ids) in self.map.range((lower, upper)) {
-            out.extend(ids.iter().copied());
-        }
-        out.into_iter().collect()
-    }
-
-    /// Number of ids an equality probe for `v` would return, without
-    /// materializing them. Used by the cost-based planner.
-    pub fn estimate_eq(&self, v: &Value) -> usize {
-        self.map
-            .get(&OrderedValue(v.clone()))
-            .map(|s| s.len())
-            .unwrap_or(0)
-    }
-
-    /// Upper bound on ids an `$in` probe over `vs` would return (sum of
-    /// per-value set sizes; duplicates across multikey entries ignored).
-    pub fn estimate_in(&self, vs: &[Value]) -> usize {
-        vs.iter()
-            .map(|v| {
-                self.map
-                    .get(&OrderedValue(v.clone()))
-                    .map(|s| s.len())
-                    .unwrap_or(0)
-            })
-            .sum()
-    }
-
-    /// Upper bound on ids a range probe would return.
-    pub fn estimate_range(
-        &self,
-        lo: Option<&Value>,
-        lo_incl: bool,
-        hi: Option<&Value>,
-        hi_incl: bool,
-    ) -> usize {
-        let lower: Bound<OrderedValue> = match lo {
-            Some(v) if lo_incl => Bound::Included(OrderedValue(v.clone())),
-            Some(v) => Bound::Excluded(OrderedValue(v.clone())),
-            None => Bound::Unbounded,
-        };
-        let upper: Bound<OrderedValue> = match hi {
-            Some(v) if hi_incl => Bound::Included(OrderedValue(v.clone())),
-            Some(v) => Bound::Excluded(OrderedValue(v.clone())),
-            None => Bound::Unbounded,
-        };
-        self.map
-            .range((lower, upper))
-            .map(|(_, ids)| ids.len())
-            .sum()
+        _ => false,
     }
 }
 
@@ -419,14 +413,20 @@ mod tests {
         }
     }
 
+    /// The ids an equality probe for `v` finds.
+    fn eq(ix: &Index, v: Value) -> Vec<DocId> {
+        ix.lookup(&Probe::Keys(&[v]))
+    }
+
     #[test]
     fn eq_lookup() {
         let mut ix = Index::new("state", false);
         ix.insert(1, &json!({"state": "READY"})).unwrap();
         ix.insert(2, &json!({"state": "RUNNING"})).unwrap();
         ix.insert(3, &json!({"state": "READY"})).unwrap();
-        assert_eq!(ix.lookup_eq(&json!("READY")), vec![1, 3]);
-        assert_eq!(ix.lookup_eq(&json!("DONE")), Vec::<DocId>::new());
+        assert_eq!(eq(&ix, json!("READY")), vec![1, 3]);
+        assert_eq!(eq(&ix, json!("DONE")), Vec::<DocId>::new());
+        assert_eq!(ix.estimate(&Probe::Keys(&[json!("READY")])), 2);
     }
 
     #[test]
@@ -435,9 +435,14 @@ mod tests {
         ix.insert(1, &json!({"elements": ["Li", "Fe", "O"]}))
             .unwrap();
         ix.insert(2, &json!({"elements": ["Na", "O"]})).unwrap();
-        assert_eq!(ix.lookup_eq(&json!("O")), vec![1, 2]);
-        assert_eq!(ix.lookup_eq(&json!("Li")), vec![1]);
+        assert_eq!(eq(&ix, json!("O")), vec![1, 2]);
+        assert_eq!(eq(&ix, json!("Li")), vec![1]);
         assert_eq!(ix.distinct_values(), 4);
+        // Document 1 sits under three of the keys: found once, counted
+        // once per set.
+        let keys = [json!("O"), json!("Li"), json!("Fe")];
+        assert_eq!(ix.lookup(&Probe::Keys(&keys)), vec![1, 2]);
+        assert_eq!(ix.estimate(&Probe::Keys(&keys)), 4);
     }
 
     #[test]
@@ -446,15 +451,137 @@ mod tests {
         for (id, n) in [(1u64, 10), (2, 20), (3, 30), (4, 40)] {
             ix.insert(id, &json!({ "n": n })).unwrap();
         }
-        assert_eq!(
-            ix.lookup_range(Some(&json!(20)), true, Some(&json!(30)), true),
-            vec![2, 3]
-        );
-        assert_eq!(
-            ix.lookup_range(Some(&json!(20)), false, None, true),
-            vec![3, 4]
-        );
-        assert_eq!(ix.lookup_range(None, true, Some(&json!(15)), true), vec![1]);
+        let (twenty, thirty, fifteen) = (json!(20), json!(30), json!(15));
+        let range = |lo, hi| ix.lookup(&Probe::Range(lo, hi));
+        use Bound::{Excluded, Included, Unbounded};
+        assert_eq!(range(Included(&twenty), Included(&thirty)), vec![2, 3]);
+        assert_eq!(range(Excluded(&twenty), Unbounded), vec![3, 4]);
+        assert_eq!(range(Unbounded, Included(&fifteen)), vec![1]);
+        // Bounds that hold no key find nothing.
+        assert!(range(Included(&thirty), Excluded(&twenty)).is_empty());
+        assert!(range(Excluded(&twenty), Excluded(&twenty)).is_empty());
+        assert!(range(Included(&twenty), Excluded(&twenty)).is_empty());
+        assert_eq!(range(Included(&twenty), Included(&twenty)), vec![2]);
+    }
+
+    #[test]
+    fn array_operands_are_not_indexable() {
+        let (one, pair) = (json!(1), json!([1, 2]));
+        assert!(Probe::Keys(&[json!(1), json!("a")]).indexable());
+        assert!(!Probe::Keys(&[json!(1), json!([1])]).indexable());
+        assert!(!Probe::Keys(&[json!([])]).indexable());
+        assert!(Probe::Range(Bound::Included(&one), Bound::Unbounded).indexable());
+        assert!(!Probe::Range(Bound::Unbounded, Bound::Excluded(&pair)).indexable());
+        assert!(!Probe::Range(Bound::Included(&pair), Bound::Included(&one)).indexable());
+    }
+
+    /// A small key: few enough values that probes and documents meet,
+    /// `1` and `1.0` among them.
+    fn small() -> impl Strategy<Value = Value> {
+        prop_oneof![
+            (0i64..5).prop_map(Value::from),
+            Just(json!(1.0)),
+            Just(json!("a")),
+            Just(json!("b")),
+            Just(Value::Null),
+            any::<bool>().prop_map(Value::from),
+        ]
+    }
+
+    /// A document's `k`: missing, a key, or an array of keys (repeats
+    /// and nested arrays included).
+    fn multikey_doc() -> impl Strategy<Value = Value> {
+        let element = prop_oneof![
+            small(),
+            small(),
+            small(),
+            prop::collection::vec(small(), 0..3).prop_map(Value::Array),
+        ];
+        prop_oneof![
+            Just(json!({})),
+            small().prop_map(|k| json!({ "k": k })),
+            prop::collection::vec(element, 0..4).prop_map(|ks| json!({ "k": ks })),
+        ]
+    }
+
+    fn bound() -> impl Strategy<Value = Bound<Value>> {
+        prop_oneof![
+            Just(Bound::Unbounded),
+            small().prop_map(Bound::Included),
+            small().prop_map(Bound::Excluded),
+        ]
+    }
+
+    /// Is `k` inside `(lo, hi)`, by `cmp_values` alone?
+    fn within(k: &Value, lo: Bound<&Value>, hi: Bound<&Value>) -> bool {
+        let above = match lo {
+            Bound::Included(v) => cmp_values(k, v) != Ordering::Less,
+            Bound::Excluded(v) => cmp_values(k, v) == Ordering::Greater,
+            Bound::Unbounded => true,
+        };
+        let below = match hi {
+            Bound::Included(v) => cmp_values(k, v) != Ordering::Greater,
+            Bound::Excluded(v) => cmp_values(k, v) == Ordering::Less,
+            Bound::Unbounded => true,
+        };
+        above && below
+    }
+
+    /// Check `probe` against a walk of each document's own keys: which
+    /// documents expose a key it selects (the ids `lookup` must return,
+    /// in order, once each), and how many (document, set) pairs it
+    /// visits (what `estimate` must sum).
+    fn check_probe(docs: &[Value], probe: &Probe<'_>) -> std::result::Result<(), TestCaseError> {
+        let mut ix = Index::new("k", false);
+        for (id, doc) in (0..).zip(docs) {
+            ix.insert(id, doc).unwrap();
+        }
+        let (mut want, mut visited) = (Vec::new(), 0);
+        for (id, doc) in (0..).zip(docs) {
+            let mut keys = index_keys(doc, "k");
+            keys.sort();
+            keys.dedup();
+            let selected = match *probe {
+                Probe::Keys(vs) => vs
+                    .iter()
+                    .filter(|v| keys.iter().any(|k| cmp_values(&k.0, v) == Ordering::Equal))
+                    .count(),
+                Probe::Range(lo, hi) => keys.iter().filter(|k| within(&k.0, lo, hi)).count(),
+            };
+            visited += selected;
+            if selected > 0 {
+                want.push(id);
+            }
+        }
+        let got = ix.lookup(probe);
+        prop_assert_eq!(&got, &want, "{:?} over {:?}", probe, docs);
+        prop_assert_eq!(ix.estimate(probe), visited, "{:?} over {:?}", probe, docs);
+        prop_assert!(ix.estimate(probe) >= got.len());
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(500))]
+
+        /// `$in` probes over multikey documents: sorted, deduplicated
+        /// ids, and the sum of the visited sets' sizes.
+        #[test]
+        fn keys_probes_agree_with_a_walk_of_the_keys(
+            docs in prop::collection::vec(multikey_doc(), 0..12),
+            keys in prop::collection::vec(small(), 0..4),
+        ) {
+            check_probe(&docs, &Probe::Keys(&keys))?;
+        }
+
+        /// Range probes, inverted and empty ranges among them.
+        #[test]
+        fn range_probes_agree_with_a_walk_of_the_keys(
+            docs in prop::collection::vec(multikey_doc(), 0..12),
+            lo in bound(),
+            hi in bound(),
+        ) {
+            check_probe(&docs, &Probe::Range(lo.as_ref(), hi.as_ref()))?;
+        }
     }
 
     #[test]
@@ -463,7 +590,7 @@ mod tests {
         let doc = json!({"a": 5});
         ix.insert(1, &doc).unwrap();
         ix.remove(1, &doc);
-        assert!(ix.lookup_eq(&json!(5)).is_empty());
+        assert!(eq(&ix, json!(5)).is_empty());
         assert_eq!(ix.distinct_values(), 0);
     }
 
@@ -481,7 +608,7 @@ mod tests {
         let mut ix = Index::new("spec.task_type", false);
         ix.insert(1, &json!({"spec": {"task_type": "static"}}))
             .unwrap();
-        assert_eq!(ix.lookup_eq(&json!("static")), vec![1]);
+        assert_eq!(eq(&ix, json!("static")), vec![1]);
     }
 
     #[test]

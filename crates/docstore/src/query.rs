@@ -12,6 +12,7 @@ use crate::value::{
 };
 use serde_json::Value;
 use std::cmp::Ordering;
+use std::ops::Bound;
 
 /// A single comparison applied to one field path.
 #[derive(Debug, Clone, PartialEq)]
@@ -131,52 +132,6 @@ impl Filter {
         None
     }
 
-    /// If this filter constrains `path` with a root-level `$in`, return
-    /// the candidate value list (for index-assisted `$in` probes).
-    pub fn in_on(&self, path: &str) -> Option<&[Value]> {
-        for (p, preds) in &self.fields {
-            if p == path {
-                for pred in preds {
-                    if let Predicate::In(vs) = pred {
-                        return Some(vs);
-                    }
-                }
-            }
-        }
-        None
-    }
-
-    /// If this filter constrains `path` with a range, return
-    /// (lower, lower_inclusive, upper, upper_inclusive).
-    #[allow(clippy::type_complexity)]
-    pub fn range_on(&self, path: &str) -> Option<(Option<&Value>, bool, Option<&Value>, bool)> {
-        let mut lo: Option<(&Value, bool)> = None;
-        let mut hi: Option<(&Value, bool)> = None;
-        for (p, preds) in &self.fields {
-            if p != path {
-                continue;
-            }
-            for pred in preds {
-                match pred {
-                    Predicate::Gt(v) => lo = Some((v, false)),
-                    Predicate::Gte(v) => lo = Some((v, true)),
-                    Predicate::Lt(v) => hi = Some((v, false)),
-                    Predicate::Lte(v) => hi = Some((v, true)),
-                    _ => {}
-                }
-            }
-        }
-        if lo.is_none() && hi.is_none() {
-            return None;
-        }
-        Some((
-            lo.map(|(v, _)| v),
-            lo.map(|(_, i)| i).unwrap_or(true),
-            hi.map(|(v, _)| v),
-            hi.map(|(_, i)| i).unwrap_or(true),
-        ))
-    }
-
     /// All field paths this filter touches (for planning/diagnostics).
     pub fn touched_paths(&self) -> Vec<&str> {
         let mut out: Vec<&str> = self.fields.iter().map(|(p, _)| p.as_str()).collect();
@@ -274,10 +229,8 @@ impl NumericBound {
 }
 
 /// [`Predicate`] with per-document work hoisted to compile time: `$in`
-/// and `$nin` carry a second operand list sorted under [`cmp_values`] so
-/// membership is a binary search instead of a linear scan. The original
-/// operand order is retained for the planner, whose index estimates (and
-/// therefore `explain` output) must not change under compilation.
+/// and `$nin` carry their operands sorted under [`cmp_values`], so
+/// membership is a binary search instead of a linear scan.
 #[derive(Debug, Clone, PartialEq)]
 enum CompiledPredicate {
     Eq(Value),
@@ -286,7 +239,7 @@ enum CompiledPredicate {
     Gte(Value),
     Lt(Value),
     Lte(Value),
-    In { raw: Vec<Value>, sorted: Vec<Value> },
+    In(Vec<Value>),
     Nin(Vec<Value>),
     All(Vec<Value>),
     Size(usize),
@@ -308,10 +261,7 @@ impl From<&Predicate> for CompiledPredicate {
             Predicate::Gte(v) => CompiledPredicate::Gte(v.clone()),
             Predicate::Lt(v) => CompiledPredicate::Lt(v.clone()),
             Predicate::Lte(v) => CompiledPredicate::Lte(v.clone()),
-            Predicate::In(vs) => CompiledPredicate::In {
-                raw: vs.clone(),
-                sorted: sort_operands(vs),
-            },
+            Predicate::In(vs) => CompiledPredicate::In(sort_operands(vs)),
             Predicate::Nin(vs) => CompiledPredicate::Nin(sort_operands(vs)),
             Predicate::All(vs) => CompiledPredicate::All(vs.clone()),
             Predicate::Size(n) => CompiledPredicate::Size(*n),
@@ -395,61 +345,46 @@ impl CompiledFilter {
     /// Compiled twin of [`Filter::equality_on`] (same contract), so the
     /// planner runs on the compiled form without re-parsing.
     pub fn equality_on(&self, path: &str) -> Option<&Value> {
-        for (p, preds) in &self.fields {
-            if p.raw == path {
-                for pred in preds {
-                    if let CompiledPredicate::Eq(v) = pred {
-                        return Some(v);
-                    }
-                }
-            }
-        }
-        None
+        self.on(path).find_map(|pred| match pred {
+            CompiledPredicate::Eq(v) => Some(v),
+            _ => None,
+        })
     }
 
-    /// Compiled twin of [`Filter::in_on`]: returns the operands in their
-    /// *original* order so index estimates match the uncompiled planner.
-    pub fn in_on(&self, path: &str) -> Option<&[Value]> {
-        for (p, preds) in &self.fields {
-            if p.raw == path {
-                for pred in preds {
-                    if let CompiledPredicate::In { raw, .. } = pred {
-                        return Some(raw);
-                    }
-                }
-            }
-        }
-        None
+    /// The top-level predicates on `path`, in filter order.
+    fn on<'s, 'p>(
+        &'s self,
+        path: &'p str,
+    ) -> impl Iterator<Item = &'s CompiledPredicate> + use<'s, 'p> {
+        let fields = self.fields.iter().filter(move |(p, _)| p.raw == path);
+        fields.flat_map(|(_, preds)| preds)
     }
 
-    /// Compiled twin of [`Filter::range_on`] (same contract).
-    #[allow(clippy::type_complexity)]
-    pub fn range_on(&self, path: &str) -> Option<(Option<&Value>, bool, Option<&Value>, bool)> {
-        let mut lo: Option<(&Value, bool)> = None;
-        let mut hi: Option<(&Value, bool)> = None;
-        for (p, preds) in &self.fields {
-            if p.raw != path {
-                continue;
-            }
-            for pred in preds {
-                match pred {
-                    CompiledPredicate::Gt(v) => lo = Some((v, false)),
-                    CompiledPredicate::Gte(v) => lo = Some((v, true)),
-                    CompiledPredicate::Lt(v) => hi = Some((v, false)),
-                    CompiledPredicate::Lte(v) => hi = Some((v, true)),
-                    _ => {}
-                }
+    /// The operands of the first top-level `$in` on `path`, sorted:
+    /// what an `$in` probe of an index on `path` looks up.
+    pub(crate) fn in_on(&self, path: &str) -> Option<&[Value]> {
+        self.on(path).find_map(|pred| match pred {
+            CompiledPredicate::In(sorted) => Some(&sorted[..]),
+            _ => None,
+        })
+    }
+
+    /// The bounds the top-level `$gt`/`$gte` and `$lt`/`$lte` on `path`
+    /// set (the last of a side wins; an open side is unbounded), or
+    /// `None` without either: what a range probe of an index on `path`
+    /// walks.
+    pub(crate) fn range_on(&self, path: &str) -> Option<(Bound<&Value>, Bound<&Value>)> {
+        let (mut lo, mut hi) = (Bound::Unbounded, Bound::Unbounded);
+        for pred in self.on(path) {
+            match pred {
+                CompiledPredicate::Gt(v) => lo = Bound::Excluded(v),
+                CompiledPredicate::Gte(v) => lo = Bound::Included(v),
+                CompiledPredicate::Lt(v) => hi = Bound::Excluded(v),
+                CompiledPredicate::Lte(v) => hi = Bound::Included(v),
+                _ => {}
             }
         }
-        if lo.is_none() && hi.is_none() {
-            return None;
-        }
-        Some((
-            lo.map(|(v, _)| v),
-            lo.map(|(_, i)| i).unwrap_or(true),
-            hi.map(|(v, _)| v),
-            hi.map(|(_, i)| i).unwrap_or(true),
-        ))
+        (!matches!((lo, hi), (Bound::Unbounded, Bound::Unbounded))).then_some((lo, hi))
     }
 
     /// Every top-level path that `$eq`/`$gt`/`$gte`/`$lt`/`$lte` with a
@@ -517,7 +452,7 @@ fn match_compiled_single(stored: &Value, pred: &CompiledPredicate) -> bool {
         CompiledPredicate::Gte(o) => ord_match(stored, o, &[Ordering::Greater, Ordering::Equal]),
         CompiledPredicate::Lt(o) => ord_match(stored, o, &[Ordering::Less]),
         CompiledPredicate::Lte(o) => ord_match(stored, o, &[Ordering::Less, Ordering::Equal]),
-        CompiledPredicate::In { sorted, .. } => in_sorted(sorted, stored),
+        CompiledPredicate::In(sorted) => in_sorted(sorted, stored),
         CompiledPredicate::All(set) => match stored {
             Value::Array(a) => set.iter().all(|s| a.iter().any(|e| values_equal(e, s))),
             single => matches!(&set[..], [only] if values_equal(single, only)),
@@ -680,26 +615,19 @@ fn eq_or_contains(stored: &Value, operand: &Value) -> bool {
     false
 }
 
+/// Does `stored` compare to `operand` as `want` asks? Only values of one
+/// type class compare (numbers with numbers, strings with strings), as
+/// in MongoDB. A stored array compares whole with an array operand, and
+/// with any other by its elements, one level deep: a nested array is an
+/// element, never opened — as equality and `$in` treat it, and as an
+/// index holds it.
 fn ord_match(stored: &Value, operand: &Value, want: &[Ordering]) -> bool {
-    // Comparisons only apply within the same type class (numbers compare
-    // with numbers, strings with strings), as MongoDB does.
-    let same_class = crate::value::type_rank(stored) == crate::value::type_rank(operand);
-    if !same_class {
-        if let Value::Array(a) = stored {
-            return a.iter().any(|e| ord_match(e, operand, want));
-        }
-        return false;
-    }
-    let c = cmp_values(stored, operand);
-    if want.contains(&c) {
-        return true;
-    }
-    if let Value::Array(a) = stored {
-        if !operand.is_array() {
-            return a.iter().any(|e| ord_match(e, operand, want));
-        }
-    }
-    false
+    let compares = |v: &Value| {
+        crate::value::type_rank(v) == crate::value::type_rank(operand)
+            && want.contains(&cmp_values(v, operand))
+    };
+    compares(stored)
+        || matches!(stored, Value::Array(a) if a.iter().any(|e| !e.is_array() && compares(e)))
 }
 
 fn match_single(stored: &Value, pred: &Predicate) -> bool {
@@ -923,11 +851,28 @@ mod tests {
         let f = Filter::parse(&json!({"a": 1, "b": {"$gte": 2, "$lt": 9}})).unwrap();
         assert_eq!(f.equality_on("a"), Some(&json!(1)));
         assert!(f.equality_on("b").is_none());
-        let (lo, loi, hi, hii) = f.range_on("b").unwrap();
-        assert_eq!(lo, Some(&json!(2)));
-        assert!(loi);
-        assert_eq!(hi, Some(&json!(9)));
-        assert!(!hii);
+        let cf = f.compile();
+        assert_eq!(cf.equality_on("a"), Some(&json!(1)));
+        let (two, nine) = (json!(2), json!(9));
+        let bounds = (Bound::Included(&two), Bound::Excluded(&nine));
+        assert_eq!(cf.range_on("b"), Some(bounds));
+        assert_eq!(cf.range_on("a"), None);
+        let cf = Filter::parse(&json!({"b": {"$in": [3, 1, 2]}}))
+            .unwrap()
+            .compile();
+        assert_eq!(cf.in_on("b"), Some(&[json!(1), json!(2), json!(3)][..]));
+    }
+
+    #[test]
+    fn ranges_open_a_stored_array_one_level() {
+        let nested = json!({"x": [[1, 2]]});
+        for q in [json!({"x": {"$lte": 2}}), json!({"x": {"$gt": 0}})] {
+            assert!(!matches(q.clone(), nested.clone()), "{q}");
+            assert!(matches(q.clone(), json!({"x": [[1], 2]})), "{q}");
+            assert!(matches(q, json!({"x": [1, 2]})));
+        }
+        // An array operand compares with the array, whole.
+        assert!(matches(json!({"x": {"$gte": [1]}}), json!({"x": [1, 2]})));
     }
 
     #[test]

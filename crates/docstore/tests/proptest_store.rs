@@ -1,6 +1,6 @@
 //! Property-based tests for the document store's core invariants.
 
-use mp_docstore::{Database, Filter, FindOptions, SortDir, Update};
+use mp_docstore::{Collection, Database, Filter, FindOptions, SortDir, Update};
 use proptest::prelude::*;
 use serde_json::{json, Value};
 
@@ -31,6 +31,67 @@ fn document() -> impl Strategy<Value = Value> {
                 "sub": {"x": nested},
             })
         })
+}
+
+/// Strategy: a queue-like document whose `n` (a scalar) and `tags` (an
+/// array, so a multikey index) come from domains small enough for
+/// filters to hit, with a number, a string and a null among the `n`s.
+fn indexed_doc() -> impl Strategy<Value = Value> {
+    let n = prop_oneof![
+        (-3i64..4).prop_map(Value::from),
+        (-3i64..4).prop_map(Value::from),
+        Just(json!(1.0)),
+        Just(json!("x")),
+        Just(Value::Null),
+    ];
+    (n, prop::collection::vec("[a-d]", 0..4), -3i64..4)
+        .prop_map(|(n, tags, p)| json!({"n": n, "tags": tags, "p": p}))
+}
+
+/// Strategy: a filter the indexed twin serves by equality, `$in` or a
+/// range on `n` or `tags`, alone or beside a second condition.
+fn plan_filter() -> impl Strategy<Value = Value> {
+    let n = || (-3i64..4).prop_map(Value::from);
+    let tag = || "[a-d]".prop_map(Value::from);
+    prop_oneof![
+        n().prop_map(|v| json!({ "n": v })),
+        (n(), n()).prop_map(|(a, b)| json!({"n": {"$in": [a, b]}})),
+        (n(), n()).prop_map(|(lo, hi)| json!({"n": {"$gte": lo, "$lt": hi}})),
+        n().prop_map(|v| json!({"n": {"$gt": v}})),
+        tag().prop_map(|t| json!({ "tags": t })),
+        (tag(), tag()).prop_map(|(a, b)| json!({"tags": {"$in": [a, b]}})),
+        tag().prop_map(|t| json!({"tags": {"$lte": t}})),
+        (n(), tag()).prop_map(|(v, t)| json!({"n": {"$lte": v}, "tags": t})),
+        (n(), tag()).prop_map(|(v, t)| json!({"n": v, "tags": {"$gt": t}})),
+    ]
+}
+
+/// Strategy: one write — which call (0–6, see [`write`]), its filter and
+/// its update. The updates move documents between index keys.
+fn write_op() -> impl Strategy<Value = (u8, Value, Value)> {
+    let update = prop_oneof![
+        Just(json!({"$inc": {"n": 1}})),
+        Just(json!({"$set": {"tags": ["a"]}})),
+        Just(json!({"$set": {"hit": true}})),
+    ];
+    (0u8..7, plan_filter(), update)
+}
+
+/// Run one write on `c`, rendering what it returned.
+fn write(c: &Collection, (op, filter, update): &(u8, Value, Value)) -> String {
+    let by_n = FindOptions::all().sort_by("n", SortDir::Desc);
+    match op {
+        0 => format!("{:?}", c.update_many(filter, update)),
+        1 => format!("{:?}", c.update_one(filter, update)),
+        2 => format!("{:?}", c.delete_many(filter)),
+        3 => format!("{:?}", c.delete_one(filter)),
+        4 => format!("{:?}", c.upsert(filter, update)),
+        5 => format!("{:?}", c.find_one_and_update(filter, update, None, true)),
+        _ => format!(
+            "{:?}",
+            c.find_one_and_update(filter, update, Some(&by_n), false)
+        ),
+    }
 }
 
 proptest! {
@@ -188,5 +249,26 @@ proptest! {
         let q = json!({"n": doc["n"].clone()});
         let f = Filter::parse(&q).unwrap();
         prop_assert!(f.matches(&doc));
+    }
+
+    /// Writes agree across plans: an indexed twin (a scalar index on
+    /// `n`, a multikey one on `tags`) and an unindexed one, fed the same
+    /// documents and the same writes through index equality, `$in` and
+    /// range plans, return the same thing and hold the same documents
+    /// after every write.
+    #[test]
+    fn writes_agree_across_plans(
+        docs in prop::collection::vec(indexed_doc(), 0..30),
+        ops in prop::collection::vec(write_op(), 1..8),
+    ) {
+        let (indexed, plain) = (Database::new().collection("c"), Database::new().collection("c"));
+        indexed.create_index("n", false).unwrap();
+        indexed.create_index("tags", false).unwrap();
+        indexed.insert_many(docs.clone()).unwrap();
+        plain.insert_many(docs).unwrap();
+        for op in &ops {
+            prop_assert_eq!(write(&indexed, op), write(&plain, op), "{:?}", op);
+            prop_assert_eq!(indexed.dump(), plain.dump(), "after {:?}", op);
+        }
     }
 }
