@@ -256,24 +256,24 @@ impl Collection {
     /// concurrent write got in first, the batch is inserted one by one
     /// after all; emptiness decides, nothing else.
     ///
-    /// The ids the call returns are cloned in one run *before* the
-    /// commit loop, not one per document between the key, index entries
-    /// and `Arc<Document>` the store keeps for it: the caller drops them
-    /// together, and freed between kept chunks each would stay a hole
-    /// for the life of the store (DESIGN §10, "The heap a load leaves").
-    /// A document that arrives without `_id` has its slot filled when
-    /// one has been assigned; that rare path may interleave.
+    /// The ids the call returns are cloned in one run, not one per
+    /// document between the key, index entries and `Arc<Document>` the
+    /// store keeps for it: the caller drops them together, and freed
+    /// between kept chunks each would stay a hole for the life of the
+    /// store (DESIGN §10, "The heap a load leaves"). The build clones
+    /// them in its walk; one by one, before the commit loop, a missing
+    /// `_id`'s slot filled once assigned (that rare path may interleave).
     pub fn insert_many(&self, docs: Vec<Value>) -> Result<Vec<Value>> {
         let _t = self.shared.profiler.start(&self.name, OpKind::Insert);
-        let mut ids: Vec<Value> = docs.iter().map(id_of).collect();
         let docs = if docs.is_empty() || !self.is_empty() {
             docs
         } else {
-            match self.bulk_build(docs, &mut ids) {
-                Bulk::Built(built) => return built.map(|()| ids).map_err(|r| r.error),
+            match self.bulk_build(docs, true) {
+                Bulk::Built(built) => return built.map_err(|r| r.error),
                 Bulk::Declined(docs) => docs,
             }
         };
+        let mut ids: Vec<Value> = docs.iter().map(id_of).collect();
         let mut slots = ids.iter_mut();
         self.shared.commit(
             self,
@@ -295,9 +295,9 @@ impl Collection {
     /// an insert each: what `insert_many` into an empty collection does,
     /// and recovery with a snapshot's run of documents. It reaches the
     /// state inserting them one by one in order would: `DocId`s `first..`
-    /// from `next_id`, an `_id` assigned where one is missing (its slot
-    /// in `ids` filled, if `ids` has one), and of keys that compare
-    /// equal (`1`, `1.0`) the lowest `DocId`'s value kept. Where that
+    /// from `next_id`, an `_id` assigned where one is missing, of keys
+    /// that compare equal (`1`, `1.0`) the lowest `DocId`'s value kept,
+    /// and the `_id`s if `returning_ids` (not a snapshot's). Where that
     /// would stop — a non-object document, a duplicate `_id`, a
     /// unique-index collision, all found on the sorted runs — the
     /// documents before it are built and the error names its position.
@@ -313,10 +313,9 @@ impl Collection {
     /// id handed out since — nothing is applied or logged and the
     /// documents come back as they came. No profiler sample is taken:
     /// `insert_many` takes its own, and nobody issues a snapshot's.
-    pub(crate) fn bulk_build(&self, docs: Vec<Value>, ids: &mut [Value]) -> Bulk {
-        let built = self.build(docs);
-        let (first, at) = (built.first, built.docs.len());
-        let assigned = built.assigned.clone();
+    pub(crate) fn bulk_build(&self, docs: Vec<Value>, returning_ids: bool) -> Bulk {
+        let (built, ids) = self.build(docs, returning_ids);
+        let at = built.docs.len();
         let declined = Cell::new(None);
         let applied = self.shared.commit(
             self,
@@ -339,28 +338,23 @@ impl Collection {
         if let Some(built) = declined.into_inner() {
             return Bulk::Declined(built.into_docs());
         }
-        if applied.is_ok() {
-            for at in assigned {
-                if let Some(slot) = ids.get_mut(at) {
-                    *slot = auto_id(first + at as u64);
-                }
-            }
-        }
-        Bulk::Built(applied.map(drop).map_err(|error| Refused { at, error }))
+        Bulk::Built(applied.map(|_| ids).map_err(|error| Refused { at, error }))
     }
 
     /// The half of a bulk build that runs before its commit: the ids
-    /// read from `next_id`, the sorted runs, where insertion stops, and
-    /// the structures the collection will keep.
+    /// read from `next_id`, the sorted runs, where insertion stops, the
+    /// structures the collection will keep, and the `_id`s it returns.
     ///
-    /// It clones only what the store keeps (DESIGN §10, "The heap a
-    /// load leaves"). One walk over the documents pushes each one's
-    /// `_id` entry and every index's entries, all borrowed from it; the
-    /// sorts compare inline prefixes and read a document only on a tie
-    /// the prefix cannot settle. Each index then clones its distinct
-    /// keys; the index entries are freed before the `by_id` map clones
-    /// its keys (a lower peak), and the `Arc<Document>`s come last.
-    fn build(&self, mut docs: Vec<Value>) -> Built {
+    /// It clones only what the store keeps and those `_id`s (DESIGN §10,
+    /// "The heap a load leaves"). One walk over the documents pushes each
+    /// one's `_id` entry and every index's entries, all borrowed from it,
+    /// and clones its `_id`: the walk keeps nothing else, so the clones
+    /// are one run. The sorts compare inline prefixes and read a document
+    /// only on a tie the prefix cannot settle. Each index then makes its
+    /// distinct keys, and, the index entries freed (a lower peak), the
+    /// `by_id` map its keys, copied out of the prefix where it holds a
+    /// string whole ([`SortKey::owned`]); the `Arc<Document>`s come last.
+    fn build(&self, mut docs: Vec<Value>, returning_ids: bool) -> (Built, Vec<Value>) {
         let n = docs.len();
         // The counter publishes nothing: the commit's lock orders the
         // build against every other write (see `claims`).
@@ -368,6 +362,7 @@ impl Collection {
         let objects = docs.iter().position(|d| !d.is_object()).unwrap_or(n);
         let specs = self.index_specs();
         let mut assigned = Vec::new();
+        let mut ids = Vec::with_capacity(if returning_ids { n } else { 0 });
         let mut id_keys: Vec<Entry<'_>> = Vec::with_capacity(objects);
         let mut keyed: Vec<Vec<Entry<'_>>> =
             specs.iter().map(|_| Vec::with_capacity(objects)).collect();
@@ -375,6 +370,7 @@ impl Collection {
             if assign_id(doc, id) {
                 assigned.push(at);
             }
+            ids.extend(returning_ids.then(|| id_of(doc)));
             id_keys.push((SortKey::of(doc.get("_id").unwrap_or(&Value::Null)), id, 0));
             for ((path, _), entries) in specs.iter().zip(&mut keyed) {
                 push_entries(entries, id, doc, path);
@@ -410,12 +406,12 @@ impl Collection {
             .collect();
         drop(keyed);
         let by_id = (id_keys.iter())
-            .map(|(key, id, _)| (OrderedValue(key.value.clone()), *id))
+            .map(|(key, id, _)| (OrderedValue(key.owned()), *id))
             .collect();
         drop(id_keys);
         let end = stop.as_ref().map_or(n, |(end, _)| (end - first) as usize);
         let tail = docs.split_off(end);
-        Built {
+        let built = Built {
             first,
             assigned,
             indexes,
@@ -423,7 +419,8 @@ impl Collection {
             docs: (first..).zip(docs.into_iter().map(Arc::new)).collect(),
             tail,
             stop: stop.map(|(_, error)| error),
-        }
+        };
+        (built, ids)
     }
 
     /// Under the commit's lock: is the collection still what `built`
@@ -1086,12 +1083,14 @@ impl Collection {
     }
 
     fn reindex(inner: &mut Inner, id: DocId, old: &Value, new: &Value) -> Result<()> {
-        // Check unique constraints first so a failed update leaves the
-        // indexes untouched; the document's own old entries don't count.
-        for ix in &inner.indexes {
+        // Only the indexes whose keys changed. Check unique constraints
+        // first so a failed update leaves them untouched; the document's
+        // own old entries don't count.
+        let moved = |ix: &Index| !ix.keeps_keys(old, new);
+        for ix in inner.indexes.iter().filter(|ix| moved(ix)) {
             ix.check_unique(id, new, Some(id))?;
         }
-        for ix in &mut inner.indexes {
+        for ix in inner.indexes.iter_mut().filter(|ix| moved(ix)) {
             ix.remove(id, old);
             ix.insert(id, new)?;
         }
@@ -1190,8 +1189,8 @@ fn not_an_object() -> StoreError {
 /// What [`Collection::bulk_build`] made of a run of documents.
 pub(crate) enum Bulk {
     /// Applied in one commit: every document, or those before the one
-    /// where one-by-one insertion would have stopped.
-    Built(std::result::Result<(), Refused>),
+    /// where one-by-one insertion would have stopped; the `_id`s if asked.
+    Built(std::result::Result<Vec<Value>, Refused>),
     /// The collection changed between the build and its commit: nothing
     /// applied or logged, the documents handed back as they came.
     Declined(Vec<Value>),
@@ -1333,12 +1332,12 @@ mod tests {
             json!({"_id": "b", "k": 2}),
             json!({"k": 3}),
         ];
-        let built = c.build(docs.clone());
+        let (built, _) = c.build(docs.clone(), true);
         assert!(c.claims(&c.inner.read(), &built));
         // Claimed: the ids are taken, so a second claim fails.
         assert!(!c.claims(&c.inner.read(), &built));
 
-        let built = c.build(docs.clone());
+        let (built, _) = c.build(docs.clone(), true);
         c.insert_one(json!({"_id": "first"})).unwrap();
         assert!(!c.claims(&c.inner.read(), &built));
         assert_eq!(built.into_docs(), docs);

@@ -1,16 +1,17 @@
 //! Ordered secondary indexes on dotted field paths.
 //!
 //! An index maps each distinct value at a path to the set of document ids
-//! holding it, using the BSON-like total order from [`crate::value`] so
-//! that both equality and range queries can be accelerated. Array-valued
-//! fields produce one entry per element (multikey indexes), which is what
-//! makes queries like `{elements: "Li"}` fast.
+//! holding it, a sorted vector without repeats, using the BSON-like total
+//! order from [`crate::value`] so that both equality and range queries
+//! can be accelerated. Array-valued fields produce one entry per element
+//! (multikey indexes), which is what makes queries like
+//! `{elements: "Li"}` fast.
 
 use crate::error::{Result, StoreError};
-use crate::value::{cmp_values, for_each_at_path, type_rank, OrderedValue};
+use crate::value::{cmp_values, for_each_at_path, path_segments, type_rank, OrderedValue};
 use serde_json::Value;
 use std::cmp::Ordering;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::ops::Bound;
 
 /// Internal id assigned to each stored document.
@@ -23,7 +24,9 @@ pub struct Index {
     pub path: String,
     /// Reject two documents with the same indexed value?
     pub unique: bool,
-    map: BTreeMap<OrderedValue, BTreeSet<DocId>>,
+    /// Each distinct key and the ids of the documents exposing it:
+    /// ascending, without repeats, never empty.
+    map: BTreeMap<OrderedValue, Vec<DocId>>,
 }
 
 /// The keys a document exposes at an index path: one per array element
@@ -86,9 +89,32 @@ impl<'a> SortKey<'a> {
         }
     }
 
-    /// Does the prefix hold the whole key?
+    /// Does the prefix hold the whole key? Only a string of at most
+    /// [`INLINE`] bytes: any other key's length byte is [`INEXACT`].
     fn exact(&self) -> bool {
         (self.prefix.1 & 0xff) < u64::from(INEXACT)
+    }
+
+    /// The string the prefix holds whole, copied out of it; `None` for
+    /// any other key, which only its document holds.
+    fn inline(&self) -> Option<String> {
+        if !self.exact() {
+            return None;
+        }
+        let word = (u128::from(self.prefix.0) << 64) | u128::from(self.prefix.1);
+        let bytes = word.to_be_bytes();
+        let (len, body) = bytes.split_last()?;
+        let held = body.get(1..)?.get(..usize::from(*len))?;
+        std::str::from_utf8(held).ok().map(str::to_owned)
+    }
+
+    /// The key as a store keeps it: copied out of the prefix when the
+    /// prefix holds it whole, which reads no document — the sorted
+    /// entries are walked in order, the documents they borrow from at
+    /// random — and cloned from its document otherwise.
+    pub(crate) fn owned(&self) -> Value {
+        self.inline()
+            .map_or_else(|| self.value.clone(), Value::String)
     }
 }
 
@@ -171,22 +197,28 @@ impl Index {
     }
 
     /// The index over `path` holding `sorted`, entries ordered by `(key,
-    /// DocId, place)`: each run of equal keys becomes one key — a clone
-    /// of the first, which is the value one-by-one insertion would have
-    /// kept (`1` or `1.0`) — and the set of its ids: one clone per
-    /// distinct key, none per entry. Uniqueness is not checked here
-    /// ([`first_collision`] is).
+    /// DocId, place)`: each run of equal keys becomes one key — a copy
+    /// of the first ([`SortKey::owned`]), which is the value
+    /// one-by-one insertion would have kept (`1` or `1.0`) — and the
+    /// vector of its ids, allocated once at its final size: one key and
+    /// one vector per distinct key, nothing per entry. Uniqueness is not
+    /// checked here ([`first_collision`] is).
     pub(crate) fn built(path: String, unique: bool, sorted: &[Entry<'_>]) -> Index {
         let runs = || sorted.chunk_by(|a, b| a.0 == b.0);
         // Counted first, so the runs take one allocation and no freed
         // smaller one is left between the id sets the index keeps.
         let mut map = Vec::with_capacity(runs().count());
         for run in runs() {
-            let mut entries = run.iter();
-            if let Some((key, id, _)) = entries.next() {
-                let mut ids = BTreeSet::from([*id]);
-                ids.extend(entries.map(|(_, id, _)| *id));
-                map.push((OrderedValue(key.value.clone()), ids));
+            // A document exposing one key twice sits in its run twice.
+            let ids = || {
+                (run.chunk_by(|a, b| a.1 == b.1))
+                    .filter_map(<[_]>::first)
+                    .map(|(_, id, _)| *id)
+            };
+            if let Some((key, _, _)) = run.first() {
+                let mut set = Vec::with_capacity(ids().count());
+                set.extend(ids());
+                map.push((OrderedValue(key.owned()), set));
             }
         }
         Index {
@@ -227,14 +259,17 @@ impl Index {
         if self.unique {
             for k in &keys {
                 if let Some(ids) = self.map.get(k) {
-                    if !ids.is_empty() && !ids.contains(&id) {
+                    if ids.binary_search(&id).is_err() {
                         return Err(unique_violation(&self.path, &k.0));
                     }
                 }
             }
         }
         for k in keys {
-            self.map.entry(k).or_default().insert(id);
+            let ids = self.map.entry(k).or_default();
+            if let Err(at) = ids.binary_search(&id) {
+                ids.insert(at, id);
+            }
         }
         Ok(())
     }
@@ -243,12 +278,36 @@ impl Index {
     pub fn remove(&mut self, id: DocId, doc: &Value) {
         for key in index_keys(doc, &self.path) {
             if let Some(ids) = self.map.get_mut(&key) {
-                ids.remove(&id);
+                if let Ok(at) = ids.binary_search(&id) {
+                    ids.remove(at);
+                }
                 if ids.is_empty() {
                     self.map.remove(&key);
                 }
             }
         }
+    }
+
+    /// Does `new` expose the keys `old` does at this index's path, so
+    /// that re-indexing it would change nothing? Compared in place,
+    /// nothing cloned: the path is walked through both documents while
+    /// both sides are objects, and where the walk stops — at the path's
+    /// end, an array or a scalar — the two values must be equal. What
+    /// lies below that point decides the keys, so `true` is sure; a
+    /// `false` over equal keys (an array of objects whose other fields
+    /// changed) costs a re-index, never a wrong one.
+    pub(crate) fn keeps_keys(&self, old: &Value, new: &Value) -> bool {
+        let (mut old, mut new) = (old, new);
+        for seg in path_segments(&self.path) {
+            match (old, new) {
+                (Value::Object(a), Value::Object(b)) => match (a.get(seg), b.get(seg)) {
+                    (Some(a), Some(b)) => (old, new) = (a, b),
+                    (a, b) => return a.is_none() && b.is_none(),
+                },
+                _ => break,
+            }
+        }
+        old == new
     }
 
     /// The ids of the documents `probe` finds, sorted and without
@@ -258,7 +317,7 @@ impl Index {
     pub(crate) fn lookup(&self, probe: &Probe<'_>) -> Vec<DocId> {
         let (mut ids, mut sets) = (Vec::new(), 0);
         self.visit(probe, |set| {
-            ids.extend(set);
+            ids.extend_from_slice(set);
             sets += 1;
         });
         if sets > 1 {
@@ -280,13 +339,13 @@ impl Index {
 
     /// Hand each id set `probe` visits to `each`: a key's set per key
     /// present, or every set in the range, in key order.
-    fn visit<'s>(&'s self, probe: &Probe<'_>, mut each: impl FnMut(&'s BTreeSet<DocId>)) {
+    fn visit<'s>(&'s self, probe: &Probe<'_>, mut each: impl FnMut(&'s [DocId])) {
         let key = |v: &Value| OrderedValue(v.clone());
         match *probe {
             Probe::Keys(keys) => keys
                 .iter()
                 .filter_map(|v| self.map.get(&key(v)))
-                .for_each(each),
+                .for_each(|set| each(set)),
             // `BTreeMap::range` panics on bounds that hold no key.
             Probe::Range(lo, hi) if holds_nothing(lo, hi) => {}
             Probe::Range(lo, hi) => self
@@ -410,6 +469,24 @@ mod tests {
             prop_assert_eq!(ka.cmp(&kb), want, "{:?} vs {:?}", a, b);
             prop_assert_eq!(ka == kb, want == Ordering::Equal, "{:?} vs {:?}", a, b);
             prop_assert_eq!(kb.cmp(&ka), want.reverse(), "{:?} vs {:?}", b, a);
+        }
+
+        /// A key made from its sort key is the key: the same variant and
+        /// bytes as a clone. Only a string the prefix holds whole — at
+        /// most `INLINE` bytes — is copied out of the prefix; every other
+        /// key, a longer string or a non-string, is cloned from its
+        /// document.
+        #[test]
+        fn a_key_copied_from_its_prefix_is_the_key(v in key()) {
+            let sort = SortKey::of(&v);
+            let held = v.as_str().is_some_and(|s| s.len() <= INLINE);
+            prop_assert_eq!(sort.inline().is_some(), held, "{:?}", v);
+            if let Some(copied) = sort.inline() {
+                prop_assert_eq!(Some(copied.as_bytes()), v.as_str().map(str::as_bytes));
+            }
+            let made = sort.owned();
+            prop_assert_eq!(&made, &v);
+            prop_assert_eq!(format!("{made:?}"), format!("{:?}", v.clone()));
         }
     }
 
@@ -582,6 +659,176 @@ mod tests {
         ) {
             check_probe(&docs, &Probe::Range(lo.as_ref(), hi.as_ref()))?;
         }
+    }
+
+    /// Every key and its ids as the index holds them.
+    fn held(ix: &Index) -> Vec<(Value, Vec<DocId>)> {
+        ix.map
+            .iter()
+            .map(|(k, ids)| (k.0.clone(), ids.clone()))
+            .collect()
+    }
+
+    /// The id sets of the index the vectors replace: a `BTreeSet` per
+    /// key, kept under the first value inserted, emptied sets removed.
+    type Model = BTreeMap<OrderedValue, std::collections::BTreeSet<DocId>>;
+
+    /// Check `ix` against `model` after a step: the sets' shape, what
+    /// `probe` and `range` find and cost, `check_unique` for `doc`, and
+    /// that `Index::built` over the sorted entries of the documents
+    /// `docs` holds equals inserting them one by one in id order, down
+    /// to which of `1` and `1.0` each key keeps.
+    fn check_model(
+        ix: &Index,
+        model: &Model,
+        docs: &BTreeMap<DocId, Value>,
+        (probe, range, doc): (&[Value], (Bound<&Value>, Bound<&Value>), &Value),
+    ) -> std::result::Result<(), TestCaseError> {
+        for (key, ids) in &ix.map {
+            prop_assert!(!ids.is_empty(), "{:?} has no ids", key);
+            prop_assert!(ids.windows(2).all(|w| w[0] < w[1]), "{:?}: {:?}", key, ids);
+        }
+        let want: Vec<(Value, Vec<DocId>)> = (model.iter())
+            .map(|(k, set)| (k.0.clone(), set.iter().copied().collect()))
+            .collect();
+        prop_assert_eq!(held(ix), want);
+        prop_assert_eq!(ix.distinct_values(), model.len());
+
+        // Each probe key visits its set, repeats included; a range, the
+        // sets of the keys inside it.
+        let by_keys = probe
+            .iter()
+            .filter_map(|v| model.get(&OrderedValue(v.clone())));
+        let in_range = (model.iter())
+            .filter(|(k, _)| within(&k.0, range.0, range.1))
+            .map(|(_, set)| set);
+        for (probe, sets) in [
+            (Probe::Keys(probe), by_keys.collect::<Vec<_>>()),
+            (Probe::Range(range.0, range.1), in_range.collect()),
+        ] {
+            let ids: std::collections::BTreeSet<DocId> =
+                sets.iter().copied().flatten().copied().collect();
+            prop_assert_eq!(ix.lookup(&probe), ids.into_iter().collect::<Vec<_>>());
+            prop_assert_eq!(
+                ix.estimate(&probe),
+                sets.iter().map(|set| set.len()).sum::<usize>()
+            );
+        }
+
+        for (id, ignore) in [(0, None), (1, Some(2)), (7, Some(7))] {
+            let clash = ix.unique
+                && index_keys(doc, "k").iter().any(|k| {
+                    (model.get(k))
+                        .is_some_and(|set| set.iter().any(|&o| o != id && Some(o) != ignore))
+                });
+            prop_assert_eq!(
+                ix.check_unique(id, doc, ignore).is_err(),
+                clash,
+                "{:?}",
+                doc
+            );
+        }
+
+        let mut entries = Vec::new();
+        for (id, doc) in docs {
+            push_entries(&mut entries, *id, doc, "k");
+        }
+        entries.sort_unstable();
+        let mut one_by_one = Index::new("k", ix.unique);
+        for (id, doc) in docs {
+            one_by_one.insert(*id, doc).unwrap();
+        }
+        prop_assert_eq!(
+            held(&Index::built("k".into(), ix.unique, &entries)),
+            held(&one_by_one)
+        );
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(300))]
+
+        /// Random inserts and removes of multikey documents (repeated
+        /// and nested elements, `1` beside `1.0`) keep the id vectors
+        /// what a `BTreeSet` per key would hold, and every answer the
+        /// index gives the same. Each step inserts a document under its
+        /// id if the id holds none, and removes the one it holds
+        /// otherwise; a unique index refuses a taken key, unchanged.
+        #[test]
+        fn an_index_agrees_with_a_model_of_sets(
+            unique in any::<bool>(),
+            steps in prop::collection::vec((0u64..8, multikey_doc()), 0..40),
+            probe in prop::collection::vec(small(), 0..4),
+            lo in bound(),
+            hi in bound(),
+            doc in multikey_doc(),
+        ) {
+            let (mut ix, mut model) = (Index::new("k", unique), Model::new());
+            let mut docs = BTreeMap::new();
+            for (id, next) in steps {
+                if let Some(old) = docs.remove(&id) {
+                    ix.remove(id, &old);
+                    for key in index_keys(&old, "k") {
+                        if let Some(set) = model.get_mut(&key) {
+                            set.remove(&id);
+                            if set.is_empty() {
+                                model.remove(&key);
+                            }
+                        }
+                    }
+                } else {
+                    let keys = index_keys(&next, "k");
+                    let taken = unique
+                        && keys.iter().any(|k| model.get(k).is_some_and(|set| !set.contains(&id)));
+                    prop_assert_eq!(ix.insert(id, &next).is_err(), taken, "{:?}", next);
+                    if !taken {
+                        for key in keys {
+                            model.entry(key).or_default().insert(id);
+                        }
+                        docs.insert(id, next);
+                    }
+                }
+                check_model(&ix, &model, &docs, (&probe, (lo.as_ref(), hi.as_ref()), &doc))?;
+            }
+        }
+    }
+
+    #[test]
+    fn an_index_keeps_its_keys_when_the_update_leaves_them() {
+        let ix = Index::new("spec.k", false);
+        let keeps = |old: Value, new: Value| ix.keeps_keys(&old, &new);
+        assert!(keeps(
+            json!({"spec": {"k": 1}, "n": 1}),
+            json!({"spec": {"k": 1}, "n": 2})
+        ));
+        assert!(keeps(json!({"n": 1}), json!({"n": 2})));
+        assert!(keeps(
+            json!({"spec": {"k": [1, 2]}}),
+            json!({"spec": {"k": [1, 2]}, "x": 0})
+        ));
+        assert!(keeps(
+            json!({"spec": [{"k": 1}]}),
+            json!({"spec": [{"k": 1}]})
+        ));
+        assert!(!keeps(
+            json!({"spec": {"k": 1}}),
+            json!({"spec": {"k": 1.0}})
+        ));
+        assert!(!keeps(
+            json!({"spec": {"k": [1, 2]}}),
+            json!({"spec": {"k": [2, 1]}})
+        ));
+        assert!(!keeps(json!({"spec": {"k": 1}}), json!({"spec": {}})));
+        assert!(!keeps(
+            json!({"spec": {"k": 1}}),
+            json!({"spec": [{"k": 1}]})
+        ));
+        // Conservative below an array: the same keys, but other fields
+        // of its objects changed.
+        assert!(!keeps(
+            json!({"spec": [{"k": 1, "x": 0}]}),
+            json!({"spec": [{"k": 1, "x": 1}]})
+        ));
     }
 
     #[test]

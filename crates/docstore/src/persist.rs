@@ -1300,7 +1300,7 @@ impl<'a> Run<'a> {
             return Ok(());
         };
         report.snapshot_docs += docs.len();
-        let refused = match db.collection(collection).bulk_build(docs, &mut []) {
+        let refused = match db.collection(collection).bulk_build(docs, false) {
             Bulk::Built(built) => built.err(),
             // Recovery is the only writer: only a collection that already
             // holds documents declines.

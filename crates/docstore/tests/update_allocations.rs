@@ -1,0 +1,106 @@
+//! An update that leaves every indexed key alone allocates nothing in
+//! the indexes.
+//!
+//! Re-indexing a document removes its entries and inserts them again:
+//! each key cloned twice, and a key held by that document alone freed
+//! with its id set and allocated anew. When the update changed no key
+//! an index covers, the index is left as it is, so the update costs the
+//! same allocations on a collection with two indexes as on its
+//! unindexed twin. Its own test binary, because it installs a counting
+//! `#[global_allocator]`.
+
+use mp_docstore::{Collection, Database};
+use serde_json::{json, Value};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::sync::Arc;
+
+thread_local! {
+    /// Allocator calls made by this thread (const-initialized, no
+    /// destructor: safe to touch from inside the allocator).
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+struct Counting;
+
+// SAFETY: every call is forwarded unchanged to `System`; the counter is
+// a thread-local `Cell` that never allocates.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCATIONS.with(|n| n.set(n.get() + 1));
+        // SAFETY: the caller's contract, passed through.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: the caller's contract, passed through.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCATIONS.with(|n| n.set(n.get() + 1));
+        // SAFETY: the caller's contract, passed through.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+/// What `f` allocated.
+fn counted(f: impl FnOnce()) -> u64 {
+    let before = ALLOCATIONS.with(Cell::get);
+    f();
+    ALLOCATIONS.with(Cell::get) - before
+}
+
+/// Materials whose `formula` is each one's own key and whose `elements`
+/// are multikey, on `indexes`.
+fn materials(db: &Database, indexes: &[&str]) -> Arc<Collection> {
+    let materials = db.collection("materials");
+    for path in indexes {
+        materials.create_index(path, false).unwrap();
+    }
+    let docs: Vec<Value> = (0..50)
+        .map(|i| {
+            json!({"_id": format!("mp-{i}"), "formula": format!("Fe{i}O{}", i + 1),
+                   "elements": ["Fe", "O"], "nsites": i, "e_above_hull": 0.0})
+        })
+        .collect();
+    materials.insert_many(docs).unwrap();
+    materials
+}
+
+/// What an `update_one` by `_id` allocates, after one like it.
+fn refresh(materials: &Collection, set: Value, again: Value) -> u64 {
+    let by_id = json!({"_id": "mp-7"});
+    let update = |set: &Value| {
+        materials
+            .update_one(&by_id, &json!({ "$set": set }))
+            .unwrap()
+    };
+    assert_eq!(update(&set).modified, 1);
+    counted(|| assert_eq!(update(&again).modified, 1))
+}
+
+#[test]
+fn an_update_of_an_unindexed_field_allocates_nothing_in_the_indexes() {
+    let (indexed, plain) = (Database::new(), Database::new());
+    let (indexed, plain) = (
+        materials(&indexed, &["formula", "elements"]),
+        materials(&plain, &[]),
+    );
+    let unindexed = |c: &Collection| {
+        refresh(
+            c,
+            json!({"e_above_hull": 0.25}),
+            json!({"e_above_hull": 0.5}),
+        )
+    };
+    assert_eq!(unindexed(&indexed), unindexed(&plain));
+
+    // Moving an indexed key does allocate: the check above can see it.
+    let moved =
+        |c: &Collection| refresh(c, json!({"formula": "Fe7O9"}), json!({"formula": "Fe7O10"}));
+    assert!(moved(&indexed) > moved(&plain));
+}
