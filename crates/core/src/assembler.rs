@@ -149,7 +149,9 @@ mod tests {
     #[test]
     fn spec_is_queryable() {
         let spec = make_spec(&rec(), &Incar::default(), 3600.0);
-        let f = mp_docstore::Filter::parse(&json!({"elements": {"$all": ["Na", "Cl"]}})).unwrap();
+        let f = mp_docstore::Filter::parse(&json!({"elements": {"$all": ["Na", "Cl"]}}))
+            .unwrap()
+            .compile();
         assert!(f.matches(&spec));
     }
 

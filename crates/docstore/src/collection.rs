@@ -902,7 +902,7 @@ impl Collection {
                 (PlanKind::IndexIn, f.in_on(path).map(Probe::Keys)),
                 (
                     PlanKind::IndexRange,
-                    f.range_on(path).map(|(lo, hi)| Probe::Range(lo, hi)),
+                    f.range_on(path).map(|(lo, hi)| ix.range_probe(lo, hi)),
                 ),
             ];
             for (kind, probe) in probes {

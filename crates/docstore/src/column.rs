@@ -10,7 +10,8 @@
 //! A column holds, per row, the number at its path when the path
 //! resolves through plain objects to a JSON number, and `NaN`
 //! ("undecided") for everything else: missing, `null`, a string, an
-//! array, a path that crosses an array. [`Candidates::prune`] drops a
+//! array, a path that crosses an array, an integer no `f64` holds
+//! exactly. [`Candidates::prune`] drops a
 //! row only when a column *proves* a top-level conjunct cannot match it;
 //! a `NaN` row always survives, and [`CompiledFilter::matches`] still
 //! decides every survivor. A column can remove work, never change an
@@ -18,7 +19,7 @@
 
 use crate::profiler::Profiler;
 use crate::query::{CompiledFilter, CompiledPath, NumericBound};
-use crate::value::{Docs, Document, PathSeg};
+use crate::value::{exact_f64, Docs, Document, PathSeg};
 use serde_json::Value;
 use std::sync::{Arc, OnceLock};
 
@@ -112,8 +113,8 @@ fn narrow(sel: Option<Vec<usize>>, col: &[f64], bound: NumericBound) -> Vec<usiz
 
 /// The number at `segs` when every step is an object key and the value
 /// is a JSON number — the one shape for which a comparison predicate
-/// sees exactly this value (no array traversal, no second candidate) —
-/// else `NaN`.
+/// sees exactly this value (no array traversal, no second candidate) and
+/// an `f64` holds it exactly ([`exact_f64`]) — else `NaN`.
 fn plain_number(doc: &Value, segs: &[PathSeg]) -> f64 {
     let mut cur = doc;
     for seg in segs {
@@ -126,7 +127,7 @@ fn plain_number(doc: &Value, segs: &[PathSeg]) -> f64 {
         }
     }
     match cur {
-        Value::Number(n) => n.as_f64().unwrap_or(f64::NAN),
+        Value::Number(n) => exact_f64(n).unwrap_or(f64::NAN),
         _ => f64::NAN,
     }
 }
@@ -280,8 +281,9 @@ mod tests {
         let cf = compiled(json!({"a.x": {"$gt": 0}}));
         let (path, _) = cf.numeric_bounds().next().unwrap();
         let col = s.column(path, &Profiler::new(8)).unwrap();
-        assert_eq!(col[..3], [3.0, 2.5, 9_007_199_254_740_993u64 as f64]);
-        assert!(col[3..].iter().all(|x| x.is_nan()), "{col:?}");
+        // 2^53 + 1 has no exact `f64`: undecided, like a non-number.
+        assert_eq!(col[..2], [3.0, 2.5]);
+        assert!(col[2..].iter().all(|x| x.is_nan()), "{col:?}");
     }
 
     #[test]

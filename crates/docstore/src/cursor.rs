@@ -2,17 +2,14 @@
 //! web UI and workflow engine use for paging and field selection.
 //!
 //! [`FindOptions`] is the *spec*: plain dotted-path strings, built once per
-//! request. The read path never applies it directly — it calls
-//! [`FindOptions::compile`] to get a [`CompiledFindOptions`] whose sort keys
-//! and projection paths are pre-split ([`PathSeg`]) so the per-document work
-//! is pure traversal, the same once-per-query treatment
-//! `Filter::compile` gives predicates. The uncompiled
-//! [`FindOptions::compare`]/[`FindOptions::project_doc`] survive as the
-//! naive reference implementations the property tests diff against.
+//! request. It is never applied directly — [`FindOptions::compile`] gives
+//! a [`CompiledFindOptions`] whose sort keys and projection paths are
+//! pre-split ([`PathSeg`]) so the per-document work is pure traversal, the
+//! same once-per-query treatment `Filter::compile` gives predicates. The
+//! store has one orderer and one projection; the property tests diff them
+//! against the test-only `mp-model` crate, which shares no code with them.
 
-use crate::value::{
-    cmp_values, compile_path, get_path, get_path_segs, set_path, set_path_segs, PathSeg,
-};
+use crate::value::{cmp_values, compile_path, get_path_segs, set_path_segs, PathSeg};
 use serde_json::{Map, Value};
 use std::borrow::Borrow;
 use std::cmp::Ordering;
@@ -81,65 +78,6 @@ impl FindOptions {
             projection: self.projection.as_deref().map(CompiledProjection::compile),
         }
     }
-
-    /// Naive reference: apply sort/skip/limit by re-splitting each sort
-    /// key per comparison. The read path uses
-    /// [`CompiledFindOptions::apply_order`]; this stays as the oracle the
-    /// property tests compare against. Generic over ownership so it sorts
-    /// owned `Vec<Value>` and shared [`crate::value::Docs`] alike.
-    pub fn apply_order<D: Borrow<Value>>(&self, docs: &mut Vec<D>) {
-        if !self.sort.is_empty() {
-            docs.sort_by(|a, b| self.compare(a.borrow(), b.borrow()));
-        }
-        if self.skip > 0 {
-            let n = self.skip.min(docs.len());
-            docs.drain(..n);
-        }
-        if let Some(limit) = self.limit {
-            docs.truncate(limit);
-        }
-    }
-
-    /// Naive reference comparator implied by the sort spec (missing
-    /// fields sort first, like MongoDB's null-first ordering). The read
-    /// path uses [`CompiledFindOptions::cmp_docs`].
-    pub fn compare(&self, a: &Value, b: &Value) -> Ordering {
-        for (path, dir) in &self.sort {
-            let va = get_path(a, path).unwrap_or(&Value::Null);
-            let vb = get_path(b, path).unwrap_or(&Value::Null);
-            let c = cmp_values(va, vb);
-            let c = match dir {
-                SortDir::Asc => c,
-                SortDir::Desc => c.reverse(),
-            };
-            if c != Ordering::Equal {
-                return c;
-            }
-        }
-        Ordering::Equal
-    }
-
-    /// Naive reference projection: `get_path` + `set_path` per path per
-    /// document, re-splitting every dotted path each time. The read path
-    /// uses [`CompiledProjection::project_one`]; this stays as the oracle
-    /// the property tests compare against.
-    pub fn project_doc(&self, doc: &Value) -> Value {
-        match &self.projection {
-            None => doc.clone(),
-            Some(paths) => {
-                let mut out = Value::Object(Map::new());
-                if let Some(id) = doc.get("_id") {
-                    let _ = set_path(&mut out, "_id", id.clone());
-                }
-                for p in paths {
-                    if let Some(v) = get_path(doc, p) {
-                        let _ = set_path(&mut out, p, v.clone());
-                    }
-                }
-                out
-            }
-        }
-    }
 }
 
 /// [`FindOptions`] after one-time compilation: sort keys and projection
@@ -177,8 +115,8 @@ impl CompiledFindOptions {
         self.limit
     }
 
-    /// Apply sort/skip/limit using the pre-split sort keys. Result order
-    /// is identical to the naive [`FindOptions::apply_order`].
+    /// Apply sort/skip/limit using the pre-split sort keys (a stable
+    /// sort: ties keep their input order).
     pub fn apply_order<D: Borrow<Value>>(&self, docs: &mut Vec<D>) {
         if !self.sort.is_empty() {
             docs.sort_by(|a, b| self.cmp_docs(a.borrow(), b.borrow()));
@@ -192,8 +130,9 @@ impl CompiledFindOptions {
         }
     }
 
-    /// Compiled comparator: same ordering as [`FindOptions::compare`]
-    /// (missing fields sort first) over pre-split key paths.
+    /// The comparator the sort spec implies, over pre-split key paths:
+    /// key by key, [`cmp_values`] order, a missing field as `null` (so it
+    /// sorts first ascending, like MongoDB's null-first ordering).
     pub fn cmp_docs(&self, a: &Value, b: &Value) -> Ordering {
         for (segs, dir) in &self.sort {
             let va = get_path_segs(a, segs).unwrap_or(&Value::Null);
@@ -221,11 +160,13 @@ impl CompiledFindOptions {
 ///   over the trie per document; no path re-resolution, no
 ///   intermediate-container bookkeeping.
 /// * **Sequential fallback**: paths with array indices keep `set_path`'s
-///   order-sensitive array-creation semantics, so they replay the naive
-///   algorithm over pre-split segments ([`set_path_segs`]).
+///   order-sensitive array-creation semantics, so they replay the
+///   sequential algorithm — `_id`, then each path in order: read it,
+///   and where it resolves write it into the output — over pre-split
+///   segments ([`set_path_segs`]).
 ///
-/// Both produce output identical to the naive
-/// [`FindOptions::project_doc`]; the property tests enforce this.
+/// Both produce the sequential algorithm's output byte for byte; the
+/// property tests check it against `mp-model`.
 #[derive(Debug, Clone)]
 pub struct CompiledProjection {
     /// Pre-split paths in application order, `_id` first.
@@ -253,8 +194,8 @@ impl CompiledProjection {
         CompiledProjection { paths: all, plan }
     }
 
-    /// Project one document. Output is identical to the naive
-    /// [`FindOptions::project_doc`] for the same paths.
+    /// Project one document: `_id` and every listed path that resolves,
+    /// nested as in the document, in first-listed order.
     pub fn project_one(&self, doc: &Value) -> Value {
         match &self.plan {
             Some(root) => {
@@ -299,8 +240,8 @@ fn build_plan(paths: &[Vec<PathSeg>]) -> Option<ProjNode> {
     }
     let mut root = ProjNode::default();
     for segs in paths {
-        // Empty paths are no-ops in the naive algorithm (`set_path`
-        // rejects them); skip them here too.
+        // Empty paths are no-ops in the sequential algorithm
+        // (`set_path` rejects them); skip them here too.
         if segs.is_empty() {
             continue;
         }
@@ -322,7 +263,7 @@ fn build_plan(paths: &[Vec<PathSeg>]) -> Option<ProjNode> {
 }
 
 /// Walk one trie node against the matching document subtree. `None`
-/// means nothing under this node resolved, so (like the naive
+/// means nothing under this node resolved, so (like the sequential
 /// algorithm, which only writes resolved paths) no output entry is
 /// created at all.
 fn project_node(v: &Value, node: &ProjNode) -> Option<Value> {
@@ -361,144 +302,115 @@ mod tests {
         ]
     }
 
+    fn ordered(opts: FindOptions, mut d: Vec<Value>) -> Vec<Value> {
+        opts.compile().apply_order(&mut d);
+        d
+    }
+
+    fn project(paths: &[&str], doc: &Value) -> Value {
+        CompiledProjection::compile(paths).project_one(doc)
+    }
+
     #[test]
     fn sort_asc_desc() {
-        let mut d = docs();
-        FindOptions::all()
-            .sort_by("n", SortDir::Asc)
-            .apply_order(&mut d);
+        let d = ordered(FindOptions::all().sort_by("n", SortDir::Asc), docs());
         let ns: Vec<i64> = d.iter().map(|x| x["n"].as_i64().unwrap()).collect();
         assert_eq!(ns, vec![10, 20, 20, 30]);
 
-        let mut d = docs();
-        FindOptions::all()
-            .sort_by("n", SortDir::Desc)
-            .apply_order(&mut d);
+        let d = ordered(FindOptions::all().sort_by("n", SortDir::Desc), docs());
         let ns: Vec<i64> = d.iter().map(|x| x["n"].as_i64().unwrap()).collect();
         assert_eq!(ns, vec![30, 20, 20, 10]);
     }
 
     #[test]
     fn compound_sort_breaks_ties() {
-        let mut d = docs();
-        FindOptions::all()
+        let opts = FindOptions::all()
             .sort_by("n", SortDir::Asc)
-            .sort_by("s", SortDir::Desc)
-            .apply_order(&mut d);
+            .sort_by("s", SortDir::Desc);
+        let d = ordered(opts, docs());
         let ids: Vec<i64> = d.iter().map(|x| x["_id"].as_i64().unwrap()).collect();
         assert_eq!(ids, vec![2, 4, 3, 1]);
     }
 
     #[test]
     fn skip_limit() {
-        let mut d = docs();
-        FindOptions::all()
+        let opts = FindOptions::all()
             .sort_by("n", SortDir::Asc)
             .skip(1)
-            .limit(2)
-            .apply_order(&mut d);
+            .limit(2);
+        let d = ordered(opts, docs());
         assert_eq!(d.len(), 2);
         assert_eq!(d[0]["n"], json!(20));
     }
 
     #[test]
     fn skip_past_end() {
-        let mut d = docs();
-        FindOptions::all().skip(99).apply_order(&mut d);
-        assert!(d.is_empty());
+        assert!(ordered(FindOptions::all().skip(99), docs()).is_empty());
     }
 
     #[test]
     fn missing_sort_field_sorts_first() {
-        let mut d = vec![json!({"_id": 1, "n": 5}), json!({"_id": 2})];
-        FindOptions::all()
-            .sort_by("n", SortDir::Asc)
-            .apply_order(&mut d);
+        let d = vec![json!({"_id": 1, "n": 5}), json!({"_id": 2})];
+        let d = ordered(FindOptions::all().sort_by("n", SortDir::Asc), d);
         assert_eq!(d[0]["_id"], json!(2));
     }
 
     #[test]
     fn projection_keeps_id_and_nested() {
         let doc = json!({"_id": 7, "a": {"b": 1, "c": 2}, "d": 3});
-        let opts = FindOptions::all().project(&["a.b"]);
-        assert_eq!(opts.project_doc(&doc), json!({"_id": 7, "a": {"b": 1}}));
+        assert_eq!(project(&["a.b"], &doc), json!({"_id": 7, "a": {"b": 1}}));
+        let opts = FindOptions::all().project(&["a.b"]).compile();
+        assert!(opts.projection().is_some());
+        assert!(FindOptions::all().compile().projection().is_none());
     }
 
     #[test]
-    fn no_projection_returns_whole_doc() {
-        let doc = json!({"_id": 7, "x": 1});
-        assert_eq!(FindOptions::all().project_doc(&doc), doc);
-    }
-
-    #[test]
-    fn compiled_order_matches_naive() {
-        let opts = FindOptions::all()
-            .sort_by("n", SortDir::Asc)
-            .sort_by("s", SortDir::Desc)
-            .skip(1)
-            .limit(2);
-        let copts = opts.compile();
-        let mut naive = docs();
-        let mut fast = docs();
-        opts.apply_order(&mut naive);
-        copts.apply_order(&mut fast);
-        assert_eq!(naive, fast);
-    }
-
-    #[test]
-    fn compiled_projection_plan_matches_naive() {
+    fn projection_plan_nests_in_first_listed_order() {
         let doc = json!({"_id": 7, "a": {"b": 1, "c": 2}, "d": 3, "e": {"f": {"g": 4}}});
-        for paths in [
-            vec!["a.b"],
-            vec!["a.b", "a.c"],
-            vec!["a", "a.b"],
-            vec!["a.b", "a"],
-            vec!["e.f.g", "missing", "a.zz"],
-            vec!["d"],
+        for (paths, want) in [
+            (vec!["a.c", "a.b"], r#"{"_id":7,"a":{"c":2,"b":1}}"#),
+            (vec!["a", "a.b"], r#"{"_id":7,"a":{"b":1,"c":2}}"#),
+            (vec!["a.b", "a"], r#"{"_id":7,"a":{"b":1,"c":2}}"#),
+            (
+                vec!["e.f.g", "missing", "a.zz"],
+                r#"{"_id":7,"e":{"f":{"g":4}}}"#,
+            ),
+            (vec!["d", "_id"], r#"{"_id":7,"d":3}"#),
         ] {
-            let opts = FindOptions::all().project(&paths);
-            let copts = opts.compile();
-            let proj = copts.projection().expect("projection compiled");
-            assert_eq!(
-                opts.project_doc(&doc),
-                proj.project_one(&doc),
-                "paths {paths:?}"
-            );
+            assert_eq!(project(&paths, &doc).to_string(), want, "paths {paths:?}");
         }
     }
 
     #[test]
-    fn compiled_projection_fallback_matches_naive() {
+    fn projection_fallback_builds_arrays_as_set_path_does() {
         // Numeric segments route through the sequential fallback, which
-        // must replicate set_path's array-creation semantics exactly.
+        // writes each resolved path as `set_path` would.
         let doc = json!({"_id": 1, "xs": [10, {"y": 20}, 30], "a": {"0": "objkey"}});
-        for paths in [vec!["xs.1.y"], vec!["xs.2"], vec!["a.0"], vec!["xs.9"]] {
-            let opts = FindOptions::all().project(&paths);
-            let copts = opts.compile();
-            let proj = copts.projection().expect("projection compiled");
-            assert_eq!(
-                opts.project_doc(&doc),
-                proj.project_one(&doc),
-                "paths {paths:?}"
-            );
+        for (paths, want) in [
+            (vec!["xs.1.y"], json!({"_id": 1, "xs": [null, {"y": 20}]})),
+            (vec!["xs.2"], json!({"_id": 1, "xs": [null, null, 30]})),
+            (vec!["a.0"], json!({"_id": 1, "a": ["objkey"]})),
+            (vec!["xs.9"], json!({"_id": 1})),
+        ] {
+            assert_eq!(project(&paths, &doc), want, "paths {paths:?}");
         }
     }
 
     #[test]
-    fn compiled_cmp_handles_mixed_types() {
+    fn cmp_docs_orders_mixed_types_by_bracket() {
         let docs = vec![
             json!({"_id": 1, "k": "str"}),
             json!({"_id": 2, "k": 5}),
             json!({"_id": 3}),
             json!({"_id": 4, "k": [1, 2]}),
             json!({"_id": 5, "k": true}),
+            json!({"_id": 6, "k": {"a": 1}}),
+            json!({"_id": 7, "k": null}),
         ];
-        let opts = FindOptions::all().sort_by("k", SortDir::Asc);
-        let copts = opts.compile();
-        let mut naive = docs.clone();
-        let mut fast = docs;
-        naive.sort_by(|a, b| opts.compare(a, b));
-        fast.sort_by(|a, b| copts.cmp_docs(a, b));
-        assert_eq!(naive, fast);
+        let d = ordered(FindOptions::all().sort_by("k", SortDir::Asc), docs);
+        let ids: Vec<i64> = d.iter().map(|x| x["_id"].as_i64().unwrap()).collect();
+        // Missing and null tie (input order kept), then number, string,
+        // object, array, bool.
+        assert_eq!(ids, vec![3, 7, 2, 1, 6, 4, 5]);
     }
 }

@@ -27,6 +27,9 @@ pub struct Index {
     /// Each distinct key and the ids of the documents exposing it:
     /// ascending, without repeats, never empty.
     map: BTreeMap<OrderedValue, Vec<DocId>>,
+    /// Has some document exposed two or more keys here? Set for good,
+    /// as MongoDB's multikey flag is: a range probe reads it.
+    multikey: bool,
 }
 
 /// The keys a document exposes at an index path: one per array element
@@ -193,6 +196,7 @@ impl Index {
             path: path.into(),
             unique,
             map: BTreeMap::new(),
+            multikey: false,
         }
     }
 
@@ -225,6 +229,7 @@ impl Index {
             path,
             unique,
             map: map.into_iter().collect(),
+            multikey: sorted.iter().any(|(_, _, place)| *place > 0),
         }
     }
 
@@ -265,6 +270,7 @@ impl Index {
                 }
             }
         }
+        self.multikey |= keys.len() > 1;
         for k in keys {
             let ids = self.map.entry(k).or_default();
             if let Err(at) = ids.binary_search(&id) {
@@ -325,6 +331,20 @@ impl Index {
             ids.dedup();
         }
         ids
+    }
+
+    /// The probe for a range on this index's path. Once a document has
+    /// exposed two keys here, a two-sided range probes its lower side
+    /// only: an array matches when one element passes each bound, and
+    /// those may be two elements with no key between the bounds. The
+    /// matcher checks the upper bound on what the probe finds.
+    pub(crate) fn range_probe<'a>(&self, lo: Bound<&'a Value>, hi: Bound<&'a Value>) -> Probe<'a> {
+        match lo {
+            Bound::Included(_) | Bound::Excluded(_) if self.multikey => {
+                Probe::Range(lo, Bound::Unbounded)
+            }
+            _ => Probe::Range(lo, hi),
+        }
     }
 
     /// What [`lookup`](Self::lookup) would walk: the sum of the sizes of
@@ -539,6 +559,27 @@ mod tests {
         assert!(range(Excluded(&twenty), Excluded(&twenty)).is_empty());
         assert!(range(Included(&twenty), Excluded(&twenty)).is_empty());
         assert_eq!(range(Included(&twenty), Included(&twenty)), vec![2]);
+    }
+
+    /// `[0, 4]` passes `$gt: 1` with 4 and `$lt: 3` with 0, with no key
+    /// between the bounds: once an index is multikey, a two-sided range
+    /// probes its lower side only, and finds it; until then, both sides.
+    #[test]
+    fn a_multikey_index_probes_one_side_of_a_range() {
+        use Bound::{Excluded, Unbounded};
+        let (one, three) = (json!(1), json!(3));
+        let mut ix = Index::new("n", false);
+        ix.insert(1, &json!({"n": 2})).unwrap();
+        ix.insert(2, &json!({"n": 5})).unwrap();
+        let two_sided = |ix: &Index| ix.lookup(&ix.range_probe(Excluded(&one), Excluded(&three)));
+        assert_eq!(two_sided(&ix), vec![1]);
+        ix.insert(3, &json!({"n": [0, 4]})).unwrap();
+        assert_eq!(two_sided(&ix), vec![1, 2, 3]);
+        let upper = ix.lookup(&ix.range_probe(Unbounded, Excluded(&three)));
+        assert_eq!(upper, vec![1, 3]);
+        // Sticky: removing the array leaves the index multikey.
+        ix.remove(3, &json!({"n": [0, 4]}));
+        assert_eq!(two_sided(&ix), vec![1, 2]);
     }
 
     #[test]

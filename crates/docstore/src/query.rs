@@ -1,18 +1,23 @@
 //! Query language: a faithful subset of MongoDB's find() filter documents.
 //!
-//! Filters are parsed from JSON into a [`Filter`] AST once, then matched
-//! against candidate documents. The paper's job-selection example —
+//! Filters are parsed from JSON into a [`Filter`] AST once, compiled once
+//! ([`Filter::compile`]) and matched through the [`CompiledFilter`], the
+//! store's one matcher; upsert's seed, the shard router and mp-lint read
+//! the parsed form. The paper's job-selection example —
 //! `{elements: {$all: ['Li','O']}, nelectrons: {$lte: 200}}` — runs
-//! through exactly this code path.
+//! through exactly this code path. Its oracle is the test-only `mp-model`
+//! crate, which shares no code with it (DESIGN §10 names where both
+//! depart from MongoDB).
 
 use crate::error::{Result, StoreError};
 use crate::value::{
-    any_at_path, cmp_values, compile_path, get_path, get_path_multi, get_path_segs, type_name,
+    any_at_path, cmp_values, compile_path, exact_f64, get_path_segs, type_name, type_rank,
     values_equal, PathSeg,
 };
 use serde_json::Value;
 use std::cmp::Ordering;
 use std::ops::Bound;
+use std::slice;
 
 /// A single comparison applied to one field path.
 #[derive(Debug, Clone, PartialEq)]
@@ -96,25 +101,6 @@ impl Filter {
             }
         }
         Ok(f)
-    }
-
-    /// Does `doc` satisfy this filter?
-    pub fn matches(&self, doc: &Value) -> bool {
-        for (path, preds) in &self.fields {
-            if !preds.iter().all(|p| match_predicate(doc, path, p)) {
-                return false;
-            }
-        }
-        if !self.and.iter().all(|c| c.matches(doc)) {
-            return false;
-        }
-        if !self.or.is_empty() && !self.or.iter().any(|c| c.matches(doc)) {
-            return false;
-        }
-        if self.nor.iter().any(|c| c.matches(doc)) {
-            return false;
-        }
-        true
     }
 
     /// If this filter constrains `path` to a single equality value, return
@@ -283,11 +269,12 @@ fn sort_operands(vs: &[Value]) -> Vec<Value> {
 }
 
 /// Sorted-set membership with MongoDB equality semantics: true when the
-/// stored value equals any operand, or (stored array, scalar operand) any
-/// element does. Equivalent to `set.iter().any(|s| eq_or_contains(v, s))`
-/// — `cmp_values == Equal` implies equal type ranks, so a binary-search
-/// hit is exactly a `values_equal` hit, and an array element can only
-/// ever equal a non-array operand when the element itself is non-array.
+/// stored value equals any operand, or (stored array, non-array operand)
+/// any element does — one level: a nested array is an element, never
+/// opened. `cmp_values == Equal` implies equal type ranks, so a
+/// binary-search hit is exactly a [`values_equal`] hit, and an array
+/// element can only ever equal a non-array operand when the element
+/// itself is non-array. Equality is this over one operand.
 fn in_sorted(sorted: &[Value], stored: &Value) -> bool {
     let found = |v: &Value| {
         sorted
@@ -321,9 +308,8 @@ impl CompiledFilter {
         self.fields.is_empty() && self.and.is_empty() && self.or.is_empty() && self.nor.is_empty()
     }
 
-    /// Does `doc` satisfy this filter? Decision-equivalent to
-    /// [`Filter::matches`] on the source filter (property-tested), with
-    /// no per-document allocation.
+    /// Does `doc` satisfy this filter? The store's one matcher, with no
+    /// per-document allocation; `mp-model` is its oracle in the tests.
     pub fn matches(&self, doc: &Value) -> bool {
         for (path, preds) in &self.fields {
             if !preds.iter().all(|p| match_compiled(doc, path, p)) {
@@ -389,24 +375,31 @@ impl CompiledFilter {
 
     /// Every top-level path that `$eq`/`$gt`/`$gte`/`$lt`/`$lte` with a
     /// numeric operand bound, with the intersection of those bounds.
-    /// Each such predicate is a conjunct of the whole filter and compares
-    /// as `f64` on both sides ([`cmp_values`]), so a plain number outside
-    /// the interval cannot match whatever else the filter says.
+    /// Each such predicate is a conjunct of the whole filter, and a
+    /// column holds a plain number only where an `f64` holds it exactly,
+    /// so a plain number outside the interval cannot match whatever else
+    /// the filter says. An operand no `f64` holds exactly
+    /// ([`exact_f64`]) is skipped: rounded, it would move the bound past
+    /// numbers that match.
     pub(crate) fn numeric_bounds(&self) -> impl Iterator<Item = (&CompiledPath, NumericBound)> {
         self.fields.iter().filter_map(|(path, preds)| {
             let mut b = NumericBound::UNBOUNDED;
             for pred in preds {
-                match pred {
-                    CompiledPredicate::Eq(Value::Number(n)) => {
-                        let v = n.as_f64()?;
-                        b.raise(v, false);
-                        b.lower(v, false);
-                    }
-                    CompiledPredicate::Gt(Value::Number(n)) => b.raise(n.as_f64()?, true),
-                    CompiledPredicate::Gte(Value::Number(n)) => b.raise(n.as_f64()?, false),
-                    CompiledPredicate::Lt(Value::Number(n)) => b.lower(n.as_f64()?, true),
-                    CompiledPredicate::Lte(Value::Number(n)) => b.lower(n.as_f64()?, false),
-                    _ => {}
+                // (raises the low end, lowers the high end, open, operand)
+                let (raise, lower, open, n) = match pred {
+                    CompiledPredicate::Eq(Value::Number(n)) => (true, true, false, n),
+                    CompiledPredicate::Gt(Value::Number(n)) => (true, false, true, n),
+                    CompiledPredicate::Gte(Value::Number(n)) => (true, false, false, n),
+                    CompiledPredicate::Lt(Value::Number(n)) => (false, true, true, n),
+                    CompiledPredicate::Lte(Value::Number(n)) => (false, true, false, n),
+                    _ => continue,
+                };
+                let Some(v) = exact_f64(n) else { continue };
+                if raise {
+                    b.raise(v, open);
+                }
+                if lower {
+                    b.lower(v, open);
                 }
             }
             (b != NumericBound::UNBOUNDED).then_some((path, b))
@@ -425,9 +418,11 @@ impl CompiledFilter {
     }
 }
 
-/// Compiled twin of `match_predicate`: the reachable-value walk runs as a
-/// borrowing visitor ([`any_at_path`]) instead of materializing a `Vec`
-/// of references per document per predicate.
+/// Match one predicate against the values reachable at `path`: a
+/// document matches when *any* reachable value (array elements included)
+/// satisfies the predicate, and `$ne`/`$nin`/`$not` when *none* does.
+/// The reachable-value walk runs as a borrowing visitor
+/// ([`any_at_path`]), allocating nothing.
 fn match_compiled(doc: &Value, path: &CompiledPath, pred: &CompiledPredicate) -> bool {
     let segs = &path.segs;
     match pred {
@@ -437,7 +432,7 @@ fn match_compiled(doc: &Value, path: &CompiledPath, pred: &CompiledPredicate) ->
             exists == *want
         }
         CompiledPredicate::Ne(operand) => {
-            !any_at_path(doc, segs, &mut |v| eq_or_contains(v, operand))
+            !any_at_path(doc, segs, &mut |v| in_sorted(slice::from_ref(operand), v))
         }
         CompiledPredicate::Nin(sorted) => !any_at_path(doc, segs, &mut |v| in_sorted(sorted, v)),
         CompiledPredicate::Not(preds) => !preds.iter().all(|p| match_compiled(doc, path, p)),
@@ -447,11 +442,11 @@ fn match_compiled(doc: &Value, path: &CompiledPath, pred: &CompiledPredicate) ->
 
 fn match_compiled_single(stored: &Value, pred: &CompiledPredicate) -> bool {
     match pred {
-        CompiledPredicate::Eq(operand) => eq_or_contains(stored, operand),
-        CompiledPredicate::Gt(o) => ord_match(stored, o, &[Ordering::Greater]),
-        CompiledPredicate::Gte(o) => ord_match(stored, o, &[Ordering::Greater, Ordering::Equal]),
-        CompiledPredicate::Lt(o) => ord_match(stored, o, &[Ordering::Less]),
-        CompiledPredicate::Lte(o) => ord_match(stored, o, &[Ordering::Less, Ordering::Equal]),
+        CompiledPredicate::Eq(operand) => in_sorted(slice::from_ref(operand), stored),
+        CompiledPredicate::Gt(o) => ordered(stored, o, Ordering::is_gt),
+        CompiledPredicate::Gte(o) => ordered(stored, o, Ordering::is_ge),
+        CompiledPredicate::Lt(o) => ordered(stored, o, Ordering::is_lt),
+        CompiledPredicate::Lte(o) => ordered(stored, o, Ordering::is_le),
         CompiledPredicate::In(sorted) => in_sorted(sorted, stored),
         CompiledPredicate::All(set) => match stored {
             Value::Array(a) => set.iter().all(|s| a.iter().any(|e| values_equal(e, s))),
@@ -477,6 +472,18 @@ fn match_compiled_single(stored: &Value, pred: &CompiledPredicate) -> bool {
         | CompiledPredicate::Exists(_)
         | CompiledPredicate::Not(_) => false,
     }
+}
+
+/// Does `stored` compare to `operand` as `want` asks? Only values of one
+/// type class compare (numbers with numbers, strings with strings), as
+/// in MongoDB. A stored array compares whole with an array operand, and
+/// with any other by its elements, one level deep: a nested array is an
+/// element, never opened — as equality and `$in` treat it, and as an
+/// index holds it.
+fn ordered(stored: &Value, operand: &Value, want: fn(Ordering) -> bool) -> bool {
+    let compares = |v: &Value| type_rank(v) == type_rank(operand) && want(cmp_values(v, operand));
+    compares(stored)
+        || matches!(stored, Value::Array(a) if a.iter().any(|e| !e.is_array() && compares(e)))
 }
 
 fn parse_clause_list(op: &str, v: &Value) -> Result<Vec<Filter>> {
@@ -581,91 +588,13 @@ fn parse_operator(op: &str, v: &Value) -> Result<Predicate> {
     })
 }
 
-/// Match one predicate against the values reachable at `path`.
-///
-/// MongoDB semantics: for most operators a document matches when *any*
-/// value reachable at the path (including array elements) satisfies the
-/// predicate. `$ne`/`$nin` require that *no* reachable value matches.
-fn match_predicate(doc: &Value, path: &str, pred: &Predicate) -> bool {
-    let vals = get_path_multi(doc, path);
-    match pred {
-        Predicate::Exists(want) => {
-            let exists = !vals.is_empty() || get_path(doc, path).is_some();
-            exists == *want
-        }
-        Predicate::Ne(operand) => !vals.iter().any(|v| eq_or_contains(v, operand)),
-        Predicate::Nin(set) => !vals
-            .iter()
-            .any(|v| set.iter().any(|s| eq_or_contains(v, s))),
-        Predicate::Not(preds) => !preds.iter().all(|p| match_predicate(doc, path, p)),
-        _ => vals.iter().any(|v| match_single(v, pred)),
-    }
-}
-
-/// Direct or array-containment equality.
-fn eq_or_contains(stored: &Value, operand: &Value) -> bool {
-    if values_equal(stored, operand) {
-        return true;
-    }
-    if let Value::Array(a) = stored {
-        if !operand.is_array() {
-            return a.iter().any(|e| values_equal(e, operand));
-        }
-    }
-    false
-}
-
-/// Does `stored` compare to `operand` as `want` asks? Only values of one
-/// type class compare (numbers with numbers, strings with strings), as
-/// in MongoDB. A stored array compares whole with an array operand, and
-/// with any other by its elements, one level deep: a nested array is an
-/// element, never opened — as equality and `$in` treat it, and as an
-/// index holds it.
-fn ord_match(stored: &Value, operand: &Value, want: &[Ordering]) -> bool {
-    let compares = |v: &Value| {
-        crate::value::type_rank(v) == crate::value::type_rank(operand)
-            && want.contains(&cmp_values(v, operand))
-    };
-    compares(stored)
-        || matches!(stored, Value::Array(a) if a.iter().any(|e| !e.is_array() && compares(e)))
-}
-
-fn match_single(stored: &Value, pred: &Predicate) -> bool {
-    match pred {
-        Predicate::Eq(operand) => eq_or_contains(stored, operand),
-        Predicate::Gt(o) => ord_match(stored, o, &[Ordering::Greater]),
-        Predicate::Gte(o) => ord_match(stored, o, &[Ordering::Greater, Ordering::Equal]),
-        Predicate::Lt(o) => ord_match(stored, o, &[Ordering::Less]),
-        Predicate::Lte(o) => ord_match(stored, o, &[Ordering::Less, Ordering::Equal]),
-        Predicate::In(set) => set.iter().any(|s| eq_or_contains(stored, s)),
-        Predicate::All(set) => match stored {
-            Value::Array(a) => set.iter().all(|s| a.iter().any(|e| values_equal(e, s))),
-            single => matches!(&set[..], [only] if values_equal(single, only)),
-        },
-        Predicate::Size(n) => stored.as_array().map(|a| a.len() == *n).unwrap_or(false),
-        Predicate::Type(t) => type_name(stored) == t,
-        Predicate::Contains(s) => stored.as_str().map(|x| x.contains(s)).unwrap_or(false),
-        Predicate::StartsWith(s) => stored.as_str().map(|x| x.starts_with(s)).unwrap_or(false),
-        Predicate::Mod(d, r) => stored
-            .as_i64()
-            .map(|x| x.rem_euclid(*d) == (*r).rem_euclid(*d))
-            .unwrap_or(false),
-        Predicate::ElemMatch(f) => stored
-            .as_array()
-            .map(|a| a.iter().any(|e| f.matches(e)))
-            .unwrap_or(false),
-        // Handled in match_predicate:
-        Predicate::Ne(_) | Predicate::Nin(_) | Predicate::Exists(_) | Predicate::Not(_) => false,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use serde_json::json;
 
     fn matches(q: Value, doc: Value) -> bool {
-        Filter::parse(&q).unwrap().matches(&doc)
+        Filter::parse(&q).unwrap().compile().matches(&doc)
     }
 
     #[test]

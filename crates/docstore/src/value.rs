@@ -5,7 +5,7 @@
 //! are reproduced here because the rest of the system (query matcher,
 //! update engine, indexes, cursors) is built on them.
 
-use serde_json::{Map, Value};
+use serde_json::{Map, Number, Value};
 use std::cmp::Ordering;
 use std::sync::Arc;
 
@@ -350,11 +350,7 @@ pub fn cmp_values(a: &Value, b: &Value) -> Ordering {
     match (a, b) {
         (Value::Null, Value::Null) => Ordering::Equal,
         (Value::Bool(x), Value::Bool(y)) => x.cmp(y),
-        (Value::Number(x), Value::Number(y)) => {
-            let fx = x.as_f64().unwrap_or(f64::NAN);
-            let fy = y.as_f64().unwrap_or(f64::NAN);
-            fx.partial_cmp(&fy).unwrap_or(Ordering::Equal)
-        }
+        (Value::Number(x), Value::Number(y)) => cmp_numbers(x, y),
         (Value::String(x), Value::String(y)) => x.cmp(y),
         (Value::Array(x), Value::Array(y)) => {
             for (xi, yi) in x.iter().zip(y.iter()) {
@@ -387,6 +383,56 @@ pub fn cmp_values(a: &Value, b: &Value) -> Ordering {
     }
 }
 
+/// Numbers by exact value, whatever their form: two integers as `i128`,
+/// two doubles as doubles, an integer and a double by the real numbers
+/// they spell (`1 == 1.0`, and 2^53 + 1 above the double 2^53), so
+/// integers past 2^53 neither collapse nor tie with their `f64`
+/// neighbours.
+fn cmp_numbers(x: &Number, y: &Number) -> Ordering {
+    match (int_of(x), int_of(y)) {
+        (Some(a), Some(b)) => a.cmp(&b),
+        (Some(a), None) => cmp_int_float(a, y.as_f64().unwrap_or(f64::NAN)),
+        (None, Some(b)) => cmp_int_float(b, x.as_f64().unwrap_or(f64::NAN)).reverse(),
+        (None, None) => {
+            let fx = x.as_f64().unwrap_or(f64::NAN);
+            let fy = y.as_f64().unwrap_or(f64::NAN);
+            fx.partial_cmp(&fy).unwrap_or(Ordering::Equal)
+        }
+    }
+}
+
+fn int_of(n: &Number) -> Option<i128> {
+    n.as_i64()
+        .map(i128::from)
+        .or_else(|| n.as_u64().map(i128::from))
+}
+
+/// An integer against a (finite) double: the double's integer part,
+/// cast saturating (no integer reaches the saturated ends), decides,
+/// and its fraction breaks a tie.
+fn cmp_int_float(i: i128, f: f64) -> Ordering {
+    let whole = f.trunc();
+    i.cmp(&(whole as i128)).then(
+        f.partial_cmp(&whole)
+            .map_or(Ordering::Equal, Ordering::reverse),
+    )
+}
+
+/// The `f64` that holds `n` exactly, if there is one: a double itself,
+/// or an integer `f64` can spell without rounding (all of them up to
+/// 2^53 in magnitude, and some above). A scan column stores it and a
+/// filter's numeric bound is taken from it; a number without one
+/// decides nothing there.
+pub(crate) fn exact_f64(n: &Number) -> Option<f64> {
+    match int_of(n) {
+        Some(i) => {
+            let f = i as f64;
+            (f as i128 == i).then_some(f)
+        }
+        None => n.as_f64(),
+    }
+}
+
 /// Equality that treats `1` and `1.0` as equal (numeric comparison), like
 /// MongoDB's matcher, rather than `serde_json`'s structural equality.
 pub fn values_equal(a: &Value, b: &Value) -> bool {
@@ -396,9 +442,12 @@ pub fn values_equal(a: &Value, b: &Value) -> bool {
 /// Stable 64-bit hash (FNV-1a) that agrees with [`values_equal`]: two
 /// values it calls equal hash alike, so `1` and `1.0` do. It walks the
 /// value the way [`cmp_values`] compares it — type rank first, a number
-/// by its `as_f64` bits (`-0.0` as `0.0`), a string by its bytes, an
-/// array element by element, an object in sorted-key order — and
-/// renders nothing. Change it together with [`cmp_values`].
+/// by the bits of its nearest `f64` (`as_f64`, `-0.0` as `0.0`), a
+/// string by its bytes, an array element by element, an object in
+/// sorted-key order — and renders nothing. Numbers compare exactly, but
+/// equal numbers round to the same `f64`, so they still hash alike;
+/// integers past 2^53 that differ may share a hash, which is only a
+/// collision. Change it together with [`cmp_values`].
 pub(crate) fn hash_value(v: &Value) -> u64 {
     let mut h = 0xcbf29ce484222325;
     hash_walk(v, &mut h);
@@ -579,6 +628,46 @@ mod tests {
         assert!(!values_equal(&json!(1), &json!(2)));
     }
 
+    /// Integers past 2^53 keep their exact order against each other and
+    /// against the doubles beside them; `exact_f64` has an image only
+    /// for a number a double spells without rounding.
+    #[test]
+    fn numbers_compare_exactly() {
+        let two53 = 1u64 << 53;
+        let ascending = [
+            json!(i64::MIN),
+            json!(-9007199254740993i64),
+            json!(-9007199254740992.0),
+            json!(-0.5),
+            json!(0),
+            json!(0.5),
+            json!(two53 as f64),
+            json!(two53 + 1),
+            json!(two53 + 2),
+            json!(two53 as f64 + 4.0),
+            json!(u64::MAX),
+            json!(18446744073709551616.0),
+            json!(1e300),
+        ];
+        for (i, a) in ascending.iter().enumerate() {
+            for (j, b) in ascending.iter().enumerate() {
+                assert_eq!(cmp_values(a, b), i.cmp(&j), "{a} vs {b}");
+            }
+        }
+        assert!(values_equal(&json!(two53), &json!(two53 as f64)));
+        assert!(values_equal(&json!(-0.0), &json!(0)));
+        let exact = |v: Value| match v {
+            Value::Number(n) => exact_f64(&n),
+            _ => unreachable!("a number row"),
+        };
+        assert_eq!(exact(json!(two53)), Some(two53 as f64));
+        assert_eq!(exact(json!(two53 + 1)), None);
+        assert_eq!(exact(json!(two53 + 2)), Some((two53 + 2) as f64));
+        assert_eq!(exact(json!(u64::MAX)), None);
+        assert_eq!(exact(json!(i64::MIN)), Some(i64::MIN as f64));
+        assert_eq!(exact(json!(0.1)), Some(0.1));
+    }
+
     /// Values `values_equal` calls equal hash alike, whatever number form
     /// or field order spells them.
     #[test]
@@ -589,7 +678,14 @@ mod tests {
             json!(0),
             json!(-0.0),
             json!(9007199254740993u64),
+            json!(9007199254740992u64),
             json!(9007199254740992.0),
+            json!(u64::MAX),
+            json!(18446744073709551616.0),
+            json!(i64::MIN),
+            json!(-9223372036854775808.0),
+            json!([9007199254740993u64]),
+            json!([9007199254740992.0]),
             json!("1"),
             json!(null),
             json!(true),

@@ -1,6 +1,6 @@
 //! Property test tying the static analyzer to the runtime matcher: any
 //! filter mp-lint reports no diagnostics for must parse and must never
-//! panic in `Filter::matches`, against arbitrary documents. (mp-lint is a
+//! panic in `CompiledFilter::matches`, against arbitrary documents. (mp-lint is a
 //! dev-dependency here — a dev-only cycle cargo allows.)
 
 use mp_docstore::Filter;
@@ -90,7 +90,7 @@ proptest! {
             return Ok(());
         }
         let f = Filter::parse(&q).expect("lint found no parse errors");
-        let _ = f.matches(&doc); // must not panic, any verdict is fine
+        let _ = f.compile().matches(&doc); // must not panic, any verdict is fine
         let _ = f.touched_paths();
     }
 
@@ -100,7 +100,7 @@ proptest! {
         let q = json!({"n": {"$gt": lo + span, "$lt": lo}});
         let diags = analyze_query(&q);
         prop_assert!(diags.iter().any(|d| d.code == "Q002"), "{diags:?}");
-        prop_assert!(!Filter::parse(&q).expect("parses").matches(&doc));
+        prop_assert!(!Filter::parse(&q).expect("parses").compile().matches(&doc));
     }
 
     /// Schema-aware type-mismatch errors imply zero matches against
@@ -121,6 +121,6 @@ proptest! {
         let q = json!({"n": {"$gt": s}});
         let diags = analyze_query_with_schema(&q, &schema, &std::collections::BTreeMap::new());
         prop_assert!(diags.iter().any(|d| d.code == "Q001"), "{diags:?}");
-        prop_assert!(!Filter::parse(&q).expect("parses").matches(&doc));
+        prop_assert!(!Filter::parse(&q).expect("parses").compile().matches(&doc));
     }
 }

@@ -1,11 +1,10 @@
-//! Property tests pinning the compiled read path to its naive oracles.
+//! Property tests pinning the compiled read path to `mp-model`, the
+//! test-only model of the store's semantics that shares no code with it.
+//! The compiled forms ([`FindOptions::compile`] → `CompiledFindOptions` /
+//! `CompiledProjection`) are diffed against the model's sort, window and
+//! projection:
 //!
-//! [`FindOptions`] keeps the pre-compilation implementations
-//! (`compare`, `apply_order`, `project_doc`) precisely so these tests
-//! can diff the compiled forms ([`FindOptions::compile`] →
-//! `CompiledFindOptions` / `CompiledProjection`) against them:
-//!
-//! * the compiled comparator orders exactly like the naive one over
+//! * the compiled comparator orders exactly like the model over
 //!   mixed-type sort keys (numbers vs strings vs null vs missing);
 //! * compiled sort + skip + limit returns the identical window,
 //!   including the edges (skip past the end, limit 0, limit past the
@@ -20,8 +19,8 @@
 //!
 //! The column arm (`column_pruned_scans_match_the_oracle` and the tests
 //! after it) pins collection scans that read through a scan segment
-//! (DESIGN §16) to [`Filter::matches`]: find, count, projected, sorted
-//! and windowed results are the oracle's on the scan that builds the
+//! (DESIGN §16) to the model's matcher: find, count, projected, sorted
+//! and windowed results are the model's on the scan that builds the
 //! segment and its columns and on the ones that find them there.
 //!
 //! The rows arm (`rows_sink_agrees_with_find_with`, and a step of the
@@ -29,7 +28,10 @@
 //! the other two: its handles are `find_with`'s without the projection,
 //! its rows `find_with`'s with it.
 
-use mp_docstore::{Collection, CompiledProjection, Database, Filter, FindOptions, SortDir};
+use mp_docstore::{Collection, CompiledProjection, Database, FindOptions, SortDir};
+use mp_model::{
+    model_cmp_docs, model_match, model_project, model_window, ModelOptions, ModelSortKey,
+};
 use proptest::prelude::*;
 use serde_json::{json, Map, Value};
 use std::sync::Arc;
@@ -154,9 +156,9 @@ fn options() -> impl Strategy<Value = FindOptions> {
 }
 
 /// What the filtered path of a column-arm document holds. Integers past
-/// 2^53 collapse onto their `f64` neighbours, which the matcher's
-/// `as_f64` comparison does too; everything that is not a plain number
-/// is a row the column must leave undecided.
+/// 2^53 lie between their `f64` neighbours: the matcher compares them
+/// exactly and the column leaves the ones no `f64` holds undecided, as
+/// it does everything that is not a plain number.
 fn column_leaf() -> impl Strategy<Value = Option<Value>> {
     prop_oneof![
         Just(None),
@@ -253,8 +255,32 @@ fn column_filter() -> impl Strategy<Value = Value> {
         })
 }
 
+/// The model's form of a find's options.
+fn model_options(opts: &FindOptions) -> ModelOptions {
+    ModelOptions {
+        sort: model_sort(&opts.sort),
+        skip: opts.skip,
+        limit: opts.limit,
+        projection: opts.projection.clone(),
+    }
+}
+
+fn model_sort(sort: &[(String, SortDir)]) -> Vec<ModelSortKey> {
+    let key = |(path, dir): &(String, SortDir)| (path.clone(), *dir == SortDir::Desc);
+    sort.iter().map(key).collect()
+}
+
+/// Sort, skip, limit, then project, as the model does them.
+fn model_pipeline(docs: Vec<Value>, opts: &FindOptions) -> Vec<Value> {
+    let rows = model_window(docs, &model_options(opts));
+    match &opts.projection {
+        Some(paths) => rows.iter().map(|d| model_project(d, paths)).collect(),
+        None => rows,
+    }
+}
+
 /// `find`, `count`, projected, sorted and windowed reads of `filter`
-/// all equal the `Filter::matches` oracle over `docs` in store order.
+/// all equal the model's over `docs` in store order.
 fn reads_match_oracle(
     db: &Database,
     docs: &[Value],
@@ -262,20 +288,14 @@ fn reads_match_oracle(
     (skip, limit): (usize, usize),
 ) -> Result<(), TestCaseError> {
     let coll = db.collection("c");
-    let oracle = Filter::parse(filter).unwrap();
-    let want: Vec<&Value> = docs.iter().filter(|d| oracle_matches(&oracle, d)).collect();
+    let want: Vec<&Value> = docs.iter().filter(|d| model_match(filter, d)).collect();
     let got = |opts: &FindOptions| -> Vec<String> {
         let rows = coll.find_with(filter, opts).unwrap();
         rows.iter().map(|d| d.to_string()).collect()
     };
     let reference = |opts: &FindOptions| -> Vec<String> {
-        let mut rows = want.clone();
-        opts.apply_order(&mut rows);
-        let render = |d: &&Value| match opts.projection {
-            Some(_) => opts.project_doc(d).to_string(),
-            None => d.to_string(),
-        };
-        rows.iter().map(render).collect()
+        let rows = model_pipeline(want.iter().copied().cloned().collect(), opts);
+        rows.iter().map(Value::to_string).collect()
     };
     prop_assert_eq!(coll.count(filter).unwrap(), want.len());
     let window = FindOptions::all().skip(skip).limit(limit);
@@ -329,11 +349,6 @@ fn document_filter() -> impl Strategy<Value = Value> {
     ]
 }
 
-/// The uncompiled reference verdict on one document.
-fn oracle_matches(oracle: &Filter, doc: &Value) -> bool {
-    oracle.matches(doc)
-}
-
 fn byte_identical(a: &[Value], b: &[Value]) -> Result<(), TestCaseError> {
     prop_assert_eq!(
         serde_json::to_string(&a.to_vec()).unwrap(),
@@ -349,41 +364,40 @@ fn byte_identical(a: &[Value], b: &[Value]) -> Result<(), TestCaseError> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
-    /// The compiled comparator agrees with the naive one on every pair,
+    /// The compiled comparator agrees with the model's on every pair,
     /// including mixed-type and missing keys, in both directions.
     #[test]
-    fn compiled_comparator_matches_naive(
+    fn compiled_comparator_matches_the_model(
         a in document(),
         b in document(),
         sort in sort_spec(),
     ) {
-        let opts = FindOptions { sort, ..FindOptions::all() };
-        let copts = opts.compile();
-        prop_assert_eq!(copts.cmp_docs(&a, &b), opts.compare(&a, &b));
-        prop_assert_eq!(copts.cmp_docs(&b, &a), opts.compare(&b, &a));
+        let copts = FindOptions { sort: sort.clone(), ..FindOptions::all() }.compile();
+        let keys = model_sort(&sort);
+        prop_assert_eq!(copts.cmp_docs(&a, &b), model_cmp_docs(&a, &b, &keys));
+        prop_assert_eq!(copts.cmp_docs(&b, &a), model_cmp_docs(&b, &a, &keys));
     }
 
     /// Compiled sort + skip + limit produces the identical result
-    /// window (content *and* order) to the naive reference.
+    /// window (content *and* order) to the model's.
     #[test]
-    fn compiled_order_matches_naive(
+    fn compiled_order_matches_the_model(
         docs in prop::collection::vec(document(), 0..30),
         opts in options(),
     ) {
         let copts = opts.compile();
-        let mut naive = docs.clone();
+        let model = model_window(docs.clone(), &model_options(&opts));
         let mut compiled = docs;
-        opts.apply_order(&mut naive);
         copts.apply_order(&mut compiled);
-        byte_identical(&compiled, &naive)?;
+        byte_identical(&compiled, &model)?;
     }
 
-    /// The compiled projection is byte-identical to the naive
-    /// `project_doc` on every document — nested paths, missing fields,
-    /// duplicate and overlapping paths, and numeric segments (the
-    /// sequential-fallback strategy) alike.
+    /// The compiled projection is byte-identical to the model's on every
+    /// document — nested paths, missing fields, duplicate and
+    /// overlapping paths, and numeric segments (the sequential-fallback
+    /// strategy) alike.
     #[test]
-    fn compiled_projection_matches_naive(
+    fn compiled_projection_matches_the_model(
         docs in prop::collection::vec(document(), 0..20),
         paths in prop::collection::vec(path_string(), 0..4),
     ) {
@@ -393,24 +407,19 @@ proptest! {
         let copts = opts.compile();
         let proj = copts.projection().expect("projection compiled");
         let compiled: Vec<Value> = docs.iter().map(|d| proj.project_one(d)).collect();
-        let naive: Vec<Value> = docs.iter().map(|d| opts.project_doc(d)).collect();
-        byte_identical(&compiled, &naive)?;
+        let model: Vec<Value> = docs.iter().map(|d| model_project(d, &paths)).collect();
+        byte_identical(&compiled, &model)?;
     }
 
     /// End to end: the full compiled pipeline (sort, skip, limit, then
-    /// project) equals the naive pipeline on the same input.
+    /// project) equals the model's on the same input.
     #[test]
-    fn compiled_pipeline_matches_naive(
+    fn compiled_pipeline_matches_the_model(
         docs in prop::collection::vec(document(), 0..25),
         opts in options(),
     ) {
         let copts = opts.compile();
-
-        let mut naive = docs.clone();
-        opts.apply_order(&mut naive);
-        if opts.projection.is_some() {
-            naive = naive.iter().map(|d| opts.project_doc(d)).collect();
-        }
+        let model = model_pipeline(docs.clone(), &opts);
 
         let mut compiled = docs;
         copts.apply_order(&mut compiled);
@@ -418,7 +427,7 @@ proptest! {
             compiled = compiled.iter().map(|d| proj.project_one(d)).collect();
         }
 
-        byte_identical(&compiled, &naive)?;
+        byte_identical(&compiled, &model)?;
     }
 
     /// The scan's rows sink returns the handles of the documents an
@@ -451,7 +460,7 @@ proptest! {
         rows_sink_matches_find_with(&coll, &filter, &indexed, skip, limit)?;
     }
 
-    /// A COLLSCAN through the scan segment returns what the generic
+    /// A COLLSCAN through the scan segment returns what the model's
     /// matcher would: on the scan that builds the segment and its
     /// columns, and on the ones that find them there.
     #[test]
@@ -473,13 +482,18 @@ proptest! {
         for _ in 0..3 {
             reads_match_oracle(&db, &stored, &filter, window)?;
         }
-        // One column per listed path that has a plain number to test.
+        // One column per listed path that has a plain number to test: one
+        // an `f64` holds exactly (2^53 + 1 is left undecided).
         let explained = db.collection("c").explain(&filter).unwrap();
+        let exact = |v: &Value| {
+            let int = v.as_i64().map(i128::from).or(v.as_u64().map(i128::from));
+            v.is_number() && int.is_none_or(|i| i as f64 as i128 == i)
+        };
         let has_numbers = |path: &&Value| {
             let keys = || path.as_str().unwrap_or_default().split('.');
             stored.iter().any(|d| {
                 let at = keys().try_fold(d, |cur, key| cur.as_object()?.get(key));
-                at.is_some_and(Value::is_number)
+                at.is_some_and(exact)
             })
         };
         let listed = explained["column_pruned"].as_array().unwrap();

@@ -1,6 +1,7 @@
 //! Property-based tests for the document store's core invariants.
 
-use mp_docstore::{Collection, Database, Filter, FindOptions, SortDir, Update};
+use mp_docstore::{Collection, Database, FindOptions, SortDir, Update};
+use mp_model::model_match;
 use proptest::prelude::*;
 use serde_json::{json, Value};
 
@@ -158,8 +159,8 @@ proptest! {
         let id = coll.insert_one(doc).unwrap();
         coll.update_one(&json!({"_id": id}), &json!({"$set": {"sub.y": v}})).unwrap();
         let found = coll.find_one(&json!({"_id": id})).unwrap().unwrap();
-        let f = Filter::parse(&json!({"sub.y": v})).unwrap();
-        prop_assert!(f.matches(&found));
+        let q = json!({"sub.y": v});
+        prop_assert!(model_match(&q, &found));
     }
 
     /// $set is idempotent: applying twice equals applying once.
@@ -187,8 +188,8 @@ proptest! {
         prop_assert_eq!(d1, d2);
     }
 
-    /// Sorting is total and stable under the comparator: sorted output
-    /// is a permutation of input and non-decreasing.
+    /// Sorting is total under the store's comparator: sorted output is a
+    /// permutation of input and non-decreasing under `cmp_docs`.
     #[test]
     fn sort_is_total(docs in prop::collection::vec(document(), 1..30)) {
         let db = Database::new();
@@ -197,8 +198,9 @@ proptest! {
         let opts = FindOptions::all().sort_by("a", SortDir::Asc);
         let out = coll.find_with(&json!({}), &opts).unwrap();
         prop_assert_eq!(out.len(), coll.len());
+        let copts = opts.compile();
         for w in out.windows(2) {
-            let c = opts.compare(&w[0], &w[1]);
+            let c = copts.cmp_docs(&w[0], &w[1]);
             prop_assert_ne!(c, std::cmp::Ordering::Greater);
         }
     }
@@ -247,8 +249,7 @@ proptest! {
     #[test]
     fn self_filter_matches(doc in document()) {
         let q = json!({"n": doc["n"].clone()});
-        let f = Filter::parse(&q).unwrap();
-        prop_assert!(f.matches(&doc));
+        prop_assert!(model_match(&q, &doc));
     }
 
     /// Writes agree across plans: an indexed twin (a scalar index on

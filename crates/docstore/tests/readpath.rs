@@ -5,41 +5,44 @@
 //! refactor must preserve:
 //!
 //! 1. **Equivalence** — the Arc/compiled read path returns *byte-identical*
-//!    results (content and order) to a naive reference implementation that
-//!    deep-clones every document and matches through a freshly parsed,
-//!    uncompiled [`Filter`], across generated filters, sorts, skip/limit
-//!    windows, and projections.
+//!    results (content and order) to a reference that deep-clones every
+//!    document and finds through `mp-model`, the test-only model of the
+//!    store's semantics that shares no code with it, across generated
+//!    filters, sorts, skip/limit windows, and projections.
 //! 2. **Isolation** — documents returned from a query are immutable
 //!    snapshots: later writes to the store are never visible through a
 //!    held handle, and holding a handle never blocks or corrupts later
 //!    writes.
 
 use mp_docstore::{Collection, Database, Filter, FindOptions, SortDir};
+use mp_model::{model_find, model_match, ModelOptions};
 use proptest::prelude::*;
 use serde_json::{json, Value};
 use std::sync::Arc;
 
 // ---------------------------------------------------------------------------
-// Reference implementation: the pre-refactor clone-based read path.
+// Reference implementation: the model over owned copies.
 // ---------------------------------------------------------------------------
 
-/// What `find_with` did before documents became shared: deep-copy the whole
-/// collection, keep what an *uncompiled* filter matches, then order and
-/// project the owned values.
+/// A clone-based find: deep-copy the whole collection in store order and
+/// let the model match, order and project the owned values.
 fn reference_find(coll: &Collection, filter: &Value, opts: &FindOptions) -> Vec<Value> {
     let mut owned: Vec<Value> = Vec::new();
     for d in coll.dump() {
         // Deliberate deep copy: this function *is* the clone-based baseline.
         owned.push((*d).clone());
     }
-    let f = Filter::parse(filter).expect("reference filter parse");
-    // mp-lint: allow(P003) — the baseline is deliberately uncompiled.
-    owned.retain(|d| f.matches(d));
-    opts.apply_order(&mut owned);
-    if opts.projection.is_some() {
-        owned = owned.iter().map(|d| opts.project_doc(d)).collect();
-    }
-    owned
+    let model_opts = ModelOptions {
+        sort: opts
+            .sort
+            .iter()
+            .map(|(path, dir)| (path.clone(), *dir == SortDir::Desc))
+            .collect(),
+        skip: opts.skip,
+        limit: opts.limit,
+        projection: opts.projection.clone(),
+    };
+    model_find(&owned, filter, &model_opts)
 }
 
 /// Byte-identical comparison: serialize both sides and compare the strings,
@@ -184,14 +187,13 @@ proptest! {
         assert_byte_identical(&engine, &reference)?;
     }
 
-    /// The compiled filter agrees with the uncompiled matcher on every
+    /// The compiled filter agrees with the model's matcher on every
     /// generated (filter, document) pair — the per-call contract under
     /// the set-level properties above.
     #[test]
-    fn compiled_matches_agrees_with_uncompiled(doc in document(), q in filter()) {
-        let f = Filter::parse(&q).unwrap();
-        let cf = f.compile();
-        prop_assert_eq!(cf.matches(&doc), f.matches(&doc));
+    fn compiled_matches_agrees_with_the_model(doc in document(), q in filter()) {
+        let cf = Filter::parse(&q).unwrap().compile();
+        prop_assert_eq!(cf.matches(&doc), model_match(&q, &doc));
     }
 }
 

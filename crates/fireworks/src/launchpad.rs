@@ -509,7 +509,9 @@ impl LaunchPad {
                 FuseCondition::ParentsCompleted => true,
                 FuseCondition::ParentOutputMatches { filter } => {
                     let merged = self.merged_parent_outputs(&parents)?;
-                    mp_docstore::Filter::parse(filter)?.matches(&merged)
+                    mp_docstore::Filter::parse(filter)?
+                        .compile()
+                        .matches(&merged)
                 }
                 FuseCondition::UserApproved => {
                     let wf = self

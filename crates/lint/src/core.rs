@@ -843,7 +843,6 @@ mod tests {
                 let config = HotConfig {
                     driver_roots: Vec::new(),
                     per_doc_roots: FnRef::list(&["site"]),
-                    cold_fns: Vec::new(),
                 };
                 analyze_hotpath(ws, &config)
             },

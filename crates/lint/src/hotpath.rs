@@ -22,11 +22,11 @@
 //!   are hot.
 //! * hotness propagates: any function called from a hot region is
 //!   entirely hot, transitively, and every diagnostic prints the hot
-//!   call chain from the root that made it hot.
-//! * **cold functions** stop propagation: the uncompiled reference
-//!   implementations (`Filter::matches`, the naive
-//!   `FindOptions::project_doc`/`compare`/`apply_order`) are spec
-//!   oracles kept for property tests, never on the optimized path.
+//!   call chain from the root that made it hot. The store has one
+//!   matcher, one orderer and one projection — the compiled ones, roots
+//!   here — so there is no cold reference code to exempt: the oracles of
+//!   the property tests live in the test-only `mp-model` crate, which no
+//!   product function calls.
 //!
 //! Codes (all `Error` severity — CI gates the workspace at zero):
 //! - `H001`: per-document deep copy (`.clone()` / `.to_vec()` /
@@ -176,8 +176,7 @@ const LOOP_MARKERS: &[&str] = &[
     concat!(".min_", "by("),
 ];
 
-/// Configuration for the hot-path pass: which functions seed hotness
-/// and which are exempt spec oracles.
+/// Configuration for the hot-path pass: which functions seed hotness.
 #[derive(Debug, Clone)]
 pub struct HotConfig {
     /// Functions owning a per-document loop: only their loop regions
@@ -186,9 +185,6 @@ pub struct HotConfig {
     /// Functions that run once per document by contract: their whole
     /// body is hot.
     pub per_doc_roots: Vec<FnRef>,
-    /// Reference/spec implementations hotness never enters (kept as
-    /// property-test oracles, not on the optimized path).
-    pub cold_fns: Vec<FnRef>,
 }
 
 impl HotConfig {
@@ -198,9 +194,7 @@ impl HotConfig {
     /// morsel scatter, the aggregation stage runner, and the MapReduce
     /// engines own the loops; the compiled
     /// projection, the scan's two projecting sinks and the compiled sort
-    /// comparator run per document; the uncompiled `Filter::matches` and
-    /// the naive `FindOptions` reference implementations are cold spec
-    /// oracles.
+    /// comparator run per document.
     pub fn materials_project_defaults() -> Self {
         HotConfig {
             driver_roots: FnRef::list(&[
@@ -221,12 +215,6 @@ impl HotConfig {
                 "CompiledFindOptions::cmp_docs",
                 "projected_doc",
                 "handle_and_row",
-            ]),
-            cold_fns: FnRef::list(&[
-                "Filter::matches",
-                "FindOptions::project_doc",
-                "FindOptions::compare",
-                "FindOptions::apply_order",
             ]),
         }
     }
@@ -357,22 +345,19 @@ pub fn analyze_hotpath(ws: &Workspace, config: &HotConfig) -> Vec<Diagnostic> {
         &DRIFT,
         &mut diags,
     );
-    let cold = resolve(graph, &config.cold_fns, "cold function", &DRIFT, &mut diags);
 
     // A call site on a line carrying an H-code allow (inline or on the
     // line directly above) asserts the line is not per-document; it
     // neither fires nor propagates hotness.
     let propagates = |u: usize, v: usize, line: usize| -> bool {
-        !cold[v] && !shadowed(graph, v) && !ws.file_of(u).site_allows_family(line, 'H')
+        !shadowed(graph, v) && !ws.file_of(u).site_allows_family(line, 'H')
     };
 
     // Hotness seeds: per-document roots are fully hot; driver roots
     // seed hotness through call sites inside their loop regions.
     let n = graph.fns.len();
-    let mut seeds: Vec<(usize, Option<usize>)> = (0..n)
-        .filter(|&i| per_doc[i] && !cold[i])
-        .map(|i| (i, None))
-        .collect();
+    let mut seeds: Vec<(usize, Option<usize>)> =
+        (0..n).filter(|&i| per_doc[i]).map(|i| (i, None)).collect();
     let mut driver_loops: BTreeMap<usize, BTreeSet<usize>> = BTreeMap::new();
     for i in (0..n).filter(|&i| drivers[i]) {
         let loops = loop_lines(ws, i);
@@ -409,11 +394,10 @@ mod tests {
     use crate::core::{workspace_of, Scope};
     use std::path::Path;
 
-    fn cfg(drivers: &[&str], per_doc: &[&str], cold: &[&str]) -> HotConfig {
+    fn cfg(drivers: &[&str], per_doc: &[&str]) -> HotConfig {
         HotConfig {
             driver_roots: FnRef::list(drivers),
             per_doc_roots: FnRef::list(per_doc),
-            cold_fns: FnRef::list(cold),
         }
     }
 
@@ -429,7 +413,7 @@ mod tests {
             "  }\n}\n"
         );
         let ws = workspace_of(&[("crates/a/src/lib.rs", src)], &[]);
-        let diags = analyze_hotpath(&ws, &cfg(&[], &["M::matches"], &[]));
+        let diags = analyze_hotpath(&ws, &cfg(&[], &["M::matches"]));
         assert_eq!(diags.len(), 1, "{diags:?}");
         assert_eq!(diags[0].code, "H001");
         assert!(
@@ -457,7 +441,7 @@ mod tests {
             "}\n"
         );
         let ws = workspace_of(&[("crates/a/src/lib.rs", src)], &[]);
-        let diags = analyze_hotpath(&ws, &cfg(&["drive"], &[], &[]));
+        let diags = analyze_hotpath(&ws, &cfg(&["drive"], &[]));
         assert_eq!(diags.len(), 1, "{diags:?}");
         assert_eq!(diags[0].code, "H003");
         assert!(diags[0].path.ends_with(":5"), "{}", diags[0].path);
@@ -507,7 +491,7 @@ mod tests {
             "}\n"
         );
         let ws = workspace_of(&[("crates/a/src/lib.rs", src)], &[]);
-        let diags = analyze_hotpath(&ws, &cfg(&["drive"], &[], &[]));
+        let diags = analyze_hotpath(&ws, &cfg(&["drive"], &[]));
         let h002: Vec<_> = diags.iter().filter(|d| d.code == "H002").collect();
         assert_eq!(h002.len(), 1, "{diags:?}");
         assert!(
@@ -533,31 +517,8 @@ mod tests {
             "}\n"
         );
         let ws = workspace_of(&[("crates/a/src/lib.rs", src)], &[]);
-        let diags = analyze_hotpath(&ws, &cfg(&["drive"], &[], &[]));
+        let diags = analyze_hotpath(&ws, &cfg(&["drive"], &[]));
         assert!(diags.is_empty(), "{diags:?}");
-    }
-
-    #[test]
-    fn cold_fns_break_propagation() {
-        let src = concat!(
-            "pub fn drive(docs: &[Value]) {\n",
-            "  for d in docs {\n",
-            "    spec_oracle(d);\n",
-            "  }\n",
-            "}\n",
-            "fn spec_oracle(d: &Value) {\n",
-            "  let _ = ",
-            "get_path",
-            "(d, \"a.b\");\n",
-            "}\n",
-            "fn get_path(d: &Value, p: &str) -> Option<Value> { None }\n"
-        );
-        let ws = workspace_of(&[("crates/a/src/lib.rs", src)], &[]);
-        let diags = analyze_hotpath(&ws, &cfg(&["drive"], &[], &["spec_oracle"]));
-        assert!(diags.is_empty(), "{diags:?}");
-        // Without the cold exemption the same graph flags H004.
-        let diags = analyze_hotpath(&ws, &cfg(&["drive"], &[], &[]));
-        assert!(diags.iter().any(|d| d.code == "H004"), "{diags:?}");
     }
 
     #[test]
@@ -573,7 +534,7 @@ mod tests {
             "}\n"
         );
         let ws = workspace_of(&[("crates/a/src/lib.rs", src)], &[]);
-        let diags = analyze_hotpath(&ws, &cfg(&["drive"], &[], &[]));
+        let diags = analyze_hotpath(&ws, &cfg(&["drive"], &[]));
         assert_eq!(diags.len(), 1, "{diags:?}");
         assert_eq!(diags[0].code, "H005");
     }
@@ -601,7 +562,7 @@ mod tests {
             allow_ok, allow_bad
         );
         let ws = workspace_of(&[("crates/a/src/lib.rs", &src)], &[]);
-        let diags = analyze_hotpath(&ws, &cfg(&[], &["hot"], &[]));
+        let diags = analyze_hotpath(&ws, &cfg(&[], &["hot"]));
         // Both sites suppressed (one justified, one pending H006), and
         // the bare allow itself is the only finding.
         assert_eq!(diags.len(), 1, "{diags:?}");
@@ -620,14 +581,14 @@ mod tests {
             "}\n"
         );
         let ws = workspace_of(&[("crates/a/src/lib.rs", src)], &[]);
-        let diags = analyze_hotpath(&ws, &cfg(&[], &["hot"], &[]));
+        let diags = analyze_hotpath(&ws, &cfg(&[], &["hot"]));
         assert!(diags.is_empty(), "{diags:?}");
     }
 
     #[test]
     fn config_drift_is_h007() {
         let ws = workspace_of(&[("crates/a/src/lib.rs", "pub fn real() {}\n")], &[]);
-        let diags = analyze_hotpath(&ws, &cfg(&["Gone::missing"], &[], &[]));
+        let diags = analyze_hotpath(&ws, &cfg(&["Gone::missing"], &[]));
         assert_eq!(diags.len(), 1, "{diags:?}");
         assert_eq!(diags[0].code, "H007");
         assert!(diags[0].message.contains("Gone::missing"));
@@ -643,7 +604,7 @@ mod tests {
             "}\n"
         );
         let ws = workspace_of(&[("crates/a/src/lib.rs", src)], &[]);
-        let diags = analyze_hotpath(&ws, &cfg(&[], &["hot"], &[]));
+        let diags = analyze_hotpath(&ws, &cfg(&[], &["hot"]));
         assert!(diags.is_empty(), "{diags:?}");
     }
 
@@ -656,7 +617,7 @@ mod tests {
             "fn get_path_segs(d: &Value, s: &[PathSeg]) -> Option<&Value> { None }\n"
         );
         let ws = workspace_of(&[("crates/a/src/lib.rs", src)], &[]);
-        let diags = analyze_hotpath(&ws, &cfg(&[], &["hot"], &[]));
+        let diags = analyze_hotpath(&ws, &cfg(&[], &["hot"]));
         assert!(diags.is_empty(), "{diags:?}");
     }
 
@@ -680,7 +641,7 @@ mod tests {
             "}\n"
         );
         let ws = workspace_of(&[("crates/a/src/lib.rs", src)], &[]);
-        let diags = analyze_hotpath(&ws, &cfg(&["drive"], &[], &[]));
+        let diags = analyze_hotpath(&ws, &cfg(&["drive"], &[]));
         assert!(diags.is_empty(), "{diags:?}");
     }
 
@@ -707,7 +668,7 @@ mod tests {
             allow
         );
         let ws = workspace_of(&[("crates/a/src/lib.rs", &src)], &[]);
-        let diags = analyze_hotpath(&ws, &cfg(&["drive"], &[], &[]));
+        let diags = analyze_hotpath(&ws, &cfg(&["drive"], &[]));
         assert!(diags.is_empty(), "{diags:?}");
     }
 
@@ -731,7 +692,7 @@ mod tests {
             "}\n"
         );
         let ws = workspace_of(&[("crates/a/src/lib.rs", src)], &[]);
-        let diags = analyze_hotpath(&ws, &cfg(&["drive"], &[], &[]));
+        let diags = analyze_hotpath(&ws, &cfg(&["drive"], &[]));
         assert!(diags.is_empty(), "{diags:?}");
     }
 
@@ -751,7 +712,7 @@ mod tests {
             "}\n"
         );
         let ws = workspace_of(&[("crates/a/src/lib.rs", src)], &[]);
-        let diags = analyze_hotpath(&ws, &cfg(&[], &["hot"], &[]));
+        let diags = analyze_hotpath(&ws, &cfg(&[], &["hot"]));
         assert!(diags.is_empty(), "{diags:?}");
     }
 

@@ -24,8 +24,8 @@
 //! 5. **Performance** ([`perf`]) — query shapes whose only possible plan
 //!    is a full collection scan regardless of indexes (`P001`), plus a
 //!    source scan for read-path regressions: deep-clone-per-document
-//!    closures over shared result sets (`P002`) and uncompiled
-//!    `Filter::matches` calls inside loops (`P003`).
+//!    closures over shared result sets (`P002`). `P003` is retired: the
+//!    uncompiled matcher it guarded is gone.
 //! 6. **Flow** ([`flow`]) — interprocedural passes over the workspace
 //!    call graph ([`callgraph`], built from per-function summaries in
 //!    [`summary`]): taint tracking from request/staging sources to

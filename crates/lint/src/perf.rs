@@ -16,16 +16,12 @@
 //!   Scan results are `Arc<Document>` handles precisely so consumers never
 //!   have to do this; the one sanctioned site is a serialization boundary,
 //!   annotated `mp-lint: allow(P002)`.
-//! - `P003` (warning): `.matches(...)` on an *uncompiled* filter inside an
-//!   iterator/loop construct. `Filter::matches` re-splits every dotted
-//!   path and re-walks operand lists per call; in a per-document loop that
-//!   cost multiplies by the collection size. Call `Filter::compile()` once
-//!   outside the loop and match through the `CompiledFilter` (by
-//!   convention bound as `cf`, which this pass exempts).
+//! - `P003` is retired: it flagged the uncompiled `Filter::matches` in a
+//!   loop, and the store no longer has an uncompiled matcher.
 //!
-//! `P002`/`P003` are source scans in the `L0xx` mold (see
+//! `P002` is a source scan in the `L0xx` mold (see
 //! [`crate::concurrency`]): line-based, string-literal-blind, with
-//! `mp-lint: allow(PXXX)` suppression on the line or the line above. The
+//! `mp-lint: allow(P002)` suppression on the line or the line above. The
 //! pattern literals are assembled with `concat!` so this file never
 //! matches its own patterns.
 
@@ -35,7 +31,7 @@ use mp_docstore::query::Predicate;
 use mp_docstore::Filter;
 use serde_json::Value;
 
-use crate::concurrency::{match_positions, receiver_before, split_comment};
+use crate::concurrency::{match_positions, split_comment};
 use crate::core::{Allow, Scope, Workspace};
 use crate::diagnostics::Diagnostic;
 use crate::query::collect_conjuncts;
@@ -107,27 +103,12 @@ pub fn analyze_query_perf(raw: &Value, schema: &CollectionSchema) -> Vec<Diagnos
 }
 
 // ---------------------------------------------------------------------------
-// P002 / P003: source scans over workspace Rust files.
+// P002: a source scan over workspace Rust files.
 // ---------------------------------------------------------------------------
 
 const MAP_OPEN: &str = concat!(".map(", "|");
 const CLONE_CALL: &str = concat!(").clone", "()");
 const AS_REF_CLONE: &str = concat!(".as_ref()", ".clone", "()");
-const MATCHES_CALL: &str = concat!(".matches", "(");
-/// Same-line constructs that run their body once per element.
-const LOOP_MARKERS: &[&str] = &[
-    "for ",
-    "while ",
-    concat!(".filter", "("),
-    concat!(".map", "("),
-    concat!(".any", "("),
-    concat!(".all", "("),
-    concat!(".retain", "("),
-    concat!(".for_each", "("),
-    concat!(".position", "("),
-    concat!(".find", "("),
-];
-
 /// `pos` points just past `.map(|`; returns the closure binding and the
 /// byte offset where its body starts, if the parameter list is a bare
 /// identifier (`|d|`).
@@ -157,40 +138,8 @@ fn body_deep_clones(code: &str, body: usize, name: &str) -> bool {
         .is_some_and(|rest| rest.starts_with(AS_REF_CLONE))
 }
 
-/// From the `(` of a call at `open`, count top-level arguments on this
-/// line; `None` when the paren does not close on the line.
-fn args_on_line(code: &str, open: usize) -> Option<usize> {
-    let mut depth = 0usize;
-    let mut commas = 0usize;
-    let mut any = false;
-    for c in code[open..].chars() {
-        match c {
-            '(' | '[' | '{' => depth += 1,
-            ')' | ']' | '}' => {
-                depth -= 1;
-                if depth == 0 {
-                    return Some(if any { commas + 1 } else { 0 });
-                }
-            }
-            ',' if depth == 1 => commas += 1,
-            c if depth >= 1 && !c.is_whitespace() => any = true,
-            _ => {}
-        }
-    }
-    None
-}
-
-/// A receiver the compiled-filter convention sanctions: the `cf` binding
-/// or anything self-describing (`compiled_filter.matches(...)`).
-fn compiled_receiver(receiver: &str) -> bool {
-    let last = receiver.rsplit(['.', ':']).next().unwrap_or(receiver);
-    last == "cf" || last.contains("compiled")
-}
-
-/// Scan one Rust source file for `P002`/`P003`; `path` is used verbatim
-/// in diagnostics. Files named `query.rs` under `docstore/src` are exempt
-/// from `P003` — that file *is* the matcher implementation and its
-/// recursive `$and`/`$or` walks are the thing being compiled away.
+/// Scan one Rust source file for `P002`; `path` is used verbatim in
+/// diagnostics.
 pub fn analyze_perf_source(path: &str, source: &str) -> Vec<Diagnostic> {
     scan(path, source.lines())
 }
@@ -204,7 +153,6 @@ pub fn pass(ws: &Workspace) -> Vec<Diagnostic> {
 }
 
 fn scan<'a>(path: &str, lines: impl Iterator<Item = &'a str>) -> Vec<Diagnostic> {
-    let p003_applies = !path.replace('\\', "/").ends_with("docstore/src/query.rs");
     let mut diags = Vec::new();
     let mut allow_from_prev: Vec<String> = Vec::new();
 
@@ -241,44 +189,6 @@ fn scan<'a>(path: &str, lines: impl Iterator<Item = &'a str>) -> Vec<Diagnostic>
                         );
                     }
                 }
-            }
-        }
-
-        // P003: uncompiled `.matches(` inside a per-element construct.
-        if p003_applies && !is_allowed("P003") {
-            for pos in match_positions(code, MATCHES_CALL) {
-                let in_loop = LOOP_MARKERS
-                    .iter()
-                    .any(|m| match_positions(code, m).iter().any(|&mp| mp < pos));
-                if !in_loop {
-                    continue;
-                }
-                let receiver = receiver_before(code, pos);
-                // Chained temporaries (`Filter::parse(x)?.matches(..)`)
-                // yield an empty receiver: per-iteration filters, exempt.
-                if receiver.is_empty() || compiled_receiver(&receiver) {
-                    continue;
-                }
-                // `Filter::matches` takes one argument; two or more is a
-                // different `matches` (e.g. the structure matcher).
-                let open = pos + MATCHES_CALL.len() - 1;
-                if args_on_line(code, open).is_some_and(|n| n >= 2) {
-                    continue;
-                }
-                diags.push(
-                    Diagnostic::warning(
-                        "P003",
-                        at.clone(),
-                        format!(
-                            "`{receiver}.matches(...)` re-parses paths per document inside \
-                             a loop"
-                        ),
-                    )
-                    .with_suggestion(
-                        "call `Filter::compile()` once outside the loop and match through \
-                         the `CompiledFilter` (bind it `cf`)",
-                    ),
-                );
             }
         }
     }
@@ -408,84 +318,16 @@ mod tests {
         assert!(analyze_perf_source("x.rs", src).is_empty());
     }
 
-    // ---- P003 ----
-
-    #[test]
-    fn p003_uncompiled_matches_in_loop_flags() {
-        let src = concat!(
-            "let out: Docs = docs.into_iter().filter(|d| f",
-            ".matches",
-            "(d)).collect();\n"
-        );
-        let diags = analyze_perf_source("x.rs", src);
-        assert_eq!(diags.len(), 1, "{diags:?}");
-        assert_eq!(diags[0].code, "P003");
-        assert!(diags[0].message.starts_with("`f."), "{}", diags[0].message);
-    }
-
-    #[test]
-    fn p003_compiled_receiver_is_clean() {
-        for src in [
-            concat!(
-                "let out: Docs = docs.into_iter().filter(|d| cf",
-                ".matches",
-                "(d)).collect();\n"
-            ),
-            concat!(
-                "let n = docs.iter().filter(|d| compiled_filter",
-                ".matches",
-                "(d)).count();\n"
-            ),
-        ] {
-            let diags = analyze_perf_source("x.rs", src);
-            assert!(diags.is_empty(), "{src}: {diags:?}");
-        }
-    }
-
-    #[test]
-    fn p003_single_calls_and_chained_parses_are_clean() {
-        for src in [
-            // Not in a loop construct: one match, one cost.
-            concat!("if f", ".matches", "(&doc) {\n"),
-            // Per-iteration filter: the parse is inherent, receiver empty.
-            concat!(
-                "for c in children { let ok = Filter::parse(q)?",
-                ".matches",
-                "(&merged); }\n"
-            ),
-            // Two arguments: a different `matches` entirely.
-            concat!(
-                "for j in 0..n { if self",
-                ".matches",
-                "(s, &others[j]) { break; } }\n"
-            ),
-        ] {
-            let diags = analyze_perf_source("x.rs", src);
-            assert!(diags.is_empty(), "{src}: {diags:?}");
-        }
-    }
-
-    #[test]
-    fn p003_matcher_implementation_file_is_exempt() {
-        let src = concat!(
-            "if !self.and.iter().all(|c| c",
-            ".matches",
-            "(doc)) { return false; }\n"
-        );
-        assert!(analyze_perf_source("crates/docstore/src/query.rs", src).is_empty());
-        assert_eq!(analyze_perf_source("crates/other/src/lib.rs", src).len(), 1);
-    }
-
     #[test]
     fn workspace_is_perf_clean() {
-        // The acceptance gate: the whole workspace reports zero P002/P003
+        // The acceptance gate: the whole workspace reports zero P002
         // findings. The sanctioned serialization boundary is annotated.
         let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
         let ws = Workspace::scan(&root, &[&Scope::TREE]).expect("scan workspace");
         let diags = pass(&ws);
         assert!(
             diags.is_empty(),
-            "workspace P002/P003 findings:\n{}",
+            "workspace P002 findings:\n{}",
             crate::diagnostics::render(&diags)
         );
     }
