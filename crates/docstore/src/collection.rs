@@ -8,13 +8,13 @@ use crate::error::{Result, StoreError};
 use crate::index::{
     first_collision, push_entries, unique_violation, DocId, Entry, Index, Probe, SortKey,
 };
-use crate::journal::{Shared, Store};
+use crate::journal::{Shared, StateLock, Store};
 use crate::persist::{JournalOp, JournalRef};
 use crate::profiler::OpKind;
 use crate::query::{CompiledFilter, Filter};
 use crate::update::Update;
 use crate::value::{Docs, Document, OrderedValue};
-use mp_sync::{LockRank, OrderedRwLock};
+use mp_sync::LockRank;
 use serde_json::{json, Value};
 use std::cell::Cell;
 use std::collections::BTreeMap;
@@ -141,7 +141,7 @@ pub(crate) struct Inner {
 /// A named collection of JSON documents.
 pub struct Collection {
     name: String,
-    inner: OrderedRwLock<Inner>,
+    inner: StateLock<Inner>,
     next_id: AtomicU64,
     /// Generation counter: bumped on every successful mutation. Query
     /// caches key their entries to a generation and drop them when the
@@ -154,7 +154,7 @@ pub struct Collection {
 impl Store for Collection {
     type State = Inner;
     type Retired = Option<Arc<Segment>>;
-    fn state(&self) -> &OrderedRwLock<Inner> {
+    fn state(&self) -> &StateLock<Inner> {
         &self.inner
     }
     fn bump_version(&self, inner: &mut Inner) -> Option<Arc<Segment>> {
@@ -170,7 +170,7 @@ impl Collection {
     pub(crate) fn new(name: &str, shared: Arc<Shared>) -> Self {
         Collection {
             name: name.to_string(),
-            inner: OrderedRwLock::new(
+            inner: StateLock::new(
                 LockRank::Collection,
                 Inner {
                     docs: BTreeMap::new(),

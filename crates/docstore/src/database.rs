@@ -5,10 +5,10 @@
 use crate::collection::Collection;
 use crate::docgraph::{schema_stats, DocStats};
 use crate::error::Result;
-use crate::journal::{Journal, JournalSink, Shared, Store};
-use crate::persist::{GroupCommit, JournalOp};
+use crate::journal::{register_collection, Journal, JournalSink, Shared, StateLock, Store};
+use crate::persist::{Barrier, JournalOp};
 use crate::profiler::Profiler;
-use mp_sync::{LockRank, OrderedMutex, OrderedRwLock};
+use mp_sync::{LockRank, OrderedMutex};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -33,7 +33,7 @@ pub(crate) struct Registry {
 }
 
 pub(crate) struct DbInner {
-    collections: OrderedRwLock<Registry>,
+    collections: StateLock<Registry>,
     /// Profiler, clock and (once attached) the journal, shared with
     /// every collection.
     shared: Arc<Shared>,
@@ -44,7 +44,7 @@ pub(crate) struct DbInner {
 impl Store for Database {
     type State = Registry;
     type Retired = ();
-    fn state(&self) -> &OrderedRwLock<Registry> {
+    fn state(&self) -> &StateLock<Registry> {
         &self.inner.collections
     }
     fn bump_version(&self, _: &mut Registry) {}
@@ -61,23 +61,23 @@ impl Database {
     pub fn new() -> Self {
         Database {
             inner: Arc::new(DbInner {
-                collections: OrderedRwLock::new(LockRank::Database, Registry::default()),
+                collections: StateLock::new(LockRank::Database, Registry::default()),
                 shared: Arc::new(Shared::new()),
             }),
         }
     }
 
     /// Make every later mutation through any handle of this database
-    /// write ahead to `sink`, acknowledged after `sync`'s barrier when
-    /// one is given. Attached after recovery replay, never before; a
-    /// second attach is ignored (a database has one log).
+    /// write ahead to `sink`, acknowledged once past `barrier`. Attached
+    /// after recovery replay, never before; a second attach is ignored
+    /// (a database has one log).
     pub(crate) fn attach_journal(
         &self,
         sink: Arc<OrderedMutex<dyn JournalSink>>,
-        sync: Option<Arc<GroupCommit>>,
+        barrier: Barrier,
     ) {
         let db = Arc::downgrade(&self.inner);
-        let _ = self.inner.shared.journal.set(Journal { sink, sync, db });
+        let _ = self.inner.shared.journal.set(Journal { sink, barrier, db });
     }
 
     /// Get (creating on first use, like MongoDB) the named collection.
@@ -90,16 +90,17 @@ impl Database {
         if let Some(c) = self.inner.collections.read().map.get(name) {
             return c.clone();
         }
-        let mut reg = self.inner.collections.write();
-        let floor = reg.floors.get(name).copied().unwrap_or(0);
-        reg.map
-            .entry(name.to_string())
-            .or_insert_with(|| {
-                let c = Collection::new(name, self.inner.shared.clone());
-                c.set_version_floor(floor);
-                Arc::new(c)
-            })
-            .clone()
+        register_collection(self, |reg| {
+            let floor = reg.floors.get(name).copied().unwrap_or(0);
+            reg.map
+                .entry(name.to_string())
+                .or_insert_with(|| {
+                    let c = Collection::new(name, self.inner.shared.clone());
+                    c.set_version_floor(floor);
+                    Arc::new(c)
+                })
+                .clone()
+        })
     }
 
     /// Names of all existing collections.

@@ -23,7 +23,7 @@
 use crate::collection::UpdateResult;
 use crate::database::Database;
 use crate::error::Result;
-use crate::persist::{join_checkpoint, Begin, GroupCommit, Persister};
+use crate::persist::{join_checkpoint, Barrier, Begin, GroupCommit, Persister};
 use mp_sync::{LockRank, OrderedMutex};
 use serde_json::Value;
 use std::path::Path;
@@ -79,7 +79,12 @@ impl DurableDatabase {
         persister.compact_after_bytes = opts.compact_after_bytes;
         let sync = persister.sync_handle();
         let wal = Arc::new(OrderedMutex::new(LockRank::Journal, persister));
-        db.attach_journal(wal.clone(), opts.fsync.then(|| sync.clone()));
+        let barrier = if opts.fsync {
+            Barrier::Fsync(sync.clone())
+        } else {
+            Barrier::Append
+        };
+        db.attach_journal(wal.clone(), barrier);
         Ok(DurableDatabase { db, wal, sync })
     }
 
@@ -193,7 +198,7 @@ mod tests {
         // Into an empty collection `insert_many` is one build and one
         // apply; its log is one `Insert` frame per document, as the
         // store holds it, behind the generation record — and one barrier.
-        use crate::persist::{decode_frame, frame_record, FrameDecode, JournalOp};
+        use crate::persist::{decode_frame, frame_record, FrameDecode, Framed, JournalOp};
         let dir = tmpdir("bulk");
         let mut docs: Vec<Value> = (0..40).map(|i| json!({"_id": i, "k": i % 3})).collect();
         docs.insert(7, json!({"k": "no id"}));
@@ -205,7 +210,7 @@ mod tests {
             assert!(syncs <= 1);
             let c = d.database().collection("c");
             assert_eq!(ids[7], json!("oid000000000008"));
-            let mut frames = Vec::new();
+            let mut frames = Framed::default();
             for doc in c.dump() {
                 let op = JournalOp::Insert {
                     collection: "c",
@@ -217,7 +222,7 @@ mod tests {
             let FrameDecode::Frame { next, .. } = decode_frame(&wal, 0) else {
                 panic!("no generation record");
             };
-            assert_eq!(&wal[next..], frames.as_slice());
+            assert_eq!(&wal[next..], &*frames);
             assert_eq!(d.wal_len(), wal.len() as u64);
             c.dump()
         };

@@ -13,10 +13,19 @@
 //!       → release → group-commit barrier → maybe checkpoint → Ok
 //! ```
 //!
-//! `mp-lint effects` (E002) proves `raw_apply` is reachable only from a
-//! journaling caller; `mp-lint order` proves, on `commit` itself, that
-//! the append precedes the apply (O001) and a barrier follows the last
-//! append and the flush before the caller sees `Ok` (O002).
+//! The protocol is carried by types, so breaking it does not compile:
+//!
+//! * store state sits in a `StateLock`, whose `write()` is private to
+//!   this module — a `Collection` or `Database` method can only read
+//!   its state, and every change goes through `raw_apply`;
+//! * `apply` takes the decision by value and `record` borrows it, so the
+//!   apply cannot move above the append (use of a moved value);
+//! * a journaled commit returns `Ok` only with an [`Acked`] in hand, and
+//!   only the barrier (`Barrier::pass`) makes one.
+//!
+//! The frames themselves are gated in [`crate::persist`]: a journal
+//! writes only a [`crate::persist::Framed`] buffer, and a reader applies
+//! only what [`crate::persist::decode_frame`] verified.
 //!
 //! * **Decide once, materialize first.** Whatever the apply would
 //!   choose — an assigned `_id`, the upsert insert-vs-update branch, the
@@ -35,8 +44,8 @@
 //!   guard is released (the LSN the barrier waits on comes from that
 //!   write, so the barrier cannot precede it).
 //! * **Barrier outside the guard.** Committers pile up on the
-//!   [`GroupCommit`] sync lock and one leader fsync covers the queue;
-//!   readers never wait on an fsync.
+//!   [`crate::persist::GroupCommit`] sync lock and one leader fsync
+//!   covers the queue; readers never wait on an fsync.
 //! * **Checkpoint outside the commit path.** A commit that leaves the
 //!   log over its threshold captures document handles and seals the WAL
 //!   generation under the guard (no serialization), and a thread of its
@@ -51,11 +60,12 @@
 //!   logs one `Insert` per document: the frames one-by-one insertion
 //!   writes, so replay needs no record of its own for it.
 
-use crate::database::{Database, DbInner};
+use crate::collection::Collection;
+use crate::database::{Database, DbInner, Registry};
 use crate::error::Result;
-use crate::persist::{GroupCommit, JournalRef};
+use crate::persist::{Acked, Barrier, JournalRef};
 use crate::profiler::Profiler;
-use mp_sync::{LockRank, OrderedMutex, OrderedRwLock};
+use mp_sync::{LockRank, OrderedMutex, OrderedReadGuard, OrderedRwLock, OrderedWriteGuard};
 use std::sync::{Arc, OnceLock, Weak};
 
 /// Where a journaled database records each op before applying it. Two
@@ -89,30 +99,74 @@ pub(crate) struct Journal {
     /// commit may apply while holding it and a checkpoint may read the
     /// collections while excluding appenders.
     pub(crate) sink: Arc<OrderedMutex<dyn JournalSink>>,
-    /// Barrier to wait on before acknowledging; `None` acknowledges on
-    /// append (`DurableOptions::fsync == false`, and the oplog).
-    pub(crate) sync: Option<Arc<GroupCommit>>,
+    /// What a commit waits for before it is acknowledged.
+    pub(crate) barrier: Barrier,
     /// The owning database, for checkpoints. Weak: collections share
     /// this state and the database owns the collections.
     pub(crate) db: Weak<DbInner>,
 }
 
 impl Journal {
-    /// Acknowledge a commit whose flush reached `lsn`: wait for the
-    /// durability barrier, then start a checkpoint if that flush left
-    /// the log due. The sink lock is not held across the barrier, and
-    /// is re-taken only to capture a checkpoint.
-    fn acknowledge(&self, (lsn, checkpoint_due): (u64, bool)) -> Result<()> {
-        if let Some(sync) = &self.sync {
-            sync.sync_to(lsn)?;
+    /// Acknowledge a commit whose flush reached `lsn` (`None`: it
+    /// appended nothing): pass the durability barrier, then start a
+    /// checkpoint if that flush left the log due. The sink lock is not
+    /// held across the barrier, and is re-taken only to capture a
+    /// checkpoint.
+    fn acknowledge(&self, flushed: Option<(u64, bool)>) -> Result<Acked> {
+        let acked = self.barrier.pass(flushed.map(|(lsn, _)| lsn))?;
+        if let Some((_, true)) = flushed {
+            // Only collection handles left: nothing can snapshot, and
+            // the log stays complete without it.
+            if let Some(inner) = self.db.upgrade() {
+                self.sink.lock().maybe_checkpoint(&Database { inner })?;
+            }
         }
-        match self.db.upgrade() {
-            Some(inner) if checkpoint_due => self.sink.lock().maybe_checkpoint(&Database { inner }),
-            // Not due — or only collection handles are left: nothing
-            // can snapshot, and the log stays complete without it.
-            _ => Ok(()),
-        }
+        Ok(acked)
     }
+
+    /// The write-ahead protocol of [`Shared::commit`], under one hold
+    /// of the sink: per item decide, record, apply; then one flush, and
+    /// the barrier outside the guard. Its `Ok` carries the barrier's
+    /// [`Acked`].
+    // mp-lint: allow(E003) — write-ahead core: each op is staged in the log's frame buffer before its in-memory apply and the buffer is written out before the guard is released, all under one journal guard hold so journal order is apply order; the barrier waits outside
+    fn write_ahead<'r, S: Store, I, D, T>(
+        &self,
+        store: &'r S,
+        items: impl IntoIterator<Item = I>,
+        decide: impl Fn(&S::State, I) -> Result<Option<D>>,
+        record: impl for<'a> Fn(&'a &'r S, &'a D, Append<'_, 'a>) -> Result<()>,
+        mut apply: impl FnMut(&mut S::State, D) -> Result<T>,
+    ) -> Result<(Acked, Option<T>)> {
+        let mut sink = self.sink.lock();
+        let mut appended = false;
+        let last = each(items, |item| {
+            let Some(d) = decide(&store.state().read(), item)? else {
+                return Ok(None);
+            };
+            record(&store, &d, &mut |op| {
+                sink.append_op(op)?;
+                appended = true;
+                Ok(())
+            })?;
+            raw_apply(store, |state| apply(state, d)).map(Some)
+        });
+        let flushed = appended.then(|| sink.flush_appended());
+        drop(sink);
+        let acked = self.acknowledge(flushed.transpose()?)?;
+        Ok((acked, last?))
+    }
+}
+
+/// Run `step` over `items` until the first error; the last output.
+fn each<I, T>(
+    items: impl IntoIterator<Item = I>,
+    mut step: impl FnMut(I) -> Result<Option<T>>,
+) -> Result<Option<T>> {
+    let mut last = None;
+    for item in items {
+        last = step(item)?.or(last);
+    }
+    Ok(last)
 }
 
 /// Where a commit's `record` hands each record of a decision: the
@@ -129,13 +183,32 @@ pub(crate) struct Shared {
     pub(crate) journal: OnceLock<Journal>,
 }
 
+/// A store's state behind its lock. Anyone may `read()` it; `write()`
+/// is private to this module, so state changes only in [`raw_apply`]
+/// and in [`register_collection`].
+pub(crate) struct StateLock<T>(OrderedRwLock<T>);
+
+impl<T> StateLock<T> {
+    pub(crate) fn new(rank: LockRank, state: T) -> Self {
+        StateLock(OrderedRwLock::new(rank, state))
+    }
+
+    pub(crate) fn read(&self) -> OrderedReadGuard<'_, T> {
+        self.0.read()
+    }
+
+    fn write(&self) -> OrderedWriteGuard<'_, T> {
+        self.0.write()
+    }
+}
+
 /// Something [`Shared::commit`] mutates: a collection's documents or a
 /// database's collection registry.
 pub(crate) trait Store {
     type State;
     /// What a generation bump retires (a collection's scan segment).
     type Retired;
-    fn state(&self) -> &OrderedRwLock<Self::State>;
+    fn state(&self) -> &StateLock<Self::State>;
     /// Publish a new generation if the apply just run changed anything
     /// a cached read could see; called under the state write lock.
     /// Whatever the old generation owned comes back to be dropped once
@@ -156,6 +229,17 @@ fn raw_apply<S: Store, T>(store: &S, f: impl FnOnce(&mut S::State) -> T) -> T {
     out
 }
 
+/// `Database::collection`'s insert-on-create: `create` runs under the
+/// registry's write lock. Not journaled, as it never was: an empty
+/// collection holds nothing to recover, and replay re-creates it with
+/// the first journaled op that names it.
+pub(crate) fn register_collection(
+    db: &Database,
+    create: impl FnOnce(&mut Registry) -> Arc<Collection>,
+) -> Arc<Collection> {
+    create(&mut db.state().write())
+}
+
 impl Shared {
     pub(crate) fn new() -> Self {
         Shared {
@@ -172,7 +256,6 @@ impl Shared {
     /// decision, which is why it is handed both; a bulk build has one
     /// per document — then `apply` it. Stops at the first error; returns
     /// the last output.
-    // mp-lint: allow(E003) — write-ahead core: each op is staged in the log's frame buffer before its in-memory apply and the buffer is written out before the guard is released, all under one journal guard hold so journal order is apply order; the barrier waits outside
     pub(crate) fn commit<'r, S: Store, I, D, T>(
         &self,
         store: &'r S,
@@ -181,49 +264,17 @@ impl Shared {
         record: impl for<'a> Fn(&'a &'r S, &'a D, Append<'_, 'a>) -> Result<()>,
         mut apply: impl FnMut(&mut S::State, D) -> Result<T>,
     ) -> Result<Option<T>> {
-        let journal = self.journal.get();
-        let mut sink = journal.map(|j| j.sink.lock());
-        let mut appended = false;
-        let mut last = Ok(None);
-        for item in items {
-            let step = match sink.as_mut() {
-                Some(sink) => {
-                    let decided = decide(&store.state().read(), item);
-                    decided.and_then(|d| match d {
-                        Some(d) => {
-                            record(&store, &d, &mut |op| {
-                                sink.append_op(op)?;
-                                appended = true;
-                                Ok(())
-                            })?;
-                            raw_apply(store, |state| apply(state, d)).map(Some)
-                        }
-                        None => Ok(None),
-                    })
-                }
-                None => raw_apply(store, |state| match decide(state, item)? {
+        match self.journal.get() {
+            Some(journal) => journal
+                .write_ahead(store, items, decide, record, apply)
+                .map(|(_acked, last)| last),
+            None => each(items, |item| {
+                raw_apply(store, |state| match decide(state, item)? {
                     Some(d) => apply(state, d).map(Some),
                     None => Ok(None),
-                }),
-            };
-            match step {
-                Ok(None) => {}
-                Ok(out) => last = Ok(out),
-                Err(e) => {
-                    last = Err(e);
-                    break;
-                }
-            }
+                })
+            }),
         }
-        let flushed = match sink.as_mut() {
-            Some(sink) if appended => Some(sink.flush_appended()),
-            _ => None,
-        };
-        drop(sink);
-        if let (Some(journal), Some(flushed)) = (journal, flushed) {
-            journal.acknowledge(flushed?)?;
-        }
-        last
     }
 
     /// Commit one mutation whose journaled form is known up front.

@@ -29,6 +29,14 @@
 //! straight into the frame buffer ([`frame_record`]): no document is
 //! cloned or rendered to text to be journaled.
 //!
+//! Two types hold both ends of that rule. A [`Framed`] buffer holds
+//! whole frames and nothing else — only [`frame_record`] adds to one —
+//! and it is all the WAL, the snapshot and a replica set's oplog write.
+//! A [`Verified`] payload passed its checksum — only [`decode_frame`]
+//! makes one — and it is all [`Record::decode`] reads. So a writer that
+//! skips the framing, or a reader that skips the checksum, does not
+//! compile.
+//!
 //! ## Payload format
 //!
 //! A payload is a tag byte, then the record's fields ([`crate::codec`]
@@ -97,7 +105,8 @@
 //! the build a live `insert_many` into an empty collection takes too,
 //! logged as one `Insert` per document, so the WAL holds nothing else
 //! for it. Verify strictly before apply, in the snapshot and in sealed
-//! and active generations alike, which `mp-lint order` proves as O005.
+//! and active generations alike: a record decodes only from a
+//! [`Verified`] payload.
 //! A snapshot's documents take no profiler sample: recovery no longer
 //! fills the profiler's ring with one `insert` per document, which
 //! nobody issued.
@@ -139,7 +148,9 @@
 //! its append reached: whoever acquires the sync lock first fsyncs once
 //! for *every* committer queued behind it, and the queued committers
 //! observe their LSN already durable and return without touching the
-//! disk. Batching emerges from contention — no timers, no threads.
+//! disk. Batching emerges from contention — no timers, no threads. The
+//! barrier hands back an [`Acked`], which a journaled commit must hold
+//! to return `Ok` (`Barrier`).
 //!
 //! Replay determinism: [`JournalOp::apply`] is best-effort (a failing
 //! op is skipped). The live write-ahead path journals an operation
@@ -158,6 +169,7 @@ use serde_json::Value;
 use std::borrow::Borrow;
 use std::fs::{File, OpenOptions};
 use std::io::Write;
+use std::ops::Deref;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -295,16 +307,23 @@ impl Payload for Stamp {
 /// What one frame holds. An op's names borrow the frame's bytes: only
 /// its documents are decoded into owned values.
 #[derive(Debug, PartialEq)]
-pub(crate) enum Record<'a> {
+pub enum Record<'a> {
     /// Which generation the file holds (a snapshot: contains).
     Generation(u64),
+    /// A journaled operation.
     Op(JournalOp<&'a str>),
 }
 
 impl Record<'_> {
-    /// Decode a frame's payload.
-    pub(crate) fn decode(payload: &[u8]) -> Result<Record<'_>> {
-        let mut r = codec::Reader::new(payload);
+    /// Decode a frame's payload — one that passed its checksum. Raw
+    /// bytes are refused at compile time:
+    ///
+    /// ```compile_fail,E0308
+    /// use mp_docstore::persist::Record;
+    /// let record = Record::decode(b"\x05\x01c".as_slice());
+    /// ```
+    pub fn decode(payload: Verified<'_>) -> Result<Record<'_>> {
+        let mut r = codec::Reader::new(payload.0);
         let tag = r.byte()?;
         if tag == GENERATION {
             let gen = r.fixed_u64()?;
@@ -491,13 +510,44 @@ pub fn crc32(bytes: &[u8]) -> u32 {
     !c
 }
 
+/// Whole frames, and nothing else: what the WAL, the snapshot and the
+/// oplog write. It starts empty, and only [`frame_record`] adds to it,
+/// so its bytes cannot be built any other way:
+///
+/// ```compile_fail,E0603
+/// use mp_docstore::persist::Framed;
+/// let unframed = Framed(b"raw".to_vec());
+/// ```
+#[derive(Debug, Default)]
+pub struct Framed(Vec<u8>);
+
+impl Framed {
+    /// Empty the buffer once its frames are written out.
+    pub(crate) fn clear(&mut self) {
+        self.0.clear();
+    }
+
+    /// Keep the first `len` bytes; `len` must end a frame.
+    pub(crate) fn truncate(&mut self, len: usize) {
+        self.0.truncate(len);
+    }
+}
+
+impl Deref for Framed {
+    type Target = [u8];
+    fn deref(&self) -> &[u8] {
+        &self.0
+    }
+}
+
 /// Append one frame to `buf`: `[len u32 LE][crc32 u32 LE][payload]`,
 /// the payload written in place after the header it reserves.
 ///
-/// This is the checksum-framing gate `mp-lint order` proves (O003):
-/// every byte the journal appends must pass through here — and every
-/// byte the snapshot holds does too.
-pub fn frame_record<P: Payload + ?Sized>(buf: &mut Vec<u8>, payload: &P) {
+/// The one way bytes get into a [`Framed`] buffer: every byte the
+/// journal appends passes through here, and every byte the snapshot
+/// holds does too.
+pub fn frame_record<P: Payload + ?Sized>(buf: &mut Framed, payload: &P) {
+    let buf = &mut buf.0;
     let start = buf.len();
     buf.extend_from_slice(&[0; 8]);
     payload.write_payload(buf);
@@ -508,19 +558,29 @@ pub fn frame_record<P: Payload + ?Sized>(buf: &mut Vec<u8>, payload: &P) {
     }
 }
 
+/// A frame's payload that passed its checksum: what [`Record::decode`]
+/// reads. Only [`decode_frame`] makes one:
+///
+/// ```compile_fail,E0603
+/// use mp_docstore::persist::Verified;
+/// let forged = Verified(b"\x05\x01c".as_slice());
+/// ```
+#[derive(Debug, Clone, Copy)]
+pub struct Verified<'a>(&'a [u8]);
+
 /// Outcome of decoding the frame at one offset.
 pub enum FrameDecode<'a> {
     /// A checksum-valid frame; `next` is the offset just past it.
-    Frame { payload: &'a [u8], next: usize },
+    Frame { payload: Verified<'a>, next: usize },
     /// The frame runs past end-of-file: a torn tail.
     Torn(String),
     /// A complete frame whose checksum mismatches: corruption.
     Corrupt(String),
 }
 
-/// Decode (and checksum-verify) the frame starting at `off`. The
-/// recovery loop calls this before any op is applied — the O005
-/// verify-before-apply gate.
+/// Decode (and checksum-verify) the frame starting at `off`: the one
+/// source of a [`Verified`] payload, so every reader — WAL recovery,
+/// the snapshot load, replication — verifies before it applies.
 pub fn decode_frame(bytes: &[u8], off: usize) -> FrameDecode<'_> {
     let rest = bytes.get(off..).unwrap_or_default();
     let Some((header, body)) = rest.split_first_chunk::<8>() else {
@@ -544,7 +604,7 @@ pub fn decode_frame(bytes: &[u8], off: usize) -> FrameDecode<'_> {
         ));
     }
     FrameDecode::Frame {
-        payload,
+        payload: Verified(payload),
         next: off + 8 + len,
     }
 }
@@ -618,14 +678,14 @@ impl GroupCommit {
     /// Block until byte offset `lsn` of the current WAL generation is
     /// durable. One fsync covers every committer queued on the lock.
     // mp-lint: allow(E003) — group commit: one leader fsyncs for every committer queued behind this mutex; the wait *is* the batching, so the I/O belongs under the guard
-    pub fn sync_to(&self, lsn: u64) -> Result<()> {
+    pub fn sync_to(&self, lsn: u64) -> Result<Acked> {
         self.commits.fetch_add(1, Ordering::Relaxed);
         if self.durable.load(Ordering::SeqCst) >= lsn {
-            return Ok(()); // someone else's fsync already covered us
+            return Ok(Acked(())); // someone else's fsync already covered us
         }
         let st = self.inner.lock();
         if self.durable.load(Ordering::SeqCst) >= lsn {
-            return Ok(()); // the leader ahead of us covered our LSN
+            return Ok(Acked(())); // the leader ahead of us covered our LSN
         }
         // We are the leader: capture how far appends have reached, then
         // one sync_data covers this barrier and everyone queued behind.
@@ -638,7 +698,7 @@ impl GroupCommit {
         }
         // No file: the generation was sealed under us, and the seal
         // fsynced it — this LSN included — before it reset the counters.
-        Ok(())
+        Ok(Acked(()))
     }
 
     /// (`sync_to` barriers requested, actual fsyncs issued). The gap is
@@ -648,6 +708,40 @@ impl GroupCommit {
             self.commits.load(Ordering::Relaxed),
             self.syncs.load(Ordering::Relaxed),
         )
+    }
+}
+
+/// A barrier passed: what a journaled commit must hold to return `Ok`
+/// (`Journal::write_ahead`). Only the barrier makes one —
+/// [`GroupCommit::sync_to`], or `Barrier::pass` for a journal that
+/// acknowledges on append:
+///
+/// ```compile_fail,E0603
+/// use mp_docstore::persist::Acked;
+/// let unearned = Acked(());
+/// ```
+#[must_use = "a commit returns `Ok` only with the barrier's `Acked`"]
+#[derive(Debug)]
+pub struct Acked(());
+
+/// What a journal's commits wait for before they are acknowledged.
+pub(crate) enum Barrier {
+    /// Nothing past the append: `DurableOptions::fsync == false` (the
+    /// bytes reach the OS, not necessarily the disk), and a replica
+    /// set's in-memory oplog.
+    Append,
+    /// The group-commit fsync covering the commit's frames.
+    Fsync(Arc<GroupCommit>),
+}
+
+impl Barrier {
+    /// Pass the barrier for a commit whose frames reached `lsn`; a
+    /// commit that appended nothing (`None`) has nothing to wait for.
+    pub(crate) fn pass(&self, lsn: Option<u64>) -> Result<Acked> {
+        match (self, lsn) {
+            (Barrier::Fsync(sync), Some(lsn)) => sync.sync_to(lsn),
+            _ => Ok(Acked(())),
+        }
     }
 }
 
@@ -795,7 +889,7 @@ pub struct Persister {
     /// The active generation's number; `journal.wal` starts with it.
     gen: u64,
     /// Frames of the commit in progress that the OS does not have yet.
-    staged: Vec<u8>,
+    staged: Framed,
     sync: Arc<GroupCommit>,
     /// Checkpoint once the WAL outgrows this many bytes
     /// ([`crate::durable::DurableOptions::compact_after_bytes`]).
@@ -856,7 +950,7 @@ impl Persister {
             wal: None,
             wal_len: 0,
             gen: 1,
-            staged: Vec::new(),
+            staged: Framed::default(),
             sync: Arc::new(GroupCommit::new()),
             compact_after_bytes: None,
             flight: Arc::default(),
@@ -922,7 +1016,7 @@ impl Persister {
             return Err(StoreError::Persistence("wal writer unavailable".into()));
         };
         if self.wal_len == 0 {
-            let mut header = Vec::new();
+            let mut header = Framed::default();
             frame_record(&mut header, &Stamp(self.gen));
             wal.write_all(&header).map_err(|e| io_err("wal write", e))?;
             self.wal_len = header.len() as u64;
@@ -1061,7 +1155,7 @@ impl Persister {
         let write_err = |e| io_err("snapshot write", e);
         let mut file =
             File::create(snapshot_tmp_path(&checkpoint.dir)).map_err(|e| io_err("snapshot", e))?;
-        let mut out = Vec::with_capacity(SNAPSHOT_CHUNK);
+        let mut out = Framed(Vec::with_capacity(SNAPSHOT_CHUNK));
         frame_record(&mut out, &Stamp(checkpoint.covers));
         for captured in &checkpoint.collections {
             let collection = captured.name.as_str();
@@ -1455,11 +1549,11 @@ mod tests {
 
     #[test]
     fn frame_roundtrip() {
-        let mut frame = Vec::new();
+        let mut frame = Framed::default();
         frame_record(&mut frame, b"hello".as_slice());
         match decode_frame(&frame, 0) {
             FrameDecode::Frame { payload, next } => {
-                assert_eq!(payload, b"hello");
+                assert_eq!(payload.0, b"hello");
                 assert_eq!(next, frame.len());
             }
             _ => panic!("clean frame must decode"),
@@ -1535,25 +1629,34 @@ mod tests {
         });
         for (mut bytes, legacy) in ops.chain([generation]) {
             let mut again = Vec::new();
-            match Record::decode(&bytes).unwrap() {
+            match Record::decode(Verified(&bytes)).unwrap() {
                 Record::Op(op) => op.write_payload(&mut again),
                 Record::Generation(gen) => Stamp(gen).write_payload(&mut again),
             }
             assert_eq!(again, bytes, "decode, then encode, gives the same bytes");
             for n in 0..bytes.len() {
-                assert!(Record::decode(&bytes[..n]).is_err(), "{n}-byte prefix");
+                assert!(
+                    Record::decode(Verified(&bytes[..n])).is_err(),
+                    "{n}-byte prefix"
+                );
             }
             let legacy = legacy.to_string();
-            assert!(Record::decode(legacy.as_bytes()).is_err(), "{legacy}");
+            assert!(
+                Record::decode(Verified(legacy.as_bytes())).is_err(),
+                "{legacy}"
+            );
             bytes.push(0);
-            assert!(Record::decode(&bytes).is_err(), "a trailing byte");
+            assert!(Record::decode(Verified(&bytes)).is_err(), "a trailing byte");
         }
         let snapshot_line = br#"{"c":"c","d":{"_id":1}}"#;
         assert!(
-            Record::decode(snapshot_line).is_err(),
+            Record::decode(Verified(snapshot_line)).is_err(),
             "a JSON snapshot line"
         );
-        assert!(Record::decode(&[0x09, 1, b'c']).is_err(), "unknown tag");
+        assert!(
+            Record::decode(Verified(&[0x09, 1, b'c'])).is_err(),
+            "unknown tag"
+        );
     }
 
     /// An explicit snapshot is the four steps; afterwards the directory
@@ -1720,8 +1823,8 @@ mod tests {
             }])
             .unwrap();
         let sync = p.sync_handle();
-        sync.sync_to(lsn).unwrap();
-        sync.sync_to(lsn).unwrap(); // already durable: no second fsync
+        let _: Acked = sync.sync_to(lsn).unwrap();
+        let _: Acked = sync.sync_to(lsn).unwrap(); // already durable: no second fsync
         let (commits, syncs) = sync.stats();
         assert_eq!(commits, 2);
         assert_eq!(syncs, 1);
@@ -1797,7 +1900,7 @@ mod tests {
             }])
             .unwrap();
         // Simulate a crash mid-append: half a frame of a second insert.
-        let mut frame = Vec::new();
+        let mut frame = Framed::default();
         let doc = json!({"_id": 2});
         let op: JournalRef<'_> = JournalOp::Insert {
             collection: "c",
@@ -1923,9 +2026,9 @@ mod tests {
         let path = dir.join("journal.wal");
         let bytes = std::fs::read(&path).unwrap();
         for garbage in [&b"{not a journal op}"[..], &[INSERT, 1, b'c', 0x7F]] {
-            let mut bytes = bytes.clone();
-            frame_record(&mut bytes, garbage);
-            std::fs::write(&path, &bytes).unwrap();
+            let mut frame = Framed::default();
+            frame_record(&mut frame, garbage);
+            std::fs::write(&path, [bytes.as_slice(), &frame].concat()).unwrap();
             let err = Persister::open(&dir).unwrap().recover().err();
             assert!(
                 err.is_some(),

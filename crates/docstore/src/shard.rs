@@ -13,7 +13,9 @@ use crate::collection::{filter_matches, Count, UpdateResult, UNBOUNDED};
 use crate::database::Database;
 use crate::error::{Result, StoreError};
 use crate::journal::JournalSink;
-use crate::persist::{decode_frame, frame_record, FrameDecode, JournalRef, Record};
+use crate::persist::{
+    decode_frame, frame_record, Barrier, FrameDecode, Framed, JournalRef, Record,
+};
 use crate::query::{CompiledFilter, Filter};
 use crate::value::{get_path, hash_value, Docs, Document};
 use mp_exec::WorkPool;
@@ -268,7 +270,7 @@ struct RouterState {
 /// (a lagging secondary may still need any suffix).
 #[derive(Default)]
 struct Oplog {
-    frames: Vec<u8>,
+    frames: Framed,
     ends: Vec<usize>,
 }
 
@@ -321,7 +323,7 @@ impl ReplicaSet {
     pub fn new(n_secondaries: usize, batch: usize) -> Self {
         let oplog = Arc::new(OrderedMutex::new(LockRank::Journal, Oplog::default()));
         let primary = Database::new();
-        primary.attach_journal(oplog.clone(), None);
+        primary.attach_journal(oplog.clone(), Barrier::Append);
         ReplicaSet {
             primary,
             secondaries: (0..n_secondaries).map(|_| Database::new()).collect(),
@@ -488,7 +490,8 @@ impl ReplicaSet {
         kept.truncate(best_applied);
         self.oplog = Arc::new(OrderedMutex::new(LockRank::Journal, kept));
         self.primary = self.secondaries.remove(best);
-        self.primary.attach_journal(self.oplog.clone(), None);
+        self.primary
+            .attach_journal(self.oplog.clone(), Barrier::Append);
         let mut applied = self.applied.lock();
         applied.remove(best);
         for a in applied.iter_mut() {

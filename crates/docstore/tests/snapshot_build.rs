@@ -26,7 +26,7 @@
 //!   documents: each open returns `Persistence` naming the earliest
 //!   fault's offset, and leaves the directory byte for byte as it was.
 
-use mp_docstore::persist::{frame_record, JournalOp, JournalRef};
+use mp_docstore::persist::{frame_record, Framed, JournalOp, JournalRef};
 use mp_docstore::{Collection, Database, DurableDatabase, StoreError};
 use proptest::prelude::*;
 use serde_json::{json, Map, Value};
@@ -79,9 +79,9 @@ fn frames(colls: &[Coll]) -> Vec<Vec<u8>> {
 }
 
 fn framed<P: mp_docstore::persist::Payload + ?Sized>(payload: &P) -> Vec<u8> {
-    let mut frame = Vec::new();
+    let mut frame = Framed::default();
     frame_record(&mut frame, payload);
-    frame
+    frame.to_vec()
 }
 
 /// The frames joined, and where each starts.

@@ -24,7 +24,7 @@
 //! directory state must recover exactly the acknowledged state. A
 //! directory in any layout an older build wrote is refused, untouched.
 
-use mp_docstore::persist::{frame_record, JournalRef};
+use mp_docstore::persist::{frame_record, Framed, JournalRef};
 use mp_docstore::{Database, DurableDatabase, DurableOptions, JournalOp, Persister, StoreError};
 use serde_json::{json, Value};
 use std::path::{Path, PathBuf};
@@ -511,11 +511,11 @@ fn flipping_any_byte_of_a_published_snapshot_is_refused_or_harmless() {
 /// `records` as CRC frames of their JSON text: a WAL as builds before
 /// PR 25 wrote it.
 fn json_wal(records: &[&str]) -> Vec<u8> {
-    let mut wal = Vec::new();
+    let mut wal = Framed::default();
     for record in records {
         frame_record(&mut wal, record.as_bytes());
     }
-    wal
+    wal.to_vec()
 }
 
 /// The binary payload of the generation record `g`.
@@ -611,10 +611,10 @@ fn older_layouts_are_refused_and_left_untouched() {
         collection: "c",
         doc: &doc,
     };
-    let mut op_first = Vec::new();
+    let mut op_first = Framed::default();
     frame_record(&mut op_first, &insert);
     frame_record(&mut op_first, stamp(1).as_slice());
-    let mut stamped_twice = Vec::new();
+    let mut stamped_twice = Framed::default();
     frame_record(&mut stamped_twice, stamp(1).as_slice());
     frame_record(&mut stamped_twice, &insert);
     let second_stamp = stamped_twice.len();
@@ -625,19 +625,19 @@ fn older_layouts_are_refused_and_left_untouched() {
         ("json-active-wal", json_active, "journal.wal", 0),
         (
             "binary-wal-op-first",
-            vec![("journal.wal", op_first.clone())],
+            vec![("journal.wal", op_first.to_vec())],
             "journal.wal",
             0,
         ),
         (
             "binary-snapshot-op-first",
-            vec![("snapshot.jsonl", op_first)],
+            vec![("snapshot.jsonl", op_first.to_vec())],
             "snapshot.jsonl",
             0,
         ),
         (
             "binary-wal-stamped-twice",
-            vec![("journal.wal", stamped_twice)],
+            vec![("journal.wal", stamped_twice.to_vec())],
             "journal.wal",
             second_stamp,
         ),

@@ -23,10 +23,9 @@
 //! with per-pass counts and one exit code. `callgraph` prints the graph
 //! (GraphViz DOT with `--dot`, role-colored: sources blue, sanitizers
 //! green, sinks gold, panicking fns red; add `--effects` to color by
-//! effect instead, with the write-ahead ordering edges — journal /
-//! barrier / mutate / frame / verify / apply — colored and labeled),
-//! or the effect-annotated graph as JSON with `--json` (the artifact
-//! CI uploads, including each function's sequenced ordering trace).
+//! effect instead: mutation primitives gold, generation bumps blue,
+//! I/O red), or the effect-annotated graph as JSON with `--json` (the
+//! artifact CI uploads).
 //!
 //! Every pass obeys one contract: diagnostics are ordered by
 //! (file, line, code); `--json` emits the shared envelope
@@ -264,23 +263,10 @@ fn print_callgraph(args: &[String], as_json: bool) -> Result<bool, String> {
         println!("{}", mp_lint::effect_graph_json(&ws, &config));
     } else if dot && effects {
         let config = mp_lint::EffectConfig::materials_project_defaults();
-        let order_config = mp_lint::OrderConfig::materials_project_defaults();
-        println!(
-            "{}",
-            graph.to_dot(
-                &mp_lint::effect_roles(&ws, &config),
-                &mp_lint::order_edge_roles(graph, &order_config),
-            )
-        );
+        println!("{}", graph.to_dot(&mp_lint::effect_roles(&ws, &config)));
     } else if dot {
         let config = mp_lint::FlowConfig::materials_project_defaults();
-        println!(
-            "{}",
-            graph.to_dot(
-                &mp_lint::flow::roles(graph, &config),
-                &std::collections::BTreeMap::new(),
-            )
-        );
+        println!("{}", graph.to_dot(&mp_lint::flow::roles(graph, &config)));
     } else {
         println!("{} functions, {} edges", graph.fns.len(), graph.edges.len());
         for e in &graph.edges {

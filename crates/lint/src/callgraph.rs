@@ -182,18 +182,9 @@ impl CallGraph {
 
     /// GraphViz DOT rendering. `roles` maps function index → a fill
     /// color key: the flow roles `source` / `sanitizer` / `sink` /
-    /// `panics`, or the effect roles `mutates` / `journals` / `bumps` /
-    /// `io` (see [`crate::effects::effect_roles`]). `edge_roles` maps
-    /// `(from, to)` → an ordering role (`journal` / `barrier` /
-    /// `mutate` / `frame` / `verify` / `apply`, see
-    /// [`crate::order::order_edge_roles`]); those edges render colored
-    /// and widened so the write-ahead seams stand out. Pass an empty
-    /// map for plain black edges.
-    pub fn to_dot(
-        &self,
-        roles: &BTreeMap<usize, &str>,
-        edge_roles: &BTreeMap<(usize, usize), &'static str>,
-    ) -> String {
+    /// `panics`, or the effect roles `mutates` / `bumps` / `io` (see
+    /// [`crate::effects::effect_roles`]).
+    pub fn to_dot(&self, roles: &BTreeMap<usize, &str>) -> String {
         let mut s = String::from("digraph mpflow {\n  rankdir=LR;\n  node [shape=box, fontsize=10, style=filled, fillcolor=white];\n");
         for (i, f) in self.fns.iter().enumerate() {
             // Keep the DOT readable: only nodes that participate in an
@@ -204,7 +195,7 @@ impl CallGraph {
             }
             let color = match roles.get(&i).copied() {
                 Some("source") | Some("bumps") => "lightskyblue",
-                Some("sanitizer") | Some("journals") => "palegreen",
+                Some("sanitizer") => "palegreen",
                 Some("sink") | Some("mutates") => "gold",
                 Some("panics") | Some("io") => "lightcoral",
                 _ => "white",
@@ -223,23 +214,7 @@ impl CallGraph {
             ));
         }
         for e in &self.edges {
-            match edge_roles.get(&(e.from, e.to)).copied() {
-                Some(role) => {
-                    let color = match role {
-                        "journal" => "forestgreen",
-                        "barrier" => "mediumpurple",
-                        "mutate" => "goldenrod",
-                        "frame" | "verify" => "steelblue",
-                        "apply" => "darkorange",
-                        _ => "black",
-                    };
-                    s.push_str(&format!(
-                        "  n{} -> n{} [color={}, penwidth=2, label=\"{}\", fontsize=8, fontcolor={}];\n",
-                        e.from, e.to, color, role, color
-                    ));
-                }
-                None => s.push_str(&format!("  n{} -> n{};\n", e.from, e.to)),
-            }
+            s.push_str(&format!("  n{} -> n{};\n", e.from, e.to));
         }
         s.push_str("}\n");
         s
@@ -343,26 +318,9 @@ mod tests {
         .graph;
         let mut roles = BTreeMap::new();
         roles.insert(0usize, "source");
-        let dot = g.to_dot(&roles, &BTreeMap::new());
+        let dot = g.to_dot(&roles);
         assert!(dot.contains("digraph mpflow"));
         assert!(dot.contains("lightskyblue"));
         assert!(dot.contains("->"));
-    }
-
-    #[test]
-    fn dot_colors_ordering_edges() {
-        let g = workspace_of(
-            &[(
-                "crates/a/src/lib.rs",
-                "pub fn go() { helper(); }\nfn helper() {}\n",
-            )],
-            &[("a", &[])],
-        )
-        .graph;
-        let mut edge_roles = BTreeMap::new();
-        edge_roles.insert((g.edges[0].from, g.edges[0].to), "journal");
-        let dot = g.to_dot(&BTreeMap::new(), &edge_roles);
-        assert!(dot.contains("forestgreen"), "{dot}");
-        assert!(dot.contains("label=\"journal\""), "{dot}");
     }
 }

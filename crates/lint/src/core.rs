@@ -205,7 +205,7 @@ const ALLOW_RULES: &[AllowRule] = &[
         code: "E006",
         mark: ALLOW_MARKS[0],
         per_fn: false,
-        example: "E002) — staging area is rebuilt from scratch on open",
+        example: "E003) — snapshot must exclude appenders for its whole duration",
     },
     AllowRule {
         code: "O006",
@@ -399,7 +399,7 @@ pub fn design_coverage(
 /// or `v.len()` resolves by name+arity to any same-named workspace
 /// method (`Index::insert`, `Collection::len`), so following those
 /// edges would manufacture chains out of plain `BTreeMap`/`Vec` calls.
-/// Nothing — hotness, effects, ordering traces — propagates *through* a
+/// Nothing — hotness, effects — propagates *through* a
 /// method with one of these names; its body is still scanned when a
 /// config names it.
 const STD_SHADOWED: &[&str] = &[
@@ -858,7 +858,6 @@ mod tests {
                 let config = EffectConfig {
                     mutation_fns: Vec::new(),
                     bump_fns: Vec::new(),
-                    journal_fns: Vec::new(),
                 };
                 analyze_effects(ws, &config)
             },
@@ -872,14 +871,7 @@ mod tests {
             site: concat!("for _ in ds { let _ = f", ".sync_", "data(); }"),
             run: |ws| {
                 let config = OrderConfig {
-                    journal_fns: Vec::new(),
-                    frame_fns: Vec::new(),
                     barrier_fns: Vec::new(),
-                    verify_fns: Vec::new(),
-                    apply_fns: Vec::new(),
-                    recovery_fns: Vec::new(),
-                    mutation_fns: Vec::new(),
-                    durable_surface: Vec::new(),
                 };
                 analyze_order(ws, &config)
             },

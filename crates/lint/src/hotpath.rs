@@ -252,8 +252,8 @@ fn marker_spills(seg: &str, pos: usize, marker: &str) -> bool {
 
 /// 1-based lines of function `i`'s body that sit inside a loop region:
 /// inside a block opened after a loop marker, or carrying a marker
-/// themselves (single-line adapter closures). Shared with the ordering
-/// pass ([`crate::order`]), whose `O004` charges fsyncs inside these
+/// themselves (single-line adapter closures). Also what
+/// [`crate::order`]'s one rule reads: `O004` charges an fsync on these
 /// lines.
 pub(crate) fn loop_lines(ws: &Workspace, i: usize) -> BTreeSet<usize> {
     let mut set = BTreeSet::new();

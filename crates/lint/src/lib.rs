@@ -41,17 +41,17 @@
 //!    the full hot call chain.
 //! 8. **Effects** ([`effects`]) — interprocedural mutation-effect
 //!    analysis over the same call graph: per-function effect summaries
-//!    (mutates / bumps-generation / appends-journal / blocking-I/O /
-//!    scatter) propagated bottom-up, proving the generation-bump,
-//!    journal-coverage, and no-I/O-under-lock invariants
-//!    (`E001`–`E007`).
-//! 9. **Order** ([`order`]) — interprocedural write-ahead ordering
-//!    proofs over the same call graph: per-function *sequenced effect
-//!    traces* (ordered journal/mutate/barrier/frame/verify/apply
-//!    events, calls inlined at their call line) proving the WAL
-//!    protocol — append before apply, barrier before ack, framed
-//!    records, verified recovery, no fsync-per-op loops
-//!    (`O001`–`O007`).
+//!    (mutates / bumps-generation / blocking-I/O / scatter) propagated
+//!    bottom-up, proving the generation-bump and no-I/O-under-lock
+//!    invariants (`E001`, `E003`–`E007`).
+//! 9. **Order** ([`order`]) — no durability barrier inside a
+//!    per-operation loop (`O004`, with `O006`/`O007` for its allows and
+//!    its configuration).
+//!
+//! The write-ahead protocol itself — journal before apply, framed
+//! records, verified recovery, acknowledge after the barrier — is not a
+//! pass: `mp-docstore`'s types carry it, so a break is a compile error
+//! (`E002` and `O001`–`O003`/`O005` are retired, DESIGN §7).
 //!
 //! `Error`-severity findings are used as hard gates by
 //! `QueryEngine::sanitize`, `LaunchPad::add_workflow`, and
@@ -83,7 +83,7 @@ pub use effects::{
 };
 pub use flow::{analyze_flow, FlowConfig};
 pub use hotpath::{analyze_hotpath, HotConfig};
-pub use order::{analyze_order, order_edge_roles, order_traces, OrderConfig, TraceEvent};
+pub use order::{analyze_order, OrderConfig};
 pub use perf::{analyze_perf_source, analyze_query_perf};
 pub use query::{analyze_query, analyze_query_with_schema};
 pub use schema::{CollectionSchema, TypeSet};
