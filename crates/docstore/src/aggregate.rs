@@ -11,9 +11,7 @@
 use crate::cursor::{CompiledProjection, FindOptions, SortDir};
 use crate::error::{Result, StoreError};
 use crate::query::Filter;
-use crate::value::{
-    cmp_values, compile_path, get_path_segs, set_path_segs, Docs, Document, OrderedValue, PathSeg,
-};
+use crate::value::{cmp_values, Docs, Document, OrderedValue, Path};
 use serde_json::{json, Map, Value};
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -26,14 +24,14 @@ pub enum Stage {
     /// Keep only the listed dotted paths (plus `_id`).
     Project(Vec<String>),
     /// Duplicate each document once per element of an array field.
-    Unwind(String),
+    Unwind(Path),
     /// Group by a key expression with accumulators.
     Group {
         /// Dotted path whose value becomes the group key (`None` groups
         /// everything into a single bucket, like `_id: null`).
-        key: Option<String>,
-        /// (output field, accumulator, input path).
-        accumulators: Vec<(String, Accumulator, String)>,
+        key: Option<Path>,
+        /// (output field, accumulator, input path; `None` counts).
+        accumulators: Vec<(String, Accumulator, Option<Path>)>,
     },
     /// Sort by (path, direction) pairs.
     Sort(Vec<(String, SortDir)>),
@@ -104,7 +102,7 @@ fn parse_stage(op: &str, spec: &Value) -> Result<Stage> {
             let path = spec
                 .as_str()
                 .ok_or_else(|| StoreError::BadQuery("$unwind expects a field path".into()))?;
-            Stage::Unwind(path.trim_start_matches('$').to_string())
+            Stage::Unwind(Path::new(path.trim_start_matches('$')))
         }
         "$group" => {
             let obj = spec
@@ -112,7 +110,7 @@ fn parse_stage(op: &str, spec: &Value) -> Result<Stage> {
                 .ok_or_else(|| StoreError::BadQuery("$group expects an object".into()))?;
             let key = match obj.get("_id") {
                 None | Some(Value::Null) => None,
-                Some(Value::String(s)) => Some(s.trim_start_matches('$').to_string()),
+                Some(Value::String(s)) => Some(Path::new(s.trim_start_matches('$'))),
                 Some(other) => {
                     return Err(StoreError::BadQuery(format!(
                         "$group _id must be a field reference or null, got {other}"
@@ -149,10 +147,11 @@ fn parse_stage(op: &str, spec: &Value) -> Result<Stage> {
                     }
                 };
                 let input_path = match input {
-                    Value::String(s) => s.trim_start_matches('$').to_string(),
+                    Value::String(s) => Some(s.trim_start_matches('$'))
+                        .filter(|s| !s.is_empty())
+                        .map(Path::new),
                     // `$sum: 1` counts.
-                    Value::Number(_) if acc == Accumulator::Sum => String::new(),
-                    _ => String::new(),
+                    _ => None,
                 };
                 accumulators.push((field.clone(), acc, input_path));
             }
@@ -211,9 +210,9 @@ pub fn run_pipeline(docs: Docs, stages: &[Stage]) -> Result<Docs> {
 }
 
 /// Apply one stage to the stream. Per-stage artifacts — compiled filters,
-/// pre-split paths, compiled projections and sort keys — are built once
-/// here, before any per-document loop runs, so the loops themselves do
-/// pure traversal.
+/// compiled projections and sort keys — are built once here, before any
+/// per-document loop runs, and `$unwind`/`$group` paths were split when
+/// the pipeline was parsed, so the loops themselves do pure traversal.
 fn run_stage(stream: Docs, stage: &Stage) -> Result<Docs> {
     Ok(match stage {
         Stage::Match(f) => {
@@ -234,17 +233,16 @@ fn run_stage(stream: Docs, stage: &Stage) -> Result<Docs> {
                 .collect()
         }
         Stage::Unwind(path) => {
-            let segs = compile_path(path);
             let mut out = Vec::new();
             for doc in stream {
-                match get_path_segs(&doc, &segs) {
+                match path.get(&doc) {
                     Some(Value::Array(items)) => {
                         for item in items {
                             // mp-lint: allow(H001) — $unwind synthesizes one new document per array element by definition; the copies are the stage's output.
                             let mut copy = (*doc).clone();
                             // mp-lint: allow(H001) — the element value becomes the unwound copy's field; one owned value per output document.
                             let item = item.clone();
-                            set_path_segs(&mut copy, &segs, item).map_err(StoreError::BadQuery)?;
+                            path.set(&mut copy, item).map_err(StoreError::BadQuery)?;
                             out.push(Arc::new(copy));
                         }
                     }
@@ -255,35 +253,20 @@ fn run_stage(stream: Docs, stage: &Stage) -> Result<Docs> {
             out
         }
         Stage::Group { key, accumulators } => {
-            // mp-lint: allow(H004) — one compile per query for the group key; the adapter maps an Option, not the document stream.
-            let key_segs = key.as_ref().map(|k| compile_path(k));
-            let specs: Vec<(String, Accumulator, Option<Vec<PathSeg>>)> = accumulators
-                .iter()
-                .map(|(field, acc, input)| {
-                    let segs = if input.is_empty() {
-                        None
-                    } else {
-                        Some(compile_path(input)) // mp-lint: allow(H004) — one compile per accumulator spec, per query
-                    };
-                    (field.clone(), *acc, segs) // mp-lint: allow(H001) — owned spec tuple built once per query, not per document
-                })
-                .collect();
             let mut groups: BTreeMap<OrderedValue, Docs> = BTreeMap::new();
             for doc in stream {
-                let k = match &key_segs {
-                    Some(segs) => get_path_segs(&doc, segs).cloned().unwrap_or(Value::Null),
-                    None => Value::Null,
-                };
+                let k = key.as_ref().and_then(|path| path.get(&doc));
+                let k = k.cloned().unwrap_or(Value::Null);
                 groups.entry(OrderedValue(k)).or_default().push(doc);
             }
             let mut out = Vec::with_capacity(groups.len());
             for (k, members) in groups {
-                let mut row = Map::with_capacity(specs.len() + 1);
+                let mut row = Map::with_capacity(accumulators.len() + 1);
                 row.insert("_id".into(), k.0);
-                for (field, acc, segs) in &specs {
+                for (field, acc, input) in accumulators {
                     // mp-lint: allow(H001) — one owned field name per output row; the row is the stage's product, not per-document scratch.
                     let field = field.clone();
-                    row.insert(field, accumulate(*acc, segs.as_deref(), &members));
+                    row.insert(field, accumulate(*acc, input.as_ref(), &members));
                 }
                 out.push(Arc::new(Value::Object(row)));
             }
@@ -305,10 +288,10 @@ fn run_stage(stream: Docs, stage: &Stage) -> Result<Docs> {
     })
 }
 
-fn accumulate(acc: Accumulator, input: Option<&[PathSeg]>, members: &[Arc<Document>]) -> Value {
+fn accumulate(acc: Accumulator, input: Option<&Path>, members: &[Arc<Document>]) -> Value {
     let values: Vec<&Value> = members
         .iter()
-        .filter_map(|d| input.and_then(|segs| get_path_segs(d, segs)))
+        .filter_map(|d| input.and_then(|path| path.get(d)))
         .collect();
     match acc {
         Accumulator::Count => json!(members.len()),

@@ -6,18 +6,19 @@ use crate::column::{Candidates, Segment};
 use crate::cursor::{CompiledFindOptions, CompiledProjection, FindOptions};
 use crate::error::{Result, StoreError};
 use crate::index::{
-    first_collision, push_entries, unique_violation, DocId, Entry, Index, Probe, SortKey,
+    first_collision, for_each_key, push_entries, unique_violation, DocId, Entry, Index, Probe,
+    SortKey,
 };
 use crate::journal::{Shared, StateLock, Store};
 use crate::persist::{JournalOp, JournalRef};
 use crate::profiler::OpKind;
 use crate::query::{CompiledFilter, Filter};
 use crate::update::Update;
-use crate::value::{Docs, Document, OrderedValue};
+use crate::value::{Docs, Document, OrderedValue, Path};
 use mp_sync::LockRank;
 use serde_json::{json, Value};
 use std::cell::Cell;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::slice;
 use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
 use std::sync::{Arc, OnceLock};
@@ -105,7 +106,7 @@ impl Plan<'_> {
     fn index(&self) -> Option<&str> {
         match self.access {
             Access::Id(_) => Some("_id"),
-            Access::Index(ix, _) => Some(&ix.path),
+            Access::Index(ix, _) => Some(ix.path.as_str()),
             Access::Scan => None,
         }
     }
@@ -360,7 +361,9 @@ impl Collection {
         // build against every other write (see `claims`).
         let first = self.next_id.load(AtomicOrdering::Relaxed);
         let objects = docs.iter().position(|d| !d.is_object()).unwrap_or(n);
-        let specs = self.index_specs();
+        let specs: Vec<(Path, bool)> = (self.inner.read().indexes.iter())
+            .map(|ix| (ix.path.clone(), ix.unique))
+            .collect();
         let mut assigned = Vec::new();
         let mut ids = Vec::with_capacity(if returning_ids { n } else { 0 });
         let mut id_keys: Vec<Entry<'_>> = Vec::with_capacity(objects);
@@ -542,24 +545,16 @@ impl Collection {
     pub fn distinct(&self, path: &str, filter: &Value) -> Result<Vec<Value>> {
         let _t = self.shared.profiler.start(&self.name, OpKind::Find);
         let cf = Filter::parse(filter)?.compile();
-        let mut set: BTreeMap<OrderedValue, ()> = BTreeMap::new();
+        let path = Path::new(path);
+        let mut set = BTreeSet::new();
         let candidates = &[self.candidates(&cf)];
-        let docs: Docs = filter_matches(candidates, &cf, UNBOUNDED, Arc::clone);
-        for doc in docs {
-            for v in crate::value::get_path_multi(&doc, path) {
-                match v {
-                    Value::Array(a) => {
-                        for e in a {
-                            set.insert(OrderedValue(e.clone()), ());
-                        }
-                    }
-                    other => {
-                        set.insert(OrderedValue(other.clone()), ());
-                    }
-                }
-            }
-        }
-        Ok(set.into_keys().map(|k| k.0).collect())
+        // The keys an index on `path` would hold, visited in the scan.
+        let () = filter_matches(candidates, &cf, UNBOUNDED, |doc| {
+            for_each_key(doc, &path, |key| {
+                set.insert(OrderedValue(key.clone()));
+            });
+        });
+        Ok(set.into_iter().map(|k| k.0).collect())
     }
 
     /// Update all documents matching `filter`.
@@ -727,7 +722,7 @@ impl Collection {
                 unique,
             },
             |inner| {
-                if inner.indexes.iter().any(|ix| ix.path == path) {
+                if inner.indexes.iter().any(|ix| ix.path.as_str() == path) {
                     return Ok(());
                 }
                 let mut ix = Index::new(path, unique);
@@ -753,7 +748,7 @@ impl Collection {
             },
             |inner| {
                 let before = inner.indexes.len();
-                inner.indexes.retain(|ix| ix.path != path);
+                inner.indexes.retain(|ix| ix.path.as_str() != path);
                 if inner.indexes.len() == before {
                     return Err(StoreError::NoSuchIndex(path.into()));
                 }
@@ -774,7 +769,7 @@ impl Collection {
                 inner.docs.clear();
                 inner.by_id.clear();
                 for ix in &mut inner.indexes {
-                    *ix = Index::new(ix.path.clone(), ix.unique);
+                    *ix = Index::new(ix.path.as_str(), ix.unique);
                 }
                 inner.dirty = true;
                 Ok(())
@@ -793,7 +788,7 @@ impl Collection {
         inner
             .indexes
             .iter()
-            .map(|ix| (ix.path.clone(), ix.unique))
+            .map(|ix| (ix.path.to_string(), ix.unique))
             .collect()
     }
 
@@ -820,7 +815,7 @@ impl Collection {
             .read()
             .indexes
             .iter()
-            .map(|ix| ix.path.clone())
+            .map(|ix| ix.path.to_string())
             .collect()
     }
 
@@ -1130,7 +1125,7 @@ pub(crate) fn filter_matches<T, C: FromIterator<T>>(
     sets: &[Candidates],
     cf: &CompiledFilter,
     (skip, limit): (usize, Option<usize>),
-    sink: impl Fn(&Arc<Document>) -> T,
+    sink: impl FnMut(&Arc<Document>) -> T,
 ) -> C {
     sets.iter()
         .flat_map(Candidates::iter)
@@ -1270,7 +1265,7 @@ fn filter_equality_seed(f: &Filter) -> Value {
     for (path, preds) in &f.fields {
         for p in preds {
             if let crate::query::Predicate::Eq(v) = p {
-                let _ = crate::value::set_path(&mut doc, path, v.clone());
+                let _ = Path::new(path).set(&mut doc, v.clone());
             }
         }
     }

@@ -18,8 +18,8 @@
 //! answer.
 
 use crate::profiler::Profiler;
-use crate::query::{CompiledFilter, CompiledPath, NumericBound};
-use crate::value::{exact_f64, Docs, Document, PathSeg};
+use crate::query::{CompiledFilter, NumericBound};
+use crate::value::{exact_f64, Docs, Document, Path};
 use serde_json::Value;
 use std::sync::{Arc, OnceLock};
 
@@ -53,19 +53,16 @@ impl Segment {
     /// once [`MAX_COLUMNS`] other paths hold every slot
     /// (`column.cap_hit`). A slot being built blocks a concurrent
     /// request instead of building twice.
-    fn column(&self, path: &CompiledPath, profiler: &Profiler) -> Option<Arc<[f64]>> {
+    fn column(&self, path: &Path, profiler: &Profiler) -> Option<Arc<[f64]>> {
         for slot in &self.columns {
             if slot.get().is_none() && !self.has_numbers_at(path) {
                 return None;
             }
             let (held, col) = slot.get_or_init(|| {
                 profiler.bump("column.build");
-                (
-                    path.raw().to_string(),
-                    build_column(&self.docs, path.segs()),
-                )
+                (path.as_str().to_string(), build_column(&self.docs, path))
             });
-            if held == path.raw() {
+            if held == path.as_str() {
                 return Some(Arc::clone(col));
             }
         }
@@ -83,15 +80,13 @@ impl Segment {
 
     /// Whether a column for `path` could prune anything. Stops at the
     /// first plain number, which a path worth a column has early.
-    fn has_numbers_at(&self, path: &CompiledPath) -> bool {
-        self.docs
-            .iter()
-            .any(|d| !plain_number(d, path.segs()).is_nan())
+    fn has_numbers_at(&self, path: &Path) -> bool {
+        self.docs.iter().any(|d| !plain_number(d, path).is_nan())
     }
 }
 
-fn build_column(docs: &[Arc<Document>], segs: &[PathSeg]) -> Arc<[f64]> {
-    docs.iter().map(|d| plain_number(d, segs)).collect()
+fn build_column(docs: &[Arc<Document>], path: &Path) -> Arc<[f64]> {
+    docs.iter().map(|d| plain_number(d, path)).collect()
 }
 
 /// The pruning pass: the rows of `sel` (all rows, if `None`) whose
@@ -111,13 +106,13 @@ fn narrow(sel: Option<Vec<usize>>, col: &[f64], bound: NumericBound) -> Vec<usiz
     }
 }
 
-/// The number at `segs` when every step is an object key and the value
+/// The number at `path` when every step is an object key and the value
 /// is a JSON number — the one shape for which a comparison predicate
 /// sees exactly this value (no array traversal, no second candidate) and
 /// an `f64` holds it exactly ([`exact_f64`]) — else `NaN`.
-fn plain_number(doc: &Value, segs: &[PathSeg]) -> f64 {
+fn plain_number(doc: &Value, path: &Path) -> f64 {
     let mut cur = doc;
-    for seg in segs {
+    for seg in path.segs() {
         match cur {
             Value::Object(m) => match m.get(&seg.key) {
                 Some(v) => cur = v,
@@ -204,7 +199,7 @@ impl Candidates {
         };
         let mut free = MAX_COLUMNS - held.len();
         cf.numeric_bounds()
-            .map(|(path, _)| path.raw())
+            .map(|(path, _)| path.as_str())
             .filter(|path| {
                 let fits = held.contains(path) || free > 0;
                 free -= usize::from(fits && !held.contains(path));

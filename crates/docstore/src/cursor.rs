@@ -4,12 +4,12 @@
 //! [`FindOptions`] is the *spec*: plain dotted-path strings, built once per
 //! request. It is never applied directly — [`FindOptions::compile`] gives
 //! a [`CompiledFindOptions`] whose sort keys and projection paths are
-//! pre-split ([`PathSeg`]) so the per-document work is pure traversal, the
+//! pre-split ([`Path`]) so the per-document work is pure traversal, the
 //! same once-per-query treatment `Filter::compile` gives predicates. The
 //! store has one orderer and one projection; the property tests diff them
 //! against the test-only `mp-model` crate, which shares no code with them.
 
-use crate::value::{cmp_values, compile_path, get_path_segs, set_path_segs, PathSeg};
+use crate::value::{cmp_values, Path};
 use serde_json::{Map, Value};
 use std::borrow::Borrow;
 use std::cmp::Ordering;
@@ -71,7 +71,7 @@ impl FindOptions {
             sort: self
                 .sort
                 .iter()
-                .map(|(path, dir)| (compile_path(path), *dir))
+                .map(|(path, dir)| (Path::new(path), *dir))
                 .collect(),
             skip: self.skip,
             limit: self.limit,
@@ -86,7 +86,7 @@ impl FindOptions {
 /// re-parsing, no intermediate-path bookkeeping.
 #[derive(Debug, Clone, Default)]
 pub struct CompiledFindOptions {
-    sort: Vec<(Vec<PathSeg>, SortDir)>,
+    sort: Vec<(Path, SortDir)>,
     skip: usize,
     limit: Option<usize>,
     projection: Option<CompiledProjection>,
@@ -134,9 +134,9 @@ impl CompiledFindOptions {
     /// key by key, [`cmp_values`] order, a missing field as `null` (so it
     /// sorts first ascending, like MongoDB's null-first ordering).
     pub fn cmp_docs(&self, a: &Value, b: &Value) -> Ordering {
-        for (segs, dir) in &self.sort {
-            let va = get_path_segs(a, segs).unwrap_or(&Value::Null);
-            let vb = get_path_segs(b, segs).unwrap_or(&Value::Null);
+        for (path, dir) in &self.sort {
+            let va = path.get(a).unwrap_or(&Value::Null);
+            let vb = path.get(b).unwrap_or(&Value::Null);
             let c = cmp_values(va, vb);
             let c = match dir {
                 SortDir::Asc => c,
@@ -159,18 +159,18 @@ impl CompiledFindOptions {
 ///   with the document, emitting the output object directly. One pass
 ///   over the trie per document; no path re-resolution, no
 ///   intermediate-container bookkeeping.
-/// * **Sequential fallback**: paths with array indices keep `set_path`'s
+/// * **Sequential fallback**: paths with array indices keep `$set`'s
 ///   order-sensitive array-creation semantics, so they replay the
-///   sequential algorithm — `_id`, then each path in order: read it,
-///   and where it resolves write it into the output — over pre-split
-///   segments ([`set_path_segs`]).
+///   sequential algorithm — `_id`, then each path in order: read it
+///   ([`Path::get`]), and where it resolves write it into the output
+///   ([`Path::set`]).
 ///
 /// Both produce the sequential algorithm's output byte for byte; the
 /// property tests check it against `mp-model`.
 #[derive(Debug, Clone)]
 pub struct CompiledProjection {
     /// Pre-split paths in application order, `_id` first.
-    paths: Vec<Vec<PathSeg>>,
+    paths: Vec<Path>,
     /// Prefix trie over `paths`; `None` forces the sequential fallback.
     plan: Option<ProjNode>,
 }
@@ -187,9 +187,9 @@ struct ProjNode {
 impl CompiledProjection {
     /// Compile an include-list of dotted paths (`_id` is always added).
     pub fn compile<S: AsRef<str>>(paths: &[S]) -> Self {
-        let mut all: Vec<Vec<PathSeg>> = Vec::with_capacity(paths.len() + 1);
-        all.push(compile_path("_id"));
-        all.extend(paths.iter().map(|p| compile_path(p.as_ref())));
+        let mut all = Vec::with_capacity(paths.len() + 1);
+        all.push(Path::new("_id"));
+        all.extend(paths.iter().map(|p| Path::new(p.as_ref())));
         let plan = build_plan(&all);
         CompiledProjection { paths: all, plan }
     }
@@ -215,10 +215,10 @@ impl CompiledProjection {
             None => {
                 // mp-lint: allow(H002) — fallback output object: result materialization, not scratch.
                 let mut out = Value::Object(Map::new());
-                for segs in &self.paths {
-                    if let Some(v) = get_path_segs(doc, segs) {
+                for path in &self.paths {
+                    if let Some(v) = path.get(doc) {
                         // mp-lint: allow(H001) — copying the projected value into the output is the product of projection.
-                        let _ = set_path_segs(&mut out, segs, v.clone());
+                        let _ = path.set(&mut out, v.clone());
                     }
                 }
                 out
@@ -228,25 +228,25 @@ impl CompiledProjection {
 }
 
 /// Build the trie plan, or `None` when a path addresses array elements
-/// (numeric segments make `set_path` create arrays and are order-
+/// (numeric segments make `$set` create arrays and are order-
 /// sensitive when mixed with object keys, so those shapes replay the
 /// sequential algorithm instead).
-fn build_plan(paths: &[Vec<PathSeg>]) -> Option<ProjNode> {
+fn build_plan(paths: &[Path]) -> Option<ProjNode> {
     if paths
         .iter()
-        .any(|segs| segs.iter().any(|s| s.index.is_some()))
+        .any(|path| path.segs().iter().any(|s| s.index.is_some()))
     {
         return None;
     }
     let mut root = ProjNode::default();
-    for segs in paths {
+    for path in paths {
         // Empty paths are no-ops in the sequential algorithm
-        // (`set_path` rejects them); skip them here too.
-        if segs.is_empty() {
+        // (`Path::set` rejects them); skip them here too.
+        if path.segs().is_empty() {
             continue;
         }
         let mut node = &mut root;
-        for seg in segs {
+        for seg in path.segs() {
             let pos = match node.children.iter().position(|(k, _)| *k == seg.key) {
                 Some(p) => p,
                 None => {
@@ -384,7 +384,7 @@ mod tests {
     #[test]
     fn projection_fallback_builds_arrays_as_set_path_does() {
         // Numeric segments route through the sequential fallback, which
-        // writes each resolved path as `set_path` would.
+        // writes each resolved path as `Path::set` does.
         let doc = json!({"_id": 1, "xs": [10, {"y": 20}, 30], "a": {"0": "objkey"}});
         for (paths, want) in [
             (vec!["xs.1.y"], json!({"_id": 1, "xs": [null, {"y": 20}]})),

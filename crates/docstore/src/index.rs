@@ -8,7 +8,7 @@
 //! `{elements: "Li"}` fast.
 
 use crate::error::{Result, StoreError};
-use crate::value::{cmp_values, for_each_at_path, path_segments, type_rank, OrderedValue};
+use crate::value::{cmp_values, type_rank, OrderedValue, Path};
 use serde_json::Value;
 use std::cmp::Ordering;
 use std::collections::BTreeMap;
@@ -21,7 +21,7 @@ pub type DocId = u64;
 #[derive(Debug, Clone)]
 pub struct Index {
     /// Dotted field path this index covers.
-    pub path: String,
+    pub path: Path,
     /// Reject two documents with the same indexed value?
     pub unique: bool,
     /// Each distinct key and the ids of the documents exposing it:
@@ -36,18 +36,21 @@ pub struct Index {
 /// for multikey behaviour, or the single value itself, in path-walk
 /// order. The walk allocates nothing; the vector and the key clones it
 /// returns are the only allocations.
-fn index_keys(doc: &Value, path: &str) -> Vec<OrderedValue> {
+fn index_keys(doc: &Value, path: &Path) -> Vec<OrderedValue> {
     let mut keys = Vec::new();
     for_each_key(doc, path, |key| keys.push(OrderedValue(key.clone())));
     keys
 }
 
 /// Visit the keys [`index_keys`] returns, in the same order, without
-/// cloning them.
-fn for_each_key<'a>(doc: &'a Value, path: &str, mut visit: impl FnMut(&'a Value)) {
-    for_each_at_path(doc, path, &mut |v| match v {
-        Value::Array(a) => a.iter().for_each(&mut visit),
-        other => visit(other),
+/// cloning them: what `distinct` collects, too.
+pub(crate) fn for_each_key<'a>(doc: &'a Value, path: &Path, mut visit: impl FnMut(&'a Value)) {
+    path.any(doc, &mut |v| {
+        match v {
+            Value::Array(a) => a.iter().for_each(&mut visit),
+            other => visit(other),
+        }
+        false
     });
 }
 
@@ -157,7 +160,7 @@ pub(crate) fn push_entries<'a>(
     entries: &mut Vec<Entry<'a>>,
     id: DocId,
     doc: &'a Value,
-    path: &str,
+    path: &Path,
 ) {
     let mut at = 0;
     for_each_key(doc, path, |key| {
@@ -185,15 +188,15 @@ pub(crate) fn first_collision<'e, 'a>(sorted: &'e [Entry<'a>]) -> Option<&'e Ent
 }
 
 /// The duplicate-key error naming `key` of the unique index on `path`.
-pub(crate) fn unique_violation(path: &str, key: &Value) -> StoreError {
+pub(crate) fn unique_violation(path: &Path, key: &Value) -> StoreError {
     StoreError::DuplicateKey(format!("unique index on '{path}' value {key}"))
 }
 
 impl Index {
     /// Create an empty index over `path`.
-    pub fn new(path: impl Into<String>, unique: bool) -> Self {
+    pub fn new(path: &str, unique: bool) -> Self {
         Index {
-            path: path.into(),
+            path: Path::new(path),
             unique,
             map: BTreeMap::new(),
             multikey: false,
@@ -207,7 +210,7 @@ impl Index {
     /// vector of its ids, allocated once at its final size: one key and
     /// one vector per distinct key, nothing per entry. Uniqueness is not
     /// checked here ([`first_collision`] is).
-    pub(crate) fn built(path: String, unique: bool, sorted: &[Entry<'_>]) -> Index {
+    pub(crate) fn built(path: Path, unique: bool, sorted: &[Entry<'_>]) -> Index {
         let runs = || sorted.chunk_by(|a, b| a.0 == b.0);
         // Counted first, so the runs take one allocation and no freed
         // smaller one is left between the id sets the index keeps.
@@ -304,9 +307,9 @@ impl Index {
     /// changed) costs a re-index, never a wrong one.
     pub(crate) fn keeps_keys(&self, old: &Value, new: &Value) -> bool {
         let (mut old, mut new) = (old, new);
-        for seg in path_segments(&self.path) {
+        for seg in self.path.segs() {
             match (old, new) {
-                (Value::Object(a), Value::Object(b)) => match (a.get(seg), b.get(seg)) {
+                (Value::Object(a), Value::Object(b)) => match (a.get(&seg.key), b.get(&seg.key)) {
                     (Some(a), Some(b)) => (old, new) = (a, b),
                     (a, b) => return a.is_none() && b.is_none(),
                 },
@@ -656,7 +659,7 @@ mod tests {
         }
         let (mut want, mut visited) = (Vec::new(), 0);
         for (id, doc) in (0..).zip(docs) {
-            let mut keys = index_keys(doc, "k");
+            let mut keys = index_keys(doc, &Path::new("k"));
             keys.sort();
             keys.dedup();
             let selected = match *probe {
@@ -758,7 +761,7 @@ mod tests {
 
         for (id, ignore) in [(0, None), (1, Some(2)), (7, Some(7))] {
             let clash = ix.unique
-                && index_keys(doc, "k").iter().any(|k| {
+                && index_keys(doc, &Path::new("k")).iter().any(|k| {
                     (model.get(k))
                         .is_some_and(|set| set.iter().any(|&o| o != id && Some(o) != ignore))
                 });
@@ -772,7 +775,7 @@ mod tests {
 
         let mut entries = Vec::new();
         for (id, doc) in docs {
-            push_entries(&mut entries, *id, doc, "k");
+            push_entries(&mut entries, *id, doc, &Path::new("k"));
         }
         entries.sort_unstable();
         let mut one_by_one = Index::new("k", ix.unique);
@@ -780,7 +783,7 @@ mod tests {
             one_by_one.insert(*id, doc).unwrap();
         }
         prop_assert_eq!(
-            held(&Index::built("k".into(), ix.unique, &entries)),
+            held(&Index::built(Path::new("k"), ix.unique, &entries)),
             held(&one_by_one)
         );
         Ok(())
@@ -809,7 +812,7 @@ mod tests {
             for (id, next) in steps {
                 if let Some(old) = docs.remove(&id) {
                     ix.remove(id, &old);
-                    for key in index_keys(&old, "k") {
+                    for key in index_keys(&old, &Path::new("k")) {
                         if let Some(set) = model.get_mut(&key) {
                             set.remove(&id);
                             if set.is_empty() {
@@ -818,7 +821,7 @@ mod tests {
                         }
                     }
                 } else {
-                    let keys = index_keys(&next, "k");
+                    let keys = index_keys(&next, &Path::new("k"));
                     let taken = unique
                         && keys.iter().any(|k| model.get(k).is_some_and(|set| !set.contains(&id)));
                     prop_assert_eq!(ix.insert(id, &next).is_err(), taken, "{:?}", next);

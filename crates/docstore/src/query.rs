@@ -10,10 +10,7 @@
 //! depart from MongoDB).
 
 use crate::error::{Result, StoreError};
-use crate::value::{
-    any_at_path, cmp_values, compile_path, exact_f64, get_path_segs, type_name, type_rank,
-    values_equal, PathSeg,
-};
+use crate::value::{cmp_values, exact_f64, type_name, type_rank, values_equal, Path};
 use serde_json::Value;
 use std::cmp::Ordering;
 use std::ops::Bound;
@@ -140,37 +137,14 @@ impl Filter {
                 .fields
                 .iter()
                 .map(|(path, preds)| {
-                    (
-                        CompiledPath {
-                            raw: path.clone(),
-                            segs: compile_path(path),
-                        },
-                        preds.iter().map(CompiledPredicate::from).collect(),
-                    )
+                    let preds = preds.iter().map(CompiledPredicate::from).collect();
+                    (Path::new(path), preds)
                 })
                 .collect(),
             and: self.and.iter().map(Filter::compile).collect(),
             or: self.or.iter().map(Filter::compile).collect(),
             nor: self.nor.iter().map(Filter::compile).collect(),
         }
-    }
-}
-
-/// A dotted path pre-split into segments, keeping the raw text for the
-/// planner (index paths are matched by their dotted spelling).
-#[derive(Debug, Clone, PartialEq)]
-pub struct CompiledPath {
-    raw: String,
-    segs: Vec<PathSeg>,
-}
-
-impl CompiledPath {
-    pub(crate) fn raw(&self) -> &str {
-        &self.raw
-    }
-
-    pub(crate) fn segs(&self) -> &[PathSeg] {
-        &self.segs
     }
 }
 
@@ -296,7 +270,7 @@ fn in_sorted(sorted: &[Value], stored: &Value) -> bool {
 /// `$in`/`$nin` membership is a binary search over pre-sorted operands.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct CompiledFilter {
-    fields: Vec<(CompiledPath, Vec<CompiledPredicate>)>,
+    fields: Vec<(Path, Vec<CompiledPredicate>)>,
     and: Vec<CompiledFilter>,
     or: Vec<CompiledFilter>,
     nor: Vec<CompiledFilter>,
@@ -342,7 +316,7 @@ impl CompiledFilter {
         &'s self,
         path: &'p str,
     ) -> impl Iterator<Item = &'s CompiledPredicate> + use<'s, 'p> {
-        let fields = self.fields.iter().filter(move |(p, _)| p.raw == path);
+        let fields = self.fields.iter().filter(move |(p, _)| p.as_str() == path);
         fields.flat_map(|(_, preds)| preds)
     }
 
@@ -381,7 +355,7 @@ impl CompiledFilter {
     /// the filter says. An operand no `f64` holds exactly
     /// ([`exact_f64`]) is skipped: rounded, it would move the bound past
     /// numbers that match.
-    pub(crate) fn numeric_bounds(&self) -> impl Iterator<Item = (&CompiledPath, NumericBound)> {
+    pub(crate) fn numeric_bounds(&self) -> impl Iterator<Item = (&Path, NumericBound)> {
         self.fields.iter().filter_map(|(path, preds)| {
             let mut b = NumericBound::UNBOUNDED;
             for pred in preds {
@@ -408,7 +382,7 @@ impl CompiledFilter {
 
     /// Compiled twin of [`Filter::touched_paths`] (same contract).
     pub fn touched_paths(&self) -> Vec<&str> {
-        let mut out: Vec<&str> = self.fields.iter().map(|(p, _)| p.raw.as_str()).collect();
+        let mut out: Vec<&str> = self.fields.iter().map(|(p, _)| p.as_str()).collect();
         for sub in self.and.iter().chain(self.or.iter()).chain(self.nor.iter()) {
             out.extend(sub.touched_paths());
         }
@@ -422,21 +396,19 @@ impl CompiledFilter {
 /// document matches when *any* reachable value (array elements included)
 /// satisfies the predicate, and `$ne`/`$nin`/`$not` when *none* does.
 /// The reachable-value walk runs as a borrowing visitor
-/// ([`any_at_path`]), allocating nothing.
-fn match_compiled(doc: &Value, path: &CompiledPath, pred: &CompiledPredicate) -> bool {
-    let segs = &path.segs;
+/// ([`Path::any`]), allocating nothing.
+fn match_compiled(doc: &Value, path: &Path, pred: &CompiledPredicate) -> bool {
     match pred {
         CompiledPredicate::Exists(want) => {
-            let exists =
-                any_at_path(doc, segs, &mut |_| true) || get_path_segs(doc, segs).is_some();
+            let exists = path.any(doc, &mut |_| true) || path.get(doc).is_some();
             exists == *want
         }
         CompiledPredicate::Ne(operand) => {
-            !any_at_path(doc, segs, &mut |v| in_sorted(slice::from_ref(operand), v))
+            !path.any(doc, &mut |v| in_sorted(slice::from_ref(operand), v))
         }
-        CompiledPredicate::Nin(sorted) => !any_at_path(doc, segs, &mut |v| in_sorted(sorted, v)),
+        CompiledPredicate::Nin(sorted) => !path.any(doc, &mut |v| in_sorted(sorted, v)),
         CompiledPredicate::Not(preds) => !preds.iter().all(|p| match_compiled(doc, path, p)),
-        _ => any_at_path(doc, segs, &mut |v| match_compiled_single(v, pred)),
+        _ => path.any(doc, &mut |v| match_compiled_single(v, pred)),
     }
 }
 

@@ -17,7 +17,7 @@ use crate::persist::{
     decode_frame, frame_record, Barrier, FrameDecode, Framed, JournalRef, Record,
 };
 use crate::query::{CompiledFilter, Filter};
-use crate::value::{get_path, hash_value, Docs, Document};
+use crate::value::{hash_value, Docs, Document, Path};
 use mp_exec::WorkPool;
 use mp_sync::{LockRank, OrderedMutex};
 use serde_json::{json, Value};
@@ -28,7 +28,7 @@ use std::sync::Arc;
 pub struct ShardedCluster {
     shards: Vec<Database>,
     /// Dotted path of the shard key.
-    shard_key: String,
+    shard_key: Path,
     /// Router statistics: (targeted reads, scatter-gather reads).
     stats: OrderedMutex<(u64, u64)>,
     /// Migration epoch: `rebalance` bumps it between a document's
@@ -39,18 +39,18 @@ pub struct ShardedCluster {
 
 impl ShardedCluster {
     /// Create a cluster of `n` shards keyed on `shard_key`.
-    pub fn new(n: usize, shard_key: impl Into<String>) -> Self {
+    pub fn new(n: usize, shard_key: &str) -> Self {
         Self::from_shards((0..n.max(1)).map(|_| Database::new()).collect(), shard_key)
     }
 
     /// Assemble a cluster from existing shard databases — how a cluster
     /// grows: reuse the old shards, append fresh empty ones, then call
     /// [`rebalance`](Self::rebalance) to migrate misplaced documents.
-    pub fn from_shards(shards: Vec<Database>, shard_key: impl Into<String>) -> Self {
+    pub fn from_shards(shards: Vec<Database>, shard_key: &str) -> Self {
         assert!(!shards.is_empty(), "a cluster needs at least one shard");
         ShardedCluster {
             shards,
-            shard_key: shard_key.into(),
+            shard_key: Path::new(shard_key),
             stats: OrderedMutex::new(LockRank::ShardStats, (0, 0)),
             migration_epoch: AtomicU64::new(0),
         }
@@ -85,7 +85,7 @@ impl ShardedCluster {
             let coll = self.shards[i].collection(collection);
             let mut moved = 0;
             for doc in coll.dump() {
-                let Some(key) = get_path(&doc, &self.shard_key) else {
+                let Some(key) = self.shard_key.get(&doc) else {
                     continue;
                 };
                 let target = (hash_value(key) % self.shards.len() as u64) as usize;
@@ -145,7 +145,7 @@ impl ShardedCluster {
 
     /// Insert a document; it must carry the shard key.
     pub fn insert_one(&self, collection: &str, doc: Value) -> Result<Value> {
-        let key = get_path(&doc, &self.shard_key).ok_or_else(|| {
+        let key = self.shard_key.get(&doc).ok_or_else(|| {
             StoreError::InvalidDocument(format!("document missing shard key '{}'", self.shard_key))
         })?;
         self.shard_for(&key.clone())
@@ -157,7 +157,7 @@ impl ShardedCluster {
     /// with an equality, otherwise scatter-gather across all shards.
     pub fn find(&self, collection: &str, filter: &Value) -> Result<Docs> {
         let parsed = Filter::parse(filter)?;
-        if let Some(key_value) = parsed.equality_on(&self.shard_key) {
+        if let Some(key_value) = parsed.equality_on(self.shard_key.as_str()) {
             self.stats.lock().0 += 1;
             return self
                 .shard_for(key_value)
@@ -172,7 +172,7 @@ impl ShardedCluster {
     /// scatter-gather scan as [`find`](Self::find), keeping nothing.
     pub fn count(&self, collection: &str, filter: &Value) -> Result<usize> {
         let parsed = Filter::parse(filter)?;
-        if let Some(key_value) = parsed.equality_on(&self.shard_key) {
+        if let Some(key_value) = parsed.equality_on(self.shard_key.as_str()) {
             return self
                 .shard_for(key_value)
                 .collection(collection)
@@ -218,7 +218,7 @@ impl ShardedCluster {
     ) -> Result<UpdateResult> {
         let parsed = Filter::parse(filter)?;
         let mut merged = UpdateResult::default();
-        if let Some(key_value) = parsed.equality_on(&self.shard_key) {
+        if let Some(key_value) = parsed.equality_on(self.shard_key.as_str()) {
             return self
                 .shard_for(key_value)
                 .collection(collection)

@@ -5,7 +5,7 @@
 //! $unset, etc.)" — this module is that syntax.
 
 use crate::error::{Result, StoreError};
-use crate::value::{cmp_values, get_path, remove_path, set_path, values_equal};
+use crate::value::{cmp_values, type_name, values_equal, Path};
 use serde_json::{Number, Value};
 use std::cmp::Ordering;
 
@@ -18,28 +18,29 @@ pub enum Update {
     Operators(Vec<UpdateOp>),
 }
 
-/// One update operator applied to one path.
+/// One update operator applied to one path, split when the update is
+/// parsed.
 #[derive(Debug, Clone, PartialEq)]
 pub enum UpdateOp {
-    Set(String, Value),
-    Unset(String),
-    Inc(String, f64),
-    Mul(String, f64),
-    Min(String, Value),
-    Max(String, Value),
-    Rename(String, String),
+    Set(Path, Value),
+    Unset(Path),
+    Inc(Path, f64),
+    Mul(Path, f64),
+    Min(Path, Value),
+    Max(Path, Value),
+    Rename(Path, Path),
     /// Push one value or, with `$each`, several.
-    Push(String, Vec<Value>),
+    Push(Path, Vec<Value>),
     /// Remove all elements equal to the operand.
-    Pull(String, Value),
+    Pull(Path, Value),
     /// Remove first (-1) or last (1) element.
-    Pop(String, i8),
+    Pop(Path, i8),
     /// Push only if not already present.
-    AddToSet(String, Vec<Value>),
+    AddToSet(Path, Vec<Value>),
     /// Set to the simulated current timestamp (seconds).
-    CurrentDate(String),
+    CurrentDate(Path),
     /// Set only when the update inserts a new document (upsert).
-    SetOnInsert(String, Value),
+    SetOnInsert(Path, Value),
 }
 
 impl Update {
@@ -103,31 +104,31 @@ fn parse_op(op: &str, path: &str, operand: &Value) -> Result<UpdateOp> {
             "invalid target path '{path}'"
         )));
     }
+    let target = Path::new(path);
     Ok(match op {
-        "$set" => UpdateOp::Set(path.into(), operand.clone()),
-        "$unset" => UpdateOp::Unset(path.into()),
-        "$inc" => UpdateOp::Inc(path.into(), num_of(path, operand)?),
-        "$mul" => UpdateOp::Mul(path.into(), num_of(path, operand)?),
-        "$min" => UpdateOp::Min(path.into(), operand.clone()),
-        "$max" => UpdateOp::Max(path.into(), operand.clone()),
-        "$rename" => UpdateOp::Rename(
-            path.into(),
-            operand
+        "$set" => UpdateOp::Set(target, operand.clone()),
+        "$unset" => UpdateOp::Unset(target),
+        "$inc" => UpdateOp::Inc(target, num_of(path, operand)?),
+        "$mul" => UpdateOp::Mul(target, num_of(path, operand)?),
+        "$min" => UpdateOp::Min(target, operand.clone()),
+        "$max" => UpdateOp::Max(target, operand.clone()),
+        "$rename" => {
+            let to = operand
                 .as_str()
-                .ok_or_else(|| StoreError::BadUpdate("$rename target must be a string".into()))?
-                .to_string(),
-        ),
+                .ok_or_else(|| StoreError::BadUpdate("$rename target must be a string".into()))?;
+            UpdateOp::Rename(target, Path::new(to))
+        }
         "$push" => {
             if let Some(each) = operand.get("$each") {
                 let items = each
                     .as_array()
                     .ok_or_else(|| StoreError::BadUpdate("$each expects an array".into()))?;
-                UpdateOp::Push(path.into(), items.clone())
+                UpdateOp::Push(target, items.clone())
             } else {
-                UpdateOp::Push(path.into(), vec![operand.clone()])
+                UpdateOp::Push(target, vec![operand.clone()])
             }
         }
-        "$pull" => UpdateOp::Pull(path.into(), operand.clone()),
+        "$pull" => UpdateOp::Pull(target, operand.clone()),
         "$pop" => {
             let n = operand
                 .as_i64()
@@ -135,20 +136,20 @@ fn parse_op(op: &str, path: &str, operand: &Value) -> Result<UpdateOp> {
             if n != 1 && n != -1 {
                 return Err(StoreError::BadUpdate("$pop expects 1 or -1".into()));
             }
-            UpdateOp::Pop(path.into(), n as i8)
+            UpdateOp::Pop(target, n as i8)
         }
         "$addToSet" => {
             if let Some(each) = operand.get("$each") {
                 let items = each
                     .as_array()
                     .ok_or_else(|| StoreError::BadUpdate("$each expects an array".into()))?;
-                UpdateOp::AddToSet(path.into(), items.clone())
+                UpdateOp::AddToSet(target, items.clone())
             } else {
-                UpdateOp::AddToSet(path.into(), vec![operand.clone()])
+                UpdateOp::AddToSet(target, vec![operand.clone()])
             }
         }
-        "$currentDate" => UpdateOp::CurrentDate(path.into()),
-        "$setOnInsert" => UpdateOp::SetOnInsert(path.into(), operand.clone()),
+        "$currentDate" => UpdateOp::CurrentDate(target),
+        "$setOnInsert" => UpdateOp::SetOnInsert(target, operand.clone()),
         other => {
             return Err(StoreError::BadUpdate(format!(
                 "unknown update operator {other}"
@@ -168,32 +169,31 @@ fn json_num(x: f64) -> Value {
 }
 
 fn apply_op(doc: &mut Value, op: &UpdateOp, now: f64, inserting: bool) -> Result<()> {
-    let set = |doc: &mut Value, path: &str, v: Value| {
-        set_path(doc, path, v).map_err(StoreError::BadUpdate)
-    };
+    let set =
+        |doc: &mut Value, path: &Path, v: Value| path.set(doc, v).map_err(StoreError::BadUpdate);
     match op {
         UpdateOp::Set(path, v) => set(doc, path, v.clone())?,
         UpdateOp::Unset(path) => {
-            remove_path(doc, path);
+            path.remove(doc);
         }
         UpdateOp::Inc(path, d) => {
-            let cur = get_path(doc, path).and_then(Value::as_f64).unwrap_or(0.0);
+            let cur = path.get(doc).and_then(Value::as_f64).unwrap_or(0.0);
             set(doc, path, json_num(cur + d))?;
         }
         UpdateOp::Mul(path, m) => {
-            let cur = get_path(doc, path).and_then(Value::as_f64).unwrap_or(0.0);
+            let cur = path.get(doc).and_then(Value::as_f64).unwrap_or(0.0);
             set(doc, path, json_num(cur * m))?;
         }
-        UpdateOp::Min(path, v) => match get_path(doc, path) {
+        UpdateOp::Min(path, v) => match path.get(doc) {
             Some(cur) if cmp_values(cur, v) != Ordering::Greater => {}
             _ => set(doc, path, v.clone())?,
         },
-        UpdateOp::Max(path, v) => match get_path(doc, path) {
+        UpdateOp::Max(path, v) => match path.get(doc) {
             Some(cur) if cmp_values(cur, v) != Ordering::Less => {}
             _ => set(doc, path, v.clone())?,
         },
         UpdateOp::Rename(from, to) => {
-            if let Some(v) = remove_path(doc, from) {
+            if let Some(v) = from.remove(doc) {
                 set(doc, to, v)?;
             }
         }
@@ -202,12 +202,12 @@ fn apply_op(doc: &mut Value, op: &UpdateOp, now: f64, inserting: bool) -> Result
             arr.extend(items.iter().cloned());
         }
         UpdateOp::Pull(path, operand) => {
-            if let Some(Value::Array(arr)) = get_path_mut(doc, path) {
+            if let Some(Value::Array(arr)) = path.get_mut(doc) {
                 arr.retain(|e| !values_equal(e, operand));
             }
         }
         UpdateOp::Pop(path, dir) => {
-            if let Some(Value::Array(arr)) = get_path_mut(doc, path) {
+            if let Some(Value::Array(arr)) = path.get_mut(doc) {
                 if !arr.is_empty() {
                     if *dir == 1 {
                         arr.pop();
@@ -235,34 +235,18 @@ fn apply_op(doc: &mut Value, op: &UpdateOp, now: f64, inserting: bool) -> Result
     Ok(())
 }
 
-/// Mutable access at a dotted path (objects + numeric array segments).
-fn get_path_mut<'a>(doc: &'a mut Value, path: &str) -> Option<&'a mut Value> {
-    let mut cur = doc;
-    for seg in crate::value::path_segments(path) {
-        match cur {
-            Value::Object(m) => cur = m.get_mut(seg)?,
-            Value::Array(a) => {
-                let idx: usize = seg.parse().ok()?;
-                cur = a.get_mut(idx)?;
-            }
-            _ => return None,
-        }
-    }
-    Some(cur)
-}
-
 /// Resolve `path` to a mutable array, creating an empty one (or failing on
 /// a non-array) as MongoDB does for `$push` on a missing field.
-fn ensure_array<'a>(doc: &'a mut Value, path: &str) -> Result<&'a mut Vec<Value>> {
-    let missing = get_path(doc, path).is_none();
-    if missing {
-        set_path(doc, path, Value::Array(vec![])).map_err(StoreError::BadUpdate)?;
+fn ensure_array<'a>(doc: &'a mut Value, path: &Path) -> Result<&'a mut Vec<Value>> {
+    if path.get(doc).is_none() {
+        path.set(doc, Value::Array(vec![]))
+            .map_err(StoreError::BadUpdate)?;
     }
-    match get_path_mut(doc, path) {
+    match path.get_mut(doc) {
         Some(Value::Array(a)) => Ok(a),
         Some(other) => Err(StoreError::BadUpdate(format!(
             "field '{path}' is {} not an array",
-            crate::value::type_name(other)
+            type_name(other)
         ))),
         None => Err(StoreError::BadUpdate(format!(
             "could not create array at '{path}'"
@@ -436,6 +420,23 @@ mod tests {
             .apply(&mut doc, 0.0, false)
             .unwrap();
         assert_eq!(doc, json!({"_id": "x1", "b": 2}));
+    }
+
+    /// An index past MongoDB's backfill limit is refused, not padded:
+    /// one `$set` cannot make the store allocate gigabytes of nulls. A
+    /// small index still pads.
+    #[test]
+    fn set_refuses_a_backfill_past_the_limit() {
+        let u = Update::parse(&json!({"$set": {"xs.1500001": 1}})).unwrap();
+        let mut doc = json!({});
+        assert!(matches!(
+            u.apply(&mut doc, 0.0, false),
+            Err(StoreError::BadUpdate(_))
+        ));
+        assert_eq!(
+            apply(json!({"$set": {"xs.2": 1}}), json!({})),
+            json!({"xs": [null, null, 1]})
+        );
     }
 
     #[test]

@@ -1,9 +1,11 @@
-//! Dotted-path access and BSON-like value ordering over [`serde_json::Value`].
+//! Dotted paths and BSON-like value ordering over [`serde_json::Value`].
 //!
 //! MongoDB addresses nested fields with dotted paths (`"spec.elements.0"`),
 //! and sorts mixed-type values by a fixed type precedence. Both behaviours
 //! are reproduced here because the rest of the system (query matcher,
-//! update engine, indexes, cursors) is built on them.
+//! update engine, indexes, cursors) is built on them. A path is split
+//! once, into a [`Path`]; its methods are the store's only walks by path
+//! (DESIGN §10, "One path").
 
 use serde_json::{Map, Number, Value};
 use std::cmp::Ordering;
@@ -24,290 +26,200 @@ pub fn to_docs(docs: Vec<Value>) -> Docs {
     docs.into_iter().map(Arc::new).collect()
 }
 
-/// Split a dotted path into segments. An empty path yields no segments.
-pub fn path_segments(path: &str) -> impl Iterator<Item = &str> {
-    path.split('.').filter(|s| !s.is_empty())
-}
+/// MongoDB's own limit on padding an array: `$set` at an index refuses
+/// to grow an array past this many elements (`kMaxPaddingAllowed`), so
+/// one path cannot make the store backfill billions of nulls.
+const MAX_BACKFILL: usize = 1_500_000;
 
-/// One pre-split segment of a dotted path: the raw key plus its numeric
-/// parse, done once at compile time instead of per document per predicate.
+/// A dotted path (`"spec.elements.0"`), split once. The one form of a
+/// path in the store: every read, traversal, write and removal by path
+/// is a method here, and every holder of a path keeps one of these.
+///
+/// Empty segments are dropped (`".a..b"` is `a.b`), and a segment that
+/// parses as a `usize` may also index an array; against an object it is
+/// a key like any other.
 #[derive(Debug, Clone, PartialEq)]
-pub struct PathSeg {
+pub struct Path {
+    /// The path as written, for names and messages.
+    raw: String,
+    segs: Vec<PathSeg>,
+}
+
+/// One segment of a [`Path`]: the key, and its numeric parse.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct PathSeg {
     /// The segment text (`"elements"` in `"spec.elements.0"`).
-    pub key: String,
+    pub(crate) key: String,
     /// `Some(n)` when the segment is a valid array index.
-    pub index: Option<usize>,
+    pub(crate) index: Option<usize>,
 }
 
-/// Pre-split a dotted path into segments (see [`PathSeg`]).
-pub fn compile_path(path: &str) -> Vec<PathSeg> {
-    path_segments(path)
-        .map(|s| PathSeg {
-            key: s.to_string(),
-            index: s.parse::<usize>().ok(),
-        })
-        .collect()
-}
-
-/// [`get_path`] over pre-split segments: no per-call splitting or numeric
-/// re-parsing. Same strict semantics (arrays only by numeric index).
-pub fn get_path_segs<'a>(doc: &'a Value, segs: &[PathSeg]) -> Option<&'a Value> {
-    let mut cur = doc;
-    for seg in segs {
-        match cur {
-            Value::Object(m) => cur = m.get(&seg.key)?,
-            Value::Array(a) => cur = a.get(seg.index?)?,
-            _ => return None,
+impl Path {
+    /// Split `path` (see [`Path`]).
+    pub fn new(path: &str) -> Path {
+        let segs = path.split('.').filter(|s| !s.is_empty());
+        Path {
+            raw: path.to_string(),
+            segs: segs
+                .map(|s| PathSeg {
+                    key: s.to_string(),
+                    index: s.parse().ok(),
+                })
+                .collect(),
         }
     }
-    Some(cur)
+
+    /// The path as written.
+    pub fn as_str(&self) -> &str {
+        &self.raw
+    }
+
+    pub(crate) fn segs(&self) -> &[PathSeg] {
+        &self.segs
+    }
+
+    /// The value at this path, read strictly: objects by key, arrays
+    /// only by a numeric segment. A path with no segments names `doc`.
+    pub fn get<'v>(&self, doc: &'v Value) -> Option<&'v Value> {
+        self.segs.iter().try_fold(doc, |cur, seg| match cur {
+            Value::Object(m) => m.get(&seg.key),
+            Value::Array(a) => a.get(seg.index?),
+            _ => None,
+        })
+    }
+
+    /// [`Path::get`], mutably.
+    pub fn get_mut<'v>(&self, doc: &'v mut Value) -> Option<&'v mut Value> {
+        self.segs.iter().try_fold(doc, child_mut)
+    }
+
+    /// Visit every value the path reaches, the way MongoDB's matcher
+    /// walks it, until `pred` returns true; returns whether it did. An
+    /// array is entered by a numeric segment as an index and, whatever
+    /// the segment, through each of its *object* elements with the same
+    /// remaining path (a nested array is not entered). A path that ends
+    /// at an array visits the array itself. Nothing is allocated, and
+    /// the values visited borrow from `doc`.
+    pub fn any<'a, F: FnMut(&'a Value) -> bool>(&self, doc: &'a Value, pred: &mut F) -> bool {
+        reach(&self.segs, doc, pred)
+    }
+
+    /// Set the value at this path, as `$set` does: a missing or `null`
+    /// step becomes an array when the next segment is numeric and an
+    /// object otherwise, and an array is padded with `null`s up to the
+    /// index written — never past [`MAX_BACKFILL`] elements. Fails on an
+    /// empty path, a step through a scalar, a non-numeric segment into
+    /// an array and a padding past the limit; the steps taken before the
+    /// failing one stay made.
+    pub fn set(&self, doc: &mut Value, value: Value) -> Result<(), String> {
+        let (last, parents) = self.segs.split_last().ok_or("empty path")?;
+        let mut cur = doc;
+        for (seg, next) in parents.iter().zip(self.segs.iter().skip(1)) {
+            cur = slot(cur, seg, Some(next))?;
+        }
+        *slot(cur, last, None)? = value;
+        Ok(())
+    }
+
+    /// Remove the value at this path (read strictly, as [`Path::get`]
+    /// reads) and return it. An array element is nulled, not removed, as
+    /// MongoDB's `$unset` does, so the elements after it keep their
+    /// indices.
+    pub fn remove(&self, doc: &mut Value) -> Option<Value> {
+        let (last, parents) = self.segs.split_last()?;
+        match parents.iter().try_fold(doc, child_mut)? {
+            Value::Object(m) => m.remove(&last.key),
+            Value::Array(a) => a.get_mut(last.index?).map(std::mem::take),
+            _ => None,
+        }
+    }
 }
 
-/// Zero-allocation twin of [`get_path_multi`]: visit every value reachable
-/// at the pre-split path (with MongoDB's implicit array traversal) until
-/// `pred` returns true. Returns whether any visited value satisfied it.
-/// Visit order is identical to the order `get_path_multi` collects in, so
-/// "first match" semantics agree between the two.
-pub fn any_at_path(doc: &Value, segs: &[PathSeg], pred: &mut dyn FnMut(&Value) -> bool) -> bool {
+impl std::fmt::Display for Path {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(&self.raw)
+    }
+}
+
+/// One strict step of [`Path::get_mut`].
+fn child_mut<'v>(cur: &'v mut Value, seg: &PathSeg) -> Option<&'v mut Value> {
+    match cur {
+        Value::Object(m) => m.get_mut(&seg.key),
+        Value::Array(a) => a.get_mut(seg.index?),
+        _ => None,
+    }
+}
+
+/// The walk of [`Path::any`].
+fn reach<'a, F: FnMut(&'a Value) -> bool>(segs: &[PathSeg], cur: &'a Value, pred: &mut F) -> bool {
     let Some((seg, rest)) = segs.split_first() else {
-        return pred(doc);
+        return pred(cur);
     };
-    match doc {
-        Value::Object(m) => m.get(&seg.key).is_some_and(|v| any_at_path(v, rest, pred)),
+    match cur {
+        Value::Object(m) => m.get(&seg.key).is_some_and(|v| reach(rest, v, pred)),
         Value::Array(a) => {
-            if let Some(v) = seg.index.and_then(|idx| a.get(idx)) {
-                if any_at_path(v, rest, pred) {
-                    return true;
-                }
-            }
-            // Implicit traversal: apply the same path to each element.
-            a.iter()
-                .filter(|v| v.is_object())
-                .any(|v| any_at_path(v, segs, pred))
+            seg.index
+                .and_then(|idx| a.get(idx))
+                .is_some_and(|v| reach(rest, v, pred))
+                || a.iter()
+                    .filter(|v| v.is_object())
+                    .any(|v| reach(segs, v, pred))
         }
         _ => false,
     }
 }
 
-/// Fetch the value at `path` inside `doc`, if present.
-///
-/// Array elements can be addressed by numeric segment. Like MongoDB, a
-/// non-numeric segment applied to an array is *not* resolved here; use
-/// [`get_path_multi`] for the implicit array traversal the query matcher
-/// performs.
-pub fn get_path<'a>(doc: &'a Value, path: &str) -> Option<&'a Value> {
-    let mut cur = doc;
-    for seg in path_segments(path) {
-        match cur {
-            Value::Object(m) => cur = m.get(seg)?,
-            Value::Array(a) => {
-                let idx: usize = seg.parse().ok()?;
-                cur = a.get(idx)?;
-            }
-            _ => return None,
-        }
-    }
-    Some(cur)
-}
-
-/// Fetch all values reachable at `path`, traversing *through* arrays the
-/// way MongoDB's matcher does: a path `"tags.name"` applied to a document
-/// whose `tags` field is an array of objects yields the `name` of every
-/// element.
-pub fn get_path_multi<'a>(doc: &'a Value, path: &str) -> Vec<&'a Value> {
-    let mut out = Vec::new();
-    for_each_at_path(doc, path, &mut |v| out.push(v));
-    out
-}
-
-/// Visit every value [`get_path_multi`] collects, in the same order,
-/// walking the dotted path in place: nothing is allocated, neither the
-/// segments nor the values visited.
-pub(crate) fn for_each_at_path<'a, F: FnMut(&'a Value)>(cur: &'a Value, path: &str, visit: &mut F) {
-    let path = path.trim_start_matches('.');
-    if path.is_empty() {
-        return visit(cur);
-    }
-    let (seg, rest) = path.split_once('.').unwrap_or((path, ""));
-    match cur {
+/// One step of [`Path::set`]: the slot `seg` names in `at`, made if it
+/// is missing — a key added as `null`, an array padded with `null`s —
+/// and, when a `next` segment follows, made the container it needs if
+/// it holds `null`.
+// mp-lint: allow(H002, H003) — `$set` and an unwound or index-projected copy build their missing containers here; the format! calls are error paths.
+fn slot<'v>(
+    at: &'v mut Value,
+    seg: &PathSeg,
+    next: Option<&PathSeg>,
+) -> Result<&'v mut Value, String> {
+    let slot = match at {
         Value::Object(m) => {
-            if let Some(v) = m.get(seg) {
-                for_each_at_path(v, rest, visit);
+            if !m.contains_key(&seg.key) {
+                m.insert_str(&seg.key, Value::Null);
             }
+            m.get_mut(&seg.key)
         }
         Value::Array(a) => {
-            if let Some(v) = seg.parse::<usize>().ok().and_then(|idx| a.get(idx)) {
-                for_each_at_path(v, rest, visit);
-            }
-            // Implicit traversal: apply the same path to each element.
-            for v in a {
-                if v.is_object() {
-                    for_each_at_path(v, path, visit);
+            let idx = seg
+                .index
+                .ok_or_else(|| format!("cannot index array with '{}'", seg.key))?;
+            if a.len() <= idx {
+                if idx >= MAX_BACKFILL {
+                    return Err(format!(
+                        "can't backfill array to larger than {MAX_BACKFILL} elements"
+                    ));
                 }
+                a.resize(idx + 1, Value::Null);
+            }
+            a.get_mut(idx)
+        }
+        other => {
+            return Err(format!(
+                "cannot traverse scalar {} at segment '{}'",
+                type_name(other),
+                seg.key
+            ))
+        }
+    };
+    // The slot was made above if it was missing; `None` cannot happen.
+    let slot = slot.ok_or_else(|| format!("no slot at segment '{}'", seg.key))?;
+    match next {
+        Some(next) if slot.is_null() => {
+            *slot = match next.index {
+                Some(_) => Value::Array(Vec::new()),
+                None => Value::Object(Map::new()),
             }
         }
         _ => {}
     }
-}
-
-/// Set `path` in `doc` to `value`, creating intermediate objects as needed
-/// (MongoDB `$set` semantics). Numeric segments extend arrays with nulls.
-///
-/// Returns an error string if the path traverses a scalar.
-// mp-flow: allow(R001, R002) — the `segs[i + 1]` lookahead is guarded by `!last`, array slots are grown by the `while a.len() <= idx` loop, and the loop returns on the last segment so the trailing `unreachable!` cannot fire.
-pub fn set_path(doc: &mut Value, path: &str, value: Value) -> Result<(), String> {
-    let segs: Vec<&str> = path_segments(path).collect();
-    if segs.is_empty() {
-        return Err("empty path".into());
-    }
-    let mut cur = doc;
-    for (i, seg) in segs.iter().enumerate() {
-        let last = i == segs.len() - 1;
-        match cur {
-            Value::Object(m) => {
-                if last {
-                    m.insert((*seg).to_string(), value);
-                    return Ok(());
-                }
-                let next_is_index = segs[i + 1].parse::<usize>().is_ok();
-                let entry = m.entry((*seg).to_string()).or_insert_with(|| {
-                    if next_is_index {
-                        Value::Array(vec![])
-                    } else {
-                        Value::Object(Map::new())
-                    }
-                });
-                if entry.is_null() {
-                    *entry = if next_is_index {
-                        Value::Array(vec![])
-                    } else {
-                        Value::Object(Map::new())
-                    };
-                }
-                cur = entry;
-            }
-            Value::Array(a) => {
-                let idx: usize = seg
-                    .parse()
-                    .map_err(|_| format!("cannot index array with '{seg}'"))?;
-                while a.len() <= idx {
-                    a.push(Value::Null);
-                }
-                if last {
-                    a[idx] = value;
-                    return Ok(());
-                }
-                if a[idx].is_null() {
-                    let next_is_index = segs[i + 1].parse::<usize>().is_ok();
-                    a[idx] = if next_is_index {
-                        Value::Array(vec![])
-                    } else {
-                        Value::Object(Map::new())
-                    };
-                }
-                cur = &mut a[idx];
-            }
-            other => {
-                return Err(format!(
-                    "cannot traverse scalar {} at segment '{seg}'",
-                    type_name(other)
-                ))
-            }
-        }
-    }
-    unreachable!("loop returns on last segment")
-}
-
-/// [`set_path`] over pre-split segments: the path is compiled once per
-/// query ([`compile_path`]) instead of re-split and re-parsed per
-/// document. Semantics are identical, including array creation when the
-/// next segment is numeric and null-padding of extended arrays.
-// mp-lint: allow(H002, H003) — building an owned output document requires fresh containers; the format! calls are error paths.
-// mp-flow: allow(R001, R002) — same shape as `set_path`: the `segs[i + 1]` lookahead is guarded by `!last`, the `m[…]` entry is present because the lines above it insert one where it was missing, and the loop returns on the last segment, so the trailing `unreachable!` cannot fire.
-pub fn set_path_segs(doc: &mut Value, segs: &[PathSeg], value: Value) -> Result<(), String> {
-    if segs.is_empty() {
-        return Err("empty path".into());
-    }
-    let mut cur = doc;
-    for (i, seg) in segs.iter().enumerate() {
-        let last = i == segs.len() - 1;
-        match cur {
-            Value::Object(m) => {
-                if last {
-                    m.insert_str(&seg.key, value);
-                    return Ok(());
-                }
-                // A missing entry and a null one both become the
-                // container the next segment needs (a null keeps its
-                // position); the key is never copied to find out.
-                if m.get(&seg.key).is_none_or(Value::is_null) {
-                    let fresh = if segs[i + 1].index.is_some() {
-                        Value::Array(vec![])
-                    } else {
-                        Value::Object(Map::new())
-                    };
-                    m.insert_str(&seg.key, fresh);
-                }
-                cur = &mut m[&seg.key];
-            }
-            Value::Array(a) => {
-                let idx: usize = seg
-                    .index
-                    .ok_or_else(|| format!("cannot index array with '{}'", seg.key))?;
-                while a.len() <= idx {
-                    a.push(Value::Null);
-                }
-                if last {
-                    a[idx] = value;
-                    return Ok(());
-                }
-                if a[idx].is_null() {
-                    let next_is_index = segs[i + 1].index.is_some();
-                    a[idx] = if next_is_index {
-                        Value::Array(vec![])
-                    } else {
-                        Value::Object(Map::new())
-                    };
-                }
-                cur = &mut a[idx];
-            }
-            other => {
-                return Err(format!(
-                    "cannot traverse scalar {} at segment '{}'",
-                    type_name(other),
-                    seg.key
-                ))
-            }
-        }
-    }
-    unreachable!("loop returns on last segment")
-}
-
-/// Remove the value at `path`. Returns the removed value if it existed.
-pub fn remove_path(doc: &mut Value, path: &str) -> Option<Value> {
-    let segs: Vec<&str> = path_segments(path).collect();
-    let (last, parents) = segs.split_last()?;
-    let mut cur = doc;
-    for seg in parents {
-        match cur {
-            Value::Object(m) => cur = m.get_mut(seg)?,
-            Value::Array(a) => {
-                let idx: usize = seg.parse().ok()?;
-                cur = a.get_mut(idx)?;
-            }
-            _ => return None,
-        }
-    }
-    match cur {
-        Value::Object(m) => m.remove(last),
-        Value::Array(a) => {
-            // MongoDB $unset on an array element nulls it rather than shifting.
-            let idx: usize = last.parse().ok()?;
-            let slot = a.get_mut(idx)?;
-            Some(std::mem::replace(slot, Value::Null))
-        }
-        _ => None,
-    }
+    Ok(slot)
 }
 
 /// MongoDB-style type precedence used when ordering values of mixed type.
@@ -521,34 +433,56 @@ mod tests {
     use super::*;
     use serde_json::json;
 
+    fn get<'v>(doc: &'v Value, path: &str) -> Option<&'v Value> {
+        Path::new(path).get(doc)
+    }
+
+    /// Every value `Path::any` visits, in visit order.
+    fn reached<'v>(doc: &'v Value, path: &str) -> Vec<&'v Value> {
+        let mut out = Vec::new();
+        Path::new(path).any(doc, &mut |v| {
+            out.push(v);
+            false
+        });
+        out
+    }
+
+    fn set(doc: &mut Value, path: &str, v: Value) -> Result<(), String> {
+        Path::new(path).set(doc, v)
+    }
+
+    fn remove(doc: &mut Value, path: &str) -> Option<Value> {
+        Path::new(path).remove(doc)
+    }
+
     #[test]
     fn get_simple_and_nested() {
         let doc = json!({"a": 1, "b": {"c": {"d": 2}}});
-        assert_eq!(get_path(&doc, "a"), Some(&json!(1)));
-        assert_eq!(get_path(&doc, "b.c.d"), Some(&json!(2)));
-        assert_eq!(get_path(&doc, "b.x"), None);
-        assert_eq!(get_path(&doc, "a.b"), None);
+        assert_eq!(get(&doc, "a"), Some(&json!(1)));
+        assert_eq!(get(&doc, "b.c.d"), Some(&json!(2)));
+        assert_eq!(get(&doc, "b.x"), None);
+        assert_eq!(get(&doc, "a.b"), None);
     }
 
     #[test]
     fn get_array_index() {
         let doc = json!({"xs": [10, 20, {"y": 30}]});
-        assert_eq!(get_path(&doc, "xs.1"), Some(&json!(20)));
-        assert_eq!(get_path(&doc, "xs.2.y"), Some(&json!(30)));
-        assert_eq!(get_path(&doc, "xs.9"), None);
+        assert_eq!(get(&doc, "xs.1"), Some(&json!(20)));
+        assert_eq!(get(&doc, "xs.2.y"), Some(&json!(30)));
+        assert_eq!(get(&doc, "xs.9"), None);
     }
 
     #[test]
     fn multi_traverses_arrays() {
         let doc = json!({"tags": [{"n": "a"}, {"n": "b"}]});
-        let vs = get_path_multi(&doc, "tags.n");
+        let vs = reached(&doc, "tags.n");
         assert_eq!(vs, vec![&json!("a"), &json!("b")]);
     }
 
     #[test]
     fn multi_mixed_index_and_traversal() {
         let doc = json!({"xs": [[1, 2], [3]]});
-        let vs = get_path_multi(&doc, "xs.0");
+        let vs = reached(&doc, "xs.0");
         // Explicit index hits the first sub-array.
         assert!(vs.contains(&&json!([1, 2])));
     }
@@ -556,54 +490,48 @@ mod tests {
     #[test]
     fn set_creates_intermediates() {
         let mut doc = json!({});
-        set_path(&mut doc, "a.b.c", json!(5)).unwrap();
+        set(&mut doc, "a.b.c", json!(5)).unwrap();
         assert_eq!(doc, json!({"a": {"b": {"c": 5}}}));
+        for (path, want) in [
+            ("a.b.c", json!({"xs": [1], "a": {"b": {"c": 9}}})),
+            ("xs.1.y", json!({"xs": [1, {"y": 9}]})),
+            ("top", json!({"xs": [1], "top": 9})),
+        ] {
+            let mut doc = json!({"xs": [1]});
+            set(&mut doc, path, json!(9)).unwrap();
+            assert_eq!(doc, want, "{path}");
+        }
     }
 
     #[test]
     fn set_extends_array() {
         let mut doc = json!({"xs": [1]});
-        set_path(&mut doc, "xs.3", json!(9)).unwrap();
+        set(&mut doc, "xs.3", json!(9)).unwrap();
         assert_eq!(doc, json!({"xs": [1, null, null, 9]}));
     }
 
     #[test]
     fn set_through_scalar_fails() {
         let mut doc = json!({"a": 1});
-        assert!(set_path(&mut doc, "a.b", json!(2)).is_err());
+        assert!(set(&mut doc, "a.b", json!(2)).is_err());
+        // An empty path names no field to write.
+        assert!(set(&mut doc, "", json!(2)).is_err());
+        assert_eq!(doc, json!({"a": 1}));
     }
 
     #[test]
     fn remove_nested() {
         let mut doc = json!({"a": {"b": 1, "c": 2}});
-        assert_eq!(remove_path(&mut doc, "a.b"), Some(json!(1)));
+        assert_eq!(remove(&mut doc, "a.b"), Some(json!(1)));
         assert_eq!(doc, json!({"a": {"c": 2}}));
-        assert_eq!(remove_path(&mut doc, "a.zzz"), None);
+        assert_eq!(remove(&mut doc, "a.zzz"), None);
     }
 
     #[test]
     fn remove_array_element_nulls() {
         let mut doc = json!({"xs": [1, 2, 3]});
-        assert_eq!(remove_path(&mut doc, "xs.1"), Some(json!(2)));
+        assert_eq!(remove(&mut doc, "xs.1"), Some(json!(2)));
         assert_eq!(doc, json!({"xs": [1, null, 3]}));
-    }
-
-    #[test]
-    fn set_segs_matches_set_path() {
-        for path in ["a.b.c", "xs.3", "xs.1.y", "top"] {
-            let mut a = json!({"xs": [1]});
-            let mut b = a.clone();
-            let r1 = set_path(&mut a, path, json!(9));
-            let r2 = set_path_segs(&mut b, &compile_path(path), json!(9));
-            assert_eq!(r1, r2, "result mismatch for {path}");
-            assert_eq!(a, b, "doc mismatch for {path}");
-        }
-        // Error paths agree too: scalar traversal and empty paths.
-        let mut a = json!({"a": 1});
-        let mut b = a.clone();
-        assert!(set_path(&mut a, "a.b", json!(2)).is_err());
-        assert!(set_path_segs(&mut b, &compile_path("a.b"), json!(2)).is_err());
-        assert!(set_path_segs(&mut b, &compile_path(""), json!(2)).is_err());
     }
 
     #[test]

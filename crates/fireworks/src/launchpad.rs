@@ -650,7 +650,8 @@ fn resolve_from_parent(v: &Value, parent_outputs: &Value) -> Result<Value> {
                         "$fromParent must be the only key in its object".into(),
                     ));
                 }
-                return mp_docstore::value::get_path(parent_outputs, path)
+                return mp_docstore::value::Path::new(path)
+                    .get(parent_outputs)
                     .cloned()
                     .ok_or_else(|| {
                         StoreError::BadUpdate(format!(

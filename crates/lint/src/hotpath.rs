@@ -38,10 +38,9 @@
 //! - `H003`: string building (`format!` / `String::new()` /
 //!   `.push_str` / `.to_string`) per document.
 //! - `H004`: re-parsing or re-compiling per document what should be
-//!   compiled once per query (`Filter::parse`, `.compile()`,
-//!   `compile_path`, and the string-splitting `get_path`/`set_path`/
-//!   `get_path_multi`; the pre-split `*_segs` twins are the fix and are
-//!   not matched).
+//!   compiled once per query (`Filter::parse`, `.compile()`, and
+//!   `Path::new`, the one place a dotted path is split; a walk over a
+//!   `Path` split earlier is the fix and is not matched).
 //! - `H005`: lock acquisition (`.lock()`/`.read()`/`.write()`) in a hot
 //!   region — a per-document lock serializes the scatter.
 //! - `H006`: an `mp-lint: allow(H...)` with no justification.
@@ -127,15 +126,12 @@ const PATTERNS: &[HotPattern] = &[
             concat!("Filter::", "parse("),
             concat!("parse_", "pipeline("),
             concat!(".com", "pile("),
-            concat!("compile_", "path("),
-            concat!("get_", "path("),
-            concat!("get_path_", "multi("),
-            concat!("set_", "path("),
+            concat!("Path::", "new("),
         ],
         what: "per-document re-parse/re-compile",
         advice: "compile the filter/projection/path once per query and reuse the compiled \
-                 form (`CompiledFilter`, `CompiledProjection`, `get_path_segs`/\
-                 `set_path_segs` over pre-split segments)",
+                 form (`CompiledFilter`, `CompiledProjection`, a `Path` split once and \
+                 walked by its methods)",
     },
     HotPattern {
         code: "H005",
@@ -293,7 +289,7 @@ pub(crate) fn loop_lines(ws: &Workspace, i: usize) -> BTreeSet<usize> {
 /// any are given — for the H0xx anti-patterns, suppressing allowed
 /// codes. Text before the body-open
 /// position on its line (the signature) is excluded, so a function
-/// whose own name matches a pattern (`compile_path`) never flags its
+/// whose own name matches a pattern (`compile`) never flags its
 /// signature.
 fn scan_lines(
     ws: &Workspace,
@@ -609,16 +605,26 @@ mod tests {
     }
 
     #[test]
-    fn presplit_seg_twins_are_not_h004() {
-        let src = concat!(
-            "pub fn hot(d: &Value, segs: &[PathSeg]) {\n",
-            "  let _ = get_path_segs(d, segs);\n",
-            "}\n",
-            "fn get_path_segs(d: &Value, s: &[PathSeg]) -> Option<&Value> { None }\n"
+    fn a_walk_over_a_compiled_path_is_not_h004_and_splitting_one_is() {
+        let walk = concat!(
+            "pub fn hot(d: &Value, path: &Path) {\n",
+            "  let _ = path.get(d);\n",
+            "}\n"
         );
-        let ws = workspace_of(&[("crates/a/src/lib.rs", src)], &[]);
+        let ws = workspace_of(&[("crates/a/src/lib.rs", walk)], &[]);
         let diags = analyze_hotpath(&ws, &cfg(&[], &["hot"]));
         assert!(diags.is_empty(), "{diags:?}");
+
+        let split = concat!(
+            "pub fn hot(d: &Value) {\n",
+            "  let _ = Path::",
+            "new(\"a.b\").get(d);\n",
+            "}\n"
+        );
+        let ws = workspace_of(&[("crates/a/src/lib.rs", split)], &[]);
+        let diags = analyze_hotpath(&ws, &cfg(&[], &["hot"]));
+        assert_eq!(diags.len(), 1, "{diags:?}");
+        assert_eq!(diags[0].code, "H004");
     }
 
     #[test]

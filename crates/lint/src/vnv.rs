@@ -11,7 +11,7 @@
 //! Builders add rules with the fluent [`RuleSet`] API; [`RuleSet::task_defaults`]
 //! encodes the contract of the DFT task documents this pipeline stages.
 
-use mp_docstore::value::{get_path, type_name};
+use mp_docstore::value::{type_name, Path};
 use serde_json::Value;
 
 use crate::diagnostics::Diagnostic;
@@ -38,7 +38,7 @@ pub enum FieldCheck {
 #[derive(Debug, Clone)]
 pub struct FieldRule {
     /// Dotted path into the document.
-    pub path: String,
+    pub path: Path,
     /// Checks applied in order.
     pub checks: Vec<FieldCheck>,
 }
@@ -49,11 +49,11 @@ pub enum Invariant {
     /// `a * b ≈ out` within a relative tolerance.
     ProductEquals {
         /// First factor path.
-        a: String,
+        a: Path,
         /// Second factor path.
-        b: String,
+        b: Path,
         /// Product path.
-        out: String,
+        out: Path,
         /// Allowed relative error.
         rel_tol: f64,
     },
@@ -80,11 +80,11 @@ impl RuleSet {
     }
 
     fn rule_mut(&mut self, path: &str) -> &mut FieldRule {
-        if let Some(i) = self.rules.iter().position(|r| r.path == path) {
+        if let Some(i) = self.rules.iter().position(|r| r.path.as_str() == path) {
             &mut self.rules[i]
         } else {
             self.rules.push(FieldRule {
-                path: path.to_string(),
+                path: Path::new(path),
                 checks: Vec::new(),
             });
             self.rules.last_mut().expect("just pushed")
@@ -114,9 +114,9 @@ impl RuleSet {
     /// Require `a * b ≈ out` within `rel_tol` relative error.
     pub fn product_equals(mut self, a: &str, b: &str, out: &str, rel_tol: f64) -> Self {
         self.invariants.push(Invariant::ProductEquals {
-            a: a.to_string(),
-            b: b.to_string(),
-            out: out.to_string(),
+            a: Path::new(a),
+            b: Path::new(b),
+            out: Path::new(out),
             rel_tol,
         });
         self
@@ -150,7 +150,7 @@ impl RuleSet {
     pub fn validate(&self, doc: &Value) -> Vec<Diagnostic> {
         let mut out = Vec::new();
         for rule in &self.rules {
-            let value = get_path(doc, &rule.path);
+            let value = rule.path.get(doc);
             for check in &rule.checks {
                 match check {
                     FieldCheck::Required => {
@@ -158,7 +158,7 @@ impl RuleSet {
                             out.push(
                                 Diagnostic::error(
                                     "D001",
-                                    &rule.path,
+                                    rule.path.as_str(),
                                     format!(
                                         "required field `{}` is missing from the staged `{}` document",
                                         rule.path, self.collection
@@ -173,7 +173,7 @@ impl RuleSet {
                             if !types.intersects(TypeSet::of(v)) {
                                 out.push(Diagnostic::error(
                                     "D002",
-                                    &rule.path,
+                                    rule.path.as_str(),
                                     format!(
                                         "`{}` is {} but the contract requires {types}",
                                         rule.path,
@@ -190,7 +190,7 @@ impl RuleSet {
                             if low || high {
                                 out.push(Diagnostic::error(
                                     "D003",
-                                    &rule.path,
+                                    rule.path.as_str(),
                                     format!(
                                         "`{}` = {x} is outside the allowed range [{}, {}]",
                                         rule.path,
@@ -213,9 +213,9 @@ impl RuleSet {
                     rel_tol,
                 } => {
                     let (Some(va), Some(vb), Some(vp)) = (
-                        get_path(doc, a).and_then(Value::as_f64),
-                        get_path(doc, b).and_then(Value::as_f64),
-                        get_path(doc, prod).and_then(Value::as_f64),
+                        a.get(doc).and_then(Value::as_f64),
+                        b.get(doc).and_then(Value::as_f64),
+                        prod.get(doc).and_then(Value::as_f64),
                     ) else {
                         continue; // missing operands are D001/D002's job
                     };
@@ -225,7 +225,7 @@ impl RuleSet {
                         out.push(
                             Diagnostic::error(
                                 "D004",
-                                prod,
+                                prod.as_str(),
                                 format!(
                                     "invariant violated: `{a}` * `{b}` = {expect} but `{prod}` = {vp}"
                                 ),

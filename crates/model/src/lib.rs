@@ -135,7 +135,8 @@ fn model_same(a: &Value, b: &Value) -> bool {
     model_order(a, b) == Ordering::Equal
 }
 
-fn model_segments(path: &str) -> Vec<&str> {
+/// A dotted path's segments: split on `.`, empty segments dropped.
+pub fn model_segments(path: &str) -> Vec<&str> {
     path.split('.').filter(|s| !s.is_empty()).collect()
 }
 
@@ -144,7 +145,7 @@ fn model_segments(path: &str) -> Vec<&str> {
 /// whatever the segment, through each of its object elements with the
 /// same remaining path. A path that ends at an array reaches the array
 /// itself; the operators decide how to open it.
-fn model_reach<'a>(v: &'a Value, segs: &[&str], out: &mut Vec<&'a Value>) {
+pub fn model_reach<'a>(v: &'a Value, segs: &[&str], out: &mut Vec<&'a Value>) {
     let Some((seg, rest)) = segs.split_first() else {
         out.push(v);
         return;
@@ -169,7 +170,7 @@ fn model_reach<'a>(v: &'a Value, segs: &[&str], out: &mut Vec<&'a Value>) {
 
 /// The one value a path names when read strictly: object fields by name,
 /// array elements by index, no traversal.
-fn model_lookup<'a>(v: &'a Value, path: &str) -> Option<&'a Value> {
+pub fn model_lookup<'a>(v: &'a Value, path: &str) -> Option<&'a Value> {
     model_segments(path)
         .into_iter()
         .try_fold(v, |cur, seg| match cur {
