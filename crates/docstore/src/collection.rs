@@ -5,11 +5,9 @@
 use crate::column::{Candidates, Segment};
 use crate::cursor::{CompiledFindOptions, CompiledProjection, FindOptions};
 use crate::error::{Result, StoreError};
-use crate::index::{
-    first_collision, for_each_key, push_entries, unique_violation, DocId, Entry, Index, Probe,
-    SortKey,
-};
+use crate::index::{first_collision, for_each_key, unique_violation, DocId, Entry, Index, Probe};
 use crate::journal::{Shared, StateLock, Store};
+use crate::key;
 use crate::persist::{JournalOp, JournalRef};
 use crate::profiler::OpKind;
 use crate::query::{CompiledFilter, Filter};
@@ -128,7 +126,8 @@ pub(crate) struct Inner {
     /// JSON once, mutate the copy, swap the `Arc` in — so any snapshot a
     /// reader took stays exactly what it was when the lock was released.
     docs: BTreeMap<DocId, Arc<Document>>,
-    by_id: BTreeMap<OrderedValue, DocId>,
+    /// Each document's `_id`, encoded ([`key::encode`]).
+    by_id: BTreeMap<Box<[u8]>, DocId>,
     indexes: Vec<Index>,
     /// Set by a raw mutation that changed something a cached read could
     /// see; `raw_apply` turns it into one generation bump before the
@@ -223,8 +222,8 @@ impl Collection {
     /// Assign the `_id` (when missing) and the `DocId` an insert will
     /// use, so the journal records the document the store will hold.
     fn materialize(&self, mut doc: Value) -> Result<Option<(DocId, Value)>> {
-        if !doc.is_object() {
-            return Err(not_an_object());
+        if let Some(refused) = refusal(&doc) {
+            return Err(refused);
         }
         let id_num = self.next_id.fetch_add(1, AtomicOrdering::Relaxed);
         assign_id(&mut doc, id_num);
@@ -299,9 +298,9 @@ impl Collection {
     /// from `next_id`, an `_id` assigned where one is missing, of keys
     /// that compare equal (`1`, `1.0`) the lowest `DocId`'s value kept,
     /// and the `_id`s if `returning_ids` (not a snapshot's). Where that
-    /// would stop — a non-object document, a duplicate `_id`, a
-    /// unique-index collision, all found on the sorted runs — the
-    /// documents before it are built and the error names its position.
+    /// would stop — a document `materialize` refuses, a duplicate `_id`,
+    /// a unique-index collision found on the sorted runs — the documents
+    /// before it are built and the error names its position.
     ///
     /// `docs`, `by_id` and every index are built from `(key, DocId)`
     /// entries borrowed from the documents and sorted on the calling
@@ -354,44 +353,49 @@ impl Collection {
     /// only on a tie the prefix cannot settle. Each index then makes its
     /// distinct keys, and, the index entries freed (a lower peak), the
     /// `by_id` map its keys, copied out of the prefix where it holds a
-    /// string whole ([`SortKey::owned`]); the `Arc<Document>`s come last.
+    /// key whole ([`Entry::key`]); the `Arc<Document>`s come last.
     fn build(&self, mut docs: Vec<Value>, returning_ids: bool) -> (Built, Vec<Value>) {
         let n = docs.len();
         // The counter publishes nothing: the commit's lock orders the
         // build against every other write (see `claims`).
         let first = self.next_id.load(AtomicOrdering::Relaxed);
-        let objects = docs.iter().position(|d| !d.is_object()).unwrap_or(n);
-        let specs: Vec<(Path, bool)> = (self.inner.read().indexes.iter())
-            .map(|ix| (ix.path.clone(), ix.unique))
+        let accepted = docs.iter().position(|d| refusal(d).is_some()).unwrap_or(n);
+        let invalid = (docs.get(accepted).and_then(refusal)).map(|e| (first + accepted as u64, e));
+        // Made first and kept: a spec list freed after the build would be a hole (DESIGN §10).
+        let mut indexes: Vec<Index> = (self.inner.read().indexes.iter())
+            .map(|ix| Index::new(ix.path.as_str(), ix.unique))
             .collect();
         let mut assigned = Vec::new();
         let mut ids = Vec::with_capacity(if returning_ids { n } else { 0 });
-        let mut id_keys: Vec<Entry<'_>> = Vec::with_capacity(objects);
-        let mut keyed: Vec<Vec<Entry<'_>>> =
-            specs.iter().map(|_| Vec::with_capacity(objects)).collect();
-        for ((at, id), doc) in (0..).zip(first..).zip(docs.iter_mut().take(objects)) {
+        let entries = || Vec::with_capacity(accepted);
+        let mut id_keys: Vec<Entry<'_>> = entries();
+        let mut keyed: Vec<Vec<_>> = indexes.iter().map(|_| entries()).collect();
+        for ((at, id), doc) in (0..).zip(first..).zip(docs.iter_mut().take(accepted)) {
             if assign_id(doc, id) {
                 assigned.push(at);
             }
             ids.extend(returning_ids.then(|| id_of(doc)));
-            id_keys.push((SortKey::of(doc.get("_id").unwrap_or(&Value::Null)), id, 0));
-            for ((path, _), entries) in specs.iter().zip(&mut keyed) {
-                push_entries(entries, id, doc, path);
+            id_keys.push(Entry::new(doc.get("_id").unwrap_or(&Value::Null), id, 0));
+            // Each index's keys, in path-walk order, numbered.
+            for (ix, entries) in indexes.iter().zip(&mut keyed) {
+                let mut place = 0;
+                for_each_key(doc, &ix.path, |key| {
+                    entries.push(Entry::new(key, id, place));
+                    place += 1;
+                });
             }
         }
-        id_keys.sort_unstable();
-        keyed.iter_mut().for_each(|entries| entries.sort_unstable());
+        id_keys.sort_unstable_by(Entry::order);
+        (keyed.iter_mut()).for_each(|entries| entries.sort_unstable_by(Entry::order));
         // Where one-by-one insertion stops: the lowest failing DocId,
         // and of one document's failures the check `raw_insert` makes
         // first (`_id`, then the indexes in order).
-        let taken = first_collision(&id_keys)
-            .map(|(key, id, _)| (*id, StoreError::DuplicateKey(format!("_id {}", key.value))));
-        let collisions = specs.iter().zip(&keyed).filter(|((_, unique), _)| *unique);
-        let collided = collisions.filter_map(|((path, _), entries)| {
-            let (key, id, _) = first_collision(entries)?;
-            Some((*id, unique_violation(path, key.value)))
+        let taken = first_collision(&id_keys).map(|key| (key.id, duplicate_id(key.value)));
+        let collisions = indexes.iter().zip(&keyed).filter(|(ix, _)| ix.unique);
+        let collided = collisions.filter_map(|(ix, entries)| {
+            let key = first_collision(entries)?;
+            Some((key.id, unique_violation(&ix.path, key.value)))
         });
-        let invalid = (objects < n).then(|| (first + objects as u64, not_an_object()));
         let stop = taken
             .into_iter()
             .chain(collided)
@@ -399,18 +403,16 @@ impl Collection {
             .min_by_key(|(id, _)| *id);
         if let Some((end, _)) = &stop {
             // The documents from the failing one on: built into nothing.
-            id_keys.retain(|(_, id, _)| id < end);
+            id_keys.retain(|key| key.id < *end);
             for entries in &mut keyed {
-                entries.retain(|(_, id, _)| id < end);
+                entries.retain(|key| key.id < *end);
             }
         }
-        let indexes = (specs.into_iter().zip(&keyed))
-            .map(|((path, unique), sorted)| Index::built(path, unique, sorted))
-            .collect();
+        for (ix, sorted) in indexes.iter_mut().zip(&keyed) {
+            ix.fill(sorted);
+        }
         drop(keyed);
-        let by_id = (id_keys.iter())
-            .map(|(key, id, _)| (OrderedValue(key.owned()), *id))
-            .collect();
+        let by_id = id_keys.iter().map(|key| (key.key(), key.id)).collect();
         drop(id_keys);
         let end = stop.as_ref().map_or(n, |(end, _)| (end - first) as usize);
         let tail = docs.split_off(end);
@@ -522,7 +524,7 @@ impl Collection {
     /// Fetch by `_id` directly (a shared snapshot, not a copy).
     pub fn get(&self, id: &Value) -> Option<Arc<Document>> {
         let inner = self.inner.read();
-        let did = *inner.by_id.get(&OrderedValue(id.clone()))?;
+        let did = *inner.by_id.get(&key::encoded(id))?;
         inner.docs.get(&did).cloned()
     }
 
@@ -878,7 +880,7 @@ impl Collection {
     /// `explain()`.
     fn plan_query<'a>(inner: &'a Inner, f: &'a CompiledFilter) -> (Plan<'a>, Vec<Plan<'a>>) {
         if let Some(id) = f.equality_on("_id") {
-            let found = inner.by_id.get(&OrderedValue(id.clone())).copied();
+            let found = inner.by_id.get(&key::encoded(id)).copied();
             let plan = Plan {
                 kind: PlanKind::IdLookup,
                 access: Access::Id(found),
@@ -975,12 +977,12 @@ impl Collection {
 
     // ---- raw mutations: reached only through `Shared::commit` ----
 
-    /// One `_id` clone per document, and the store keeps it (the
+    /// One `_id` encoding per document, and the store keeps it (the
     /// `by_id` key): a caller that wants the id takes its own first.
     fn raw_insert(inner: &mut Inner, id_num: DocId, doc: Value) -> Result<()> {
-        let id_key = OrderedValue(id_of(&doc));
+        let id_key = id_key(&doc);
         if inner.by_id.contains_key(&id_key) {
-            return Err(StoreError::DuplicateKey(format!("_id {}", id_key.0)));
+            return Err(duplicate_id(&id_of(&doc)));
         }
         // Unique-index check before any mutation.
         for ix in &inner.indexes {
@@ -1026,6 +1028,9 @@ impl Collection {
         if new_doc == **old {
             return Ok(None);
         }
+        if let Some(refused) = refusal(&new_doc) {
+            return Err(refused);
+        }
         Self::reindex(inner, id, old, &new_doc)?;
         let new = Arc::new(new_doc);
         inner.docs.insert(id, Arc::clone(&new));
@@ -1067,7 +1072,7 @@ impl Collection {
             .collect();
         for id in &doomed {
             if let Some(doc) = inner.docs.remove(id) {
-                inner.by_id.remove(&OrderedValue(id_of(&doc)));
+                inner.by_id.remove(&id_key(&doc));
                 for ix in &mut inner.indexes {
                     ix.remove(*id, &doc);
                 }
@@ -1090,10 +1095,9 @@ impl Collection {
             ix.insert(id, new)?;
         }
         // _id changes are not permitted via update; keep by_id consistent.
-        let (old_id, new_id) = (id_of(old), id_of(new));
-        if old_id != new_id {
-            inner.by_id.remove(&OrderedValue(old_id));
-            inner.by_id.insert(OrderedValue(new_id), id);
+        if old.get("_id") != new.get("_id") {
+            inner.by_id.remove(&id_key(old));
+            inner.by_id.insert(id_key(new), id);
         }
         Ok(())
     }
@@ -1163,6 +1167,15 @@ fn id_of(doc: &Value) -> Value {
     doc.get("_id").cloned().unwrap_or(Value::Null)
 }
 
+fn duplicate_id(id: &Value) -> StoreError {
+    StoreError::DuplicateKey(format!("_id {id}"))
+}
+
+/// A document's `_id` (`null` without one), encoded: its `by_id` key.
+fn id_key(doc: &Value) -> Box<[u8]> {
+    key::encoded(doc.get("_id").unwrap_or(&Value::Null))
+}
+
 /// The `_id` a document that arrives without one gets from its `DocId`.
 fn auto_id(id_num: DocId) -> Value {
     json!(format!("oid{:012x}", id_num))
@@ -1177,8 +1190,16 @@ fn assign_id(doc: &mut Value, id_num: DocId) -> bool {
         .is_some()
 }
 
-fn not_an_object() -> StoreError {
-    StoreError::InvalidDocument("document must be a JSON object".into())
+/// Why `materialize` refuses `doc`, if it does: it is not an object, or
+/// its `_id` is an array, which MongoDB refuses too (a lookup by an
+/// element would miss the document a scan finds).
+fn refusal(doc: &Value) -> Option<StoreError> {
+    let why = match doc.get("_id") {
+        _ if !doc.is_object() => "document must be a JSON object",
+        Some(Value::Array(_)) => "_id cannot be an array",
+        _ => return None,
+    };
+    Some(StoreError::InvalidDocument(why.into()))
 }
 
 /// What [`Collection::bulk_build`] made of a run of documents.
@@ -1208,7 +1229,7 @@ struct Built {
     /// Positions of the documents the build gave an `_id`.
     assigned: Vec<usize>,
     docs: BTreeMap<DocId, Arc<Document>>,
-    by_id: BTreeMap<OrderedValue, DocId>,
+    by_id: BTreeMap<Box<[u8]>, DocId>,
     indexes: Vec<Index>,
     /// The documents from the one insertion stops at on, untouched
     /// (empty when none fails), and why it stops.
@@ -1217,10 +1238,10 @@ struct Built {
 }
 
 impl Built {
-    /// The failing document, if it reaches the log: an object, which
-    /// `materialize` accepts and the apply refuses.
+    /// The failing document, if it reaches the log: one `materialize`
+    /// accepts and the apply refuses.
     fn failing(&self) -> Option<&Value> {
-        self.tail.first().filter(|doc| doc.is_object())
+        self.tail.first().filter(|doc| refusal(doc).is_none())
     }
 
     /// How many ids one-by-one insertion takes from `next_id`: one per

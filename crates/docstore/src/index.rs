@@ -1,18 +1,20 @@
 //! Ordered secondary indexes on dotted field paths.
 //!
 //! An index maps each distinct value at a path to the set of document ids
-//! holding it, a sorted vector without repeats, using the BSON-like total
-//! order from [`crate::value`] so that both equality and range queries
-//! can be accelerated. Array-valued fields produce one entry per element
+//! holding it, a sorted vector without repeats. A value is keyed by its
+//! encoding ([`crate::key`]), whose byte order is the BSON-like total
+//! order of [`crate::value`], so both equality and range queries can be
+//! accelerated. Array-valued fields produce one entry per element
 //! (multikey indexes), which is what makes queries like
 //! `{elements: "Li"}` fast.
 
 use crate::error::{Result, StoreError};
-use crate::value::{cmp_values, type_rank, OrderedValue, Path};
+use crate::key;
+use crate::value::{cmp_values, Path};
 use serde_json::Value;
 use std::cmp::Ordering;
 use std::collections::BTreeMap;
-use std::ops::Bound;
+use std::ops::{Bound, RangeBounds};
 
 /// Internal id assigned to each stored document.
 pub type DocId = u64;
@@ -24,9 +26,9 @@ pub struct Index {
     pub path: Path,
     /// Reject two documents with the same indexed value?
     pub unique: bool,
-    /// Each distinct key and the ids of the documents exposing it:
-    /// ascending, without repeats, never empty.
-    map: BTreeMap<OrderedValue, Vec<DocId>>,
+    /// Each distinct key's encoding ([`key::encode`]) and the ids of the
+    /// documents exposing it: ascending, without repeats, never empty.
+    map: BTreeMap<Box<[u8]>, Vec<DocId>>,
     /// Has some document exposed two or more keys here? Set for good,
     /// as MongoDB's multikey flag is: a range probe reads it.
     multikey: bool,
@@ -34,11 +36,11 @@ pub struct Index {
 
 /// The keys a document exposes at an index path: one per array element
 /// for multikey behaviour, or the single value itself, in path-walk
-/// order. The walk allocates nothing; the vector and the key clones it
-/// returns are the only allocations.
-fn index_keys(doc: &Value, path: &Path) -> Vec<OrderedValue> {
+/// order, each encoded beside the value it encodes. The vector and the
+/// encodings are the only allocations.
+fn index_keys<'a>(doc: &'a Value, path: &Path) -> Vec<(Box<[u8]>, &'a Value)> {
     let mut keys = Vec::new();
-    for_each_key(doc, path, |key| keys.push(OrderedValue(key.clone())));
+    for_each_key(doc, path, |v| keys.push((key::encoded(v), v)));
     keys
 }
 
@@ -54,119 +56,73 @@ pub(crate) fn for_each_key<'a>(doc: &'a Value, path: &Path, mut visit: impl FnMu
     });
 }
 
-/// Bytes of a string that a [`SortKey`]'s prefix holds inline.
-const INLINE: usize = 14;
+/// Bytes of a key's encoding that an [`Entry`] holds inline.
+const PREFIX: usize = 16;
 
-/// The length byte of a prefix that does not hold its whole key: a
-/// string longer than [`INLINE`] bytes, or any non-string.
-const INEXACT: u8 = INLINE as u8 + 1;
-
-/// A key as a bulk build sorts it: borrowed from its document, behind
-/// an inline summary that orders like [`cmp_values`] — the type rank,
-/// a string's first [`INLINE`] bytes (zero-padded) and its length
-/// (capped at [`INEXACT`]), big-endian in two words. Prefixes that
-/// differ order their keys; equal prefixes of strings that fit are
-/// equal keys, and comparing them reads no document. Any other tie —
-/// two longer strings, or two non-strings of one type — falls back to
-/// `cmp_values` on the values themselves.
+/// One key of a bulk build — borrowed from the document that exposes it,
+/// with that document's id and the key's place among its keys — behind
+/// the first [`PREFIX`] bytes of its encoding, zero-padded, in two words.
+/// Sorted ([`Entry::order`]), equal keys run in the order one-by-one
+/// insertion would have met them. Nothing in it is allocated.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct SortKey<'a> {
+pub(crate) struct Entry<'a> {
     prefix: (u64, u64),
+    /// The encoding's length, saturated; up to [`PREFIX`], the prefix holds it whole.
+    len: u8,
     /// The key, in the document that exposes it.
     pub(crate) value: &'a Value,
+    pub(crate) id: DocId,
+    place: u32,
 }
 
-impl<'a> SortKey<'a> {
-    /// The sort key of `value`, borrowed.
-    pub(crate) fn of(value: &'a Value) -> Self {
-        let mut bytes = [0u8; 16];
-        let (rank, body) = bytes.split_at_mut(1);
-        let (inline, len) = body.split_at_mut(INLINE);
-        rank.fill(type_rank(value));
-        len.fill(INEXACT);
-        if let Value::String(s) = value {
-            inline.iter_mut().zip(s.bytes()).for_each(|(to, b)| *to = b);
-            len.fill(s.len().min(usize::from(INEXACT)) as u8);
-        }
-        let word = u128::from_be_bytes(bytes);
-        SortKey {
+impl<'a> Entry<'a> {
+    pub(crate) fn new(value: &'a Value, id: DocId, place: u32) -> Self {
+        let (mut word, mut len) = (0u128, 0);
+        key::encode(value, &mut |part| {
+            for &b in part.iter().take(PREFIX.saturating_sub(len)) {
+                word = word << 8 | u128::from(b);
+            }
+            len += part.len();
+        });
+        let word = word << (8 * PREFIX.saturating_sub(len));
+        Entry {
             prefix: ((word >> 64) as u64, word as u64),
+            len: u8::try_from(len).unwrap_or(u8::MAX),
             value,
+            id,
+            place,
         }
     }
 
-    /// Does the prefix hold the whole key? Only a string of at most
-    /// [`INLINE`] bytes: any other key's length byte is [`INEXACT`].
-    fn exact(&self) -> bool {
-        (self.prefix.1 & 0xff) < u64::from(INEXACT)
-    }
-
-    /// The string the prefix holds whole, copied out of it; `None` for
-    /// any other key, which only its document holds.
-    fn inline(&self) -> Option<String> {
-        if !self.exact() {
-            return None;
-        }
-        let word = (u128::from(self.prefix.0) << 64) | u128::from(self.prefix.1);
-        let bytes = word.to_be_bytes();
-        let (len, body) = bytes.split_last()?;
-        let held = body.get(1..)?.get(..usize::from(*len))?;
-        std::str::from_utf8(held).ok().map(str::to_owned)
-    }
-
-    /// The key as a store keeps it: copied out of the prefix when the
-    /// prefix holds it whole, which reads no document — the sorted
-    /// entries are walked in order, the documents they borrow from at
-    /// random — and cloned from its document otherwise.
-    pub(crate) fn owned(&self) -> Value {
-        self.inline()
-            .map_or_else(|| self.value.clone(), Value::String)
-    }
-}
-
-impl Ord for SortKey<'_> {
-    fn cmp(&self, other: &Self) -> Ordering {
+    /// The keys' order. Prefixes that differ decide; equal prefixes of
+    /// which one holds its whole encoding are one key, since no encoding
+    /// extends another, and comparing them reads no document. Any other
+    /// tie falls to `cmp_values` on the values, which orders as the
+    /// encodings do.
+    fn cmp_key(&self, other: &Self) -> Ordering {
         match self.prefix.cmp(&other.prefix) {
-            Ordering::Equal if !self.exact() => cmp_values(self.value, other.value),
+            Ordering::Equal if self.len as usize > PREFIX => cmp_values(self.value, other.value),
             decided => decided,
         }
     }
-}
 
-impl PartialOrd for SortKey<'_> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
+    /// The order a build sorts its entries in: by key, then id, then
+    /// place.
+    pub(crate) fn order(&self, other: &Self) -> Ordering {
+        self.cmp_key(other)
+            .then((self.id, self.place).cmp(&(other.id, other.place)))
     }
-}
 
-impl PartialEq for SortKey<'_> {
-    fn eq(&self, other: &Self) -> bool {
-        self.cmp(other) == Ordering::Equal
+    /// The key's encoding as a store keeps it, allocated at its length:
+    /// copied out of the prefix when it holds it whole, which reads no
+    /// document (visited at random), and encoded from it otherwise.
+    pub(crate) fn key(&self) -> Box<[u8]> {
+        let word = (u128::from(self.prefix.0) << 64) | u128::from(self.prefix.1);
+        match word.to_be_bytes().get(..usize::from(self.len)) {
+            Some(whole) => whole.into(),
+            None => key::encoded(self.value),
+        }
     }
-}
-
-impl Eq for SortKey<'_> {}
-
-/// One key of a bulk build: the key, borrowed from the document that
-/// exposes it, that document's id, and the key's place among the
-/// document's keys. Sorted, equal keys run in the order one-by-one
-/// insertion would have met them. Nothing in it is allocated: the
-/// vector it sits in is the build's only transient per key.
-pub(crate) type Entry<'a> = (SortKey<'a>, DocId, u32);
-
-/// Push the entries `doc`, numbered `id`, exposes at `path`, in
-/// path-walk order, borrowed from it.
-pub(crate) fn push_entries<'a>(
-    entries: &mut Vec<Entry<'a>>,
-    id: DocId,
-    doc: &'a Value,
-    path: &Path,
-) {
-    let mut at = 0;
-    for_each_key(doc, path, |key| {
-        entries.push((SortKey::of(key), id, at));
-        at += 1;
-    });
 }
 
 /// In sorted entries, the first key that one-by-one insertion in
@@ -178,9 +134,11 @@ pub(crate) fn first_collision<'e, 'a>(sorted: &'e [Entry<'a>]) -> Option<&'e Ent
     let mut head = sorted.first()?;
     let mut first: Option<&Entry<'a>> = None;
     for entry in sorted {
-        if entry.0 != head.0 {
+        if entry.cmp_key(head).is_ne() {
             head = entry;
-        } else if entry.1 != head.1 && first.is_none_or(|f| (entry.1, entry.2) < (f.1, f.2)) {
+        } else if entry.id != head.id
+            && first.is_none_or(|f| (entry.id, entry.place) < (f.id, f.place))
+        {
             first = Some(entry);
         }
     }
@@ -203,37 +161,31 @@ impl Index {
         }
     }
 
-    /// The index over `path` holding `sorted`, entries ordered by `(key,
-    /// DocId, place)`: each run of equal keys becomes one key — a copy
-    /// of the first ([`SortKey::owned`]), which is the value
-    /// one-by-one insertion would have kept (`1` or `1.0`) — and the
-    /// vector of its ids, allocated once at its final size: one key and
-    /// one vector per distinct key, nothing per entry. Uniqueness is not
-    /// checked here ([`first_collision`] is).
-    pub(crate) fn built(path: Path, unique: bool, sorted: &[Entry<'_>]) -> Index {
-        let runs = || sorted.chunk_by(|a, b| a.0 == b.0);
+    /// Fill this empty index with `sorted`, entries ordered by
+    /// [`Entry::order`]: each run of equal keys becomes one key
+    /// ([`Entry::key`]) and the vector of its ids, allocated once at its
+    /// final size: one key and one vector per distinct key, nothing per
+    /// entry. Uniqueness is not checked here ([`first_collision`] is).
+    pub(crate) fn fill(&mut self, sorted: &[Entry<'_>]) {
+        let runs = || sorted.chunk_by(|a, b| a.cmp_key(b).is_eq());
         // Counted first, so the runs take one allocation and no freed
         // smaller one is left between the id sets the index keeps.
         let mut map = Vec::with_capacity(runs().count());
         for run in runs() {
             // A document exposing one key twice sits in its run twice.
             let ids = || {
-                (run.chunk_by(|a, b| a.1 == b.1))
+                (run.chunk_by(|a, b| a.id == b.id))
                     .filter_map(<[_]>::first)
-                    .map(|(_, id, _)| *id)
+                    .map(|entry| entry.id)
             };
-            if let Some((key, _, _)) = run.first() {
+            if let Some(first) = run.first() {
                 let mut set = Vec::with_capacity(ids().count());
                 set.extend(ids());
-                map.push((OrderedValue(key.owned()), set));
+                map.push((first.key(), set));
             }
         }
-        Index {
-            path,
-            unique,
-            map: map.into_iter().collect(),
-            multikey: sorted.iter().any(|(_, _, place)| *place > 0),
-        }
+        self.map = map.into_iter().collect();
+        self.multikey = sorted.iter().any(|entry| entry.place > 0);
     }
 
     /// Number of distinct indexed values.
@@ -245,36 +197,27 @@ impl Index {
     /// `ignore` is an id whose existing entries should be disregarded
     /// (used when checking an update against the document's old self).
     pub fn check_unique(&self, id: DocId, doc: &Value, ignore: Option<DocId>) -> Result<()> {
-        if !self.unique {
-            return Ok(());
+        self.clash(&index_keys(doc, &self.path), id, ignore)
+    }
+
+    /// [`check_unique`](Self::check_unique) of a document's `keys`.
+    fn clash(&self, keys: &[(Box<[u8]>, &Value)], id: DocId, ignore: Option<DocId>) -> Result<()> {
+        let taken = |ids: &Vec<DocId>| ids.iter().any(|&o| o != id && Some(o) != ignore);
+        match keys
+            .iter()
+            .find(|(k, _)| self.unique && self.map.get(k).is_some_and(taken))
+        {
+            Some((_, v)) => Err(unique_violation(&self.path, v)),
+            None => Ok(()),
         }
-        for k in index_keys(doc, &self.path) {
-            if let Some(ids) = self.map.get(&k) {
-                let conflict = ids
-                    .iter()
-                    .any(|&other| other != id && Some(other) != ignore);
-                if conflict {
-                    return Err(unique_violation(&self.path, &k.0));
-                }
-            }
-        }
-        Ok(())
     }
 
     /// Add `doc`'s entries. Fails (before mutating) on unique violation.
     pub fn insert(&mut self, id: DocId, doc: &Value) -> Result<()> {
         let keys = index_keys(doc, &self.path);
-        if self.unique {
-            for k in &keys {
-                if let Some(ids) = self.map.get(k) {
-                    if ids.binary_search(&id).is_err() {
-                        return Err(unique_violation(&self.path, &k.0));
-                    }
-                }
-            }
-        }
+        self.clash(&keys, id, None)?;
         self.multikey |= keys.len() > 1;
-        for k in keys {
+        for (k, _) in keys {
             let ids = self.map.entry(k).or_default();
             if let Err(at) = ids.binary_search(&id) {
                 ids.insert(at, id);
@@ -285,7 +228,7 @@ impl Index {
 
     /// Remove `doc`'s entries.
     pub fn remove(&mut self, id: DocId, doc: &Value) {
-        for key in index_keys(doc, &self.path) {
+        for (key, _) in index_keys(doc, &self.path) {
             if let Some(ids) = self.map.get_mut(&key) {
                 if let Ok(at) = ids.binary_search(&id) {
                     ids.remove(at);
@@ -361,20 +304,23 @@ impl Index {
     }
 
     /// Hand each id set `probe` visits to `each`: a key's set per key
-    /// present, or every set in the range, in key order.
+    /// present, or every set in the range, in key order. Each operand is
+    /// encoded once, and the map compares bytes.
     fn visit<'s>(&'s self, probe: &Probe<'_>, mut each: impl FnMut(&'s [DocId])) {
-        let key = |v: &Value| OrderedValue(v.clone());
         match *probe {
             Probe::Keys(keys) => keys
                 .iter()
-                .filter_map(|v| self.map.get(&key(v)))
+                .filter_map(|v| self.map.get(&key::encoded(v)))
                 .for_each(|set| each(set)),
-            // `BTreeMap::range` panics on bounds that hold no key.
-            Probe::Range(lo, hi) if holds_nothing(lo, hi) => {}
-            Probe::Range(lo, hi) => self
-                .map
-                .range((lo.map(key), hi.map(key)))
-                .for_each(|(_, set)| each(set)),
+            Probe::Range(lo, hi) => {
+                let (lo, hi) = (lo.map(key::encoded), hi.map(key::encoded));
+                let (lo, hi) = (lo.as_ref().map(|k| &**k), hi.as_ref().map(|k| &**k));
+                // Up from the lower bound while the upper one holds:
+                // `BTreeMap::range` panics on bounds that hold no key.
+                (self.map.range::<[u8], _>((lo, Bound::Unbounded)))
+                    .take_while(|(k, _)| (Bound::Unbounded, hi).contains(&***k))
+                    .for_each(|(_, set)| each(set));
+            }
         }
     }
 }
@@ -403,113 +349,28 @@ impl Probe<'_> {
     }
 }
 
-/// Do the bounds hold no key at all: the lower above the upper, or both
-/// the same key with one excluding it?
-fn holds_nothing(lo: Bound<&Value>, hi: Bound<&Value>) -> bool {
-    match (lo, hi) {
-        (Bound::Included(a) | Bound::Excluded(a), Bound::Included(b) | Bound::Excluded(b)) => {
-            match cmp_values(a, b) {
-                Ordering::Greater => true,
-                Ordering::Equal => !matches!((lo, hi), (Bound::Included(_), Bound::Included(_))),
-                Ordering::Less => false,
-            }
-        }
-        _ => false,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::value::OrderedValue;
     use proptest::prelude::*;
     use serde_json::json;
-
-    /// Strings of 0–40 bytes that often tie on the inline prefix: a
-    /// stem that stops short of it, fills it or runs past it, then
-    /// pieces with NUL bytes and multi-byte UTF-8 that can straddle its
-    /// end, cut at a char boundary.
-    fn string() -> impl Strategy<Value = Value> {
-        let stem = prop_oneof![
-            Just(""),
-            Just("abcdefghijklm"),
-            Just("abcdefghijklmn"),
-            Just("abcdefghijklmnop")
-        ];
-        let piece = prop_oneof![
-            Just("\0"),
-            Just("a"),
-            Just("b"),
-            Just("\u{e9}"),
-            Just("\u{20ac}"),
-            Just("\u{1f600}")
-        ];
-        (stem, prop::collection::vec(piece, 0..12)).prop_map(|(stem, pieces)| {
-            let mut s = stem.to_string();
-            for piece in pieces {
-                if s.len() + piece.len() <= 40 {
-                    s.push_str(piece);
-                }
-            }
-            Value::String(s)
-        })
-    }
-
-    /// Every type: strings as above, `1` / `1.0` / `-0.0` and other
-    /// numbers, null, bools, and small arrays and objects of them.
-    fn key() -> impl Strategy<Value = Value> {
-        let scalar = || {
-            prop_oneof![
-                string(),
-                string(),
-                prop_oneof![
-                    Just(json!(1)),
-                    Just(json!(1.0)),
-                    Just(json!(-0.0)),
-                    Just(json!(0)),
-                    Just(json!(2.5))
-                ],
-                Just(Value::Null),
-                any::<bool>().prop_map(Value::from),
-            ]
-        };
-        prop_oneof![
-            scalar(),
-            scalar(),
-            prop::collection::vec(scalar(), 0..3).prop_map(Value::Array),
-            (scalar(), scalar()).prop_map(|(a, b)| json!({"a": a, "b": b})),
-        ]
-    }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(4000))]
 
-        /// The prefix never changes an answer: `SortKey` orders and
-        /// equates exactly as `cmp_values` does.
+        /// An entry orders as its key's encoding does, and the key it
+        /// keeps — copied out of the prefix or encoded again — is the
+        /// encoding.
         #[test]
-        fn sort_keys_order_like_cmp_values(a in key(), b in key()) {
-            let (ka, kb) = (SortKey::of(&a), SortKey::of(&b));
-            let want = cmp_values(&a, &b);
-            prop_assert_eq!(ka.cmp(&kb), want, "{:?} vs {:?}", a, b);
-            prop_assert_eq!(ka == kb, want == Ordering::Equal, "{:?} vs {:?}", a, b);
-            prop_assert_eq!(kb.cmp(&ka), want.reverse(), "{:?} vs {:?}", b, a);
-        }
-
-        /// A key made from its sort key is the key: the same variant and
-        /// bytes as a clone. Only a string the prefix holds whole — at
-        /// most `INLINE` bytes — is copied out of the prefix; every other
-        /// key, a longer string or a non-string, is cloned from its
-        /// document.
-        #[test]
-        fn a_key_copied_from_its_prefix_is_the_key(v in key()) {
-            let sort = SortKey::of(&v);
-            let held = v.as_str().is_some_and(|s| s.len() <= INLINE);
-            prop_assert_eq!(sort.inline().is_some(), held, "{:?}", v);
-            if let Some(copied) = sort.inline() {
-                prop_assert_eq!(Some(copied.as_bytes()), v.as_str().map(str::as_bytes));
-            }
-            let made = sort.owned();
-            prop_assert_eq!(&made, &v);
-            prop_assert_eq!(format!("{made:?}"), format!("{:?}", v.clone()));
+        fn entries_order_and_keep_their_encodings(
+            a in crate::key::tests::value(),
+            b in crate::key::tests::value(),
+        ) {
+            let (ea, eb) = (Entry::new(&a, 0, 0), Entry::new(&b, 0, 0));
+            let (ka, kb) = (key::encoded(&a), key::encoded(&b));
+            prop_assert_eq!(ea.cmp_key(&eb), ka.cmp(&kb), "{} vs {}", a, b);
+            prop_assert_eq!(ea.key(), ka);
         }
     }
 
@@ -659,7 +520,7 @@ mod tests {
         }
         let (mut want, mut visited) = (Vec::new(), 0);
         for (id, doc) in (0..).zip(docs) {
-            let mut keys = index_keys(doc, &Path::new("k"));
+            let mut keys = values(doc);
             keys.sort();
             keys.dedup();
             let selected = match *probe {
@@ -705,23 +566,29 @@ mod tests {
         }
     }
 
+    /// The keys `doc` exposes at `k`, in path-walk order.
+    fn values(doc: &Value) -> Vec<OrderedValue> {
+        let mut keys = Vec::new();
+        for_each_key(doc, &Path::new("k"), |k| keys.push(OrderedValue(k.clone())));
+        keys
+    }
+
     /// Every key and its ids as the index holds them.
-    fn held(ix: &Index) -> Vec<(Value, Vec<DocId>)> {
+    fn held(ix: &Index) -> Vec<(Box<[u8]>, Vec<DocId>)> {
         ix.map
             .iter()
-            .map(|(k, ids)| (k.0.clone(), ids.clone()))
+            .map(|(k, ids)| (k.clone(), ids.clone()))
             .collect()
     }
 
     /// The id sets of the index the vectors replace: a `BTreeSet` per
-    /// key, kept under the first value inserted, emptied sets removed.
+    /// key, the keys ordered by `cmp_values`, emptied sets removed.
     type Model = BTreeMap<OrderedValue, std::collections::BTreeSet<DocId>>;
 
-    /// Check `ix` against `model` after a step: the sets' shape, what
-    /// `probe` and `range` find and cost, `check_unique` for `doc`, and
-    /// that `Index::built` over the sorted entries of the documents
-    /// `docs` holds equals inserting them one by one in id order, down
-    /// to which of `1` and `1.0` each key keeps.
+    /// Check `ix` against `model` after a step: the sets' shape and keys,
+    /// what `probe` and `range` find and cost, `check_unique` for `doc`,
+    /// and that `Index::built` over the sorted entries of the documents
+    /// `docs` holds equals inserting them one by one in id order.
     fn check_model(
         ix: &Index,
         model: &Model,
@@ -732,8 +599,8 @@ mod tests {
             prop_assert!(!ids.is_empty(), "{:?} has no ids", key);
             prop_assert!(ids.windows(2).all(|w| w[0] < w[1]), "{:?}: {:?}", key, ids);
         }
-        let want: Vec<(Value, Vec<DocId>)> = (model.iter())
-            .map(|(k, set)| (k.0.clone(), set.iter().copied().collect()))
+        let want: Vec<(Box<[u8]>, Vec<DocId>)> = (model.iter())
+            .map(|(k, set)| (key::encoded(&k.0), set.iter().copied().collect()))
             .collect();
         prop_assert_eq!(held(ix), want);
         prop_assert_eq!(ix.distinct_values(), model.len());
@@ -761,7 +628,7 @@ mod tests {
 
         for (id, ignore) in [(0, None), (1, Some(2)), (7, Some(7))] {
             let clash = ix.unique
-                && index_keys(doc, &Path::new("k")).iter().any(|k| {
+                && values(doc).iter().any(|k| {
                     (model.get(k))
                         .is_some_and(|set| set.iter().any(|&o| o != id && Some(o) != ignore))
                 });
@@ -775,17 +642,20 @@ mod tests {
 
         let mut entries = Vec::new();
         for (id, doc) in docs {
-            push_entries(&mut entries, *id, doc, &Path::new("k"));
+            let mut place = 0;
+            for_each_key(doc, &Path::new("k"), |key| {
+                entries.push(Entry::new(key, *id, place));
+                place += 1;
+            });
         }
-        entries.sort_unstable();
+        entries.sort_unstable_by(Entry::order);
         let mut one_by_one = Index::new("k", ix.unique);
         for (id, doc) in docs {
             one_by_one.insert(*id, doc).unwrap();
         }
-        prop_assert_eq!(
-            held(&Index::built(Path::new("k"), ix.unique, &entries)),
-            held(&one_by_one)
-        );
+        let mut built = Index::new("k", ix.unique);
+        built.fill(&entries);
+        prop_assert_eq!(held(&built), held(&one_by_one));
         Ok(())
     }
 
@@ -812,7 +682,7 @@ mod tests {
             for (id, next) in steps {
                 if let Some(old) = docs.remove(&id) {
                     ix.remove(id, &old);
-                    for key in index_keys(&old, &Path::new("k")) {
+                    for key in values(&old) {
                         if let Some(set) = model.get_mut(&key) {
                             set.remove(&id);
                             if set.is_empty() {
@@ -821,7 +691,7 @@ mod tests {
                         }
                     }
                 } else {
-                    let keys = index_keys(&next, &Path::new("k"));
+                    let keys = values(&next);
                     let taken = unique
                         && keys.iter().any(|k| model.get(k).is_some_and(|set| !set.contains(&id)));
                     prop_assert_eq!(ix.insert(id, &next).is_err(), taken, "{:?}", next);

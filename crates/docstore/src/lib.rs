@@ -55,6 +55,7 @@ pub mod durable;
 pub mod error;
 pub mod index;
 pub mod journal;
+mod key;
 pub mod mapreduce;
 pub mod persist;
 pub mod profiler;

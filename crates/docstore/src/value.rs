@@ -30,6 +30,7 @@ pub fn to_docs(docs: Vec<Value>) -> Docs {
 /// to grow an array past this many elements (`kMaxPaddingAllowed`), so
 /// one path cannot make the store backfill billions of nulls.
 const MAX_BACKFILL: usize = 1_500_000;
+const BACKFILL_REFUSED: &str = "can't backfill array to larger than 1500000 elements";
 
 /// A dotted path (`"spec.elements.0"`), split once. The one form of a
 /// path in the store: every read, traversal, write and removal by path
@@ -81,11 +82,7 @@ impl Path {
     /// The value at this path, read strictly: objects by key, arrays
     /// only by a numeric segment. A path with no segments names `doc`.
     pub fn get<'v>(&self, doc: &'v Value) -> Option<&'v Value> {
-        self.segs.iter().try_fold(doc, |cur, seg| match cur {
-            Value::Object(m) => m.get(&seg.key),
-            Value::Array(a) => a.get(seg.index?),
-            _ => None,
-        })
+        self.segs.iter().try_fold(doc, child)
     }
 
     /// [`Path::get`], mutably.
@@ -109,9 +106,21 @@ impl Path {
     /// object otherwise, and an array is padded with `null`s up to the
     /// index written — never past [`MAX_BACKFILL`] elements. Fails on an
     /// empty path, a step through a scalar, a non-numeric segment into
-    /// an array and a padding past the limit; the steps taken before the
-    /// failing one stay made.
+    /// an array and a padding past the limit, and then has made nothing.
     pub fn set(&self, doc: &mut Value, value: Value) -> Result<(), String> {
+        // Only the limit refuses a step after one that made something (a
+        // key, a container, padding), so it is checked first: an index
+        // past it must read an object's key or an element already there.
+        for (k, seg) in self.segs.iter().enumerate() {
+            let Some(idx) = seg.index.filter(|&idx| idx >= MAX_BACKFILL) else {
+                continue;
+            };
+            match self.segs.iter().take(k).try_fold(&*doc, child) {
+                Some(Value::Object(_)) => {}
+                Some(Value::Array(a)) if idx < a.len() => {}
+                _ => return Err(BACKFILL_REFUSED.into()),
+            }
+        }
         let (last, parents) = self.segs.split_last().ok_or("empty path")?;
         let mut cur = doc;
         for (seg, next) in parents.iter().zip(self.segs.iter().skip(1)) {
@@ -138,6 +147,15 @@ impl Path {
 impl std::fmt::Display for Path {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(&self.raw)
+    }
+}
+
+/// One strict step of [`Path::get`].
+fn child<'v>(cur: &'v Value, seg: &PathSeg) -> Option<&'v Value> {
+    match cur {
+        Value::Object(m) => m.get(&seg.key),
+        Value::Array(a) => a.get(seg.index?),
+        _ => None,
     }
 }
 
@@ -191,11 +209,6 @@ fn slot<'v>(
                 .index
                 .ok_or_else(|| format!("cannot index array with '{}'", seg.key))?;
             if a.len() <= idx {
-                if idx >= MAX_BACKFILL {
-                    return Err(format!(
-                        "can't backfill array to larger than {MAX_BACKFILL} elements"
-                    ));
-                }
                 a.resize(idx + 1, Value::Null);
             }
             a.get_mut(idx)
@@ -260,39 +273,32 @@ pub fn cmp_values(a: &Value, b: &Value) -> Ordering {
         return ra.cmp(&rb);
     }
     match (a, b) {
-        (Value::Null, Value::Null) => Ordering::Equal,
         (Value::Bool(x), Value::Bool(y)) => x.cmp(y),
         (Value::Number(x), Value::Number(y)) => cmp_numbers(x, y),
         (Value::String(x), Value::String(y)) => x.cmp(y),
-        (Value::Array(x), Value::Array(y)) => {
-            for (xi, yi) in x.iter().zip(y.iter()) {
-                let c = cmp_values(xi, yi);
-                if c != Ordering::Equal {
-                    return c;
-                }
-            }
-            x.len().cmp(&y.len())
-        }
+        (Value::Array(x), Value::Array(y)) => (x.iter().zip(y))
+            .fold(Ordering::Equal, |o, (a, b)| {
+                o.then_with(|| cmp_values(a, b))
+            })
+            .then(x.len().cmp(&y.len())),
         (Value::Object(x), Value::Object(y)) => {
-            // Compare key-value pairs in key order.
-            let mut xk: Vec<_> = x.iter().collect();
-            let mut yk: Vec<_> = y.iter().collect();
-            xk.sort_by(|l, r| l.0.cmp(r.0));
-            yk.sort_by(|l, r| l.0.cmp(r.0));
-            for ((ka, va), (kb, vb)) in xk.iter().zip(yk.iter()) {
-                let c = ka.cmp(kb);
-                if c != Ordering::Equal {
-                    return c;
-                }
-                let c = cmp_values(va, vb);
-                if c != Ordering::Equal {
-                    return c;
-                }
-            }
-            xk.len().cmp(&yk.len())
+            let (x, y) = (sorted_fields(x), sorted_fields(y));
+            (x.iter().zip(&y))
+                .fold(Ordering::Equal, |o, ((ka, va), (kb, vb))| {
+                    o.then(ka.cmp(kb)).then_with(|| cmp_values(va, vb))
+                })
+                .then(x.len().cmp(&y.len()))
         }
         _ => Ordering::Equal,
     }
+}
+
+/// An object's fields in key order: how [`cmp_values`] and the key
+/// encoding read an object.
+pub(crate) fn sorted_fields(m: &Map<String, Value>) -> Vec<(&String, &Value)> {
+    let mut fields: Vec<_> = m.iter().collect();
+    fields.sort_unstable_by(|l, r| l.0.cmp(r.0));
+    fields
 }
 
 /// Numbers by exact value, whatever their form: two integers as `i128`,
@@ -313,7 +319,7 @@ fn cmp_numbers(x: &Number, y: &Number) -> Ordering {
     }
 }
 
-fn int_of(n: &Number) -> Option<i128> {
+pub(crate) fn int_of(n: &Number) -> Option<i128> {
     n.as_i64()
         .map(i128::from)
         .or_else(|| n.as_u64().map(i128::from))
@@ -348,66 +354,29 @@ pub(crate) fn exact_f64(n: &Number) -> Option<f64> {
 /// Equality that treats `1` and `1.0` as equal (numeric comparison), like
 /// MongoDB's matcher, rather than `serde_json`'s structural equality.
 pub fn values_equal(a: &Value, b: &Value) -> bool {
-    cmp_values(a, b) == Ordering::Equal && type_rank(a) == type_rank(b)
+    cmp_values(a, b).is_eq()
 }
 
-/// Stable 64-bit hash (FNV-1a) that agrees with [`values_equal`]: two
-/// values it calls equal hash alike, so `1` and `1.0` do. It walks the
-/// value the way [`cmp_values`] compares it — type rank first, a number
-/// by the bits of its nearest `f64` (`as_f64`, `-0.0` as `0.0`), a
-/// string by its bytes, an array element by element, an object in
-/// sorted-key order — and renders nothing. Numbers compare exactly, but
-/// equal numbers round to the same `f64`, so they still hash alike;
-/// integers past 2^53 that differ may share a hash, which is only a
-/// collision. Change it together with [`cmp_values`].
+/// Stable 64-bit hash (FNV-1a) of `v`'s key encoding
+/// ([`key::encode`](crate::key::encode)), streamed: values
+/// [`values_equal`] calls equal hash alike (`1` and `1.0` do), and
+/// distinct numbers have distinct bytes, integers past 2^53 included.
+/// Nothing is allocated but an object's list of fields in key order.
 pub(crate) fn hash_value(v: &Value) -> u64 {
     let mut h = 0xcbf29ce484222325;
-    hash_walk(v, &mut h);
+    crate::key::encode(v, &mut |part| {
+        for &b in part {
+            h = (h ^ u64::from(b)).wrapping_mul(0x100000001b3);
+        }
+    });
     h
 }
 
-fn hash_walk(v: &Value, h: &mut u64) {
-    fn eat(h: &mut u64, bytes: &[u8]) {
-        for &b in bytes {
-            *h ^= b as u64;
-            *h = h.wrapping_mul(0x100000001b3);
-        }
-    }
-    eat(h, &[type_rank(v)]);
-    match v {
-        Value::Null => {}
-        Value::Bool(b) => eat(h, &[*b as u8]),
-        Value::Number(n) => {
-            let f = n.as_f64().unwrap_or(f64::NAN);
-            // `-0.0 == 0.0`, but their bits differ.
-            let f = if f == 0.0 { 0.0 } else { f };
-            eat(h, &f.to_bits().to_le_bytes());
-        }
-        Value::String(s) => {
-            eat(h, &(s.len() as u64).to_le_bytes());
-            eat(h, s.as_bytes());
-        }
-        Value::Array(items) => {
-            eat(h, &(items.len() as u64).to_le_bytes());
-            for item in items {
-                hash_walk(item, h);
-            }
-        }
-        Value::Object(map) => {
-            let mut fields: Vec<_> = map.iter().collect();
-            fields.sort_by(|l, r| l.0.cmp(r.0));
-            eat(h, &(fields.len() as u64).to_le_bytes());
-            for (k, item) in fields {
-                eat(h, &(k.len() as u64).to_le_bytes());
-                eat(h, k.as_bytes());
-                hash_walk(item, h);
-            }
-        }
-    }
-}
-
-/// Wrapper giving [`Value`] a total order + `Eq`/`Ord` so it can key a
-/// `BTreeMap` (used by secondary indexes and `distinct`).
+/// Wrapper giving [`Value`] [`cmp_values`]' total order + `Eq`/`Ord`,
+/// for the maps that hand their keys back as values: `distinct`,
+/// `$group` and MapReduce's groups. What only finds its key — the `_id`
+/// map, an index — keys by the bytes [`key::encode`](crate::key::encode)
+/// writes instead.
 #[derive(Debug, Clone)]
 pub struct OrderedValue(pub Value);
 
@@ -429,7 +398,7 @@ impl Ord for OrderedValue {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use serde_json::json;
 
@@ -596,11 +565,11 @@ mod tests {
         assert_eq!(exact(json!(0.1)), Some(0.1));
     }
 
-    /// Values `values_equal` calls equal hash alike, whatever number form
-    /// or field order spells them.
-    #[test]
-    fn hash_agrees_with_values_equal() {
-        let vs = [
+    /// Numbers at the edges of exactness, `-0.0`, and arrays and objects
+    /// of them: what `hash_value` and the key encoding's properties
+    /// (`key::tests`) are checked over.
+    pub(crate) fn hash_table() -> Vec<Value> {
+        vec![
             json!(1),
             json!(1.0),
             json!(0),
@@ -609,6 +578,7 @@ mod tests {
             json!(9007199254740992u64),
             json!(9007199254740992.0),
             json!(u64::MAX),
+            json!(u64::MAX - 1),
             json!(18446744073709551616.0),
             json!(i64::MIN),
             json!(-9223372036854775808.0),
@@ -622,7 +592,15 @@ mod tests {
             json!({"a": 1, "b": [0.0]}),
             json!({"b": [-0.0], "a": 1.0}),
             json!({"a": 1}),
-        ];
+        ]
+    }
+
+    /// Values `values_equal` calls equal hash alike, whatever number form
+    /// or field order spells them, and distinct integers past 2^53 hash
+    /// apart.
+    #[test]
+    fn hash_agrees_with_values_equal() {
+        let vs = hash_table();
         for a in &vs {
             for b in &vs {
                 if values_equal(a, b) {
@@ -631,6 +609,12 @@ mod tests {
             }
         }
         assert_ne!(hash_value(&json!(1)), hash_value(&json!("1")));
+        let two53 = 1u64 << 53;
+        assert_ne!(hash_value(&json!(two53)), hash_value(&json!(two53 + 1)));
+        assert_ne!(
+            hash_value(&json!(u64::MAX)),
+            hash_value(&json!(u64::MAX - 1))
+        );
     }
 
     #[test]

@@ -163,3 +163,27 @@ fn a_path_without_segments_names_the_document() {
         assert_eq!(copy, doc, "{raw:?}");
     }
 }
+
+/// A `set` that is refused has made nothing: not the containers before
+/// the step refused, nor the padding before an index past the backfill
+/// limit.
+#[test]
+fn a_refused_set_makes_nothing() {
+    for (doc, raw) in [
+        (json!({"_id": 1}), "a.2000000"),
+        (json!({"_id": 1}), "a.b.1500000.c"),
+        (json!({"xs": [1]}), "xs.1500000"),
+        (json!({"xs": [1]}), "xs.3.2000000"),
+        (json!({"a": {"b": 5}}), "a.b.c"),
+        (json!({"a": [1]}), "a.x"),
+    ] {
+        let path = Path::new(raw);
+        let mut copy = doc.clone();
+        assert!(path.set(&mut copy, json!(2)).is_err(), "{raw}");
+        assert_eq!(copy, doc, "{raw}");
+    }
+    // The limit counts elements: index 1,499,999 pads to 1,500,000.
+    let mut doc = json!({});
+    Path::new("a.1499999").set(&mut doc, json!(1)).unwrap();
+    assert_eq!(doc["a"].as_array().map(Vec::len), Some(1_500_000));
+}

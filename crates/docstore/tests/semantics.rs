@@ -724,3 +724,87 @@ fn a_pruned_range_keeps_what_its_operand_rounds_onto() {
     }
     assert!(db.profiler().counter("column.rows_pruned") > 0);
 }
+
+// ---------------------------------------------------------------------------
+// `_id`s that are arrays, and writes the backfill limit refuses
+// ---------------------------------------------------------------------------
+
+/// An array `_id` is refused, as MongoDB refuses it — by `insert_one`,
+/// by a bulk build and one-by-one insertion at the same document with
+/// the same error, by an upsert's seed and by an update — so `{_id: 1}`
+/// through the `_id` map and `{_id: {$in: [1]}}` through a scan never
+/// disagree about one.
+#[test]
+fn an_array_id_is_refused() {
+    let batch = || {
+        vec![
+            json!({"_id": 0}),
+            json!({"_id": 1}),
+            json!({"_id": [1, 2]}),
+            json!({"_id": 3}),
+        ]
+    };
+    let bulk = Database::new().collection("c");
+    let one_by_one = Database::new().collection("c");
+    one_by_one.insert_one(json!({"_id": "seed"})).unwrap();
+    let refused = |c: &Collection| c.insert_many(batch()).unwrap_err().to_string();
+    let why = refused(&bulk);
+    assert!(why.contains("_id cannot be an array"), "{why}");
+    assert_eq!(refused(&one_by_one), why);
+    assert_eq!((bulk.len(), one_by_one.len()), (2, 3));
+
+    let c = bulk;
+    assert!(c.insert_one(json!({"_id": [7]})).is_err());
+    assert!(c.insert_one(json!({"_id": []})).is_err());
+    assert!(c
+        .upsert(&json!({"_id": [4, 5]}), &json!({"$set": {"x": 1}}))
+        .is_err());
+    assert!(c
+        .upsert(&json!({"x": 9}), &json!({"$set": {"_id": [6]}}))
+        .is_err());
+    assert!(c
+        .update_one(&json!({"_id": 1}), &json!({"$set": {"_id": [7, 8]}}))
+        .is_err());
+    // An object `_id` holding an array is a key like any other.
+    let object = json!({"_id": {"k": [1, 2]}});
+    c.insert_one(object.clone()).unwrap();
+    let stored = [json!({"_id": 0}), json!({"_id": 1}), object];
+    assert_eq!(c.len(), stored.len());
+    for q in [
+        json!({"_id": 1}),
+        json!({"_id": {"$in": [1]}}),
+        json!({"_id": {"k": [1, 2]}}),
+        json!({"_id": 7}),
+        json!({"_id": 2}),
+        json!({"_id": 6}),
+    ] {
+        let model = model_find(&stored, &q, &ModelOptions::default());
+        let found = c.find(&q).unwrap();
+        assert_eq!(
+            found.iter().map(|d| &**d).collect::<Vec<_>>(),
+            model.iter().collect::<Vec<_>>(),
+            "{q}"
+        );
+    }
+}
+
+/// A projection by `a.2000000` reads `{"a": {"2000000": 1}}` by key,
+/// and the write would pad 2,000,001 elements: refused before it makes
+/// anything, so the row is `{"_id": 1}`, as `mp-model` projects it
+/// (departure `backfill-limit`).
+#[test]
+fn a_projection_the_backfill_limit_refuses_writes_nothing() {
+    let docs = [json!({"_id": 1, "a": {"2000000": 1}})];
+    let c = collection(&docs, &[]);
+    let model = ModelOptions {
+        projection: Some(vec!["a.2000000".into()]),
+        ..ModelOptions::default()
+    };
+    assert!(DEPARTURES.contains(&"backfill-limit"));
+    let want = vec![json!({"_id": 1})];
+    assert_eq!(model_find(&docs, &json!({}), &model), want);
+    let opts = FindOptions::all().project(&["a.2000000"]);
+    let found = c.find_with(&json!({}), &opts).unwrap();
+    let rows: Vec<&Value> = found.iter().map(|d| &**d).collect();
+    assert_eq!(rows, want.iter().collect::<Vec<_>>());
+}

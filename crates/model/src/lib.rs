@@ -24,6 +24,7 @@ pub const DEPARTURES: &[&str] = &[
     "whole-value-operators",
     "strict-sort-keys",
     "indexed-projection",
+    "backfill-limit",
 ];
 
 /// One sort key: a dotted path, and whether it sorts descending.
@@ -342,26 +343,36 @@ pub fn model_window<D: Borrow<Value>>(mut docs: Vec<D>, opts: &ModelOptions) -> 
 }
 
 /// `_id` and every listed path that resolves (read strictly), written in
-/// that order into a new document as `$set` would write them.
+/// that order into a new document as `$set` would write them; a write
+/// that fails leaves the document as it was.
 pub fn model_project(doc: &Value, paths: &[String]) -> Value {
     let mut out = Value::Object(Map::new());
     for path in std::iter::once("_id").chain(paths.iter().map(String::as_str)) {
         if let Some(v) = model_lookup(doc, path) {
-            model_place(&mut out, &model_segments(path), v.clone());
+            let mut placed = out.clone();
+            if model_place(&mut placed, &model_segments(path), v.clone()) {
+                out = placed;
+            }
         }
     }
     out
 }
 
-/// Write `v` at `segs` under `at`, as `$set` writes: a missing or null
-/// step becomes an array when the next segment is an index and an object
-/// otherwise. A step through a scalar, or by name into an array, writes
-/// nothing. Departure `indexed-projection`: MongoDB does not project by
-/// array index; here an array grows with nulls up to the index written.
-fn model_place(at: &mut Value, segs: &[&str], v: Value) {
+/// The longest array a write pads to: MongoDB's `kMaxPaddingAllowed`.
+const MODEL_MAX_PADDING: usize = 1_500_000;
+
+/// Write `v` at `segs` under `at`, as `$set` writes, and say whether it
+/// was written: a missing or null step becomes an array when the next
+/// segment is an index and an object otherwise. A step through a scalar,
+/// or by name into an array, fails. Departure `indexed-projection`:
+/// MongoDB does not project by array index; here an array grows with
+/// nulls up to the index written. Departure `backfill-limit`: so a
+/// projection meets `$set`'s limit, and a write that would pad an array
+/// past [`MODEL_MAX_PADDING`] elements fails.
+fn model_place(at: &mut Value, segs: &[&str], v: Value) -> bool {
     let Some((seg, rest)) = segs.split_first() else {
         *at = v;
-        return;
+        return true;
     };
     let slot = match at {
         Value::Object(m) => {
@@ -371,7 +382,12 @@ fn model_place(at: &mut Value, segs: &[&str], v: Value) {
             m.get_mut(seg)
         }
         Value::Array(items) => {
-            let Ok(i) = seg.parse::<usize>() else { return };
+            let Ok(i) = seg.parse::<usize>() else {
+                return false;
+            };
+            if items.len() <= i && i >= MODEL_MAX_PADDING {
+                return false;
+            }
             if items.len() <= i {
                 items.resize(i + 1, Value::Null);
             }
@@ -379,14 +395,14 @@ fn model_place(at: &mut Value, segs: &[&str], v: Value) {
         }
         _ => None,
     };
-    let Some(slot) = slot else { return };
+    let Some(slot) = slot else { return false };
     if slot.is_null() {
         *slot = match rest.first() {
             Some(next) if next.parse::<usize>().is_ok() => Value::Array(Vec::new()),
             _ => Value::Object(Map::new()),
         };
     }
-    model_place(slot, rest, v);
+    model_place(slot, rest, v)
 }
 
 /// A find over `docs` in store order: the matches, windowed, projected.
@@ -589,6 +605,13 @@ mod tests {
         assert_eq!(
             model_project(&doc, &paths(&["a.c", "xs.1.y", "zz"])).to_string(),
             r#"{"_id":7,"a":{"c":2},"xs":[null,{"y":20}]}"#
+        );
+        // Departure `backfill-limit`: the write would pad 2,000,001
+        // elements, so it writes nothing, not even the array.
+        let far = json!({"_id": 1, "a": {"2000000": 1}});
+        assert_eq!(
+            model_project(&far, &paths(&["a.2000000"])),
+            json!({"_id": 1})
         );
     }
 }
