@@ -27,9 +27,10 @@
 //! *before* anything is reserved for it (an item is at least one byte,
 //! an object entry at least two), nesting stops at [`MAX_DEPTH`] like
 //! the JSON parser's, and every failure is a [`CodecError`] naming the
-//! offset — never a panic. Containers and strings are allocated at
-//! their final size, as the parser allocates them: a decoded document
-//! becomes resident as it is.
+//! offset — never a panic. Containers are allocated at their final
+//! size, as the parser allocates them, and a string's text is held
+//! inline or boxed at its length: a decoded document becomes resident
+//! as it is.
 
 use serde_json::{Map, Number, Value};
 use std::fmt;
@@ -111,7 +112,7 @@ pub fn encode(v: &Value, out: &mut Vec<u8>) {
         Value::Number(n) => encode_number(n, out),
         Value::String(s) => {
             out.push(STRING);
-            encode_text(s, out);
+            encode_text(s.as_bytes(), out);
         }
         Value::Array(items) => {
             out.push(ARRAY);
@@ -122,7 +123,7 @@ pub fn encode(v: &Value, out: &mut Vec<u8>) {
             out.push(OBJECT);
             encode_varint(map.len() as u64, out);
             for (name, item) in map {
-                encode_text(name, out);
+                encode_text(name.as_bytes(), out);
                 encode(item, out);
             }
         }
@@ -145,9 +146,9 @@ fn encode_number(n: &Number, out: &mut Vec<u8>) {
 }
 
 /// Append `s` as a length-prefixed string.
-pub(crate) fn encode_text(s: &str, out: &mut Vec<u8>) {
+pub(crate) fn encode_text(s: &[u8], out: &mut Vec<u8>) {
     encode_varint(s.len() as u64, out);
-    out.extend_from_slice(s.as_bytes());
+    out.extend_from_slice(s);
 }
 
 /// Append `n` as an LEB128 varint: seven bits a byte, low bits first.
@@ -282,7 +283,7 @@ impl<'a> Reader<'a> {
             DOUBLE => Number::from_f64(f64::from_bits(self.fixed_u64()?))
                 .map(Value::Number)
                 .ok_or(self.fail(at, ErrorKind::NotFinite))?,
-            STRING => Value::String(self.text()?.to_owned()),
+            STRING => Value::String(self.text()?.into()),
             ARRAY => {
                 let len = self.count(1)?;
                 let mut items = Vec::with_capacity(len);

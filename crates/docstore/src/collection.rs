@@ -140,7 +140,9 @@ pub(crate) struct Inner {
 
 /// A named collection of JSON documents.
 pub struct Collection {
-    name: String,
+    /// Shared with every profiler sample of this collection, so timing
+    /// an operation allocates nothing.
+    name: Arc<str>,
     inner: StateLock<Inner>,
     next_id: AtomicU64,
     /// Generation counter: bumped on every successful mutation. Query
@@ -169,7 +171,7 @@ impl Store for Collection {
 impl Collection {
     pub(crate) fn new(name: &str, shared: Arc<Shared>) -> Self {
         Collection {
-            name: name.to_string(),
+            name: name.into(),
             inner: StateLock::new(
                 LockRank::Collection,
                 Inner {
@@ -1031,6 +1033,13 @@ impl Collection {
         if let Some(refused) = refusal(&new_doc) {
             return Err(refused);
         }
+        // The `_id` map keys each document by its `_id`'s encoding.
+        if !key::same_id(old, &new_doc) {
+            return Err(StoreError::BadUpdate(format!(
+                "_id is immutable: the update would change the _id of {}",
+                id_of(old)
+            )));
+        }
         Self::reindex(inner, id, old, &new_doc)?;
         let new = Arc::new(new_doc);
         inner.docs.insert(id, Arc::clone(&new));
@@ -1093,11 +1102,6 @@ impl Collection {
         for ix in inner.indexes.iter_mut().filter(|ix| moved(ix)) {
             ix.remove(id, old);
             ix.insert(id, new)?;
-        }
-        // _id changes are not permitted via update; keep by_id consistent.
-        if old.get("_id") != new.get("_id") {
-            inner.by_id.remove(&id_key(old));
-            inner.by_id.insert(id_key(new), id);
         }
         Ok(())
     }

@@ -21,7 +21,7 @@ pub(crate) fn encode(v: &Value, sink: &mut impl FnMut(&[u8])) {
         Value::Null => {}
         Value::Bool(b) => sink(&[u8::from(*b)]),
         Value::Number(n) => number(n, sink),
-        Value::String(s) => string(s, sink),
+        Value::String(s) => string(s.as_bytes(), sink),
         Value::Array(items) => {
             items.iter().for_each(|item| encode(item, sink));
             sink(&[0]);
@@ -29,7 +29,7 @@ pub(crate) fn encode(v: &Value, sink: &mut impl FnMut(&[u8])) {
         Value::Object(map) => {
             for (k, item) in sorted_fields(map) {
                 sink(&[STRING]);
-                string(k, sink);
+                string(k.as_bytes(), sink);
                 encode(item, sink);
             }
             sink(&[0]);
@@ -46,9 +46,19 @@ pub(crate) fn encoded(v: &Value) -> Box<[u8]> {
     out.into_boxed_slice()
 }
 
+/// Whether `new` holds `old`'s `_id` key: both hold no `_id`, or both
+/// hold one and the two encode alike. Equal values always do, so only
+/// an `_id` whose form changed (`1` to `1.0`) is encoded to compare.
+pub(crate) fn same_id(old: &Value, new: &Value) -> bool {
+    match (old.get("_id"), new.get("_id")) {
+        (Some(was), Some(now)) => was == now || encoded(was) == encoded(now),
+        (was, now) => was.is_none() && now.is_none(),
+    }
+}
+
 /// A string's bytes, each NUL escaped as `00 FF`, then `00 01`.
-fn string(s: &str, sink: &mut impl FnMut(&[u8])) {
-    for (i, run) in s.as_bytes().split(|&b| b == 0).enumerate() {
+fn string(s: &[u8], sink: &mut impl FnMut(&[u8])) {
+    for (i, run) in s.split(|&b| b == 0).enumerate() {
         sink(if i > 0 { &[0, 0xff] } else { &[] });
         sink(run);
     }
@@ -86,16 +96,18 @@ pub(crate) mod tests {
     use serde_json::json;
 
     /// A value from `value::tests::hash_table`, a string that straddles
-    /// the bulk build's 16-byte prefix (NULs, multi-byte characters, a
-    /// stem of 0 to 16 bytes), a number at an `i64`/`u64`/`f64` edge, or
-    /// an array or object of those.
+    /// the bulk build's 16-byte prefix or a `Str`'s 22 inline bytes
+    /// (NULs, multi-byte characters, a stem of 0 to 21 bytes), a number
+    /// at an `i64`/`u64`/`f64` edge, or an array or object of those.
     pub(crate) fn value() -> impl Strategy<Value = Value> {
         let table = hash_table();
         let stem = prop_oneof![
             Just(""),
             Just("abcdefghijkl"),
             Just("abcdefghijklm"),
-            Just("abcdefghijklmnop")
+            Just("abcdefghijklmnop"),
+            // One byte short of the text a `Str` holds inline.
+            Just("abcdefghijklmnopqrstu")
         ];
         let piece = prop_oneof![
             Just("\0"),
@@ -105,7 +117,7 @@ pub(crate) mod tests {
             Just("\u{1f600}")
         ];
         let string = (stem, prop::collection::vec(piece, 0..6)).prop_map(|(stem, pieces)| {
-            Value::String(pieces.into_iter().fold(stem.to_string(), |s, p| s + p))
+            Value::from(pieces.into_iter().fold(stem.to_string(), |s, p| s + p))
         });
         let two53 = 1u64 << 53;
         let number = prop_oneof![
@@ -180,6 +192,32 @@ pub(crate) mod tests {
                 assert_eq!(ka.cmp(&kb), cmp_values(a, b), "{a} vs {b}");
                 assert_eq!(ka == kb, values_equal(a, b), "{a} vs {b}");
                 assert_eq!(ka.cmp(&kb), model_order(a, b), "{a} vs {b}");
+            }
+        }
+    }
+
+    /// A string's key does not depend on where its text lives: on either
+    /// side of the 22 bytes a `Str` holds inline, it is the type byte,
+    /// the bytes with each NUL escaped, and `00 01`, built here from a
+    /// `String`.
+    #[test]
+    fn a_string_key_is_its_escaped_bytes_on_either_side_of_the_inline_bound() {
+        for len in 0..=64 {
+            for fill in ["a", "\0", "\u{e9}", "\u{1f600}"] {
+                let mut text = fill.repeat(len / fill.len());
+                text.extend(std::iter::repeat_n('b', len - text.len()));
+                let mut want = vec![STRING];
+                for b in text.bytes() {
+                    match b {
+                        0 => want.extend([0, 0xff]),
+                        b => want.push(b),
+                    }
+                }
+                want.extend([0, 1]);
+                assert_eq!(*encoded(&Value::from(text.as_str())), *want, "{text:?}");
+                // A name is written the same way.
+                let object = encoded(&json!({ text.as_str(): null }));
+                assert_eq!(object[1..want.len() + 1], *want, "{text:?}");
             }
         }
     }

@@ -247,7 +247,7 @@ impl<S: AsRef<str>, V: Borrow<Value>> Payload for JournalOp<S, V> {
     fn write_payload(&self, out: &mut Vec<u8>) {
         let open = |out: &mut Vec<u8>, tag: u8, collection: &S| {
             out.push(tag);
-            codec::encode_text(collection.as_ref(), out);
+            codec::encode_text(collection.as_ref().as_bytes(), out);
         };
         match self {
             JournalOp::Insert { collection, doc } => {
@@ -282,11 +282,11 @@ impl<S: AsRef<str>, V: Borrow<Value>> Payload for JournalOp<S, V> {
             } => {
                 open(out, CREATE_INDEX, collection);
                 out.push(u8::from(*unique));
-                codec::encode_text(path.as_ref(), out);
+                codec::encode_text(path.as_ref().as_bytes(), out);
             }
             JournalOp::DropIndex { collection, path } => {
                 open(out, DROP_INDEX, collection);
-                codec::encode_text(path.as_ref(), out);
+                codec::encode_text(path.as_ref().as_bytes(), out);
             }
             JournalOp::DropCollection { collection } => open(out, DROP_COLLECTION, collection),
         }

@@ -10,6 +10,7 @@
 
 use mp_sync::{LockRank, OrderedMutex};
 use std::collections::{BTreeMap, VecDeque};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Kind of store operation being timed.
@@ -43,7 +44,7 @@ impl OpKind {
 #[derive(Debug, Clone)]
 pub struct OpSample {
     /// Collection the operation ran against.
-    pub collection: String,
+    pub collection: Arc<str>,
     /// Operation kind.
     pub kind: OpKind,
     /// Measured in-process latency, microseconds.
@@ -90,16 +91,16 @@ impl Profiler {
     }
 
     /// Begin timing an operation; the returned guard records on drop.
-    pub fn start(&self, collection: &str, kind: OpKind) -> OpTimer<'_> {
+    pub fn start<'a>(&'a self, collection: &'a Arc<str>, kind: OpKind) -> OpTimer<'a> {
         OpTimer {
             profiler: self,
-            collection: collection.to_string(),
+            collection,
             kind,
             start: Instant::now(),
         }
     }
 
-    fn record(&self, collection: String, kind: OpKind, micros: u64) {
+    fn record(&self, collection: Arc<str>, kind: OpKind, micros: u64) {
         let mut st = self.state.lock();
         if !st.enabled {
             return;
@@ -204,7 +205,7 @@ impl Profiler {
 /// RAII timer returned by [`Profiler::start`].
 pub struct OpTimer<'a> {
     profiler: &'a Profiler,
-    collection: String,
+    collection: &'a Arc<str>,
     kind: OpKind,
     start: Instant,
 }
@@ -213,7 +214,7 @@ impl Drop for OpTimer<'_> {
     fn drop(&mut self) {
         let micros = self.start.elapsed().as_micros() as u64;
         self.profiler
-            .record(std::mem::take(&mut self.collection), self.kind, micros);
+            .record(Arc::clone(self.collection), self.kind, micros);
     }
 }
 
@@ -268,12 +269,12 @@ mod tests {
 
     #[test]
     fn records_and_counts() {
-        let p = Profiler::new(10);
+        let (p, c) = (Profiler::new(10), Arc::from("c"));
         {
-            let _t = p.start("c", OpKind::Find);
+            let _t = p.start(&c, OpKind::Find);
         }
         {
-            let _t = p.start("c", OpKind::Insert);
+            let _t = p.start(&c, OpKind::Insert);
         }
         assert_eq!(p.samples().len(), 2);
         assert_eq!(p.total_ops(), 2);
@@ -281,9 +282,9 @@ mod tests {
 
     #[test]
     fn ring_buffer_caps() {
-        let p = Profiler::new(3);
+        let (p, c) = (Profiler::new(3), Arc::from("c"));
         for _ in 0..10 {
-            let _t = p.start("c", OpKind::Find);
+            let _t = p.start(&c, OpKind::Find);
         }
         assert_eq!(p.samples().len(), 3);
         assert_eq!(p.total_ops(), 10);
@@ -294,10 +295,10 @@ mod tests {
 
     #[test]
     fn disabled_records_nothing() {
-        let p = Profiler::new(10);
+        let (p, c) = (Profiler::new(10), Arc::from("c"));
         p.set_enabled(false);
         {
-            let _t = p.start("c", OpKind::Find);
+            let _t = p.start(&c, OpKind::Find);
         }
         assert!(p.samples().is_empty());
     }

@@ -428,7 +428,7 @@ fn match_compiled_single(stored: &Value, pred: &CompiledPredicate) -> bool {
         CompiledPredicate::Type(t) => type_name(stored) == t,
         CompiledPredicate::Contains(s) => stored.as_str().map(|x| x.contains(s)).unwrap_or(false),
         CompiledPredicate::StartsWith(s) => {
-            stored.as_str().map(|x| x.starts_with(s)).unwrap_or(false)
+            matches!(stored, Value::String(x) if x.as_bytes().starts_with(s.as_bytes()))
         }
         CompiledPredicate::Mod(d, r) => stored
             .as_i64()

@@ -5,6 +5,7 @@
 //! $unset, etc.)" — this module is that syntax.
 
 use crate::error::{Result, StoreError};
+use crate::key;
 use crate::value::{cmp_values, type_name, values_equal, Path};
 use serde_json::{Number, Value};
 use std::cmp::Ordering;
@@ -12,7 +13,8 @@ use std::cmp::Ordering;
 /// A parsed update: either operator-based mutations or full replacement.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Update {
-    /// Replace the whole document (preserving `_id`).
+    /// Replace the whole document, keeping its `_id` (a replacement that
+    /// names a different one is refused, except by an upsert's insert).
     Replace(Value),
     /// Apply a list of operator mutations in order.
     Operators(Vec<UpdateOp>),
@@ -76,6 +78,13 @@ impl Update {
     pub fn apply(&self, doc: &mut Value, now: f64, inserting: bool) -> Result<()> {
         match self {
             Update::Replace(new_doc) => {
+                // An upsert's insert may name its `_id`; nothing else may
+                // change one.
+                if !inserting && new_doc.get("_id").is_some() && !key::same_id(doc, new_doc) {
+                    return Err(StoreError::BadUpdate(
+                        "_id is immutable: the replacement names a different _id".into(),
+                    ));
+                }
                 let id = doc.get("_id").cloned();
                 *doc = new_doc.clone();
                 if let (Some(id), Some(obj)) = (id, doc.as_object_mut()) {

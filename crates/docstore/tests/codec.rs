@@ -4,63 +4,29 @@
 //! * `decode(encode(v)) == v` with each `Number`'s form kept — `u64`,
 //!   negative `i64`, double bit for bit — over generated values with
 //!   non-ASCII text, names past the interner's 64-byte bound and empty
-//!   containers, every container and string decoded at its final size;
+//!   containers, every container decoded at its final size;
 //! * nesting is bounded where the JSON parser bounds it;
 //! * arbitrary, corrupted or truncated bytes decode to a value or a
 //!   typed error, never a panic, and never make an allocation larger
 //!   than the input could describe.
 //!
 //! Its own test binary, because it installs a `#[global_allocator]`
-//! that records the largest request the decoding thread makes (the one
-//! `unsafe` here, as in `crates/mapi/tests/hit_allocations.rs`).
+//! (`mp_testalloc`'s) to read the largest request the decoding thread
+//! makes.
 
 use mp_docstore::codec::{decode, encode, ErrorKind, MAX_DEPTH};
 use proptest::prelude::*;
 use serde_json::{json, Map, Value};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
 
-thread_local! {
-    /// The largest allocation this thread asked for since the last
-    /// reset (const-initialized, no destructor: safe inside the
-    /// allocator).
-    static LARGEST: Cell<usize> = const { Cell::new(0) };
-}
-
-struct Recording;
-
-// SAFETY: every call is forwarded unchanged to `System`; the record is
-// a thread-local `Cell` that never allocates.
-unsafe impl GlobalAlloc for Recording {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        LARGEST.with(|n| n.set(n.get().max(layout.size())));
-        // SAFETY: the caller's contract, passed through.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: the caller's contract, passed through.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        LARGEST.with(|n| n.set(n.get().max(new_size)));
-        // SAFETY: the caller's contract, passed through.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static GLOBAL: Recording = Recording;
+mp_testalloc::install!();
 
 /// Decode `bytes` and check the allocation bound: no request larger
 /// than one `Value` per input byte. (A container of `n` items is
 /// refused unless `n` bytes are left, an object unless `2n` are, so a
 /// reservation is bounded by the input that claims it.)
 fn decode_bounded(bytes: &[u8]) -> Result<Value, mp_docstore::codec::CodecError> {
-    LARGEST.with(|n| n.set(0));
-    let out = decode(bytes);
-    let largest = LARGEST.with(Cell::get);
+    let (out, cost) = mp_testalloc::counted(|| decode(bytes));
+    let largest = cost.largest;
     let bound = bytes.len().max(1) * std::mem::size_of::<Value>();
     assert!(
         largest <= bound,
@@ -78,7 +44,7 @@ fn encoded(v: &Value) -> Vec<u8> {
 
 /// `a` and `b` are the same value in the same form — numbers of the
 /// same kind with the same bits, names in the same order — and every
-/// container and string of `b` is allocated at its final size.
+/// container of `b` is allocated at its final size.
 fn assert_same_form(a: &Value, b: &Value) {
     match (a, b) {
         (Value::Number(x), Value::Number(y)) => {
@@ -88,10 +54,8 @@ fn assert_same_form(a: &Value, b: &Value) {
             let bits = |n: &serde_json::Number| n.as_f64().map(f64::to_bits);
             assert_eq!(bits(x), bits(y), "{a} vs {b}");
         }
-        (Value::String(x), Value::String(y)) => {
-            assert_eq!(x, y);
-            assert_eq!(y.capacity(), y.len(), "{y:?}");
-        }
+        // A string's text is inline or a `Box<str>`: sized by its type.
+        (Value::String(x), Value::String(y)) => assert_eq!(x, y),
         (Value::Array(x), Value::Array(y)) => {
             assert_eq!(x.len(), y.len(), "{a} vs {b}");
             assert_eq!(y.capacity(), y.len(), "{b}");
@@ -162,7 +126,7 @@ impl Gen {
             0 => Value::Null,
             1 => Value::Bool(self.below(2) == 1),
             2 | 3 => self.number(),
-            4 | 5 => Value::String(self.text()),
+            4 | 5 => Value::String(self.text().into()),
             6 => Value::Array((0..self.below(5)).map(|_| self.value(depth + 1)).collect()),
             _ => {
                 let mut map = Map::new();
@@ -233,6 +197,28 @@ fn edge_values_round_trip_bit_for_bit() {
     );
     assert_ne!(back["one"], back["one_f"], "1 and 1.0 stay apart");
     assert_eq!(back["big"].as_u64(), Some(9_007_199_254_740_993));
+}
+
+/// A string record does not depend on where its text lives: on either
+/// side of the 22 bytes a `Str` holds inline, it is the layout in the
+/// module docs — `0x06`, the length, the bytes — built here from a
+/// `String`, and the same text as a name is written the same way.
+#[test]
+fn a_string_is_its_length_and_bytes_on_either_side_of_the_inline_bound() {
+    for len in 0..=64 {
+        for fill in ["a", "\0", "\"", "\u{e9}", "\u{1f600}"] {
+            let mut text = fill.repeat(len / fill.len());
+            text.extend(std::iter::repeat_n('b', len - text.len()));
+            let mut want = vec![0x06, len as u8];
+            want.extend_from_slice(text.as_bytes());
+            let v = Value::from(text.as_str());
+            assert_eq!(encoded(&v), want, "{text:?}");
+            assert_eq!(decode_bounded(&want).unwrap(), v);
+            // An object of one field: `0x08`, `1`, the name, the value.
+            let object = encoded(&json!({ text.as_str(): text.as_str() }));
+            assert_eq!(object[2..], [&want[1..], &want[..]].concat(), "{text:?}");
+        }
+    }
 }
 
 /// A scalar inside `n` arrays (or objects) sits at depth `n`.

@@ -2,11 +2,13 @@
 //! leaves"): what `insert_many` returns is allocated in one run, not
 //! between the things the store keeps.
 //!
-//! The ids a load returns are dropped by the caller, all at once. Cloned
-//! one per document between that document's `by_id` key, index entries
-//! and `Arc<Document>`, each freed id is a chunk with a live neighbour on
-//! either side: it can never coalesce, and the store carries one small
-//! hole per document for as long as it lives. Which allocator is
+//! The ids a load returns are dropped by the caller, all at once. An id
+//! short enough to live inside its `Value` costs no chunk at all; a
+//! longer one, cloned one per document between that document's `by_id`
+//! key, index entries and `Arc<Document>`, would be a freed chunk with a
+//! live neighbour on either side: it can never coalesce, and the store
+//! would carry one small hole per document for as long as it lives. So
+//! the property is checked on a load of each. Which allocator is
 //! underneath does not matter to the property, so it is stated on
 //! allocation *order*: every allocation gets a sequence number, and the
 //! ones freed after the load returned must form one run that nothing the
@@ -14,104 +16,29 @@
 //! — a bulk build's entry vectors, which borrow their keys, and the
 //! scratch of the maps it builds — must leave a handful of holes
 //! between the chunks the store keeps, not one per document. Its own
-//! test binary, because it installs a recording `#[global_allocator]`.
+//! test binary, because it installs a recording `#[global_allocator]`
+//! (`mp_testalloc`'s).
 
 use mp_docstore::Database;
+use mp_testalloc::{Event, LOG_CAPACITY};
 use serde_json::{json, Value};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::atomic::{AtomicUsize, Ordering};
 
-/// One allocator call of the recording thread; its index in the log is
-/// its sequence number.
-#[derive(Clone, Copy)]
-enum Event {
-    Alloc { addr: usize, size: usize },
-    Free { addr: usize },
-}
-
-/// Room for every event of the recorded window (≈ 41,000): the
-/// allocator must not allocate, so the log is static.
-const LOG_CAPACITY: usize = 1 << 17;
-
-/// The log: address and size per event, `FREED` for the size of a free.
-/// Written by the recording thread alone; `LOGGED` counts the calls, and
-/// runs past the capacity if the log overflows.
-static ADDRS: [AtomicUsize; LOG_CAPACITY] = [const { AtomicUsize::new(0) }; LOG_CAPACITY];
-static SIZES: [AtomicUsize; LOG_CAPACITY] = [const { AtomicUsize::new(0) }; LOG_CAPACITY];
-static LOGGED: AtomicUsize = AtomicUsize::new(0);
-const FREED: usize = usize::MAX;
-
-thread_local! {
-    /// Set on the one thread whose calls are recorded (const-initialized,
-    /// no destructor: safe to touch from inside the allocator).
-    static RECORDING: Cell<bool> = const { Cell::new(false) };
-}
-
-fn record(addr: usize, size: usize) {
-    if !RECORDING.with(Cell::get) {
-        return;
-    }
-    let seq = LOGGED.fetch_add(1, Ordering::Relaxed);
-    if let (Some(a), Some(s)) = (ADDRS.get(seq), SIZES.get(seq)) {
-        a.store(addr, Ordering::Relaxed);
-        s.store(size, Ordering::Relaxed);
-    }
-}
-
-/// The first `n` events recorded.
-fn events(n: usize) -> Vec<Event> {
-    (0..n)
-        .map(|seq| {
-            let addr = ADDRS[seq].load(Ordering::Relaxed);
-            match SIZES[seq].load(Ordering::Relaxed) {
-                FREED => Event::Free { addr },
-                size => Event::Alloc { addr, size },
-            }
-        })
-        .collect()
-}
-
-struct Recording;
-
-// SAFETY: every call is forwarded unchanged to `System`; recording
-// stores into static atomics and never allocates.
-unsafe impl GlobalAlloc for Recording {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        // SAFETY: the caller's contract, passed through.
-        let ptr = unsafe { System.alloc(layout) };
-        record(ptr as usize, layout.size());
-        ptr
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        record(ptr as usize, FREED);
-        // SAFETY: the caller's contract, passed through.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        record(ptr as usize, FREED);
-        // SAFETY: the caller's contract, passed through.
-        let new = unsafe { System.realloc(ptr, layout, new_size) };
-        record(new as usize, new_size);
-        new
-    }
-}
-
-#[global_allocator]
-static GLOBAL: Recording = Recording;
+mp_testalloc::install!();
 
 const DOCS: usize = 2_000;
-/// Length of every `_id` below, and of no other string in a document.
-const ID_LEN: usize = 10;
+/// Lengths of the `_id`s of the two loads below: one that a string
+/// holds inline, one it keeps on the heap. No other string in a
+/// document is that long.
+const INLINE_ID: usize = 10;
+const HEAP_ID: usize = serde_json::Str::INLINE + 8;
 
-/// A document of the benchmark corpus' shape.
-fn material(i: usize) -> Value {
+/// A document of the benchmark corpus' shape, with an `_id` of `id_len`
+/// bytes.
+fn material(i: usize, id_len: usize) -> Value {
     let elements = [["Fe", "O"], ["Li", "Co"], ["Na", "Cl"]][i % 3];
     json!({
-        "_id": format!("mp-{i:07}"),
+        "_id": format!("mp-{i:0digits$}", digits = id_len - 3),
         "formula": format!("{}{}{}2", elements[0], 1 + i % 7, elements[1]),
         "chemsys": format!("{}-{}", elements[0], elements[1]),
         "elements": elements,
@@ -127,30 +54,45 @@ fn material(i: usize) -> Value {
     })
 }
 
-#[test]
-fn a_load_returns_its_ids_as_one_run_and_clones_each_once_for_the_store() {
+/// What a load of `DOCS` documents with `id_len`-byte ids did to the heap.
+struct Load {
+    /// Allocations made before `insert_many` returned and freed after
+    /// it: the returned id vector and what it owns.
+    freed_late: usize,
+    /// Of those, how many have a chunk the store kept between them and
+    /// the next in allocation order.
+    interleaved: usize,
+    /// Allocations of `id_len` bytes, up to the return.
+    id_sized: usize,
+    /// See [`holes_between_kept`].
+    holes: usize,
+}
+
+fn load(id_len: usize) -> Load {
     let db = Database::new();
     let materials = db.collection("materials");
-    let docs: Vec<Value> = (0..DOCS).map(material).collect();
+    let docs: Vec<Value> = (0..DOCS).map(|i| material(i, id_len)).collect();
     assert!(docs
         .iter()
-        .all(|d| d["_id"].as_str().unwrap().len() == ID_LEN));
+        .all(|d| d["_id"].as_str().unwrap().len() == id_len));
 
-    RECORDING.with(|on| on.set(true));
+    // Sequence numbers count from the first call this load logs.
+    let first = mp_testalloc::logged();
+    mp_testalloc::record(true);
     materials.create_index("chemsys", false).unwrap();
     materials.create_index("formula", false).unwrap();
-    let started = LOGGED.load(Ordering::Relaxed);
+    let started = mp_testalloc::logged() - first;
     let ids = materials.insert_many(docs).unwrap();
-    let returned = LOGGED.load(Ordering::Relaxed);
+    let returned = mp_testalloc::logged() - first;
     drop(ids);
-    RECORDING.with(|on| on.set(false));
+    mp_testalloc::record(false);
 
-    let logged = LOGGED.load(Ordering::Relaxed);
+    let logged = mp_testalloc::logged();
     assert!(
         logged <= LOG_CAPACITY,
         "{logged} events: raise LOG_CAPACITY"
     );
-    let log = events(logged);
+    let log = &mp_testalloc::events()[first..];
     assert_eq!(materials.len(), DOCS);
 
     // Replay: which allocations of the window are still live, which
@@ -176,32 +118,56 @@ fn a_load_returns_its_ids_as_one_run_and_clones_each_once_for_the_store() {
             }
         }
     }
-    let holes = holes_between_kept(&log, &live, &freed_inside);
-    // The id vector and one string per document.
-    assert_eq!(freed_late.len(), DOCS + 1);
+    let holes = holes_between_kept(log, &live, &freed_inside);
     freed_late.sort_unstable();
     let kept: BTreeSet<usize> = live.into_values().collect();
     let interleaved = freed_late
         .windows(2)
         .filter(|pair| kept.range(pair[0]..pair[1]).next().is_some())
         .count();
+    let id_sized = log[..returned]
+        .iter()
+        .filter(|e| matches!(e, Event::Alloc { size, .. } if *size == id_len))
+        .count();
+    Load {
+        freed_late: freed_late.len(),
+        interleaved,
+        id_sized,
+        holes,
+    }
+}
+
+#[test]
+fn a_load_returns_its_ids_as_one_run_and_clones_each_once_for_the_store() {
+    // Ids held inline: the id vector is all the caller frees, and no
+    // id is allocated anywhere.
+    let inline = load(INLINE_ID);
+    assert_eq!(inline.freed_late, 1);
+    assert_eq!(inline.id_sized, 0);
+    assert!(
+        inline.holes <= BUILD_HOLES,
+        "the load left {} holes between chunks the store kept",
+        inline.holes
+    );
+
+    // Ids on the heap: the id vector and one string per document.
+    let heap = load(HEAP_ID);
+    assert_eq!(heap.freed_late, DOCS + 1);
     assert_eq!(
-        interleaved, 0,
-        "{interleaved} of the ids returned have something the store kept between them and the next"
+        heap.interleaved, 0,
+        "{} of the ids returned have something the store kept between them and the next",
+        heap.interleaved
     );
     // (Documents that arrive without `_id` are not held to this: each
     // slot is filled as `materialize` assigns its id, inside the commit
     // loop, and that rare path may interleave.)
 
-    // One `_id` clone per document for the store (its `by_id` key) and
-    // at most one more, the returned one.
-    let id_sized = log[..returned]
-        .iter()
-        .filter(|e| matches!(e, Event::Alloc { size, .. } if *size == ID_LEN))
-        .count();
+    // The returned clone of each `_id`, and at most one more per
+    // document.
     assert!(
-        (DOCS..=2 * DOCS).contains(&id_sized),
-        "{id_sized} id-sized allocations for {DOCS} documents"
+        (DOCS..=2 * DOCS).contains(&heap.id_sized),
+        "{} id-sized allocations for {DOCS} documents",
+        heap.id_sized
     );
 
     // What the load itself made and freed: where it lies between two
@@ -211,8 +177,9 @@ fn a_load_returns_its_ids_as_one_run_and_clones_each_once_for_the_store() {
     // — each at most one hole; a key cloned per document only to be
     // sorted would leave one per document (DESIGN §10).
     assert!(
-        holes <= BUILD_HOLES,
-        "the load left {holes} holes between chunks the store kept"
+        heap.holes <= BUILD_HOLES,
+        "the load left {} holes between chunks the store kept",
+        heap.holes
     );
 }
 

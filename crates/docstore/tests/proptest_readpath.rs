@@ -93,7 +93,7 @@ fn document() -> impl Strategy<Value = Value> {
         .prop_map(|(pairs, id)| {
             let mut m = Map::new();
             if let Some(id) = id {
-                m.insert("_id".to_string(), Value::String(id));
+                m.insert("_id".to_string(), Value::String(id.into()));
             }
             for (k, v) in pairs {
                 m.insert(k, v);
@@ -117,7 +117,7 @@ fn path() -> impl Strategy<Value = Value> {
         ],
         1..4,
     )
-    .prop_map(|segs| Value::String(segs.join(".")))
+    .prop_map(|segs| Value::String(segs.join(".").into()))
 }
 
 fn path_string() -> impl Strategy<Value = String> {

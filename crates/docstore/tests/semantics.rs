@@ -16,7 +16,9 @@
 //! past 2^53 stay distinct, and a column-pruned range keeps a stored
 //! number its operand's rounding would have cut off.
 
-use mp_docstore::{Collection, Database, Filter, FindOptions, ShardedCluster, SortDir};
+use mp_docstore::{
+    Collection, Database, DurableDatabase, Filter, FindOptions, ShardedCluster, SortDir,
+};
 use mp_model::{model_find, model_match, ModelOptions, DEPARTURES};
 use serde_json::{json, Value};
 use std::sync::Arc;
@@ -786,6 +788,89 @@ fn an_array_id_is_refused() {
             "{q}"
         );
     }
+}
+
+/// An update never changes a document's `_id`, as MongoDB refuses to:
+/// `$set` and `$rename` onto it, `$unset` of it and a replacement that
+/// names another are refused and leave the collection as it was,
+/// whether the plan that found the document was a scan, an index or the
+/// `_id` map, and through a reopened durable store too. Otherwise the
+/// `_id` map and the documents disagree: `{_id: 2}` through the map and
+/// `{_id: {$in: [2]}}` through a scan found one document and two. An
+/// upsert's insert may still name its `_id` (above), and an `_id` may
+/// change form without changing its key (`1` to `1.0`).
+#[test]
+fn an_update_never_changes_an_id() {
+    let docs = [
+        json!({"_id": 1, "x": "a", "y": 2}),
+        json!({"_id": 2, "x": "b"}),
+    ];
+    let refused = [
+        json!({"$set": {"_id": 2}}),
+        json!({"$set": {"_id": 7}}),
+        json!({"$rename": {"y": "_id"}}),
+        json!({"$unset": {"_id": ""}}),
+        json!({"_id": 2, "y": 3}),
+        json!({"_id": 7}),
+    ];
+    // `y` is not indexed, `x` is.
+    let plans = [
+        (json!({"y": 2}), "COLLSCAN"),
+        (json!({"x": "a"}), "INDEX_EQ"),
+        (json!({"_id": 1}), "ID_LOOKUP"),
+    ];
+    let state = |c: &Collection| c.find(&json!({})).unwrap();
+    let try_all = |c: &Collection| {
+        let before = state(c);
+        for (filter, plan) in &plans {
+            assert_eq!(c.explain(filter).unwrap()["plan"], *plan, "{filter}");
+            for u in &refused {
+                let why = c.update_one(filter, u).unwrap_err().to_string();
+                assert!(why.contains("_id is immutable"), "{filter} {u}: {why}");
+                assert!(c.update_many(filter, u).is_err(), "{filter} {u}");
+                assert!(c.upsert(filter, u).is_err(), "{filter} {u}");
+                let sort = FindOptions::all().sort_by("_id", SortDir::Asc);
+                let found = c.find_one_and_update(filter, u, Some(&sort), true);
+                assert!(found.is_err(), "{filter} {u}");
+            }
+        }
+        assert_eq!(state(c), before);
+        for q in [json!({"_id": 2}), json!({"_id": {"$in": [2]}})] {
+            assert_eq!(c.find(&q).unwrap().len(), 1, "{q}");
+        }
+    };
+
+    let c = collection(&docs, &["x"]);
+    try_all(&c);
+    // The same key in another form is no change of `_id`.
+    let kept = c.update_one(&json!({"_id": 1}), &json!({"$set": {"_id": 1.0, "z": 1}}));
+    assert_eq!(kept.unwrap().modified, 1);
+    for q in [
+        json!({"_id": 1}),
+        json!({"_id": {"$in": [1]}}),
+        json!({"z": 1}),
+    ] {
+        assert_eq!(c.find(&q).unwrap().len(), 1, "{q}");
+    }
+
+    // Through the write-ahead log: the refused updates are logged
+    // before they are applied, and replay refuses them again.
+    let dir = std::env::temp_dir().join(format!("mp-semantics-id-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let live = {
+        let d = DurableDatabase::open(&dir).unwrap();
+        let c = d.database().collection("c");
+        c.create_index("x", false).unwrap();
+        c.insert_many(docs.to_vec()).unwrap();
+        try_all(&c);
+        state(&c)
+    };
+    let reopened = DurableDatabase::open(&dir).unwrap();
+    let c = reopened.database().collection("c");
+    assert_eq!(state(&c), live);
+    try_all(&c);
+    drop(reopened);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// A projection by `a.2000000` reads `{"a": {"2000000": 1}}` by key,

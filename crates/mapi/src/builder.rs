@@ -132,7 +132,7 @@ fn flatten_ids(groups: &[(Value, Value)]) -> Vec<String> {
     for (_, v) in groups {
         match v {
             Value::Array(a) => out.extend(a.iter().filter_map(Value::as_str).map(String::from)),
-            Value::String(s) => out.push(s.clone()),
+            Value::String(s) => out.push(s.to_string()),
             _ => {}
         }
     }

@@ -161,7 +161,7 @@ impl ApiResponse {
         if !warnings.is_empty() {
             let rendered: Vec<Value> = warnings
                 .iter()
-                .map(|d| Value::String(d.to_string()))
+                .map(|d| Value::from(d.to_string()))
                 .collect();
             self.envelope["warnings"] = Value::Array(rendered);
         }

@@ -11,53 +11,14 @@
 use mp_docstore::{CompiledProjection, Database, Docs};
 use mp_mapi::{ApiRequest, ApiResponse, AuthRegistry, MaterialsApi, QueryEngine};
 use serde_json::{json, Value};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
 use std::sync::Arc;
 
-thread_local! {
-    /// Allocator calls made by this thread (const-initialized, no
-    /// destructor: safe to touch from inside the allocator).
-    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
-    static FREES: Cell<u64> = const { Cell::new(0) };
-}
-
-struct Counting;
-
-// SAFETY: every call is forwarded unchanged to `System`; the counters
-// are thread-local `Cell`s that never allocate.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.with(|n| n.set(n.get() + 1));
-        // SAFETY: the caller's contract, passed through.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        FREES.with(|n| n.set(n.get() + 1));
-        // SAFETY: the caller's contract, passed through.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.with(|n| n.set(n.get() + 1));
-        // SAFETY: the caller's contract, passed through.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static GLOBAL: Counting = Counting;
+mp_testalloc::install!();
 
 /// What `f` allocated and freed, and what it returned.
 fn counted<T>(f: impl FnOnce() -> T) -> (T, u64, u64) {
-    let (allocations, frees) = (ALLOCATIONS.with(Cell::get), FREES.with(Cell::get));
-    let out = f();
-    (
-        out,
-        ALLOCATIONS.with(Cell::get) - allocations,
-        FREES.with(Cell::get) - frees,
-    )
+    let (out, cost) = mp_testalloc::counted(f);
+    (out, cost.allocations, cost.frees)
 }
 
 const MANY: usize = 400;
@@ -116,7 +77,8 @@ fn pair_vector_growth(n: usize) -> u64 {
 #[test]
 fn a_projected_miss_builds_each_row_once_and_its_eviction_frees_none() {
     let db = database();
-    // One row's worth: a map, a nested map, two strings.
+    // One row's worth: a map and a nested map. (Its two strings,
+    // `mp-7` and `Fe2O3`, live inside their values.)
     let proj = CompiledProjection::compile(&["formula", "output.energy"]);
     let stored = db.collection("materials").find_one(&json!({"_id": "mp-7"}));
     let stored = stored.unwrap().expect("mp-7 is stored");
@@ -125,7 +87,7 @@ fn a_projected_miss_builds_each_row_once_and_its_eviction_frees_none() {
         row,
         json!({"_id": "mp-7", "formula": "Fe2O3", "output": {"energy": -67.5}})
     );
-    assert_eq!(per_row, 4);
+    assert_eq!(per_row, 2);
 
     // The miss: n rows cost n projections and the growth of the two
     // vectors they are pushed into — nothing else scales with n. (A

@@ -13,7 +13,7 @@ pub mod map;
 pub mod value;
 
 pub use map::Map;
-pub use value::{JsonIndex, Number, Value};
+pub use value::{JsonIndex, Number, Str, Value};
 
 pub use serde_derive::{Deserialize, Serialize};
 
@@ -80,13 +80,13 @@ impl Serialize for bool {
 
 impl Serialize for String {
     fn to_json(&self) -> Value {
-        Value::String(self.clone())
+        Value::String(self.as_str().into())
     }
 }
 
 impl Serialize for str {
     fn to_json(&self) -> Value {
-        Value::String(self.to_string())
+        Value::String(self.into())
     }
 }
 
@@ -194,7 +194,7 @@ impl<T: Serialize + ?Sized> Serialize for std::rc::Rc<T> {
 /// Map keys must serialize to JSON strings.
 fn key_to_string(v: Value) -> String {
     match v {
-        Value::String(s) => s,
+        Value::String(s) => s.into(),
         Value::Number(n) => n.to_string(),
         Value::Bool(b) => b.to_string(),
         other => other.to_string(),
@@ -373,7 +373,7 @@ impl<T: Deserialize> Deserialize for Box<T> {
 fn key_from_str<K: Deserialize>(k: &str) -> Result<K, Error> {
     // Try the string form first, falling back to a numeric re-parse so
     // integer-keyed maps round-trip through JSON object keys.
-    let as_string = Value::String(k.to_string());
+    let as_string = Value::from(k);
     if let Ok(key) = K::from_json(&as_string) {
         return Ok(key);
     }

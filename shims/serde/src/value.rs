@@ -4,8 +4,18 @@
 //! integers and doubles are distinct (`1 != 1.0` structurally), object key
 //! order is insertion order (`preserve_order`), and `Display` renders compact
 //! JSON with `{:?}`-style float formatting so `1.0` round-trips as a double.
+//!
+//! Two departures from `serde_json`'s representation, both for resident
+//! documents: an object's field names are shared per process (`Map`'s
+//! keys, see `key.rs`), and `Value::String` holds a [`Str`], not a
+//! `String` — text of up to [`Str::INLINE`] bytes lives inside the value,
+//! so the short tokens a materials document is made of (`_id`, formulas,
+//! element symbols) cost no allocation. `as_str()` reads the same.
 
+use std::cmp::Ordering;
 use std::fmt;
+use std::hash::{Hash, Hasher};
+use std::ops::Deref;
 
 use crate::map::Map;
 
@@ -133,6 +143,124 @@ macro_rules! number_from_unsigned {
 }
 number_from_unsigned!(u8 u16 u32 u64 usize);
 
+/// A JSON string's text: up to [`Str::INLINE`] bytes inside the value,
+/// longer text in one `Box<str>` of its exact length. Equality, order
+/// and hashing read the bytes (UTF-8's byte order is `str`'s order), and
+/// it derefs to `&str`.
+#[derive(Clone, PartialEq, Eq)]
+pub struct Str(Text);
+
+/// Which form a text takes is a function of its length, and unused
+/// inline bytes are zero, so the derived equality is the text's.
+#[derive(Clone, PartialEq, Eq)]
+enum Text {
+    /// `bytes[..len]` are the bytes of a `&str`, the rest zeros.
+    Inline { len: u8, bytes: [u8; Str::INLINE] },
+    /// More than `INLINE` bytes.
+    Heap(Box<str>),
+}
+
+impl Str {
+    /// The longest text kept inline: a tag byte, a length byte and 22
+    /// bytes make 24, a `String`'s size, so a `Value` stays 32 bytes.
+    pub const INLINE: usize = 22;
+
+    /// The text.
+    pub fn as_str(&self) -> &str {
+        match &self.0 {
+            // Checked, but it cannot fail: the bytes were copied from a
+            // `&str` whole, and nothing writes them afterwards.
+            Text::Inline { .. } => std::str::from_utf8(self.as_bytes()).unwrap_or_default(),
+            Text::Heap(s) => s,
+        }
+    }
+
+    /// The text's bytes, without a UTF-8 check.
+    pub fn as_bytes(&self) -> &[u8] {
+        match &self.0 {
+            Text::Inline { len, bytes } => &bytes[..usize::from(*len)],
+            Text::Heap(s) => s.as_bytes(),
+        }
+    }
+}
+
+impl From<&str> for Str {
+    fn from(s: &str) -> Self {
+        let mut bytes = [0; Str::INLINE];
+        match bytes.get_mut(..s.len()) {
+            Some(head) => {
+                head.copy_from_slice(s.as_bytes());
+                Str(Text::Inline {
+                    len: s.len() as u8,
+                    bytes,
+                })
+            }
+            None => Str(Text::Heap(s.into())),
+        }
+    }
+}
+
+impl From<String> for Str {
+    /// Short text is copied in and `s` freed; long text keeps its
+    /// buffer, trimmed to its length.
+    fn from(s: String) -> Self {
+        if s.len() <= Str::INLINE {
+            Str::from(s.as_str())
+        } else {
+            Str(Text::Heap(s.into_boxed_str()))
+        }
+    }
+}
+
+impl From<Str> for String {
+    fn from(s: Str) -> Self {
+        match s.0 {
+            Text::Heap(s) => s.into_string(),
+            Text::Inline { .. } => s.as_str().to_owned(),
+        }
+    }
+}
+
+impl Deref for Str {
+    type Target = str;
+
+    fn deref(&self) -> &str {
+        self.as_str()
+    }
+}
+
+impl PartialOrd for Str {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for Str {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.as_bytes().cmp(other.as_bytes())
+    }
+}
+
+impl Hash for Str {
+    /// As `str` hashes.
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write(self.as_bytes());
+        state.write_u8(0xff);
+    }
+}
+
+impl fmt::Display for Str {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Display::fmt(self.as_str(), f)
+    }
+}
+
+impl fmt::Debug for Str {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(self.as_str(), f)
+    }
+}
+
 /// A JSON value.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub enum Value {
@@ -144,7 +272,7 @@ pub enum Value {
     /// JSON number.
     Number(Number),
     /// JSON string.
-    String(String),
+    String(Str),
     /// JSON array.
     Array(Vec<Value>),
     /// JSON object (insertion-ordered).
@@ -187,7 +315,7 @@ impl Value {
     /// Borrow as a string slice.
     pub fn as_str(&self) -> Option<&str> {
         match self {
-            Value::String(s) => Some(s),
+            Value::String(s) => Some(s.as_str()),
             _ => None,
         }
     }
@@ -393,19 +521,19 @@ impl From<bool> for Value {
 
 impl From<String> for Value {
     fn from(s: String) -> Self {
-        Value::String(s)
+        Value::String(s.into())
     }
 }
 
 impl From<&str> for Value {
     fn from(s: &str) -> Self {
-        Value::String(s.to_string())
+        Value::String(s.into())
     }
 }
 
 impl From<&String> for Value {
     fn from(s: &String) -> Self {
-        Value::String(s.clone())
+        Value::String(s.as_str().into())
     }
 }
 
@@ -531,24 +659,36 @@ impl PartialEq<f64> for Value {
 
 // --- rendering --------------------------------------------------------------
 
-/// Append `s` as a JSON string literal.
+/// Append `s` as a JSON string literal. The bytes are scanned, and each
+/// run that needs no escape is copied whole: every byte escaped is
+/// ASCII, so a run starts and ends on a character boundary.
 fn escape_into(out: &mut String, s: &str) {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            '\u{08}' => out.push_str("\\b"),
-            '\u{0c}' => out.push_str("\\f"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
+    let mut run = 0;
+    for (at, &b) in s.as_bytes().iter().enumerate() {
+        let escape = match b {
+            b'"' => '"',
+            b'\\' => '\\',
+            b'\n' => 'n',
+            b'\r' => 'r',
+            b'\t' => 't',
+            0x08 => 'b',
+            0x0c => 'f',
+            0..=0x1f => 'u',
+            _ => continue,
+        };
+        out.push_str(&s[run..at]);
+        out.push('\\');
+        out.push(escape);
+        if escape == 'u' {
+            out.push_str("00");
+            out.push(char::from(HEX[usize::from(b >> 4)]));
+            out.push(char::from(HEX[usize::from(b & 0xf)]));
         }
+        run = at + 1;
     }
+    out.push_str(&s[run..]);
     out.push('"');
 }
 

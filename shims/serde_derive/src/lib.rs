@@ -362,12 +362,12 @@ fn gen_serialize_enum(item: &Item, variants: &[Variant]) -> String {
         let wire = apply_rename(vname, rule);
         let arm = match (&v.shape, &item.attrs.tag) {
             (VariantShape::Unit, None) => format!(
-                "{name}::{vname} => ::serde::Value::String(\"{wire}\".to_string()),\n"
+                "{name}::{vname} => ::serde::Value::String(::serde::Str::from(\"{wire}\")),\n"
             ),
             (VariantShape::Unit, Some(tag)) => format!(
                 "{name}::{vname} => {{\n\
                      let mut __m = ::serde::Map::new();\n\
-                     __m.insert(\"{tag}\".to_string(), ::serde::Value::String(\"{wire}\".to_string()));\n\
+                     __m.insert(\"{tag}\".to_string(), ::serde::Value::String(::serde::Str::from(\"{wire}\")));\n\
                      ::serde::Value::Object(__m)\n\
                  }}\n"
             ),
@@ -385,7 +385,7 @@ fn gen_serialize_enum(item: &Item, variants: &[Variant]) -> String {
                     Some(tag) => format!(
                         "{name}::{vname} {{ {binders} }} => {{\n\
                              let mut __inner = ::serde::Map::new();\n\
-                             __inner.insert(\"{tag}\".to_string(), ::serde::Value::String(\"{wire}\".to_string()));\n\
+                             __inner.insert(\"{tag}\".to_string(), ::serde::Value::String(::serde::Str::from(\"{wire}\")));\n\
                              {inserts}\
                              ::serde::Value::Object(__inner)\n\
                          }}\n"

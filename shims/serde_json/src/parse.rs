@@ -10,7 +10,7 @@
 use std::cell::Cell;
 use std::ops::Range;
 
-use serde::{Error, Map, Number, Value};
+use serde::{Error, Map, Number, Str, Value};
 
 const MAX_DEPTH: usize = 128;
 
@@ -132,8 +132,8 @@ impl<'a> Parser<'a> {
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
             Some(b'"') => Ok(Value::String(match self.string()? {
-                Literal::Span(span) => self.src[span].to_owned(),
-                Literal::Decoded(text) => text,
+                Literal::Span(span) => Str::from(&self.src[span]),
+                Literal::Decoded(text) => Str::from(text),
             })),
             Some(b'[') => self.array(depth),
             Some(b'{') => self.object(depth),

@@ -1,51 +1,17 @@
-//! A document's field names cost no allocation: building, copying and
-//! parsing the 13-name document the benchmark corpus is made of
-//! allocates for its strings, arrays and objects and for nothing else.
-//! Its own test binary, because it installs a counting
-//! `#[global_allocator]` (the one `unsafe` in the shims' tests, as in
-//! `crates/mapi/tests/hit_allocations.rs`).
+//! A document's field names and short strings cost no allocation:
+//! building, copying and parsing the 13-name document the benchmark
+//! corpus is made of allocates for its arrays and objects and for
+//! nothing else. Its own test binary, because it installs a counting
+//! `#[global_allocator]`.
 
 use serde_json::{json, Value};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
 
-thread_local! {
-    /// Allocator calls made by this thread (const-initialized, no
-    /// destructor: safe to touch from inside the allocator).
-    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
-}
-
-struct Counting;
-
-// SAFETY: every call is forwarded unchanged to `System`; the counter is
-// a thread-local `Cell` that never allocates.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.with(|n| n.set(n.get() + 1));
-        // SAFETY: the caller's contract, passed through.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: the caller's contract, passed through.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.with(|n| n.set(n.get() + 1));
-        // SAFETY: the caller's contract, passed through.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static GLOBAL: Counting = Counting;
+mp_testalloc::install!();
 
 /// Allocator calls `f` makes, and what it returned.
 fn counted<T>(f: impl FnOnce() -> T) -> (u64, T) {
-    let before = ALLOCATIONS.with(Cell::get);
-    let out = f();
-    (ALLOCATIONS.with(Cell::get) - before, out)
+    let (out, cost) = mp_testalloc::counted(f);
+    (cost.allocations, out)
 }
 
 /// `crates/bench/src/bin/serve/corpus.rs`'s `Record::doc`: 13 field
@@ -88,12 +54,28 @@ fn field_names_are_not_allocated_per_document() {
         // on top of the 3 objects, 1 array and 5 strings a copy makes,
         // plus the `format!` temporary for `json!` and, for the
         // parser, two reallocations growing the nine-field object
-        // 4 → 8 → 16. What is left is the document — one allocation
-        // per string, array and object, none for growing any of them.
-        // The counts repeat exactly; "at most" so that a further
-        // saving is not a failure.
-        assert!(built <= 10, "json!: {built} allocations");
-        assert!(copied <= 9, "clone: {copied} allocations");
-        assert!(parsed <= 9, "parse: {parsed} allocations");
+        // 4 → 8 → 16. With a `String` per string value they were
+        // 10 / 9 / 9. What is left is the document's containers — one
+        // allocation per array and object, none for growing any of
+        // them — and `json!`'s `format!` temporary. The counts repeat
+        // exactly; "at most" so that a further saving is not a failure.
+        assert!(built <= 5, "json!: {built} allocations");
+        assert!(copied <= 4, "clone: {copied} allocations");
+        assert!(parsed <= 4, "parse: {parsed} allocations");
+    }
+}
+
+#[test]
+fn a_string_longer_than_the_inline_bound_is_one_allocation() {
+    let short = json!({"s": "x".repeat(serde_json::Str::INLINE)});
+    let long = json!({"s": "x".repeat(serde_json::Str::INLINE + 1)});
+    for (doc, strings) in [(short, 0), (long, 1)] {
+        let text = doc.to_string();
+        // The first parse may size the parser's stack.
+        serde_json::from_str_value(&text).unwrap();
+        let (copied, _) = counted(|| doc.clone());
+        let (parsed, _) = counted(|| serde_json::from_str_value(&text).unwrap());
+        // The object, and the text if it did not fit inline.
+        assert_eq!((copied, parsed), (1 + strings, 1 + strings), "{text}");
     }
 }
