@@ -126,8 +126,8 @@ pub(crate) struct Inner {
     /// JSON once, mutate the copy, swap the `Arc` in — so any snapshot a
     /// reader took stays exactly what it was when the lock was released.
     docs: BTreeMap<DocId, Arc<Document>>,
-    /// Each document's `_id`, encoded ([`key::encode`]).
-    by_id: BTreeMap<Box<[u8]>, DocId>,
+    /// The `_id` map: a unique index on `_id` (DESIGN §10).
+    by_id: Index,
     indexes: Vec<Index>,
     /// Set by a raw mutation that changed something a cached read could
     /// see; `raw_apply` turns it into one generation bump before the
@@ -176,7 +176,7 @@ impl Collection {
                 LockRank::Collection,
                 Inner {
                     docs: BTreeMap::new(),
-                    by_id: BTreeMap::new(),
+                    by_id: Index::new("_id", true),
                     indexes: Vec::new(),
                     dirty: false,
                     segment: OnceLock::new(),
@@ -316,7 +316,10 @@ impl Collection {
     /// documents come back as they came. No profiler sample is taken:
     /// `insert_many` takes its own, and nobody issues a snapshot's.
     pub(crate) fn bulk_build(&self, docs: Vec<Value>, returning_ids: bool) -> Bulk {
-        let (built, ids) = self.build(docs, returning_ids);
+        let (built, ids) = match self.build(docs, returning_ids) {
+            Ok(built) => built,
+            Err(error) => return Bulk::Built(Err(Refused { at: 0, error })),
+        };
         let at = built.docs.len();
         let declined = Cell::new(None);
         let applied = self.shared.commit(
@@ -345,18 +348,18 @@ impl Collection {
 
     /// The half of a bulk build that runs before its commit: the ids
     /// read from `next_id`, the sorted runs, where insertion stops, the
-    /// structures the collection will keep, and the `_id`s it returns.
+    /// structures the collection will keep (refused whole if a run would
+    /// pass its offsets, [`Index::fill`]), and the `_id`s it returns.
     ///
     /// It clones only what the store keeps and those `_id`s (DESIGN §10,
     /// "The heap a load leaves"). One walk over the documents pushes each
     /// one's `_id` entry and every index's entries, all borrowed from it,
     /// and clones its `_id`: the walk keeps nothing else, so the clones
     /// are one run. The sorts compare inline prefixes and read a document
-    /// only on a tie the prefix cannot settle. Each index then makes its
-    /// distinct keys, and, the index entries freed (a lower peak), the
-    /// `by_id` map its keys, copied out of the prefix where it holds a
-    /// key whole ([`Entry::key`]); the `Arc<Document>`s come last.
-    fn build(&self, mut docs: Vec<Value>, returning_ids: bool) -> (Built, Vec<Value>) {
+    /// only on a tie the prefix cannot settle. Each index then writes its
+    /// run, and, the index entries freed (a lower peak), the `_id` map
+    /// its own; the `Arc<Document>`s come last.
+    fn build(&self, mut docs: Vec<Value>, returning_ids: bool) -> Result<(Built, Vec<Value>)> {
         let n = docs.len();
         // The counter publishes nothing: the commit's lock orders the
         // build against every other write (see `claims`).
@@ -411,10 +414,11 @@ impl Collection {
             }
         }
         for (ix, sorted) in indexes.iter_mut().zip(&keyed) {
-            ix.fill(sorted);
+            ix.fill(sorted)?;
         }
         drop(keyed);
-        let by_id = id_keys.iter().map(|key| (key.key(), key.id)).collect();
+        let mut by_id = Index::new("_id", true);
+        by_id.fill(&id_keys)?;
         drop(id_keys);
         let end = stop.as_ref().map_or(n, |(end, _)| (end - first) as usize);
         let tail = docs.split_off(end);
@@ -427,7 +431,7 @@ impl Collection {
             tail,
             stop: stop.map(|(_, error)| error),
         };
-        (built, ids)
+        Ok((built, ids))
     }
 
     /// Under the commit's lock: is the collection still what `built`
@@ -526,7 +530,7 @@ impl Collection {
     /// Fetch by `_id` directly (a shared snapshot, not a copy).
     pub fn get(&self, id: &Value) -> Option<Arc<Document>> {
         let inner = self.inner.read();
-        let did = *inner.by_id.get(&key::encoded(id))?;
+        let did = inner.by_id.lowest(&key::encoded(id))?;
         inner.docs.get(&did).cloned()
     }
 
@@ -771,7 +775,7 @@ impl Collection {
             },
             |inner| {
                 inner.docs.clear();
-                inner.by_id.clear();
+                inner.by_id = Index::new("_id", true);
                 for ix in &mut inner.indexes {
                     *ix = Index::new(ix.path.as_str(), ix.unique);
                 }
@@ -882,7 +886,7 @@ impl Collection {
     /// `explain()`.
     fn plan_query<'a>(inner: &'a Inner, f: &'a CompiledFilter) -> (Plan<'a>, Vec<Plan<'a>>) {
         if let Some(id) = f.equality_on("_id") {
-            let found = inner.by_id.get(&key::encoded(id)).copied();
+            let found = inner.by_id.lowest(&key::encoded(id));
             let plan = Plan {
                 kind: PlanKind::IdLookup,
                 access: Access::Id(found),
@@ -979,12 +983,13 @@ impl Collection {
 
     // ---- raw mutations: reached only through `Shared::commit` ----
 
-    /// One `_id` encoding per document, and the store keeps it (the
-    /// `by_id` key): a caller that wants the id takes its own first.
+    /// The `_id` is checked first, so its duplicate names the `_id`; its
+    /// one encoding is the key the `_id` map keeps.
     fn raw_insert(inner: &mut Inner, id_num: DocId, doc: Value) -> Result<()> {
-        let id_key = id_key(&doc);
-        if inner.by_id.contains_key(&id_key) {
-            return Err(duplicate_id(&id_of(&doc)));
+        let id = doc.get("_id").unwrap_or(&Value::Null);
+        let id_key = key::encoded(id);
+        if inner.by_id.lowest(&id_key).is_some() {
+            return Err(duplicate_id(id));
         }
         // Unique-index check before any mutation.
         for ix in &inner.indexes {
@@ -993,7 +998,7 @@ impl Collection {
         for ix in &mut inner.indexes {
             ix.insert(id_num, &doc)?;
         }
-        inner.by_id.insert(id_key, id_num);
+        inner.by_id.insert_key(id_key, id_num);
         inner.docs.insert(id_num, Arc::new(doc));
         inner.dirty = true;
         Ok(())
@@ -1081,7 +1086,7 @@ impl Collection {
             .collect();
         for id in &doomed {
             if let Some(doc) = inner.docs.remove(id) {
-                inner.by_id.remove(&id_key(&doc));
+                inner.by_id.remove(*id, &doc);
                 for ix in &mut inner.indexes {
                     ix.remove(*id, &doc);
                 }
@@ -1175,11 +1180,6 @@ fn duplicate_id(id: &Value) -> StoreError {
     StoreError::DuplicateKey(format!("_id {id}"))
 }
 
-/// A document's `_id` (`null` without one), encoded: its `by_id` key.
-fn id_key(doc: &Value) -> Box<[u8]> {
-    key::encoded(doc.get("_id").unwrap_or(&Value::Null))
-}
-
 /// The `_id` a document that arrives without one gets from its `DocId`.
 fn auto_id(id_num: DocId) -> Value {
     json!(format!("oid{:012x}", id_num))
@@ -1233,7 +1233,7 @@ struct Built {
     /// Positions of the documents the build gave an `_id`.
     assigned: Vec<usize>,
     docs: BTreeMap<DocId, Arc<Document>>,
-    by_id: BTreeMap<Box<[u8]>, DocId>,
+    by_id: Index,
     indexes: Vec<Index>,
     /// The documents from the one insertion stops at on, untouched
     /// (empty when none fails), and why it stops.
@@ -1352,12 +1352,12 @@ mod tests {
             json!({"_id": "b", "k": 2}),
             json!({"k": 3}),
         ];
-        let (built, _) = c.build(docs.clone(), true);
+        let (built, _) = c.build(docs.clone(), true).unwrap();
         assert!(c.claims(&c.inner.read(), &built));
         // Claimed: the ids are taken, so a second claim fails.
         assert!(!c.claims(&c.inner.read(), &built));
 
-        let (built, _) = c.build(docs.clone(), true);
+        let (built, _) = c.build(docs.clone(), true).unwrap();
         c.insert_one(json!({"_id": "first"})).unwrap();
         assert!(!c.claims(&c.inner.read(), &built));
         assert_eq!(built.into_docs(), docs);

@@ -21,6 +21,9 @@ pub enum StoreError {
     Persistence(String),
     /// MapReduce job failed.
     MapReduce(String),
+    /// A structure would pass what its offsets can address (an index run
+    /// past 2^32 key bytes or ids).
+    Capacity(String),
 }
 
 impl fmt::Display for StoreError {
@@ -34,6 +37,7 @@ impl fmt::Display for StoreError {
             StoreError::InvalidDocument(m) => write!(f, "invalid document: {m}"),
             StoreError::Persistence(m) => write!(f, "persistence error: {m}"),
             StoreError::MapReduce(m) => write!(f, "mapreduce error: {m}"),
+            StoreError::Capacity(m) => write!(f, "capacity exceeded: {m}"),
         }
     }
 }

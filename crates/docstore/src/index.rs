@@ -1,4 +1,5 @@
-//! Ordered secondary indexes on dotted field paths.
+//! Ordered secondary indexes on dotted field paths, and a collection's
+//! `_id` map.
 //!
 //! An index maps each distinct value at a path to the set of document ids
 //! holding it, a sorted vector without repeats. A value is keyed by its
@@ -7,31 +8,214 @@
 //! accelerated. Array-valued fields produce one entry per element
 //! (multikey indexes), which is what makes queries like
 //! `{elements: "Li"}` fast.
+//!
+//! The keys live in two parts (DESIGN §10, "Sorted runs and a delta"):
+//! an immutable sorted run (`Run`) — every key's encoding in one vector,
+//! every id in another — which a bulk build writes straight from its
+//! sorted entries, and a small map of the keys written since, each with
+//! its whole current set, which shadows the run key by key. A write
+//! folds the two into a new run once the map holds more keys than the
+//! run.
 
 use crate::error::{Result, StoreError};
 use crate::key;
 use crate::value::{cmp_values, Path};
 use serde_json::Value;
 use std::cmp::Ordering;
+use std::collections::btree_map::Entry as Slot;
 use std::collections::BTreeMap;
-use std::ops::{Bound, RangeBounds};
+use std::iter;
+use std::ops::{Bound, Range, RangeBounds};
 
 /// Internal id assigned to each stored document.
 pub type DocId = u64;
 
-/// One secondary index.
+/// One secondary index, or a collection's `_id` map.
 #[derive(Debug, Clone)]
 pub struct Index {
     /// Dotted field path this index covers.
     pub path: Path,
     /// Reject two documents with the same indexed value?
     pub unique: bool,
-    /// Each distinct key's encoding ([`key::encode`]) and the ids of the
-    /// documents exposing it: ascending, without repeats, never empty.
-    map: BTreeMap<Box<[u8]>, Vec<DocId>>,
+    /// The keys as of the last build or fold.
+    run: Run,
+    /// Each key written since, by its encoding, with its whole current
+    /// set of ids (ascending, without repeats): empty where the writes
+    /// removed a key the run holds. Where it holds a key, the run's set
+    /// is stale.
+    delta: BTreeMap<Box<[u8]>, Vec<DocId>>,
     /// Has some document exposed two or more keys here? Set for good,
     /// as MongoDB's multikey flag is: a range probe reads it.
     multikey: bool,
+}
+
+/// Keys in ascending order, each with the ids of the documents exposing
+/// it (ascending, without repeats, never empty), in four vectors
+/// whatever the number of keys. Never changed once made: a fold makes a
+/// new one.
+#[derive(Debug, Clone, Default)]
+struct Run {
+    /// Every key's encoding ([`key::encode`]), concatenated.
+    keys: Vec<u8>,
+    /// Where each key's encoding ends in `keys`.
+    key_ends: Vec<u32>,
+    /// Every key's ids, concatenated.
+    ids: Vec<DocId>,
+    /// Where each key's ids end in `ids`.
+    id_ends: Vec<u32>,
+}
+
+/// Where the `at`-th key's bytes or ids start, given their `ends`: at
+/// the previous key's end, or 0.
+fn start(ends: &[u32], at: usize) -> usize {
+    (at.checked_sub(1))
+        .and_then(|before| ends.get(before))
+        .map_or(0, |&end| end as usize)
+}
+
+/// An end offset of a run: past `u32::MAX` the run is refused, never
+/// truncated.
+fn offset(end: usize) -> Result<u32> {
+    u32::try_from(end).map_err(|_| {
+        StoreError::Capacity(format!(
+            "an index run of {end} key bytes or ids passes 2^32"
+        ))
+    })
+}
+
+impl Run {
+    /// An empty run with room for `keys` keys of `bytes` bytes in all
+    /// and `ids` ids: filled to exactly that, each vector is one
+    /// allocation at its final size.
+    fn with_capacity(keys: usize, bytes: usize, ids: usize) -> Self {
+        Run {
+            keys: Vec::with_capacity(bytes),
+            key_ends: Vec::with_capacity(keys),
+            ids: Vec::with_capacity(ids),
+            id_ends: Vec::with_capacity(keys),
+        }
+    }
+
+    fn key_count(&self) -> usize {
+        self.key_ends.len()
+    }
+
+    /// The `at`-th key's encoding and ids.
+    fn pair(&self, at: usize) -> (&[u8], &[DocId]) {
+        let span = |ends: &[u32]| start(ends, at)..start(ends, at + 1);
+        let keys = self.keys.get(span(&self.key_ends)).unwrap_or_default();
+        (keys, self.ids.get(span(&self.id_ends)).unwrap_or_default())
+    }
+
+    /// Where `key` sits among the run's keys, or where it would. A key
+    /// above the last is placed by one comparison: every `_id` a document
+    /// is given on insert sorts above those given before it
+    /// (`collection::auto_id`), so that is where an insert's keys often go.
+    fn search(&self, key: &[u8]) -> std::result::Result<usize, usize> {
+        let end = self.key_count();
+        match end.checked_sub(1) {
+            Some(last) if self.pair(last).0 < key => Err(end),
+            _ => self.search_in(0..end, key),
+        }
+    }
+
+    /// [`search`](Self::search) among the keys from `from` on, all of
+    /// those before it known to be lower: galloping out from `from`, then
+    /// halving, so a walk of ascending keys pays the log of each gap.
+    fn search_from(&self, mut from: usize, key: &[u8]) -> std::result::Result<usize, usize> {
+        let (mut hi, mut step) = (from, 1);
+        while hi < self.key_count() && self.pair(hi).0 < key {
+            (from, hi, step) = (hi + 1, hi + step, step * 2);
+        }
+        self.search_in(from..self.key_count().min(hi + 1), key)
+    }
+
+    /// A binary search for `key` among the keys `within`.
+    fn search_in(&self, within: Range<usize>, key: &[u8]) -> std::result::Result<usize, usize> {
+        let (mut lo, mut hi) = (within.start, within.end);
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            match self.pair(mid).0.cmp(key) {
+                Ordering::Less => lo = mid + 1,
+                Ordering::Greater => hi = mid,
+                Ordering::Equal => return Ok(mid),
+            }
+        }
+        Err(lo)
+    }
+
+    /// The position of the first key at or above `lo`.
+    fn seek(&self, lo: Bound<&[u8]>) -> usize {
+        match lo {
+            Bound::Unbounded => 0,
+            Bound::Included(k) => self.search(k).unwrap_or_else(|at| at),
+            Bound::Excluded(k) => self.search(k).map_or_else(|at| at, |at| at + 1),
+        }
+    }
+
+    /// This run with `delta` written over it: where the delta holds a
+    /// key, its set replaces the run's and an empty one removes the key.
+    /// The run's stretches between the delta's keys are copied whole
+    /// ([`copy`](Self::copy)), so a fold costs a search per delta key
+    /// and a copy of the two, nothing per run key but its shifted
+    /// offsets. Sized for both parts in full and shrunk after, so each
+    /// vector is allocated once.
+    fn merge(&self, delta: &BTreeMap<Box<[u8]>, Vec<DocId>>) -> Result<Run> {
+        let bytes = self.keys.len() + delta.keys().map(|k| k.len()).sum::<usize>();
+        let ids = self.ids.len() + delta.values().map(Vec::len).sum::<usize>();
+        let mut out = Run::with_capacity(self.key_count() + delta.len(), bytes, ids);
+        let mut from = 0;
+        for (key, set) in delta {
+            let (to, next) = match self.search_from(from, key) {
+                Ok(at) => (at, at + 1),
+                Err(at) => (at, at),
+            };
+            out.copy(self, from..to)?;
+            if !set.is_empty() {
+                out.append_key(|o| o.extend_from_slice(key), set.iter().copied())?;
+            }
+            from = next;
+        }
+        out.copy(self, from..self.key_count())?;
+        out.keys.shrink_to_fit();
+        out.key_ends.shrink_to_fit();
+        out.ids.shrink_to_fit();
+        out.id_ends.shrink_to_fit();
+        Ok(out)
+    }
+
+    /// Append `run`'s consecutive keys `keys`, above every key this run
+    /// holds: their bytes and ids copied in one piece each, their end
+    /// offsets shifted by where the pieces land.
+    fn copy(&mut self, run: &Run, keys: Range<usize>) -> Result<()> {
+        let span = |ends: &[u32]| start(ends, keys.start)..start(ends, keys.end);
+        let (bytes, ids) = (span(&run.key_ends), span(&run.id_ends));
+        let key_ends = run.key_ends.get(keys.clone()).unwrap_or_default();
+        let id_ends = run.id_ends.get(keys).unwrap_or_default();
+        for (&key_end, &id_end) in key_ends.iter().zip(id_ends) {
+            (self.key_ends).push(offset(key_end as usize - bytes.start + self.keys.len())?);
+            (self.id_ends).push(offset(id_end as usize - ids.start + self.ids.len())?);
+        }
+        self.keys
+            .extend_from_slice(run.keys.get(bytes).unwrap_or_default());
+        self.ids
+            .extend_from_slice(run.ids.get(ids).unwrap_or_default());
+        Ok(())
+    }
+
+    /// Append a key above every key the run holds, written by `key`,
+    /// with its ids: ascending, without repeats, at least one.
+    fn append_key(
+        &mut self,
+        key: impl FnOnce(&mut Vec<u8>),
+        ids: impl Iterator<Item = DocId>,
+    ) -> Result<()> {
+        key(&mut self.keys);
+        self.ids.extend(ids);
+        self.key_ends.push(offset(self.keys.len())?);
+        self.id_ends.push(offset(self.ids.len())?);
+        Ok(())
+    }
 }
 
 /// The keys a document exposes at an index path: one per array element
@@ -68,7 +252,7 @@ const PREFIX: usize = 16;
 pub(crate) struct Entry<'a> {
     prefix: (u64, u64),
     /// The encoding's length, saturated; up to [`PREFIX`], the prefix holds it whole.
-    len: u8,
+    len: u32,
     /// The key, in the document that exposes it.
     pub(crate) value: &'a Value,
     pub(crate) id: DocId,
@@ -87,7 +271,7 @@ impl<'a> Entry<'a> {
         let word = word << (8 * PREFIX.saturating_sub(len));
         Entry {
             prefix: ((word >> 64) as u64, word as u64),
-            len: u8::try_from(len).unwrap_or(u8::MAX),
+            len: u32::try_from(len).unwrap_or(u32::MAX),
             value,
             id,
             place,
@@ -113,16 +297,24 @@ impl<'a> Entry<'a> {
             .then((self.id, self.place).cmp(&(other.id, other.place)))
     }
 
-    /// The key's encoding as a store keeps it, allocated at its length:
-    /// copied out of the prefix when it holds it whole, which reads no
-    /// document (visited at random), and encoded from it otherwise.
-    pub(crate) fn key(&self) -> Box<[u8]> {
+    /// Append the key's encoding to `out`: copied out of the prefix when
+    /// it holds it whole, which reads no document (visited at random),
+    /// and encoded from the value otherwise.
+    fn write_key(&self, out: &mut Vec<u8>) {
         let word = (u128::from(self.prefix.0) << 64) | u128::from(self.prefix.1);
-        match word.to_be_bytes().get(..usize::from(self.len)) {
-            Some(whole) => whole.into(),
-            None => key::encoded(self.value),
+        match word.to_be_bytes().get(..self.len as usize) {
+            Some(whole) => out.extend_from_slice(whole),
+            None => key::encode(self.value, &mut |part| out.extend_from_slice(part)),
         }
     }
+}
+
+/// The ids of one key's sorted entries, once each: a document exposing
+/// the key twice sits among them twice.
+fn ids_of<'e, 'a>(same: &'e [Entry<'a>]) -> impl Iterator<Item = DocId> + use<'e, 'a> {
+    (same.chunk_by(|a, b| a.id == b.id))
+        .filter_map(<[_]>::first)
+        .map(|entry| entry.id)
 }
 
 /// In sorted entries, the first key that one-by-one insertion in
@@ -156,56 +348,109 @@ impl Index {
         Index {
             path: Path::new(path),
             unique,
-            map: BTreeMap::new(),
+            run: Run::default(),
+            delta: BTreeMap::new(),
             multikey: false,
         }
     }
 
     /// Fill this empty index with `sorted`, entries ordered by
-    /// [`Entry::order`]: each run of equal keys becomes one key
-    /// ([`Entry::key`]) and the vector of its ids, allocated once at its
-    /// final size: one key and one vector per distinct key, nothing per
-    /// entry. Uniqueness is not checked here ([`first_collision`] is).
-    pub(crate) fn fill(&mut self, sorted: &[Entry<'_>]) {
-        let runs = || sorted.chunk_by(|a, b| a.cmp_key(b).is_eq());
-        // Counted first, so the runs take one allocation and no freed
-        // smaller one is left between the id sets the index keeps.
-        let mut map = Vec::with_capacity(runs().count());
-        for run in runs() {
-            // A document exposing one key twice sits in its run twice.
-            let ids = || {
-                (run.chunk_by(|a, b| a.id == b.id))
-                    .filter_map(<[_]>::first)
-                    .map(|entry| entry.id)
-            };
-            if let Some(first) = run.first() {
-                let mut set = Vec::with_capacity(ids().count());
-                set.extend(ids());
-                map.push((first.key(), set));
+    /// [`Entry::order`], as its run: each group of equal entries becomes
+    /// one key, its encoding written into the run's one key vector
+    /// ([`Entry::write_key`]) and its ids into the one id vector. Sized
+    /// first, so the run is four allocations at their final sizes,
+    /// nothing per key. Uniqueness is not checked here
+    /// ([`first_collision`] is).
+    pub(crate) fn fill(&mut self, sorted: &[Entry<'_>]) -> Result<()> {
+        let keys = || sorted.chunk_by(|a, b| a.cmp_key(b).is_eq());
+        let (mut n, mut bytes, mut ids) = (0, 0, 0);
+        for same in keys() {
+            n += 1;
+            bytes += same.first().map_or(0, |entry| entry.len as usize);
+            ids += ids_of(same).count();
+        }
+        let mut run = Run::with_capacity(n, bytes, ids);
+        for same in keys() {
+            if let Some(first) = same.first() {
+                run.append_key(|out| first.write_key(out), ids_of(same))?;
             }
         }
-        self.map = map.into_iter().collect();
+        self.run = run;
         self.multikey = sorted.iter().any(|entry| entry.place > 0);
+        Ok(())
     }
 
-    /// Number of distinct indexed values.
+    /// Number of distinct indexed values: the run's keys, less those the
+    /// delta shadows, plus the delta's that hold ids.
     pub fn distinct_values(&self) -> usize {
-        self.map.len()
+        let shadowed = (self.delta.keys()).filter(|k| self.run.search(k).is_ok());
+        let held = self.delta.values().filter(|ids| !ids.is_empty());
+        self.run.key_count() - shadowed.count() + held.count()
+    }
+
+    /// The ids under the key encoded as `key`: the delta's set where it
+    /// holds the key, the run's otherwise; `None` for no id.
+    fn ids_under(&self, key: &[u8]) -> Option<&[DocId]> {
+        let ids = match self.delta.get(key) {
+            Some(ids) => ids,
+            None => self.run.pair(self.run.search(key).ok()?).1,
+        };
+        Some(ids).filter(|ids| !ids.is_empty())
+    }
+
+    /// The lowest id under the key encoded as `key`, with no id vector
+    /// made: a unique index's one document, as the `_id` map answers
+    /// `get`, an `_id` equality and an insert's duplicate check.
+    pub(crate) fn lowest(&self, key: &[u8]) -> Option<DocId> {
+        self.ids_under(key)?.first().copied()
+    }
+
+    /// Every key from `lo` up with its ids, in key order: the run and
+    /// the delta merged in one walk, the delta's set where both hold a
+    /// key, removed keys skipped: what a range probe walks, in order.
+    fn merged<'s>(
+        &'s self,
+        lo: Bound<&[u8]>,
+    ) -> impl Iterator<Item = (&'s [u8], &'s [DocId])> + 's {
+        let run = self.run.seek(lo)..self.run.key_count();
+        let mut run = run.map(|at| self.run.pair(at)).peekable();
+        let delta = self.delta.range::<[u8], _>((lo, Bound::Unbounded));
+        let mut delta = delta.map(|(k, ids)| (&**k, ids.as_slice())).peekable();
+        iter::from_fn(move || loop {
+            let order = match (run.peek(), delta.peek()) {
+                (Some((r, _)), Some((d, _))) => r.cmp(d),
+                (Some(_), None) => Ordering::Less,
+                (None, _) => Ordering::Greater,
+            };
+            let next = match order {
+                Ordering::Less => run.next(),
+                Ordering::Equal => run.next().and(delta.next()),
+                Ordering::Greater => delta.next(),
+            };
+            match next? {
+                (_, []) => continue,
+                entry => return Some(entry),
+            }
+        })
     }
 
     /// Would inserting `doc` for `id` violate this index's uniqueness?
     /// `ignore` is an id whose existing entries should be disregarded
     /// (used when checking an update against the document's old self).
+    /// A non-unique index walks and encodes nothing.
     pub fn check_unique(&self, id: DocId, doc: &Value, ignore: Option<DocId>) -> Result<()> {
+        if !self.unique {
+            return Ok(());
+        }
         self.clash(&index_keys(doc, &self.path), id, ignore)
     }
 
     /// [`check_unique`](Self::check_unique) of a document's `keys`.
     fn clash(&self, keys: &[(Box<[u8]>, &Value)], id: DocId, ignore: Option<DocId>) -> Result<()> {
-        let taken = |ids: &Vec<DocId>| ids.iter().any(|&o| o != id && Some(o) != ignore);
+        let taken = |ids: &[DocId]| ids.iter().any(|&o| o != id && Some(o) != ignore);
         match keys
             .iter()
-            .find(|(k, _)| self.unique && self.map.get(k).is_some_and(taken))
+            .find(|(k, _)| self.unique && self.ids_under(k).is_some_and(taken))
         {
             Some((_, v)) => Err(unique_violation(&self.path, v)),
             None => Ok(()),
@@ -218,25 +463,74 @@ impl Index {
         self.clash(&keys, id, None)?;
         self.multikey |= keys.len() > 1;
         for (k, _) in keys {
-            let ids = self.map.entry(k).or_default();
-            if let Err(at) = ids.binary_search(&id) {
-                ids.insert(at, id);
-            }
+            self.add(k, id);
         }
+        self.fold();
         Ok(())
     }
 
-    /// Remove `doc`'s entries.
+    /// Put `id` under the key encoded as `key`, which holds no id: the
+    /// `_id` map's insert, after a duplicate check of its own that names
+    /// the `_id` (`Collection::raw_insert`). With no id under it, the run
+    /// does not hold the key, or the delta shadows it with an empty set,
+    /// so no set is copied out of the run and the run is not searched.
+    pub(crate) fn insert_key(&mut self, key: Box<[u8]>, id: DocId) {
+        debug_assert!(self.lowest(&key).is_none(), "{key:?} holds an id");
+        self.delta.entry(key).or_default().push(id);
+        self.fold();
+    }
+
+    /// Add `id` to `key`'s set in the delta, copied out of the run on the
+    /// key's first write since the last fold.
+    fn add(&mut self, key: Box<[u8]>, id: DocId) {
+        let run = &self.run;
+        let ids = (self.delta.entry(key)).or_insert_with_key(|k| {
+            run.search(k)
+                .map_or_else(|_| Vec::new(), |at| run.pair(at).1.to_vec())
+        });
+        if let Err(at) = ids.binary_search(&id) {
+            ids.insert(at, id);
+        }
+    }
+
+    /// Remove `doc`'s entries. A key left without ids leaves the delta,
+    /// or, if the run holds it, stays there empty.
     pub fn remove(&mut self, id: DocId, doc: &Value) {
         for (key, _) in index_keys(doc, &self.path) {
-            if let Some(ids) = self.map.get_mut(&key) {
-                if let Ok(at) = ids.binary_search(&id) {
-                    ids.remove(at);
-                }
-                if ids.is_empty() {
-                    self.map.remove(&key);
-                }
+            let in_run = self.run.search(&key).ok();
+            let mut slot = match self.delta.entry(key) {
+                Slot::Occupied(slot) => slot,
+                Slot::Vacant(slot) => match in_run {
+                    Some(at) => slot.insert_entry(self.run.pair(at).1.to_vec()),
+                    None => continue,
+                },
+            };
+            let ids = slot.get_mut();
+            if let Ok(at) = ids.binary_search(&id) {
+                ids.remove(at);
             }
+            if ids.is_empty() && in_run.is_none() {
+                slot.remove();
+            }
+        }
+        self.fold();
+    }
+
+    /// Once the delta holds more keys than the run, merge the two into a
+    /// new run and empty the delta. A fold costs the two parts' size,
+    /// and since the last one at least as many key writes went into the
+    /// delta as the run now holds keys, so each write pays amortized O(1)
+    /// for it, with no constant to tune: a collection filled one
+    /// document at a time folds when its delta reaches 1, 2, 4, … keys.
+    /// A fold whose run would pass 2^32 is refused ([`offset`]) and the
+    /// delta stays as it was: every answer is the same either way.
+    fn fold(&mut self) {
+        if self.delta.len() <= self.run.key_count() {
+            return;
+        }
+        if let Ok(run) = self.run.merge(&self.delta) {
+            self.run = run;
+            self.delta.clear();
         }
     }
 
@@ -305,20 +599,18 @@ impl Index {
 
     /// Hand each id set `probe` visits to `each`: a key's set per key
     /// present, or every set in the range, in key order. Each operand is
-    /// encoded once, and the map compares bytes.
+    /// encoded once, and the keys compare as bytes.
     fn visit<'s>(&'s self, probe: &Probe<'_>, mut each: impl FnMut(&'s [DocId])) {
         match *probe {
             Probe::Keys(keys) => keys
                 .iter()
-                .filter_map(|v| self.map.get(&key::encoded(v)))
-                .for_each(|set| each(set)),
+                .filter_map(|v| self.ids_under(&key::encoded(v)))
+                .for_each(each),
             Probe::Range(lo, hi) => {
                 let (lo, hi) = (lo.map(key::encoded), hi.map(key::encoded));
                 let (lo, hi) = (lo.as_ref().map(|k| &**k), hi.as_ref().map(|k| &**k));
-                // Up from the lower bound while the upper one holds:
-                // `BTreeMap::range` panics on bounds that hold no key.
-                (self.map.range::<[u8], _>((lo, Bound::Unbounded)))
-                    .take_while(|(k, _)| (Bound::Unbounded, hi).contains(&***k))
+                (self.merged(lo))
+                    .take_while(|(k, _)| (Bound::Unbounded, hi).contains(*k))
                     .for_each(|(_, set)| each(set));
             }
         }
@@ -360,8 +652,8 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(4000))]
 
         /// An entry orders as its key's encoding does, and the key it
-        /// keeps — copied out of the prefix or encoded again — is the
-        /// encoding.
+        /// writes after what a run holds — copied out of the prefix or
+        /// encoded again — is the encoding.
         #[test]
         fn entries_order_and_keep_their_encodings(
             a in crate::key::tests::value(),
@@ -370,7 +662,10 @@ mod tests {
             let (ea, eb) = (Entry::new(&a, 0, 0), Entry::new(&b, 0, 0));
             let (ka, kb) = (key::encoded(&a), key::encoded(&b));
             prop_assert_eq!(ea.cmp_key(&eb), ka.cmp(&kb), "{} vs {}", a, b);
-            prop_assert_eq!(ea.key(), ka);
+            // Appended after what the run's vector already holds.
+            let mut written = vec![7];
+            ea.write_key(&mut written);
+            prop_assert_eq!(&written[1..], &*ka);
         }
     }
 
@@ -573,11 +868,10 @@ mod tests {
         keys
     }
 
-    /// Every key and its ids as the index holds them.
+    /// Every key and its ids as the index answers them: the merged walk.
     fn held(ix: &Index) -> Vec<(Box<[u8]>, Vec<DocId>)> {
-        ix.map
-            .iter()
-            .map(|(k, ids)| (k.clone(), ids.clone()))
+        (ix.merged(Bound::Unbounded))
+            .map(|(k, ids)| (k.into(), ids.to_vec()))
             .collect()
     }
 
@@ -585,20 +879,42 @@ mod tests {
     /// key, the keys ordered by `cmp_values`, emptied sets removed.
     type Model = BTreeMap<OrderedValue, std::collections::BTreeSet<DocId>>;
 
-    /// Check `ix` against `model` after a step: the sets' shape and keys,
-    /// what `probe` and `range` find and cost, `check_unique` for `doc`,
-    /// and that `Index::built` over the sorted entries of the documents
-    /// `docs` holds equals inserting them one by one in id order.
+    /// The two parts' shape: the run's keys ascending, each with some
+    /// ids, ascending; the delta's sets ascending, an empty one only for
+    /// a key the run holds; and, after every write, no more keys in the
+    /// delta than in the run (the fold rule).
+    fn check_parts(ix: &Index) -> std::result::Result<(), TestCaseError> {
+        let run: Vec<_> = (0..ix.run.key_count()).map(|at| ix.run.pair(at)).collect();
+        prop_assert!(run.windows(2).all(|w| w[0].0 < w[1].0), "{:?}", run);
+        for (key, ids) in &run {
+            prop_assert!(!ids.is_empty(), "{:?} has no ids", key);
+            prop_assert!(ids.windows(2).all(|w| w[0] < w[1]), "{:?}: {:?}", key, ids);
+        }
+        for (key, ids) in &ix.delta {
+            prop_assert!(ids.windows(2).all(|w| w[0] < w[1]), "{:?}: {:?}", key, ids);
+            prop_assert!(!ids.is_empty() || ix.run.search(key).is_ok(), "{:?}", key);
+        }
+        prop_assert!(
+            ix.delta.len() <= ix.run.key_count(),
+            "{} > {}",
+            ix.delta.len(),
+            ix.run.key_count()
+        );
+        Ok(())
+    }
+
+    /// Check `ix` against `model` after a step: the parts' shape, the
+    /// keys and sets of the merged walk, what `probe` and `range` find
+    /// and cost, `check_unique` for `doc`, and that `Index::fill` over
+    /// the sorted entries of the documents `docs` holds equals inserting
+    /// them one by one in id order.
     fn check_model(
         ix: &Index,
         model: &Model,
         docs: &BTreeMap<DocId, Value>,
         (probe, range, doc): (&[Value], (Bound<&Value>, Bound<&Value>), &Value),
     ) -> std::result::Result<(), TestCaseError> {
-        for (key, ids) in &ix.map {
-            prop_assert!(!ids.is_empty(), "{:?} has no ids", key);
-            prop_assert!(ids.windows(2).all(|w| w[0] < w[1]), "{:?}: {:?}", key, ids);
-        }
+        check_parts(ix)?;
         let want: Vec<(Box<[u8]>, Vec<DocId>)> = (model.iter())
             .map(|(k, set)| (key::encoded(&k.0), set.iter().copied().collect()))
             .collect();
@@ -640,6 +956,16 @@ mod tests {
             );
         }
 
+        let mut one_by_one = Index::new("k", ix.unique);
+        for (id, doc) in docs {
+            one_by_one.insert(*id, doc).unwrap();
+        }
+        prop_assert_eq!(held(&built(docs, ix.unique)), held(&one_by_one));
+        Ok(())
+    }
+
+    /// An index on `k` filled by a bulk build of `docs`.
+    fn built(docs: &BTreeMap<DocId, Value>, unique: bool) -> Index {
         let mut entries = Vec::new();
         for (id, doc) in docs {
             let mut place = 0;
@@ -649,62 +975,201 @@ mod tests {
             });
         }
         entries.sort_unstable_by(Entry::order);
-        let mut one_by_one = Index::new("k", ix.unique);
-        for (id, doc) in docs {
-            one_by_one.insert(*id, doc).unwrap();
+        let mut ix = Index::new("k", unique);
+        ix.fill(&entries).unwrap();
+        ix
+    }
+
+    /// Put `id`'s keys in `doc` into `model` (`add`) or take them out.
+    fn apply(model: &mut Model, id: DocId, doc: &Value, add: bool) {
+        for key in values(doc) {
+            if add {
+                model.entry(key).or_default().insert(id);
+            } else if let Some(set) = model.get_mut(&key) {
+                set.remove(&id);
+                if set.is_empty() {
+                    model.remove(&key);
+                }
+            }
         }
-        let mut built = Index::new("k", ix.unique);
-        built.fill(&entries);
-        prop_assert_eq!(held(&built), held(&one_by_one));
-        Ok(())
+    }
+
+    /// Would a unique index refuse `doc` for `id`: does another id hold
+    /// one of its keys?
+    fn taken(model: &Model, id: DocId, doc: &Value) -> bool {
+        (values(doc).iter()).any(|k| model.get(k).is_some_and(|set| set.iter().any(|&o| o != id)))
     }
 
     proptest! {
-        #![proptest_config(ProptestConfig::with_cases(300))]
+        #![proptest_config(ProptestConfig::with_cases(1000))]
 
-        /// Random inserts and removes of multikey documents (repeated
-        /// and nested elements, `1` beside `1.0`) keep the id vectors
-        /// what a `BTreeSet` per key would hold, and every answer the
-        /// index gives the same. Each step inserts a document under its
-        /// id if the id holds none, and removes the one it holds
-        /// otherwise; a unique index refuses a taken key, unchanged.
+        /// Random inserts, removes and key-changing re-inserts of
+        /// multikey documents (repeated and nested elements, `1` beside
+        /// `1.0`), from an empty index or from a bulk-filled one, keep
+        /// every answer the index gives what a `BTreeSet` per key would
+        /// give, across folds of the delta into the run. Each step
+        /// inserts a document under its id if the id holds none; else it
+        /// re-indexes the id to the new document as an update does
+        /// (`reindex`: checked first, then removed and inserted), or
+        /// removes it. A unique index refuses a taken key, unchanged.
         #[test]
         fn an_index_agrees_with_a_model_of_sets(
             unique in any::<bool>(),
-            steps in prop::collection::vec((0u64..8, multikey_doc()), 0..40),
+            initial in prop::collection::vec((0u64..8, multikey_doc()), 0..8),
+            steps in prop::collection::vec((0u64..8, multikey_doc(), any::<bool>()), 0..40),
             probe in prop::collection::vec(small(), 0..4),
             lo in bound(),
             hi in bound(),
             doc in multikey_doc(),
         ) {
-            let (mut ix, mut model) = (Index::new("k", unique), Model::new());
-            let mut docs = BTreeMap::new();
-            for (id, next) in steps {
-                if let Some(old) = docs.remove(&id) {
-                    ix.remove(id, &old);
-                    for key in values(&old) {
-                        if let Some(set) = model.get_mut(&key) {
-                            set.remove(&id);
-                            if set.is_empty() {
-                                model.remove(&key);
-                            }
+            let (mut model, mut docs) = (Model::new(), BTreeMap::new());
+            // A bulk build keeps what one-by-one insertion in id order would.
+            for (id, next) in initial.into_iter().collect::<BTreeMap<_, _>>() {
+                if !(unique && taken(&model, id, &next)) {
+                    apply(&mut model, id, &next, true);
+                    docs.insert(id, next);
+                }
+            }
+            let mut ix = built(&docs, unique);
+            let check = (&probe[..], (lo.as_ref(), hi.as_ref()), &doc);
+            check_model(&ix, &model, &docs, check)?;
+            for (id, next, reindex) in steps {
+                let refused = unique && taken(&model, id, &next);
+                match docs.remove(&id) {
+                    Some(old) if reindex => {
+                        prop_assert_eq!(ix.check_unique(id, &next, Some(id)).is_err(), refused);
+                        if refused {
+                            docs.insert(id, old);
+                        } else {
+                            ix.remove(id, &old);
+                            ix.insert(id, &next).unwrap();
+                            apply(&mut model, id, &old, false);
+                            apply(&mut model, id, &next, true);
+                            docs.insert(id, next);
                         }
                     }
-                } else {
-                    let keys = values(&next);
-                    let taken = unique
-                        && keys.iter().any(|k| model.get(k).is_some_and(|set| !set.contains(&id)));
-                    prop_assert_eq!(ix.insert(id, &next).is_err(), taken, "{:?}", next);
-                    if !taken {
-                        for key in keys {
-                            model.entry(key).or_default().insert(id);
+                    Some(old) => {
+                        ix.remove(id, &old);
+                        apply(&mut model, id, &old, false);
+                    }
+                    None => {
+                        prop_assert_eq!(ix.insert(id, &next).is_err(), refused, "{:?}", next);
+                        if !refused {
+                            apply(&mut model, id, &next, true);
+                            docs.insert(id, next);
                         }
-                        docs.insert(id, next);
                     }
                 }
-                check_model(&ix, &model, &docs, (&probe, (lo.as_ref(), hi.as_ref()), &doc))?;
+                check_model(&ix, &model, &docs, check)?;
             }
         }
+
+        /// The `_id` map's shape: a unique index on `_id`, one scalar key
+        /// per document, bulk-filled from the documents one-by-one
+        /// insertion would keep. A duplicate is refused, and an id is
+        /// found under its key until it is removed and absent after,
+        /// whether the key sat in the run or in the delta.
+        #[test]
+        fn an_id_map_refuses_duplicates_and_forgets_removed_ids(
+            initial in prop::collection::vec(small(), 0..10),
+            steps in prop::collection::vec((0u64..12, small()), 0..40),
+        ) {
+            let (mut model, mut held) = (BTreeMap::new(), BTreeMap::new());
+            for (id, v) in (0..).zip(initial) {
+                if let Slot::Vacant(slot) = model.entry(OrderedValue(v.clone())) {
+                    slot.insert(id);
+                    held.insert(id, json!({ "_id": v }));
+                }
+            }
+            let mut entries: Vec<Entry<'_>> = (held.iter())
+                .map(|(id, doc)| Entry::new(&doc["_id"], *id, 0))
+                .collect();
+            entries.sort_unstable_by(Entry::order);
+            prop_assert!(first_collision(&entries).is_none());
+            let mut ix = Index::new("_id", true);
+            ix.fill(&entries).unwrap();
+            drop(entries);
+            for (id, v) in steps {
+                let key = OrderedValue(v.clone());
+                match held.remove(&id) {
+                    Some(doc) => {
+                        let was = OrderedValue(doc["_id"].clone());
+                        prop_assert_eq!(ix.lowest(&key::encoded(&was.0)), Some(id));
+                        ix.remove(id, &doc);
+                        model.remove(&was);
+                        prop_assert_eq!(ix.lowest(&key::encoded(&was.0)), None, "{} removed", was.0);
+                    }
+                    None => {
+                        let doc = json!({ "_id": v });
+                        let refused = model.contains_key(&key);
+                        prop_assert_eq!(ix.insert(id, &doc).is_err(), refused, "{}", v);
+                        if !refused {
+                            model.insert(key, id);
+                            held.insert(id, doc);
+                        }
+                    }
+                }
+                check_parts(&ix)?;
+                prop_assert_eq!(ix.distinct_values(), model.len());
+                for v in [json!(0), json!(1), json!(1.0), json!(4), json!("a"), json!(null), json!(true)] {
+                    let want = model.get(&OrderedValue(v.clone())).copied();
+                    prop_assert_eq!(ix.lowest(&key::encoded(&v)), want, "{}", v);
+                }
+            }
+        }
+    }
+
+    /// Inserted one distinct key at a time, an index folds each time its
+    /// delta holds more keys than its run: with 1, 2, 4, 8 keys in the
+    /// delta, leaving runs of 1, 3, 7 and 15 keys.
+    #[test]
+    fn one_by_one_inserts_fold_at_doubling_sizes() {
+        let mut ix = Index::new("n", false);
+        let mut runs = Vec::new();
+        for n in 0..20u64 {
+            ix.insert(n, &json!({ "n": n })).unwrap();
+            if runs.last() != Some(&ix.run.key_count()) {
+                runs.push(ix.run.key_count());
+            }
+        }
+        assert_eq!(runs, [1, 3, 7, 15]);
+        assert_eq!(ix.delta.len(), 5);
+        assert_eq!(ix.distinct_values(), 20);
+        assert_eq!(eq(&ix, json!(3)), vec![3]);
+        assert_eq!(eq(&ix, json!(17)), vec![17]);
+    }
+
+    /// A removal of a key the run holds stays in the delta as an empty
+    /// set: the key is gone from every answer until the next fold drops
+    /// it from the run.
+    #[test]
+    fn a_removed_run_key_is_shadowed_by_an_empty_set() {
+        let docs: BTreeMap<DocId, Value> = (0..4).map(|id| (id, json!({ "k": id }))).collect();
+        let mut ix = built(&docs, false);
+        assert_eq!((ix.run.key_count(), ix.delta.len()), (4, 0));
+        ix.remove(2, &docs[&2]);
+        assert_eq!(ix.delta.get(&*key::encoded(&json!(2))), Some(&Vec::new()));
+        assert_eq!(eq(&ix, json!(2)), Vec::<DocId>::new());
+        assert_eq!(ix.distinct_values(), 3);
+        let all = ix.lookup(&Probe::Range(Bound::Unbounded, Bound::Unbounded));
+        assert_eq!(all, vec![0, 1, 3]);
+        // A new key and the removed one's return: two keys in the delta.
+        ix.insert(9, &json!({"k": 9})).unwrap();
+        ix.insert(2, &docs[&2]).unwrap();
+        assert_eq!((ix.run.key_count(), ix.delta.len()), (4, 2));
+        assert_eq!(
+            ix.lookup(&Probe::Range(Bound::Unbounded, Bound::Unbounded)),
+            vec![0, 1, 2, 3, 9]
+        );
+    }
+
+    /// A run's offsets are `u32`: an end past `u32::MAX` is refused with
+    /// a typed error, never truncated.
+    #[test]
+    fn an_offset_past_u32_is_refused() {
+        assert_eq!(offset(u32::MAX as usize), Ok(u32::MAX));
+        let past = offset(u32::MAX as usize + 1);
+        assert!(matches!(past, Err(StoreError::Capacity(_))), "{past:?}");
     }
 
     #[test]

@@ -125,10 +125,16 @@ impl Profiler {
         self.add(counter, 1);
     }
 
-    /// Add `n` to the named event counter (`column.rows_pruned`).
+    /// Add `n` to the named event counter (`column.rows_pruned`). Only a
+    /// counter's first bump allocates its name.
     pub fn add(&self, counter: &str, n: u64) {
         let mut st = self.state.lock();
-        *st.counters.entry(counter.to_string()).or_insert(0) += n;
+        match st.counters.get_mut(counter) {
+            Some(count) => *count += n,
+            None => {
+                st.counters.insert(counter.to_owned(), n);
+            }
+        }
     }
 
     /// Current value of a named counter (0 when never bumped).

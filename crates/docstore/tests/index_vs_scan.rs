@@ -7,9 +7,14 @@
 //! Each filter runs through `find`, `count`, `update_many` and
 //! `delete_many` on two collections holding the same documents, one with
 //! an index on `k` and one without. Both must give the table's answer.
+//! And a bulk-loaded indexed twin keeps answering as the scan and
+//! `mp-model` do while writes fold its delta into its runs.
 
 use mp_docstore::{Collection, Database};
+use mp_model::model_match;
+use proptest::prelude::*;
 use serde_json::{json, Value};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// The `_id`s 0–6: a scalar, no `k`, a null, a top-level array, a
@@ -112,5 +117,118 @@ fn an_empty_range_matches_nothing() {
                 "{filter} on the {twin} twin"
             );
         }
+    }
+}
+
+/// A `k`: a small integer, or an array of two (a multikey document).
+fn key() -> impl Strategy<Value = Value> {
+    let one = || (0i64..12).prop_map(Value::from);
+    prop_oneof![
+        one(),
+        one(),
+        (0i64..12, 0i64..12).prop_map(|(a, b)| json!([a, b])),
+    ]
+}
+
+/// One write after the load: an update moving every document under one
+/// key to another (by an index plan on the indexed twin), or a delete of
+/// one `_id` or of a range of keys.
+#[derive(Debug, Clone)]
+enum Write {
+    Move(i64, Value),
+    DeleteId(i64),
+    DeleteAbove(i64),
+}
+
+fn write() -> impl Strategy<Value = Write> {
+    let update = || ((0i64..12), key()).prop_map(|(from, to)| Write::Move(from, to));
+    prop_oneof![
+        update(),
+        update(),
+        (0i64..60).prop_map(Write::DeleteId),
+        (6i64..12).prop_map(Write::DeleteAbove),
+    ]
+}
+
+/// The filters checked after every write: equality, `$in`, a range and
+/// an `_id`, each served by a plan of its own on the indexed twin.
+fn probes(at: i64) -> [Value; 4] {
+    [
+        json!({ "k": at % 12 }),
+        json!({"k": {"$in": [at % 12, (at + 5) % 12]}}),
+        json!({"k": {"$gt": at % 7, "$lte": at % 7 + 4}}),
+        json!({ "_id": at }),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// A bulk-loaded indexed twin, then more inserts of fresh `_id`s than
+    /// the load holds — so the `_id` map's delta outgrows its run and
+    /// folds at least once, as the `k` index's does when the inserts
+    /// bring keys it lacks — interleaved with key-changing updates and
+    /// deletes. After every write, equality, `$in`, range and `_id`
+    /// answers equal the unindexed twin's scan and a model of the
+    /// documents matched by `mp-model`.
+    #[test]
+    fn a_bulk_loaded_index_answers_as_a_scan_across_folds(
+        loaded in prop::collection::vec(key(), 1..20),
+        inserted in prop::collection::vec((0i64..24).prop_map(Value::from), 20..40),
+        writes in prop::collection::vec(write(), 20..40),
+    ) {
+        let (indexed, plain) = (Database::new().collection("c"), Database::new().collection("c"));
+        indexed.create_index("k", false).unwrap();
+        let docs: Vec<Value> = (0..).zip(&loaded).map(|(id, k)| json!({"_id": id, "k": k})).collect();
+        let mut model: BTreeMap<i64, Value> = (0..).zip(docs.iter().cloned()).collect();
+        indexed.insert_many(docs.clone()).unwrap();
+        plain.insert_many(docs).unwrap();
+        let fresh = (100..).zip(&inserted).map(|(id, k)| Some(json!({"_id": id, "k": k})));
+        let steps = fresh.zip(writes.iter().map(Some).chain(std::iter::repeat(None)));
+        for (step, (insert, write)) in (0i64..).zip(steps) {
+            if let Some(doc) = insert {
+                model.insert(doc["_id"].as_i64().unwrap(), doc.clone());
+                indexed.insert_one(doc.clone()).unwrap();
+                plain.insert_one(doc).unwrap();
+            }
+            match write {
+                Some(Write::Move(from, to)) => {
+                    let (filter, set) = (json!({ "k": from }), json!({"$set": {"k": to}}));
+                    for doc in model.values_mut().filter(|d| model_match(&filter, d)) {
+                        doc["k"] = to.clone();
+                    }
+                    for c in [&indexed, &plain] {
+                        c.update_many(&filter, &set).unwrap();
+                    }
+                }
+                Some(Write::DeleteId(id)) => {
+                    model.remove(id);
+                    for c in [&indexed, &plain] {
+                        c.delete_one(&json!({ "_id": id })).unwrap();
+                    }
+                }
+                Some(Write::DeleteAbove(lo)) => {
+                    let filter = json!({"k": {"$gte": lo}});
+                    model.retain(|_, d| !model_match(&filter, d));
+                    for c in [&indexed, &plain] {
+                        c.delete_many(&filter).unwrap();
+                    }
+                }
+                None => {}
+            }
+            for at in [step, step + 3, 100 + step / 2] {
+                for filter in probes(at) {
+                    let want: Vec<i64> = (model.iter())
+                        .filter(|(_, d)| model_match(&filter, d))
+                        .map(|(id, _)| *id)
+                        .collect();
+                    prop_assert_eq!(ids(&indexed.find(&filter).unwrap()), want.clone(), "{} after {:?}", filter, write);
+                    prop_assert_eq!(ids(&plain.find(&filter).unwrap()), want, "{}", filter);
+                }
+                let by_id = indexed.get(&json!(at));
+                prop_assert_eq!(by_id.as_deref(), model.get(&at));
+            }
+        }
+        prop_assert_eq!(indexed.dump(), plain.dump());
     }
 }

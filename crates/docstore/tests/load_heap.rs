@@ -66,9 +66,14 @@ struct Load {
     id_sized: usize,
     /// See [`holes_between_kept`].
     holes: usize,
+    /// Allocations the load made that the store still holds once the
+    /// returned ids are dropped.
+    kept: usize,
 }
 
-fn load(id_len: usize) -> Load {
+/// Load `DOCS` documents with `id_len`-byte ids into a collection
+/// indexed on `paths`.
+fn load(id_len: usize, paths: &[&str]) -> Load {
     let db = Database::new();
     let materials = db.collection("materials");
     let docs: Vec<Value> = (0..DOCS).map(|i| material(i, id_len)).collect();
@@ -79,8 +84,9 @@ fn load(id_len: usize) -> Load {
     // Sequence numbers count from the first call this load logs.
     let first = mp_testalloc::logged();
     mp_testalloc::record(true);
-    materials.create_index("chemsys", false).unwrap();
-    materials.create_index("formula", false).unwrap();
+    for path in paths {
+        materials.create_index(path, false).unwrap();
+    }
     let started = mp_testalloc::logged() - first;
     let ids = materials.insert_many(docs).unwrap();
     let returned = mp_testalloc::logged() - first;
@@ -134,14 +140,22 @@ fn load(id_len: usize) -> Load {
         interleaved,
         id_sized,
         holes,
+        kept: kept.len(),
     }
 }
 
+/// One test, so that no two loads record at once: the allocation log is
+/// shared by every recording thread.
 #[test]
+fn a_bulk_load_leaves_the_heap_as_it_should() {
+    a_load_returns_its_ids_as_one_run_and_clones_each_once_for_the_store();
+    key_maps_keep_a_few_allocations_whatever_their_keys();
+}
+
 fn a_load_returns_its_ids_as_one_run_and_clones_each_once_for_the_store() {
     // Ids held inline: the id vector is all the caller frees, and no
     // id is allocated anywhere.
-    let inline = load(INLINE_ID);
+    let inline = load(INLINE_ID, INDEXED);
     assert_eq!(inline.freed_late, 1);
     assert_eq!(inline.id_sized, 0);
     assert!(
@@ -151,7 +165,7 @@ fn a_load_returns_its_ids_as_one_run_and_clones_each_once_for_the_store() {
     );
 
     // Ids on the heap: the id vector and one string per document.
-    let heap = load(HEAP_ID);
+    let heap = load(HEAP_ID, INDEXED);
     assert_eq!(heap.freed_late, DOCS + 1);
     assert_eq!(
         heap.interleaved, 0,
@@ -182,6 +196,37 @@ fn a_load_returns_its_ids_as_one_run_and_clones_each_once_for_the_store() {
         heap.holes
     );
 }
+
+/// The indexes `explore_scan` builds on its corpus.
+const INDEXED: &[&str] = &["chemsys", "formula"];
+
+/// The store keeps the `_id` map and each index as a sorted run of
+/// their keys: four vectors each, however many keys (DESIGN §10, "Sorted
+/// runs and a delta"), where a map with a key and an id set per key
+/// would keep one or two chunks per distinct key and its nodes.
+fn key_maps_keep_a_few_allocations_whatever_their_keys() {
+    let bare = load(INLINE_ID, &[]);
+    let indexed = load(INLINE_ID, INDEXED);
+    // Unindexed, the store keeps one handle per document, the document
+    // map's nodes (one per ≈ 11 documents) and a few chunks more: the
+    // `_id` map keeps no chunk per document.
+    assert!(
+        bare.kept <= DOCS + DOCS / 8,
+        "{} allocations kept for {DOCS} documents without indexes",
+        bare.kept
+    );
+    // The two indexes (24 distinct keys between them), run by run.
+    assert!(
+        indexed.kept - bare.kept <= INDEXED.len() * KEPT_PER_INDEX,
+        "{} allocations kept for {} indexes",
+        indexed.kept - bare.kept,
+        INDEXED.len()
+    );
+}
+
+/// What an index adds to what a load keeps: its run's four vectors, its
+/// path's segments and its share of the index list.
+const KEPT_PER_INDEX: usize = 8;
 
 /// Holes the bulk build leaves: the list of index specs it reads, one
 /// index's run vector and the documents map's collect buffer.

@@ -56,7 +56,9 @@ fn a_hit_allocates_the_same_for_400_rows_as_for_one() {
         "a hit's allocations must not scale with its rows"
     );
     // 17 while every string value was its own `String`: three short
-    // string values a hit builds now live inside their `Value`s. "At
-    // most" so that a further saving is not a failure.
-    assert!(one <= 14, "{one} allocations for one hit");
+    // string values a hit builds now live inside their `Value`s (14),
+    // and bumping the `cache.hit` counter no longer allocates its name
+    // once it exists (13). "At most" so that a further saving is not a
+    // failure.
+    assert!(one <= 13, "{one} allocations for one hit");
 }
