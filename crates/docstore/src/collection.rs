@@ -960,7 +960,7 @@ impl Collection {
             (plan.kind, Self::plan_read(&inner, &plan, true))
         };
         self.shared.profiler.bump(kind.counter());
-        candidates.prune(cf, &self.shared.profiler)
+        candidates.prune(cf, &self.shared)
     }
 
     /// Every match of `cf` with its `DocId`, in store order, through the

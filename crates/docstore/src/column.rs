@@ -11,16 +11,17 @@
 //! resolves through plain objects to a JSON number, and `NaN`
 //! ("undecided") for everything else: missing, `null`, a string, an
 //! array, a path that crosses an array, an integer no `f64` holds
-//! exactly. [`Candidates::prune`] drops a
-//! row only when a column *proves* a top-level conjunct cannot match it;
-//! a `NaN` row always survives, and [`CompiledFilter::matches`] still
-//! decides every survivor. A column can remove work, never change an
-//! answer.
+//! exactly. The walk of [`Candidates::iter`] skips a row only when a
+//! column *proves* a top-level conjunct cannot match it; a `NaN` row
+//! always survives, and [`CompiledFilter::matches`] still decides every
+//! survivor. A column can remove work, never change an answer.
 
+use crate::journal::Shared;
 use crate::profiler::Profiler;
 use crate::query::{CompiledFilter, NumericBound};
 use crate::value::{exact_f64, Docs, Document, Path};
 use serde_json::Value;
+use std::cell::Cell;
 use std::sync::{Arc, OnceLock};
 
 /// Columns one segment will build. API callers choose the filter paths,
@@ -89,23 +90,6 @@ fn build_column(docs: &[Arc<Document>], path: &Path) -> Arc<[f64]> {
     docs.iter().map(|d| plain_number(d, path)).collect()
 }
 
-/// The pruning pass: the rows of `sel` (all rows, if `None`) whose
-/// value in `col` the bound admits.
-fn narrow(sel: Option<Vec<usize>>, col: &[f64], bound: NumericBound) -> Vec<usize> {
-    match sel {
-        None => col
-            .iter()
-            .enumerate()
-            .filter(|(_, x)| bound.admits(**x))
-            .map(|(i, _)| i)
-            .collect(),
-        Some(mut sel) => {
-            sel.retain(|&i| col.get(i).is_none_or(|x| bound.admits(*x)));
-            sel
-        }
-    }
-}
-
 /// The number at `path` when every step is an object key and the value
 /// is a JSON number — the one shape for which a comparison predicate
 /// sees exactly this value (no array traversal, no second candidate) and
@@ -114,7 +98,7 @@ fn plain_number(doc: &Value, path: &Path) -> f64 {
     let mut cur = doc;
     for seg in path.segs() {
         match cur {
-            Value::Object(m) => match m.get(&seg.key) {
+            Value::Object(m) => match m.get_field(&seg.key) {
                 Some(v) => cur = v,
                 None => return f64::NAN,
             },
@@ -140,38 +124,45 @@ enum Rows {
 }
 
 /// What one planned read will run its filter over: rows in store order,
-/// less those a column has ruled out.
+/// less those a column rules out as the walk reaches them.
 pub(crate) struct Candidates {
     rows: Rows,
-    /// Indices into the rows that survived pruning; `None` = all rows.
-    sel: Option<Vec<usize>>,
+    /// Each bounded path's column, with the bound a row's value in it
+    /// must pass; empty for anything but a scan with columns to test.
+    bounds: Vec<(Arc<[f64]>, NumericBound)>,
+    /// Rows the walk reached and a column ruled out, added to the
+    /// profiler's `column.rows_pruned` when the candidates are dropped.
+    pruned: Cell<u64>,
+    /// Whose profiler that is: the collection's, set by `prune` when
+    /// there are bounds to test.
+    report: Option<Arc<Shared>>,
 }
 
 impl From<Docs> for Candidates {
     fn from(docs: Docs) -> Self {
-        Candidates {
-            rows: Rows::Handles(docs),
-            sel: None,
-        }
+        Candidates::of(Rows::Handles(docs))
     }
 }
 
 impl Candidates {
+    fn of(rows: Rows) -> Self {
+        Candidates {
+            rows,
+            bounds: Vec::new(),
+            pruned: Cell::new(0),
+            report: None,
+        }
+    }
+
     /// A full scan through `seg`.
     pub(crate) fn scan(seg: Arc<Segment>) -> Self {
-        Candidates {
-            rows: Rows::Scan(seg),
-            sel: None,
-        }
+        Candidates::of(Rows::Scan(seg))
     }
 
     /// The description of a full scan over `n` rows (see
     /// [`Rows::Unscanned`]).
     pub(crate) fn unscanned(n: usize) -> Self {
-        Candidates {
-            rows: Rows::Unscanned(n),
-            sel: None,
-        }
+        Candidates::of(Rows::Unscanned(n))
     }
 
     /// Rows the plan examines, before any pruning.
@@ -180,11 +171,6 @@ impl Candidates {
             Rows::Unscanned(n) => n,
             _ => self.as_slice().len(),
         }
-    }
-
-    /// Rows left for the filter to decide.
-    pub(crate) fn len(&self) -> usize {
-        self.sel.as_ref().map_or(self.as_slice().len(), Vec::len)
     }
 
     /// Paths of `cf` a scan tests against a column: those that hold a
@@ -208,33 +194,35 @@ impl Candidates {
             .collect()
     }
 
-    /// Drop every row a column proves `cf` cannot match: one pass over
-    /// an `f64` array per bounded path, no document touched.
-    pub(crate) fn prune(mut self, cf: &CompiledFilter, profiler: &Profiler) -> Self {
+    /// Test every bounded path of `cf` that has a column as the walk
+    /// reaches each row, and report what that rules out to `shared`'s
+    /// profiler. No row is read here.
+    pub(crate) fn prune(mut self, cf: &CompiledFilter, shared: &Arc<Shared>) -> Self {
         let Rows::Scan(seg) = &self.rows else {
             return self;
         };
-        for (path, bound) in cf.numeric_bounds() {
-            let Some(col) = seg.column(path, profiler) else {
-                continue;
-            };
-            self.sel = Some(narrow(self.sel.take(), &col, bound));
-        }
-        if let Some(sel) = &self.sel {
-            profiler.add("column.rows_pruned", (seg.docs.len() - sel.len()) as u64);
-        }
+        self.bounds = (cf.numeric_bounds())
+            .filter_map(|(path, bound)| Some((seg.column(path, &shared.profiler)?, bound)))
+            .collect();
+        self.report = (!self.bounds.is_empty()).then(|| Arc::clone(shared));
         self
     }
 
-    /// The surviving rows in store order, lazily: a consumer that stops
-    /// early never touches the rest.
+    /// The rows every column bound admits, in store order, lazily: a
+    /// consumer that stops early tests no further row.
     pub(crate) fn iter(&self) -> impl Iterator<Item = &Arc<Document>> + '_ {
-        let rows = self.as_slice();
-        let picked = self.sel.as_deref();
-        (0..self.len()).filter_map(move |k| match picked {
-            Some(sel) => rows.get(*sel.get(k)?),
-            None => rows.get(k),
-        })
+        let rows = self.as_slice().iter().enumerate();
+        rows.filter(|(row, _)| self.admits(*row))
+            .map(|(_, doc)| doc)
+    }
+
+    /// Whether every column bound admits `row`'s value; a row one of
+    /// them rules out is counted.
+    fn admits(&self, row: usize) -> bool {
+        let admitted =
+            (self.bounds.iter()).all(|(col, bound)| col.get(row).is_none_or(|x| bound.admits(*x)));
+        self.pruned.set(self.pruned.get() + u64::from(!admitted));
+        admitted
     }
 
     /// Every row, before any pruning, as one slice.
@@ -243,6 +231,14 @@ impl Candidates {
             Rows::Handles(docs) => docs,
             Rows::Scan(seg) => &seg.docs,
             Rows::Unscanned(_) => &[],
+        }
+    }
+}
+
+impl Drop for Candidates {
+    fn drop(&mut self) {
+        if let (Some(shared), n @ 1..) = (&self.report, self.pruned.get()) {
+            shared.profiler.add("column.rows_pruned", n);
         }
     }
 }
@@ -259,6 +255,12 @@ mod tests {
 
     fn compiled(q: Value) -> CompiledFilter {
         Filter::parse(&q).unwrap().compile()
+    }
+
+    /// Rows the walk yields; dropping the candidates then reports what
+    /// it ruled out.
+    fn walked(c: Candidates) -> usize {
+        c.iter().count()
     }
 
     #[test]
@@ -290,10 +292,11 @@ mod tests {
             json!({"m": 5}),
             json!({"n": 7}),
         ]);
-        let prof = Profiler::new(8);
+        let shared = Arc::new(Shared::new());
+        let prof = &shared.profiler;
         let cf = compiled(json!({"n": {"$gte": 5}}));
-        let pruned = Candidates::scan(Arc::clone(&s)).prune(&cf, &prof);
-        assert_eq!((pruned.examined(), pruned.len()), (5, 4));
+        let pruned = Candidates::scan(Arc::clone(&s)).prune(&cf, &shared);
+        assert_eq!(pruned.examined(), 5);
         let kept: Vec<&Value> = pruned.iter().map(|d| &**d).collect();
         assert_eq!(
             kept,
@@ -304,13 +307,32 @@ mod tests {
                 &json!({"n": 7})
             ]
         );
+        drop(pruned);
         assert_eq!(prof.counter("column.build"), 1);
         assert_eq!(prof.counter("column.rows_pruned"), 1);
-        // A second bounded path narrows the same selection.
+        // A second bounded path is tested on the same walk.
         let both = compiled(json!({"n": {"$gte": 5}, "m": {"$lt": 0}}));
-        let pruned = Candidates::scan(s).prune(&both, &prof);
-        assert_eq!(pruned.len(), 3, "rows 1 and 4 have no `m`: undecided");
+        let pruned = Candidates::scan(s).prune(&both, &shared);
+        assert_eq!(walked(pruned), 3, "rows 1 and 4 have no `m`: undecided");
         assert_eq!(prof.counter("column.build"), 2);
+        assert_eq!(prof.counter("column.rows_pruned"), 3);
+    }
+
+    /// A walk that stops early tests no row past the one it stopped at,
+    /// and counts only the rows it ruled out on the way.
+    #[test]
+    fn a_stopped_walk_counts_what_it_reached() {
+        let s = seg((0..100).map(|i| json!({"n": i % 2})).collect());
+        let shared = Arc::new(Shared::new());
+        let c = Candidates::scan(s).prune(&compiled(json!({"n": {"$lt": 1}})), &shared);
+        assert_eq!(c.iter().take(3).count(), 3);
+        assert_eq!(
+            c.pruned.get(),
+            2,
+            "rows 1 and 3 ruled out, row 5 not reached"
+        );
+        drop(c);
+        assert_eq!(shared.profiler.counter("column.rows_pruned"), 2);
     }
 
     fn lt2(path: &str) -> CompiledFilter {
@@ -327,22 +349,27 @@ mod tests {
             )
         };
         let s = seg((0..4).map(row).collect());
-        let prof = Profiler::new(8);
+        let shared = Arc::new(Shared::new());
+        let prof = &shared.profiler;
         for k in 0..MAX_COLUMNS {
             let cf = lt2(&format!("p{k}"));
             let c = Candidates::scan(Arc::clone(&s));
             assert_eq!(c.pruned_by(&cf).len(), 1, "p{k} fits");
-            assert_eq!(c.prune(&cf, &prof).len(), 2);
+            assert_eq!(walked(c.prune(&cf, &shared)), 2);
         }
         assert_eq!(prof.counter("column.cap_hit"), 0);
         let ninth = lt2(&format!("p{MAX_COLUMNS}"));
         let c = Candidates::scan(Arc::clone(&s));
         assert!(c.pruned_by(&ninth).is_empty());
-        assert_eq!(c.prune(&ninth, &prof).len(), 4, "no column, no pruning");
+        assert_eq!(walked(c.prune(&ninth, &shared)), 4, "no column, no pruning");
         assert_eq!(prof.counter("column.build"), MAX_COLUMNS as u64);
         assert_eq!(prof.counter("column.cap_hit"), 1);
         // A path that already holds a slot still prunes.
-        assert_eq!(Candidates::scan(s).prune(&lt2("p0"), &prof).len(), 2);
+        assert_eq!(walked(Candidates::scan(s).prune(&lt2("p0"), &shared)), 2);
+        assert_eq!(
+            prof.counter("column.rows_pruned"),
+            2 * (MAX_COLUMNS as u64 + 1)
+        );
     }
 
     /// Callers choose the paths: ones that name nothing numeric must not
@@ -352,23 +379,20 @@ mod tests {
         let s = seg((0..4)
             .map(|i| json!({"n": i, "s": "x", "a": [i]}))
             .collect());
-        let prof = Profiler::new(8);
+        let shared = Arc::new(Shared::new());
+        let prof = &shared.profiler;
         for path in ["missing", "s", "a", "n.deeper"]
             .iter()
             .cycle()
             .take(3 * MAX_COLUMNS)
         {
-            let c = Candidates::scan(Arc::clone(&s)).prune(&lt2(path), &prof);
-            assert_eq!(c.len(), 4, "{path}: nothing proven");
+            let c = Candidates::scan(Arc::clone(&s)).prune(&lt2(path), &shared);
+            assert_eq!(walked(c), 4, "{path}: nothing proven");
         }
         assert_eq!(prof.counter("column.build"), 0);
         assert!(s.held().is_empty());
-        assert_eq!(
-            Candidates::scan(Arc::clone(&s))
-                .prune(&lt2("n"), &prof)
-                .len(),
-            2
-        );
+        let c = Candidates::scan(Arc::clone(&s)).prune(&lt2("n"), &shared);
+        assert_eq!(walked(c), 2);
         assert_eq!((s.held(), prof.counter("column.cap_hit")), (vec!["n"], 0));
     }
 
@@ -382,6 +406,7 @@ mod tests {
                 .collect(),
         );
         assert_eq!(c.pruned_by(&compiled(wide)).len(), MAX_COLUMNS);
-        assert_eq!(c.prune(&lt2("p0"), &Profiler::new(8)).len(), 0);
+        let shared = Arc::new(Shared::new());
+        assert_eq!(walked(c.prune(&lt2("p0"), &shared)), 0);
     }
 }

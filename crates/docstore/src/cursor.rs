@@ -10,7 +10,7 @@
 //! against the test-only `mp-model` crate, which shares no code with them.
 
 use crate::value::{cmp_values, Path};
-use serde_json::{Map, Value};
+use serde_json::{FieldName, Map, Value};
 use std::borrow::Borrow;
 use std::cmp::Ordering;
 
@@ -178,8 +178,9 @@ pub struct CompiledProjection {
 /// One node of the projection trie.
 #[derive(Debug, Clone, Default)]
 struct ProjNode {
-    /// Child key → subtree, in first-seen order.
-    children: Vec<(String, ProjNode)>,
+    /// Child field name → subtree, in first-seen order; each name
+    /// resolved once, when the projection compiles.
+    children: Vec<(FieldName, ProjNode)>,
     /// A projection path terminates here: include the whole subtree.
     take_all: bool,
 }
@@ -203,9 +204,9 @@ impl CompiledProjection {
                 let mut out = Map::with_capacity(root.children.len());
                 if let Value::Object(m) = doc {
                     for (key, child) in &root.children {
-                        if let Some(v) = m.get(key) {
+                        if let Some(v) = m.get_field(key) {
                             if let Some(pv) = project_node(v, child) {
-                                out.insert_str(key, pv);
+                                out.insert_field(key, pv);
                             }
                         }
                     }
@@ -275,9 +276,9 @@ fn project_node(v: &Value, node: &ProjNode) -> Option<Value> {
     // mp-lint: allow(H002) — nested output object under construction, not reusable scratch.
     let mut out = Map::with_capacity(node.children.len());
     for (key, child) in &node.children {
-        if let Some(cv) = m.get(key) {
+        if let Some(cv) = m.get_field(key) {
             if let Some(pv) = project_node(cv, child) {
-                out.insert_str(key, pv);
+                out.insert_field(key, pv);
             }
         }
     }

@@ -546,10 +546,12 @@ impl Index {
         let (mut old, mut new) = (old, new);
         for seg in self.path.segs() {
             match (old, new) {
-                (Value::Object(a), Value::Object(b)) => match (a.get(&seg.key), b.get(&seg.key)) {
-                    (Some(a), Some(b)) => (old, new) = (a, b),
-                    (a, b) => return a.is_none() && b.is_none(),
-                },
+                (Value::Object(a), Value::Object(b)) => {
+                    match (a.get_field(&seg.key), b.get_field(&seg.key)) {
+                        (Some(a), Some(b)) => (old, new) = (a, b),
+                        (a, b) => return a.is_none() && b.is_none(),
+                    }
+                }
                 _ => break,
             }
         }

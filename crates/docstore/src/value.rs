@@ -7,7 +7,7 @@
 //! once, into a [`Path`]; its methods are the store's only walks by path
 //! (DESIGN §10, "One path").
 
-use serde_json::{Map, Number, Value};
+use serde_json::{FieldName, Map, Number, Value};
 use std::cmp::Ordering;
 use std::sync::Arc;
 
@@ -49,8 +49,9 @@ pub struct Path {
 /// One segment of a [`Path`]: the key, and its numeric parse.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct PathSeg {
-    /// The segment text (`"elements"` in `"spec.elements.0"`).
-    pub(crate) key: String,
+    /// The segment's field name (`"elements"` in `"spec.elements.0"`),
+    /// resolved once, so a walk finds it in a document by address.
+    pub(crate) key: FieldName,
     /// `Some(n)` when the segment is a valid array index.
     pub(crate) index: Option<usize>,
 }
@@ -63,7 +64,7 @@ impl Path {
             raw: path.to_string(),
             segs: segs
                 .map(|s| PathSeg {
-                    key: s.to_string(),
+                    key: FieldName::new(s),
                     index: s.parse().ok(),
                 })
                 .collect(),
@@ -137,7 +138,7 @@ impl Path {
     pub fn remove(&self, doc: &mut Value) -> Option<Value> {
         let (last, parents) = self.segs.split_last()?;
         match parents.iter().try_fold(doc, child_mut)? {
-            Value::Object(m) => m.remove(&last.key),
+            Value::Object(m) => m.remove(last.key.as_str()),
             Value::Array(a) => a.get_mut(last.index?).map(std::mem::take),
             _ => None,
         }
@@ -153,7 +154,7 @@ impl std::fmt::Display for Path {
 /// One strict step of [`Path::get`].
 fn child<'v>(cur: &'v Value, seg: &PathSeg) -> Option<&'v Value> {
     match cur {
-        Value::Object(m) => m.get(&seg.key),
+        Value::Object(m) => m.get_field(&seg.key),
         Value::Array(a) => a.get(seg.index?),
         _ => None,
     }
@@ -162,7 +163,7 @@ fn child<'v>(cur: &'v Value, seg: &PathSeg) -> Option<&'v Value> {
 /// One strict step of [`Path::get_mut`].
 fn child_mut<'v>(cur: &'v mut Value, seg: &PathSeg) -> Option<&'v mut Value> {
     match cur {
-        Value::Object(m) => m.get_mut(&seg.key),
+        Value::Object(m) => m.get_mut(seg.key.as_str()),
         Value::Array(a) => a.get_mut(seg.index?),
         _ => None,
     }
@@ -174,7 +175,7 @@ fn reach<'a, F: FnMut(&'a Value) -> bool>(segs: &[PathSeg], cur: &'a Value, pred
         return pred(cur);
     };
     match cur {
-        Value::Object(m) => m.get(&seg.key).is_some_and(|v| reach(rest, v, pred)),
+        Value::Object(m) => m.get_field(&seg.key).is_some_and(|v| reach(rest, v, pred)),
         Value::Array(a) => {
             seg.index
                 .and_then(|idx| a.get(idx))
@@ -199,15 +200,15 @@ fn slot<'v>(
 ) -> Result<&'v mut Value, String> {
     let slot = match at {
         Value::Object(m) => {
-            if !m.contains_key(&seg.key) {
-                m.insert_str(&seg.key, Value::Null);
+            if m.get_field(&seg.key).is_none() {
+                m.insert_field(&seg.key, Value::Null);
             }
-            m.get_mut(&seg.key)
+            m.get_mut(seg.key.as_str())
         }
         Value::Array(a) => {
             let idx = seg
                 .index
-                .ok_or_else(|| format!("cannot index array with '{}'", seg.key))?;
+                .ok_or_else(|| format!("cannot index array with '{}'", seg.key.as_str()))?;
             if a.len() <= idx {
                 a.resize(idx + 1, Value::Null);
             }
@@ -217,12 +218,12 @@ fn slot<'v>(
             return Err(format!(
                 "cannot traverse scalar {} at segment '{}'",
                 type_name(other),
-                seg.key
+                seg.key.as_str()
             ))
         }
     };
     // The slot was made above if it was missing; `None` cannot happen.
-    let slot = slot.ok_or_else(|| format!("no slot at segment '{}'", seg.key))?;
+    let slot = slot.ok_or_else(|| format!("no slot at segment '{}'", seg.key.as_str()))?;
     match next {
         Some(next) if slot.is_null() => {
             *slot = match next.index {

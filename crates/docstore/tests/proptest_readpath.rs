@@ -23,6 +23,15 @@
 //! and windowed results are the model's on the scan that builds the
 //! segment and its columns and on the ones that find them there.
 //!
+//! The window arm (`bounded_windows_answer_as_the_unpruned_twin`)
+//! runs skip/limit windows over the same rows, whose filtered paths a
+//! column mostly leaves undecided (missing, `null`, strings, arrays,
+//! paths through arrays, integers past 2^53), against the model and
+//! against a twin collection whose column slots other paths hold, so
+//! that it scans unpruned; a window's walk rules out no row past the
+//! one that fills it (`a_window_stops_the_column_work_where_it_fills`
+//! is the count gate of that).
+//!
 //! The rows arm (`rows_sink_agrees_with_find_with`, and a step of the
 //! column arm) pins the scan's third sink, `Collection::find_rows`, to
 //! the other two: its handles are `find_with`'s without the projection,
@@ -500,6 +509,60 @@ proptest! {
         let built = listed.iter().filter(has_numbers).count() as u64;
         prop_assert_eq!(db.profiler().counter("column.build"), built);
     }
+
+    /// Windowed reads of a COLLSCAN whose columns prove few rows answer
+    /// as the model does and as an unpruned scan of the same rows does,
+    /// and a window's walk rules out only rows it reached before the
+    /// window filled.
+    #[test]
+    fn bounded_windows_answer_as_the_unpruned_twin(
+        docs in prop::collection::vec(column_document(), 0..60),
+        filter in column_filter(),
+        windows in prop::collection::vec((0usize..8, 0usize..6), 1..4),
+    ) {
+        let db = Database::new();
+        let stored: Vec<Value> = docs
+            .into_iter()
+            .enumerate()
+            .map(|(i, mut d)| {
+                d["_id"] = json!(i);
+                d
+            })
+            .collect();
+        let (main, twin) = (db.collection("main"), db.collection("twin"));
+        main.insert_many(stored.clone()).unwrap();
+        twin.insert_many(stored.iter().map(with_decoys).collect()).unwrap();
+        for k in 0..DECOYS {
+            twin.count(&json!({ format!("p{k}"): {"$lt": 0} })).unwrap();
+        }
+        prop_assert!(twin.explain(&filter).unwrap()["column_pruned"] == json!([]));
+        let ids = |rows: &[Arc<Value>]| -> Vec<Value> { rows.iter().map(|d| d["_id"].clone()).collect() };
+        let matched: Vec<usize> = (0..stored.len()).filter(|&i| model_match(&filter, &stored[i])).collect();
+        for (skip, limit) in windows {
+            let opts = FindOptions::all().skip(skip).limit(limit);
+            let want: Vec<Value> = matched.iter().skip(skip).take(limit).map(|&i| json!(i)).collect();
+            let before = db.profiler().counter("column.rows_pruned");
+            let got = main.find_with(&filter, &opts).unwrap();
+            let pruned = db.profiler().counter("column.rows_pruned") - before;
+            prop_assert_eq!(&ids(&got), &want);
+            prop_assert_eq!(&ids(&twin.find_with(&filter, &opts).unwrap()), &want);
+            // The walk reaches the row that fills the window, or every row.
+            let reached = match (limit, matched.get(skip + limit - usize::from(limit > 0))) {
+                (0, _) => 0,
+                (_, Some(&last)) => last + 1,
+                (_, None) => stored.len(),
+            };
+            let matched_reached = matched.iter().filter(|&&i| i < reached).count();
+            prop_assert!(pruned as usize <= reached - matched_reached, "{} pruned of {} reached", pruned, reached);
+            let proj = CompiledProjection::compile(&["v", "o.v"]);
+            let (handles, rows) = main.find_rows(&filter, &proj, skip, Some(limit)).unwrap();
+            prop_assert_eq!(ids(&handles), want);
+            let (_, twin_rows) = twin.find_rows(&filter, &proj, skip, Some(limit)).unwrap();
+            prop_assert_eq!(rows, twin_rows);
+        }
+        prop_assert_eq!(main.count(&filter).unwrap(), matched.len());
+        prop_assert_eq!(twin.count(&filter).unwrap(), matched.len());
+    }
 }
 
 /// A write between two scans ends the segment's generation: the second
@@ -576,4 +639,35 @@ fn the_ninth_filter_path_scans_unpruned() {
         assert_eq!(pruned.as_array().unwrap().len(), usize::from(k < 8), "p{k}");
     }
     assert_eq!(db.profiler().counter("column.build"), 8);
+}
+
+/// Paths the window arm's twin fills its column slots with.
+const DECOYS: usize = 8;
+
+/// `doc` with a plain number at each decoy path.
+fn with_decoys(doc: &Value) -> Value {
+    let mut doc = doc.clone();
+    for k in 0..DECOYS {
+        doc[format!("p{k}")] = json!(k);
+    }
+    doc
+}
+
+/// The count gate of per-row column bounds: a window that fills after
+/// a few rows rules out only the rows it reached, not every row the
+/// column could rule out.
+#[test]
+fn a_window_stops_the_column_work_where_it_fills() {
+    let db = Database::new();
+    let c = db.collection("c");
+    c.insert_many((0..30_000).map(|i| json!({"_id": i, "n": i % 2})).collect())
+        .unwrap();
+    let rows = c
+        .find_with(&json!({"n": {"$lt": 1}}), &FindOptions::all().limit(10))
+        .unwrap();
+    let ids: Vec<i64> = rows.iter().map(|d| d["_id"].as_i64().unwrap()).collect();
+    assert_eq!(ids, (0..20).step_by(2).collect::<Vec<i64>>());
+    assert_eq!(db.profiler().counter("column.build"), 1);
+    let pruned = db.profiler().counter("column.rows_pruned");
+    assert!(pruned <= 20, "{pruned} rows ruled out for a 10-row window");
 }

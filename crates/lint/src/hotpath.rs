@@ -16,7 +16,9 @@
 //!   projected read): their whole body is hot.
 //! * **driver roots** own the per-document loop
 //!   (`filter_matches`, the scan segment's `build_column`,
-//!   `has_numbers_at`, `narrow` and `Candidates::iter`, the aggregation `run_stage`, the MapReduce engines): only their
+//!   `has_numbers_at` and `Candidates::iter`, whose walk tests each row
+//!   against the column bounds, the aggregation `run_stage`, the
+//!   MapReduce engines): only their
 //!   *loop regions* —
 //!   lines inside `for`/`while` bodies or iterator-adapter closures —
 //!   are hot.
@@ -186,7 +188,8 @@ pub struct HotConfig {
 impl HotConfig {
     /// The Materials Project workspace defaults: the match scan (counting
     /// is that scan under a sink with no per-document code of its own), the
-    /// scan segment's column build, pruning pass and survivor iterator, the
+    /// scan segment's column build and the candidates' walk, which tests
+    /// each row against the column bounds, the
     /// morsel scatter, the aggregation stage runner, and the MapReduce
     /// engines own the loops; the compiled
     /// projection, the scan's two projecting sinks and the compiled sort
@@ -197,7 +200,6 @@ impl HotConfig {
                 "filter_matches",
                 "build_column",
                 "Segment::has_numbers_at",
-                "narrow",
                 "Candidates::iter",
                 "CompiledFindOptions::apply_order",
                 "run_stage",

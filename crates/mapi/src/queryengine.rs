@@ -451,14 +451,12 @@ impl QueryEngine {
         // current.
         let generation = coll.version();
         if let Some(entry) = self.cache.get(&key, generation) {
-            self.db.profiler().bump("cache.hit");
             return Ok(Fetched {
                 entry,
                 cached: true,
                 rows: None,
             });
         }
-        self.db.profiler().bump("cache.miss");
         let filter = self.sanitize(criteria)?;
         let (entry, rows) = if properties.is_empty() {
             let opts = FindOptions {
@@ -707,7 +705,7 @@ mod tests {
             Arc::ptr_eq(&first.entry, &second.entry),
             "hit shares the cached rows"
         );
-        assert_eq!(qe.database().profiler().counter("cache.hit"), 1);
+        assert_eq!(qe.cache_stats().hits, 1);
         // A write to the collection bumps its version: the entry is
         // stale and the next read recomputes.
         qe.database()

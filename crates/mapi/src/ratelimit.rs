@@ -49,13 +49,24 @@ impl RateLimiter {
     }
 
     /// Try to spend one token for `key` at time `now` (seconds).
-    /// Returns true when the request is admitted.
+    /// Returns true when the request is admitted. Only a key's first
+    /// request allocates its bucket's name.
     pub fn admit(&self, key: &str, now: f64) -> bool {
         let mut buckets = self.buckets.lock();
-        let b = buckets.entry(key.to_string()).or_insert(Bucket {
-            tokens: self.config.burst,
-            last_refill: now,
-        });
+        match buckets.get_mut(key) {
+            Some(b) => self.spend(b, now),
+            None => {
+                let fresh = Bucket {
+                    tokens: self.config.burst,
+                    last_refill: now,
+                };
+                self.spend(buckets.entry(key.to_owned()).or_insert(fresh), now)
+            }
+        }
+    }
+
+    /// Refill `b` up to `now`, then take a token from it if it has one.
+    fn spend(&self, b: &mut Bucket, now: f64) -> bool {
         let dt = (now - b.last_refill).max(0.0);
         b.tokens = (b.tokens + dt * self.config.per_second).min(self.config.burst);
         b.last_refill = now;

@@ -261,17 +261,15 @@ impl MaterialsApi {
 
     /// Authenticate (anonymous allowed) and rate limit. Auth failures
     /// degrade to 401 and exhausted buckets to 429 — never a panic.
+    /// The bucket is the request's own key: accounts are keyed by it,
+    /// so a known key is all there is to check, and nothing is copied.
     fn admit(&self, req: &ApiRequest) -> Result<(), ApiError> {
         let bucket_key = match &req.api_key {
-            Some(k) => {
-                self.auth
-                    .authenticate(k)
-                    .map_err(|_| ApiError::Unauthorized)?
-                    .api_key
-            }
-            None => "anonymous".to_string(),
+            Some(k) if self.auth.knows(k) => k,
+            Some(_) => return Err(ApiError::Unauthorized),
+            None => "anonymous",
         };
-        if !self.limiter.admit(&bucket_key, req.now) {
+        if !self.limiter.admit(bucket_key, req.now) {
             return Err(ApiError::RateLimited);
         }
         Ok(())

@@ -1,9 +1,10 @@
 //! The field name a [`Map`](crate::Map) entry holds, and the
 //! process-wide table that lets documents share one copy of each name.
 //!
-//! Nothing here is visible outside the crate: `Map` hands a `Key` out
-//! as `&String` (or, from `into_iter`, as an owned `String`) whichever
-//! of its two shapes it has.
+//! `Map` hands a `Key` out as `&String` (or, from `into_iter`, as an
+//! owned `String`) whichever of its two shapes it has. The one thing
+//! visible outside the crate is [`FieldName`]: a key resolved once, for
+//! a caller that looks the same name up in many maps.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
@@ -61,9 +62,22 @@ impl Key {
     /// The key for `name`, shared if the table holds or takes it. A
     /// name the caller owns gives up its buffer only when it is not.
     pub(crate) fn new(name: impl AsRef<str> + Into<String>) -> Key {
-        match intern(name.as_ref()) {
+        match intern(name.as_ref(), true) {
             Some(shared) => Key::Shared(shared),
             None => Key::Owned(Box::new(name.into())),
+        }
+    }
+
+    /// Whether two keys name one field. Two shared keys do exactly when
+    /// they are one address: a name enters one slot and never leaves
+    /// it. Any pair with an owned key compares bytes, because one name
+    /// can be held both ways: a name too long for the table, or two
+    /// threads entering it as the table's last free slot is taken — one
+    /// of them takes the slot, the other finds the table full.
+    pub(crate) fn same(&self, other: &Key) -> bool {
+        match (self, other) {
+            (Key::Shared(a), Key::Shared(b)) => std::ptr::eq(*a, *b),
+            _ => self.as_string() == other.as_string(),
         }
     }
 
@@ -83,9 +97,57 @@ impl Key {
     }
 }
 
-/// The table's copy of `name`, entering it if there is room. `None`
-/// when the name is over `MAX_LEN`, or absent with the table at its
-/// bound or this name's run of slots taken.
+/// A field name resolved once, for a caller that reads or writes the
+/// same name in many maps ([`Map::get_field`](crate::Map::get_field),
+/// [`Map::insert_field`](crate::Map::insert_field)): against a map
+/// entry holding the table's copy it compares one address, and it
+/// inserts without hashing the name again. Making one reads the table
+/// but never enters a name — a name no map holds yet (one a query
+/// names, say) stays out of it and is compared by bytes; a map it is
+/// inserted into enters it as `insert` would. (An addition to
+/// `serde_json`'s surface.)
+#[derive(Clone)]
+pub struct FieldName(pub(crate) Key);
+
+impl FieldName {
+    /// Resolve `name` against the table.
+    pub fn new(name: &str) -> FieldName {
+        FieldName(match intern(name, false) {
+            Some(shared) => Key::Shared(shared),
+            None => Key::Owned(Box::new(name.to_owned())),
+        })
+    }
+
+    /// The name as text.
+    pub fn as_str(&self) -> &str {
+        self.0.as_string()
+    }
+
+    /// The key an entry inserted under this name holds: the table's copy,
+    /// shared, entered now if it was not there when `self` was made.
+    pub(crate) fn entry_key(&self) -> Key {
+        match &self.0 {
+            Key::Owned(name) => Key::new(name.as_str()),
+            shared => shared.clone(),
+        }
+    }
+}
+
+impl PartialEq for FieldName {
+    fn eq(&self, other: &FieldName) -> bool {
+        self.0.same(&other.0)
+    }
+}
+
+impl std::fmt::Debug for FieldName {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        self.as_str().fmt(f)
+    }
+}
+
+/// The table's copy of `name`, entering it if `enter` and there is
+/// room. `None` when the name is over `MAX_LEN`, or absent with the
+/// table at its bound, this name's run of slots taken or `enter` false.
 ///
 /// A name that is present is found with acquire loads and string
 /// comparisons only — no lock, no store to memory another thread
@@ -95,7 +157,7 @@ impl Key {
 /// one of them writes it and the rest read what was written. Every
 /// thread probes a given name's slots in the same order and a slot
 /// never empties, so a name cannot come to rest in two slots.
-fn intern(name: &str) -> Option<&'static String> {
+fn intern(name: &str, enter: bool) -> Option<&'static String> {
     if name.len() > MAX_LEN {
         return None;
     }
@@ -104,6 +166,7 @@ fn intern(name: &str) -> Option<&'static String> {
         let slot = &TABLE[(first + step) % SLOTS];
         let held = match slot.get() {
             Some(held) => held,
+            None if !enter => return None,
             None => {
                 let reserved = NAMES
                     .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |n| {
@@ -171,6 +234,31 @@ mod tests {
         assert_eq!(key.clone().as_string(), &long);
         assert_eq!(key.into_string(), long);
         assert!(matches!(Key::new("y".repeat(MAX_LEN)), Key::Shared(_)));
+    }
+
+    #[test]
+    fn a_shared_and_an_owned_key_of_one_name_are_the_same_field() {
+        let shared = Key::new("same_field_either_way");
+        let owned = Key::Owned(Box::new("same_field_either_way".to_owned()));
+        assert!(matches!(shared, Key::Shared(_)));
+        assert!(shared.same(&owned) && owned.same(&shared) && owned.same(&owned));
+        assert!(!shared.same(&Key::new("another_field")));
+        assert!(!owned.same(&Key::Owned(Box::new("another_field".to_owned()))));
+        assert_eq!(FieldName(owned), FieldName::new("same_field_either_way"));
+    }
+
+    #[test]
+    fn a_field_name_reads_the_table_and_enters_nothing() {
+        assert!(matches!(FieldName::new("seen_by_a_map").0, Key::Owned(_)));
+        let entered = FieldName::new("seen_by_a_map").entry_key();
+        let Key::Shared(entered) = entered else {
+            panic!("inserting a name enters it");
+        };
+        assert!(
+            matches!(FieldName::new("seen_by_a_map").0, Key::Shared(n) if std::ptr::eq(n, entered))
+        );
+        let long = FieldName::new(&"z".repeat(MAX_LEN + 1));
+        assert!(matches!(long.entry_key(), Key::Owned(_)));
     }
 
     #[test]

@@ -12,6 +12,7 @@ pub mod map;
 #[doc(hidden)]
 pub mod value;
 
+pub use key::FieldName;
 pub use map::Map;
 pub use value::{JsonIndex, Number, Str, Value};
 

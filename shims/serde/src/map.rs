@@ -3,7 +3,7 @@
 use std::fmt;
 use std::marker::PhantomData;
 
-use crate::key::Key;
+use crate::key::{FieldName, Key};
 use crate::value::Value;
 
 /// An insertion-ordered `String -> Value` map backed by a vector.
@@ -17,8 +17,9 @@ use crate::value::Value;
 /// inserting under a name some map has held before, allocates and frees
 /// nothing for the key. The store of names is bounded; a name it does
 /// not take (there are too many, or this one is long) is owned by its
-/// entry instead. No method tells the two apart: keys go in as `String`
-/// or `&str` and come out as `&String` or `String` either way.
+/// entry instead. No method tells the two apart: keys go in as `String`,
+/// `&str` or [`FieldName`] and come out as `&String` or `String` either
+/// way.
 #[derive(Clone, Default)]
 pub struct Map<K = String, V = Value> {
     entries: Vec<(Key, V)>,
@@ -67,6 +68,16 @@ impl Map<String, Value> {
             .map(|(_, v)| v)
     }
 
+    /// [`Map::get`] by a name resolved once: an entry holding the same
+    /// shared name is found by its address. (An addition to
+    /// `serde_json::Map`'s surface.)
+    pub fn get_field(&self, name: &FieldName) -> Option<&Value> {
+        self.entries
+            .iter()
+            .find(|(k, _)| k.same(&name.0))
+            .map(|(_, v)| v)
+    }
+
     /// Mutable lookup by key.
     pub fn get_mut(&mut self, key: &str) -> Option<&mut Value> {
         self.entries
@@ -91,6 +102,20 @@ impl Map<String, Value> {
     /// surface.)
     pub fn insert_str(&mut self, key: &str, value: Value) -> Option<Value> {
         self.put(key, value)
+    }
+
+    /// [`Map::insert`] by a name resolved once: found as
+    /// [`Map::get_field`] finds it, and a new entry takes the name's
+    /// shared copy without hashing it again. (An addition to
+    /// `serde_json::Map`'s surface.)
+    pub fn insert_field(&mut self, name: &FieldName, value: Value) -> Option<Value> {
+        match self.entries.iter_mut().find(|(k, _)| k.same(&name.0)) {
+            Some((_, slot)) => Some(std::mem::replace(slot, value)),
+            None => {
+                self.entries.push((name.entry_key(), value));
+                None
+            }
+        }
     }
 
     fn put(&mut self, key: impl AsRef<str> + Into<String>, value: Value) -> Option<Value> {
@@ -307,5 +332,29 @@ impl Extend<(String, Value)> for Map<String, Value> {
         for (k, v) in iter {
             self.insert(k, v);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_shared_name_finds_an_entry_that_owns_the_same_name() {
+        let mut map = Map::new();
+        let owned = Key::Owned(Box::new("owned_by_its_entry".to_owned()));
+        map.entries.push((owned, Value::from(1u64)));
+        let _enter = Key::new("owned_by_its_entry");
+        let name = FieldName::new("owned_by_its_entry");
+        assert!(matches!(name.0, Key::Shared(_)));
+        assert_eq!(map.get_field(&name), Some(&Value::from(1u64)));
+        assert_eq!(
+            map.insert_field(&name, Value::Null),
+            Some(Value::from(1u64))
+        );
+        assert_eq!(
+            (map.len(), map.get("owned_by_its_entry")),
+            (1, Some(&Value::Null))
+        );
     }
 }

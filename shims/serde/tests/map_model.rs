@@ -5,10 +5,12 @@
 //! meet in one map: a small vocabulary that recurs, names longer than
 //! the shared store takes, and fresh names in a supply larger than the
 //! store (a few thousand), so that late in the run new short names are
-//! owned by their entries too. Its own test binary, because it fills
-//! that process-wide store.
+//! owned by their entries too. Keys go in and are looked up by text and
+//! by `FieldName`, which may hold a name the other way from the entry
+//! it meets. Its own test binary, because it fills that process-wide
+//! store.
 
-use serde::{Map, Value};
+use serde::{FieldName, Map, Value};
 
 /// xorshift64*: the shim has no dependencies to draw a generator from.
 struct Rng(u64);
@@ -116,7 +118,7 @@ fn map_agrees_with_a_vector_of_owned_keys() {
     for step in 0..steps {
         let key = names.pick();
         let value = Value::from(step as u64);
-        match names.rng.below(12) {
+        match names.rng.below(14) {
             0 | 1 => assert_eq!(
                 map.insert(key.clone(), value.clone()),
                 model.insert(&key, value)
@@ -163,6 +165,20 @@ fn map_agrees_with_a_vector_of_owned_keys() {
                 let owned: Vec<(String, Value)> = std::mem::take(&mut map).into_iter().collect();
                 assert_eq!(owned, model.0, "step {step}");
                 map = owned.into_iter().collect();
+            }
+            // By a name resolved once, before or after a map entered it.
+            11 => assert_eq!(
+                map.insert_field(&FieldName::new(&key), value.clone()),
+                model.insert(&key, value)
+            ),
+            12 => {
+                let name = FieldName::new(&key);
+                assert_eq!(name.as_str(), key);
+                assert_eq!(map.get_field(&name), map.get(&key));
+                assert_eq!(
+                    map.get_field(&name),
+                    model.position(&key).map(|i| &model.0[i].1)
+                );
             }
             _ => {
                 assert_eq!(map.get(&key), model.position(&key).map(|i| &model.0[i].1));

@@ -8,7 +8,7 @@
 
 mod parse;
 
-pub use serde::{map, Error, Map, Number, Str, Value};
+pub use serde::{map, Error, FieldName, Map, Number, Str, Value};
 
 pub use parse::from_str_value;
 
