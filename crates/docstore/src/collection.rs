@@ -13,12 +13,14 @@ use crate::profiler::OpKind;
 use crate::query::{CompiledFilter, Filter};
 use crate::update::Update;
 use crate::value::{Docs, Document, OrderedValue, Path};
+use mp_exec::WorkPool;
 use mp_sync::LockRank;
 use serde_json::{json, Value};
 use std::cell::Cell;
 use std::collections::{BTreeMap, BTreeSet};
+use std::ops::Range;
 use std::slice;
-use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering as AtomicOrdering};
 use std::sync::{Arc, OnceLock};
 
 /// Outcome of an update call.
@@ -556,12 +558,13 @@ impl Collection {
         let path = Path::new(path);
         let mut set = BTreeSet::new();
         let candidates = &[self.candidates(&cf)];
-        // The keys an index on `path` would hold, visited in the scan.
-        let () = filter_matches(candidates, &cf, UNBOUNDED, |doc| {
+        let matched: Vec<&Arc<Document>> = filter_matches(candidates, &cf, UNBOUNDED, |doc| doc);
+        // The keys an index on `path` would hold.
+        for doc in matched {
             for_each_key(doc, &path, |key| {
                 set.insert(OrderedValue(key.clone()));
             });
-        });
+        }
         Ok(set.into_iter().map(|k| k.0).collect())
     }
 
@@ -1115,38 +1118,114 @@ impl Collection {
 /// A skip/limit window that keeps every match.
 pub(crate) const UNBOUNDED: (usize, Option<usize>) = (0, None);
 
+/// Rows of one morsel of a fanned-out collection scan (DESIGN §14).
+pub const MORSEL_ROWS: usize = 1024;
+
 /// The match-evaluation scan: run `cf` over one or more candidate sets
 /// (a collection's, or one per shard) and hand each match to `sink`, in
 /// set order then store order. The sink says what a match becomes, in
 /// the pass that matched it — the document's cache lines are still warm
 /// then, where re-walking the matched set afterwards pays a second pass
 /// of memory stalls over documents that long since fell out of cache.
-/// Four are in use: `Arc::clone` keeps the *handle* (a pointer bump;
+/// Five are in use: `Arc::clone` keeps the *handle* (a pointer bump;
 /// documents are never copied), [`projected_doc`] makes the *projected
 /// document* (of a match, or of a sorted find's ordered window under a
 /// filter that matches everything), [`handle_and_row`] both the handle
-/// and the projected row, and `|_| ()` keeps *nothing*. The results are
-/// collected into `C`: a vector, a pair of them for a sink that makes
-/// pairs, or a [`Count`].
+/// and the projected row, `|_| ()` keeps *nothing*, and `distinct`'s
+/// `|doc| doc` keeps the *borrowed handle* whose keys it collects. The
+/// results are collected into `C`: a vector, a pair of them for a sink
+/// that makes pairs, or a [`Count`].
 ///
-/// `window` is (skip, limit) over the match stream. The scan runs on the
-/// caller's thread and lazily, so a bounded window touches nothing past
-/// the row that fills it. It never fans out: on the task queue, the one
-/// workload whose scans were long enough to, two threads splitting a
-/// scan lost to one (DESIGN §14).
-pub(crate) fn filter_matches<T, C: FromIterator<T>>(
-    sets: &[Candidates],
+/// `window` is (skip, limit) over the match stream. The caller walks the
+/// first [`MORSEL_ROWS`] rows lazily, so a window that fills there
+/// touches nothing past the row that fills it. When every set is a scan
+/// segment, at least two morsels follow and the window is still open
+/// after the first, the rest of the scan fans out over
+/// [`WorkPool::current`] (see [`fan_out`]); an index
+/// plan's handles, a caller's stream, a scan on a pool of width 1 and a
+/// scan started inside another fan-out's morsel stay on the caller, one
+/// lazy pass as before.
+pub(crate) fn filter_matches<'a, T: Send, C: FromIterator<T>>(
+    sets: &'a [Candidates],
     cf: &CompiledFilter,
     (skip, limit): (usize, Option<usize>),
-    sink: impl FnMut(&Arc<Document>) -> T,
+    sink: impl Fn(&'a Arc<Document>) -> T + Sync,
 ) -> C {
-    sets.iter()
-        .flat_map(Candidates::iter)
+    // The matches the window needs, the skipped ones included.
+    let need = match limit {
+        Some(0) => 0,
+        Some(limit) => skip.saturating_add(limit),
+        None => usize::MAX,
+    };
+    let pool = WorkPool::current();
+    let fans_out = pool.width_here() > 1
+        && sets.iter().all(Candidates::is_scan)
+        && sets.iter().map(Candidates::examined).sum::<usize>() > 2 * MORSEL_ROWS;
+    let (rows, inline) = match fans_out {
+        true => (MORSEL_ROWS, 1),
+        false => (usize::MAX, usize::MAX),
+    };
+    let seen = Cell::new(0);
+    let head = (morsels(sets, rows).take(inline))
+        .flat_map(|(set, rows)| set.walk(rows))
         .filter(|d| cf.matches(d))
+        .take(need)
+        .inspect(|_| seen.set(seen.get() + 1))
         .skip(skip)
-        .take(limit.unwrap_or(usize::MAX))
-        .map(sink)
-        .collect()
+        .map(&sink);
+    // Once per scan, when the first morsel is walked: the rest of it.
+    let after_the_head = || match fans_out && seen.get() < need {
+        true => fan_out(pool, sets, cf, need - seen.get(), &sink),
+        false => Vec::new(),
+    };
+    let rest = std::iter::once(()).flat_map(|()| {
+        let skipped = skip.saturating_sub(seen.get());
+        after_the_head().into_iter().flatten().skip(skipped)
+    });
+    head.chain(rest).take(limit.unwrap_or(usize::MAX)).collect()
+}
+
+/// The row ranges of `sets`, `rows` at a time, in set order then store
+/// order, each with its set.
+fn morsels(
+    sets: &[Candidates],
+    rows: usize,
+) -> impl Iterator<Item = (&Candidates, Range<usize>)> + '_ {
+    sets.iter().flat_map(move |set| {
+        let end = set.examined();
+        (0..end)
+            .step_by(rows)
+            .map(move |start| (set, start..end.min(start.saturating_add(rows))))
+    })
+}
+
+/// The morsels of a scan after its first, matched by the caller and at
+/// most `width - 1` scoped threads (`WorkPool::scatter_morsels`): each
+/// claims the next morsel in store order and collects its matches, at
+/// most `need` of them, into a vector of its own. Once the morsels
+/// finished hold `need` matches — so the window lies inside the ones
+/// claimed — nobody claims another, and each thread finishes the morsel
+/// in hand. The vectors come back in store order.
+fn fan_out<'a, T: Send>(
+    pool: &WorkPool,
+    sets: &'a [Candidates],
+    cf: &CompiledFilter,
+    need: usize,
+    sink: &(impl Fn(&'a Arc<Document>) -> T + Sync),
+) -> Vec<Vec<T>> {
+    let rest: Vec<_> = morsels(sets, MORSEL_ROWS).skip(1).collect();
+    let found = AtomicUsize::new(0);
+    let stop = || found.load(AtomicOrdering::Relaxed) >= need;
+    pool.scatter_morsels(&rest, 1, Some(&stop), |morsel| {
+        let matches: Vec<T> = (morsel.iter().cloned())
+            .flat_map(|(set, rows)| set.walk(rows))
+            .filter(|d| cf.matches(d))
+            .take(need)
+            .map(sink)
+            .collect();
+        found.fetch_add(matches.len(), AtomicOrdering::Relaxed);
+        matches
+    })
 }
 
 /// What a scan whose sink keeps nothing collects into: how many rows

@@ -11,7 +11,7 @@
 //! resolves through plain objects to a JSON number, and `NaN`
 //! ("undecided") for everything else: missing, `null`, a string, an
 //! array, a path that crosses an array, an integer no `f64` holds
-//! exactly. The walk of [`Candidates::iter`] skips a row only when a
+//! exactly. A [`Walk`] over the candidates skips a row only when a
 //! column *proves* a top-level conjunct cannot match it; a `NaN` row
 //! always survives, and [`CompiledFilter::matches`] still decides every
 //! survivor. A column can remove work, never change an answer.
@@ -21,7 +21,8 @@ use crate::profiler::Profiler;
 use crate::query::{CompiledFilter, NumericBound};
 use crate::value::{exact_f64, Docs, Document, Path};
 use serde_json::Value;
-use std::cell::Cell;
+use std::ops::Range;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
 /// Columns one segment will build. API callers choose the filter paths,
@@ -124,15 +125,17 @@ enum Rows {
 }
 
 /// What one planned read will run its filter over: rows in store order,
-/// less those a column rules out as the walk reaches them.
+/// less those a column rules out as a walk reaches them. Walks of
+/// different row ranges may run on different threads at once.
 pub(crate) struct Candidates {
     rows: Rows,
     /// Each bounded path's column, with the bound a row's value in it
     /// must pass; empty for anything but a scan with columns to test.
     bounds: Vec<(Arc<[f64]>, NumericBound)>,
-    /// Rows the walk reached and a column ruled out, added to the
-    /// profiler's `column.rows_pruned` when the candidates are dropped.
-    pruned: Cell<u64>,
+    /// Rows the walks reached and a column ruled out, each walk's count
+    /// added once, when it drops; added to the profiler's
+    /// `column.rows_pruned` when the candidates are dropped.
+    pruned: AtomicU64,
     /// Whose profiler that is: the collection's, set by `prune` when
     /// there are bounds to test.
     report: Option<Arc<Shared>>,
@@ -149,7 +152,7 @@ impl Candidates {
         Candidates {
             rows,
             bounds: Vec::new(),
-            pruned: Cell::new(0),
+            pruned: AtomicU64::new(0),
             report: None,
         }
     }
@@ -171,6 +174,12 @@ impl Candidates {
             Rows::Unscanned(n) => n,
             _ => self.as_slice().len(),
         }
+    }
+
+    /// Whether the rows are the generation's shared scan segment (not
+    /// an index plan's handles, nor a caller's stream).
+    pub(crate) fn is_scan(&self) -> bool {
+        matches!(self.rows, Rows::Scan(_))
     }
 
     /// Paths of `cf` a scan tests against a column: those that hold a
@@ -208,21 +217,26 @@ impl Candidates {
         self
     }
 
-    /// The rows every column bound admits, in store order, lazily: a
-    /// consumer that stops early tests no further row.
-    pub(crate) fn iter(&self) -> impl Iterator<Item = &Arc<Document>> + '_ {
-        let rows = self.as_slice().iter().enumerate();
-        rows.filter(|(row, _)| self.admits(*row))
-            .map(|(_, doc)| doc)
+    /// The rows every column bound admits, in store order.
+    #[cfg(test)]
+    pub(crate) fn iter(&self) -> Walk<'_> {
+        self.walk(0..self.examined())
     }
 
-    /// Whether every column bound admits `row`'s value; a row one of
-    /// them rules out is counted.
+    /// The rows of `rows` every column bound admits, in store order,
+    /// lazily: a consumer that stops early tests no further row.
+    pub(crate) fn walk(&self, rows: Range<usize>) -> Walk<'_> {
+        Walk {
+            of: self,
+            docs: self.as_slice(),
+            rows,
+            pruned: 0,
+        }
+    }
+
+    /// Whether every column bound admits `row`'s value.
     fn admits(&self, row: usize) -> bool {
-        let admitted =
-            (self.bounds.iter()).all(|(col, bound)| col.get(row).is_none_or(|x| bound.admits(*x)));
-        self.pruned.set(self.pruned.get() + u64::from(!admitted));
-        admitted
+        (self.bounds.iter()).all(|(col, bound)| col.get(row).is_none_or(|x| bound.admits(*x)))
     }
 
     /// Every row, before any pruning, as one slice.
@@ -237,8 +251,41 @@ impl Candidates {
 
 impl Drop for Candidates {
     fn drop(&mut self) {
-        if let (Some(shared), n @ 1..) = (&self.report, self.pruned.get()) {
+        if let (Some(shared), n @ 1..) = (&self.report, *self.pruned.get_mut()) {
             shared.profiler.add("column.rows_pruned", n);
+        }
+    }
+}
+
+/// One walk over a range of [`Candidates`]' rows: a morsel of a scan,
+/// or all of them. It counts the rows a column rules out itself and
+/// adds the count to the candidates' once, when it drops, so walks on
+/// several threads share no counter row by row.
+pub(crate) struct Walk<'a> {
+    of: &'a Candidates,
+    docs: &'a [Arc<Document>],
+    rows: Range<usize>,
+    pruned: u64,
+}
+
+impl<'a> Iterator for Walk<'a> {
+    type Item = &'a Arc<Document>;
+
+    fn next(&mut self) -> Option<&'a Arc<Document>> {
+        for row in self.rows.by_ref() {
+            if self.of.admits(row) {
+                return self.docs.get(row);
+            }
+            self.pruned += 1;
+        }
+        None
+    }
+}
+
+impl Drop for Walk<'_> {
+    fn drop(&mut self) {
+        if self.pruned > 0 {
+            self.of.pruned.fetch_add(self.pruned, Ordering::Relaxed);
         }
     }
 }
@@ -327,7 +374,7 @@ mod tests {
         let c = Candidates::scan(s).prune(&compiled(json!({"n": {"$lt": 1}})), &shared);
         assert_eq!(c.iter().take(3).count(), 3);
         assert_eq!(
-            c.pruned.get(),
+            c.pruned.load(Ordering::Relaxed),
             2,
             "rows 1 and 3 ruled out, row 5 not reached"
         );

@@ -65,7 +65,7 @@ pub mod update;
 pub mod value;
 
 pub use aggregate::{parse_pipeline, run_pipeline, Accumulator, Stage as AggStage};
-pub use collection::{Collection, PlanKind, UpdateResult};
+pub use collection::{Collection, PlanKind, UpdateResult, MORSEL_ROWS};
 pub use cursor::{CompiledFindOptions, CompiledProjection, FindOptions, SortDir};
 pub use database::Database;
 pub use docgraph::{doc_stats, schema_stats, DocStats};

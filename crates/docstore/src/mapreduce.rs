@@ -133,8 +133,8 @@ impl MapReduce for HadoopEngine {
         // partitions grouped over the caller and the pool's scoped
         // threads; partials come back in partition order, so the merge
         // below is deterministic regardless of scheduling.
-        let partials: Vec<BTreeMap<OrderedValue, Vec<Value>>> = mp_exec::WorkPool::global()
-            .scatter_morsels(docs, chunk.max(1), |part| {
+        let partials: Vec<BTreeMap<OrderedValue, Vec<Value>>> = mp_exec::WorkPool::current()
+            .scatter_morsels(docs, chunk.max(1), None, |part| {
                 let mut groups: BTreeMap<OrderedValue, Vec<Value>> = BTreeMap::new();
                 for doc in part {
                     map(doc, &mut |k, v| {

@@ -80,7 +80,7 @@ impl ShardedCluster {
         // inserts from different sources are safe, and the per-document
         // insert-before-delete ordering is preserved inside each job.
         let sources: Vec<usize> = (0..self.shards.len()).collect();
-        let moved_per_shard = WorkPool::global().scatter_morsels(&sources, 1, |one| {
+        let moved_per_shard = WorkPool::current().scatter_morsels(&sources, 1, None, |one| {
             let i = one[0];
             let coll = self.shards[i].collection(collection);
             let mut moved = 0;
@@ -194,11 +194,11 @@ impl ShardedCluster {
     /// boundaries, with nothing flattened into an intermediate union
     /// vector first. `sink` says what a match becomes; output is
     /// shard-major, identical to a shard-by-shard concatenation.
-    fn scatter_gather<T, C: FromIterator<T>>(
+    fn scatter_gather<T: Send, C: FromIterator<T>>(
         &self,
         collection: &str,
         cf: &CompiledFilter,
-        sink: impl Fn(&Arc<Document>) -> T,
+        sink: impl Fn(&Arc<Document>) -> T + Sync,
     ) -> C {
         let sets: Vec<_> = self.stable_read(|| {
             self.shards
@@ -224,7 +224,7 @@ impl ShardedCluster {
                 .collection(collection)
                 .update_many(filter, update);
         }
-        let results = WorkPool::global().scatter_morsels(&self.shards, 1, |one| {
+        let results = WorkPool::current().scatter_morsels(&self.shards, 1, None, |one| {
             one[0].collection(collection).update_many(filter, update)
         });
         for r in results {

@@ -36,14 +36,23 @@
 //! column arm) pins the scan's third sink, `Collection::find_rows`, to
 //! the other two: its handles are `find_with`'s without the projection,
 //! its rows `find_with`'s with it.
+//!
+//! The fan-out arm (`fanned_out_scans_answer_as_the_inline_walk`) runs
+//! the same reads of collections of 0 to about 5 scan morsels on pools
+//! of width 1, 2 and 3 (`WorkPool::install`): windowed, projected and
+//! whole finds, `find_rows`, `count` and `distinct`, with and without
+//! column bounds, answer as the inline walk does and as the model does,
+//! and a fanned-out walk rules out no fewer rows than the inline one and
+//! no more than the column rules out in the whole collection.
 
-use mp_docstore::{Collection, CompiledProjection, Database, FindOptions, SortDir};
+use mp_docstore::{Collection, CompiledProjection, Database, FindOptions, SortDir, MORSEL_ROWS};
+use mp_exec::WorkPool;
 use mp_model::{
     model_cmp_docs, model_match, model_project, model_window, ModelOptions, ModelSortKey,
 };
 use proptest::prelude::*;
 use serde_json::{json, Map, Value};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 // ---------------------------------------------------------------------------
 // Strategies
@@ -565,6 +574,69 @@ proptest! {
     }
 }
 
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// Scans of collections of 0 to about 5 morsels answer, on pools of
+    /// width 2 and 3, exactly as on a pool of width 1 (the inline walk)
+    /// and as the model does; a fanned-out window rules out at least the
+    /// rows the inline walk ruled out, and at most every row the column
+    /// rules out.
+    #[test]
+    fn fanned_out_scans_answer_as_the_inline_walk(
+        rows in 0usize..(5 * MORSEL_ROWS + MORSEL_ROWS / 2),
+        seed in any::<u64>(),
+        bounded in any::<bool>(),
+        lo in 0i64..50,
+        span in 1i64..50,
+        skip in 0usize..3 * MORSEL_ROWS,
+        limit in 0usize..3 * MORSEL_ROWS,
+    ) {
+        let db = Database::new();
+        let coll = db.collection("c");
+        let docs: Vec<Value> = (0..rows)
+            .map(|i| {
+                let mut doc = json!({ "_id": i, "w": i % 7 });
+                if let Some(v) = fan_value(seed, i) {
+                    doc["v"] = v;
+                }
+                doc
+            })
+            .collect();
+        coll.insert_many(docs.clone()).unwrap();
+        let filter = match bounded {
+            true => json!({"v": {"$gte": lo, "$lt": lo + span}}),
+            false => json!({"$or": [{"v": {"$in": [lo, lo + span]}}, {"w": lo % 7}]}),
+        };
+        let matched: Vec<&Value> = docs.iter().filter(|d| model_match(&filter, d)).collect();
+        let want: Vec<String> = matched.iter().skip(skip).take(limit).map(|d| d.to_string()).collect();
+        // Every row a column rules out, from a count's walk of them all.
+        let before = db.profiler().counter("column.rows_pruned");
+        prop_assert_eq!(coll.count(&filter).unwrap(), matched.len());
+        let prunable = db.profiler().counter("column.rows_pruned") - before;
+
+        let [inline, two, three] = pools();
+        let (expect, inline_pruned) = inline.install(|| fan_reads(&db, &filter, skip, limit));
+        prop_assert_eq!(&expect[..want.len()], &want[..]);
+        prop_assert_eq!(expect[expect.len() - 2].clone(), matched.len().to_string());
+        prop_assert!(inline_pruned <= prunable);
+        prop_assert_eq!(inline.stats().morsel_scatters, 0);
+        for pool in [two, three] {
+            let scatters = pool.stats().morsel_scatters;
+            let (got, pruned) = pool.install(|| fan_reads(&db, &filter, skip, limit));
+            prop_assert_eq!(&got, &expect, "width {}", pool.size());
+            prop_assert!(
+                inline_pruned <= pruned && pruned <= prunable,
+                "width {}: {} ruled out, {} inline, {} in all", pool.size(), pruned, inline_pruned, prunable
+            );
+            // A whole find and a count of more than two morsels fan out:
+            // two morsels or more are left after the caller's first.
+            let fanned = pool.stats().morsel_scatters - scatters;
+            prop_assert!(rows <= 2 * MORSEL_ROWS || fanned >= 2, "width {}: {} scatters", pool.size(), fanned);
+        }
+    }
+}
+
 /// A write between two scans ends the segment's generation: the second
 /// scan never serves a row the write removed or moved out of range, and
 /// never misses one it added or moved in.
@@ -639,6 +711,52 @@ fn the_ninth_filter_path_scans_unpruned() {
         assert_eq!(pruned.as_array().unwrap().len(), usize::from(k < 8), "p{k}");
     }
     assert_eq!(db.profiler().counter("column.build"), 8);
+}
+
+/// The fan-out arm's pools, of width 1 (the inline walk), 2 and 3.
+fn pools() -> [&'static WorkPool; 3] {
+    static POOLS: OnceLock<[WorkPool; 3]> = OnceLock::new();
+    let [a, b, c] = POOLS.get_or_init(|| [WorkPool::new(1), WorkPool::new(2), WorkPool::new(3)]);
+    [a, b, c]
+}
+
+/// Row `i`'s value at `v` in the fan-out arm: mostly small integers a
+/// column decides, and one row in four missing, `null`, a string or an
+/// array, which it leaves undecided.
+fn fan_value(seed: u64, i: usize) -> Option<Value> {
+    let h = ((i as u64) ^ seed).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 40;
+    match h % 16 {
+        0 => None,
+        1 => Some(Value::Null),
+        2 => Some(json!((h % 50).to_string())),
+        3 => Some(json!([h % 50, 7])),
+        _ => Some(json!(h % 50)),
+    }
+}
+
+/// Every read the fan-out arm compares, as the strings of what it
+/// returns, and the rows the windowed find's walk ruled out.
+fn fan_reads(db: &Database, filter: &Value, skip: usize, limit: usize) -> (Vec<String>, u64) {
+    let coll = db.collection("c");
+    let render = |rows: &[Arc<Value>]| rows.iter().map(|d| d.to_string()).collect::<Vec<_>>();
+    let pruned = || db.profiler().counter("column.rows_pruned");
+    let window = FindOptions::all().skip(skip).limit(limit);
+    let before = pruned();
+    let mut out = render(&coll.find_with(filter, &window).unwrap());
+    let window_pruned = pruned() - before;
+    out.extend(render(
+        &coll.find_with(filter, &window.project(&["v"])).unwrap(),
+    ));
+    out.extend(render(
+        &coll.find_with(filter, &FindOptions::all()).unwrap(),
+    ));
+    let proj = CompiledProjection::compile(&["v"]);
+    let (handles, rows) = coll.find_rows(filter, &proj, skip, Some(limit)).unwrap();
+    out.extend(render(&handles));
+    out.extend(rows.iter().map(Value::to_string));
+    out.push(coll.count(filter).unwrap().to_string());
+    out.push(json!(coll.distinct("v", filter).unwrap()).to_string());
+    (out, window_pruned)
 }
 
 /// Paths the window arm's twin fills its column slots with.

@@ -299,3 +299,65 @@ fn clear_with_outstanding_handles_is_safe() {
     let is: Vec<i64> = held.iter().map(|d| d["i"].as_i64().unwrap()).collect();
     assert_eq!(is, vec![0, 1, 2, 3, 4]);
 }
+
+/// A scan never fans out from inside a fan-out: a sharded find and
+/// count are one scan over the shards' segments, one scatter of at most
+/// `size - 1` threads each, and the scans a MapReduce map phase runs
+/// inside its own scatter stay on the thread that maps them.
+#[test]
+fn scans_fan_out_once_and_never_from_inside_a_scatter() {
+    use mp_docstore::{HadoopEngine, MapReduce, ShardedCluster, MORSEL_ROWS};
+    use mp_exec::WorkPool;
+    use std::sync::OnceLock;
+
+    static POOL: OnceLock<WorkPool> = OnceLock::new();
+    let pool = POOL.get_or_init(|| WorkPool::new(3));
+    let threads =
+        |before: mp_exec::PoolStats| pool.stats().jobs_dispatched - before.jobs_dispatched;
+    let rows = 4 * MORSEL_ROWS;
+    let filter = json!({"n": {"$lt": 10}});
+    let want = (0..rows).filter(|i| i % 100 < 10).count();
+
+    let cluster = ShardedCluster::new(3, "k");
+    for i in 0..rows {
+        cluster
+            .insert_one("c", json!({"k": i, "n": i % 100}))
+            .unwrap();
+    }
+    pool.install(|| {
+        let before = pool.stats();
+        assert_eq!(cluster.find("c", &filter).unwrap().len(), want);
+        assert_eq!(threads(before), 2, "one scatter over the three shards");
+        let before = pool.stats();
+        assert_eq!(cluster.count("c", &filter).unwrap(), want);
+        assert_eq!(
+            (
+                threads(before),
+                pool.stats().morsel_scatters - before.morsel_scatters
+            ),
+            (2, 1)
+        );
+    });
+
+    let db = Database::new();
+    let coll = db.collection("c");
+    coll.insert_many((0..rows).map(|i| json!({"n": i % 100})).collect())
+        .unwrap();
+    let inputs: Vec<Arc<Value>> = (0..8).map(|i| Arc::new(json!({"i": i}))).collect();
+    let map = move |doc: &Value, emit: &mut dyn FnMut(Value, Value)| {
+        let bound = doc["i"].as_u64().unwrap_or(0) + 1;
+        let n = coll.count(&json!({"n": {"$lt": bound}})).unwrap();
+        emit(json!("rows"), json!(n));
+    };
+    let reduce = |_: &Value, vs: &[Value]| json!(vs.iter().filter_map(Value::as_u64).sum::<u64>());
+    pool.install(|| {
+        let before = pool.stats();
+        let out = HadoopEngine::new(4).run(&inputs, &map, &reduce).unwrap();
+        let want: usize = (1..=8)
+            .map(|b| (0..rows).filter(|i| i % 100 < b).count())
+            .sum();
+        assert_eq!(out, vec![(json!("rows"), json!(want))]);
+        assert_eq!(threads(before), 2, "the map phase's scatter only");
+        assert_eq!(pool.stats().morsel_scatters - before.morsel_scatters, 1);
+    });
+}

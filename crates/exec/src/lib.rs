@@ -5,13 +5,13 @@
 //! execution primitives the rest of the workspace fans work out on:
 //!
 //! * [`WorkPool`] — one scoped fan-out, [`WorkPool::scatter_morsels`]:
-//!   the morsels of a borrowed slice are cut into at most `size`
-//!   contiguous groups, the caller maps the first and one
-//!   `std::thread::scope` thread maps each further one, and the results
-//!   come back in input order. The pool is only a width and three
-//!   counters; it holds no threads. The MapReduce map phase and the
-//!   shard router's per-shard updates and migrations fan out on it; the
-//!   read path's match scan does not (DESIGN §14).
+//!   the caller and at most `size - 1` `std::thread::scope` threads
+//!   claim the morsels of a borrowed slice in order from one cursor,
+//!   until they run out or an optional stop holds, and the results come
+//!   back in input order. The pool is only a width and three counters;
+//!   it holds no threads. The MapReduce map phase, the shard router's
+//!   per-shard updates and migrations, and the morsels of a collection
+//!   scan after its first fan out on it (DESIGN §14).
 //! * [`QueryCache`] — a bounded read-through cache keyed by a normalized
 //!   query string and guarded by per-collection *generation counters*:
 //!   every write bumps the collection's generation, and a cached entry
@@ -27,4 +27,4 @@ pub mod cache;
 pub mod pool;
 
 pub use cache::{CacheStats, QueryCache};
-pub use pool::{PoolStats, WorkPool};
+pub use pool::{PoolStats, Stop, WorkPool};

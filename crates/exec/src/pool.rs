@@ -1,17 +1,22 @@
 //! The morsel scatter: one scoped fan-out over a borrowed slice.
 //!
 //! A [`WorkPool`] is a width, not a set of threads. Each
-//! [`WorkPool::scatter_morsels`] cuts its morsels into at most `size`
-//! contiguous groups, runs the first on the caller and each further one
-//! on a thread of its own inside [`std::thread::scope`], and joins them
-//! all before it returns. The scope is what lets the closure and the
-//! input borrow from the caller's stack; nothing outlives the call, so
-//! there are no resident workers or channels, and no raw-memory code
-//! whose soundness needs arguing. A pool of size 1 — or a scatter of
-//! one group — never spawns.
+//! [`WorkPool::scatter_morsels`] cuts its items into morsels; the caller
+//! and at most `size - 1` threads spawned inside [`std::thread::scope`]
+//! claim them in input order from one atomic cursor, each result tagged
+//! with its morsel, until the morsels run out or the caller's
+//! stop says the work is done, and the scatter joins them all before it
+//! returns. The scope is what lets the closure and the input borrow
+//! from the caller's stack; nothing outlives the call, so there are no
+//! resident workers or channels, and no raw-memory code whose soundness
+//! needs arguing. A pool of size 1, a scatter of one morsel, and a
+//! scatter started inside another scatter's morsel never spawn: fan-outs
+//! do not nest.
 
+use std::any::Any;
+use std::cell::Cell;
 use std::panic::{self, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::OnceLock;
 use std::thread;
 
@@ -19,15 +24,54 @@ use std::thread;
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PoolStats {
     /// Scoped threads spawned across all morsel scatters (the caller's
-    /// own group is not one). The frozen harness prints it as
+    /// own share is not one). The frozen harness prints it as
     /// `exec.jobs_dispatched`.
     pub jobs_dispatched: u64,
-    /// Morsel scatters that fanned out to more than one group.
+    /// Morsel scatters that fanned out to more than one thread.
     pub morsel_scatters: u64,
     /// Morsels mapped across all fanned-out scatters, by spawned threads
     /// and scattering callers alike.
     pub morsels_claimed: u64,
 }
+
+/// The early stop of a scatter: asked before every claim, and once it
+/// answers `true` it must keep doing so.
+pub type Stop<'a> = dyn Fn() -> bool + Sync + 'a;
+
+thread_local! {
+    /// Whether this thread is mapping a scatter's morsels: a scatter
+    /// started here runs inline.
+    static IN_SCATTER: Cell<bool> = const { Cell::new(false) };
+    /// The pool [`WorkPool::current`] answers on this thread, when
+    /// [`WorkPool::install`] set one.
+    static INSTALLED: Cell<Option<&'static WorkPool>> = const { Cell::new(None) };
+}
+
+/// Sets a thread-local cell for the life of the guard and puts the old
+/// value back when it drops, unwinding included.
+struct Restore<T: Copy + 'static> {
+    cell: &'static std::thread::LocalKey<Cell<T>>,
+    was: T,
+}
+
+impl<T: Copy + 'static> Restore<T> {
+    fn set(cell: &'static std::thread::LocalKey<Cell<T>>, value: T) -> Self {
+        Restore {
+            cell,
+            was: cell.replace(value),
+        }
+    }
+}
+
+impl<T: Copy + 'static> Drop for Restore<T> {
+    fn drop(&mut self) {
+        self.cell.set(self.was);
+    }
+}
+
+/// What one thread of a scatter mapped: `(morsel, result)` in claim
+/// order, and the first morsel whose `f` panicked, with the payload.
+type Share<R> = (Vec<(usize, R)>, Option<(usize, Box<dyn Any + Send>)>);
 
 /// The fan-out width of [`WorkPool::scatter_morsels`], plus its usage
 /// counters.
@@ -62,9 +106,34 @@ impl WorkPool {
         GLOBAL.get_or_init(|| WorkPool::new(thread::available_parallelism().map_or(1, |n| n.get())))
     }
 
+    /// The pool the store's fan-outs use on this thread: the one
+    /// [`install`](Self::install) set, else [`global`](Self::global).
+    pub fn current() -> &'static WorkPool {
+        INSTALLED.get().unwrap_or_else(WorkPool::global)
+    }
+
+    /// Run `f` with this pool as [`current`](Self::current) on the
+    /// calling thread, then put the previous one back — how a test runs
+    /// the same reads at several widths.
+    pub fn install<R>(&'static self, f: impl FnOnce() -> R) -> R {
+        let _installed = Restore::set(&INSTALLED, Some(self));
+        f()
+    }
+
     /// The fan-out width: the caller plus at most `size - 1` threads.
     pub fn size(&self) -> usize {
         self.size
+    }
+
+    /// The width a scatter started on the calling thread gets: 1 while
+    /// the thread maps another scatter's morsel, [`size`](Self::size)
+    /// otherwise.
+    pub fn width_here(&self) -> usize {
+        if IN_SCATTER.get() {
+            1
+        } else {
+            self.size
+        }
     }
 
     /// Snapshot of the usage counters.
@@ -78,19 +147,29 @@ impl WorkPool {
 
     /// Morsel-driven map over a slice: `items` is cut into contiguous
     /// morsels of `morsel` items (the last may be short; `morsel == 1`
-    /// maps item by item, which is how per-shard work is fanned out), and
-    /// the result holds `f(morsel)` for each, in input order.
+    /// maps item by item, which is how per-shard work is fanned out),
+    /// and the result holds `f(morsel)` for a prefix of the morsels, in
+    /// input order: all of them unless `stop` says otherwise.
     ///
-    /// The morsels are grouped into runs of `ceil(morsels / size)`, at
-    /// most `size` groups — the fewest groups that keep the longest one
-    /// as short as an even split would. The caller maps the first group
-    /// and one scoped thread maps each further group, each in morsel
-    /// order; a single group runs inline.
+    /// The caller and at most [`width_here`](Self::width_here)` - 1`
+    /// scoped threads (no more than there are morsels) claim the morsels
+    /// in input order from one cursor. Before every claim each asks
+    /// `stop`; once it answers `true` nobody claims again and each
+    /// thread finishes the morsel in hand, so every morsel claimed
+    /// before the stop is mapped and the claimed morsels are a prefix.
+    /// A single thread maps inline, in order, asking `stop` the same way.
     ///
-    /// A panic in `f` is re-raised here with its original payload once
-    /// every group has finished: the first panicking group's, in input
-    /// order. Results already built by the other groups are dropped.
-    pub fn scatter_morsels<T, R, F>(&self, items: &[T], morsel: usize, f: F) -> Vec<R>
+    /// A panic in `f` stops the claiming too. It is re-raised here with
+    /// its original payload once every thread has stopped: the panic of
+    /// the first panicking morsel, in input order. Results already built
+    /// by the other morsels are dropped.
+    pub fn scatter_morsels<T, R, F>(
+        &self,
+        items: &[T],
+        morsel: usize,
+        stop: Option<&Stop<'_>>,
+        f: F,
+    ) -> Vec<R>
     where
         T: Sync,
         R: Send,
@@ -98,36 +177,68 @@ impl WorkPool {
     {
         let morsel = morsel.max(1);
         let num = items.len().div_ceil(morsel);
-        let per_group = num.div_ceil(self.size) * morsel;
-        if per_group >= items.len() {
-            return items.chunks(morsel).map(f).collect();
-        }
-        let (first, rest) = items.split_at(per_group);
-        self.morsel_scatters.fetch_add(1, Ordering::Relaxed);
-        self.morsels_claimed
-            .fetch_add(num as u64, Ordering::Relaxed);
-        self.jobs_dispatched
-            .fetch_add(rest.len().div_ceil(per_group) as u64, Ordering::Relaxed);
-
-        let map = |group: &[T]| group.chunks(morsel).map(&f).collect::<Vec<R>>();
-        let outcomes: Vec<thread::Result<Vec<R>>> = thread::scope(|s| {
-            let handles: Vec<_> = rest
-                .chunks(per_group)
-                .map(|group| s.spawn(|| map(group)))
+        let stopped = || stop.is_some_and(|s| s());
+        let threads = self.width_here().min(num).saturating_sub(1);
+        if threads == 0 {
+            let _inside = Restore::set(&IN_SCATTER, true);
+            return (items.chunks(morsel))
+                .take_while(|_| !stopped())
+                .map(f)
                 .collect();
-            let mine = panic::catch_unwind(AssertUnwindSafe(|| map(first)));
-            std::iter::once(mine)
-                .chain(handles.into_iter().map(|h| h.join()))
-                .collect()
-        });
-        let mut out = Vec::with_capacity(num);
-        for outcome in outcomes {
-            match outcome {
-                Ok(results) => out.extend(results),
-                Err(payload) => panic::resume_unwind(payload),
-            }
         }
-        out
+        self.morsel_scatters.fetch_add(1, Ordering::Relaxed);
+        self.jobs_dispatched
+            .fetch_add(threads as u64, Ordering::Relaxed);
+
+        let cursor = AtomicUsize::new(0);
+        let panicked = AtomicBool::new(false);
+        let claim = || {
+            let i = cursor.fetch_add(1, Ordering::Relaxed);
+            let start = i.checked_mul(morsel).filter(|_| i < num)?;
+            Some((i, items.get(start..items.len().min(start + morsel))?))
+        };
+        let work = || -> Share<R> {
+            let _inside = Restore::set(&IN_SCATTER, true);
+            let mut mapped = Vec::new();
+            while !panicked.load(Ordering::Relaxed) && !stopped() {
+                let Some((i, chunk)) = claim() else { break };
+                match panic::catch_unwind(AssertUnwindSafe(|| f(chunk))) {
+                    Ok(r) => mapped.push((i, r)),
+                    Err(payload) => {
+                        panicked.store(true, Ordering::Relaxed);
+                        return (mapped, Some((i, payload)));
+                    }
+                }
+            }
+            (mapped, None)
+        };
+        let shares: Vec<thread::Result<Share<R>>> = thread::scope(|s| {
+            let handles: Vec<_> = (0..threads).map(|_| s.spawn(work)).collect();
+            let mine = work();
+            let joined = handles.into_iter().map(|h| h.join());
+            std::iter::once(Ok(mine)).chain(joined).collect()
+        });
+        let mut mapped = Vec::new();
+        let mut first_panic = None;
+        for share in shares {
+            // A thread's `f` panics inside `work`; only `stop` could
+            // unwind a thread itself, and that ranks after every morsel.
+            let panic = match share {
+                Ok((share, panic)) => {
+                    mapped.extend(share);
+                    panic
+                }
+                Err(payload) => Some((usize::MAX, payload)),
+            };
+            first_panic = first_panic.into_iter().chain(panic).min_by_key(|(i, _)| *i);
+        }
+        if let Some((_, payload)) = first_panic {
+            panic::resume_unwind(payload);
+        }
+        self.morsels_claimed
+            .fetch_add(mapped.len() as u64, Ordering::Relaxed);
+        mapped.sort_unstable_by_key(|(i, _)| *i);
+        mapped.into_iter().map(|(_, r)| r).collect()
     }
 }
 
@@ -143,7 +254,7 @@ mod tests {
         let total = AtomicU64::new(0);
         // One `Result` per morsel, the way the shard router's `rebalance`
         // asks: an `Err` stops nothing, and the first in input order wins.
-        let lens = pool.scatter_morsels(&refs, 1, |one| {
+        let lens = pool.scatter_morsels(&refs, 1, None, |one| {
             total.fetch_add(one[0].len() as u64, Ordering::Relaxed);
             one[0].strip_prefix("doc-1").map(str::len).ok_or(one[0])
         });
@@ -158,7 +269,7 @@ mod tests {
     fn morsels_preserve_order_and_content() {
         let pool = WorkPool::new(4);
         let items: Vec<u64> = (0..10_000).collect();
-        let sums = pool.scatter_morsels(&items, 256, |m| m.iter().sum::<u64>());
+        let sums = pool.scatter_morsels(&items, 256, None, |m| m.iter().sum::<u64>());
         let expect: Vec<u64> = items.chunks(256).map(|m| m.iter().sum()).collect();
         assert_eq!(sums, expect);
     }
@@ -169,7 +280,7 @@ mod tests {
         for size in [4, 1] {
             let pool = WorkPool::new(size);
             // 64 morsels, but no more threads than the pool is wide.
-            let ids = pool.scatter_morsels(&items, 64, |m| {
+            let ids = pool.scatter_morsels(&items, 64, None, |m| {
                 assert_eq!(m.len(), 64);
                 std::thread::current().id()
             });
@@ -187,7 +298,7 @@ mod tests {
         let pool = WorkPool::new(3);
         let items: Vec<u32> = (0..64).collect();
         let err = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            pool.scatter_morsels(&items, 4, |m| {
+            pool.scatter_morsels(&items, 4, None, |m| {
                 assert!(!m.contains(&42), "boom at morsel containing 42");
                 m.len()
             })
@@ -200,7 +311,7 @@ mod tests {
             .unwrap_or_default();
         assert!(msg.contains("boom at morsel"), "{msg}");
         // The pool holds no state a panic could poison.
-        let out = pool.scatter_morsels(&items, 4, |m| m.len());
+        let out = pool.scatter_morsels(&items, 4, None, |m| m.len());
         assert_eq!(out.iter().sum::<usize>(), 64);
     }
 
@@ -212,7 +323,7 @@ mod tests {
         let token = std::sync::Arc::new(());
         let items: Vec<u32> = (0..32).collect();
         let _ = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            pool.scatter_morsels(&items, 2, |m| {
+            pool.scatter_morsels(&items, 2, None, |m| {
                 assert!(!m.contains(&31), "late boom");
                 std::sync::Arc::clone(&token)
             })
@@ -225,7 +336,7 @@ mod tests {
     fn size_one_pool_runs_morsels_inline() {
         let pool = WorkPool::new(1);
         let items: Vec<u32> = (0..100).collect();
-        let out = pool.scatter_morsels(&items, 7, |m| m.to_vec());
+        let out = pool.scatter_morsels(&items, 7, None, |m| m.to_vec());
         assert_eq!(out.concat(), items);
         assert_eq!(pool.stats(), PoolStats::default());
     }
@@ -234,9 +345,9 @@ mod tests {
     fn nested_morsel_scatter_runs_inline_and_completes() {
         let pool = WorkPool::new(2);
         let items: Vec<u64> = (0..16).collect();
-        let out = pool.scatter_morsels(&items, 2, |m| {
+        let out = pool.scatter_morsels(&items, 2, None, |m| {
             let inner: Vec<u64> = m.to_vec();
-            pool.scatter_morsels(&inner, 1, |x| x[0] * 2)
+            pool.scatter_morsels(&inner, 1, None, |x| x[0] * 2)
                 .into_iter()
                 .sum::<u64>()
         });
@@ -245,15 +356,31 @@ mod tests {
             .map(|m| m.iter().map(|x| x * 2).sum())
             .collect();
         assert_eq!(out, expect);
+        // The outer scatter's one thread, and none from the inner ones.
+        assert_eq!(pool.stats().jobs_dispatched, 1);
+        assert_eq!(pool.width_here(), 2, "the caller is outside again");
+    }
+
+    #[test]
+    fn an_installed_pool_is_current_on_its_thread_only() {
+        static NARROW: OnceLock<WorkPool> = OnceLock::new();
+        let narrow = NARROW.get_or_init(|| WorkPool::new(1));
+        assert!(std::ptr::eq(WorkPool::current(), WorkPool::global()));
+        narrow.install(|| {
+            assert!(std::ptr::eq(WorkPool::current(), narrow));
+            let elsewhere = thread::spawn(|| std::ptr::eq(WorkPool::current(), WorkPool::global()));
+            assert!(elsewhere.join().unwrap());
+        });
+        assert!(std::ptr::eq(WorkPool::current(), WorkPool::global()));
     }
 
     #[test]
     fn empty_and_single_morsel_edges() {
         let pool = WorkPool::new(4);
-        let out: Vec<usize> = pool.scatter_morsels(&[] as &[u32], 8, |m| m.len());
+        let out: Vec<usize> = pool.scatter_morsels(&[] as &[u32], 8, None, |m| m.len());
         assert!(out.is_empty());
         // One morsel runs inline: fan-out would be pure overhead.
-        let out = pool.scatter_morsels(&[1u32, 2, 3], 8, |m| m.len());
+        let out = pool.scatter_morsels(&[1u32, 2, 3], 8, None, |m| m.len());
         assert_eq!(out, vec![3]);
         assert_eq!(pool.stats().morsel_scatters, 0);
     }

@@ -23,7 +23,7 @@
 //! errors — CI gates the workspace at zero.
 
 use crate::callgraph::CallGraph;
-use crate::core::{reach, resolve, unjustified_allows, Dir, Drift, FnRef, Workspace};
+use crate::core::{reach, resolve, shadowed, unjustified_allows, Dir, Drift, FnRef, Workspace};
 use crate::diagnostics::Diagnostic;
 use std::collections::BTreeMap;
 
@@ -114,7 +114,7 @@ pub fn analyze_taint(ws: &Workspace, config: &FlowConfig) -> Vec<Diagnostic> {
 
     for src in (0..graph.fns.len()).filter(|&i| sources[i] && !protected[i]) {
         let walk = reach(graph, Dir::Callees, [(src, None)], |_, v, _| {
-            !sinks[v] && !protected[v]
+            !sinks[v] && !protected[v] && !shadowed(graph, v)
         });
         for &u in &walk.order {
             for &(v, line) in graph.out[u].iter().filter(|&&(v, _)| sinks[v]) {
@@ -158,7 +158,7 @@ pub fn analyze_panic_reach(ws: &Workspace, config: &FlowConfig) -> Vec<Diagnosti
         .enumerate()
         .filter(|(_, f)| f.is_pub && f.crate_name == config.roots_crate)
         .map(|(i, _)| (i, None));
-    let walk = reach(graph, Dir::Callees, roots, |_, _, _| true);
+    let walk = reach(graph, Dir::Callees, roots, |_, v, _| !shadowed(graph, v));
 
     for &i in &walk.order {
         let f = &graph.fns[i];
@@ -307,6 +307,46 @@ mod tests {
             diags.iter().all(|d| d.code != "S001"),
             "sanitized chain flagged: {diags:?}"
         );
+    }
+
+    /// A `HashMap::insert` in a source resolves by name and arity to a
+    /// workspace `Index::insert`; neither walk follows that edge
+    /// (`core::shadowed`), so the sink and the unwrap behind it are not
+    /// reported through it. A call of a name std does not share still is.
+    #[test]
+    fn walks_skip_std_shadowed_callees() {
+        let g = workspace_of(
+            &[
+                (
+                    "crates/api/src/lib.rs",
+                    "use std::collections::HashMap;\n\
+                     pub struct Api;\nimpl Api {\n\
+                     pub fn handle(&self, q: &str) {\n\
+                     \x20   let mut buckets = HashMap::new();\n\
+                     \x20   buckets.insert(q.to_owned(), 1u8);\n\
+                     }\n\
+                     pub fn fold(&self, q: &str) { Index::fold(q); }\n}\n",
+                ),
+                (
+                    "crates/store/src/lib.rs",
+                    "pub struct Index;\nimpl Index {\n\
+                     pub fn insert(&mut self, k: String, v: u8) { Filter::parse(&k).unwrap(); }\n\
+                     pub fn fold(q: &str) -> u8 { q.parse().unwrap() }\n}\n\
+                     pub struct Filter;\nimpl Filter {\n\
+                     pub fn parse(q: &str) -> Option<u8> { q.parse().ok() }\n}\n",
+                ),
+            ],
+            &[("api", &["store"]), ("store", &[])],
+        );
+        let config = cfg(&["Api::handle"], &[], &["Filter::parse"], "api");
+        let taint = analyze_taint(&g, &config);
+        assert!(taint.iter().all(|d| d.code != "S001"), "{taint:?}");
+        let panics = analyze_panic_reach(&g, &config);
+        let r001: Vec<_> = panics.iter().filter(|d| d.code == "R001").collect();
+        assert_eq!(r001.len(), 1, "{panics:?}");
+        assert!(r001[0]
+            .message
+            .contains("api::Api::fold -> store::Index::fold"));
     }
 
     /// A seeded request-path unwrap two calls deep is caught with the

@@ -15,10 +15,10 @@
 //!   cannot follow, and `handle_and_row` is the served miss path of a
 //!   projected read): their whole body is hot.
 //! * **driver roots** own the per-document loop
-//!   (`filter_matches`, the scan segment's `build_column`,
-//!   `has_numbers_at` and `Candidates::iter`, whose walk tests each row
-//!   against the column bounds, the aggregation `run_stage`, the
-//!   MapReduce engines): only their
+//!   (`filter_matches` and its fanned-out morsels, `fan_out`, the scan
+//!   segment's `build_column`, `has_numbers_at` and `Walk::next`, whose
+//!   walk tests each row against the column bounds, the morsel scatter,
+//!   the aggregation `run_stage`, the MapReduce engines): only their
 //!   *loop regions* —
 //!   lines inside `for`/`while` bodies or iterator-adapter closures —
 //!   are hot.
@@ -187,20 +187,21 @@ pub struct HotConfig {
 
 impl HotConfig {
     /// The Materials Project workspace defaults: the match scan (counting
-    /// is that scan under a sink with no per-document code of its own), the
-    /// scan segment's column build and the candidates' walk, which tests
-    /// each row against the column bounds, the
-    /// morsel scatter, the aggregation stage runner, and the MapReduce
-    /// engines own the loops; the compiled
+    /// is that scan under a sink with no per-document code of its own)
+    /// and its fanned-out morsels, the scan segment's column build and
+    /// the candidates' walk, which tests each row against the column
+    /// bounds, the morsel scatter, the aggregation stage runner, and the
+    /// MapReduce engines own the loops; the compiled
     /// projection, the scan's two projecting sinks and the compiled sort
     /// comparator run per document.
     pub fn materials_project_defaults() -> Self {
         HotConfig {
             driver_roots: FnRef::list(&[
                 "filter_matches",
+                "fan_out",
                 "build_column",
                 "Segment::has_numbers_at",
-                "Candidates::iter",
+                "Walk::next",
                 "CompiledFindOptions::apply_order",
                 "run_stage",
                 "BuiltinEngine::run",

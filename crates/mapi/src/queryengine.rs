@@ -15,9 +15,12 @@
 //! rows its scan pass built ([`Fetched::rows`]); the entry never owns a
 //! copy of them.
 
-use mp_docstore::{CompiledProjection, Database, Docs, FindOptions, Result, StoreError};
+use mp_docstore::{
+    Collection, CompiledProjection, Database, Docs, FindOptions, Result, StoreError,
+};
 use mp_exec::{CacheStats, QueryCache};
 use mp_lint::{CollectionSchema, Diagnostic};
+use mp_sync::{LockRank, OrderedMutex};
 use serde_json::{Map, Value};
 use std::collections::BTreeMap;
 use std::sync::{Arc, OnceLock};
@@ -206,6 +209,10 @@ pub struct QueryEngine {
     /// Rows are shared `Arc<Document>` handles: a hit hands back the
     /// cached entry without copying a single document.
     cache: QueryCache<Arc<CachedRows>>,
+    /// Each collection's inferred schema, with the write generation it
+    /// was inferred at: [`lint_for`](Self::lint_for) samples a
+    /// collection once per generation, not once per query.
+    schemas: OrderedMutex<BTreeMap<String, (u64, Arc<CollectionSchema>)>>,
 }
 
 impl QueryEngine {
@@ -255,6 +262,7 @@ impl QueryEngine {
             ],
             max_depth: 8,
             cache: QueryCache::new(QUERY_CACHE_CAPACITY),
+            schemas: OrderedMutex::new(LockRank::LintSchemas, BTreeMap::new()),
         }
     }
 
@@ -317,11 +325,30 @@ impl QueryEngine {
     pub fn lint_for(&self, collection: &str, raw: &Value) -> Result<Vec<Diagnostic>> {
         let real_coll = self.resolve_collection(collection).to_string();
         let filter = self.sanitize_level(raw, 0)?;
-        let coll = self.db.collection(&real_coll);
-        let schema = CollectionSchema::infer(&coll, SCHEMA_SAMPLE);
+        let schema = self.schema_of(&self.db.collection(&real_coll));
         let mut diags = mp_lint::analyze_query_with_schema(&filter, &schema, &self.field_aliases);
         diags.extend(mp_lint::analyze_query_perf(&filter, &schema));
         Ok(diags)
+    }
+
+    /// `coll`'s schema as [`CollectionSchema::infer`] finds it at the
+    /// current write generation: the one inferred earlier in this
+    /// generation, or a fresh inference, kept unless a write ended the
+    /// generation while it ran. A `(name, generation)` pair never names
+    /// two states, a dropped and re-created collection included.
+    fn schema_of(&self, coll: &Collection) -> Arc<CollectionSchema> {
+        let version = coll.version();
+        if let Some((at, schema)) = self.schemas.lock().get(coll.name()) {
+            if *at == version {
+                return Arc::clone(schema);
+            }
+        }
+        let schema = Arc::new(CollectionSchema::infer(coll, SCHEMA_SAMPLE));
+        if coll.version() == version {
+            let entry = (version, Arc::clone(&schema));
+            self.schemas.lock().insert(coll.name().to_string(), entry);
+        }
+        schema
     }
 
     fn sanitize_level(&self, raw: &Value, depth: usize) -> Result<Value> {
@@ -906,6 +933,64 @@ mod tests {
             .lint_for("materials", &json!({"band_gap": {"$gt": 2.0}}))
             .unwrap();
         assert!(diags.iter().all(|d| d.code == "Q004"), "{diags:?}");
+    }
+
+    /// `lint_for` infers a collection's schema once per write
+    /// generation, and what it reports is what a schema inferred afresh
+    /// reports: before and after a write that adds a field, and after
+    /// an index appears.
+    #[test]
+    fn lint_for_infers_the_schema_once_per_generation() {
+        let qe = engine();
+        let filters = [
+            json!({"band_gapp": 2.0}),
+            json!({"formula": {"$gt": 3}}),
+            json!({"band_gap": {"$gt": 2.0}}),
+            json!({"formula": {"$regex": "Fe"}}),
+            json!({"spacegroup": {"$gt": 3}}),
+            json!({"spacegroup": "Pnma"}),
+        ];
+        let agrees_with_a_fresh_schema = |qe: &QueryEngine| {
+            let coll = qe.database().collection("materials");
+            let fresh = CollectionSchema::infer(&coll, SCHEMA_SAMPLE);
+            for f in &filters {
+                let filter = qe.sanitize_level(f, 0).unwrap();
+                let mut want =
+                    mp_lint::analyze_query_with_schema(&filter, &fresh, &qe.field_aliases);
+                want.extend(mp_lint::analyze_query_perf(&filter, &fresh));
+                assert_eq!(qe.lint_for("materials", f).unwrap(), want, "{f}");
+            }
+        };
+        let cached = |qe: &QueryEngine| Arc::clone(&qe.schemas.lock()["materials"].1);
+        agrees_with_a_fresh_schema(&qe);
+        let first = cached(&qe);
+        agrees_with_a_fresh_schema(&qe);
+        assert!(
+            Arc::ptr_eq(&first, &cached(&qe)),
+            "inferred again in one generation"
+        );
+
+        let mats = qe.database().collection("materials");
+        mats.insert_one(json!({"_id": "mp-3", "formula": "Si", "spacegroup": "Fd-3m"}))
+            .unwrap();
+        agrees_with_a_fresh_schema(&qe);
+        let written = cached(&qe);
+        assert!(
+            !Arc::ptr_eq(&first, &written),
+            "a write ends the generation"
+        );
+        assert!(mp_lint::has_errors(
+            &qe.lint_for("materials", &json!({"spacegroup": {"$gt": 3}}))
+                .unwrap()
+        ));
+
+        mats.create_index("output.band_gap", false).unwrap();
+        agrees_with_a_fresh_schema(&qe);
+        assert!(!Arc::ptr_eq(&written, &cached(&qe)), "so does an index");
+        let diags = qe
+            .lint_for("materials", &json!({"band_gap": {"$gt": 2.0}}))
+            .unwrap();
+        assert!(diags.is_empty(), "the index serves the range: {diags:?}");
     }
 
     #[test]

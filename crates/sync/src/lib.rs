@@ -16,7 +16,7 @@
 //! ```text
 //! outermost (acquired first)                         innermost (acquired last)
 //! LaunchPad → RateLimit → AuthAccounts → AuthKeyCounter → WebLog
-//!   → QueryCache → ReplApplied → ReplRouter → ShardStats
+//!   → QueryCache → LintSchemas → ReplApplied → ReplRouter → ShardStats
 //!   → Journal → JournalSync → Database → Collection → Index → Clock
 //!   → Profiler
 //! ```
@@ -60,6 +60,9 @@ pub enum LockRank {
     WebLog = 230,
     /// MAPI read-through query cache (probed before any store lock).
     QueryCache = 240,
+    /// MAPI inferred collection schemas, one per write generation
+    /// (looked up and stored with no other lock held).
+    LintSchemas = 250,
     /// Replica-set per-secondary applied counters (held across a
     /// replication round: → `Journal`, the oplog, → collection ops).
     ReplApplied = 310,
@@ -101,6 +104,7 @@ impl LockRank {
             LockRank::AuthKeyCounter => "AuthKeyCounter",
             LockRank::WebLog => "WebLog",
             LockRank::QueryCache => "QueryCache",
+            LockRank::LintSchemas => "LintSchemas",
             LockRank::ReplApplied => "ReplApplied",
             LockRank::ReplRouter => "ReplRouter",
             LockRank::ShardStats => "ShardStats",
