@@ -188,6 +188,26 @@ fn table() -> Vec<Row> {
             vec![0, 1, 2, 3],
         )
         .departs("null-is-not-missing", vec![0]),
+        // Each operator of a path tests everything the path reaches on
+        // its own: two elements of one array may meet bounds or
+        // equalities no one value meets. And a `$nor` branch that
+        // matches nothing rejects nothing.
+        row(
+            json!({"a": {"$gte": 2, "$lte": 1}}),
+            nested(),
+            vec![0, 1, 4],
+        ),
+        row(json!({"a": 1, "$and": [{"a": 2}]}), nested(), vec![0, 1, 4]),
+        row(
+            json!({"a": {"$exists": false, "$ne": 1}}),
+            nulls(),
+            vec![1, 4],
+        ),
+        row(
+            json!({"$nor": [{"a": {"$in": []}}]}),
+            nulls(),
+            vec![0, 1, 2, 3, 4],
+        ),
         // Whole-array versus element equality.
         row(json!({"a": [1, 2]}), nested(), vec![0, 2]).departs("nested-arrays-closed", vec![0]),
         row(json!({"a": 2}), nested(), vec![0, 1, 4]),
@@ -548,6 +568,17 @@ fn every_path_answers_every_row_of_the_table() {
             "{}",
             at("4 shards")
         );
+    }
+}
+
+/// An analyzer Error claims that no document matches, and the API
+/// refuses the filter on it: every row MongoDB answers with a document
+/// lints without one.
+#[test]
+fn every_row_a_document_matches_lints_without_an_error() {
+    for row in table().iter().filter(|row| !row.mongo.is_empty()) {
+        let diags = mp_lint::analyze_query(&row.filter);
+        assert!(!mp_lint::has_errors(&diags), "{}: {diags:?}", row.filter);
     }
 }
 

@@ -1,19 +1,13 @@
-//! Concurrency lints (`L0xx`): enforce the mp-sync lock facade.
+//! Concurrency lints (`L0xx`): lock guards held across other acquisitions.
 //!
 //! A line-based scan over workspace Rust sources. It does not parse the
 //! language — like the kernel's `checkpatch`, it trades soundness for
 //! zero build-time cost and catches the patterns that matter in this
 //! codebase:
 //!
-//! * `L001` (error) — raw `Mutex`/`RwLock` construction or a direct
-//!   `parking_lot`/`std::sync` lock import outside the facade. Every
-//!   lock must be an `OrderedMutex`/`OrderedRwLock` with an explicit
-//!   [`LockRank`](../../../sync/src/lib.rs) so the runtime checker and
-//!   this pass agree on the ordering discipline.
-//! * `L002` (warning) — `.lock().unwrap()`-style poisoning propagation.
-//!   The facade is non-poisoning (parking_lot semantics); unwrapping a
-//!   `LockResult` is dead weight that turns one panicking thread into a
-//!   cascade.
+//! * `L001` and `L002` are *retired*: a raw `Mutex`/`RwLock` outside the
+//!   facade, and with it the `.lock().unwrap()` of a poisoning lock, are
+//!   refused by clippy (`disallowed-types` in the root `clippy.toml`).
 //! * `L003` (warning) — a `let`-bound guard is still live when another
 //!   lock is acquired (directly, or via `Database::collection`, which
 //!   takes the Database lock). Nesting sanctioned by the rank table is
@@ -36,15 +30,9 @@
 use crate::core::{Allow, Scope, Workspace};
 use crate::diagnostics::Diagnostic;
 
-const RAW_MUTEX: &str = concat!("Mutex::", "new(");
-const RAW_RWLOCK: &str = concat!("RwLock::", "new(");
-const PARKING_IMPORT: &str = concat!("use parking", "_lot");
-const STD_SYNC_PREFIX: &str = concat!("std::", "sync::");
 const ACQ_LOCK: &str = concat!(".lock", "()");
 const ACQ_READ: &str = concat!(".read", "()");
 const ACQ_WRITE: &str = concat!(".write", "()");
-const UNWRAP_CALL: &str = concat!(".unwrap", "(");
-const EXPECT_CALL: &str = concat!(".expect", "(");
 const COLLECTION_CALL: &str = concat!(".collection", "(");
 
 /// A live `let`-bound lock guard discovered by the scanner.
@@ -105,70 +93,6 @@ fn scan<'a>(path: &str, lines: impl Iterator<Item = &'a str>) -> Vec<Diagnostic>
 
         let at = |msg_line: usize| format!("{path}:{msg_line}");
         let is_allowed = |code: &str| allowed.iter().any(|a| a == code);
-
-        // L001: raw construction and raw imports.
-        if !is_allowed("L001") {
-            for pat in [RAW_MUTEX, RAW_RWLOCK] {
-                for pos in match_positions(code, pat) {
-                    if !preceded_by_ident(code, pos) {
-                        diags.push(
-                            Diagnostic::error(
-                                "L001",
-                                at(lineno),
-                                format!("raw `{pat}...)` bypasses the mp-sync facade"),
-                            )
-                            .with_suggestion(
-                                "construct an OrderedMutex/OrderedRwLock with an explicit LockRank",
-                            ),
-                        );
-                    }
-                }
-            }
-            if trimmed.starts_with(PARKING_IMPORT) {
-                diags.push(
-                    Diagnostic::error(
-                        "L001",
-                        at(lineno),
-                        "direct parking_lot import bypasses the mp-sync facade",
-                    )
-                    .with_suggestion("import lock types from mp_sync instead"),
-                );
-            }
-            if trimmed.starts_with("use ")
-                && trimmed.contains(STD_SYNC_PREFIX)
-                && (trimmed.contains("Mutex") || trimmed.contains("RwLock"))
-            {
-                diags.push(
-                    Diagnostic::error(
-                        "L001",
-                        at(lineno),
-                        "direct std::sync lock import bypasses the mp-sync facade",
-                    )
-                    .with_suggestion("import lock types from mp_sync instead"),
-                );
-            }
-        }
-
-        // L002: poisoning propagation on an acquisition result.
-        if !is_allowed("L002") {
-            for acq in [ACQ_LOCK, ACQ_READ, ACQ_WRITE] {
-                for pos in match_positions(code, acq) {
-                    let rest = &code[pos + acq.len()..];
-                    if rest.starts_with(UNWRAP_CALL) || rest.starts_with(EXPECT_CALL) {
-                        diags.push(
-                            Diagnostic::warning(
-                                "L002",
-                                at(lineno),
-                                format!("`{acq}{UNWRAP_CALL}...)` propagates lock poisoning"),
-                            )
-                            .with_suggestion(
-                                "the mp-sync facade is non-poisoning; drop the unwrap/expect",
-                            ),
-                        );
-                    }
-                }
-            }
-        }
 
         // L003/L004: acquisitions while a guard is live.
         let mut bound_this_line: Option<Guard> = None;
@@ -274,15 +198,6 @@ pub(crate) fn match_positions(code: &str, pat: &str) -> Vec<usize> {
     out
 }
 
-/// True when the char before offset `pos` continues an identifier —
-/// filters `OrderedMutex::new(` out of the raw-`Mutex::new(` pattern.
-fn preceded_by_ident(code: &str, pos: usize) -> bool {
-    code[..pos]
-        .chars()
-        .next_back()
-        .is_some_and(|c| c.is_alphanumeric() || c == '_')
-}
-
 /// The receiver expression ending at `pos` (`self.accounts` for
 /// `self.accounts.write()`), walking back over path-ish characters.
 pub(crate) fn receiver_before(code: &str, pos: usize) -> String {
@@ -339,50 +254,6 @@ mod tests {
     use super::*;
     use crate::diagnostics::has_errors;
     use std::path::Path;
-
-    #[test]
-    fn raw_construction_is_l001() {
-        let src = concat!("let m = ", "Mutex::", "new(0);\n");
-        let diags = analyze_source("x.rs", src);
-        assert_eq!(diags.len(), 1);
-        assert_eq!(diags[0].code, "L001");
-        assert!(has_errors(&diags));
-    }
-
-    #[test]
-    fn facade_construction_is_clean() {
-        let src = concat!("let m = Ordered", "Mutex::", "new(LockRank::WebLog, 0);\n");
-        assert!(analyze_source("x.rs", src).is_empty());
-    }
-
-    #[test]
-    fn parking_lot_and_std_imports_are_l001() {
-        let src = concat!(
-            "use parking",
-            "_lot::{",
-            "Mutex, ",
-            "RwLock};\n",
-            "use ",
-            "std::",
-            "sync::",
-            "Mutex;\n",
-            "use ",
-            "std::",
-            "sync::Arc;\n",
-        );
-        let diags = analyze_source("x.rs", src);
-        assert_eq!(diags.len(), 2, "{diags:?}");
-        assert!(diags.iter().all(|d| d.code == "L001"));
-    }
-
-    #[test]
-    fn poisoning_unwrap_is_l002() {
-        let src = concat!("let n = *m", ".lock()", ".unwrap", "();\n");
-        let diags = analyze_source("x.rs", src);
-        assert_eq!(diags.len(), 1);
-        assert_eq!(diags[0].code, "L002");
-        assert!(!has_errors(&diags));
-    }
 
     #[test]
     fn guard_across_lock_is_l003() {

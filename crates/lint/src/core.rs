@@ -995,7 +995,7 @@ mod tests {
     #[test]
     fn one_scan_equals_the_single_passes_run_alone() {
         let root = std::env::temp_dir().join(format!("mp-lint-core-{}", std::process::id()));
-        let raw_lock = concat!("pub fn f() { let _m = Mutex::", "new(0); }\n");
+        let double_lock = "let a = self.m.lock();\nlet b = self.m.lock();\n";
         let deep_copy = concat!(
             "pub fn g(ds: &[Arc<u8>]) { let _: Vec<u8> = ds.iter()",
             ".map(",
@@ -1016,9 +1016,12 @@ mod tests {
                 "crates/a/src/lib.rs",
                 "pub fn first(xs: &[u8]) -> u8 { xs[0] }\n",
             ),
-            ("crates/a/tests/t.rs", raw_lock),
-            ("crates/sync/src/lib.rs", &format!("{raw_lock}{deep_copy}")),
-            ("target/debug/build.rs", raw_lock),
+            ("crates/a/tests/t.rs", double_lock),
+            (
+                "crates/sync/src/lib.rs",
+                &format!("{double_lock}{deep_copy}"),
+            ),
+            ("target/debug/build.rs", double_lock),
         ] {
             let file = root.join(path);
             std::fs::create_dir_all(file.parent().expect("fixture paths have a parent"))
@@ -1058,8 +1061,8 @@ mod tests {
         // The facade crate is outside the L scope and inside the P
         // scope; build output is outside both; the graph crosses crates
         // along the manifest's dependency.
-        assert_eq!(at("L001"), ["crates/a/tests/t.rs:1"]);
-        assert_eq!(at("P002"), ["crates/sync/src/lib.rs:2"]);
+        assert_eq!(at("L004"), ["crates/a/tests/t.rs:2"]);
+        assert_eq!(at("P002"), ["crates/sync/src/lib.rs:3"]);
         assert_eq!(at("R002"), ["crates/a/src/lib.rs:1"]);
     }
 }

@@ -22,9 +22,8 @@
 //!   while a *bound* Ordered-lock guard is live. A chained temporary
 //!   (`self.journal.lock().log(op)`) releases at the end of the
 //!   statement and is exempt by construction.
-//! - `E004`: in-place mutation of `Arc`-shared data (`Arc::get_mut` /
-//!   `Arc::make_mut`) — a COW violation against the snapshot-scan
-//!   contract (readers hold clones of the same `Arc`s).
+//! - `E004`: *retired* — in-place mutation of `Arc`-shared data is
+//!   refused by clippy (`disallowed-methods` in the root `clippy.toml`).
 //! - `E005`: a generation bump not preceded by a lock acquisition in the
 //!   same body — the bump can race the query cache's generation check.
 //! - `E006`: an `mp-lint: allow(E...)` with no justification.
@@ -60,7 +59,7 @@ const DRIFT: Drift = Drift {
 };
 
 /// Every code this pass can emit; `DESIGN.md` must document each one.
-pub const EFFECT_CODES: &[&str] = &["E001", "E003", "E004", "E005", "E006", "E007"];
+pub const EFFECT_CODES: &[&str] = &["E001", "E003", "E005", "E006", "E007"];
 
 /// Blocking-I/O markers, matched against *masked* source lines. The
 /// `.write()` lock op is not here: a file write always takes an
@@ -88,11 +87,6 @@ const IO_PATTERNS: &[&str] = &[
 /// joins the others, so a held guard blocks every thread that needs it
 /// while the caller waits for them).
 const SCATTER_PATTERNS: &[&str] = &[concat!(".scatter_", "morsels(")];
-
-/// In-place mutation of `Arc`-shared data (E004): the read path hands
-/// out clones of shared `Arc<Document>`s, so mutating through them
-/// would be visible to every concurrent reader mid-scan.
-const COW_PATTERNS: &[&str] = &[concat!("Arc::get_", "mut("), concat!("Arc::make_", "mut(")];
 
 /// Configuration: which functions carry which leaf effects.
 #[derive(Debug, Clone)]
@@ -434,27 +428,6 @@ pub fn analyze_effects(ws: &Workspace, config: &EffectConfig) -> Vec<Diagnostic>
     // E006: a justification-free E-allow is wrong anywhere.
     diags.extend(unjustified_allows(ws, "E006"));
 
-    // E004: COW violations are a flat source property.
-    for (path, file) in ws.files(&Scope::GRAPH) {
-        for (idx, masked) in file.masked.iter().enumerate() {
-            if matches_any(masked, COW_PATTERNS) && !file.allowed("E004", idx + 1, idx + 1) {
-                diags.push(
-                    Diagnostic::error(
-                        "E004",
-                        format!("{path}:{}", idx + 1),
-                        "in-place mutation of Arc-shared data — concurrent snapshot readers \
-                         hold clones of this Arc and would observe the edit mid-scan"
-                            .to_string(),
-                    )
-                    .with_suggestion(
-                        "copy-on-write instead: build the new value and swap the Arc under the \
-                         collection lock",
-                    ),
-                );
-            }
-        }
-    }
-
     // E001: every mutation primitive must reach a generation bump.
     for i in (0..n).filter(|&i| c.mutation[i]) {
         let f = &graph.fns[i];
@@ -681,20 +654,6 @@ mod tests {
     }
 
     #[test]
-    fn e004_arc_get_mut_is_a_cow_violation() {
-        let src = concat!(
-            "pub fn edit(d: &mut Arc<Value>) {\n",
-            "  if let Some(v) = Arc::get_",
-            "mut(d) { v.take(); }\n",
-            "}\n"
-        );
-        let ws = workspace_of(&[("crates/a/src/lib.rs", src)], DEPS);
-        let diags = analyze_effects(&ws, &cfg(&[], &[]));
-        assert_eq!(diags.len(), 1, "{diags:?}");
-        assert_eq!(diags[0].code, "E004");
-    }
-
-    #[test]
     fn e005_bump_before_lock() {
         let src = concat!(
             "pub struct Coll;\nimpl Coll {\n",
@@ -738,7 +697,7 @@ mod tests {
         assert_eq!(diags[0].code, "E007");
         assert!(diags[0].message.contains("Gone::missing"));
         // A DESIGN.md missing exactly one code fires exactly once.
-        let design = "E001 E003 E004 E005 E007";
+        let design = "E001 E003 E005 E007";
         ws.design = Some(design.to_string());
         let diags = analyze_effects(&ws, &cfg(&[], &[]));
         assert_eq!(diags.len(), 1, "{diags:?}");

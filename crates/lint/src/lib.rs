@@ -2,8 +2,8 @@
 //!
 //! Nine passes share one rustc-style diagnostics framework
 //! ([`Diagnostic`]: severity, stable code, span-ish path, message,
-//! optional suggestion). Passes 1–3 (and `P001` of pass 5) analyze
-//! *values* on the request path; passes 4–9 analyze the *source tree*
+//! optional suggestion). Passes 1–3 analyze *values* on the request
+//! path (the query analyzer reports pass 5's `P001` too); passes 4–9 analyze the *source tree*
 //! and are rows of one pass table ([`PASSES`]) over one [`Workspace`]
 //! — the files read once, the call graph built once, one allow policy
 //! ([`core`]):
@@ -17,15 +17,16 @@
 //! 3. **Data V&V** ([`vnv`]) — declarative per-collection contracts
 //!    (required fields, types, ranges, cross-field invariants) applied to
 //!    staged documents before commit. Codes `D001`–`D004`.
-//! 4. **Concurrency** ([`concurrency`]) — source-level enforcement of
-//!    the mp-sync lock facade: raw lock construction, poisoning
-//!    propagation, guards held across lock-taking calls, same-receiver
-//!    double locks. Codes `L001`–`L004`.
+//! 4. **Concurrency** ([`concurrency`]) — source-level checks of lock
+//!    use: guards held across lock-taking calls, same-receiver double
+//!    locks. Codes `L003`, `L004`; `L001`/`L002` (a lock outside the
+//!    mp-sync facade) are retired to the root `clippy.toml`.
 //! 5. **Performance** ([`perf`]) — query shapes whose only possible plan
-//!    is a full collection scan regardless of indexes (`P001`), plus a
-//!    source scan for read-path regressions: deep-clone-per-document
-//!    closures over shared result sets (`P002`). `P003` is retired: the
-//!    uncompiled matcher it guarded is gone.
+//!    is a full collection scan regardless of indexes (`P001`, which the
+//!    query analyzer reports), plus a source scan for read-path
+//!    regressions: deep-clone-per-document closures over shared result
+//!    sets (`P002`). `P003` is retired: the uncompiled matcher it
+//!    guarded is gone.
 //! 6. **Flow** ([`flow`]) — interprocedural passes over the workspace
 //!    call graph ([`callgraph`], built from per-function summaries in
 //!    [`summary`]): taint tracking from request/staging sources to
@@ -43,7 +44,8 @@
 //!    analysis over the same call graph: per-function effect summaries
 //!    (mutates / bumps-generation / blocking-I/O / scatter) propagated
 //!    bottom-up, proving the generation-bump and no-I/O-under-lock
-//!    invariants (`E001`, `E003`–`E007`).
+//!    invariants (`E001`, `E003`, `E005`–`E007`; `E004` is retired to
+//!    the root `clippy.toml`).
 //! 9. **Order** ([`order`]) — no durability barrier inside a
 //!    per-operation loop (`O004`, with `O006`/`O007` for its allows and
 //!    its configuration).
@@ -84,7 +86,7 @@ pub use effects::{
 pub use flow::{analyze_flow, FlowConfig};
 pub use hotpath::{analyze_hotpath, HotConfig};
 pub use order::{analyze_order, OrderConfig};
-pub use perf::{analyze_perf_source, analyze_query_perf};
+pub use perf::analyze_perf_source;
 pub use query::{analyze_query, analyze_query_with_schema};
 pub use schema::{CollectionSchema, TypeSet};
 pub use summary::{summarize_source, FnSummary};

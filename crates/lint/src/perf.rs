@@ -1,15 +1,11 @@
-//! Pass 5: performance lints — query shapes the planner can never
-//! accelerate, and source patterns that defeat the zero-copy read path.
+//! Pass 5: performance lints — source patterns that defeat the
+//! zero-copy read path.
 //!
 //! Codes:
-//! - `P001` (warning): forced collection scan. The root conjunctive scope
-//!   carries constraints, but none of them is *sargable* (`$eq`, `$in`,
-//!   or a range bound) — or the root is a pure `$or`/`$nor` disjunction,
-//!   which the planner treats as opaque. Whatever indexes exist, the only
-//!   access path is a walk over every document. Distinct from `Q004`,
-//!   which fires when sargable predicates exist but no index covers them:
-//!   `Q004` is fixed by creating an index, `P001` only by reshaping the
-//!   query.
+//! - `P001` (warning): forced collection scan, a query shape the planner
+//!   can never accelerate. It is a finding about a filter, so the query
+//!   analyzer reports it ([`crate::query`]), from the same root scope and
+//!   the same sargable-predicate list as `Q004`.
 //! - `P002` (warning): deep-clone on the read path. A `.map(...)` whose
 //!   closure body is `(*d).clone()` / `(**d).clone()` / `d.as_ref().clone()`
 //!   materializes an owned copy of every document in a shared result set.
@@ -25,86 +21,9 @@
 //! pattern literals are assembled with `concat!` so this file never
 //! matches its own patterns.
 
-use std::collections::BTreeMap;
-
-use mp_docstore::query::Predicate;
-use mp_docstore::Filter;
-use serde_json::Value;
-
 use crate::concurrency::{match_positions, split_comment};
 use crate::core::{Allow, Scope, Workspace};
 use crate::diagnostics::Diagnostic;
-use crate::query::collect_conjuncts;
-use crate::schema::CollectionSchema;
-
-/// A predicate the planner can turn into an index probe.
-fn is_sargable(p: &Predicate) -> bool {
-    matches!(
-        p,
-        Predicate::Eq(_)
-            | Predicate::In(_)
-            | Predicate::Gt(_)
-            | Predicate::Gte(_)
-            | Predicate::Lt(_)
-            | Predicate::Lte(_)
-    )
-}
-
-/// Flag filters whose only possible plan is a full collection scan, no
-/// matter what indexes exist.
-pub fn analyze_query_perf(raw: &Value, schema: &CollectionSchema) -> Vec<Diagnostic> {
-    // Scanning an empty collection costs nothing; warning would mislead.
-    if schema.total_docs == 0 {
-        return Vec::new();
-    }
-    let Ok(filter) = Filter::parse(raw) else {
-        return Vec::new(); // Q000's job
-    };
-    let mut conj: BTreeMap<String, Vec<&Predicate>> = BTreeMap::new();
-    let mut branches: Vec<&Filter> = Vec::new();
-    collect_conjuncts(&filter, "", &mut conj, &mut branches);
-
-    let constrained = !conj.is_empty();
-    let sargable = conj.values().flatten().any(|p| is_sargable(p));
-    let mut out = Vec::new();
-    if constrained && !sargable {
-        let listed = conj
-            .keys()
-            .map(|p| format!("`{p}`"))
-            .collect::<Vec<_>>()
-            .join(", ");
-        out.push(
-            Diagnostic::warning(
-                "P001",
-                conj.keys().next().map(String::as_str).unwrap_or("$filter"),
-                format!(
-                    "no sargable predicate on {listed}: no index can serve this \
-                     query, forcing a scan of all {} documents of `{}`",
-                    schema.total_docs, schema.collection
-                ),
-            )
-            .with_suggestion("add an equality, `$in`, or range bound on an indexable field"),
-        );
-    } else if !constrained && !branches.is_empty() {
-        out.push(
-            Diagnostic::warning(
-                "P001",
-                "$filter",
-                format!(
-                    "the root of this filter is a pure disjunction, which the \
-                     planner cannot index — it scans all {} documents of `{}`",
-                    schema.total_docs, schema.collection
-                ),
-            )
-            .with_suggestion("conjoin a selective predicate at the root, outside the `$or`/`$nor`"),
-        );
-    }
-    out
-}
-
-// ---------------------------------------------------------------------------
-// P002: a source scan over workspace Rust files.
-// ---------------------------------------------------------------------------
 
 const MAP_OPEN: &str = concat!(".map(", "|");
 const CLONE_CALL: &str = concat!(").clone", "()");
@@ -198,67 +117,7 @@ fn scan<'a>(path: &str, lines: impl Iterator<Item = &'a str>) -> Vec<Diagnostic>
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::schema::TypeSet;
-    use serde_json::json;
     use std::path::Path;
-
-    fn schema() -> CollectionSchema {
-        CollectionSchema {
-            sampled: 8,
-            total_docs: 8,
-            ..CollectionSchema::with_fields(
-                "tasks",
-                [
-                    ("chemsys", TypeSet::STRING),
-                    ("nsites", TypeSet::INT),
-                    ("elements", TypeSet::ARRAY.union(TypeSet::STRING)),
-                ],
-                ["chemsys"],
-            )
-        }
-    }
-
-    #[test]
-    fn p001_non_sargable_root_flags_forced_collscan() {
-        let diags = analyze_query_perf(&json!({"chemsys": {"$regex": "Li"}}), &schema());
-        assert_eq!(diags.len(), 1, "{diags:?}");
-        assert_eq!(diags[0].code, "P001");
-        // Even on the indexed field: `$exists` cannot drive a probe.
-        let diags = analyze_query_perf(&json!({"chemsys": {"$exists": true}}), &schema());
-        assert_eq!(diags.len(), 1, "{diags:?}");
-    }
-
-    #[test]
-    fn p001_pure_disjunction_root_flags() {
-        let diags = analyze_query_perf(
-            &json!({"$or": [{"chemsys": "Li-O"}, {"nsites": 2}]}),
-            &schema(),
-        );
-        assert_eq!(diags.len(), 1, "{diags:?}");
-        assert_eq!(diags[0].code, "P001");
-    }
-
-    #[test]
-    fn sargable_roots_do_not_flag() {
-        // Even an *unindexed* sargable predicate is Q004's territory,
-        // not P001's: an index would fix it.
-        assert!(analyze_query_perf(&json!({"nsites": {"$gte": 2}}), &schema()).is_empty());
-        assert!(analyze_query_perf(&json!({"chemsys": "Li-O"}), &schema()).is_empty());
-        // A sargable anchor next to the disjunction rescues the plan.
-        let anchored = json!({"nsites": 1, "$or": [{"chemsys": "Li-O"}, {"nsites": 2}]});
-        assert!(analyze_query_perf(&anchored, &schema()).is_empty());
-        // The unconstrained find-all is a deliberate dump, not a mistake.
-        assert!(analyze_query_perf(&json!({}), &schema()).is_empty());
-    }
-
-    #[test]
-    fn empty_collection_is_exempt() {
-        let empty = CollectionSchema::with_fields("staging", [], []);
-        let diags = analyze_query_perf(&json!({"x": {"$regex": "a"}}), &empty);
-        assert!(diags.is_empty(), "{diags:?}");
-    }
-
-    // ---- P002 ----
 
     #[test]
     fn p002_map_deref_clone_flags() {

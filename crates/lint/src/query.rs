@@ -2,27 +2,35 @@
 //!
 //! Codes:
 //! - `Q000` (error): filter does not parse.
-//! - `Q001` (error): type mismatch — an operand can never compare against
-//!   the field's observed types (cross-type comparisons never match).
-//! - `Q002` (error): always-false predicate set (contradictory bounds,
-//!   conflicting equalities, empty `$in`, `$exists: false` plus a value
-//!   constraint, incompatible range operand types).
+//! - `Q001` (warning): an operand of a type the field does not hold in
+//!   the sampled documents. A sample proves nothing about the documents
+//!   outside it, so this never refuses a query.
+//! - `Q002` (error): a conjunct of the whole filter that no document can
+//!   satisfy under DESIGN §10's semantics: `$in: []`; two different
+//!   `$size`s on an undotted path; `$exists: false` beside an operator
+//!   that needs a reached value. A `$or`/`$nor` branch is never checked:
+//!   a dead branch does not make the filter dead. Every rule is held to
+//!   `mp-docstore`'s `lint_filters` soundness property.
 //! - `Q003` (warning): unknown field, with did-you-mean suggestions against
 //!   the schema and the API's field aliases.
 //! - `Q004` (warning): no constrained field is indexed — the query is a full
 //!   collection scan.
+//! - `P001` (warning, pass 5's code): the root scope carries no sargable
+//!   predicate (`$eq`, `$in`, or a range bound), or is a pure `$or`/`$nor`
+//!   disjunction the planner treats as opaque — whatever indexes exist,
+//!   the only access path is a walk over every document. `Q004` is fixed
+//!   by creating an index, `P001` only by reshaping the query.
 
 use std::collections::BTreeMap;
 
 use mp_docstore::query::Predicate;
-use mp_docstore::value::{cmp_values, values_equal};
 use mp_docstore::Filter;
 use serde_json::Value;
 
 use crate::diagnostics::Diagnostic;
 use crate::schema::{CollectionSchema, TypeSet};
 
-/// Analyze a filter without schema context (parse + contradiction checks).
+/// Analyze a filter without schema context: `Q000` and `Q002`.
 pub fn analyze_query(raw: &Value) -> Vec<Diagnostic> {
     analyze_inner(raw, None, &BTreeMap::new())
 }
@@ -53,61 +61,76 @@ fn analyze_inner(
         }
     };
     let mut out = Vec::new();
-    check_scope(&filter, "", schema, aliases, &mut out);
+    let root = Scope::of(&filter, "");
+    check_scope(&root, true, schema, aliases, &mut out);
     if let Some(schema) = schema {
-        check_index_use(&filter, schema, &mut out);
+        check_plan(&root, schema, &mut out);
     }
     out
 }
 
-/// Analyze one conjunctive scope (a filter node plus all nested `$and`s),
-/// then recurse into `$or`/`$nor` branches and `$elemMatch` sub-filters.
+/// One conjunctive scope: the predicates of a filter node and of its
+/// nested `$and`s, by path (`prefix` names the array element an
+/// `$elemMatch` scope is about), and the `$or`/`$nor` branches met there.
+struct Scope<'f> {
+    prefix: String,
+    paths: BTreeMap<String, Vec<&'f Predicate>>,
+    branches: Vec<&'f Filter>,
+}
+
+impl<'f> Scope<'f> {
+    fn of(filter: &'f Filter, prefix: &str) -> Self {
+        let mut scope = Scope {
+            prefix: prefix.to_string(),
+            paths: BTreeMap::new(),
+            branches: Vec::new(),
+        };
+        scope.collect(filter);
+        scope
+    }
+
+    fn collect(&mut self, filter: &'f Filter) {
+        for (path, preds) in &filter.fields {
+            let path = format!("{}{path}", self.prefix);
+            self.paths.entry(path).or_default().extend(preds.iter());
+        }
+        for sub in &filter.and {
+            self.collect(sub);
+        }
+        self.branches.extend(filter.or.iter().chain(&filter.nor));
+    }
+}
+
+/// Check one scope's paths, then the `$elemMatch` sub-filters and the
+/// branches inside it. `whole` says every document the whole filter
+/// matches satisfies this scope — the root, and an `$elemMatch` in such
+/// a scope — so a predicate set here that nothing satisfies is `Q002`.
 fn check_scope(
-    filter: &Filter,
-    prefix: &str,
+    scope: &Scope<'_>,
+    whole: bool,
     schema: Option<&CollectionSchema>,
     aliases: &BTreeMap<String, String>,
     out: &mut Vec<Diagnostic>,
 ) {
-    let mut conj: BTreeMap<String, Vec<&Predicate>> = BTreeMap::new();
-    let mut branches: Vec<&Filter> = Vec::new();
-    collect_conjuncts(filter, prefix, &mut conj, &mut branches);
-
-    for (path, preds) in &conj {
+    for (path, preds) in &scope.paths {
         if let Some(schema) = schema {
             check_field_known(path, schema, aliases, out);
             check_types(path, preds, schema, out);
         }
-        check_contradictions(path, preds, out);
+        if whole {
+            check_contradictions(path, preds, out);
+        }
         for pred in preds {
             if let Predicate::ElemMatch(sub) = pred {
-                check_scope(sub, &format!("{path}."), schema, aliases, out);
+                let element = Scope::of(sub, &format!("{path}."));
+                check_scope(&element, whole, schema, aliases, out);
             }
         }
     }
-    for branch in branches {
-        check_scope(branch, prefix, schema, aliases, out);
+    for branch in &scope.branches {
+        let branch = Scope::of(branch, &scope.prefix);
+        check_scope(&branch, false, schema, aliases, out);
     }
-}
-
-/// Flatten `filter.fields` plus nested `$and` clauses into one conjunctive
-/// constraint map; collect `$or`/`$nor` branches for separate scopes.
-pub(crate) fn collect_conjuncts<'f>(
-    filter: &'f Filter,
-    prefix: &str,
-    conj: &mut BTreeMap<String, Vec<&'f Predicate>>,
-    branches: &mut Vec<&'f Filter>,
-) {
-    for (path, preds) in &filter.fields {
-        conj.entry(format!("{prefix}{path}"))
-            .or_default()
-            .extend(preds.iter());
-    }
-    for sub in &filter.and {
-        collect_conjuncts(sub, prefix, conj, branches);
-    }
-    branches.extend(filter.or.iter());
-    branches.extend(filter.nor.iter());
 }
 
 // ---------------------------------------------------------------------------
@@ -179,7 +202,7 @@ fn levenshtein(a: &str, b: &str, cap: usize) -> usize {
 }
 
 // ---------------------------------------------------------------------------
-// Q001: type mismatches against the schema
+// Q001: type mismatches against the sampled schema
 // ---------------------------------------------------------------------------
 
 /// The type group an operand can match: numbers compare across int/double.
@@ -202,11 +225,12 @@ fn check_types(
     }
     let mismatch = |op: &str, want: TypeSet, out: &mut Vec<Diagnostic>| {
         out.push(
-            Diagnostic::error(
+            Diagnostic::warning(
                 "Q001",
                 path,
                 format!(
-                    "`{op}` needs a {want} value but `{path}` holds {field} in `{}`",
+                    "`{op}` needs a {want} value but `{path}` holds {field} in the sampled \
+                     documents of `{}`",
                     schema.collection
                 ),
             )
@@ -271,7 +295,7 @@ fn check_types(
                     "null", "bool", "int", "double", "number", "string", "array", "object",
                 ];
                 if !KNOWN.contains(&name.as_str()) {
-                    out.push(Diagnostic::error(
+                    out.push(Diagnostic::warning(
                         "Q001",
                         path,
                         format!("`$type` operand `{name}` is not a known type name"),
@@ -294,161 +318,67 @@ fn range_op_name(p: &Predicate) -> &'static str {
 }
 
 // ---------------------------------------------------------------------------
-// Q002: always-false predicate sets
+// Q002: conjuncts no document satisfies
 // ---------------------------------------------------------------------------
 
+/// The rules that hold for every document under DESIGN §10's semantics.
+/// Each path's operators are tested on their own against everything the
+/// path reaches, so two bounds or equalities that no one value meets can
+/// still be met by two elements of an array, and are not checked.
 fn check_contradictions(path: &str, preds: &[&Predicate], out: &mut Vec<Diagnostic>) {
-    let mut eq: Option<&Value> = None;
-    let mut lo: Option<(&Value, bool)> = None; // tightest lower bound
-    let mut hi: Option<(&Value, bool)> = None; // tightest upper bound
-    let mut size: Option<usize> = None;
-    let mut exists_false = false;
-    let mut value_constrained = false;
-
-    let push = |msg: String, out: &mut Vec<Diagnostic>| {
+    let mut push = |msg: String| {
         out.push(
             Diagnostic::error("Q002", path, msg)
                 .with_suggestion("this predicate set can never match any document"),
         );
     };
-
-    for pred in preds {
-        if !matches!(pred, Predicate::Exists(_)) {
-            value_constrained = true;
-        }
-        match pred {
-            Predicate::Eq(v) => {
-                if let Some(prev) = eq {
-                    if !values_equal(prev, v) {
-                        push(format!("conflicting equalities: {prev} and {v}"), out);
-                    }
-                }
-                eq = Some(v);
-            }
-            Predicate::Gt(v) => tighten(&mut lo, v, false, true),
-            Predicate::Gte(v) => tighten(&mut lo, v, true, true),
-            Predicate::Lt(v) => tighten(&mut hi, v, false, false),
-            Predicate::Lte(v) => tighten(&mut hi, v, true, false),
-            Predicate::In(vs) if vs.is_empty() => {
-                push("`$in: []` matches nothing".to_string(), out);
-            }
-            Predicate::Size(n) => {
-                if let Some(prev) = size {
-                    if prev != *n {
-                        push(format!("conflicting `$size`: {prev} and {n}"), out);
-                    }
-                }
-                size = Some(*n);
-            }
-            Predicate::Exists(false) => exists_false = true,
-            _ => {}
-        }
+    if preds
+        .iter()
+        .any(|p| matches!(p, Predicate::In(vs) if vs.is_empty()))
+    {
+        push("`$in: []` matches nothing".to_string());
     }
-
-    if let (Some((l, li)), Some((h, hi_inc))) = (lo, hi) {
-        if !comparable(l, h) {
-            push(
-                format!("range bounds {l} and {h} have incompatible types"),
-                out,
-            );
-        } else {
-            let ord = cmp_values(l, h);
-            let empty = match ord {
-                std::cmp::Ordering::Greater => true,
-                std::cmp::Ordering::Equal => !(li && hi_inc),
-                std::cmp::Ordering::Less => false,
-            };
-            if empty {
-                push(
-                    format!("empty range: lower bound {l} excludes upper bound {h}"),
-                    out,
-                );
-            }
-        }
+    // An undotted path reaches at most one value, and `$size` tests it
+    // whole; a dotted one reaches one per element of an array of objects.
+    let sizes: Vec<usize> = preds
+        .iter()
+        .filter_map(|p| match p {
+            Predicate::Size(n) => Some(*n),
+            _ => None,
+        })
+        .collect();
+    if !path.contains('.') && sizes.iter().any(|n| Some(n) != sizes.first()) {
+        push(format!("conflicting `$size`s: {sizes:?}"));
     }
-    if let Some(v) = eq {
-        for (bound, is_lower, inclusive) in [
-            lo.map(|(b, i)| (b, true, i)),
-            hi.map(|(b, i)| (b, false, i)),
-        ]
-        .into_iter()
-        .flatten()
-        {
-            if !comparable(v, bound) {
-                push(
-                    format!("equality {v} can never satisfy bound {bound} (different types)"),
-                    out,
-                );
-                continue;
-            }
-            let ord = cmp_values(v, bound);
-            let violates = match (is_lower, inclusive) {
-                (true, true) => ord == std::cmp::Ordering::Less,
-                (true, false) => ord != std::cmp::Ordering::Greater,
-                (false, true) => ord == std::cmp::Ordering::Greater,
-                (false, false) => ord != std::cmp::Ordering::Less,
-            };
-            if violates {
-                push(format!("equality {v} lies outside the required range"), out);
-            }
-        }
+    // `$exists: false` holds where the path reaches nothing, and every
+    // operator but `$exists`, `$ne`, `$nin` and `$not` needs a value.
+    let needs_value = |p: &&Predicate| {
+        !matches!(
+            p,
+            Predicate::Exists(_) | Predicate::Ne(_) | Predicate::Nin(_) | Predicate::Not(_)
+        )
+    };
+    if preds.iter().any(|p| matches!(p, Predicate::Exists(false))) && preds.iter().any(needs_value)
+    {
+        push("`$exists: false` combined with a value constraint".to_string());
     }
-    if exists_false && value_constrained {
-        push(
-            "`$exists: false` combined with a value constraint".to_string(),
-            out,
-        );
-    }
-}
-
-/// Keep the tighter of two bounds (`is_lower` picks max for lower bounds,
-/// min for upper); incomparable mixed-type bounds are reported elsewhere, so
-/// keep the first.
-fn tighten<'v>(
-    slot: &mut Option<(&'v Value, bool)>,
-    v: &'v Value,
-    inclusive: bool,
-    is_lower: bool,
-) {
-    match slot {
-        None => *slot = Some((v, inclusive)),
-        Some((cur, _)) if comparable(cur, v) => {
-            let ord = cmp_values(v, cur);
-            let replace = if is_lower {
-                ord == std::cmp::Ordering::Greater
-            } else {
-                ord == std::cmp::Ordering::Less
-            };
-            if replace {
-                *slot = Some((v, inclusive));
-            }
-        }
-        Some(_) => {}
-    }
-}
-
-/// Values the store's ordering actually ranks against each other.
-fn comparable(a: &Value, b: &Value) -> bool {
-    operand_group(a) == operand_group(b)
 }
 
 // ---------------------------------------------------------------------------
-// Q004: unindexed scans
+// Q004 and P001: what the planner can do with the root scope
 // ---------------------------------------------------------------------------
 
-/// Warn when the root conjunctive scope constrains fields but none of them
-/// is indexed — the planner will walk every document.
-fn check_index_use(filter: &Filter, schema: &CollectionSchema, out: &mut Vec<Diagnostic>) {
-    // An empty collection (or a typo'd database path resolving to one)
-    // costs nothing to scan; warning about it would only mislead.
+/// Warn when the root scope's sargable predicates (those the planner can
+/// turn into an index probe) have no index (`Q004`), or when there are
+/// none (`P001`). An empty collection (or a typo'd database path
+/// resolving to one) costs nothing to scan; warning about it would only
+/// mislead.
+fn check_plan(root: &Scope<'_>, schema: &CollectionSchema, out: &mut Vec<Diagnostic>) {
     if schema.total_docs == 0 {
         return;
     }
-    let mut conj: BTreeMap<String, Vec<&Predicate>> = BTreeMap::new();
-    let mut branches = Vec::new();
-    collect_conjuncts(filter, "", &mut conj, &mut branches);
-
-    let driver_paths: Vec<&String> = conj
+    let sargable: Vec<&String> = root
+        .paths
         .iter()
         .filter(|(_, preds)| {
             preds.iter().any(|p| {
@@ -465,30 +395,54 @@ fn check_index_use(filter: &Filter, schema: &CollectionSchema, out: &mut Vec<Dia
         })
         .map(|(path, _)| path)
         .collect();
-    let Some(first_path) = driver_paths.first() else {
-        return;
+    let listed = |paths: &mut dyn Iterator<Item = &String>| {
+        paths
+            .map(|p| format!("`{p}`"))
+            .collect::<Vec<_>>()
+            .join(", ")
     };
-    if driver_paths.iter().any(|p| schema.is_indexed(p)) {
-        return;
+    let (total, coll) = (schema.total_docs, &schema.collection);
+    if let Some(first) = sargable.first() {
+        if sargable.iter().any(|p| schema.is_indexed(p)) {
+            return;
+        }
+        out.push(
+            Diagnostic::warning(
+                "Q004",
+                first.as_str(),
+                format!(
+                    "no index covers {}; this scans all {total} documents of `{coll}`",
+                    listed(&mut sargable.iter().copied())
+                ),
+            )
+            .with_suggestion(format!("create_index(\"{first}\") would serve this query")),
+        );
+    } else if let Some(first) = root.paths.keys().next() {
+        out.push(
+            Diagnostic::warning(
+                "P001",
+                first.as_str(),
+                format!(
+                    "no sargable predicate on {}: no index can serve this query, forcing a \
+                     scan of all {total} documents of `{coll}`",
+                    listed(&mut root.paths.keys())
+                ),
+            )
+            .with_suggestion("add an equality, `$in`, or range bound on an indexable field"),
+        );
+    } else if !root.branches.is_empty() {
+        out.push(
+            Diagnostic::warning(
+                "P001",
+                "$filter",
+                format!(
+                    "the root of this filter is a pure disjunction, which the planner cannot \
+                     index — it scans all {total} documents of `{coll}`"
+                ),
+            )
+            .with_suggestion("conjoin a selective predicate at the root, outside the `$or`/`$nor`"),
+        );
     }
-    let listed = driver_paths
-        .iter()
-        .map(|p| format!("`{p}`"))
-        .collect::<Vec<_>>()
-        .join(", ");
-    out.push(
-        Diagnostic::warning(
-            "Q004",
-            first_path.as_str(),
-            format!(
-                "no index covers {listed}; this scans all {} documents of `{}`",
-                schema.total_docs, schema.collection
-            ),
-        )
-        .with_suggestion(format!(
-            "create_index(\"{first_path}\") would serve this query"
-        )),
-    );
 }
 
 #[cfg(test)]
@@ -519,6 +473,10 @@ mod tests {
         diags.iter().map(|d| d.code).collect()
     }
 
+    fn with_schema(q: Value) -> Vec<Diagnostic> {
+        analyze_query_with_schema(&q, &schema(), &BTreeMap::new())
+    }
+
     #[test]
     fn q000_unparseable_filter() {
         let diags = analyze_query(&json!({"a": {"$frobnicate": 1}}));
@@ -527,69 +485,53 @@ mod tests {
     }
 
     #[test]
-    fn q001_type_mismatch_range_on_string_field() {
-        let diags =
-            analyze_query_with_schema(&json!({"chemsys": {"$gt": 5}}), &schema(), &BTreeMap::new());
-        assert!(codes(&diags).contains(&"Q001"), "{diags:?}");
-        assert!(has_errors(&diags));
-    }
-
-    #[test]
-    fn q001_equality_against_wrong_type() {
-        let diags =
-            analyze_query_with_schema(&json!({"nsites": "two"}), &schema(), &BTreeMap::new());
-        assert!(codes(&diags).contains(&"Q001"), "{diags:?}");
+    fn q001_type_mismatch_is_a_warning() {
+        for q in [
+            json!({"chemsys": {"$gt": 5}}),
+            json!({"nsites": "two"}),
+            json!({"nsites": {"$type": "decimal"}}),
+        ] {
+            let diags = with_schema(q.clone());
+            assert!(codes(&diags).contains(&"Q001"), "{q}: {diags:?}");
+            assert!(!has_errors(&diags), "a sample proves nothing: {q}");
+        }
     }
 
     #[test]
     fn q001_number_matches_int_or_double() {
         // 2 vs a double field and 2.0 vs an int field are both fine: the
         // store compares numbers across representations.
-        let ok = analyze_query_with_schema(
-            &json!({"band_gap": 2, "nsites": {"$lte": 4.0}}),
-            &schema(),
-            &BTreeMap::new(),
-        );
+        let ok = with_schema(json!({"band_gap": 2, "nsites": {"$lte": 4.0}}));
         assert!(!ok.iter().any(|d| d.code == "Q001"), "{ok:?}");
     }
 
+    /// The surviving rules fire in the root scope, inside `$and` and
+    /// inside an `$elemMatch` there; the shapes some document matches do
+    /// not, nor does anything in a `$or`/`$nor` branch.
     #[test]
-    fn q002_contradictory_bounds() {
-        let diags = analyze_query(&json!({"n": {"$gt": 5, "$lt": 3}}));
-        assert_eq!(codes(&diags), vec!["Q002"]);
-        assert!(has_errors(&diags));
-    }
-
-    #[test]
-    fn q002_exclusive_equal_bounds() {
-        let diags = analyze_query(&json!({"n": {"$gt": 5, "$lt": 5}}));
-        assert_eq!(codes(&diags), vec!["Q002"]);
-        // But an inclusive pair is satisfiable.
-        assert!(analyze_query(&json!({"n": {"$gte": 5, "$lte": 5}})).is_empty());
-    }
-
-    #[test]
-    fn q002_empty_in_and_equality_outside_range() {
-        assert_eq!(
-            codes(&analyze_query(&json!({"n": {"$in": []}}))),
-            vec!["Q002"]
-        );
-        assert_eq!(
-            codes(&analyze_query(&json!({"n": {"$eq": 10, "$lt": 5}}))),
-            vec!["Q002"]
-        );
-        assert_eq!(
-            codes(&analyze_query(&json!({"n": {"$exists": false, "$gt": 1}}))),
-            vec!["Q002"]
-        );
-    }
-
-    #[test]
-    fn q002_found_inside_and_clauses() {
-        let diags = analyze_query(&json!({
-            "$and": [{"n": {"$gte": 10}}, {"n": {"$lte": 3}}]
-        }));
-        assert_eq!(codes(&diags), vec!["Q002"]);
+    fn q002_only_where_no_document_can_match() {
+        for q in [
+            json!({"n": {"$in": []}}),
+            json!({"$and": [{"n": {"$size": 1}}, {"n": {"$size": 2}}]}),
+            json!({"n": {"$exists": false, "$gt": 1}}),
+            json!({"runs": {"$elemMatch": {"ok": {"$in": []}}}}),
+        ] {
+            assert_eq!(codes(&analyze_query(&q)), vec!["Q002"], "{q}");
+        }
+        for q in [
+            json!({"n": {"$gt": 5, "$lt": 3}}),
+            json!({"n": 5, "$and": [{"n": 6}]}),
+            json!({"n": {"$eq": 10, "$lt": 5}}),
+            json!({"n": {"$gt": 1, "$lt": "x"}}),
+            json!({"n": {"$exists": false, "$ne": 5}}),
+            json!({"n": {"$exists": false, "$nin": [5]}}),
+            json!({"n": {"$exists": false, "$not": {"$gt": 5}}}),
+            json!({"$and": [{"a.n": {"$size": 1}}, {"a.n": {"$size": 2}}]}),
+            json!({"$nor": [{"n": {"$in": []}}]}),
+            json!({"$or": [{"n": {"$in": []}}, {"b": 1}]}),
+        ] {
+            assert!(analyze_query(&q).is_empty(), "{q}");
+        }
     }
 
     #[test]
@@ -613,25 +555,50 @@ mod tests {
 
     #[test]
     fn q004_unindexed_scan_warns_and_indexed_does_not() {
-        let diags = analyze_query_with_schema(&json!({"nsites": 2}), &schema(), &BTreeMap::new());
-        assert!(codes(&diags).contains(&"Q004"), "{diags:?}");
+        let diags = with_schema(json!({"nsites": 2}));
+        assert_eq!(codes(&diags), vec!["Q004"]);
         assert!(!has_errors(&diags), "Q004 is advisory");
+        let ok = with_schema(json!({"chemsys": "Li-O", "nsites": 2}));
+        assert!(ok.is_empty(), "{ok:?}");
+    }
 
-        let ok = analyze_query_with_schema(
-            &json!({"chemsys": "Li-O", "nsites": 2}),
-            &schema(),
-            &BTreeMap::new(),
+    #[test]
+    fn p001_non_sargable_root_flags_forced_collscan() {
+        assert_eq!(
+            codes(&with_schema(json!({"chemsys": {"$regex": "Li"}}))),
+            ["P001"]
         );
-        assert!(!ok.iter().any(|d| d.code == "Q004"), "{ok:?}");
+        // Even on the indexed field: `$exists` cannot drive a probe.
+        assert_eq!(
+            codes(&with_schema(json!({"chemsys": {"$exists": true}}))),
+            ["P001"]
+        );
+        // So is a root that is only a disjunction.
+        let q = json!({"$or": [{"chemsys": "Li-O"}, {"nsites": 2}]});
+        assert_eq!(codes(&with_schema(q)), ["P001"]);
+    }
+
+    #[test]
+    fn sargable_roots_do_not_flag_p001() {
+        // An unindexed sargable predicate is Q004's territory, not P001's.
+        assert_eq!(
+            codes(&with_schema(json!({"nsites": {"$gte": 2}}))),
+            ["Q004"]
+        );
+        // A sargable anchor next to the disjunction rescues the plan.
+        let anchored = json!({"chemsys": "Li-O", "$or": [{"chemsys": "Li-O"}, {"nsites": 2}]});
+        assert!(with_schema(anchored).is_empty());
+        // The unconstrained find-all is a deliberate dump, not a mistake.
+        assert!(with_schema(json!({})).is_empty());
+        // Scanning an empty collection costs nothing.
+        let empty = CollectionSchema::with_fields("staging", [], []);
+        let q = json!({"x": {"$regex": "a"}});
+        assert!(analyze_query_with_schema(&q, &empty, &BTreeMap::new()).is_empty());
     }
 
     #[test]
     fn clean_query_has_no_diagnostics() {
-        let diags = analyze_query_with_schema(
-            &json!({"chemsys": "Li-O", "output.energy": {"$lt": 0.0}}),
-            &schema(),
-            &BTreeMap::new(),
-        );
+        let diags = with_schema(json!({"chemsys": "Li-O", "output.energy": {"$lt": 0.0}}));
         assert!(diags.is_empty(), "{diags:?}");
     }
 }

@@ -19,7 +19,7 @@ use mp_docstore::{
     Collection, CompiledProjection, Database, Docs, FindOptions, Result, StoreError,
 };
 use mp_exec::{CacheStats, QueryCache};
-use mp_lint::{CollectionSchema, Diagnostic};
+use mp_lint::{CollectionSchema, Diagnostic, Severity};
 use mp_sync::{LockRank, OrderedMutex};
 use serde_json::{Map, Value};
 use std::collections::BTreeMap;
@@ -302,13 +302,12 @@ impl QueryEngine {
             .unwrap_or(name)
     }
 
-    /// Sanitize and alias-translate a raw (user-supplied) filter.
-    ///
-    /// Rejected: unknown `$` operators (`$where` most importantly),
-    /// nesting beyond `max_depth`, non-object roots, and filters the
-    /// static analyzer proves can never match (`mp-lint` Error-severity
-    /// diagnostics: contradictory bounds, empty `$in`, …). Field names
-    /// are passed through the alias table.
+    /// Sanitize and alias-translate a raw (user-supplied) filter: the
+    /// one place a request is refused for its filter. Rejected: unknown
+    /// `$` operators (`$where` most importantly), nesting beyond
+    /// `max_depth`, non-object roots, filters that do not parse (`Q000`)
+    /// and filters no document can match (`Q002`, an `mp-lint` Error:
+    /// refusing one never changes an answer). Fields are alias-resolved.
     pub fn sanitize(&self, raw: &Value) -> Result<Value> {
         let out = self.sanitize_level(raw, 0)?;
         let diags = mp_lint::analyze_query(&out);
@@ -318,16 +317,15 @@ impl QueryEngine {
         Ok(out)
     }
 
-    /// Schema-aware lint of a raw filter against `collection`'s inferred
-    /// schema: everything `sanitize` checks plus type mismatches, unknown
-    /// fields with did-you-mean, unindexed-scan warnings, and forced-
-    /// collection-scan shapes (`P001`) no index could ever serve.
+    /// The warnings on a raw filter against `collection`'s inferred
+    /// schema: `Q001` type mismatches with the sample, `Q003` unknown
+    /// fields with did-you-mean, `Q004` unindexed and `P001` forced
+    /// scans. Whether it is served is [`sanitize`](Self::sanitize)'s call.
     pub fn lint_for(&self, collection: &str, raw: &Value) -> Result<Vec<Diagnostic>> {
-        let real_coll = self.resolve_collection(collection).to_string();
         let filter = self.sanitize_level(raw, 0)?;
-        let schema = self.schema_of(&self.db.collection(&real_coll));
+        let schema = self.schema_of(&self.db.collection(self.resolve_collection(collection)));
         let mut diags = mp_lint::analyze_query_with_schema(&filter, &schema, &self.field_aliases);
-        diags.extend(mp_lint::analyze_query_perf(&filter, &schema));
+        diags.retain(|d| d.severity == Severity::Warning);
         Ok(diags)
     }
 
@@ -705,18 +703,23 @@ mod tests {
     #[test]
     fn always_false_query_rejected_by_sanitize() {
         let qe = engine();
-        let err = qe.query(
+        let err = qe.query("materials", &json!({"formula": {"$in": []}}), &[], None);
+        match err {
+            Err(StoreError::BadQuery(msg)) => assert!(msg.contains("Q002"), "{msg}"),
+            other => panic!("expected BadQuery(Q002), got {other:?}"),
+        }
+        // Bounds no one value meets are met by two elements of an array:
+        // such a filter is served, with the store's answer.
+        let mats = qe.database().collection("materials");
+        mats.insert_one(json!({"_id": "mp-3", "output": {"band_gap": [1.0, 10.0]}}))
+            .unwrap();
+        let hits = qe.query(
             "materials",
             &json!({"band_gap": {"$gt": 5, "$lt": 3}}),
             &[],
             None,
         );
-        match err {
-            Err(StoreError::BadQuery(msg)) => assert!(msg.contains("Q002"), "{msg}"),
-            other => panic!("expected BadQuery(Q002), got {other:?}"),
-        }
-        let err = qe.query("materials", &json!({"formula": {"$in": []}}), &[], None);
-        assert!(matches!(err, Err(StoreError::BadQuery(_))));
+        assert_eq!(hits.unwrap()[0]["_id"], "mp-3");
     }
 
     #[test]
@@ -923,11 +926,23 @@ mod tests {
             .lint_for("materials", &json!({"band_gapp": 2.0}))
             .unwrap();
         assert!(diags.iter().any(|d| d.code == "Q003"), "{diags:?}");
-        // Type mismatch against the inferred schema is an error.
+        // A type mismatch against the sampled schema is a warning: the
+        // sample proves nothing about the rest, and `$ne` across types
+        // matches everything, which the query serves.
+        for (f, served) in [
+            (json!({"formula": {"$gt": 3}}), 0),
+            (json!({"formula": {"$ne": 3}}), 2),
+        ] {
+            let diags = qe.lint_for("materials", &f).unwrap();
+            assert!(diags.iter().any(|d| d.code == "Q001"), "{diags:?}");
+            assert!(!mp_lint::has_errors(&diags), "{diags:?}");
+            assert_eq!(qe.query("materials", &f, &[], None).unwrap().len(), served);
+        }
+        // Errors are sanitize's: lint_for reports none, even for `$in: []`.
         let diags = qe
-            .lint_for("materials", &json!({"formula": {"$gt": 3}}))
+            .lint_for("materials", &json!({"formula": {"$in": []}}))
             .unwrap();
-        assert!(mp_lint::has_errors(&diags), "{diags:?}");
+        assert!(!mp_lint::has_errors(&diags), "{diags:?}");
         // A clean aliased query lints clean apart from the unindexed scan.
         let diags = qe
             .lint_for("materials", &json!({"band_gap": {"$gt": 2.0}}))
@@ -957,7 +972,7 @@ mod tests {
                 let filter = qe.sanitize_level(f, 0).unwrap();
                 let mut want =
                     mp_lint::analyze_query_with_schema(&filter, &fresh, &qe.field_aliases);
-                want.extend(mp_lint::analyze_query_perf(&filter, &fresh));
+                want.retain(|d| d.severity == Severity::Warning);
                 assert_eq!(qe.lint_for("materials", f).unwrap(), want, "{f}");
             }
         };
@@ -979,10 +994,10 @@ mod tests {
             !Arc::ptr_eq(&first, &written),
             "a write ends the generation"
         );
-        assert!(mp_lint::has_errors(
-            &qe.lint_for("materials", &json!({"spacegroup": {"$gt": 3}}))
-                .unwrap()
-        ));
+        let diags = qe
+            .lint_for("materials", &json!({"spacegroup": {"$gt": 3}}))
+            .unwrap();
+        assert!(diags.iter().any(|d| d.code == "Q001"), "{diags:?}");
 
         mats.create_index("output.band_gap", false).unwrap();
         agrees_with_a_fresh_schema(&qe);

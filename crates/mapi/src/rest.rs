@@ -401,22 +401,9 @@ impl MaterialsApi {
         if let Err(e) = self.admit(req) {
             return e.into();
         }
-        // Schema-aware lint: Error findings become a 400 whose body carries
-        // the rendered diagnostics; Warnings ride along in the envelope.
-        let warnings: Vec<mp_lint::Diagnostic> = match self.qe.lint_for(collection, criteria) {
-            Ok(diags) if mp_lint::has_errors(&diags) => {
-                let resp = ApiResponse::error(400, &mp_lint::render(&diags));
-                self.log.record(
-                    req.now,
-                    &format!("POST /query/{collection}"),
-                    started.elapsed().as_micros() as u64,
-                    0,
-                );
-                return resp;
-            }
-            Ok(diags) => diags,
-            Err(_) => Vec::new(), // sanitize-level failures reported below
-        };
+        // The schema-aware lint's warnings ride along in the envelope; a
+        // filter is refused by `query_cached`'s sanitize, as on every route.
+        let warnings = self.qe.lint_for(collection, criteria).unwrap_or_default();
         let resp = match self
             .qe
             .query_cached(collection, criteria, properties, Some(10_000))
@@ -601,37 +588,87 @@ mod tests {
     #[test]
     fn structured_query_surfaces_lint_diagnostics() {
         let api = api();
-        // A provably-always-false filter is rejected with the diagnostic
+        // A filter no document can match is refused with the diagnostic
         // rendered into the error body.
-        let resp = api.structured_query(
-            &ApiRequest::get("/query"),
-            "materials",
-            &json!({"band_gap": {"$gt": 5, "$lt": 3}}),
-            &[],
-        );
-        assert_eq!(resp.status, 400);
-        assert!(
-            resp.body()["error"].as_str().unwrap().contains("Q002"),
-            "{:?}",
-            resp.body()
-        );
+        for (i, f) in [
+            json!({"band_gap": {"$in": []}}),
+            json!({"$and": [{"elements": {"$size": 1}}, {"elements": {"$size": 2}}]}),
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            let req = ApiRequest::get("/query").at(i as f64);
+            let resp = api.structured_query(&req, "materials", &f, &[]);
+            assert_eq!(resp.status, 400, "{f}");
+            let body = resp.body();
+            assert!(body["error"].as_str().unwrap().contains("Q002"), "{body}");
+        }
 
-        // An unindexed scan succeeds but carries a warning in the envelope.
-        let ok = api.structured_query(
-            &ApiRequest::get("/query").at(1.0),
-            "materials",
-            &json!({"band_gap": {"$gt": 2.5}}),
-            &[],
-        );
-        assert_eq!(ok.status, 200);
-        let body = ok.body();
-        let warnings = body["warnings"].as_array().expect("warnings surfaced");
-        assert!(
-            warnings
-                .iter()
-                .any(|w| w.as_str().unwrap_or("").contains("Q004")),
-            "{warnings:?}"
-        );
+        // An unindexed scan succeeds but carries a warning in the envelope,
+        // and so does a type mismatch with the sampled documents.
+        for (f, code, rows) in [
+            (json!({"band_gap": {"$gt": 2.5}}), "Q004", 1),
+            (json!({"formula": {"$ne": 3}}), "Q001", 2),
+        ] {
+            let ok =
+                api.structured_query(&ApiRequest::get("/query").at(10.0), "materials", &f, &[]);
+            assert_eq!(ok.status, 200);
+            assert_eq!(ok.payload().as_array().unwrap().len(), rows);
+            let body = ok.body();
+            let warnings = body["warnings"].as_array().expect("warnings surfaced");
+            assert!(
+                warnings
+                    .iter()
+                    .any(|w| w.as_str().unwrap_or("").contains(code)),
+                "{warnings:?}"
+            );
+        }
+    }
+
+    /// Filters some stored document matches are served with the store's
+    /// rows, through `structured_query` and `QueryEngine::query` alike:
+    /// the operators of one path are tested on their own against every
+    /// value it reaches, and a `$or`/`$nor` branch that matches nothing
+    /// leaves the filter alive.
+    #[test]
+    fn filters_a_document_matches_are_never_refused() {
+        let api = api();
+        let coll = api.query_engine().database().collection("probe");
+        coll.insert_many(vec![
+            json!({"_id": 0, "a": [1, 10]}),
+            json!({"_id": 1, "a": [5, 6]}),
+            json!({"_id": 2, "a": [10, 1]}),
+            json!({"_id": 3, "a": [2, "a"]}),
+            json!({"_id": 4, "b": 1}),
+        ])
+        .unwrap();
+        for (i, f) in [
+            json!({"a": {"$gt": 5, "$lt": 3}}),
+            json!({"a": 5, "$and": [{"a": 6}]}),
+            json!({"a": {"$eq": 10, "$lt": 5}}),
+            json!({"a": {"$gt": 1, "$lt": "x"}}),
+            json!({"a": {"$exists": false, "$ne": 5}}),
+            json!({"a": {"$exists": false, "$nin": [5]}}),
+            json!({"a": {"$exists": false, "$not": {"$gt": 5}}}),
+            json!({"$nor": [{"a": {"$in": []}}]}),
+            json!({"$or": [{"a": {"$in": []}}, {"b": 1}]}),
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            let stored = coll.find(&f).unwrap();
+            assert!(!stored.is_empty(), "{f}");
+            let req = ApiRequest::get("/query").at(i as f64 * 10.0);
+            let resp = api.structured_query(&req, "probe", &f, &[]);
+            assert_eq!(resp.status, 200, "{f}: {:?}", resp.body());
+            let rows = resp.payload().as_array().unwrap();
+            assert!(rows.iter().eq(stored.iter().map(|d| &**d)), "{f}");
+            let docs = api.query_engine().query("probe", &f, &[], None).unwrap();
+            assert!(
+                docs.iter().map(|d| &**d).eq(stored.iter().map(|d| &**d)),
+                "{f}"
+            );
+        }
     }
 
     #[test]

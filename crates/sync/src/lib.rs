@@ -36,10 +36,17 @@
 //! releases the lock and later acquirers see the (possibly half-updated)
 //! state. Store mutations are written to be exception-safe *before* any
 //! state is published (see `Collection::insert_one`), so un-poisoned
-//! continuation is sound, and no `.lock().unwrap()` noise exists for the
-//! `L002` lint to flag.
+//! continuation is sound, and a guard comes with no `LockResult` to
+//! unwrap.
+//!
+//! ## The facade is the only way to a lock
+//!
+//! The workspace's `clippy.toml` refuses `std::sync::{Mutex, RwLock}`
+//! and `parking_lot::{Mutex, RwLock}` everywhere else; this crate, which
+//! builds the ranked locks on them, allows it.
 
 #![deny(rust_2018_idioms)]
+#![allow(clippy::disallowed_types)]
 
 use std::fmt;
 

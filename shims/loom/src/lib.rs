@@ -11,6 +11,10 @@
 //! `loom::sync::{Arc, Mutex, RwLock}`) and upgrade transparently when the
 //! real crate is available.
 
+// This crate implements the locks the workspace's `clippy.toml` keeps
+// everyone else from using directly.
+#![allow(clippy::disallowed_types)]
+
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 

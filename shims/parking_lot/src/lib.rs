@@ -5,6 +5,10 @@
 //! (a thread panicked while holding it) is entered anyway, matching
 //! parking_lot's behavior of not propagating poison.
 
+// This crate implements the locks the workspace's `clippy.toml` keeps
+// everyone else from using directly.
+#![allow(clippy::disallowed_types)]
+
 use std::fmt;
 use std::sync;
 
